@@ -463,9 +463,10 @@ fn main() {
     section("cost attribution by plane");
     print!("{}", attribution(&out.obs).to_markdown());
     println!(
-        "repair: {} frames planned, {} pumped, {} shares rebuilt",
+        "repair: {} frames planned, {} pumped, {} purged, {} shares rebuilt",
         snap.counter_total("repair/frames_planned"),
         snap.counter_total("repair/frames_pumped"),
+        snap.counter_total("repair/frames_purged"),
         out.repair.shares_rebuilt,
     );
 

@@ -9,10 +9,7 @@
 //!   replies reconstruct,
 //! * **repair under churn** — wire-churn `join_over`/`leave_over`
 //!   with the anti-entropy pass hooked in: digests, `RepairPull`/
-//!   `RepairPush` share transfers, all charged,
-//! * **parallel batches** — `batch_over` on the sharded runtime,
-//!   threads-tagged rows with a bit-identity assert at 1 vs max
-//!   threads.
+//!   `RepairPush` share transfers, all charged.
 //!
 //! The whole recorded scenario is a pure function of the seed: it is
 //! executed twice and the event-trace fingerprints must match; the
@@ -29,20 +26,20 @@
 //! ```sh
 //! cargo run --release --bin e_repl                      # n = 10k
 //! cargo run --release --bin e_repl -- 10000 2000 7 [expect-fp-hex] \
-//!     [--threads N] [--backend mem|file]
+//!     [--backend mem|file]
 //! ```
 
 use bytes::Bytes;
 use cd_bench::bench_json::{self, Record};
-use cd_bench::{claim, parse_backend_file, parse_threads, section, MASTER_SEED};
+use cd_bench::{claim, parse_backend_file, section, MASTER_SEED};
 use cd_core::pointset::PointSet;
 use cd_core::rng::{seeded, subseed};
 use cd_core::stats::Table;
 use cd_core::Point;
 use dh_dht::DhNetwork;
 use dh_proto::engine::RetryPolicy;
-use dh_proto::transport::{Inline, Recorder, Sim};
-use dh_replica::{batch_over, RepairReport, ReplicaAction, ReplicaOp, ReplicatedDht, Shelves};
+use dh_proto::transport::{Recorder, Sim};
+use dh_replica::{RepairReport, ReplicatedDht, Shelves};
 use dh_store::{FileShelves, MemShelves, ScratchPath};
 use rand::Rng;
 use std::time::Instant;
@@ -153,46 +150,6 @@ fn scenario<S: Shelves>(n: usize, items: usize, seed: u64, shelves: S) -> Scenar
     }
 }
 
-/// The parallel batch pass: `batch_over` on the sharded runtime,
-/// returning comparable metrics plus ops/s for one thread count.
-fn batch_pass<S: Shelves + Sync>(
-    n: usize,
-    ops_n: usize,
-    seed: u64,
-    shelves: S,
-) -> (Vec<(bool, u64, u64)>, f64) {
-    let mut rng = seeded(seed ^ 0x0E75);
-    let net = DhNetwork::new(&PointSet::random(n, &mut rng));
-    let mut dht = ReplicatedDht::with_shelves(net, M, K, shelves, &mut rng);
-    for key in 0..64u64 {
-        let from = dht.net.random_node(&mut rng);
-        dht.put(from, key, value_of(key), &mut rng);
-    }
-    let ops: Vec<ReplicaOp> = (0..ops_n as u64)
-        .map(|i| {
-            let from = dht.net.random_node(&mut rng);
-            let action = if i % 3 == 0 {
-                ReplicaAction::Get { key: i % 64 }
-            } else {
-                ReplicaAction::Put { key: 1_000 + i, value: value_of(i) }
-            };
-            ReplicaOp { from, action }
-        })
-        .collect();
-    let retry = RetryPolicy::patient();
-    let t0 = Instant::now();
-    let (results, _, _) = batch_over(&mut dht, &ops, seed ^ 0xBA7C, retry, 8, |_| Inline);
-    let secs = t0.elapsed().as_secs_f64();
-    let brief = results
-        .iter()
-        .map(|r| {
-            assert!(r.applied, "Inline batch ops cannot fail");
-            (r.value.is_some(), r.outcome.msgs, r.outcome.bytes)
-        })
-        .collect();
-    (brief, ops_n as f64 / secs)
-}
-
 /// The durability dial: Inline puts over the WAL backend at three
 /// sync-commit settings — never sync (OS flush policy), group-commit
 /// every 8th commit, sync every commit. Prices what each notch of
@@ -252,18 +209,13 @@ fn measure_recovery(path: &std::path::Path) -> RecoverScan {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let threads = parse_threads(&mut args);
     let file_backend = parse_backend_file(&mut args);
-    if let Some(t) = threads {
-        rayon::set_num_threads(t);
-    }
     let mut args = args.into_iter();
     let n: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(10_000);
     let items: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(2_000);
     let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(MASTER_SEED ^ 0x0E91);
     let expect_fp: Option<u64> =
         args.next().and_then(|a| u64::from_str_radix(a.trim_start_matches("0x"), 16).ok());
-    let workers = threads.unwrap_or_else(rayon::current_num_threads);
     let backend = if file_backend { "file" } else { "mem" };
 
     println!(
@@ -344,30 +296,6 @@ fn main() {
         "a quorum read must fan out to the clique"
     );
 
-    section("parallel batches on the sharded runtime");
-    // each batch pass gets its own shelves (a fresh scratch WAL on the
-    // file backend), so the 1-vs-max-threads bit-identity check also
-    // witnesses backend independence
-    let batch_on = |seed: u64| -> (Vec<(bool, u64, u64)>, f64) {
-        if file_backend {
-            let scratch = ScratchPath::new("e-repl-batch");
-            batch_pass(n, 1_024, seed, FileShelves::open(scratch.path()).expect("open WAL"))
-        } else {
-            batch_pass(n, 1_024, seed, MemShelves::new())
-        }
-    };
-    let t_max = workers.max(1);
-    let (brief_1, _) = {
-        rayon::set_num_threads(1);
-        batch_on(seed)
-    };
-    rayon::set_num_threads(t_max);
-    let (brief_t, ops_per_s) = batch_on(seed);
-    rayon::set_num_threads(threads.unwrap_or(0));
-    assert_eq!(brief_1, brief_t, "batch results must be bit-identical at 1 vs {t_max} threads");
-    println!("batch_over: 1024 mixed ops, shards = 8, threads = {t_max}: {ops_per_s:.0} ops/s");
-    println!("bit-identity at 1 vs {t_max} threads: ok");
-
     if let Some(want) = expect_fp {
         assert_eq!(
             out.fingerprint, want,
@@ -387,36 +315,27 @@ fn main() {
     // mem-backend rows keep their historical names so the perf
     // trajectory in BENCH_ops.json stays continuous; the WAL backend
     // gets `_file`-suffixed rows plus the recovery-scan throughput
-    let (put_row, get_row, churn_row, batch_row) = if file_backend {
-        ("e_repl/put_file", "e_repl/get_file", "e_repl/repair_churn_file", "e_repl/batch_file")
+    let (put_row, get_row, churn_row) = if file_backend {
+        ("e_repl/put_file", "e_repl/get_file", "e_repl/repair_churn_file")
     } else {
-        ("e_repl/put_sim", "e_repl/get_sim", "e_repl/repair_churn", "e_repl/batch_inline")
+        ("e_repl/put_sim", "e_repl/get_sim", "e_repl/repair_churn")
     };
     let mut records = vec![
-        Record::new(put_row, n, out.put_ns)
-            .with_msgs(out.put_msgs, out.put_bytes)
-            .with_threads(workers),
-        Record::new(get_row, n, out.get_ns)
-            .with_msgs(out.get_msgs, out.get_bytes)
-            .with_threads(workers),
-        Record::new(churn_row, n, out.repair_ns)
-            .with_msgs(
-                out.repair.msgs as f64 / out.churn_ops as f64,
-                out.repair.bytes as f64 / out.churn_ops as f64,
-            )
-            .with_threads(workers),
-        Record::new(batch_row, n, 1e9 / ops_per_s.max(1e-9)).with_threads(t_max),
+        Record::new(put_row, n, out.put_ns).with_msgs(out.put_msgs, out.put_bytes),
+        Record::new(get_row, n, out.get_ns).with_msgs(out.get_msgs, out.get_bytes),
+        Record::new(churn_row, n, out.repair_ns).with_msgs(
+            out.repair.msgs as f64 / out.churn_ops as f64,
+            out.repair.bytes as f64 / out.churn_ops as f64,
+        ),
     ];
     if let Some(scan) = &recover {
-        records.push(
-            Record::new("e_repl/recover_scan", n, scan.ns_per_share).with_threads(workers),
-        );
+        records.push(Record::new("e_repl/recover_scan", n, scan.ns_per_share));
     }
     if file_backend {
         section("durability dial (sync_data off / every 8th commit / every commit)");
         for (name, ns) in sync_sweep(n, seed) {
             println!("{name}: {:.0} ns/put", ns);
-            records.push(Record::new(name, n, ns).with_threads(workers));
+            records.push(Record::new(name, n, ns));
         }
     }
     let path = std::env::var("BENCH_JSON").unwrap_or_else(|_| "BENCH_ops.json".to_string());

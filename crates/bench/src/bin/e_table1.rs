@@ -25,20 +25,10 @@
 //! cargo run --release --bin e_table1 -- 100000 20000    # n = 100k
 //! cargo run --release --bin e_table1 -- 10000 5000 1592642534 [expect-fp-hex]
 //! #                                      n    m    seed
-//! cargo run --release --bin e_table1 -- --threads 2     # pin the pool width
 //! ```
 //!
 //! The harness scales to the million-node sizes of `e_scale` (`n` is a
 //! plain CLI argument); the CI smoke runs the 10k size.
-//!
-//! `--threads T` (anywhere on the command line) pins the workspace
-//! thread pool: the bulk builds and the closing sharded-runtime
-//! verification then run on `T` workers. The pinned fingerprint is
-//! asserted under every thread count — the multi-core layer must not
-//! move a single message. The sharded pass re-runs the `dh`/Fast
-//! batch through `lookups_over_sharded` (shard count = max(T, 2)) and
-//! asserts it reproduces the single-engine metrics exactly, recording
-//! a `threads`-tagged row.
 
 use cd_bench::bench_json::{self, Record};
 use cd_bench::{claim, section, MASTER_SEED};
@@ -46,7 +36,7 @@ use cd_core::graph::{ChordLike, ContinuousGraph, DeBruijn, DistanceHalving};
 use cd_core::pointset::PointSet;
 use cd_core::rng::seeded;
 use cd_core::stats::Table;
-use dh_dht::proto::{lookups_over, lookups_over_sharded};
+use dh_dht::proto::lookups_over;
 use dh_dht::{CdNetwork, LookupKind};
 use dh_obs::Obs;
 use dh_proto::engine::RetryPolicy;
@@ -115,12 +105,7 @@ fn run_row<G: ContinuousGraph>(
 }
 
 fn main() {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let threads = cd_bench::parse_threads(&mut raw);
-    if let Some(t) = threads {
-        rayon::set_num_threads(t);
-    }
-    let mut args = raw.into_iter();
+    let mut args = std::env::args().skip(1);
     let n: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(10_000);
     let m: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(5_000);
     let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(MASTER_SEED ^ 0x7AB1);
@@ -163,39 +148,6 @@ fn main() {
     fingerprint ^= run_row(ChordLike, LookupKind::Greedy, &ctx, 3, &mut table, &mut records);
 
     print!("{}", table.to_markdown());
-
-    // The sharded-runtime verification: the dh/Fast batch again, split
-    // across per-shard engines on the thread pool. Must reproduce the
-    // single-engine numbers exactly (routes are interleaving-free
-    // under Inline); recorded as a threads-tagged row.
-    let pool_threads = threads.unwrap_or_else(rayon::current_num_threads);
-    let shards = pool_threads.max(2);
-    {
-        let net = CdNetwork::build(DistanceHalving::binary(), &points);
-        let retry = RetryPolicy::patient();
-        let (single, _) = lookups_over(&net, LookupKind::Fast, m, seed, Inline, retry, 2);
-        let t0 = Instant::now();
-        let (sharded, _) =
-            lookups_over_sharded(&net, LookupKind::Fast, m, seed, shards, |_| Inline, retry, 2);
-        let secs = t0.elapsed().as_secs_f64();
-        assert_eq!(sharded.msgs, single.msgs, "sharded run moved a message");
-        assert_eq!(sharded.bytes, single.bytes);
-        assert_eq!(sharded.path_lengths, single.path_lengths);
-        assert_eq!(sharded.max_load, single.max_load);
-        assert_eq!(sharded.completed, single.completed);
-        println!(
-            "\nsharded runtime ({shards} shards, {pool_threads} thread{}): \
-             {m} fast lookups in {secs:.2} s = {:.0}/s — single-engine metrics reproduced",
-            if pool_threads == 1 { "" } else { "s" },
-            m as f64 / secs
-        );
-        records.push(
-            Record::new("e_table1/dh_fast_sharded", n, secs * 1e9 / m as f64)
-                .with_msgs(sharded.msgs_per_op(), sharded.bytes_per_op())
-                .with_topology("dh")
-                .with_threads(pool_threads),
-        );
-    }
 
     println!("\ncombined fingerprint: {fingerprint:#018x}");
     if let Some(want) = expect_fp {

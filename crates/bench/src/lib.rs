@@ -1,7 +1,7 @@
 //! Shared helpers for the experiment harness binaries.
 //!
 //! Every binary under `src/bin/` regenerates one table or figure of
-//! the paper (see `EXPERIMENTS.md` for the experiment index) and
+//! the paper (each binary's module docs name the claim it checks) and
 //! prints Markdown alongside the paper's claimed bound, so measured
 //! shape and theory can be compared line by line.
 
@@ -30,8 +30,8 @@ pub fn section(title: &str) {
 }
 
 /// Strip a `--threads N` flag (anywhere on the command line) out of
-/// `args` and return `N`. Shared by the harness binaries that drive
-/// the multi-core layer; panics on a malformed value so a typo'd
+/// `args` and return `N`. Shared by the harness binaries that pin
+/// the thread-pool width; panics on a malformed value so a typo'd
 /// sweep fails loudly instead of measuring the wrong width.
 pub fn parse_threads(args: &mut Vec<String>) -> Option<usize> {
     let pos = args.iter().position(|a| a == "--threads")?;
@@ -88,9 +88,9 @@ pub mod bench_json {
     //! `"msgs_per_op"` and `"bytes_per_op"` (mean messages/bytes per
     //! operation, all retransmissions charged), records swept across
     //! overlay instances carry `"topology"` (the instance label, e.g.
-    //! `"chord"` or `"debruijn8"`), records measured on the
-    //! multi-core drivers carry `"threads"` (worker count of the run,
-    //! so the scaling curve is part of the perf trajectory), open-loop
+    //! `"chord"` or `"debruijn8"`), records of runs that pinned the
+    //! thread pool carry `"threads"` (the pool width — only the bulk
+    //! build and `e_scale`'s parallel lookups run on it), open-loop
     //! SLO benches carry `"p50_ns"`/`"p99_ns"`/`"p999_ns"` (tail
     //! latency of the modeled arrival queue, not just the mean), and
     //! `"unit"` names what the numeric columns measure (`"ns"` for
@@ -119,7 +119,7 @@ pub mod bench_json {
         pub bytes_per_op: Option<f64>,
         /// Overlay instance label (cross-topology benches only).
         pub topology: Option<String>,
-        /// Worker-thread count (multi-core driver benches only).
+        /// Thread-pool width of the run (when the bench pins it).
         pub threads: Option<usize>,
         /// Median latency in nanoseconds (open-loop SLO benches only).
         pub p50_ns: Option<f64>,

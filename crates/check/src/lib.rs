@@ -13,8 +13,8 @@
 //!   exits nonzero on findings.
 //! * **model checks** (`tests/model.rs`) — drive the `rayon::chk`
 //!   happens-before race checker over the thread pool's chunk-cursor
-//!   claim/merge protocol, `THREAD_OVERRIDE`, and the sharded-engine
-//!   outcome merge, exploring bounded interleavings; plus mutation
+//!   claim/merge protocol and `THREAD_OVERRIDE`, exploring bounded
+//!   interleavings; plus mutation
 //!   tests proving the tooling catches the bugs it claims to catch.
 //!   Run with `cargo test -p dh_check` (and with
 //!   `RUSTFLAGS="--cfg dh_check"` to model-check the *real* pool).

@@ -3,10 +3,9 @@
 //!
 //! Always-on tests model the protocols with the tracked primitives
 //! from `rayon::chk` (the chunk-cursor claim/merge discipline,
-//! `THREAD_OVERRIDE` publication, the sharded-engine outcome merge)
-//! and seed the ISSUE's two concurrency mutants — a `Relaxed` store on
-//! the merge flag and a torn non-atomic counter — asserting the
-//! checker reports each. Compiling with `RUSTFLAGS="--cfg dh_check"`
+//! `THREAD_OVERRIDE` publication) and seed the ISSUE's two concurrency
+//! mutants — a `Relaxed` store on the merge flag and a torn non-atomic
+//! counter — asserting the checker reports each. Compiling with `RUSTFLAGS="--cfg dh_check"`
 //! additionally model-checks the **real** `rayon::pool::run_indexed_on`,
 //! whose internals are then built on the tracked primitives.
 
@@ -117,44 +116,6 @@ fn thread_override_publication_is_race_free() {
         });
     });
     assert!(r.race_free(), "SeqCst override must publish: {:?}", r.races);
-}
-
-// -----------------------------------------------------------------
-// Sharded-engine outcome merge
-// -----------------------------------------------------------------
-
-/// `run_sharded`'s merge discipline: each shard owns a disjoint set of
-/// global op slots and writes only those; the driver reads every slot
-/// after the join. Disjoint ownership + join edge ⇒ race-free on all
-/// interleavings, and the merged outcome vector is schedule-invariant.
-#[test]
-fn sharded_outcome_merge_is_race_free() {
-    const OPS: usize = 4;
-    let r = explore_default(|| {
-        let slots: Vec<RaceCell<i64>> = (0..OPS).map(|_| RaceCell::new("op-slot", -1)).collect();
-        let slots_ref = &slots;
-        rayon::chk::scope(|s| {
-            // shard 0 owns even ops, shard 1 odd — the ownership
-            // predicate of run_sharded in miniature
-            let hs: Vec<_> = (0..2usize)
-                .map(|shard| {
-                    s.spawn(move || {
-                        for (i, slot) in slots_ref.iter().enumerate() {
-                            if i % 2 == shard {
-                                slot.set(i as i64 * 100);
-                            }
-                        }
-                    })
-                })
-                .collect();
-            for h in hs {
-                h.join().expect("shard");
-            }
-        });
-        let merged: Vec<i64> = slots.iter().map(RaceCell::get).collect();
-        assert_eq!(merged, vec![0, 100, 200, 300]);
-    });
-    assert!(r.race_free(), "disjoint slot merge must be race-free: {:?}", r.races);
 }
 
 // -----------------------------------------------------------------

@@ -24,16 +24,15 @@
 //!   drivers for the congestion/permutation-routing experiments,
 //! * [`proto`] — the network on the `dh_proto` wire API: the
 //!   [`dh_proto::Topology`] impl, message-driven lookup batches over
-//!   any transport (single-engine and sharded), and churn as wire
-//!   traffic.
+//!   any transport, and churn as wire traffic.
 //!
-//! The heavy batch paths run **multi-core**: the bulk builder's derive
-//! sweep, [`CdNetwork::lookup_many_par`], the sharded
-//! [`proto::lookups_over_sharded`] driver and the storage
-//! [`storage::Dht::batch_over`] all fan out over the workspace thread
-//! pool with per-index sub-seeding, so their results are bit-identical
-//! for every thread count (see `tests/par_threads.rs` and DESIGN.md
-//! §5).
+//! The heavy read-only batch paths run **multi-core**: the bulk
+//! builder's derive sweep, [`CdNetwork::lookup_many_par`] and the
+//! [`driver`] workloads fan out over the workspace thread pool with
+//! per-index sub-seeding, so their results are bit-identical for every
+//! thread count (see `tests/par_threads.rs` and DESIGN.md §5). Ops that
+//! go through the event engine run one at a time on the caller's
+//! thread.
 //!
 //! Routing uses **only local state**: every hop moves along an entry of
 //! the current node's own neighbor table, and the implementation
@@ -55,5 +54,5 @@ pub use cd_core::graph::ContinuousGraph;
 pub use lookup::{LookupKind, LookupScratch, Route};
 pub use metrics::LoadCounters;
 pub use network::{CdNetwork, ChordLike, DeBruijn, DhNetwork, DistanceHalving, NodeId};
-pub use proto::{join_over, leave_over, lookups_over, lookups_over_sharded, MsgBatch};
-pub use storage::{Dht, StorageAction, StorageOp, StorageOutcome};
+pub use proto::{join_over, leave_over, lookups_over, MsgBatch};
+pub use storage::Dht;

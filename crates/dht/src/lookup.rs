@@ -132,7 +132,7 @@ impl Route {
 
 /// Reusable per-lookup state: the two-sided walk's digit buffer and
 /// the phase-2 trace. Holding one of these (plus a [`Route`]) across
-/// lookups makes the hot path allocation-free — the criterion benches
+/// lookups makes the hot path allocation-free — the `e_scale` harness
 /// and the batched [`CdNetwork::lookup_many`] measure the protocol,
 /// not the allocator.
 pub struct LookupScratch {

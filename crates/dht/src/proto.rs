@@ -26,7 +26,6 @@ use cd_core::point::Point;
 use cd_core::rng::{splitmix64, sub_rng};
 use cd_core::stats::Summary;
 use dh_proto::engine::{Engine, Path, RetryPolicy, Topology};
-use dh_proto::shard::{run_sharded, OpSpec};
 use dh_proto::transport::Transport;
 use dh_proto::wire::{Action, RouteKind, Wire};
 use rand::Rng;
@@ -150,7 +149,9 @@ pub fn lookups_over<G: ContinuousGraph, T: Transport>(
     let mut eng = Engine::new(net, transport, splitmix64(seed ^ 0x0E6E)).with_retry(retry);
     let ops: Vec<_> = (0..m)
         .map(|i| {
-            let (from, target) = batch_query(net, seed, i);
+            let mut rng = sub_rng(seed, i as u64);
+            let from = net.random_node(&mut rng);
+            let target = Point(rng.gen());
             eng.submit_at(i as u64 * spacing, route_kind(kind), from, target, Action::Locate)
         })
         .collect();
@@ -185,81 +186,6 @@ pub fn lookups_over<G: ContinuousGraph, T: Transport>(
         makespan,
     };
     (batch, eng.into_transport())
-}
-
-/// The `i`-th `(from, target)` query of a seeded batch — shared by
-/// [`lookups_over`] and [`lookups_over_sharded`] so both drivers route
-/// the identical workload.
-fn batch_query<G: ContinuousGraph>(net: &CdNetwork<G>, seed: u64, i: usize) -> (NodeId, Point) {
-    let mut rng = sub_rng(seed, i as u64);
-    let from = net.random_node(&mut rng);
-    let target = Point(rng.gen());
-    (from, target)
-}
-
-/// [`lookups_over`] on the sharded engine runtime
-/// ([`dh_proto::shard::run_sharded`]): the identical workload is
-/// partitioned round-robin across `shards` engines over the same
-/// network and executed on the workspace thread pool, with per-op
-/// randomness indexed by the op's **global** batch position. Under
-/// [`dh_proto::Inline`] (and, route-wise, any lossless transport) the
-/// merged batch is bit-identical to the single-engine [`lookups_over`]
-/// run — same routes, same counters, same `MsgBatch` — for every shard
-/// and thread count; `crates/dht/tests/par_threads.rs` pins this.
-/// `make_transport(s)` builds shard `s`'s transport; the shard
-/// transports come back alongside the batch.
-#[allow(clippy::too_many_arguments)] // mirrors lookups_over + (shards, factory)
-pub fn lookups_over_sharded<G: ContinuousGraph, T: Transport + Send, F: Fn(usize) -> T + Sync>(
-    net: &CdNetwork<G>,
-    kind: LookupKind,
-    m: usize,
-    seed: u64,
-    shards: usize,
-    make_transport: F,
-    retry: RetryPolicy,
-    spacing: u64,
-) -> (MsgBatch, Vec<T>) {
-    let specs: Vec<OpSpec> = (0..m)
-        .map(|i| {
-            let (from, target) = batch_query(net, seed, i);
-            OpSpec {
-                at: i as u64 * spacing,
-                kind: route_kind(kind),
-                from,
-                target,
-                action: Action::Locate,
-            }
-        })
-        .collect();
-    let run = run_sharded(net, splitmix64(seed ^ 0x0E6E), retry, shards, &specs, make_transport);
-    let counters = LoadCounters::for_network(net);
-    let mut lengths: Vec<u64> = Vec::with_capacity(m);
-    let mut completed = 0usize;
-    let mut makespan = 0u64;
-    for out in &run.outcomes {
-        if out.ok {
-            completed += 1;
-            lengths.push(out.path.hops() as u64);
-            makespan = makespan.max(out.completed_at.unwrap_or(0));
-            for &n in &out.path.nodes {
-                counters.add(n, 1);
-            }
-        }
-    }
-    let batch = MsgBatch {
-        path_lengths: Summary::of_u64(lengths),
-        loads: counters.summary(net),
-        max_load: counters.max_load(net),
-        lookups: m,
-        completed,
-        failed: m - completed,
-        msgs: run.stats.msgs,
-        bytes: run.stats.bytes,
-        dropped: run.stats.dropped,
-        retries: run.stats.retries,
-        makespan,
-    };
-    (batch, run.transports)
 }
 
 /// Message cost of one churn operation driven through the engine.

@@ -17,67 +17,10 @@ use crate::proto::{path_to_route, route_kind};
 use bytes::Bytes;
 use cd_core::graph::ContinuousGraph;
 use cd_core::hashing::KWiseHash;
-use cd_core::rng::subseed;
-use dh_proto::engine::{Engine, EngineStats, OpOutcome, RetryPolicy};
+use dh_proto::engine::{Engine, OpOutcome, RetryPolicy};
 use dh_proto::transport::{Inline, Transport};
 use dh_proto::wire::Action;
 use rand::Rng;
-
-/// One operation of a storage batch ([`Dht::batch_over`]).
-#[derive(Clone, Debug)]
-pub struct StorageOp {
-    /// Originating server.
-    pub from: NodeId,
-    /// What to do.
-    pub action: StorageAction,
-}
-
-/// The storage verb of a [`StorageOp`].
-#[derive(Clone, Debug)]
-pub enum StorageAction {
-    /// Store `value` under `key`.
-    Put {
-        /// Item key.
-        key: u64,
-        /// Payload.
-        value: Bytes,
-    },
-    /// Retrieve the item under `key`.
-    Get {
-        /// Item key.
-        key: u64,
-    },
-    /// Delete the item under `key`.
-    Remove {
-        /// Item key.
-        key: u64,
-    },
-}
-
-impl StorageAction {
-    /// The item key this op addresses.
-    pub fn key(&self) -> u64 {
-        match *self {
-            StorageAction::Put { key, .. }
-            | StorageAction::Get { key }
-            | StorageAction::Remove { key } => key,
-        }
-    }
-}
-
-/// The result of one op of a storage batch.
-#[derive(Debug)]
-pub struct StorageOutcome {
-    /// The routed RPC's engine outcome (route by move).
-    pub outcome: OpOutcome,
-    /// `Get`: the fetched value; `Remove`: the deleted value; `Put`:
-    /// `None`.
-    pub value: Option<Bytes>,
-    /// Did the op change/observe state at the destination — `Put`:
-    /// stored, `Remove`/`Get`: found (always `false` when the route
-    /// failed or arrived corrupted)?
-    pub applied: bool,
-}
 
 /// The DHT storage layer: a network plus the global hash function
 /// every server received when joining. Generic over the continuous
@@ -186,94 +129,6 @@ impl<G: ContinuousGraph> Dht<G> {
         let (out, value) = self.remove_over(from, key, Inline, rng.gen(), RetryPolicy::default());
         debug_assert!(out.ok, "Inline transport cannot fail a remove");
         (path_to_route(out.path), value)
-    }
-
-    /// A batch of storage RPCs on the multi-core engine runtime.
-    ///
-    /// The routing phase fans the ops out over the workspace thread
-    /// pool — each op routed by its own engine over the shared
-    /// (immutable) topology, with engine seed `subseed(seed, i)` and
-    /// transport `make_transport(i)` — and the storage effects are
-    /// then applied **sequentially in batch order**. Routing never
-    /// reads item state and effects are applied in order, so the batch
-    /// is equivalent, op for op, to issuing the same calls one at a
-    /// time through [`Self::put_over`]/[`Self::get_over`]/
-    /// [`Self::remove_over`] with those seeds and transports — for
-    /// *any* transport, lossy and faulty ones included, and for any
-    /// thread count (property-tested in `tests/storage_batch.rs`).
-    ///
-    /// Returns the per-op results in batch order plus the engines'
-    /// counters merged by addition.
-    pub fn batch_over<T, F>(
-        &mut self,
-        ops: &[StorageOp],
-        seed: u64,
-        retry: RetryPolicy,
-        make_transport: F,
-    ) -> (Vec<StorageOutcome>, EngineStats)
-    where
-        T: Transport + Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        use rayon::prelude::*;
-
-        // Phase 1 — route every op in parallel (read-only on the net).
-        let net = &self.net;
-        let hash = &self.hash;
-        let kind = self.kind;
-        let routed: Vec<(OpOutcome, EngineStats)> = (0..ops.len())
-            .into_par_iter()
-            .map(|i| {
-                let op = &ops[i];
-                let point = hash.point(op.action.key());
-                let action = match op.action {
-                    StorageAction::Put { key, ref value } => {
-                        Action::Put { key, len: value.len() as u32 }
-                    }
-                    StorageAction::Get { key } => Action::Get { key },
-                    StorageAction::Remove { key } => Action::Remove { key },
-                };
-                let mut eng = Engine::new(net, make_transport(i), subseed(seed, i as u64))
-                    .with_retry(retry);
-                let id = eng.submit(route_kind(kind), op.from, point, action);
-                eng.run();
-                (eng.take_outcome(id), eng.stats)
-            })
-            .collect();
-
-        // Phase 2 — apply the storage effects in batch order.
-        let mut stats = EngineStats::default();
-        let mut results = Vec::with_capacity(ops.len());
-        for (op, (out, op_stats)) in ops.iter().zip(routed) {
-            stats.merge(&op_stats);
-            let intact_dest = match out.dest {
-                Some(dest) if !out.corrupt => Some(dest),
-                _ => None,
-            };
-            let (value, applied) = match (&op.action, intact_dest) {
-                (StorageAction::Put { key, value }, Some(dest)) => {
-                    let point = self.hash.point(*key);
-                    self.net
-                        .node_state_mut(dest)
-                        .items
-                        .insert(*key, StoredItem { point, value: value.clone() });
-                    (None, true)
-                }
-                (StorageAction::Get { key }, Some(dest)) => {
-                    let got = self.net.node(dest).items.get(key).map(|it| it.value.clone());
-                    let found = got.is_some();
-                    (got, found)
-                }
-                (StorageAction::Remove { key }, Some(dest)) => {
-                    let got = self.net.node_state_mut(dest).items.remove(key).map(|it| it.value);
-                    let found = got.is_some();
-                    (got, found)
-                }
-                (_, None) => (None, false),
-            };
-            results.push(StorageOutcome { outcome: out, value, applied });
-        }
-        (results, stats)
     }
 
     /// [`Self::remove`] over an arbitrary transport: the item is

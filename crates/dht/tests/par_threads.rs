@@ -1,19 +1,16 @@
 //! The determinism matrix of the multi-core execution layer: every
 //! parallel driver must produce **bit-identical** results at 1, 2 and
-//! 8 worker threads — routes, fingerprints and `MsgBatch` metrics
-//! alike. The thread pool only changes wall-clock, never results,
-//! because per-op randomness is indexed (`sub_rng(seed, op)`), chunk
-//! boundaries are fixed, and every merge restores index order.
+//! 8 worker threads — routes, tables and batch metrics alike. The
+//! thread pool only changes wall-clock, never results, because per-op
+//! randomness is indexed (`sub_rng(seed, op)`), chunk boundaries are
+//! fixed, and every merge restores index order.
 
-use cd_core::graph::{ChordLike, DeBruijn};
+use cd_core::graph::ChordLike;
 use cd_core::pointset::PointSet;
 use cd_core::rng::{seeded, sub_rng};
 use cd_core::Point;
 use dh_dht::driver::random_lookups;
-use dh_dht::proto::{lookups_over, lookups_over_sharded};
 use dh_dht::{CdNetwork, DhNetwork, LookupKind, NodeId, Route};
-use dh_proto::engine::RetryPolicy;
-use dh_proto::transport::{Inline, Recorder, Sim};
 use rand::Rng;
 
 const THREAD_MATRIX: [usize; 3] = [1, 2, 8];
@@ -141,90 +138,4 @@ fn driver_batches_are_thread_count_independent() {
         .collect();
     assert_eq!(runs[0], runs[1]);
     assert_eq!(runs[0], runs[2]);
-}
-
-#[test]
-fn sharded_batch_matches_single_engine_and_every_thread_count() {
-    // the e_msgs-style workload: single-engine lookups_over vs the
-    // sharded runtime at a fixed shard count across the thread matrix
-    let mut rng = seeded(0xA41);
-    let net = DhNetwork::new(&PointSet::random(400, &mut rng));
-    let retry = RetryPolicy::default();
-    for kind in [LookupKind::Fast, LookupKind::DistanceHalving] {
-        let (single, _) = lookups_over(&net, kind, 600, 0xCAFE, Inline, retry, 2);
-        let per_thread: Vec<_> = THREAD_MATRIX
-            .iter()
-            .map(|&t| {
-                with_threads(t, || {
-                    let (batch, transports) = lookups_over_sharded(
-                        &net,
-                        kind,
-                        600,
-                        0xCAFE,
-                        4,
-                        |_| Recorder::new(Inline),
-                        retry,
-                        2,
-                    );
-                    let fps: Vec<u64> =
-                        transports.iter().map(|t| t.trace.fingerprint()).collect();
-                    (
-                        batch.path_lengths,
-                        batch.loads,
-                        batch.max_load,
-                        batch.completed,
-                        batch.msgs,
-                        batch.bytes,
-                        batch.makespan,
-                        fps,
-                    )
-                })
-            })
-            .collect();
-        // bit-identical across thread counts, per-shard trace
-        // fingerprints included
-        assert_eq!(per_thread[0], per_thread[1], "{kind}: 1 vs 2 threads diverged");
-        assert_eq!(per_thread[0], per_thread[2], "{kind}: 1 vs 8 threads diverged");
-        // and the merged batch equals the single-engine BENCH metrics
-        let (lengths, loads, max_load, completed, msgs, bytes, makespan, _) = &per_thread[0];
-        assert_eq!(*lengths, single.path_lengths, "{kind}: hop summary diverged");
-        assert_eq!(*loads, single.loads);
-        assert_eq!(*max_load, single.max_load);
-        assert_eq!(*completed, single.completed);
-        assert_eq!(*msgs, single.msgs);
-        assert_eq!(*bytes, single.bytes);
-        assert_eq!(*makespan, single.makespan);
-    }
-}
-
-#[test]
-fn sharded_lossy_sim_is_deterministic_across_threads() {
-    // per-shard seeded transports: loss patterns depend on the shard
-    // partition (documented), but for a fixed shard count the whole
-    // batch — retries, drops, fingerprints — must not feel the pool
-    let mut rng = seeded(0xA51);
-    let net = CdNetwork::build(DeBruijn::new(8), &PointSet::random(300, &mut rng));
-    let retry = RetryPolicy::fixed(2_000, 8);
-    let runs: Vec<_> = THREAD_MATRIX
-        .iter()
-        .map(|&t| {
-            with_threads(t, || {
-                let (batch, transports) = lookups_over_sharded(
-                    &net,
-                    LookupKind::Fast,
-                    500,
-                    0xD00D,
-                    3,
-                    |s| Recorder::new(Sim::new(s as u64 ^ 0xFEED).with_drop(0.02).with_dup(0.01)),
-                    retry,
-                    3,
-                );
-                let fps: Vec<u64> = transports.iter().map(|t| t.trace.fingerprint()).collect();
-                (batch.completed, batch.msgs, batch.retries, batch.dropped, fps)
-            })
-        })
-        .collect();
-    assert_eq!(runs[0], runs[1]);
-    assert_eq!(runs[0], runs[2]);
-    assert!(runs[0].0 >= 495, "2% loss with retries should complete nearly all lookups");
 }

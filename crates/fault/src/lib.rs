@@ -17,9 +17,8 @@
 //!   under random *false message injection* with `O(log n)` time and
 //!   `O(log³ n)` messages.
 //!
-//! The crate also wires in `dh-erasure` (§6.2's suggestion): instead of
-//! full replicas, covers can hold Reed-Solomon shares, any
-//! `k`-of-`m` of which reconstruct the item.
+//! §6.2's erasure-coded storage (covers hold Reed-Solomon shares, any
+//! `k`-of-`m` of which reconstruct the item) lives in `dh_replica`.
 //!
 //! Since the protocol-API redesign, the two failure models themselves
 //! ([`FaultModel`]) live in `dh_proto` and are implemented as
@@ -36,6 +35,5 @@
 
 pub mod net;
 pub mod lookup;
-pub mod storage;
 
 pub use net::{FaultModel, OverlapNet, OverlapNodeId};

@@ -937,12 +937,11 @@ impl Recorder {
 /// [`Obs::off`] is a no-op sink: every call is one `Option` test.
 ///
 /// The live recorder sits behind an `Arc<Mutex<_>>` so the handle is
-/// `Send + Sync` and a store carrying one still satisfies the sharded
-/// runtime's `Shelves + Sync` bounds. The lock is uncontended in
-/// every deterministic scenario (ops are issued sequentially); if a
-/// caller does record from parallel shards, counters and histograms
-/// stay exact (sums commute) but event order — and therefore the
-/// fingerprint — is only meaningful single-threaded.
+/// `Send + Sync`. The lock is uncontended in every deterministic
+/// scenario (ops are issued sequentially); if a caller does record
+/// from several threads, counters and histograms stay exact (sums
+/// commute) but event order — and therefore the fingerprint — is only
+/// meaningful single-threaded.
 #[derive(Clone, Default, Debug)]
 pub struct Obs {
     inner: Option<Arc<Mutex<Recorder>>>,

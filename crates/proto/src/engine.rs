@@ -223,9 +223,7 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Global counters of one engine run. Counters of independent runs
-/// (e.g. the shards of [`crate::shard::run_sharded`]) merge by
-/// addition: see [`EngineStats::merge`].
+/// Global counters of one engine run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Messages handed to the transport.
@@ -255,22 +253,6 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Accumulate the counters of another (independent) engine run —
-    /// every field is a plain count, so shard stats merge by addition.
-    pub fn merge(&mut self, other: &EngineStats) {
-        self.msgs += other.msgs;
-        self.bytes += other.bytes;
-        self.delivered += other.delivered;
-        self.dropped += other.dropped;
-        self.duplicated += other.duplicated;
-        self.stale += other.stale;
-        self.retries += other.retries;
-        self.completed += other.completed;
-        self.failed += other.failed;
-        self.hedged += other.hedged;
-        self.shed += other.shed;
-    }
-
     /// Push every counter into a [`dh_obs`] registry under the
     /// `engine/…` namespace, labelled by `label` (0 for "the run";
     /// a scenario can use it to split foreground from repair traffic).
@@ -637,7 +619,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
 
     /// Submit an operation whose origin starts acting at time `t`
     /// (staggered arrivals). The op's randomness is derived from its
-    /// local id (`sub_rng(seed, id)`).
+    /// id (`sub_rng(seed, id)`).
     pub fn submit_at(
         &mut self,
         t: u64,
@@ -646,32 +628,13 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         target: Point,
         action: Action,
     ) -> OpId {
-        let idx = self.ops.len() as u64;
-        self.submit_at_indexed(t, kind, from, target, action, idx)
-    }
-
-    /// [`Self::submit_at`] with an explicit randomness index: the op
-    /// draws its digits from `sub_rng(seed, rng_index)` instead of its
-    /// local id. This is what lets a sharded run ([`crate::shard`])
-    /// give every op the *same* random choices it would have in a
-    /// single-engine run — the index is the op's global position in
-    /// the batch, not its position within one shard.
-    pub fn submit_at_indexed(
-        &mut self,
-        t: u64,
-        kind: RouteKind,
-        from: NodeId,
-        target: Point,
-        action: Action,
-        rng_index: u64,
-    ) -> OpId {
         let id = self.ops.len() as OpId;
         self.ops.push(Op {
             kind,
             action,
             from,
             target,
-            rng: sub_rng(self.seed, rng_index),
+            rng: sub_rng(self.seed, u64::from(id)),
             machine: Machine::Pending,
             cur: from,
             attempt: 1,
@@ -2302,41 +2265,6 @@ mod tests {
         assert_eq!(again.dest, cloned.dest, "destination survives the move");
     }
 
-    #[test]
-    fn indexed_submission_reproduces_global_randomness() {
-        // ops 0..n in one engine vs the odd half submitted alone with
-        // their global indices: identical routes op for op
-        let net = Complete::new(16, 2);
-        let mut all = Engine::new(&net, Inline, 83);
-        let ops: Vec<OpId> = (0..20u64)
-            .map(|i| {
-                let target = Point(0xA24B_AED4_963E_E407u64.wrapping_mul(i + 1));
-                all.submit(RouteKind::DistanceHalving, NodeId((i % 16) as u32), target, Action::Locate)
-            })
-            .collect();
-        all.run();
-        let mut odd = Engine::new(&net, Inline, 83);
-        let odd_ops: Vec<OpId> = (0..20u64)
-            .filter(|i| i % 2 == 1)
-            .map(|i| {
-                let target = Point(0xA24B_AED4_963E_E407u64.wrapping_mul(i + 1));
-                odd.submit_at_indexed(
-                    0,
-                    RouteKind::DistanceHalving,
-                    NodeId((i % 16) as u32),
-                    target,
-                    Action::Locate,
-                    i,
-                )
-            })
-            .collect();
-        odd.run();
-        for (k, &id) in odd_ops.iter().enumerate() {
-            let global = ops[2 * k + 1];
-            assert_eq!(odd.outcome(id).path, all.outcome(global).path, "op {k} diverged");
-        }
-    }
-
     /// A share table for the replica tests: `(node, key, idx) → len`.
     struct TableShares(std::collections::HashMap<(u32, u64, u8), u32>);
 
@@ -2376,6 +2304,11 @@ mod tests {
         // routing messages
         assert_eq!(out.msgs, 8);
         assert_eq!(out.attempts, 1);
+        // the op completes at the k-th ack; the m − k acks still in
+        // flight arrive after it left the scatter and count as stale —
+        // late replies of a healthy run, not wasted retries
+        assert_eq!(eng.stats.stale, 5 - 3);
+        assert_eq!((eng.stats.retries, eng.stats.dropped), (0, 0));
     }
 
     #[test]
@@ -2399,6 +2332,9 @@ mod tests {
         assert_eq!(out.shares.len(), k as usize, "first k of m responses reconstruct");
         // the reply bytes include the share payloads
         assert!(out.bytes >= 3 * 40);
+        // exactly the m − k post-quorum replies are stale
+        assert_eq!(eng.stats.stale, u64::from(m - k));
+        assert_eq!((eng.stats.retries, eng.stats.dropped), (0, 0));
     }
 
     #[test]

@@ -35,13 +35,8 @@
 //!   [`engine::Topology`]. Each hop decision uses only the current
 //!   node's own table, messages carry the op header (attempt/step
 //!   stamps make duplicates and stale attempts harmless), and dropped
-//!   messages are recovered by end-to-end timeout + retry;
-//! * [`shard::run_sharded`] — the multi-core runtime: one batch of
-//!   independent ops partitioned across per-shard engines over the
-//!   same topology, executed on the workspace thread pool, with
-//!   per-op randomness indexed by **global** batch position so the
-//!   merged result is bit-identical to the single-engine run under
-//!   interleaving-free transports.
+//!   messages are recovered by end-to-end timeout + retry. One
+//!   engine on the caller's thread is the only way an op runs.
 //!
 //! `dh_dht` implements [`engine::Topology`] for its `DhNetwork` and
 //! re-exports [`NodeId`]; higher layers (`storage::Dht`, caching,
@@ -64,7 +59,6 @@ pub mod engine;
 pub mod fault;
 pub mod health;
 pub mod node;
-pub mod shard;
 pub mod transport;
 pub mod wire;
 
@@ -72,6 +66,5 @@ pub use engine::{Engine, EngineStats, NoShares, OpOutcome, Path, RetryPolicy, Sh
 pub use fault::{ChaosNet, CutDirection, FaultModel, Faulty, FlapSchedule, LossBurst, Partition};
 pub use health::{NetHealth, RttEstimate};
 pub use node::NodeId;
-pub use shard::{run_sharded, run_sharded_shares, OpSpec, ShardedRun};
 pub use transport::{Delivery, Inline, Recorder, Replay, Sim, Trace, Transport};
 pub use wire::{Envelope, OpId, Wire};

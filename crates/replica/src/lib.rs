@@ -38,15 +38,11 @@
 //!
 //! Everything is deterministic under the engine's `(time, seq)`
 //! discipline: same seeds ⇒ identical traces, fingerprints and
-//! placements, for any thread count — [`batch::batch_over`] fans
-//! batches out over the sharded runtime
-//! ([`dh_proto::run_sharded_shares`]) with globally indexed per-op
-//! randomness, exactly like the plain storage layer.
+//! placements. Every op runs on its own engine on the caller's thread.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod batch;
 pub mod repair;
 
 use bytes::Bytes;
@@ -66,11 +62,10 @@ use rand::Rng;
 use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
 
-pub use batch::{batch_over, ReplicaAction, ReplicaOp, ReplicaOutcome};
 pub use dh_store::{
     FileShelves, Holder, ItemState, MemShelves, ShelfError, ShelfView, Shelves,
 };
-pub use repair::{RepairMode, RepairReport};
+pub use repair::RepairReport;
 
 /// The arc index: `(h(key).bits, key)` per shelved item, so churn can
 /// range-query the shifted interval of the ring.
@@ -163,9 +158,6 @@ pub struct ReplicatedDht<G: ContinuousGraph = DistanceHalving, S: Shelves = MemS
     /// every item. Maintained wherever shares are placed or dropped;
     /// [`Self::reindex`] rebuilds it too.
     held: HeldIndex,
-    /// Which repair strategy churn runs (incremental arc-scoped by
-    /// default; full-scan as ground truth).
-    mode: RepairMode,
     /// Repair pacing budget: `None` flushes repair traffic inside the
     /// churn call; `Some(b)` queues frames in [`Self::outbox`] and
     /// [`ReplicatedDht::pump_repair`] drains at most `b` per call.
@@ -224,7 +216,6 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
             shelves,
             arc,
             held,
-            mode: RepairMode::Incremental,
             pace: None,
             outbox: VecDeque::new(),
             health: RefCell::new(NetHealth::new()),
@@ -268,17 +259,6 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
     /// the indices themselves.
     pub fn reindex(&mut self) {
         (self.arc, self.held) = index_of(&self.shelves);
-    }
-
-    /// Choose the churn repair strategy (default
-    /// [`RepairMode::Incremental`]).
-    pub fn set_repair_mode(&mut self, mode: RepairMode) {
-        self.mode = mode;
-    }
-
-    /// The active churn repair strategy.
-    pub fn repair_mode(&self) -> RepairMode {
-        self.mode
     }
 
     /// Set the repair pacing budget: `None` (default) prices all
@@ -378,7 +358,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
     ///   last committed generation stays readable wherever ≥ `k` of
     ///   its shares survive, and repair's newest-quorum rule later
     ///   promotes or discards the torn generation.
-    pub(crate) fn apply_put(
+    fn apply_put(
         &mut self,
         key: u64,
         point: Point,
@@ -486,7 +466,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
     }
 
     /// Decode the value a completed quorum read gathered.
-    pub(crate) fn reconstruct(&self, key: u64, out: &OpOutcome) -> Option<Bytes> {
+    fn reconstruct(&self, key: u64, out: &OpOutcome) -> Option<Bytes> {
         if !out.ok || out.corrupt {
             return None;
         }

@@ -27,12 +27,13 @@
 //! segments whose cover walk reaches `n`), plus, for a leave, the
 //! items whose shares the leaver physically held. The store keeps a
 //! per-arc item index (`(h(key), key)` in a `BTreeSet`) so
-//! [`ReplicatedDht::join_over`]/[`ReplicatedDht::leave_over`] under
-//! [`RepairMode::Incremental`] digest-scan only that interval — cost
-//! proportional to the shifted arc, not the keyspace. The full-scan
-//! [`ReplicatedDht::repair`] stays as the ground-truth path
-//! ([`RepairMode::FullScan`] routes churn through it), and a property
-//! test asserts both converge to the identical shelf map.
+//! [`ReplicatedDht::join_over`]/[`ReplicatedDht::leave_over`]
+//! digest-scan only that interval — cost proportional to the shifted
+//! arc, not the keyspace. The full-scan [`ReplicatedDht::repair`]
+//! stays as the ground truth: both run the same per-item judgement,
+//! and a property test asserts that a full scan after any churn op
+//! finds nothing left to shift, rebuild or lose and leaves the shelf
+//! map untouched.
 //!
 //! ## Batching and pacing
 //!
@@ -69,19 +70,6 @@ use dh_proto::transport::Transport;
 use dh_proto::wire::Wire;
 use dh_store::{Holder, ItemState, Shelves};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-
-/// Which repair strategy the churn entry points run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RepairMode {
-    /// Digest-scan only the arc the join/leave shifted (plus the
-    /// leaver's own shelf keys) — cost proportional to the churn, the
-    /// default.
-    #[default]
-    Incremental,
-    /// Digest-scan every item on every churn event — the ground-truth
-    /// path the incremental one is tested against.
-    FullScan,
-}
 
 /// What one repair pass did and what it cost on the wire.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -382,7 +370,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
     /// Algorithm Join as wire traffic plus the repair pass: the member
     /// protocol of `dh_dht::proto::join_over`, then anti-entropy so
     /// every clique the split shifted is fully replicated again —
-    /// scoped to the shifted arc under [`RepairMode::Incremental`].
+    /// scoped to the shifted arc.
     /// Returns `None` on identifier collision or failed join lookup.
     pub fn join_over<T: Transport>(
         &mut self,
@@ -394,25 +382,19 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         retry: RetryPolicy,
     ) -> Option<(NodeId, ChurnMsgCost, RepairReport)> {
         let (id, cost) = join_over(&mut self.net, host, x, kind, seed, transport, retry)?;
-        let rseed = splitmix64(seed ^ 0x5E1F);
-        let report = match self.repair_mode() {
-            RepairMode::FullScan => self.repair(transport, rseed),
-            RepairMode::Incremental => {
-                // computed after the join: the cliques that changed
-                // are exactly those the new node is now part of
-                let keys: Vec<u64> = self.shifted_keys(id).into_iter().collect();
-                self.repair_keys(&keys, transport, rseed)
-            }
-        };
+        // computed after the join: the cliques that changed are
+        // exactly those the new node is now part of
+        let keys: Vec<u64> = self.shifted_keys(id).into_iter().collect();
+        let report = self.repair_keys(&keys, transport, splitmix64(seed ^ 0x5E1F));
         Some((id, cost, report))
     }
 
     /// The simple Leave as wire traffic plus the repair pass: the
     /// departing server's shelves vanish with it, the member protocol
     /// of `dh_dht::proto::leave_over` runs, and anti-entropy
-    /// re-materializes the lost shares on the shifted cliques — under
-    /// [`RepairMode::Incremental`], exactly the arc that contained the
-    /// leaver plus the keys its shelves held.
+    /// re-materializes the lost shares on the shifted cliques —
+    /// exactly the arc that contained the leaver plus the keys its
+    /// shelves held.
     pub fn leave_over<T: Transport>(
         &mut self,
         id: NodeId,
@@ -420,21 +402,18 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         seed: u64,
     ) -> (ChurnMsgCost, RepairReport) {
         // queued frames addressed to or from the leaver can no longer
-        // be delivered (and its slab slot may be reused)
+        // be delivered (and its slab slot may be reused): purged, and
+        // counted so planned = pumped + purged + backlog stays exact
+        let queued = self.outbox.len();
         self.outbox.retain(|&(src, dst, _)| src != id && dst != id);
-        let incremental = self.repair_mode() == RepairMode::Incremental;
+        self.obs.add("repair/frames_purged", 0, (queued - self.outbox.len()) as u64);
         // computed before the leave: the cliques that will change are
         // those the leaver is still part of
-        let mut keys = if incremental { self.shifted_keys(id) } else { BTreeSet::new() };
+        let mut keys = self.shifted_keys(id);
         keys.extend(self.drop_shelves_of(id));
         let cost = leave_over(&mut self.net, id, transport, seed);
-        let rseed = splitmix64(seed ^ 0x5E1F);
-        let report = if incremental {
-            let keys: Vec<u64> = keys.into_iter().collect();
-            self.repair_keys(&keys, transport, rseed)
-        } else {
-            self.repair(transport, rseed)
-        };
+        let keys: Vec<u64> = keys.into_iter().collect();
+        let report = self.repair_keys(&keys, transport, splitmix64(seed ^ 0x5E1F));
         (cost, report)
     }
 }
@@ -607,49 +586,33 @@ mod tests {
 
     #[test]
     fn incremental_and_full_scan_converge_to_the_same_shelves() {
-        let mk = || {
-            let (mut dht, mut rng) = store(80, 6, 3, 0xB6);
-            for key in 0..30u64 {
-                let from = dht.net.random_node(&mut rng);
-                dht.put(from, key, Bytes::from(vec![key as u8; 14]), &mut rng);
-            }
-            (dht, rng)
-        };
-        let (mut inc, mut rng_i) = mk();
-        let (mut full, mut rng_f) = mk();
-        assert_eq!(inc.repair_mode(), RepairMode::Incremental);
-        full.set_repair_mode(RepairMode::FullScan);
+        let (mut dht, mut rng) = store(80, 6, 3, 0xB6);
+        for key in 0..30u64 {
+            let from = dht.net.random_node(&mut rng);
+            dht.put(from, key, Bytes::from(vec![key as u8; 14]), &mut rng);
+        }
         let mut t = Inline;
         for i in 0..24u64 {
-            // identical churn schedule on both stores (same seeds)
             if i % 3 == 2 {
-                let host_i = inc.net.random_node(&mut rng_i);
-                let host_f = full.net.random_node(&mut rng_f);
-                assert_eq!(host_i, host_f);
-                let x = CPoint(rng_i.gen());
-                let _ = rng_f.gen::<u64>();
-                let kind = inc.kind;
-                let a = inc.join_over(host_i, x, kind, i, &mut t, RetryPolicy::default());
-                let b = full.join_over(host_f, x, kind, i, &mut t, RetryPolicy::default());
-                assert_eq!(a.map(|r| r.0), b.map(|r| r.0));
+                let host = dht.net.random_node(&mut rng);
+                let kind = dht.kind;
+                dht.join_over(host, CPoint(rng.gen()), kind, i, &mut t, RetryPolicy::default());
             } else {
-                let victim = inc.net.random_node(&mut rng_i);
-                assert_eq!(victim, full.net.random_node(&mut rng_f));
-                let (_, ri) = inc.leave_over(victim, &mut t, i);
-                let (_, rf) = full.leave_over(victim, &mut t, i);
-                // the incremental pass judges a subset of the keyspace
-                // but must shift and rebuild exactly the same items
-                assert!(ri.items_checked <= rf.items_checked);
-                assert_eq!(ri.items_shifted, rf.items_shifted);
-                assert_eq!(ri.shares_rebuilt, rf.shares_rebuilt);
+                let victim = dht.net.random_node(&mut rng);
+                dht.leave_over(victim, &mut t, i);
             }
+            // the full scan judges every item with the same rule: after
+            // the arc-scoped pass it must find nothing left to do
+            let before = dht.shelves.map().clone();
+            let full = dht.repair(&mut t, i ^ 0xF011);
+            assert_eq!(full.items_checked, 30);
             assert_eq!(
-                inc.shelves.map(),
-                full.shelves.map(),
-                "incremental repair diverged from the full scan at event {i}"
+                (full.items_shifted, full.shares_rebuilt, full.items_lost, full.msgs),
+                (0, 0, 0, 0),
+                "incremental repair left work for the full scan at event {i}"
             );
-            // a fresh rng: rng_i and rng_f must stay in lockstep
-            assert_healthy(&inc, &mut seeded(0x600D ^ i));
+            assert_eq!(&before, dht.shelves.map(), "the full scan moved shelves at event {i}");
+            assert_healthy(&dht, &mut seeded(0x600D ^ i));
         }
     }
 
@@ -691,6 +654,46 @@ mod tests {
         assert_eq!(unpaced.msgs, total.0, "pacing must not change what goes on the wire");
         assert_eq!(unpaced.bytes, total.1);
         assert_eq!(twin.shelves.map(), dht.shelves.map());
+    }
+
+    #[test]
+    fn leave_mid_backlog_counts_the_frames_it_purges() {
+        let (mut dht, mut rng) = store(96, 6, 3, 0xB9);
+        let obs = dh_obs::Obs::recording(64);
+        dht.set_obs(obs.clone());
+        for key in 0..25u64 {
+            let from = dht.net.random_node(&mut rng);
+            dht.put(from, key, Bytes::from(vec![key as u8; 20]), &mut rng);
+        }
+        let mut t = Inline;
+        dht.set_repair_pacing(Some(2));
+        // planned = pumped + purged + backlog, at every point
+        let balance = |dht: &ReplicatedDht| {
+            let snap = obs.snapshot();
+            assert_eq!(
+                snap.counter_total("repair/frames_planned"),
+                snap.counter_total("repair/frames_pumped")
+                    + snap.counter_total("repair/frames_purged")
+                    + dht.repair_backlog() as u64,
+                "a repair frame went missing uncounted"
+            );
+            snap.counter_total("repair/frames_purged")
+        };
+        let victim = dht.net.random_node(&mut rng);
+        dht.leave_over(victim, &mut t, 1);
+        assert!(dht.repair_backlog() > 2, "a share-holding leaver must queue repair frames");
+        dht.pump_repair(&mut t, 2);
+        assert_eq!(balance(&dht), 0, "nothing purged yet");
+        // a server with frames still queued leaves mid-backlog
+        let (_, busy, _) = dht.outbox[0];
+        dht.leave_over(busy, &mut t, 3);
+        assert!(dht.outbox.iter().all(|&(src, dst, _)| src != busy && dst != busy));
+        assert!(balance(&dht) > 0, "the leaver's queued frames must be counted as purged");
+        while dht.repair_backlog() > 0 {
+            dht.pump_repair(&mut t, 4);
+        }
+        balance(&dht);
+        assert_healthy(&dht, &mut rng);
     }
 
     #[test]

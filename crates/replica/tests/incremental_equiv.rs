@@ -1,26 +1,25 @@
-//! Property: arc-scoped incremental repair is **observationally
-//! identical** to the full-scan pass.
+//! Property: arc-scoped incremental repair leaves **nothing for the
+//! full scan to do**.
 //!
-//! `join_over`/`leave_over` default to repairing only the items whose
-//! cover clique can have shifted (the arc `[x(pred^{m−1}(n)),
-//! x(succ(n)))` of the item index, plus the leaver's held keys). The
-//! full scan (`RepairMode::FullScan`) judges every item and is the
-//! ground truth. This test drives twin stores — same seed, same
-//! topology, lockstep randomness, one per mode — through random
-//! (churn sequence × item set) histories and asserts after **every**
-//! event:
+//! `join_over`/`leave_over` repair only the items whose cover clique
+//! can have shifted (the arc `[x(pred^{m−1}(n)), x(succ(n)))` of the
+//! item index, plus the leaver's held keys). The full scan
+//! ([`ReplicatedDht::repair`]) judges every item with the same
+//! per-item rule and is the ground truth. This test drives one store
+//! through random (churn sequence × item set) histories and asserts
+//! after **every** event that a full scan
 //!
-//! * the complete shelf maps are equal (placement, versions, holders
-//!   — byte-level, via `ItemState` equality), and
-//! * every key serves the same readable generation at quorum,
+//! * reports nothing shifted, rebuilt or lost, and
+//! * leaves the complete shelf map unchanged (placement, versions,
+//!   holders — byte-level, via `ItemState` equality),
 //!
-//! across all three topology instances (Distance Halving, Chord-like,
-//! base-8 de Bruijn) and both storage backends (RAM and the WAL).
-//! A separate witness repeats a fixed history with a `batch_over`
-//! write burst at worker-thread counts 1, 2 and 8: the sharded
-//! runtime maintains the same indices through `apply_put`, so the
-//! equivalence (and the batch results) must not move with the pool
-//! width.
+//! and, at the end, that every key still reads back its value at
+//! quorum — across all three topology instances (Distance Halving,
+//! Chord-like, base-8 de Bruijn) and both storage backends (RAM and
+//! the WAL). A separate witness repeats a fixed history with a burst
+//! of fresh puts between churn events: `apply_put` maintains the
+//! repair indices, so the property must hold for items written after
+//! the ring started moving too.
 
 use bytes::Bytes;
 use cd_core::graph::{ChordLike, ContinuousGraph, DeBruijn, DistanceHalving};
@@ -30,9 +29,7 @@ use cd_core::Point;
 use dh_dht::CdNetwork;
 use dh_proto::engine::RetryPolicy;
 use dh_proto::transport::Inline;
-use dh_replica::{
-    batch_over, MemShelves, RepairMode, ReplicaAction, ReplicaOp, ReplicatedDht, Shelves,
-};
+use dh_replica::{MemShelves, ReplicatedDht, Shelves};
 use dh_store::{FileShelves, ScratchPath};
 use proptest::prelude::*;
 use rand::Rng;
@@ -45,19 +42,16 @@ fn value_of(key: u64) -> Bytes {
     Bytes::from(format!("equiv-item-{key:04}"))
 }
 
-/// Build one store in `mode` and preload `items` keys. The rng is
-/// returned so the caller can keep the twins' draws in lockstep.
+/// Build one store and preload `items` keys.
 fn build<G: ContinuousGraph, S: Shelves>(
     graph: G,
     seed: u64,
     items: u64,
     shelves: S,
-    mode: RepairMode,
 ) -> (ReplicatedDht<G, S>, impl Rng) {
     let mut rng = seeded(seed);
     let net = CdNetwork::build(graph, &PointSet::random(N, &mut rng));
     let mut dht = ReplicatedDht::with_shelves(net, M, K, shelves, &mut rng);
-    dht.set_repair_mode(mode);
     for key in 0..items {
         let from = dht.net.random_node(&mut rng);
         assert_eq!(dht.put(from, key, value_of(key), &mut rng), M as usize);
@@ -65,57 +59,80 @@ fn build<G: ContinuousGraph, S: Shelves>(
     (dht, rng)
 }
 
-/// Drive the twins through `churn` and check map + readable-set
-/// equality after every event.
-fn equiv_on<G: ContinuousGraph + Clone, SI: Shelves, SF: Shelves>(
+/// One churn event (a leave if asked for and the ring can spare a
+/// server, a join otherwise) through the incremental path.
+fn churn_once<G: ContinuousGraph, S: Shelves>(
+    dht: &mut ReplicatedDht<G, S>,
+    rng: &mut impl Rng,
+    leave: bool,
+    seed: u64,
+) {
+    if leave && dht.net.len() > M as usize + 8 {
+        let victim = dht.net.random_node(rng);
+        let (_, report) = dht.leave_over(victim, &mut Inline, seed);
+        assert_eq!(report.items_lost, 0, "one leave can never exceed m − k losses");
+    } else {
+        let host = dht.net.random_node(rng);
+        let kind = dht.kind;
+        dht.join_over(host, Point(rng.gen()), kind, seed, &mut Inline, RetryPolicy::default());
+    }
+}
+
+/// The oracle: a full scan right after an incremental churn op must be
+/// a no-op — nothing shifted, rebuilt or lost, shelf map untouched.
+fn full_scan_is_a_noop<G: ContinuousGraph, S: Shelves>(
+    dht: &mut ReplicatedDht<G, S>,
+    seed: u64,
+    step: usize,
+) -> Result<(), TestCaseError> {
+    let before = dht.shelves.map().clone();
+    let report = dht.repair(&mut Inline, seed);
+    prop_assert_eq!(
+        (report.items_shifted, report.shares_rebuilt, report.items_lost),
+        (0, 0, 0),
+        "incremental repair left work for the full scan after churn event {}",
+        step
+    );
+    prop_assert_eq!(report.msgs, 0, "a converged store exchanges nothing");
+    prop_assert_eq!(
+        &before,
+        dht.shelves.map(),
+        "the full scan moved the shelf map after churn event {}",
+        step
+    );
+    Ok(())
+}
+
+/// Every key in `keys` reads back its value at quorum.
+fn all_readable<G: ContinuousGraph, S: Shelves>(
+    dht: &ReplicatedDht<G, S>,
+    keys: impl Iterator<Item = (u64, Bytes)>,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let mut rng = seeded(seed ^ 0x600D);
+    for (key, value) in keys {
+        let from = dht.net.random_node(&mut rng);
+        prop_assert_eq!(dht.get(from, key, &mut rng), Some(value), "key {} unreadable", key);
+    }
+    Ok(())
+}
+
+/// Drive one store through `churn` and consult the oracle after every
+/// event.
+fn equiv_on<G: ContinuousGraph, S: Shelves>(
     graph: G,
     seed: u64,
     items: u64,
     churn: &[bool],
-    si: SI,
-    sf: SF,
+    shelves: S,
 ) -> Result<(), TestCaseError> {
-    let (mut inc, mut rng_i) = build(graph.clone(), seed, items, si, RepairMode::Incremental);
-    let (mut full, mut rng_f) = build(graph, seed, items, sf, RepairMode::FullScan);
+    let (mut dht, mut rng) = build(graph, seed, items, shelves);
     for (step, &leave) in churn.iter().enumerate() {
         let sseed = seed ^ ((step as u64 + 1) << 8);
-        if leave && inc.net.len() > M as usize + 8 {
-            let vi = inc.net.random_node(&mut rng_i);
-            let vf = full.net.random_node(&mut rng_f);
-            prop_assert_eq!(vi, vf, "twin rngs fell out of lockstep");
-            let (_, ri) = inc.leave_over(vi, &mut Inline, sseed);
-            let (_, rf) = full.leave_over(vf, &mut Inline, sseed);
-            prop_assert_eq!(ri.items_lost, rf.items_lost);
-        } else {
-            let hi = inc.net.random_node(&mut rng_i);
-            let hf = full.net.random_node(&mut rng_f);
-            let xi = Point(rng_i.gen());
-            let xf = Point(rng_f.gen());
-            prop_assert_eq!(xi, xf, "twin rngs fell out of lockstep");
-            let kind = inc.kind;
-            let a = inc.join_over(hi, xi, kind, sseed, &mut Inline, RetryPolicy::default());
-            let b = full.join_over(hf, xf, kind, sseed, &mut Inline, RetryPolicy::default());
-            prop_assert_eq!(a.is_some(), b.is_some(), "join outcome diverged");
-        }
-        prop_assert_eq!(
-            inc.shelves.map(),
-            full.shelves.map(),
-            "shelf maps diverged after churn event {}",
-            step
-        );
+        churn_once(&mut dht, &mut rng, leave, sseed);
+        full_scan_is_a_noop(&mut dht, sseed ^ 0xF011, step)?;
     }
-    // readable-generation equivalence: every key answers identically
-    // at quorum (both `Some` of the same bytes, or both `None`)
-    let mut ci = seeded(seed ^ 0x600D);
-    let mut cf = seeded(seed ^ 0x600D);
-    for key in 0..items {
-        let fi = inc.net.random_node(&mut ci);
-        let ff = full.net.random_node(&mut cf);
-        let gi = inc.get(fi, key, &mut ci);
-        let gf = full.get(ff, key, &mut cf);
-        prop_assert_eq!(gi, gf, "readable generation of key {} diverged", key);
-    }
-    Ok(())
+    all_readable(&dht, (0..items).map(|key| (key, value_of(key))), seed)
 }
 
 proptest! {
@@ -123,12 +140,9 @@ proptest! {
     fn prop_incremental_equals_full_scan_all_topologies_mem(
         seed: u64, items in 1u64..16, churn in proptest::collection::vec(any::<bool>(), 1..8)
     ) {
-        equiv_on(DistanceHalving::binary(), seed, items, &churn,
-                 MemShelves::new(), MemShelves::new())?;
-        equiv_on(ChordLike, seed, items, &churn,
-                 MemShelves::new(), MemShelves::new())?;
-        equiv_on(DeBruijn::new(8), seed, items, &churn,
-                 MemShelves::new(), MemShelves::new())?;
+        equiv_on(DistanceHalving::binary(), seed, items, &churn, MemShelves::new())?;
+        equiv_on(ChordLike, seed, items, &churn, MemShelves::new())?;
+        equiv_on(DeBruijn::new(8), seed, items, &churn, MemShelves::new())?;
     }
 
     #[test]
@@ -139,90 +153,29 @@ proptest! {
             let scratch = ScratchPath::new(tag);
             FileShelves::open(scratch.path()).expect("open WAL")
         };
-        equiv_on(DistanceHalving::binary(), seed, items, &churn,
-                 wal("equiv-dh-inc"), wal("equiv-dh-full"))?;
-        equiv_on(ChordLike, seed, items, &churn,
-                 wal("equiv-ch-inc"), wal("equiv-ch-full"))?;
-        equiv_on(DeBruijn::new(8), seed, items, &churn,
-                 wal("equiv-db-inc"), wal("equiv-db-full"))?;
+        equiv_on(DistanceHalving::binary(), seed, items, &churn, wal("equiv-dh"))?;
+        equiv_on(ChordLike, seed, items, &churn, wal("equiv-ch"))?;
+        equiv_on(DeBruijn::new(8), seed, items, &churn, wal("equiv-db"))?;
     }
 }
 
-/// The thread witness: one fixed history — preload, churn, a
-/// `batch_over` write burst, more churn — repeated at pool widths 1,
-/// 2 and 8. The incremental/full equivalence and the batch results
-/// must be identical at every width (the batch runtime funnels all
-/// writes through `apply_put`, which maintains the repair indices).
+/// The write-burst witness: one fixed history — preload, then six
+/// rounds of (churn event, 16 fresh sequential puts) — with the oracle
+/// consulted after every churn event and every burst.
 #[test]
-fn equivalence_holds_at_threads_1_2_and_8() {
-    let run = |threads: usize| {
-        rayon::set_num_threads(threads);
-        let seed = 0x001D_E2E0;
-        let (mut inc, mut rng_i) =
-            build(DistanceHalving::binary(), seed, 12, MemShelves::new(), RepairMode::Incremental);
-        let (mut full, mut rng_f) =
-            build(DistanceHalving::binary(), seed, 12, MemShelves::new(), RepairMode::FullScan);
-        let mut batches = Vec::new();
-        for step in 0..6u64 {
-            if step % 2 == 0 {
-                let vi = inc.net.random_node(&mut rng_i);
-                let vf = full.net.random_node(&mut rng_f);
-                assert_eq!(vi, vf);
-                inc.leave_over(vi, &mut Inline, seed ^ step);
-                full.leave_over(vf, &mut Inline, seed ^ step);
-            } else {
-                let hi = inc.net.random_node(&mut rng_i);
-                let hf = full.net.random_node(&mut rng_f);
-                let (xi, xf) = (Point(rng_i.gen()), Point(rng_f.gen()));
-                assert_eq!(xi, xf);
-                let kind = inc.kind;
-                inc.join_over(hi, xi, kind, seed ^ step, &mut Inline, RetryPolicy::default());
-                full.join_over(hf, xf, kind, seed ^ step, &mut Inline, RetryPolicy::default());
-            }
-            // a parallel write burst through the sharded runtime
-            let ops: Vec<ReplicaOp> = (0..16u64)
-                .map(|i| {
-                    let from_i = inc.net.random_node(&mut rng_i);
-                    let from_f = full.net.random_node(&mut rng_f);
-                    assert_eq!(from_i, from_f);
-                    ReplicaOp {
-                        from: from_i,
-                        action: ReplicaAction::Put {
-                            key: 100 + step * 16 + i,
-                            value: value_of(step * 16 + i),
-                        },
-                    }
-                })
-                .collect();
-            let (ri, _, _) =
-                batch_over(&mut inc, &ops, seed ^ 0xBA7C, RetryPolicy::default(), 4, |_| Inline);
-            let (rf, _, _) =
-                batch_over(&mut full, &ops, seed ^ 0xBA7C, RetryPolicy::default(), 4, |_| Inline);
-            batches.push(
-                ri.iter()
-                    .zip(&rf)
-                    .map(|(a, b)| {
-                        assert_eq!(a.applied, b.applied);
-                        (a.applied, a.outcome.msgs, a.outcome.bytes)
-                    })
-                    .collect::<Vec<_>>(),
-            );
-            assert_eq!(
-                inc.shelves.map(),
-                full.shelves.map(),
-                "maps diverged at step {step} with {threads} threads"
-            );
+fn equivalence_holds_with_write_bursts_between_churn() {
+    let seed = 0x001D_E2E0;
+    let (mut dht, mut rng) = build(DistanceHalving::binary(), seed, 12, MemShelves::new());
+    for step in 0..6u64 {
+        churn_once(&mut dht, &mut rng, step % 2 == 0, seed ^ step);
+        full_scan_is_a_noop(&mut dht, seed ^ step ^ 0xF011, step as usize).unwrap();
+        for i in 0..16u64 {
+            let key = 100 + step * 16 + i;
+            let from = dht.net.random_node(&mut rng);
+            assert_eq!(dht.put(from, key, value_of(key), &mut rng), M as usize);
         }
-        let snapshot: Vec<(u64, u32, usize)> = inc
-            .shelves
-            .map()
-            .iter()
-            .map(|(&key, it)| (key, it.version, it.holders.len()))
-            .collect();
-        (batches, snapshot)
-    };
-    let one = run(1);
-    assert_eq!(one, run(2), "1 vs 2 threads diverged");
-    assert_eq!(one, run(8), "1 vs 8 threads diverged");
-    rayon::set_num_threads(0);
+        full_scan_is_a_noop(&mut dht, seed ^ step ^ 0xF012, step as usize).unwrap();
+    }
+    let keys = (0..12u64).chain(100..196).map(|key| (key, value_of(key)));
+    all_readable(&dht, keys, seed).unwrap();
 }

@@ -1,8 +1,8 @@
 //! The durability matrix of the replicated store: after a churn storm
 //! (repair hooked in) **and** fail-stop of m − k covers per item, every
-//! item reconstructs at quorum — on all three topologies — and the
-//! parallel batch driver is bit-identical at 1, 2 and 8 worker
-//! threads (fixed shard count, per-shard recorded fingerprints).
+//! item reconstructs at quorum — on all three topologies and both
+//! shelf backends — and a lossy recorded op stream is bit-identical
+//! over the WAL and in memory.
 
 use bytes::Bytes;
 use cd_core::graph::{ChordLike, ContinuousGraph, DeBruijn, DistanceHalving};
@@ -13,20 +13,9 @@ use dh_dht::CdNetwork;
 use dh_proto::engine::RetryPolicy;
 use dh_proto::transport::{Inline, Recorder, Sim};
 use dh_proto::{FaultModel, Faulty};
-use dh_replica::{batch_over, ReplicaAction, ReplicaOp, ReplicatedDht, Shelves};
+use dh_replica::{ReplicatedDht, Shelves};
 use dh_store::{FileShelves, MemShelves, ScratchPath};
 use rand::Rng;
-
-const THREAD_MATRIX: [usize; 3] = [1, 2, 8];
-
-/// Run `f` with the pool pinned to `threads` workers, restoring auto
-/// detection afterwards.
-fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    rayon::set_num_threads(threads);
-    let out = f();
-    rayon::set_num_threads(0);
-    out
-}
 
 fn churned_store<G: ContinuousGraph, S: Shelves>(
     graph: G,
@@ -124,78 +113,53 @@ fn durability_after_churn_dh_file_backed() {
     durability_after_churn_on(DistanceHalving::binary(), 0xD0A1, shelves);
 }
 
-/// One full batch run at a given thread count: outcomes, final
-/// placement, merged stats and the per-shard recorded fingerprints.
-type BatchKey = (Vec<(bool, Option<Bytes>, u64, u64)>, Vec<(u64, u32, usize)>, Vec<u64>);
+/// One lossy recorded op stream — preload, then mixed quorum gets and
+/// puts one at a time through a single recorded transport: per-op
+/// results, final readable placement and the trace fingerprint.
+type StreamKey = (Vec<(bool, Option<Bytes>, u64, u64)>, Vec<(u64, u32, usize)>, u64);
 
-fn batch_at(threads: usize, lossy: bool) -> BatchKey {
-    batch_at_on(threads, lossy, MemShelves::new())
-}
-
-fn batch_at_on<S: Shelves + Sync>(threads: usize, lossy: bool, shelves: S) -> BatchKey {
-    with_threads(threads, || {
-        let mut rng = seeded(0xBA7C);
-        let net = CdNetwork::build(DistanceHalving::binary(), &PointSet::random(256, &mut rng));
-        let mut dht = ReplicatedDht::with_shelves(net, 8, 4, shelves, &mut rng);
-        for key in 0..30u64 {
-            let from = dht.net.random_node(&mut rng);
-            dht.put(from, key, Bytes::from(vec![key as u8; 20]), &mut rng);
-        }
-        let ops: Vec<ReplicaOp> = (0..120u64)
-            .map(|i| {
-                let from = dht.net.random_node(&mut rng);
-                let action = if i % 3 == 0 {
-                    ReplicaAction::Get { key: i % 30 }
-                } else {
-                    ReplicaAction::Put { key: 500 + i, value: Bytes::from(vec![i as u8; 24]) }
-                };
-                ReplicaOp { from, action }
-            })
-            .collect();
-        let retry = RetryPolicy::fixed(2_048, 8);
-        let (results, _stats, transports) = batch_over(&mut dht, &ops, 0x5EED, retry, 4, |s| {
-            Recorder::new(if lossy {
-                Sim::new(s as u64 ^ 0xFA11).with_drop(0.02)
-            } else {
-                Sim::new(s as u64 ^ 0xFA11)
-            })
-        });
-        let brief = results
-            .into_iter()
-            .map(|r| (r.applied, r.value, r.outcome.msgs, r.outcome.bytes))
-            .collect();
-        let placement: Vec<(u64, u32, usize)> = (0..30u64)
-            .chain(500..620)
-            .filter_map(|key| {
-                let clique = dht.clique(key);
-                let from = clique[0];
-                dht.get(from, key, &mut rng).map(|v| (key, v.len() as u32, clique.len()))
-            })
-            .collect();
-        // the shard recorders pin the entire event schedule
-        let fps: Vec<u64> = transports.iter().map(|t| t.trace.fingerprint()).collect();
-        (brief, placement, fps)
-    })
-}
-
-#[test]
-fn replicated_batches_are_bit_identical_at_1_2_8_threads() {
-    for lossy in [false, true] {
-        let runs: Vec<BatchKey> =
-            THREAD_MATRIX.iter().map(|&t| batch_at(t, lossy)).collect();
-        assert_eq!(runs[0], runs[1], "1 vs 2 threads diverged (lossy = {lossy})");
-        assert_eq!(runs[0], runs[2], "1 vs 8 threads diverged (lossy = {lossy})");
+fn lossy_stream_on<S: Shelves>(shelves: S) -> StreamKey {
+    let mut rng = seeded(0xBA7C);
+    let net = CdNetwork::build(DistanceHalving::binary(), &PointSet::random(256, &mut rng));
+    let mut dht = ReplicatedDht::with_shelves(net, 8, 4, shelves, &mut rng);
+    for key in 0..30u64 {
+        let from = dht.net.random_node(&mut rng);
+        dht.put(from, key, Bytes::from(vec![key as u8; 20]), &mut rng);
     }
+    let retry = RetryPolicy::fixed(2_048, 8);
+    let mut rec = Recorder::new(Sim::new(0xFA11).with_drop(0.02));
+    let brief = (0..120u64)
+        .map(|i| {
+            let from = dht.net.random_node(&mut rng);
+            if i % 3 == 0 {
+                let (out, value) = dht.get_over(from, i % 30, &mut rec, 0x5EED ^ i, retry);
+                (value.is_some(), value, out.msgs, out.bytes)
+            } else {
+                let value = Bytes::from(vec![i as u8; 24]);
+                let (out, _) = dht.put_over(from, 500 + i, value, &mut rec, 0x5EED ^ i, retry);
+                (out.ok, None, out.msgs, out.bytes)
+            }
+        })
+        .collect();
+    let placement = (0..30u64)
+        .chain(500..620)
+        .filter_map(|key| {
+            let clique = dht.clique(key);
+            dht.get(clique[0], key, &mut rng).map(|v| (key, v.len() as u32, clique.len()))
+        })
+        .collect();
+    // the recorder pins the entire event schedule
+    (brief, placement, rec.trace.fingerprint())
 }
 
-/// Backend-independence of the parallel driver: a WAL-backed batch at
-/// 2 worker threads is bit-identical — outcomes, final placement,
-/// per-shard trace fingerprints — to the in-memory batch at 1 thread.
+/// Backend-independence of the op path: a WAL-backed lossy op stream
+/// is bit-identical — outcomes, final placement, trace fingerprint —
+/// to the in-memory one.
 #[test]
-fn file_backed_batches_match_memory_bit_for_bit() {
-    let mem = batch_at(1, true);
-    let scratch = ScratchPath::new("batch-wal");
+fn file_backed_ops_match_memory_bit_for_bit() {
+    let mem = lossy_stream_on(MemShelves::new());
+    let scratch = ScratchPath::new("stream-wal");
     let shelves = FileShelves::open(scratch.path()).expect("open WAL");
-    let file = batch_at_on(2, true, shelves);
-    assert_eq!(mem, file, "WAL backend diverged from memory under the sharded driver");
+    let file = lossy_stream_on(shelves);
+    assert_eq!(mem, file, "WAL backend diverged from memory on the per-op path");
 }

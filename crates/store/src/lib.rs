@@ -36,11 +36,10 @@
 //!
 //! [`ShelfView`] adapts any backend to the engine's
 //! [`dh_proto::engine::ShareView`], so
-//! [`dh_proto::engine::Engine::run_with_shares`] and
-//! [`dh_proto::shard::run_sharded_shares`] take a [`FileShelves`] as
-//! readily as the in-memory shelves — `dh_replica::ReplicatedDht`
-//! runs unmodified over either backend, with identical traces and
-//! fingerprints.
+//! [`dh_proto::engine::Engine::run_with_shares`] takes a
+//! [`FileShelves`] as readily as the in-memory shelves —
+//! `dh_replica::ReplicatedDht` runs unmodified over either backend,
+//! with identical traces and fingerprints.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

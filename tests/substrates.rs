@@ -1,5 +1,5 @@
 //! Integration tests for the substrate crates working together:
-//! geometry → expander, erasure → fault storage, emulation ↔ dht.
+//! geometry → expander, fault coverage, emulation ↔ dht.
 
 use continuous_discrete::core::rng::seeded;
 use continuous_discrete::core::Point2;
@@ -44,19 +44,12 @@ fn continuous_gg_maps_match_discrete_shear() {
 
 #[test]
 fn erasure_threshold_matches_fault_coverage() {
-    // the fault crate's clique of covers must be able to host k-of-m
-    // shares: mean coverage well above common thresholds
+    // the fault crate's clique of covers must be wide enough to host
+    // k-of-m shares: coverage at or above the smallest threshold
     let mut rng = seeded(0xE5);
     let net = continuous_discrete::fault::OverlapNet::build(512, &mut rng);
     let (min_cov, _) = net.coverage_stats(300, &mut rng);
     assert!(min_cov >= 2, "coverage {min_cov} too thin for erasure coding");
-    let mut store = continuous_discrete::fault::storage::ErasureStore::new(2);
-    let loc = continuous_discrete::core::Point(rng.gen());
-    let placed = store.put(&net, 1, loc, b"cross-crate");
-    assert!(placed >= 2);
-    let from = continuous_discrete::fault::OverlapNodeId(0);
-    let (v, _) = store.get(&net, from, 1, &mut rng).expect("reconstructs");
-    assert_eq!(v, b"cross-crate");
 }
 
 #[test]
