@@ -18,8 +18,9 @@
 //!   snapshot lands in `BENCH_ops.json` in the same JSON-lines
 //!   dialect as the wall-clock records.
 //! * **Cost the recorder itself** — the identical scenario runs with
-//!   the recorder off and on; the measured overhead on summed service
-//!   time is asserted ≤ 10% and recorded as a BENCH row.
+//!   the recorder off and on; the added inline service time per
+//!   recorded event is asserted ≤ [`BUDGET_NS_PER_EVENT`] and recorded
+//!   as a BENCH row (the percentage of op time rides along, ungated).
 //!
 //! The recorder is itself fingerprintable: its protocol-plane event
 //! fold is pinned in CI at threads 1 and 2 on both backends (the
@@ -74,6 +75,23 @@ const RING_CAP: usize = 1 << 20;
 /// recorder's heap footprint from perturbing what the twin bare passes
 /// see.
 const MEASURE_RING: usize = 1 << 14;
+
+/// The recorder's budget: inline (client-path) nanoseconds added per
+/// recorded event, `(on − off) ÷ recorded()`.
+///
+/// The gate used to read "≤ 10 % of op time", which charges the
+/// recorder for how fast everything *else* is: PR 14 halved the op
+/// path, left the recorder's absolute cost alone, and the same
+/// recorder went from passing to failing. The unit that does not
+/// depend on the rest of the stack is cost per event, so the budget is
+/// what the 10 % gate allowed at the commit it was last calibrated on
+/// (PR 14's parent, `c1ce186`), measured by this binary there: six
+/// `e_obs 2000 400 800` mem runs gave an off-side per-op floor sum of
+/// 12.66–13.37 ms over the 800 foreground ops (median 12.97 ms,
+/// 16.2 µs per op) and 102 190 recorded events (127.7 per op — every
+/// event, preload and background included, which is also the gate's
+/// denominator), so 10 % × 12.97 ms ÷ 102 190 = 12.7 ns per event.
+const BUDGET_NS_PER_EVENT: f64 = 12.7;
 
 fn value_of(key: u64, gen: u32) -> Bytes {
     Bytes::from(format!("slo-item-{key:08}-gen{gen:04}-{:016x}", key.wrapping_mul(0x9E37)))
@@ -333,9 +351,14 @@ fn main() {
         passes.iter().map(|p| p.inline_ns.iter().sum::<u64>()).min().unwrap_or(0)
     };
     let pct = |on: u64, off: u64| (on as f64 - off as f64) / off.max(1) as f64 * 100.0;
+    // the gated unit: added inline ns per recorded event (every pass
+    // records the same events — the fold assert below proves it)
+    let per_event =
+        |on: u64, off: u64, events: u64| (on as f64 - off as f64) / events.max(1) as f64;
     let mut on_passes: Vec<ObsOut> = Vec::new();
     let mut off_passes: Vec<ObsOut> = Vec::new();
     let (mut floor_pct, mut pass_pct) = (f64::INFINITY, f64::INFINITY);
+    let (mut floor_ns, mut pass_ns) = (f64::INFINITY, f64::INFINITY);
     for round in 0..3 {
         for _ in 0..3 {
             let i = on_passes.len() + off_passes.len();
@@ -346,16 +369,21 @@ fn main() {
         // poisons one round cannot contaminate a later clean one
         let on3: Vec<&ObsOut> = on_passes[round * 3..].iter().collect();
         let off3: Vec<&ObsOut> = off_passes[round * 3..].iter().collect();
-        let f = pct(floor_sum(&on3), floor_sum(&off3));
-        let p = pct(best_pass(&on3), best_pass(&off3));
-        floor_pct = floor_pct.min(f);
-        pass_pct = pass_pct.min(p);
-        if floor_pct.min(pass_pct) <= 10.0 {
+        let events = on_passes[0].obs.recorded();
+        let (on_f, off_f) = (floor_sum(&on3), floor_sum(&off3));
+        let (on_p, off_p) = (best_pass(&on3), best_pass(&off3));
+        floor_pct = floor_pct.min(pct(on_f, off_f));
+        pass_pct = pass_pct.min(pct(on_p, off_p));
+        let (f, p) = (per_event(on_f, off_f, events), per_event(on_p, off_p, events));
+        floor_ns = floor_ns.min(f);
+        pass_ns = pass_ns.min(p);
+        if floor_ns.min(pass_ns) <= BUDGET_NS_PER_EVENT {
             break;
         }
         if round < 2 {
             println!(
-                "measurement round {} over budget ({f:+.1}% floor, {p:+.1}% pass) — retrying",
+                "measurement round {} over budget ({f:+.1} ns/event floor, {p:+.1} ns/event \
+                 pass) — retrying",
                 round + 1
             );
         }
@@ -396,6 +424,8 @@ fn main() {
     section("recorder overhead (identical scenario, recorder off)");
     assert_eq!(off.wire_fp, out.wire_fp, "the off pass must replay the same schedule");
     let overhead_pct = floor_pct.min(pass_pct);
+    let overhead_ns = floor_ns.min(pass_ns);
+    let events = out.obs.recorded();
     // The instrument's resolution: score the bare passes against
     // themselves. Two disjoint halves of the off side run identical
     // code, so any "overhead" between them is pure host noise — the
@@ -403,26 +433,33 @@ fn main() {
     // tight on quiet machines and honest on loud ones.
     let off_a: Vec<&ObsOut> = off_passes.iter().step_by(2).collect();
     let off_b: Vec<&ObsOut> = off_passes.iter().skip(1).step_by(2).collect();
-    let noise_pct = pct(floor_sum(&off_a), floor_sum(&off_b))
-        .abs()
-        .min(pct(best_pass(&off_a), best_pass(&off_b)).abs());
+    let (floor_a, floor_b) = (floor_sum(&off_a), floor_sum(&off_b));
+    let (pass_a, pass_b) = (best_pass(&off_a), best_pass(&off_b));
+    let noise_pct = pct(floor_a, floor_b).abs().min(pct(pass_a, pass_b).abs());
+    let noise_ns =
+        per_event(floor_a, floor_b, events).abs().min(per_event(pass_a, pass_b, events).abs());
     println!(
-        "inline overhead over {} pass pairs: {floor_pct:+.1}% by per-op floor, \
-         {pass_pct:+.1}% by best pass → charged {overhead_pct:+.1}% \
-         (off-vs-off noise floor {noise_pct:.1}%)",
+        "inline overhead over {} pass pairs: {floor_ns:+.1} ns/event by per-op floor, \
+         {pass_ns:+.1} ns/event by best pass → charged {overhead_ns:+.1} ns/event \
+         over {events} events (off-vs-off noise floor {noise_ns:.1} ns/event)",
         on_passes.len()
+    );
+    println!(
+        "as a share of op time (reported, not gated — it moves with the op path, not the \
+         recorder): {floor_pct:+.1}% by per-op floor, {pass_pct:+.1}% by best pass → \
+         {overhead_pct:+.1}% (noise floor {noise_pct:.1}%)"
     );
     if file_backend {
         // the WAL's physical fsyncs dominate (and jitter) the file
-        // backend's inline path; the ≤10% budget is defined and gated
-        // on the e_slo mem scenario, the file number rides along in
-        // BENCH_ops.json for trend tracking
+        // backend's inline path; the per-event budget is defined and
+        // gated on the e_slo mem scenario, the file number rides along
+        // in BENCH_ops.json for trend tracking
         println!("(budget gate applies to the mem backend; file number recorded, not gated)");
     } else {
         assert!(
-            overhead_pct <= 10.0 + noise_pct,
-            "recorder overhead {overhead_pct:.1}% exceeds the 10% budget \
-             (instrument noise floor {noise_pct:.1}%)"
+            overhead_ns <= BUDGET_NS_PER_EVENT + noise_ns,
+            "recorder cost {overhead_ns:.1} ns/event exceeds the {BUDGET_NS_PER_EVENT} ns/event \
+             budget (instrument noise floor {noise_ns:.1} ns/event)"
         );
     }
 
@@ -477,7 +514,10 @@ fn main() {
         Record::new(format!("e_obs/noise_floor_pct_{backend}"), n, noise_pct)
             .with_unit("percent")
             .with_threads(workers),
-        Record::new(format!("e_obs/recorded_events_{backend}"), n, out.obs.recorded() as f64)
+        Record::new(format!("e_obs/recorder_ns_per_event_{backend}"), n, overhead_ns.max(0.0))
+            .with_unit("ns")
+            .with_threads(workers),
+        Record::new(format!("e_obs/recorded_events_{backend}"), n, events as f64)
             .with_unit("count")
             .with_threads(workers),
     ];

@@ -1,8 +1,12 @@
 //! Wrap-around intervals (arcs) on the continuous circle `I = [0,1)`.
 //!
 //! A server's *segment* `s(x_i) = [x_i, x_{i+1})` is an [`Interval`].
-//! Lengths are stored as `u128` so the full circle (the `n = 1` network)
-//! is representable (`len = 2^128 ≥ FULL = 2^64`).
+//! Lengths range over `1..=FULL` (`FULL = 2^64` is the whole circle, the
+//! `n = 1` network), one value too many for a `u64` — so an arc stores
+//! `last = len − 1` instead, which maps `1..=2^64` onto `0..=u64::MAX`
+//! exactly and keeps the struct at 16 bytes (neighbor tables hold one
+//! per entry). The API still speaks `u128` lengths: [`Interval::new`]
+//! takes one, [`Interval::len`] returns one.
 //!
 //! The module also computes the *images* of an interval under the
 //! continuous Distance Halving maps, which is how the discrete graph's
@@ -27,8 +31,13 @@ pub const FULL: u128 = 1u128 << 64;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Interval {
     start: Point,
-    len: u128,
+    /// `len − 1`: offset of the last grid point of the arc from `start`.
+    last: u64,
 }
+
+// One table probe reads one of these per entry; 16 bytes puts four on
+// a cache line (`dh_dht::Neighbor` guards its own 24).
+const _: () = assert!(std::mem::size_of::<Interval>() == 16);
 
 /// Up to two disjoint arcs — the image of an arc under a map that is
 /// discontinuous at the wrap point.
@@ -37,24 +46,29 @@ pub type Pieces = [Option<Interval>; 2];
 impl Interval {
     /// The whole circle.
     pub const fn full() -> Self {
-        Interval { start: Point::ZERO, len: FULL }
+        Interval { start: Point::ZERO, last: u64::MAX }
     }
 
     /// An arc from `start` of the given length (`0 < len ≤ FULL`).
     pub fn new(start: Point, len: u128) -> Self {
         assert!(len > 0 && len <= FULL, "interval length must be in (0, 2^64], got {len}");
-        Interval { start, len }
+        Interval::with_len(start, len)
+    }
+
+    /// `len` must already be in `1..=FULL`; `len − 1` then fits a `u64`.
+    #[inline]
+    fn with_len(start: Point, len: u128) -> Self {
+        debug_assert!(len > 0 && len <= FULL);
+        Interval { start, last: (len - 1) as u64 }
     }
 
     /// The arc from `a` (inclusive) to `b` (exclusive), travelling
     /// clockwise (increasing). If `a == b` the result is the full circle
     /// (matching the paper's `s(x)` when one point covers everything).
     pub fn between(a: Point, b: Point) -> Self {
-        let len = b.offset_from(a);
-        if len == 0 {
-            Interval::full()
-        } else {
-            Interval { start: a, len: len as u128 }
+        match b.offset_from(a) {
+            0 => Interval::full(),
+            len => Interval { start: a, last: len - 1 },
         }
     }
 
@@ -67,23 +81,24 @@ impl Interval {
     /// End point (exclusive; equals `start` for the full circle).
     #[inline]
     pub fn end(&self) -> Point {
-        self.start.wrapping_add(self.len as u64)
+        self.start.wrapping_add(self.last.wrapping_add(1))
     }
 
     /// Arc length (in units of `2⁻⁶⁴`).
     #[inline]
     pub const fn len(&self) -> u128 {
-        self.len
+        self.last as u128 + 1
     }
 
     /// Arc length as a fraction of the circle.
     #[inline]
     pub fn len_f64(&self) -> f64 {
-        self.len as f64 / FULL as f64
+        self.len() as f64 / FULL as f64
     }
 
-    /// Never true — intervals are non-empty by construction. Provided for
-    /// API completeness.
+    /// Never true — intervals are non-empty by construction, which is
+    /// what makes the stored `len − 1` encoding exact (there is no
+    /// length 0 to represent).
     #[inline]
     pub const fn is_empty(&self) -> bool {
         false
@@ -92,19 +107,19 @@ impl Interval {
     /// Is this the whole circle?
     #[inline]
     pub const fn is_full(&self) -> bool {
-        self.len == FULL
+        self.last == u64::MAX
     }
 
     /// Does the arc contain the point `p`?
     #[inline]
     pub fn contains(&self, p: Point) -> bool {
-        (p.offset_from(self.start) as u128) < self.len
+        p.offset_from(self.start) <= self.last
     }
 
     /// The midpoint of the arc (the `z` used by Fast Lookup).
     #[inline]
     pub fn midpoint(&self) -> Point {
-        self.start.wrapping_add((self.len / 2) as u64)
+        self.start.wrapping_add((self.len() / 2) as u64)
     }
 
     /// Does this arc intersect `other`?
@@ -119,15 +134,15 @@ impl Interval {
     /// Split at an interior point `at`, returning `([start, at), [at, end))`.
     /// `at` must lie strictly inside the arc (not at its start).
     pub fn split(&self, at: Point) -> (Interval, Interval) {
-        let off = at.offset_from(self.start) as u128;
+        let off = at.offset_from(self.start);
         assert!(
-            off > 0 && off < self.len,
+            off > 0 && off <= self.last,
             "split point must be strictly interior (offset {off}, len {})",
-            self.len
+            self.len()
         );
         (
-            Interval { start: self.start, len: off },
-            Interval { start: at, len: self.len - off },
+            Interval { start: self.start, last: off - 1 },
+            Interval { start: at, last: self.last - off },
         )
     }
 
@@ -135,18 +150,18 @@ impl Interval {
     pub fn unwrapped(&self) -> Pieces {
         if self.is_full() {
             // Treat as one arc starting at 0.
-            return [Some(Interval { start: Point::ZERO, len: FULL }), None];
+            return [Some(Interval::full()), None];
         }
-        let start_off = self.start.bits() as u128;
-        if start_off + self.len <= FULL {
-            [Some(*self), None]
-        } else {
-            let first = FULL - start_off;
-            [
-                Some(Interval { start: self.start, len: first }),
-                Some(Interval { start: Point::ZERO, len: self.len - first }),
-            ]
+        // The arc wraps iff its last point lies past `u64::MAX`.
+        if self.start.bits().checked_add(self.last).is_some() {
+            return [Some(*self), None];
         }
+        // `first` grid points up to the wrap, the rest from 0.
+        let first = self.start.bits().wrapping_neg();
+        [
+            Some(Interval { start: self.start, last: first - 1 }),
+            Some(Interval { start: Point::ZERO, last: self.last - first }),
+        ]
     }
 
     /// Image under the left map `ℓ(y) = y/2` — up to two arcs if `self`
@@ -180,9 +195,8 @@ impl Interval {
     /// progression with stride ∆ spanning `∆(L−1)+1` units (or the full
     /// circle once that overflows).
     pub fn image_backward_delta(&self, delta: u32) -> Interval {
-        let span = (self.len - 1) * delta as u128 + 1;
-        let len = span.min(FULL);
-        Interval { start: self.start.backward_delta(delta), len }
+        let span = self.last as u128 * delta as u128 + 1;
+        Interval::with_len(self.start.backward_delta(delta), span.min(FULL))
     }
 
     /// The same arc extended by `slack` units (capped at the full
@@ -190,7 +204,7 @@ impl Interval {
     /// fixed-point flooring of the forward maps in the backward image.
     #[inline]
     pub fn widened(&self, slack: u128) -> Interval {
-        Interval { start: self.start, len: (self.len + slack).min(FULL) }
+        Interval::with_len(self.start, (self.len() + slack).min(FULL))
     }
 
     /// The arc shifted clockwise by `offset`, same length. Translation
@@ -199,7 +213,7 @@ impl Interval {
     /// translations (the Chord-like instance `y → y + 2⁻ⁱ` of §4).
     #[inline]
     pub fn translated(&self, offset: u64) -> Interval {
-        Interval { start: self.start.wrapping_add(offset), len: self.len }
+        Interval { start: self.start.wrapping_add(offset), last: self.last }
     }
 
     /// Map each non-wrapping piece through a monotone map, exactly:
@@ -211,9 +225,8 @@ impl Interval {
         let mut out: Pieces = [None, None];
         for (slot, piece) in out.iter_mut().zip(self.unwrapped().into_iter().flatten()) {
             let first = f(piece.start);
-            let last = f(piece.start.wrapping_add((piece.len - 1) as u64));
-            let len = last.offset_from(first) as u128 + 1;
-            *slot = Some(Interval { start: first, len });
+            let last = f(piece.start.wrapping_add(piece.last));
+            *slot = Some(Interval { start: first, last: last.offset_from(first) });
         }
         out
     }

@@ -85,6 +85,10 @@ pub struct Neighbor {
     pub segment: Interval,
 }
 
+// A hop scans one node's table of these; 24 bytes keeps a probe of a
+// few entries inside two or three cache lines.
+const _: () = assert!(std::mem::size_of::<Neighbor>() == 24);
+
 /// An item stored on a node.
 #[derive(Clone, Debug)]
 pub struct StoredItem {

@@ -26,10 +26,12 @@
 //! `Engine::with_health`, which is what lets the detector outlive the
 //! per-op engines and inform *future* routing and quorum planning.
 //!
-//! Everything here is integer arithmetic over `BTreeMap`s — a pure
-//! function of the observed delivery schedule, so attaching health to
-//! an engine never perturbs a trace by itself: only the opt-in
-//! adaptive/hedged retry policies consult it.
+//! Everything here is integer arithmetic over ordered containers (a
+//! slab of estimators indexed by node id, a sparse `BTreeMap` of
+//! suspicion counters) — a pure function of the observed delivery
+//! schedule, so attaching health to an engine never perturbs a trace
+//! by itself: only the opt-in adaptive/hedged retry policies consult
+//! it.
 
 use crate::node::NodeId;
 use std::collections::BTreeMap;
@@ -95,8 +97,12 @@ impl RttEstimate {
 /// conservative default.
 #[derive(Clone, Debug)]
 pub struct NetHealth {
-    /// Per-destination delivery-delay estimators.
-    rtt: BTreeMap<NodeId, RttEstimate>,
+    /// Per-destination delivery-delay estimators, indexed by
+    /// `NodeId.0` (node ids are slab indices, so the table is dense)
+    /// and grown on demand. Every routed message reads and writes one
+    /// slot, so this is a flat array rather than a tree; a slot with
+    /// `samples == 0` is an unobserved destination.
+    rtt: Vec<RttEstimate>,
     /// Population-wide estimator (all destinations pooled): the
     /// baseline that `slow_factor` compares against and the source of
     /// the hedge delay.
@@ -127,7 +133,7 @@ pub struct NetHealth {
 impl Default for NetHealth {
     fn default() -> Self {
         NetHealth {
-            rtt: BTreeMap::new(),
+            rtt: Vec::new(),
             global: RttEstimate::default(),
             susp: BTreeMap::new(),
             min_timeout: 8,
@@ -157,7 +163,13 @@ impl NetHealth {
     /// every bound derived from the baseline (route caps, hedge
     /// delays, the slow comparison itself).
     pub fn observe(&mut self, dst: NodeId, delay: u64) {
-        self.rtt.entry(dst).or_default().observe(delay);
+        let i = dst.0 as usize;
+        if i >= self.rtt.len() {
+            self.rtt.resize(i + 1, RttEstimate::default());
+        }
+        if let Some(e) = self.rtt.get_mut(i) {
+            e.observe(delay);
+        }
         if self.global.samples() == 0
             || delay <= self.slow_factor.saturating_mul(self.global.srtt().max(1))
         {
@@ -167,7 +179,7 @@ impl NetHealth {
 
     /// The per-destination estimate, if any samples exist.
     pub fn estimate(&self, dst: NodeId) -> Option<&RttEstimate> {
-        self.rtt.get(&dst)
+        self.rtt.get(dst.0 as usize).filter(|e| e.samples() > 0)
     }
 
     /// The population-wide estimate.
@@ -181,10 +193,10 @@ impl NetHealth {
     /// with no samples at all the ceiling (the policy's fixed timeout)
     /// applies — cold starts are conservative, never trigger-happy.
     pub fn timeout_for(&self, dst: NodeId, ceiling: u64) -> u64 {
-        let est = match self.rtt.get(&dst) {
-            Some(e) if e.samples() > 0 => e,
-            _ if self.global.samples() > 0 => &self.global,
-            _ => return ceiling,
+        let est = match self.estimate(dst) {
+            Some(e) => e,
+            None if self.global.samples() > 0 => &self.global,
+            None => return ceiling,
         };
         (est.rto().saturating_mul(3)).clamp(self.min_timeout.min(ceiling), ceiling)
     }
@@ -218,7 +230,7 @@ impl NetHealth {
 
     /// Is `dst` far slower than the population (a grey node)?
     pub fn is_slow(&self, dst: NodeId) -> bool {
-        match self.rtt.get(&dst) {
+        match self.estimate(dst) {
             Some(e) => {
                 e.samples() >= self.slow_min_samples
                     && self.global.samples() >= self.slow_min_samples
@@ -273,7 +285,9 @@ impl NetHealth {
         self.susp.get(&node).copied().unwrap_or(0) >= self.threshold
     }
 
-    /// Number of nodes currently carrying a nonzero accrual counter.
+    /// Number of nodes currently judged suspect ([`Self::is_suspect`])
+    /// among those carrying an accrual counter — a node at/above the
+    /// threshold on the grey-node penalty alone is not counted.
     pub fn suspects(&self) -> usize {
         self.susp.iter().filter(|&(&n, _)| self.is_suspect(n)).count()
     }
@@ -290,7 +304,7 @@ impl NetHealth {
     /// delivery sample exists. Convenience over [`Self::estimate`] for
     /// callers that only want the Jacobson bound.
     pub fn rto(&self, dst: NodeId) -> Option<u64> {
-        self.rtt.get(&dst).map(RttEstimate::rto)
+        self.estimate(dst).map(RttEstimate::rto)
     }
 
     /// Push the detector's state into a [`dh_obs`] registry: per-node
@@ -301,8 +315,8 @@ impl NetHealth {
         if !obs.is_on() {
             return;
         }
-        for (&n, e) in &self.rtt {
-            obs.gauge("health/rto_ticks", u64::from(n.0), e.rto());
+        for (n, e) in self.rtt.iter().enumerate().filter(|(_, e)| e.samples() > 0) {
+            obs.gauge("health/rto_ticks", n as u64, e.rto());
         }
         for &n in self.susp.keys() {
             obs.gauge("health/suspicion", u64::from(n.0), u64::from(self.suspicion(n)));

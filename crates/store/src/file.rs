@@ -25,10 +25,13 @@
 //! current holders, then its commit record) to a sibling file and
 //! atomically renames it over the log; the rename is the commit point,
 //! so a crash during compaction leaves either the old log or the new
-//! one, both valid. Compaction runs automatically from the append path
-//! once the log exceeds [`FileShelves::set_auto_compact`]'s factor
-//! times the live size (never while a crash point is armed — the
-//! crash matrix counts records).
+//! one, both valid. Compaction runs automatically once the log exceeds
+//! [`FileShelves::set_auto_compact`]'s factor times the live size
+//! (never while a crash point is armed — the crash matrix counts
+//! records). The append path only *detects* the crossing; the image is
+//! written from the in-memory map, so the compaction itself runs after
+//! the verb has applied the record that crossed — the image must hold
+//! that record's effect, because the log that carried it is replaced.
 
 use crate::crash::CrashPoint;
 use crate::shelf::{apply_record, Holder, ItemState, MemShelves, Shelves};
@@ -77,6 +80,12 @@ pub struct FileShelves {
     /// `wal_len > factor * live_len` (and the log is past a floor).
     /// `0` disables.
     auto_compact: u64,
+    /// The append that just landed crossed the auto-compaction
+    /// threshold. [`Self::append`] only *marks* it: `compact` writes
+    /// its image from `mem`, so it must run after the verb has applied
+    /// that record ([`Self::compact_if_due`]) — compacting inside the
+    /// append would discard the record with the old log.
+    compact_due: bool,
     /// Whether to `sync_data` after `Commit` records (power-loss
     /// durability; off by default — the crash model here is process
     /// death, where the page cache survives).
@@ -170,6 +179,7 @@ impl FileShelves {
                 torn_bytes: scan.torn_bytes,
             },
             auto_compact: 8,
+            compact_due: false,
             sync_commits: false,
             group_commit: 1,
             commits_since_sync: 0,
@@ -246,8 +256,8 @@ impl FileShelves {
         self.io_error
     }
 
-    /// Set the auto-compaction factor (`0` disables): the append path
-    /// compacts once `wal_len > factor * live_len` and the log is past
+    /// Set the auto-compaction factor (`0` disables): the readable-state
+    /// verbs compact once `wal_len > factor * live_len` and the log is past
     /// a 64 KiB floor. Returns `self` for builder-style construction.
     pub fn set_auto_compact(&mut self, factor: u64) -> &mut Self {
         self.auto_compact = factor;
@@ -372,9 +382,18 @@ impl FileShelves {
             && self.wal_len > AUTO_COMPACT_FLOOR
             && self.wal_len > self.auto_compact * self.live_len()
         {
-            let _ = self.compact();
+            self.compact_due = true;
         }
         true
+    }
+
+    /// Run the auto-compaction the last [`Self::append`] marked due.
+    /// Every readable-state verb calls this once its record is applied
+    /// to `mem`, so the compacted image holds the post-record state.
+    fn compact_if_due(&mut self) {
+        if std::mem::take(&mut self.compact_due) {
+            let _ = self.compact();
+        }
     }
 
     /// Rewrite the live state to a sibling file and atomically rename
@@ -501,6 +520,7 @@ impl Shelves for FileShelves {
     fn commit(&mut self, key: u64, version: u32) {
         if self.append(&WalRecord::Commit { key, version }) {
             self.mem.commit(key, version);
+            self.compact_if_due();
         }
     }
 
@@ -510,6 +530,7 @@ impl Shelves for FileShelves {
                 self.live -= park_record_bytes(h.sealed.len());
             }
             self.mem.unpark(key, idx);
+            self.compact_if_due();
         }
     }
 
@@ -526,7 +547,9 @@ impl Shelves for FileShelves {
                         .map(|h| park_record_bytes(h.sealed.len()))
                         .sum::<u64>();
             }
-            self.mem.remove(key)
+            let removed = self.mem.remove(key);
+            self.compact_if_due();
+            removed
         } else {
             false
         }
@@ -545,7 +568,9 @@ impl Shelves for FileShelves {
                 .filter(|h| h.node == node)
                 .map(|h| park_record_bytes(h.sealed.len()))
                 .sum::<u64>();
-            self.mem.retire(node)
+            let touched = self.mem.retire(node);
+            self.compact_if_due();
+            touched
         } else {
             Vec::new()
         }
@@ -567,7 +592,9 @@ impl Shelves for FileShelves {
                     }
                 }
             }
-            self.mem.retire_hinted(node, hints)
+            let touched = self.mem.retire_hinted(node, hints);
+            self.compact_if_due();
+            touched
         } else {
             Vec::new()
         }
