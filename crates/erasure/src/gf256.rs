@@ -1,7 +1,11 @@
 //! Arithmetic in `GF(2⁸)` with the AES reduction polynomial
 //! `x⁸ + x⁴ + x³ + x + 1` (0x11B). Multiplication and inversion go
 //! through 256-entry log/antilog tables generated from the generator
-//! `0x03`; addition is XOR.
+//! `0x03` at compile time ([`GF`]); addition is XOR.
+
+/// The field's tables, built once by the compiler: the coder's op path
+/// reads this instead of constructing a [`Gf256`] per call.
+pub static GF: Gf256 = Gf256::new();
 
 /// Precomputed `GF(2⁸)` tables.
 #[derive(Clone)]
@@ -11,22 +15,24 @@ pub struct Gf256 {
 }
 
 impl Gf256 {
-    /// Build the tables (cheap; do it once and share).
-    pub fn new() -> Self {
+    /// Build the tables. `const`, so [`GF`] costs nothing at run time.
+    pub const fn new() -> Self {
         let mut exp = [0u8; 512];
         let mut log = [0u8; 256];
         let mut x: u16 = 1;
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..255 {
+        let mut i = 0;
+        while i < 255 {
             exp[i] = x as u8;
             log[x as usize] = i as u8;
             // multiply x by the generator 0x03 = x + 1: x*3 = x*2 ^ x
             let x2 = x << 1;
             let x2 = if x2 & 0x100 != 0 { x2 ^ 0x11B } else { x2 };
             x = (x2 ^ x) & 0xFF;
+            i += 1;
         }
-        for i in 255..512 {
+        while i < 512 {
             exp[i] = exp[i - 255];
+            i += 1;
         }
         Gf256 { exp, log }
     }

@@ -10,12 +10,15 @@
 //! from scratch:
 //!
 //! * [`gf256`] — arithmetic in `GF(2⁸)` (AES polynomial `0x11B`) with
-//!   log/antilog tables built at construction,
-//! * [`rs`] — a systematic Reed-Solomon code: `encode` produces `m`
-//!   shares from `k` data shards; [`try_decode`] reconstructs from
-//!   **any** `k` of them (Vandermonde matrix inversion over the
-//!   field) and reports a typed [`DecodeError`] — never a panic —
-//!   when fewer than `k` distinct shares survive,
+//!   log/antilog tables built at compile time,
+//! * [`rs`] — a non-systematic Reed-Solomon code (Vandermonde
+//!   evaluation at `x_i = i + 1`; no share is a verbatim shard):
+//!   `encode` produces `m` shares of [`shard_len`] bytes from `k` data
+//!   shards; [`try_decode`] reconstructs from **any** `k` of them
+//!   (inverting the k×k Vandermonde, then the same row kernel as
+//!   `encode`) and reports a typed [`DecodeError`] — never a panic —
+//!   when fewer than `k` distinct shares survive or the bytes are not
+//!   a codeword,
 //! * [`header`] — share versioning: the [`ShareHeader`] sealed in
 //!   front of every stored or shipped share, so quorum reads only
 //!   combine shares of one item generation and repair re-materializes
@@ -29,4 +32,4 @@ pub mod header;
 pub mod rs;
 
 pub use header::{open, open_shared, seal, sealed_len, HeaderError, ShareHeader, HEADER_BYTES};
-pub use rs::{decode, encode, try_decode, DecodeError, Share};
+pub use rs::{decode, encode, shard_len, try_decode, DecodeError, Share};

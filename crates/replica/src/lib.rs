@@ -52,7 +52,7 @@ use cd_core::point::Point;
 use dh_dht::network::{CdNetwork, DistanceHalving, NodeId};
 use dh_dht::proto::route_kind;
 use dh_dht::LookupKind;
-use dh_erasure::{encode, sealed_len, try_decode, Share, ShareHeader};
+use dh_erasure::{encode, sealed_len, shard_len, try_decode, Share, ShareHeader};
 use dh_obs::Obs;
 use dh_proto::engine::{Engine, EngineStats, OpOutcome, RetryPolicy};
 use dh_proto::health::NetHealth;
@@ -306,8 +306,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
     /// The sealed on-wire/on-shelf size of one share of a `len`-byte
     /// value under this store's geometry.
     pub fn share_wire_len(&self, len: usize) -> u32 {
-        // encode() pads to k shards after an 8-byte length trailer
-        sealed_len((len + 8).div_ceil(self.k as usize)) as u32
+        sealed_len(shard_len(len, self.k as usize)) as u32
     }
 
     /// Store `value` under `key` over an arbitrary transport: the
