@@ -261,6 +261,17 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         (self.arc, self.held) = index_of(&self.shelves);
     }
 
+    /// Do the incrementally maintained arc and holder indices equal a
+    /// from-scratch [`Self::reindex`] of the shelves? The put path
+    /// skips index updates it can prove are no-ops, which is only
+    /// sound while this holds (model-equivalence tests assert it after
+    /// every step).
+    #[doc(hidden)]
+    pub fn indices_consistent(&self) -> bool {
+        let (arc, held) = index_of(&self.shelves);
+        self.arc == arc && self.held == held
+    }
+
     /// Set the repair pacing budget: `None` (default) prices all
     /// repair traffic inside the churn call; `Some(b)` queues planned
     /// frames and each [`Self::pump_repair`] drains at most `b` of
@@ -367,12 +378,10 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         if out.shares.is_empty() || out.corrupt {
             return 0;
         }
+        let item = self.shelves.map().get(&key);
         // strictly above every share ever placed, so two torn writes
         // can never park different payloads under one version
-        let version = self
-            .shelves
-            .map()
-            .get(&key)
+        let version = item
             .map(|item| {
                 item.holders
                     .values()
@@ -383,17 +392,28 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
             })
             .unwrap_or(0)
             + 1;
-        self.arc.insert((point.bits(), key));
+        // indices first, while `item` still shows the old placement:
+        // an overwrite landing on the same cover (the common case)
+        // changes neither, so it touches neither
+        if item.is_none() {
+            self.arc.insert((point.bits(), key));
+        }
+        for &idx in &out.shares {
+            let node = out.holders[idx as usize];
+            let prev = item.and_then(|item| item.holders.get(&idx)).map(|h| h.node);
+            if prev != Some(node) {
+                if let Some(prev) = prev {
+                    self.held.remove(&(prev.0, key, idx));
+                }
+                self.held.insert((node.0, key, idx));
+            }
+        }
         // the atomic write sequence: park every placed share first,
         // commit last — on the WAL backend this is literally the
         // on-disk record order, so a crash anywhere in between leaves
         // the previous committed generation the readable one
         for &idx in &out.shares {
             let node = out.holders[idx as usize];
-            if let Some(prev) = self.shelves.map().get(&key).and_then(|i| i.holders.get(&idx)) {
-                self.held.remove(&(prev.node.0, key, idx));
-            }
-            self.held.insert((node.0, key, idx));
             let header = ShareHeader { version, index: idx, k: self.k, m: self.m };
             self.shelves.park(key, point, idx, Holder::seal(node, header, &shares[idx as usize]));
         }

@@ -62,7 +62,8 @@ pub struct Recovery {
 #[derive(Debug)]
 pub struct FileShelves {
     path: PathBuf,
-    /// Append handle. `None` only transiently during compaction.
+    /// Append handle. `None` only if a compaction renamed its image
+    /// into place and then could not reopen it (the store is dead).
     file: Option<File>,
     /// The materialized state — always equal to a replay of the
     /// records on disk up to the last append (or the crash).
@@ -73,7 +74,8 @@ pub struct FileShelves {
     appended: u64,
     crash: Option<CrashPoint>,
     dead: bool,
-    /// First append error, if any (the store goes dead on one).
+    /// The last real I/O failure: a failed append or flush (the store
+    /// went dead on it) or a failed compaction (it did not).
     io_error: Option<io::ErrorKind>,
     recovery: Recovery,
     /// Auto-compaction factor: compact when
@@ -108,8 +110,6 @@ pub struct FileShelves {
     /// *readable* state (commit, unpark, remove, retire) flushes, so
     /// the committed state stays replayable from disk alone.
     pending: Vec<u8>,
-    /// Scratch encode buffer.
-    buf: Vec<u8>,
     /// Flight-recorder handle (off by default). Storage-plane events
     /// are stamped with the recorder's last-seen engine time — the
     /// store has no clock of its own — and are excluded from the
@@ -185,7 +185,6 @@ impl FileShelves {
             commits_since_sync: 0,
             live,
             pending: Vec::with_capacity(1 << 12),
-            buf: Vec::with_capacity(256),
             obs: Obs::off(),
         })
     }
@@ -250,8 +249,11 @@ impl FileShelves {
         self.dead
     }
 
-    /// The error kind that killed the store, if death came from a real
-    /// I/O failure rather than an armed crash point.
+    /// The last real I/O failure, if any. With [`Self::crashed`] it is
+    /// the append or flush error that killed the store (an armed crash
+    /// point kills it without one); on a live store it is a compaction
+    /// that failed and left the store serving on its old, uncompacted
+    /// log.
     pub fn io_error(&self) -> Option<io::ErrorKind> {
         self.io_error
     }
@@ -318,29 +320,31 @@ impl FileShelves {
         if self.dead {
             return false;
         }
-        self.buf.clear();
-        encode_record(rec, &mut self.buf);
+        // frame the record where it will be written from: `pending`
+        // holds only this put's earlier parks (nothing while armed)
+        let at = self.pending.len();
+        let bytes = encode_record(rec, &mut self.pending);
         if let Some(cp) = self.crash {
             if self.appended >= cp.after_records {
                 // the fatal record: only its first torn_bytes reach
                 // disk, then the process is "gone"
-                let torn = cp.torn_bytes.min(self.buf.len());
+                let torn = cp.torn_bytes.min(bytes);
                 if let Some(file) = &mut self.file {
-                    let _ = file.write_all(self.buf.get(..torn).unwrap_or(&self.buf));
+                    let _ = file.write_all(self.pending.get(at..at + torn).unwrap_or(&[]));
                     let _ = file.flush();
                 }
+                self.pending.clear();
                 self.wal_len += torn as u64;
                 self.dead = true;
                 // a fully flushed fatal record is durable even though
                 // the store dies with it — recovery will replay it
-                return torn == self.buf.len();
+                return torn == bytes;
             }
         }
-        let bytes = self.buf.len() as u64;
+        let bytes = bytes as u64;
         // coalesce parks (write-through while a crash point is armed —
         // the crash matrix counts whole records landing in order)
         if self.crash.is_none() && matches!(rec, WalRecord::Park { .. }) {
-            self.pending.extend_from_slice(&self.buf);
             self.wal_len += bytes;
             self.appended += 1;
             self.obs.emit_storage(ObsEvent::WalAppend { bytes: bytes as u32 });
@@ -351,7 +355,6 @@ impl FileShelves {
         }
         // a readable-state verb: its record and every buffered park
         // land in one write, in log order
-        self.pending.extend_from_slice(&self.buf);
         let Some(file) = &mut self.file else {
             self.dead = true;
             self.pending.clear();
@@ -390,9 +393,14 @@ impl FileShelves {
     /// Run the auto-compaction the last [`Self::append`] marked due.
     /// Every readable-state verb calls this once its record is applied
     /// to `mem`, so the compacted image holds the post-record state.
+    /// A failed compaction is not fatal — the store keeps serving on
+    /// the old log — but it is not silent either: the error kind is
+    /// kept for [`Self::io_error`].
     fn compact_if_due(&mut self) {
         if std::mem::take(&mut self.compact_due) {
-            let _ = self.compact();
+            if let Err(e) = self.compact() {
+                self.io_error = Some(e.kind());
+            }
         }
     }
 
@@ -403,15 +411,21 @@ impl FileShelves {
     /// holders are written as parks; the final commit record restores
     /// the committed generation), so a torn write still rolls back the
     /// same way after a compacted reopen.
+    ///
+    /// An `Err` from anything up to and including the rename leaves
+    /// the store alive and appending to the old log, which holds every
+    /// record `mem` reflects. Only failing to reopen the renamed log
+    /// loses the append handle, and that kills the store.
     pub fn compact(&mut self) -> io::Result<()> {
-        if self.dead {
+        // buffered parks go to the old log first: it stays the log of
+        // record until the rename, so it must hold all that `mem` does
+        if self.dead || !self.flush_pending() {
             return Err(io::Error::other("store is dead"));
         }
         let tmp = self.path.with_extension("compact");
-        // buffered parks are already materialized in `mem`, so the
-        // compacted image carries their effect; the raw records are
-        // superseded
-        self.pending.clear();
+        // create before encoding, so a compaction that cannot start
+        // (and is retried at the next crossing) fails cheaply
+        let mut image = File::create(&tmp)?;
         let mut out = Vec::with_capacity(self.live_len() as usize);
         out.extend_from_slice(&FILE_MAGIC);
         for (&key, item) in self.mem.map() {
@@ -429,25 +443,27 @@ impl FileShelves {
             }
             encode_record(&WalRecord::Commit { key, version: item.version }, &mut out);
         }
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&out)?;
-            f.sync_data()?;
-        }
+        image.write_all(&out)?;
+        image.sync_data()?;
+        drop(image);
         // the commit point: readers of `path` see the old log right up
-        // to the instant they see the new one
-        self.file = None;
+        // to the instant they see the new one (the old append handle
+        // stays usable if the rename fails)
         std::fs::rename(&tmp, &self.path)?;
-        let mut file = OpenOptions::new().append(true).open(&self.path)?;
-        use std::io::Seek;
-        file.seek(io::SeekFrom::End(0))?;
+        // the old handle now appends to an unlinked file: without a
+        // new one the store cannot log, so it must not mutate either
+        self.file = None;
+        let file = OpenOptions::new().append(true).open(&self.path).inspect_err(|e| {
+            self.io_error = Some(e.kind());
+            self.dead = true;
+        })?;
+        self.file = Some(file);
         let sat = |v: u64| v.min(u64::from(u32::MAX)) as u32;
         self.obs.emit_storage(ObsEvent::Compaction {
             live_bytes: sat(out.len() as u64),
             wal_bytes: sat(self.wal_len),
         });
         self.wal_len = out.len() as u64;
-        self.file = Some(file);
         Ok(())
     }
 
@@ -501,19 +517,10 @@ impl Shelves for FileShelves {
         if self.append(&rec) {
             // live delta: a new item costs its commit record too; an
             // overwritten holder swaps blob sizes
-            let new = park_record_bytes(holder.sealed.len()) as i64;
-            let delta = match self.mem.map().get(&key) {
-                None => COMMIT_RECORD_BYTES as i64 + new,
-                Some(item) => {
-                    new - item
-                        .holders
-                        .get(&idx)
-                        .map(|h| park_record_bytes(h.sealed.len()) as i64)
-                        .unwrap_or(0)
-                }
-            };
-            self.live = (self.live as i64 + delta) as u64;
-            self.mem.park(key, point, idx, holder);
+            let new = park_record_bytes(holder.sealed.len());
+            let (created, old) = self.mem.park_replacing(key, point, idx, holder);
+            self.live += new + if created { COMMIT_RECORD_BYTES } else { 0 };
+            self.live -= old.map_or(0, |h| park_record_bytes(h.sealed.len()));
         }
     }
 

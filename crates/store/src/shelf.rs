@@ -208,6 +208,24 @@ impl MemShelves {
     pub fn new() -> Self {
         MemShelves::default()
     }
+
+    /// [`Shelves::park`], reporting what it displaced — whether the
+    /// item was created, and the holder previously at `idx` — so the
+    /// file backend's live-size accounting needs no lookups of its own.
+    pub(crate) fn park_replacing(
+        &mut self,
+        key: u64,
+        point: Point,
+        idx: u8,
+        holder: Holder,
+    ) -> (bool, Option<Holder>) {
+        let mut created = false;
+        let item = self.map.entry(key).or_insert_with(|| {
+            created = true;
+            ItemState { point, version: 0, holders: BTreeMap::new() }
+        });
+        (created, item.holders.insert(idx, holder))
+    }
 }
 
 impl Shelves for MemShelves {
@@ -216,11 +234,7 @@ impl Shelves for MemShelves {
     }
 
     fn park(&mut self, key: u64, point: Point, idx: u8, holder: Holder) {
-        let item = self
-            .map
-            .entry(key)
-            .or_insert(ItemState { point, version: 0, holders: BTreeMap::new() });
-        item.holders.insert(idx, holder);
+        self.park_replacing(key, point, idx, holder);
     }
 
     fn commit(&mut self, key: u64, version: u32) {

@@ -90,9 +90,13 @@ pub enum WalRecord {
     },
 }
 
-/// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected) slice-by-8 tables, built at compile
+/// time. `CRC_TABLES[0]` is the classic bytewise table;
+/// `CRC_TABLES[t][b]` is the CRC state after byte `b` followed by `t`
+/// zero bytes, which is what lets eight input bytes be folded in with
+/// eight independent lookups instead of eight dependent ones.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0usize;
     while i < 256 {
         let mut crc = i as u32;
@@ -102,18 +106,53 @@ const CRC_TABLE: [u32; 256] = {
             bit += 1;
         }
         // detlint: allow(indexing): const-eval table build, i < 256 by the loop bound
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut t = 1usize;
+    while t < 8 {
+        let mut i = 0usize;
+        while i < 256 {
+            // detlint: allow(indexing): const-eval table build, 1 <= t < 8 and i < 256 by the loop bounds
+            let prev = tables[t - 1][i];
+            // detlint: allow(indexing): const-eval table build, the index is masked to 0..=255
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
-/// CRC-32 (IEEE) of `data` — the per-record integrity check.
+/// `CRC_TABLES[T][low byte of x]` — the kernel's only table access.
+#[inline(always)]
+fn crc_tab<const T: usize>(x: u32) -> u32 {
+    // detlint: allow(indexing): T is a const generic in 0..8 (checked at compile time) and a u8 indexes 256 entries
+    CRC_TABLES[T][x as u8 as usize]
+}
+
+/// CRC-32 (IEEE) of `data` — the per-record integrity check, used by
+/// the append path, the compaction image and the recovery scan alike.
+/// Slice-by-8: each step folds eight input bytes into the state with
+/// eight independent table lookups; the sub-word tail goes bytewise.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = !0u32;
-    for &b in data {
-        // detlint: allow(indexing): index is masked to 0..=255 and the table has 256 entries
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let (words, tail) = data.as_chunks::<8>();
+    for w in words {
+        let word = u64::from_le_bytes(*w);
+        let lo = crc ^ word as u32;
+        let hi = (word >> 32) as u32;
+        crc = crc_tab::<7>(lo)
+            ^ crc_tab::<6>(lo >> 8)
+            ^ crc_tab::<5>(lo >> 16)
+            ^ crc_tab::<4>(lo >> 24)
+            ^ crc_tab::<3>(hi)
+            ^ crc_tab::<2>(hi >> 8)
+            ^ crc_tab::<1>(hi >> 16)
+            ^ crc_tab::<0>(hi >> 24);
+    }
+    for &b in tail {
+        crc = (crc >> 8) ^ crc_tab::<0>(crc ^ u32::from(b));
     }
     !crc
 }

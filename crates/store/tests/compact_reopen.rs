@@ -7,6 +7,11 @@
 //! generation behind after a reopen, a remove/unpark/retire comes
 //! back. Every check here is a plain drop-and-[`FileShelves::open`]
 //! against a [`MemShelves`] shadow, with no repair pass in between.
+//!
+//! Nor may a compaction that *fails* lose anything: the old log stays
+//! the log of record until the rename, so the store keeps serving on
+//! it — buffered parks included — and the failure is reported, not
+//! swallowed.
 
 use cd_core::point::Point;
 use dh_erasure::{decode, encode, ShareHeader};
@@ -24,14 +29,19 @@ fn node_of(key: u64, idx: usize) -> NodeId {
     NodeId((key as u32) * 8 + idx as u32)
 }
 
-/// One put with the replicated store's discipline: park every share,
-/// commit last.
-fn put(shelves: &mut impl Shelves, key: u64, version: u32) {
+/// Park every share of generation `version`; no commit.
+fn park_all(shelves: &mut impl Shelves, key: u64, version: u32) {
     for (idx, share) in encode(&payload(key, version), K, M).iter().enumerate() {
         let header = ShareHeader { version, index: idx as u8, k: K as u8, m: M as u8 };
         let holder = Holder::seal(node_of(key, idx), header, share);
         shelves.park(key, Point(key << 32), idx as u8, holder);
     }
+}
+
+/// One put with the replicated store's discipline: park every share,
+/// commit last.
+fn put(shelves: &mut impl Shelves, key: u64, version: u32) {
+    park_all(shelves, key, version);
     shelves.commit(key, version);
 }
 
@@ -142,4 +152,77 @@ fn a_retire_that_triggers_compaction_stays_retired() {
     verb_survives_its_own_compaction("compact-reopen-retire-hinted", |s| {
         assert_eq!(s.retire_hinted(node_of(0, 2), &[(0, 2)]), [0]);
     });
+}
+
+/// Make every compaction of the store at `scratch` fail at its first
+/// step: the image path is taken by a directory. Removed on drop.
+struct BlockedImage(std::path::PathBuf);
+
+impl BlockedImage {
+    fn new(scratch: &ScratchPath) -> BlockedImage {
+        let dir = scratch.path().with_extension("compact");
+        std::fs::create_dir(&dir).unwrap();
+        BlockedImage(dir)
+    }
+}
+
+impl Drop for BlockedImage {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir(&self.0);
+    }
+}
+
+#[test]
+fn a_failed_compaction_keeps_buffered_parks_recoverable() {
+    let scratch = ScratchPath::new("compact-reopen-failed");
+    let mut file = reopen(&scratch, 0);
+    let mut shadow = MemShelves::new();
+    put(&mut file, 1, 1);
+    put(&mut shadow, 1, 1);
+    // generation 2 parked, not yet committed: its records are still in
+    // the coalescing buffer when the compaction starts
+    park_all(&mut file, 1, 2);
+    park_all(&mut shadow, 1, 2);
+    let blocked = BlockedImage::new(&scratch);
+    assert!(file.compact().is_err(), "the image path is a directory");
+    drop(blocked);
+    assert!(!file.crashed(), "a compaction that never reached the rename is not fatal");
+    assert_eq!(
+        file.wal_len(),
+        std::fs::metadata(scratch.path()).unwrap().len(),
+        "wal_len ran ahead of the log"
+    );
+    // repair promotes the torn put: the commit must find its parks
+    file.commit(1, 2);
+    shadow.commit(1, 2);
+    drop(file);
+    let r = reopen(&scratch, 0);
+    assert_eq!(r.recovery().skipped, 0);
+    let item = &r.map()[&1];
+    assert_eq!(item.version, 2);
+    assert_eq!(decode(&item.shares_of(2), K), Some(payload(1, 2)), "generation 2 lost its shares");
+    assert_same(&r, &shadow, "reopen after a failed compaction");
+}
+
+#[test]
+fn a_failed_auto_compaction_is_reported_and_the_store_keeps_serving() {
+    let (scratch, mut file, mut shadow) = primed("compact-reopen-auto-failed");
+    assert_eq!(file.io_error(), None);
+    let blocked = BlockedImage::new(&scratch);
+    let before = file.wal_len();
+    put(&mut file, 0, 7); // crosses the threshold: compaction is due, and fails
+    put(&mut shadow, 0, 7);
+    assert!(file.io_error().is_some(), "a failed auto-compaction must be visible");
+    assert!(!file.crashed(), "… and must not kill the store");
+    assert!(file.wal_len() > before, "the old log keeps growing");
+    put(&mut file, 1, 7); // still failing, still serving
+    put(&mut shadow, 1, 7);
+    assert_same(&file, &shadow, "live state after failed compactions");
+    drop(blocked);
+    // with the path clear the next crossing compacts
+    put(&mut file, 2, 7);
+    put(&mut shadow, 2, 7);
+    assert!(file.wal_len() < before, "compaction must resume once it can");
+    drop(file);
+    assert_same(&reopen(&scratch, 1), &shadow, "reopen after failed, then successful, compaction");
 }
