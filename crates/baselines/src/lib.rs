@@ -2,9 +2,9 @@
 //!
 //! Faithful single-process reimplementations of the lookup schemes the
 //! paper compares against (Table 1), each exposing the same
-//! measurement interface ([`LookupScheme`]) so the `table1` harness
-//! can report **path length**, **congestion** and **linkage** for all
-//! of them side by side:
+//! measurement interface ([`LookupScheme`]) so `e_paper`'s Table 1
+//! experiment can check **path length**, **congestion** and
+//! **linkage** of all of them against their row's order:
 //!
 //! | scheme | paper row | path | congestion | linkage |
 //! |---|---|---|---|---|

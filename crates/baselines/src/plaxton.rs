@@ -10,6 +10,7 @@
 //! digit at that level, which routes every key to a unique owner.
 
 use crate::scheme::LookupScheme;
+use cd_core::rng::splitmix64;
 use rand::Rng;
 
 const B: u32 = 4; // digit width: hexadecimal digits
@@ -55,12 +56,20 @@ impl Plaxton {
                     let hi = ids.partition_point(|&x| (x >> shift) <= prefix);
                     (lo, hi)
                 };
-                for (i, &id) in ids[lo..hi].iter().enumerate() {
-                    let d = digit(id, l);
-                    // keep the first (deterministic) representative
-                    if row[d].is_none() {
-                        row[d] = Some((lo + i) as u32);
-                    }
+                // the nodes extending the prefix by one digit `d` are a
+                // contiguous run; `v` keeps itself for its own digit and
+                // otherwise picks its *own* member of the run, as a
+                // Tapestry node does — one representative shared by
+                // every table would carry 1/2^b of all traffic, which
+                // is not Table 1's (log n)/n congestion
+                let mut i = lo;
+                while i < hi {
+                    let d = digit(ids[i], l);
+                    let end = i + ids[i..hi].partition_point(|&x| digit(x, l) == d);
+                    let pick = splitmix64(((v as u64) << 16) ^ ((l as u64) << 8) ^ d as u64);
+                    let member = if (i..end).contains(&v) { v } else { i + (pick % (end - i) as u64) as usize };
+                    row[d] = Some(member as u32);
+                    i = end;
                 }
                 levels.push(row);
                 if hi - lo == 1 {

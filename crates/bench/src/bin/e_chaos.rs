@@ -37,18 +37,18 @@
 //! and latencies are modeled ticks — so the whole campaign
 //! fingerprints: each scenario's recorded delivery trace is hashed,
 //! the per-scenario fingerprints chain into one campaign fingerprint,
-//! and CI pins it at thread widths 1 and 2 on both storage backends.
+//! and CI pins it on both storage backends.
 //! The campaign is executed twice and must reproduce itself exactly.
 //!
 //! ```sh
 //! cargo run --release --bin e_chaos                      # defaults
 //! cargo run --release --bin e_chaos -- 600 160 360 [expect-fp-hex] \
-//!     [--threads N] [--backend mem|file]
+//!     [--backend mem|file]
 //! ```
 
 use bytes::Bytes;
-use cd_bench::bench_json::{self, Record};
-use cd_bench::{claim, parse_backend_file, parse_threads, section, MASTER_SEED};
+use cd_bench::slo::percentile;
+use cd_bench::{parse_backend_file, section, with_shelves, MASTER_SEED};
 use cd_core::pointset::PointSet;
 use cd_core::rng::{seeded, splitmix64, subseed};
 use cd_core::stats::Table;
@@ -56,8 +56,8 @@ use dh_dht::DhNetwork;
 use dh_proto::engine::RetryPolicy;
 use dh_proto::transport::{Recorder, Sim};
 use dh_proto::{ChaosNet, CutDirection, NodeId};
+use dh_obs::Obs;
 use dh_replica::{ReplicatedDht, Shelves};
-use dh_store::{FileShelves, MemShelves, ScratchPath};
 use rand::Rng;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -92,16 +92,6 @@ enum Chaos {
 
 fn value_of(key: u64) -> Bytes {
     Bytes::from(format!("chaos-item-{key:08}-{:016x}", key.wrapping_mul(0x9E37)))
-}
-
-/// `q`-quantile of an unsorted sample of modeled ticks.
-fn percentile(lat: &mut [u64], q: f64) -> f64 {
-    if lat.is_empty() {
-        return 0.0;
-    }
-    lat.sort_unstable();
-    let idx = ((lat.len() - 1) as f64 * q).round() as usize;
-    lat[idx] as f64
 }
 
 struct ScenOut {
@@ -278,13 +268,9 @@ struct Cfg {
 
 fn run_scenario(name: &str, chaos: Chaos, hedged: bool, cfg: Cfg) -> ScenOut {
     let Cfg { n, items, ops, seed, file_backend } = cfg;
-    if file_backend {
-        let scratch = ScratchPath::new(&format!("e-chaos-{name}"));
-        let shelves = FileShelves::open(scratch.path()).expect("open WAL shelves");
+    with_shelves!(file_backend, &format!("e-chaos-{name}"), Obs::off(), |shelves| {
         scenario(chaos, hedged, n, items, ops, seed, shelves)
-    } else {
-        scenario(chaos, hedged, n, items, ops, seed, MemShelves::new())
-    }
+    })
 }
 
 const MATRIX: [(&str, Chaos, bool); 7] = [
@@ -320,18 +306,13 @@ fn campaign(n: usize, items: usize, ops: usize, file_backend: bool) -> (Vec<Scen
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let threads = parse_threads(&mut args);
     let file_backend = parse_backend_file(&mut args);
-    if let Some(t) = threads {
-        rayon::set_num_threads(t);
-    }
     let mut args = args.into_iter();
     let n: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(600);
     let items: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(160);
     let ops: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(360);
     let expect_fp: Option<u64> =
         args.next().and_then(|a| u64::from_str_radix(a.trim_start_matches("0x"), 16).ok());
-    let workers = threads.unwrap_or_else(rayon::current_num_threads);
     let backend = if file_backend { "file" } else { "mem" };
 
     println!(
@@ -353,12 +334,10 @@ fn main() {
         "scenario", "avail", "p50", "p99", "p999", "msgs/op", "hedges", "shed", "attempts/op",
     ]);
     let mut p99s = Vec::with_capacity(outs.len());
-    let mut records = Vec::new();
     for (&(name, _, _), out) in MATRIX.iter().zip(&outs) {
         let mut lat = out.lat.clone();
         let (p50, p99, p999) =
             (percentile(&mut lat, 0.50), percentile(&mut lat, 0.99), percentile(&mut lat, 0.999));
-        let mean = lat.iter().sum::<u64>() as f64 / lat.len().max(1) as f64;
         p99s.push(p99);
         table.row([
             name.to_string(),
@@ -371,21 +350,6 @@ fn main() {
             format!("{}", out.shed),
             format!("{:.2}", out.attempts as f64 / out.ops.max(1) as f64),
         ]);
-        let suffix = if file_backend { "_file" } else { "" };
-        records.push(
-            Record::new(format!("e_chaos/{name}{suffix}"), n, mean)
-                .with_percentiles(p50, p99, p999)
-                .with_msgs(out.msgs_per_op(), 0.0)
-                .with_threads(workers),
-        );
-        records.push(
-            Record::new(
-                format!("e_chaos/{name}_avail_permille{suffix}"),
-                n,
-                (out.availability() * 1000.0).round(),
-            )
-            .with_threads(workers),
-        );
     }
     print!("{}", table.to_markdown());
     println!("campaign fingerprint: {fp:#018x}");
@@ -408,25 +372,12 @@ fn main() {
         "healthy availability must be 1.0"
     );
 
-    claim(
-        "hedged quorum reads route around grey nodes instead of paying their latency",
-        format!(
-            "grey ×{GREY_MULT} p99: fixed {grey_fixed_p99:.0} ticks vs hedged \
-             {grey_hedged_p99:.0} ticks ({:.1}×), availability {:.4}",
-            grey_fixed_p99 / grey_hedged_p99.max(1.0),
-            outs[3].availability()
-        ),
-    );
-    claim(
-        "no committed write is lost under partitions, flapping or loss bursts",
-        format!(
-            "post-chaos readback clean in all {} scenarios; partition-window availability \
-             {:.4}, flap {:.4}, burst {:.4}",
-            MATRIX.len(),
-            outs[4].availability(),
-            outs[5].availability(),
-            outs[6].availability()
-        ),
+    println!(
+        "grey ×{GREY_MULT} p99: fixed {grey_fixed_p99:.0} ticks vs hedged {grey_hedged_p99:.0} ticks \
+         ({:.1}×), availability {:.4}; post-chaos readback clean in all {} scenarios",
+        grey_fixed_p99 / grey_hedged_p99.max(1.0),
+        outs[3].availability(),
+        MATRIX.len()
     );
 
     if let Some(want) = expect_fp {
@@ -436,11 +387,5 @@ fn main() {
              decision moved"
         );
         println!("fingerprint matches the pinned value");
-    }
-
-    let path = std::env::var("BENCH_JSON").unwrap_or_else(|_| "BENCH_ops.json".to_string());
-    match bench_json::append(&path, &records) {
-        Ok(()) => println!("\nappended {} records to {path}", records.len()),
-        Err(e) => eprintln!("\nfailed to write {path}: {e}"),
     }
 }

@@ -13,33 +13,28 @@
 //! The run is a pure function of the seed: the lossless-`Sim` batch is
 //! executed twice and must produce the identical recorded event trace
 //! (the printed `fingerprint` pins the whole schedule — CI asserts
-//! it), and records land in `BENCH_ops.json` with the new
-//! `msgs_per_op`/`bytes_per_op` fields.
+//! it).
 //!
 //! ```sh
 //! cargo run --release --bin e_msgs                  # n = 10k, both kinds
 //! cargo run --release --bin e_msgs -- 10000 5000 dh 7 [expect-fp-hex]
 //! ```
 
-use cd_bench::bench_json::{self, Record};
-use cd_bench::{claim, section, MASTER_SEED};
+use cd_bench::{section, MASTER_SEED};
 use cd_core::pointset::PointSet;
 use cd_core::rng::seeded;
 use cd_core::stats::Table;
 use dh_dht::proto::{lookups_over, MsgBatch};
 use dh_dht::{DhNetwork, LookupKind};
-use dh_obs::Obs;
 use dh_proto::engine::RetryPolicy;
 use dh_proto::transport::{Inline, Recorder, Sim, Transport};
 use std::time::Instant;
 
-/// One batch configuration: the network, batch size, master seed and
-/// the metrics registry shared by every transport scenario.
+/// One batch configuration: the network, batch size and master seed.
 struct Ctx<'n> {
     net: &'n DhNetwork,
     m: usize,
     seed: u64,
-    obs: Obs,
 }
 
 fn run_one<T: Transport>(
@@ -48,11 +43,6 @@ fn run_one<T: Transport>(
     transport: T,
     scenario: &'static str,
     table: &mut Table,
-    // `(bench name, registry label)` — `None` for the shadow
-    // determinism-witness run, which records and exports nothing (a
-    // duplicate export would double-count the aggregated snapshot)
-    bench: Option<(String, u64)>,
-    records: &mut Vec<Record>,
 ) -> (MsgBatch, T) {
     let (net, m, seed) = (ctx.net, ctx.m, ctx.seed);
     let retry = RetryPolicy::patient();
@@ -79,13 +69,6 @@ fn run_one<T: Transport>(
         format!("{}", batch.makespan),
         format!("{:.0}", m as f64 / secs),
     ]);
-    if let Some((b, label)) = bench {
-        batch.export_into(&ctx.obs, label);
-        records.push(
-            Record::new(b, net.len(), secs * 1e9 / m as f64)
-                .with_msgs(batch.msgs_per_op(), batch.bytes_per_op()),
-        );
-    }
     (batch, transport)
 }
 
@@ -105,14 +88,11 @@ fn main() {
 
     println!("# E-msgs — per-operation wire cost of lookups (n = {n}, m = {m}, seed = {seed:#x})");
     let net = DhNetwork::new(&PointSet::random(n, &mut seeded(seed ^ 0x0E75)));
-    // every scenario exports into one registry; the snapshot is
-    // appended to BENCH_ops.json next to the wall-clock records
-    let ctx = Ctx { net: &net, m, seed, obs: Obs::recording(16) };
+    let ctx = Ctx { net: &net, m, seed };
     let logn = (n as f64).log2();
 
-    let mut records: Vec<Record> = Vec::new();
     let mut fingerprint = 0u64;
-    for (ki, kind) in kinds.into_iter().enumerate() {
+    for kind in kinds {
         section(&format!("{kind} lookup over each transport"));
         let mut table = Table::new([
             "transport",
@@ -125,36 +105,18 @@ fn main() {
             "makespan",
             "lookups/s",
         ]);
-        let label = ki as u64 * 10;
         // 1. Inline baseline: 1 message per hop, by construction.
-        let (inline_batch, _) = run_one(
-            &ctx,
-            kind,
-            Inline,
-            "inline",
-            &mut table,
-            Some((format!("e_msgs/inline_{kind}"), label)),
-            &mut records,
-        );
+        let (inline_batch, _) = run_one(&ctx, kind, Inline, "inline", &mut table);
         assert!(
             inline_batch.bytes_per_op() > inline_batch.msgs_per_op(),
             "every message has a header"
         );
         // 2. Lossless Sim, twice: the determinism witness.
         let sim = || Recorder::new(Sim::new(seed).with_latency(4, 16, 4));
-        let (sim_batch, rec_a) = run_one(
-            &ctx,
-            kind,
-            sim(),
-            "sim",
-            &mut table,
-            Some((format!("e_msgs/sim_{kind}"), label + 1)),
-            &mut records,
-        );
+        let (sim_batch, rec_a) = run_one(&ctx, kind, sim(), "sim", &mut table);
         let fp_a = rec_a.trace.fingerprint();
         let mut shadow = Table::new(["x"; 9]);
-        let (sim_batch_b, rec_b) =
-            run_one(&ctx, kind, sim(), "sim", &mut shadow, None, &mut records);
+        let (sim_batch_b, rec_b) = run_one(&ctx, kind, sim(), "sim", &mut shadow);
         let fp_b = rec_b.trace.fingerprint();
         assert_eq!(fp_a, fp_b, "same seed must reproduce the identical event trace");
         assert_eq!(sim_batch.msgs_per_op().to_bits(), sim_batch_b.msgs_per_op().to_bits());
@@ -172,8 +134,6 @@ fn main() {
             Sim::new(seed).with_latency(4, 16, 4).with_drop(0.01).with_dup(0.005),
             "sim 1% loss",
             &mut table,
-            Some((format!("e_msgs/lossy_{kind}"), label + 2)),
-            &mut records,
         );
         assert!(
             lossy_batch.msgs_per_op() >= sim_batch.msgs_per_op(),
@@ -199,22 +159,5 @@ fn main() {
             "deterministic message-count fingerprint changed — routing or transport semantics moved"
         );
         println!("fingerprint matches the pinned value");
-    }
-
-    claim(
-        "lookup cost is O(log n) messages/op; loss adds only the retransmitted tail",
-        "msgs/op tracks the hop mean under every transport above",
-    );
-
-    let path = std::env::var("BENCH_JSON").unwrap_or_else(|_| "BENCH_ops.json".to_string());
-    // wall-clock records plus the unified registry snapshot — the
-    // per-scenario batch counters land in the same JSON-lines dialect
-    let lines = ctx.obs.snapshot().to_json_lines("e_msgs", n);
-    match bench_json::append(&path, &records).and_then(|()| bench_json::append_lines(&path, &lines))
-    {
-        Ok(()) => {
-            println!("\nappended {} records + {} metric lines to {path}", records.len(), lines.len());
-        }
-        Err(e) => eprintln!("\nfailed to write {path}: {e}"),
     }
 }

@@ -1,11 +1,11 @@
 //! E-obs: the flight recorder priced and proved on the open-loop
 //! SLO scenario.
 //!
-//! Re-runs the exact `e_slo` workload (same constants, same seed
-//! derivation, same rng draw order — the wire fingerprint must equal
-//! `e_slo`'s pinned value for the same `n items ops`) with the
-//! `dh_obs` deterministic flight recorder and metrics registry
-//! attached, and answers three questions the SLO numbers alone can't:
+//! Runs the scenario `e_slo` scores ([`cd_bench::slo`] — one function
+//! drives both, so the wire fingerprint equals `e_slo`'s pinned value
+//! for the same `n items ops`) with the `dh_obs` deterministic flight
+//! recorder and metrics registry attached, and answers three questions
+//! the SLO numbers alone can't:
 //!
 //! * **Explain every op** — each foreground request runs under its
 //!   own op context; the recorder's bounded ring reconstructs the
@@ -14,16 +14,15 @@
 //!   were blamed, how many bytes it burned.
 //! * **Price every subsystem** — engine stats export per plane
 //!   (label 0 = client ops, label 1 = repair), per-node delivery
-//!   loads accumulate under `load/deliver`, and the whole registry
-//!   snapshot lands in `BENCH_ops.json` in the same JSON-lines
-//!   dialect as the wall-clock records.
+//!   loads accumulate under `load/deliver`, checked against the
+//!   congestion shape.
 //! * **Cost the recorder itself** — the identical scenario runs with
 //!   the recorder off and on; the added inline service time per
-//!   recorded event is asserted ≤ [`BUDGET_NS_PER_EVENT`] and recorded
-//!   as a BENCH row (the percentage of op time rides along, ungated).
+//!   recorded event is asserted ≤ [`BUDGET_NS_PER_EVENT`] (the
+//!   percentage of op time rides along, ungated).
 //!
 //! The recorder is itself fingerprintable: its protocol-plane event
-//! fold is pinned in CI at threads 1 and 2 on both backends (the
+//! fold is pinned in CI on both backends (the
 //! storage plane — WAL appends, fsyncs, compactions, recovery scans —
 //! is recorded and counted but excluded from the fold, which is what
 //! makes one pinned value cover `mem` and `file`).
@@ -31,37 +30,13 @@
 //! ```sh
 //! cargo run --release --bin e_obs                       # n = 10k
 //! cargo run --release --bin e_obs -- 2000 400 800 [expect-wire-fp] [expect-rec-fp] \
-//!     [--threads N] [--backend mem|file] [--chaos]
+//!     [--backend mem|file] [--chaos]
 //! ```
 
-use bytes::Bytes;
-use cd_bench::bench_json::{self, Record};
-use cd_bench::{claim, parse_backend_file, parse_flag, parse_threads, section, MASTER_SEED};
-use cd_core::pointset::PointSet;
-use cd_core::rng::{seeded, subseed};
+use cd_bench::slo::{self, Run, K, M};
+use cd_bench::{parse_backend_file, parse_flag, section, MASTER_SEED};
 use cd_core::stats::Table;
-use cd_core::Point;
-use dh_dht::DhNetwork;
-use dh_obs::{Obs, BACKGROUND};
-use dh_proto::engine::RetryPolicy;
-use dh_proto::transport::{Recorder, Sim, Transport};
-use dh_proto::{ChaosNet, NodeId};
-use dh_replica::{RepairReport, ReplicatedDht, Shelves};
-use dh_store::{FileShelves, MemShelves, ScratchPath};
-use rand::Rng;
-use std::time::Instant;
-
-// the e_slo workload, verbatim — any drift here moves the wire
-// fingerprint away from e_slo's pinned value
-const M: u8 = 8;
-const K: u8 = 4;
-const INTERVAL_NS: u64 = 60_000;
-const BURST_EVERY: usize = 101;
-const BURST: usize = 8;
-const CHURN_EVERY: usize = 150;
-const PACE: u32 = 8;
-const GREY_PERMILLE: u64 = 100;
-const GREY_MULT: u64 = 8;
+use dh_obs::Obs;
 
 /// Ring capacity for the chaos pass: generous, so the worst op's
 /// chain is still resident at the end of a CI-sized run (overflow is
@@ -93,181 +68,6 @@ const MEASURE_RING: usize = 1 << 14;
 /// denominator), so 10 % × 12.97 ms ÷ 102 190 = 12.7 ns per event.
 const BUDGET_NS_PER_EVENT: f64 = 12.7;
 
-fn value_of(key: u64, gen: u32) -> Bytes {
-    Bytes::from(format!("slo-item-{key:08}-gen{gen:04}-{:016x}", key.wrapping_mul(0x9E37)))
-}
-
-struct ObsOut {
-    /// Get latencies tagged with their op id, so the tail is
-    /// explainable: `(latency_ns, op_id)`.
-    get_ops: Vec<(u64, u64)>,
-    repair: RepairReport,
-    /// Measured service time of the inline (client) path per
-    /// foreground op — the put/get call only, excluding the paced
-    /// background repair pump — the recorder-overhead numerator and
-    /// denominator (per-op minima across twin passes damp noise).
-    inline_ns: Vec<u64>,
-    /// The transport-trace fingerprint (must equal `e_slo`'s pin).
-    wire_fp: u64,
-    /// The recorder handle, carrying ring + registry + fingerprint.
-    obs: Obs,
-}
-
-/// The `e_slo` scenario with an observability sink attached. The rng
-/// draw order is identical to `e_slo`'s (recorder calls draw
-/// nothing), so the wire fingerprint is the same function of
-/// `(shape, seed)`; `obs` may be [`Obs::off`] for the overhead
-/// baseline. `shape` is `(n, items, ops)`.
-fn scenario<S: Shelves, T: Transport>(
-    shape: (usize, usize, usize),
-    seed: u64,
-    shelves: S,
-    retry: RetryPolicy,
-    obs: Obs,
-    make_rec: impl FnOnce(&[NodeId]) -> Recorder<T>,
-) -> ObsOut {
-    let (n, items, ops) = shape;
-    let mut rng = seeded(seed ^ 0x510);
-    let net = DhNetwork::new(&PointSet::random(n, &mut rng));
-    let mut dht = ReplicatedDht::with_shelves(net, M, K, shelves, &mut rng);
-    dht.set_obs(obs.clone());
-    let mut rec = make_rec(dht.net.live());
-    dht.set_repair_pacing(Some(PACE));
-
-    // preload is background traffic: no op context
-    obs.begin_op(BACKGROUND);
-    let mut gens = vec![0u32; items];
-    for key in 0..items as u64 {
-        let (out, _) = dht.put_over(
-            dht.net.random_node(&mut rng),
-            key,
-            value_of(key, 0),
-            &mut rec,
-            subseed(seed, key),
-            retry,
-        );
-        assert!(out.ok, "preload put must commit");
-    }
-
-    let mut cum = Vec::with_capacity(items);
-    let mut total = 0.0f64;
-    for rank in 0..items {
-        total += 1.0 / (rank + 1) as f64;
-        cum.push(total);
-    }
-
-    let mut get_ops = Vec::new();
-    let mut repair = RepairReport::default();
-    let mut churn_events = 0usize;
-    let mut inline_ns = Vec::with_capacity(ops);
-    let mut arrival = 0u64;
-    let mut server = 0u64;
-    for i in 0..ops {
-        if i % CHURN_EVERY == CHURN_EVERY - 1 {
-            obs.begin_op(BACKGROUND);
-            let t0 = Instant::now();
-            if churn_events.is_multiple_of(2) {
-                let victim = dht.net.random_node(&mut rng);
-                let (_, report) = dht.leave_over(victim, &mut rec, subseed(seed ^ 0xC4, i as u64));
-                assert_eq!(report.items_lost, 0, "single-leave churn cannot lose items");
-                repair.merge(&report);
-            } else if let Some((_, _, report)) = dht.join_over(
-                dht.net.random_node(&mut rng),
-                Point(rng.gen()),
-                dht.kind,
-                subseed(seed ^ 0xC4, i as u64),
-                &mut rec,
-                retry,
-            ) {
-                repair.merge(&report);
-            }
-            churn_events += 1;
-            server = server.max(arrival) + t0.elapsed().as_nanos() as u64;
-        }
-
-        let u = rng.gen::<f64>() * total;
-        let key = cum.partition_point(|&c| c < u).min(items - 1);
-        let from = dht.net.random_node(&mut rng);
-        let is_put = rng.gen_range(0..10u32) < 3;
-        // the foreground request runs under its own op context; the
-        // paced repair pump after it is background again
-        obs.begin_op(i as u64);
-        let t0 = Instant::now();
-        if is_put {
-            gens[key] += 1;
-            let (out, _) = dht.put_over(
-                from,
-                key as u64,
-                value_of(key as u64, gens[key]),
-                &mut rec,
-                subseed(seed ^ 0xF0, i as u64),
-                retry,
-            );
-            assert!(out.ok, "lossless put must commit");
-        } else {
-            let (_, value) =
-                dht.get_over(from, key as u64, &mut rec, subseed(seed ^ 0xF1, i as u64), retry);
-            assert_eq!(
-                value,
-                Some(value_of(key as u64, gens[key])),
-                "get of key {key} must serve the last committed write, even mid-repair"
-            );
-        }
-        // the inline path ends here; the paced repair pump below is
-        // background work (it still counts toward the queue model's
-        // service time, matching e_slo's latency accounting)
-        inline_ns.push(t0.elapsed().as_nanos() as u64);
-        obs.begin_op(BACKGROUND);
-        let (m, b) = dht.pump_repair(&mut rec, subseed(seed ^ 0xF2, i as u64));
-        repair.msgs += m;
-        repair.bytes += b;
-        let service = t0.elapsed().as_nanos() as u64;
-        server = server.max(arrival) + service;
-        if !is_put {
-            get_ops.push((server - arrival, i as u64));
-        }
-
-        if i % BURST_EVERY >= BURST_EVERY - BURST {
-            // burst slot: the next request already arrived
-        } else {
-            arrival += INTERVAL_NS;
-        }
-    }
-    let (m, b) = dht.flush_repair(&mut rec, seed ^ 0xF3);
-    repair.msgs += m;
-    repair.bytes += b;
-    for key in (0..items).step_by((items / 32).max(1)) {
-        let from = dht.net.random_node(&mut rng);
-        let (_, value) =
-            dht.get_over(from, key as u64, &mut rec, subseed(seed ^ 0x9E7, key as u64), retry);
-        assert_eq!(value, Some(value_of(key as u64, gens[key])), "item {key} lost under churn");
-    }
-    // drain the health ledger into the registry (RTO + suspicion
-    // gauges per node)
-    dht.health().export(&obs);
-
-    ObsOut { get_ops, repair, inline_ns, wire_fp: rec.trace.fingerprint(), obs }
-}
-
-/// The healthy pass: lossless `Sim`, patient retries — the `e_slo`
-/// healthy scenario with `obs` attached.
-fn healthy<S: Shelves>(shape: (usize, usize, usize), seed: u64, shelves: S, obs: Obs) -> ObsOut {
-    scenario(shape, seed, shelves, RetryPolicy::patient(), obs, |_| {
-        Recorder::new(Sim::new(seed).with_latency(4, 16, 4))
-    })
-}
-
-/// The degraded pass: the identical schedule over a grey substrate
-/// under the hedged policy (the `e_slo --chaos` shape).
-fn grey_pass<S: Shelves>(shape: (usize, usize, usize), seed: u64, shelves: S, obs: Obs) -> ObsOut {
-    scenario(shape, seed, shelves, RetryPolicy::patient().hedged(), obs, |nodes| {
-        let mut c = ChaosNet::new(Sim::new(seed).with_latency(4, 16, 4), seed ^ 0xC405);
-        let grey = c.grey_fraction(nodes, GREY_PERMILLE, GREY_MULT);
-        assert!(!grey.is_empty(), "the grey pick must land on someone");
-        Recorder::new(c)
-    })
-}
-
 /// Render the hedge/retry/repair cost-attribution table from the
 /// registry snapshot: label 0 = client ops, label 1 = repair.
 fn attribution(obs: &Obs) -> Table {
@@ -291,12 +91,8 @@ fn attribution(obs: &Obs) -> Table {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let threads = parse_threads(&mut args);
     let file_backend = parse_backend_file(&mut args);
     let chaos = parse_flag(&mut args, "--chaos");
-    if let Some(t) = threads {
-        rayon::set_num_threads(t);
-    }
     let mut args = args.into_iter();
     let n: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(10_000);
     let items: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(2_000);
@@ -305,7 +101,6 @@ fn main() {
         args.next().and_then(|a| u64::from_str_radix(a.trim_start_matches("0x"), 16).ok());
     let expect_rec_fp: Option<u64> =
         args.next().and_then(|a| u64::from_str_radix(a.trim_start_matches("0x"), 16).ok());
-    let workers = threads.unwrap_or_else(rayon::current_num_threads);
     let backend = if file_backend { "file" } else { "mem" };
     let shape = (n, items, ops);
     let seed = MASTER_SEED ^ 0x510; // e_slo's seed: same schedule, same wire fp
@@ -317,20 +112,7 @@ fn main() {
 
     // fresh shelves per pass; the file backend additionally threads
     // the recorder into the WAL so storage-plane events land too
-    let shelf_dirs: Vec<ScratchPath> =
-        (0..18).map(|i| ScratchPath::new(&format!("e-obs-{i}"))).collect();
-    let make_shelves = |i: usize, obs: Obs| -> Box<dyn FnOnce() -> ObsOut + '_> {
-        if file_backend {
-            let path = shelf_dirs[i].path().to_path_buf();
-            Box::new(move || {
-                let mut s = FileShelves::open(&path).expect("open WAL");
-                s.set_obs(obs.clone());
-                healthy(shape, seed, s, obs)
-            })
-        } else {
-            Box::new(move || healthy(shape, seed, MemShelves::new(), obs))
-        }
-    };
+    let pass = |grey: bool, obs: Obs| slo::run(shape, seed, file_backend, grey, obs);
 
     section("recorded healthy pass (twin-run determinism witness)");
     // Recorded and bare passes interleave so thermal drift hits both
@@ -344,10 +126,10 @@ fn main() {
     // recorder cost survives both estimators, so the recorder is
     // charged the smaller; a second round of passes runs only when
     // the first round's verdict lands over budget.
-    let floor_sum = |passes: &[&ObsOut]| -> u64 {
+    let floor_sum = |passes: &[&Run]| -> u64 {
         (0..ops).map(|i| passes.iter().map(|p| p.inline_ns[i]).min().unwrap_or(0)).sum()
     };
-    let best_pass = |passes: &[&ObsOut]| -> u64 {
+    let best_pass = |passes: &[&Run]| -> u64 {
         passes.iter().map(|p| p.inline_ns.iter().sum::<u64>()).min().unwrap_or(0)
     };
     let pct = |on: u64, off: u64| (on as f64 - off as f64) / off.max(1) as f64 * 100.0;
@@ -355,20 +137,19 @@ fn main() {
     // records the same events — the fold assert below proves it)
     let per_event =
         |on: u64, off: u64, events: u64| (on as f64 - off as f64) / events.max(1) as f64;
-    let mut on_passes: Vec<ObsOut> = Vec::new();
-    let mut off_passes: Vec<ObsOut> = Vec::new();
+    let mut on_passes: Vec<Run> = Vec::new();
+    let mut off_passes: Vec<Run> = Vec::new();
     let (mut floor_pct, mut pass_pct) = (f64::INFINITY, f64::INFINITY);
     let (mut floor_ns, mut pass_ns) = (f64::INFINITY, f64::INFINITY);
     for round in 0..3 {
         for _ in 0..3 {
-            let i = on_passes.len() + off_passes.len();
-            on_passes.push(make_shelves(i, Obs::recording(MEASURE_RING))());
-            off_passes.push(make_shelves(i + 1, Obs::off())());
+            on_passes.push(pass(false, Obs::recording(MEASURE_RING)));
+            off_passes.push(pass(false, Obs::off()));
         }
         // each round is scored on its own passes, so host noise that
         // poisons one round cannot contaminate a later clean one
-        let on3: Vec<&ObsOut> = on_passes[round * 3..].iter().collect();
-        let off3: Vec<&ObsOut> = off_passes[round * 3..].iter().collect();
+        let on3: Vec<&Run> = on_passes[round * 3..].iter().collect();
+        let off3: Vec<&Run> = off_passes[round * 3..].iter().collect();
         let events = on_passes[0].obs.recorded();
         let (on_f, off_f) = (floor_sum(&on3), floor_sum(&off3));
         let (on_p, off_p) = (best_pass(&on3), best_pass(&off3));
@@ -431,8 +212,8 @@ fn main() {
     // code, so any "overhead" between them is pure host noise — the
     // budget gate widens by exactly that measured floor, staying
     // tight on quiet machines and honest on loud ones.
-    let off_a: Vec<&ObsOut> = off_passes.iter().step_by(2).collect();
-    let off_b: Vec<&ObsOut> = off_passes.iter().skip(1).step_by(2).collect();
+    let off_a: Vec<&Run> = off_passes.iter().step_by(2).collect();
+    let off_b: Vec<&Run> = off_passes.iter().skip(1).step_by(2).collect();
     let (floor_a, floor_b) = (floor_sum(&off_a), floor_sum(&off_b));
     let (pass_a, pass_b) = (best_pass(&off_a), best_pass(&off_b));
     let noise_pct = pct(floor_a, floor_b).abs().min(pct(pass_a, pass_b).abs());
@@ -452,9 +233,8 @@ fn main() {
     if file_backend {
         // the WAL's physical fsyncs dominate (and jitter) the file
         // backend's inline path; the per-event budget is defined and
-        // gated on the e_slo mem scenario, the file number rides along
-        // in BENCH_ops.json for trend tracking
-        println!("(budget gate applies to the mem backend; file number recorded, not gated)");
+        // gated on the e_slo mem scenario, the file number is printed
+        println!("(budget gate applies to the mem backend; file number printed, not gated)");
     } else {
         assert!(
             overhead_ns <= BUDGET_NS_PER_EVENT + noise_ns,
@@ -491,11 +271,6 @@ fn main() {
         "per-node load skew ×{:.1} blew past the congestion-bound shape",
         max as f64 / mean.max(1e-9)
     );
-    claim(
-        "per-lookup congestion is O(log n / n), so per-node load stays within a \
-         log-factor of the mean even under Zipf traffic",
-        format!("max/mean = {:.1} with log2 n = {logn:.1}", max as f64 / mean.max(1e-9)),
-    );
 
     section("cost attribution by plane");
     print!("{}", attribution(&out.obs).to_markdown());
@@ -507,35 +282,11 @@ fn main() {
         out.repair.shares_rebuilt,
     );
 
-    let mut records = vec![
-        Record::new(format!("e_obs/overhead_pct_{backend}"), n, overhead_pct.max(0.0))
-            .with_unit("percent")
-            .with_threads(workers),
-        Record::new(format!("e_obs/noise_floor_pct_{backend}"), n, noise_pct)
-            .with_unit("percent")
-            .with_threads(workers),
-        Record::new(format!("e_obs/recorder_ns_per_event_{backend}"), n, overhead_ns.max(0.0))
-            .with_unit("ns")
-            .with_threads(workers),
-        Record::new(format!("e_obs/recorded_events_{backend}"), n, events as f64)
-            .with_unit("count")
-            .with_threads(workers),
-    ];
-
     if chaos {
         section("chaos pass: explain the worst-p999 get");
-        let dg = {
-            let obs = Obs::recording(RING_CAP);
-            if file_backend {
-                let p = ScratchPath::new("e-obs-chaos");
-                let mut s = FileShelves::open(p.path()).expect("open WAL");
-                s.set_obs(obs.clone());
-                grey_pass(shape, seed, s, obs)
-            } else {
-                grey_pass(shape, seed, MemShelves::new(), obs)
-            }
-        };
-        let mut by_latency = dg.get_ops.clone();
+        let dg = pass(true, Obs::recording(RING_CAP));
+        let mut by_latency: Vec<(u64, u64)> =
+            dg.get.iter().copied().zip(dg.get_ops.iter().copied()).collect();
         by_latency.sort_unstable();
         let idx = ((by_latency.len() - 1) as f64 * 0.999).round() as usize;
         let (worst_ns, worst_op) = by_latency[idx];
@@ -564,32 +315,13 @@ fn main() {
         if !ex.suspects_blamed().is_empty() {
             println!("suspects blamed: {:?}", ex.suspects_blamed());
         }
-        claim(
-            "the tail is explainable: the recorder names the timers, hedges and \
-             suspects behind the worst op",
-            format!(
-                "op {worst_op}: {} attempts, {} retries, {} hedge waves, {} timer fires, {} B",
-                ex.attempts(),
-                ex.retries(),
-                ex.hedges(),
-                ex.timer_fires(),
-                ex.bytes_sent()
-            ),
+        println!(
+            "op {worst_op}: {} attempts, {} retries, {} hedge waves, {} timer fires, {} B",
+            ex.attempts(),
+            ex.retries(),
+            ex.hedges(),
+            ex.timer_fires(),
+            ex.bytes_sent()
         );
-        records.push(
-            Record::new(format!("e_obs/worst_p999_chain_events_{backend}"), n, ex.events.len() as f64)
-                .with_unit("count")
-                .with_threads(workers),
-        );
-    }
-
-    let path = std::env::var("BENCH_JSON").unwrap_or_else(|_| "BENCH_ops.json".to_string());
-    let lines = out.obs.snapshot().to_json_lines("e_obs", n);
-    match bench_json::append(&path, &records).and_then(|()| bench_json::append_lines(&path, &lines))
-    {
-        Ok(()) => {
-            println!("\nappended {} records + {} metric lines to {path}", records.len(), lines.len());
-        }
-        Err(e) => eprintln!("\nfailed to write {path}: {e}"),
     }
 }

@@ -30,8 +30,7 @@
 //! ```
 
 use bytes::Bytes;
-use cd_bench::bench_json::{self, Record};
-use cd_bench::{claim, parse_backend_file, section, MASTER_SEED};
+use cd_bench::{parse_backend_file, section, MASTER_SEED};
 use cd_core::pointset::PointSet;
 use cd_core::rng::{seeded, subseed};
 use cd_core::stats::Table;
@@ -157,9 +156,9 @@ fn scenario<S: Shelves>(n: usize, items: usize, seed: u64, shelves: S) -> Scenar
 fn sync_sweep(n: usize, seed: u64) -> Vec<(&'static str, f64)> {
     const PUTS: u64 = 256;
     let configs: [(&'static str, Option<u32>); 3] = [
-        ("e_repl/put_file_nosync", None),
-        ("e_repl/put_file_group8", Some(8)),
-        ("e_repl/put_file_sync", Some(1)),
+        ("never sync", None),
+        ("sync every 8th commit", Some(8)),
+        ("sync every commit", Some(1)),
     ];
     let mut rows = Vec::new();
     for (name, group) in configs {
@@ -304,43 +303,10 @@ fn main() {
         println!("fingerprint matches the pinned value");
     }
 
-    claim(
-        "any k of m covers reconstruct; churn repairs to full replication",
-        format!(
-            "{} shares rebuilt, 0 lost; get at {:.1} msgs/op vs put {:.1}",
-            out.repair.shares_rebuilt, out.get_msgs, out.put_msgs
-        ),
-    );
-
-    // mem-backend rows keep their historical names so the perf
-    // trajectory in BENCH_ops.json stays continuous; the WAL backend
-    // gets `_file`-suffixed rows plus the recovery-scan throughput
-    let (put_row, get_row, churn_row) = if file_backend {
-        ("e_repl/put_file", "e_repl/get_file", "e_repl/repair_churn_file")
-    } else {
-        ("e_repl/put_sim", "e_repl/get_sim", "e_repl/repair_churn")
-    };
-    let mut records = vec![
-        Record::new(put_row, n, out.put_ns).with_msgs(out.put_msgs, out.put_bytes),
-        Record::new(get_row, n, out.get_ns).with_msgs(out.get_msgs, out.get_bytes),
-        Record::new(churn_row, n, out.repair_ns).with_msgs(
-            out.repair.msgs as f64 / out.churn_ops as f64,
-            out.repair.bytes as f64 / out.churn_ops as f64,
-        ),
-    ];
-    if let Some(scan) = &recover {
-        records.push(Record::new("e_repl/recover_scan", n, scan.ns_per_share));
-    }
     if file_backend {
         section("durability dial (sync_data off / every 8th commit / every commit)");
         for (name, ns) in sync_sweep(n, seed) {
-            println!("{name}: {:.0} ns/put", ns);
-            records.push(Record::new(name, n, ns));
+            println!("{name}: {ns:.0} ns/put");
         }
-    }
-    let path = std::env::var("BENCH_JSON").unwrap_or_else(|_| "BENCH_ops.json".to_string());
-    match bench_json::append(&path, &records) {
-        Ok(()) => println!("\nappended {} records to {path}", records.len()),
-        Err(e) => eprintln!("\nfailed to write {path}: {e}"),
     }
 }

@@ -9,9 +9,6 @@
 //! 3. **churn** — join/leave pairs through the incremental table
 //!    maintenance.
 //!
-//! Records are appended to `BENCH_ops.json` (JSON lines; override the
-//! path with the `BENCH_JSON` environment variable).
-//!
 //! ```sh
 //! cargo run --release --bin e_scale                       # n = 1M, both kinds
 //! cargo run --release --bin e_scale -- 10000 20000 10000  # CI smoke size
@@ -23,11 +20,9 @@
 //! `--threads T` (anywhere on the command line) pins the worker count
 //! of the multi-core batch section, which always measures the parallel
 //! fast-lookup driver at 1 thread *and* at `T` (default: auto
-//! detection) and appends both as `threads`-tagged `BENCH_ops.json`
-//! rows — the scaling curve is part of the perf trajectory. The two
-//! runs must be bit-identical; the binary asserts it.
+//! detection). The two runs must be bit-identical; the binary asserts
+//! it.
 
-use cd_bench::bench_json::{self, Record};
 use cd_bench::{section, MASTER_SEED};
 use cd_core::point::Point;
 use cd_core::pointset::PointSet;
@@ -80,8 +75,6 @@ fn main() {
         println!("- validate(): ok");
     }
 
-    let mut records = vec![Record::new("e_scale/build", n, build_secs * 1e9 / n as f64)];
-
     // 2. Lookup throughput (reused buffers, single-threaded).
     let queries: Vec<(NodeId, Point)> =
         (0..lookups).map(|_| (net.random_node(&mut rng), Point(rng.gen()))).collect();
@@ -103,7 +96,6 @@ fn main() {
             batch.len(),
             hops as f64 / batch.len() as f64
         );
-        records.push(Record::new(format!("e_scale/{kind}_lookup"), n, 1e9 / rate));
         if kind == LookupKind::Fast {
             fast_rate = rate;
         }
@@ -113,8 +105,7 @@ fn main() {
     // through the parallel driver at 1 thread and at the configured
     // worker count. Routes are a pure function of the queries, so the
     // two runs must agree hop for hop — asserted via a fingerprint of
-    // every route. Both rates land in BENCH_ops.json tagged with their
-    // thread count: the scaling curve is part of the perf trajectory.
+    // every route.
     let max_threads = threads.unwrap_or_else(rayon::current_num_threads);
     let mut witness: Option<(usize, u64, f64)> = None;
     for t in [1, max_threads] {
@@ -131,7 +122,6 @@ fn main() {
             if t == 1 { "" } else { "s" },
             queries.len()
         );
-        records.push(Record::new("e_scale/fast_lookup_par", n, 1e9 / rate).with_threads(t));
         match witness {
             None => witness = Some((hops, fp, rate)),
             Some((h1, f1, r1)) => {
@@ -161,13 +151,6 @@ fn main() {
     let churn_secs = t0.elapsed().as_secs_f64();
     let churn_rate = done as f64 / churn_secs;
     println!("- churn: {done} ops in {churn_secs:.2} s = {churn_rate:.0} ops/s");
-    records.push(Record::new("e_scale/churn", n, 1e9 / churn_rate));
-
-    let path = std::env::var("BENCH_JSON").unwrap_or_else(|_| "BENCH_ops.json".to_string());
-    match bench_json::append(&path, &records) {
-        Ok(()) => println!("\nappended {} records to {path}", records.len()),
-        Err(e) => eprintln!("\nfailed to write {path}: {e}"),
-    }
 
     // The scale targets this harness exists to hold the line on.
     if n >= 1_000_000 && fast_rate.is_finite() {

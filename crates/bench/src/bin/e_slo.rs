@@ -1,279 +1,61 @@
 //! E-slo: open-loop latency under churn — does repair pacing keep the
 //! foreground tail?
 //!
-//! The closed-loop harnesses (`e_repl`) measure *service time*: each
-//! op starts when the previous one finishes, so a 500µs repair stall
-//! costs exactly one op 500µs. Real clients are **open-loop**: they
-//! arrive on their own clock, and a stall queues everyone behind it —
-//! tail latency compounds. This harness models that:
+//! Scores [`cd_bench::slo`]'s scenario (arrival clock, Zipf keys, 70/30
+//! get/put, churn with paced repair — see that module) with the
+//! recorder off: p50/p99/p999 of the modeled arrival queue, fed by
+//! measured service times.
 //!
-//! * **arrivals** on a fixed-rate clock with periodic bursts (every
-//!   `BURST_EVERY`-th slot, `BURST` requests land on the same instant),
-//! * **Zipf popularity** (s = 1) over the key space — the head keys
-//!   absorb most of the traffic, as in any real cache/store trace,
-//! * a **70/30 get/put mix** driven through the full wire engine
-//!   (`Recorder<Sim>`), with every get checked against the last
-//!   committed write of that key,
-//! * **churn + paced repair** interleaved: every `CHURN_EVERY`-th
-//!   foreground op a server joins or leaves; the repair plan's wire
-//!   frames queue in the replica outbox and at most `PACE` of them are
-//!   pumped after each foreground op (`pump_repair`), spreading the
-//!   repair tax across the arrival stream instead of stalling one op.
-//!
-//! Latency is scored on a single-server queue: `completion =
-//! max(arrival, prev_completion) + service`, `latency = completion −
-//! arrival`, with measured wall-clock service times (churn/repair work
-//! occupies the same server, so its cost delays whoever queues behind
-//! it). Reported p50/p99/p999 land in `BENCH_ops.json` as the first
-//! percentile-carrying rows.
-//!
-//! The op/churn/repair *schedule* is a pure function of the seed —
-//! wall-clock only enters the latency arithmetic — so the recorded
-//! trace fingerprint is pinned in CI exactly like `e_repl`'s, at
-//! threads 1 and 2 and on both backends.
+//! The op/churn/repair *schedule* is a pure function of the seed, so
+//! the healthy pass runs twice and must reproduce its wire fingerprint,
+//! which CI pins on both backends.
 //!
 //! With `--chaos`, a second **degraded** pass runs the identical
 //! op/churn schedule over a grey substrate (10% of nodes serve ×8
-//! slower, the `e_chaos` shape) under the hedged retry policy, and
-//! healthy-vs-degraded percentile rows land side by side in
-//! `BENCH_ops.json` (`e_slo/get` vs `e_slo/get_chaos`, …). The healthy
+//! slower, the `e_chaos` shape) under the hedged retry policy, and the
+//! healthy and degraded percentiles print side by side. The healthy
 //! pass is byte-identical with and without the flag — its pinned
 //! fingerprint never moves.
 //!
 //! ```sh
 //! cargo run --release --bin e_slo                       # n = 10k
 //! cargo run --release --bin e_slo -- 10000 2000 4000 [expect-fp-hex] \
-//!     [--threads N] [--backend mem|file] [--chaos]
+//!     [--backend mem|file] [--chaos]
 //! ```
 
-use bytes::Bytes;
-use cd_bench::bench_json::{self, Record};
-use cd_bench::{claim, parse_backend_file, parse_flag, parse_threads, section, MASTER_SEED};
-use cd_core::pointset::PointSet;
-use cd_core::rng::{seeded, subseed};
+use cd_bench::slo::{self, Percentiles, BURST, BURST_EVERY, CHURN_EVERY, INTERVAL_NS, K, M, PACE};
+use cd_bench::{parse_backend_file, parse_flag, section, MASTER_SEED};
 use cd_core::stats::Table;
-use cd_core::Point;
-use dh_dht::DhNetwork;
-use dh_proto::engine::RetryPolicy;
-use dh_proto::transport::{Recorder, Sim, Transport};
-use dh_proto::{ChaosNet, NodeId};
-use dh_replica::{RepairReport, ReplicatedDht, Shelves};
-use dh_store::{FileShelves, MemShelves, ScratchPath};
-use rand::Rng;
-use std::time::Instant;
+use dh_obs::Obs;
 
-const M: u8 = 8;
-const K: u8 = 4;
-/// Open-loop arrival interval (modeled ns between requests).
-const INTERVAL_NS: u64 = 60_000;
-/// Every `BURST_EVERY`-th arrival slot opens a burst…
-const BURST_EVERY: usize = 101;
-/// …of this many same-instant arrivals.
-const BURST: usize = 8;
-/// One churn event (alternating leave/join) per this many requests.
-const CHURN_EVERY: usize = 150;
-/// Repair frames pumped after each foreground request.
-const PACE: u32 = 8;
-/// `--chaos` degraded pass: per-mille of nodes grey, and their service
-/// slowdown (the `e_chaos` grey shape).
-const GREY_PERMILLE: u64 = 100;
-const GREY_MULT: u64 = 8;
-
-fn value_of(key: u64, gen: u32) -> Bytes {
-    Bytes::from(format!("slo-item-{key:08}-gen{gen:04}-{:016x}", key.wrapping_mul(0x9E37)))
-}
-
-/// `q`-quantile of an unsorted latency sample, in ns.
-fn percentile(lat: &mut [u64], q: f64) -> f64 {
-    if lat.is_empty() {
-        return 0.0;
+fn latency_table(rows: [(&str, &Percentiles); 2]) -> Table {
+    let mut table = Table::new(["op", "count", "mean µs", "p50 µs", "p99 µs", "p999 µs"]);
+    for (name, p) in rows {
+        table.row([
+            name.to_string(),
+            format!("{}", p.count),
+            format!("{:.1}", p.mean / 1e3),
+            format!("{:.1}", p.p50 / 1e3),
+            format!("{:.1}", p.p99 / 1e3),
+            format!("{:.1}", p.p999 / 1e3),
+        ]);
     }
-    lat.sort_unstable();
-    let idx = ((lat.len() - 1) as f64 * q).round() as usize;
-    lat[idx] as f64
-}
-
-struct Percentiles {
-    mean: f64,
-    p50: f64,
-    p99: f64,
-    p999: f64,
-    count: usize,
-}
-
-fn summarize(lat: &mut [u64]) -> Percentiles {
-    let count = lat.len();
-    let mean = lat.iter().sum::<u64>() as f64 / count.max(1) as f64;
-    Percentiles {
-        mean,
-        p50: percentile(lat, 0.50),
-        p99: percentile(lat, 0.99),
-        p999: percentile(lat, 0.999),
-        count,
-    }
-}
-
-struct SloOut {
-    put: Vec<u64>,
-    get: Vec<u64>,
-    repair: RepairReport,
-    churn_events: usize,
-    backlog_peak: usize,
-    ops_per_s: f64,
-    fingerprint: u64,
-}
-
-/// The recorded scenario. The schedule (which keys, which ops, which
-/// churn events, how many repair frames pump where) depends only on
-/// `seed`; wall-clock service times feed the latency model and nothing
-/// else, so the trace fingerprint is backend- and machine-invariant.
-/// `make_rec` builds the recorded substrate once the membership is
-/// known (the `--chaos` pass wraps the same `Sim` in a grey
-/// [`ChaosNet`]); `retry` is the policy the foreground ops run under.
-fn scenario<S: Shelves, T: Transport>(
-    n: usize,
-    items: usize,
-    ops: usize,
-    seed: u64,
-    shelves: S,
-    retry: RetryPolicy,
-    make_rec: impl FnOnce(&[NodeId]) -> Recorder<T>,
-) -> SloOut {
-    let mut rng = seeded(seed ^ 0x510);
-    let net = DhNetwork::new(&PointSet::random(n, &mut rng));
-    let mut dht = ReplicatedDht::with_shelves(net, M, K, shelves, &mut rng);
-    let mut rec = make_rec(dht.net.live());
-    dht.set_repair_pacing(Some(PACE));
-
-    // preload the key space (not part of the measured stream)
-    let mut gens = vec![0u32; items];
-    for key in 0..items as u64 {
-        let (out, _) =
-            dht.put_over(dht.net.random_node(&mut rng), key, value_of(key, 0), &mut rec, subseed(seed, key), retry);
-        assert!(out.ok, "preload put must commit");
-    }
-
-    // Zipf(s = 1) popularity: cumulative weights + binary search
-    let mut cum = Vec::with_capacity(items);
-    let mut total = 0.0f64;
-    for rank in 0..items {
-        total += 1.0 / (rank + 1) as f64;
-        cum.push(total);
-    }
-
-    let (mut put, mut get) = (Vec::new(), Vec::new());
-    let mut repair = RepairReport::default();
-    let (mut churn_events, mut backlog_peak) = (0usize, 0usize);
-    let mut arrival = 0u64; // modeled request clock
-    let mut server = 0u64; // modeled completion clock
-    for i in 0..ops {
-        // churn rides the same server: its service time delays
-        // whoever queues behind it, but only the *plan* cost lands
-        // here — the wire frames drain PACE-at-a-time below
-        if i % CHURN_EVERY == CHURN_EVERY - 1 {
-            let t0 = Instant::now();
-            if churn_events % 2 == 0 {
-                let victim = dht.net.random_node(&mut rng);
-                let (_, report) = dht.leave_over(victim, &mut rec, subseed(seed ^ 0xC4, i as u64));
-                assert_eq!(report.items_lost, 0, "single-leave churn cannot lose items");
-                repair.merge(&report);
-            } else if let Some((_, _, report)) = dht.join_over(
-                dht.net.random_node(&mut rng),
-                Point(rng.gen()),
-                dht.kind,
-                subseed(seed ^ 0xC4, i as u64),
-                &mut rec,
-                retry,
-            ) {
-                repair.merge(&report);
-            }
-            churn_events += 1;
-            backlog_peak = backlog_peak.max(dht.repair_backlog());
-            server = server.max(arrival) + t0.elapsed().as_nanos() as u64;
-        }
-
-        // Zipf-popular key, 70/30 get/put
-        let u = rng.gen::<f64>() * total;
-        let key = cum.partition_point(|&c| c < u).min(items - 1);
-        let from = dht.net.random_node(&mut rng);
-        let is_put = rng.gen_range(0..10u32) < 3;
-        let t0 = Instant::now();
-        if is_put {
-            gens[key] += 1;
-            let (out, _) = dht.put_over(
-                from,
-                key as u64,
-                value_of(key as u64, gens[key]),
-                &mut rec,
-                subseed(seed ^ 0xF0, i as u64),
-                retry,
-            );
-            assert!(out.ok, "lossless put must commit");
-        } else {
-            let (_, value) =
-                dht.get_over(from, key as u64, &mut rec, subseed(seed ^ 0xF1, i as u64), retry);
-            assert_eq!(
-                value,
-                Some(value_of(key as u64, gens[key])),
-                "get of key {key} must serve the last committed write, even mid-repair"
-            );
-        }
-        // the paced repair tax: at most PACE frames interleave here
-        let (m, b) = dht.pump_repair(&mut rec, subseed(seed ^ 0xF2, i as u64));
-        repair.msgs += m;
-        repair.bytes += b;
-        let service = t0.elapsed().as_nanos() as u64;
-        server = server.max(arrival) + service;
-        let latency = server - arrival;
-        if is_put { put.push(latency) } else { get.push(latency) }
-
-        // fixed-rate arrivals with periodic same-instant bursts
-        if i % BURST_EVERY >= BURST_EVERY - BURST {
-            // burst slot: the next request already arrived
-        } else {
-            arrival += INTERVAL_NS;
-        }
-    }
-    // drain what churn still owes, then prove nothing was lost
-    let (m, b) = dht.flush_repair(&mut rec, seed ^ 0xF3);
-    repair.msgs += m;
-    repair.bytes += b;
-    for key in (0..items).step_by((items / 32).max(1)) {
-        let from = dht.net.random_node(&mut rng);
-        let (_, value) =
-            dht.get_over(from, key as u64, &mut rec, subseed(seed ^ 0x9E7, key as u64), retry);
-        assert_eq!(value, Some(value_of(key as u64, gens[key])), "item {key} lost under churn");
-    }
-
-    let makespan = server.max(arrival);
-    SloOut {
-        put,
-        get,
-        repair,
-        churn_events,
-        backlog_peak,
-        ops_per_s: ops as f64 / (makespan as f64 / 1e9).max(1e-12),
-        fingerprint: rec.trace.fingerprint(),
-    }
+    table
 }
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let threads = parse_threads(&mut args);
     let file_backend = parse_backend_file(&mut args);
     let chaos = parse_flag(&mut args, "--chaos");
-    if let Some(t) = threads {
-        rayon::set_num_threads(t);
-    }
     let mut args = args.into_iter();
     let n: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(10_000);
     let items: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(2_000);
     let ops: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(4_000);
     let expect_fp: Option<u64> =
         args.next().and_then(|a| u64::from_str_radix(a.trim_start_matches("0x"), 16).ok());
-    let workers = threads.unwrap_or_else(rayon::current_num_threads);
     let backend = if file_backend { "file" } else { "mem" };
     let seed = MASTER_SEED ^ 0x510;
+    let pass = |grey: bool| slo::run((n, items, ops), seed, file_backend, grey, Obs::off());
 
     println!(
         "# E-slo — open-loop latency under churn (n = {n}, items = {items}, ops = {ops}, \
@@ -285,44 +67,15 @@ fn main() {
     );
 
     section("latency percentiles (modeled open-loop queue, measured service)");
-    fn healthy<S: Shelves>(n: usize, items: usize, ops: usize, seed: u64, shelves: S) -> SloOut {
-        scenario(n, items, ops, seed, shelves, RetryPolicy::patient(), |_| {
-            Recorder::new(Sim::new(seed).with_latency(4, 16, 4))
-        })
-    }
-    let (mut out, out2) = if file_backend {
-        let a = ScratchPath::new("e-slo-scenario");
-        let b = ScratchPath::new("e-slo-twin");
-        (
-            healthy(n, items, ops, seed, FileShelves::open(a.path()).expect("open WAL")),
-            healthy(n, items, ops, seed, FileShelves::open(b.path()).expect("open WAL")),
-        )
-    } else {
-        (
-            healthy(n, items, ops, seed, MemShelves::new()),
-            healthy(n, items, ops, seed, MemShelves::new()),
-        )
-    };
+    let (mut out, twin) = (pass(false), pass(false));
     assert_eq!(
-        out.fingerprint, out2.fingerprint,
+        out.wire_fp, twin.wire_fp,
         "same seed must reproduce the identical open-loop event trace"
     );
-    assert_eq!(out.repair.shares_rebuilt, out2.repair.shares_rebuilt);
+    assert_eq!(out.repair.shares_rebuilt, twin.repair.shares_rebuilt);
 
-    let p_put = summarize(&mut out.put);
-    let p_get = summarize(&mut out.get);
-    let mut table = Table::new(["op", "count", "mean µs", "p50 µs", "p99 µs", "p999 µs"]);
-    for (name, p) in [("put", &p_put), ("get", &p_get)] {
-        table.row([
-            name.to_string(),
-            format!("{}", p.count),
-            format!("{:.1}", p.mean / 1e3),
-            format!("{:.1}", p.p50 / 1e3),
-            format!("{:.1}", p.p99 / 1e3),
-            format!("{:.1}", p.p999 / 1e3),
-        ]);
-    }
-    print!("{}", table.to_markdown());
+    let (p_put, p_get) = (slo::summarize(&mut out.put), slo::summarize(&mut out.get));
+    print!("{}", latency_table([("put", &p_put), ("get", &p_get)]).to_markdown());
     println!(
         "throughput: {:.0} ops/s over the modeled makespan; {} churn events, \
          {} shares rebuilt, {} lost; repair backlog peak {} frames",
@@ -332,103 +85,33 @@ fn main() {
         out.repair.items_lost,
         out.backlog_peak
     );
-    println!("fingerprint (recorded scenario): {:#018x}", out.fingerprint);
+    println!("fingerprint (recorded scenario): {:#018x}", out.wire_fp);
 
     if let Some(want) = expect_fp {
         assert_eq!(
-            out.fingerprint, want,
+            out.wire_fp, want,
             "open-loop SLO fingerprint changed — op schedule, churn or repair semantics moved"
         );
         println!("fingerprint matches the pinned value");
     }
 
-    claim(
-        "repair is incremental and paced, so churn cannot stall the foreground tail",
-        format!(
-            "p999(get) = {:.0} µs vs p50 = {:.0} µs with {} shares rebuilt mid-stream",
-            p_get.p999 / 1e3,
-            p_get.p50 / 1e3,
-            out.repair.shares_rebuilt
-        ),
-    );
-
-    let suffix = if file_backend { "_file" } else { "" };
-    let mut records = vec![
-        Record::new(format!("e_slo/put{suffix}"), n, p_put.mean)
-            .with_percentiles(p_put.p50, p_put.p99, p_put.p999)
-            .with_threads(workers),
-        Record::new(format!("e_slo/get{suffix}"), n, p_get.mean)
-            .with_percentiles(p_get.p50, p_get.p99, p_get.p999)
-            .with_threads(workers),
-        Record::new(format!("e_slo/throughput{suffix}"), n, 1e9 / out.ops_per_s.max(1e-9))
-            .with_threads(workers),
-    ];
-
     // the degraded pass: the identical op/churn schedule over a grey
-    // substrate under the hedged policy — healthy-vs-degraded rows
-    // land side by side in BENCH_ops.json
+    // substrate under the hedged policy
     if chaos {
         section("degraded pass (grey substrate, hedged policy)");
-        fn grey_pass<S: Shelves>(n: usize, items: usize, ops: usize, seed: u64, shelves: S) -> SloOut {
-            scenario(n, items, ops, seed, shelves, RetryPolicy::patient().hedged(), |nodes| {
-                let mut c = ChaosNet::new(Sim::new(seed).with_latency(4, 16, 4), seed ^ 0xC405);
-                let grey = c.grey_fraction(nodes, GREY_PERMILLE, GREY_MULT);
-                assert!(!grey.is_empty(), "the grey pick must land on someone");
-                Recorder::new(c)
-            })
-        }
-        let mut dg = if file_backend {
-            let p = ScratchPath::new("e-slo-chaos");
-            grey_pass(n, items, ops, seed, FileShelves::open(p.path()).expect("open WAL"))
-        } else {
-            grey_pass(n, items, ops, seed, MemShelves::new())
-        };
-        let dp_put = summarize(&mut dg.put);
-        let dp_get = summarize(&mut dg.get);
-        let mut dt = Table::new(["op", "count", "mean µs", "p50 µs", "p99 µs", "p999 µs"]);
-        for (name, p) in [("put (grey ×8)", &dp_put), ("get (grey ×8)", &dp_get)] {
-            dt.row([
-                name.to_string(),
-                format!("{}", p.count),
-                format!("{:.1}", p.mean / 1e3),
-                format!("{:.1}", p.p50 / 1e3),
-                format!("{:.1}", p.p99 / 1e3),
-                format!("{:.1}", p.p999 / 1e3),
-            ]);
-        }
-        print!("{}", dt.to_markdown());
+        let mut dg = pass(true);
+        let (dp_put, dp_get) = (slo::summarize(&mut dg.put), slo::summarize(&mut dg.get));
+        let rows = [("put (grey ×8)", &dp_put), ("get (grey ×8)", &dp_get)];
+        print!("{}", latency_table(rows).to_markdown());
         println!(
-            "degraded throughput: {:.0} ops/s; {} shares rebuilt, {} lost",
-            dg.ops_per_s, dg.repair.shares_rebuilt, dg.repair.items_lost
+            "degraded throughput: {:.0} ops/s; {} shares rebuilt, {} lost; get p99 {:.0} µs vs \
+             healthy {:.0} µs under the identical open-loop schedule",
+            dg.ops_per_s,
+            dg.repair.shares_rebuilt,
+            dg.repair.items_lost,
+            dp_get.p99 / 1e3,
+            p_get.p99 / 1e3
         );
-        println!("fingerprint (degraded scenario): {:#018x}", dg.fingerprint);
-        claim(
-            "the degraded-mode SLO is measured, not assumed",
-            format!(
-                "grey ×{GREY_MULT} on {GREY_PERMILLE}‰ of nodes: get p99 {:.0} µs vs healthy \
-                 {:.0} µs under the identical open-loop schedule",
-                dp_get.p99 / 1e3,
-                p_get.p99 / 1e3
-            ),
-        );
-        records.push(
-            Record::new(format!("e_slo/put_chaos{suffix}"), n, dp_put.mean)
-                .with_percentiles(dp_put.p50, dp_put.p99, dp_put.p999)
-                .with_threads(workers),
-        );
-        records.push(
-            Record::new(format!("e_slo/get_chaos{suffix}"), n, dp_get.mean)
-                .with_percentiles(dp_get.p50, dp_get.p99, dp_get.p999)
-                .with_threads(workers),
-        );
-        records.push(
-            Record::new(format!("e_slo/throughput_chaos{suffix}"), n, 1e9 / dg.ops_per_s.max(1e-9))
-                .with_threads(workers),
-        );
-    }
-    let path = std::env::var("BENCH_JSON").unwrap_or_else(|_| "BENCH_ops.json".to_string());
-    match bench_json::append(&path, &records) {
-        Ok(()) => println!("\nappended {} records to {path}", records.len()),
-        Err(e) => eprintln!("\nfailed to write {path}: {e}"),
+        println!("fingerprint (degraded scenario): {:#018x}", dg.wire_fp);
     }
 }

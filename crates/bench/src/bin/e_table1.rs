@@ -13,8 +13,7 @@
 //!   clockwise routing.
 //!
 //! Each row reports mean degree, path length, messages/op and
-//! bytes/op, and is appended to `BENCH_ops.json` tagged with its
-//! `topology` label. A second run of every batch over a recorded `Sim`
+//! bytes/op. A second run of every batch over a recorded `Sim`
 //! transport pins the whole schedule: the combined fingerprint printed
 //! at the end is deterministic in the seed, and CI asserts it — if
 //! routing, table derivation or transport semantics drift for *any*
@@ -30,26 +29,23 @@
 //! The harness scales to the million-node sizes of `e_scale` (`n` is a
 //! plain CLI argument); the CI smoke runs the 10k size.
 
-use cd_bench::bench_json::{self, Record};
-use cd_bench::{claim, section, MASTER_SEED};
+use cd_bench::{section, MASTER_SEED};
 use cd_core::graph::{ChordLike, ContinuousGraph, DeBruijn, DistanceHalving};
 use cd_core::pointset::PointSet;
 use cd_core::rng::seeded;
 use cd_core::stats::Table;
 use dh_dht::proto::lookups_over;
 use dh_dht::{CdNetwork, LookupKind};
-use dh_obs::Obs;
 use dh_proto::engine::RetryPolicy;
 use dh_proto::transport::{Inline, Recorder, Sim};
 use std::time::Instant;
 
-/// The workload every row shares: identifier points, batch size,
-/// seed and the metrics registry the batches export into.
+/// The workload every row shares: identifier points, batch size and
+/// seed.
 struct RowCtx<'a> {
     points: &'a PointSet,
     m: usize,
     seed: u64,
-    obs: &'a Obs,
 }
 
 /// Run one `(instance, kind)` row: an `Inline` batch for the metrics
@@ -58,11 +54,9 @@ fn run_row<G: ContinuousGraph>(
     graph: G,
     kind: LookupKind,
     ctx: &RowCtx<'_>,
-    row: u64,
     table: &mut Table,
-    records: &mut Vec<Record>,
 ) -> u64 {
-    let (points, m, seed, obs) = (ctx.points, ctx.m, ctx.seed, ctx.obs);
+    let (points, m, seed) = (ctx.points, ctx.m, ctx.seed);
     let label = graph.label();
     let t0 = Instant::now();
     let net = CdNetwork::build(graph, points);
@@ -74,7 +68,6 @@ fn run_row<G: ContinuousGraph>(
     let (batch, _) = lookups_over(&net, kind, m, seed, Inline, retry, 2);
     let secs = t0.elapsed().as_secs_f64();
     assert_eq!(batch.failed, 0, "{label}: Inline cannot fail an op");
-    batch.export_into(obs, row);
 
     // determinism witness: the same batch over a recorded Sim schedule
     let sim = || Recorder::new(Sim::new(seed).with_latency(4, 16, 4));
@@ -86,7 +79,7 @@ fn run_row<G: ContinuousGraph>(
     let fingerprint = rec.trace.fingerprint();
 
     table.row([
-        label.clone(),
+        label,
         kind.to_string(),
         format!("{mean_deg:.1}"),
         format!("{:.2}", batch.path_lengths.mean),
@@ -96,11 +89,6 @@ fn run_row<G: ContinuousGraph>(
         format!("{build_secs:.2}"),
         format!("{:.0}", m as f64 / secs),
     ]);
-    records.push(
-        Record::new(format!("e_table1/{label}_{kind}"), net.len(), secs * 1e9 / m as f64)
-            .with_msgs(batch.msgs_per_op(), batch.bytes_per_op())
-            .with_topology(label),
-    );
     fingerprint
 }
 
@@ -127,25 +115,13 @@ fn main() {
         "build s",
         "lookups/s",
     ]);
-    let mut records: Vec<Record> = Vec::new();
     let mut fingerprint = 0u64;
-    // per-row batch counters land in one registry, appended to
-    // BENCH_ops.json as the unified metrics snapshot
-    let obs = Obs::recording(16);
-    let ctx = RowCtx { points: &points, m, seed, obs: &obs };
+    let ctx = RowCtx { points: &points, m, seed };
 
-    fingerprint ^=
-        run_row(DistanceHalving::binary(), LookupKind::Fast, &ctx, 0, &mut table, &mut records);
-    fingerprint ^= run_row(
-        DistanceHalving::binary(),
-        LookupKind::DistanceHalving,
-        &ctx,
-        1,
-        &mut table,
-        &mut records,
-    );
-    fingerprint ^= run_row(DeBruijn::new(8), LookupKind::Fast, &ctx, 2, &mut table, &mut records);
-    fingerprint ^= run_row(ChordLike, LookupKind::Greedy, &ctx, 3, &mut table, &mut records);
+    fingerprint ^= run_row(DistanceHalving::binary(), LookupKind::Fast, &ctx, &mut table);
+    fingerprint ^= run_row(DistanceHalving::binary(), LookupKind::DistanceHalving, &ctx, &mut table);
+    fingerprint ^= run_row(DeBruijn::new(8), LookupKind::Fast, &ctx, &mut table);
+    fingerprint ^= run_row(ChordLike, LookupKind::Greedy, &ctx, &mut table);
 
     print!("{}", table.to_markdown());
 
@@ -156,22 +132,5 @@ fn main() {
             "cross-topology fingerprint changed — routing, table derivation or transport semantics moved for some instance"
         );
         println!("fingerprint matches the pinned value");
-    }
-
-    claim(
-        "the recipe yields O(log n)-hop overlays for every instance; \
-         ∆-ary digit graphs trade degree for hops, the Chord-like graph \
-         pays O(log n) degree for Chord's routing profile",
-        "rows above: hops track log_∆ n per instance over identical points and workload",
-    );
-
-    let path = std::env::var("BENCH_JSON").unwrap_or_else(|_| "BENCH_ops.json".to_string());
-    let lines = obs.snapshot().to_json_lines("e_table1", n);
-    match bench_json::append(&path, &records).and_then(|()| bench_json::append_lines(&path, &lines))
-    {
-        Ok(()) => {
-            println!("\nappended {} records + {} metric lines to {path}", records.len(), lines.len());
-        }
-        Err(e) => eprintln!("\nfailed to write {path}: {e}"),
     }
 }

@@ -1,0 +1,326 @@
+//! The open-loop SLO scenario `e_slo` scores and `e_obs` records, with
+//! the latency arithmetic and the mem/file dispatch the storage bins
+//! share.
+//!
+//! The closed-loop harnesses (`e_repl`) measure *service time*: each
+//! op starts when the previous one finishes, so a 500µs repair stall
+//! costs exactly one op 500µs. Real clients are **open-loop**: they
+//! arrive on their own clock, and a stall queues everyone behind it —
+//! tail latency compounds. [`run`] models that:
+//!
+//! * **arrivals** on a fixed-rate clock with periodic bursts (every
+//!   [`BURST_EVERY`]-th slot, [`BURST`] requests land on the same
+//!   instant),
+//! * **Zipf popularity** (s = 1) over the key space — the head keys
+//!   absorb most of the traffic, as in any real cache/store trace,
+//! * a **70/30 get/put mix** driven through the full wire engine
+//!   (`Recorder<Sim>`), with every get checked against the last
+//!   committed write of that key,
+//! * **churn + paced repair** interleaved: every [`CHURN_EVERY`]-th
+//!   foreground op a server joins or leaves; the repair plan's wire
+//!   frames queue in the replica outbox and at most [`PACE`] of them
+//!   are pumped after each foreground op (`pump_repair`), spreading the
+//!   repair tax across the arrival stream instead of stalling one op.
+//!
+//! Latency is scored on a single-server queue: `completion =
+//! max(arrival, prev_completion) + service`, `latency = completion −
+//! arrival`, with measured wall-clock service times (churn/repair work
+//! occupies the same server, so its cost delays whoever queues behind
+//! it).
+//!
+//! The op/churn/repair *schedule* is a pure function of the seed —
+//! wall-clock only enters the latency arithmetic, and the recorder
+//! handle draws nothing — so the wire fingerprint is the same with
+//! [`Obs::off`] and a recording handle, on either backend, and CI pins
+//! one value for `e_slo` and `e_obs` alike.
+
+use bytes::Bytes;
+use cd_core::pointset::PointSet;
+use cd_core::rng::{seeded, subseed};
+use cd_core::Point;
+use dh_dht::DhNetwork;
+use dh_obs::{Obs, BACKGROUND};
+use dh_proto::engine::RetryPolicy;
+use dh_proto::transport::{Recorder, Sim, Transport};
+use dh_proto::{ChaosNet, NodeId};
+use dh_replica::{RepairReport, ReplicatedDht, Shelves};
+use rand::Rng;
+use std::time::Instant;
+
+/// Shares per item.
+pub const M: u8 = 8;
+/// Shares that reconstruct it.
+pub const K: u8 = 4;
+/// Open-loop arrival interval (modeled ns between requests).
+pub const INTERVAL_NS: u64 = 60_000;
+/// Every `BURST_EVERY`-th arrival slot opens a burst…
+pub const BURST_EVERY: usize = 101;
+/// …of this many same-instant arrivals.
+pub const BURST: usize = 8;
+/// One churn event (alternating leave/join) per this many requests.
+pub const CHURN_EVERY: usize = 150;
+/// Repair frames pumped after each foreground request.
+pub const PACE: u32 = 8;
+/// Degraded pass: per-mille of nodes grey (the `e_chaos` grey shape)…
+pub const GREY_PERMILLE: u64 = 100;
+/// …and their service slowdown.
+pub const GREY_MULT: u64 = 8;
+
+/// Run `$body` with `$shelves` bound to fresh shelves of the chosen
+/// backend: RAM, or a WAL in a scratch file tagged `$tag` that lives
+/// as long as the body and records its storage plane into `$obs`.
+#[macro_export]
+macro_rules! with_shelves {
+    ($file_backend:expr, $tag:expr, $obs:expr, |$shelves:ident| $body:expr) => {
+        if $file_backend {
+            let scratch = dh_store::ScratchPath::new($tag);
+            let mut $shelves = dh_store::FileShelves::open(scratch.path()).expect("open WAL");
+            $shelves.set_obs($obs.clone());
+            $body
+        } else {
+            let $shelves = dh_store::MemShelves::new();
+            $body
+        }
+    };
+}
+
+fn value_of(key: u64, gen: u32) -> Bytes {
+    Bytes::from(format!("slo-item-{key:08}-gen{gen:04}-{:016x}", key.wrapping_mul(0x9E37)))
+}
+
+/// `q`-quantile of an unsorted sample (sorts it).
+pub fn percentile(lat: &mut [u64], q: f64) -> f64 {
+    if lat.is_empty() {
+        return 0.0;
+    }
+    lat.sort_unstable();
+    let idx = ((lat.len() - 1) as f64 * q).round() as usize;
+    lat[idx] as f64
+}
+
+/// Mean, median and tail of one latency sample.
+pub struct Percentiles {
+    /// Arithmetic mean.
+    pub mean: f64,
+    /// Median.
+    pub p50: f64,
+    /// 99th percentile.
+    pub p99: f64,
+    /// 99.9th percentile.
+    pub p999: f64,
+    /// Sample size.
+    pub count: usize,
+}
+
+/// Summarize an unsorted latency sample (sorts it).
+pub fn summarize(lat: &mut [u64]) -> Percentiles {
+    let count = lat.len();
+    let mean = lat.iter().sum::<u64>() as f64 / count.max(1) as f64;
+    Percentiles {
+        mean,
+        p50: percentile(lat, 0.50),
+        p99: percentile(lat, 0.99),
+        p999: percentile(lat, 0.999),
+        count,
+    }
+}
+
+/// What one pass of the scenario measured.
+pub struct Run {
+    /// Queue latency of every put, ns.
+    pub put: Vec<u64>,
+    /// Queue latency of every get, ns.
+    pub get: Vec<u64>,
+    /// The op id (= stream index) of every get, parallel to `get`, so
+    /// the tail is explainable from the recorder.
+    pub get_ops: Vec<u64>,
+    /// Service time of the inline (client) path per foreground op — the
+    /// put/get call only, excluding the paced repair pump.
+    pub inline_ns: Vec<u64>,
+    /// Repair traffic of the whole stream.
+    pub repair: RepairReport,
+    /// Churn events executed.
+    pub churn_events: usize,
+    /// Peak repair backlog, frames.
+    pub backlog_peak: usize,
+    /// Throughput over the modeled makespan.
+    pub ops_per_s: f64,
+    /// The transport-trace fingerprint (the pinned one).
+    pub wire_fp: u64,
+    /// The recorder handle the pass ran under.
+    pub obs: Obs,
+}
+
+/// The recorded scenario over `(n, items, ops)`. `make_rec` builds the
+/// recorded substrate once the membership is known; `retry` is the
+/// policy the foreground ops run under. Each foreground request runs
+/// under its own op context of `obs`; preload, churn and the repair
+/// pump are background.
+fn scenario<S: Shelves, T: Transport>(
+    (n, items, ops): (usize, usize, usize),
+    seed: u64,
+    shelves: S,
+    retry: RetryPolicy,
+    obs: Obs,
+    make_rec: impl FnOnce(&[NodeId]) -> Recorder<T>,
+) -> Run {
+    let mut rng = seeded(seed ^ 0x510);
+    let net = DhNetwork::new(&PointSet::random(n, &mut rng));
+    let mut dht = ReplicatedDht::with_shelves(net, M, K, shelves, &mut rng);
+    dht.set_obs(obs.clone());
+    let mut rec = make_rec(dht.net.live());
+    dht.set_repair_pacing(Some(PACE));
+
+    // preload the key space (not part of the measured stream)
+    obs.begin_op(BACKGROUND);
+    let mut gens = vec![0u32; items];
+    for key in 0..items as u64 {
+        let from = dht.net.random_node(&mut rng);
+        let (out, _) =
+            dht.put_over(from, key, value_of(key, 0), &mut rec, subseed(seed, key), retry);
+        assert!(out.ok, "preload put must commit");
+    }
+
+    // Zipf(s = 1) popularity: cumulative weights + binary search
+    let mut cum = Vec::with_capacity(items);
+    let mut total = 0.0f64;
+    for rank in 0..items {
+        total += 1.0 / (rank + 1) as f64;
+        cum.push(total);
+    }
+
+    let (mut put, mut get, mut get_ops) = (Vec::new(), Vec::new(), Vec::new());
+    let mut inline_ns = Vec::with_capacity(ops);
+    let mut repair = RepairReport::default();
+    let (mut churn_events, mut backlog_peak) = (0usize, 0usize);
+    let mut arrival = 0u64; // modeled request clock
+    let mut server = 0u64; // modeled completion clock
+    for i in 0..ops {
+        // churn rides the same server: its service time delays
+        // whoever queues behind it, but only the *plan* cost lands
+        // here — the wire frames drain PACE-at-a-time below
+        if i % CHURN_EVERY == CHURN_EVERY - 1 {
+            // detlint: allow(nondet-source): service time feeds the queue model only, never the schedule
+            let t0 = Instant::now();
+            if churn_events.is_multiple_of(2) {
+                let victim = dht.net.random_node(&mut rng);
+                let (_, report) = dht.leave_over(victim, &mut rec, subseed(seed ^ 0xC4, i as u64));
+                assert_eq!(report.items_lost, 0, "single-leave churn cannot lose items");
+                repair.merge(&report);
+            } else if let Some((_, _, report)) = dht.join_over(
+                dht.net.random_node(&mut rng),
+                Point(rng.gen()),
+                dht.kind,
+                subseed(seed ^ 0xC4, i as u64),
+                &mut rec,
+                retry,
+            ) {
+                repair.merge(&report);
+            }
+            churn_events += 1;
+            backlog_peak = backlog_peak.max(dht.repair_backlog());
+            server = server.max(arrival) + t0.elapsed().as_nanos() as u64;
+        }
+
+        // Zipf-popular key, 70/30 get/put
+        let u = rng.gen::<f64>() * total;
+        let key = cum.partition_point(|&c| c < u).min(items - 1);
+        let from = dht.net.random_node(&mut rng);
+        let is_put = rng.gen_range(0..10u32) < 3;
+        obs.begin_op(i as u64);
+        // detlint: allow(nondet-source): service time feeds the queue model only, never the schedule
+        let t0 = Instant::now();
+        if is_put {
+            gens[key] += 1;
+            let (out, _) = dht.put_over(
+                from,
+                key as u64,
+                value_of(key as u64, gens[key]),
+                &mut rec,
+                subseed(seed ^ 0xF0, i as u64),
+                retry,
+            );
+            assert!(out.ok, "lossless put must commit");
+        } else {
+            let (_, value) =
+                dht.get_over(from, key as u64, &mut rec, subseed(seed ^ 0xF1, i as u64), retry);
+            assert_eq!(
+                value,
+                Some(value_of(key as u64, gens[key])),
+                "get of key {key} must serve the last committed write, even mid-repair"
+            );
+        }
+        inline_ns.push(t0.elapsed().as_nanos() as u64);
+        // the paced repair tax: at most PACE frames interleave here,
+        // as background work that still occupies the modeled server
+        obs.begin_op(BACKGROUND);
+        let (m, b) = dht.pump_repair(&mut rec, subseed(seed ^ 0xF2, i as u64));
+        repair.msgs += m;
+        repair.bytes += b;
+        server = server.max(arrival) + t0.elapsed().as_nanos() as u64;
+        if is_put {
+            put.push(server - arrival);
+        } else {
+            get.push(server - arrival);
+            get_ops.push(i as u64);
+        }
+
+        // fixed-rate arrivals with periodic same-instant bursts: in a
+        // burst slot the next request already arrived
+        if i % BURST_EVERY < BURST_EVERY - BURST {
+            arrival += INTERVAL_NS;
+        }
+    }
+    // drain what churn still owes, then prove nothing was lost
+    let (m, b) = dht.flush_repair(&mut rec, seed ^ 0xF3);
+    repair.msgs += m;
+    repair.bytes += b;
+    for key in (0..items).step_by((items / 32).max(1)) {
+        let from = dht.net.random_node(&mut rng);
+        let (_, value) =
+            dht.get_over(from, key as u64, &mut rec, subseed(seed ^ 0x9E7, key as u64), retry);
+        assert_eq!(value, Some(value_of(key as u64, gens[key])), "item {key} lost under churn");
+    }
+    // drain the health ledger into the registry (RTO + suspicion
+    // gauges per node)
+    dht.health().export(&obs);
+
+    let makespan = server.max(arrival);
+    Run {
+        put,
+        get,
+        get_ops,
+        inline_ns,
+        repair,
+        churn_events,
+        backlog_peak,
+        ops_per_s: ops as f64 / (makespan as f64 / 1e9).max(1e-12),
+        wire_fp: rec.trace.fingerprint(),
+        obs,
+    }
+}
+
+/// One pass over `shape = (n, items, ops)` on fresh shelves of the
+/// chosen backend. The healthy pass runs a lossless `Sim` under patient
+/// retries; the `grey` pass runs the identical schedule over a grey
+/// substrate ([`GREY_PERMILLE`]‰ of nodes ×[`GREY_MULT`] slower) under
+/// the hedged policy. `obs` may be [`Obs::off`].
+pub fn run(
+    shape: (usize, usize, usize),
+    seed: u64,
+    file_backend: bool,
+    grey: bool,
+    obs: Obs,
+) -> Run {
+    let sim = || Sim::new(seed).with_latency(4, 16, 4);
+    with_shelves!(file_backend, "slo", obs, |shelves| if grey {
+        scenario(shape, seed, shelves, RetryPolicy::patient().hedged(), obs, |nodes| {
+            let mut chaos = ChaosNet::new(sim(), seed ^ 0xC405);
+            let slowed = chaos.grey_fraction(nodes, GREY_PERMILLE, GREY_MULT);
+            assert!(!slowed.is_empty(), "the grey pick must land on someone");
+            Recorder::new(chaos)
+        })
+    } else {
+        scenario(shape, seed, shelves, RetryPolicy::patient(), obs, |_| Recorder::new(sim()))
+    })
+}

@@ -49,8 +49,7 @@ pub trait ContinuousGraph: Clone + Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Display label including parameters (e.g. `"debruijn8"`); used to
-    /// tag bench rows so different instances land in distinguishable
-    /// `BENCH_ops.json` records.
+    /// tell instances apart in bench tables.
     fn label(&self) -> String {
         self.name().to_string()
     }

@@ -3,8 +3,8 @@
 //!
 //! The paper states its results as asymptotic bounds (`O(log n)`,
 //! `Θ(log n / n)`, …); the harnesses report measured summaries next to
-//! the bound evaluated at the experiment's parameters so the scaling
-//! shape can be compared directly in `EXPERIMENTS.md`.
+//! the bound evaluated at the experiment's parameters, and `e_paper`
+//! (`cd_bench::paper`) asserts the one against the other.
 
 use std::fmt::Write as _;
 
@@ -119,7 +119,7 @@ impl LogHistogram {
     }
 }
 
-/// A Markdown table builder for harness output (and `EXPERIMENTS.md`).
+/// A Markdown table builder for harness output.
 #[derive(Clone, Debug)]
 pub struct Table {
     headers: Vec<String>,

@@ -10,7 +10,9 @@
 //! segment) and walk `t` backward edges — each hop is the *exact*
 //! expansion `p ← ∆·p mod 1` — arriving at `y` (up to the fixed-point
 //! truncation absorbed by a final ring hop). Corollary 2.5: the path
-//! length is at most `log_∆ n + log_∆ ρ + 1`.
+//! length is at most `log_∆ n + log_∆ ρ + 1`; with that ring hop this
+//! implementation's bound is `log_∆ n + log_∆ ρ + 2`, which is what
+//! the tests here and `e_paper` (E4) assert.
 //!
 //! **Distance Halving Lookup** (§2.2.2). Valiant-style two-phase
 //! routing: a fresh random digit string `τ` drives a source-side walk
@@ -19,9 +21,13 @@
 //! message along `p_0, p_1, …` until the current node or one of its
 //! table entries covers `q_t`; phase 2 retraces `q_t, q_{t−1}, …, q_0 =
 //! y` along backward edges, deleting one digit of `τ` per hop.
-//! Theorem 2.8: path length ≤ `2 log_∆ n + 2 log_∆ ρ`; Theorems
-//! 2.9–2.11: congestion `Θ(log n / n)` even for worst-case permutation
-//! workloads.
+//! Theorem 2.8: path length ≤ `2 log_∆ n + 2 log_∆ ρ`; counted in
+//! whole hops that is `2(log_∆ n + log_∆ ρ) + 3` — each phase takes
+//! `t ≤ ⌈log_∆ nρ⌉` steps, one more than the real-valued bound, and
+//! phase 1 may end with a hop to the *neighbour* covering `q_t` — and
+//! it is the bound of every lookup-driven operation (a join's lookup,
+//! a cached request). Theorems 2.9–2.11: congestion `Θ(log n / n)`
+//! even for worst-case permutation workloads.
 
 use crate::metrics::LoadCounters;
 use crate::network::{CdNetwork, NodeId};

@@ -57,25 +57,6 @@ impl LoadCounters {
         Summary::of_u64(self.live_loads(net))
     }
 
-    /// Export every live server's load into the observability
-    /// registry as the counter series `(name, slab id)` — the unified
-    /// metrics plane's view of the paper's per-server load (no-op
-    /// with observability off; the cache-padded atomics stay the hot
-    /// accumulation path, this is the one-shot drain after a batch).
-    pub fn export_into<G: ContinuousGraph>(
-        &self,
-        net: &CdNetwork<G>,
-        obs: &dh_obs::Obs,
-        name: &'static str,
-    ) {
-        if !obs.is_on() {
-            return;
-        }
-        for &id in net.live() {
-            obs.add(name, u64::from(id.0), self.get(id));
-        }
-    }
-
     /// Zero every counter so the allocation (one cache line per slab
     /// slot — significant at large n) is reused across batches.
     pub fn reset(&self) {

@@ -110,25 +110,6 @@ impl MsgBatch {
     pub fn bytes_per_op(&self) -> f64 {
         self.bytes as f64 / self.completed.max(1) as f64
     }
-
-    /// Export the batch's counters into the observability registry
-    /// under `label` (a bench-chosen scenario id, so one registry can
-    /// hold every transport variant side by side). No-op with
-    /// observability off.
-    pub fn export_into(&self, obs: &dh_obs::Obs, label: u64) {
-        if !obs.is_on() {
-            return;
-        }
-        obs.add("batch/lookups", label, self.lookups as u64);
-        obs.add("batch/completed", label, self.completed as u64);
-        obs.add("batch/failed", label, self.failed as u64);
-        obs.add("batch/msgs", label, self.msgs);
-        obs.add("batch/bytes", label, self.bytes);
-        obs.add("batch/dropped", label, self.dropped);
-        obs.add("batch/retries", label, self.retries);
-        obs.gauge("batch/max_load", label, self.max_load);
-        obs.gauge("batch/makespan", label, self.makespan);
-    }
 }
 
 /// Run `m` random lookups (the workload of Definition 3 / Theorems

@@ -3,8 +3,9 @@
 //! Given a smooth point set `~x` (the hosts) and a guest family
 //! `{G_k}`, server `V_i` simulates every guest node `u_j` with
 //! `j/2^k ∈ s(x_i)`. Host edges are derived from guest edges through
-//! the mapping; Theorem 7.1's bounds (guest nodes per host ≤ ρ+1,
-//! guest edges per host edge ≤ ρ², host degree ≤ ρ·d) are computed
+//! the mapping; Theorem 7.1's quantities (guest nodes per host `g ≤
+//! ρ·2^k/n + 1`, guest edges per host edge ≤ g², host degree ≤ g·d —
+//! see the crate docs for why they are stated in `g`) are computed
 //! exactly. A `step` method runs one round of a guest computation —
 //! real-time emulation with constant slowdown.
 
@@ -27,11 +28,11 @@ pub struct Emulation {
 /// Exact emulation statistics (the Theorem 7.1 quantities).
 #[derive(Clone, Copy, Debug)]
 pub struct EmulationStats {
-    /// Max guest nodes simulated by one host (`≤ ρ + 1`).
+    /// Max guest nodes simulated by one host, `g` (`≤ ρ·2^k/n + 1`).
     pub max_guests_per_host: usize,
-    /// Max guest edges carried by one host edge (`≤ ρ²`).
+    /// Max guest edges carried by one host edge (`≤ g²`).
     pub max_guest_edges_per_host_edge: usize,
-    /// Max host degree induced by the emulation (`≤ ρ·d`).
+    /// Max host degree induced by the emulation (`≤ g·d`).
     pub max_host_degree: usize,
     /// Smoothness of the host set.
     pub rho: f64,

@@ -10,6 +10,22 @@
 //! that can be *verified* from smoothness, unlike randomized
 //! constructions.
 //!
+//! Three different quantities go by "expansion" here, and only like
+//! may be compared with like. `(2−√3)/2 ≈ 0.134` is the *continuous*
+//! graph's vertex expansion (measure of new neighbours ÷ measure of the
+//! set). Discretised over cells whose areas differ by at most ρ it
+//! gives **vertex** expansion `≥ (2−√3)/(2ρ)` for sets of at most half
+//! the cells: the boundary's measure is at least `(2−√3)/2` of the
+//! set's, and one cell holds at most ρ times the measure of another.
+//! What [`spectral`] certifies is **conductance** (cut edges ÷ volume):
+//! every boundary cell costs at least one cut edge and every cell at
+//! most `d_max` volume, so Corollary 5.2 implies
+//! `φ ≥ (2−√3)/(2·ρ·d_max)`, and that — not 0.134 — is what the
+//! certified `gap/2` is checked against (`e_paper`, E17). The measured
+//! `gap/2` (0.13 at n = 128, 0.07 at n = 512) is two orders of
+//! magnitude above it; the paper promises a constant, not that
+//! constant.
+//!
 //! Components:
 //! * [`gg`] — the discretisation: cell adjacency from the Voronoi
 //!   diagram plus the cells overlapped by each cell's image under

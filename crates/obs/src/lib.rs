@@ -16,8 +16,7 @@
 //!   like the wire traces do;
 //! * a **metrics registry** ([`Registry`]) — counters, gauges and
 //!   log₂-bucket histograms keyed by `(&'static str, u64)` with
-//!   BTree-ordered snapshots ([`Snapshot`]) that serialize to the
-//!   `BENCH_ops.json` JSON-lines dialect.
+//!   BTree-ordered snapshots ([`Snapshot`]).
 //!
 //! # Determinism
 //!
@@ -350,11 +349,6 @@ impl Hist {
         self.max
     }
 
-    /// Mean sample value.
-    pub fn mean(&self) -> f64 {
-        self.sum as f64 / self.count.max(1) as f64
-    }
-
     /// `q`-quantile, resolved to the **lower bound** of the bucket the
     /// quantile rank lands in (deterministic, never interpolated).
     pub fn quantile(&self, q: f64) -> u64 {
@@ -494,52 +488,6 @@ impl Snapshot {
         for r in &self.rows {
             if let (true, SnapValue::Hist(h)) = (r.name == name, &r.value) {
                 out.merge(h);
-            }
-        }
-        out
-    }
-
-    /// Serialize to the `BENCH_ops.json` JSON-lines dialect: one line
-    /// per metric *name* (labels aggregated — counters sum, gauges
-    /// max, histograms merge into p50/p99/p999), each tagged
-    /// `"schema": 1` and a `unit` inferred from the name (`bytes` if
-    /// the name mentions bytes, `ticks` for histograms — virtual
-    /// engine time — and `count` otherwise). `prefix` becomes the
-    /// bench-name prefix, `n` the workload size column.
-    pub fn to_json_lines(&self, prefix: &str, n: usize) -> Vec<String> {
-        let mut names: Vec<&'static str> = self.rows.iter().map(|r| r.name).collect();
-        names.dedup();
-        let mut out = Vec::new();
-        for name in names {
-            let unit_bytes = name.contains("bytes");
-            let mut counter_sum = 0u64;
-            let mut gauge_max: Option<u64> = None;
-            let mut hist = Hist::default();
-            for r in self.rows.iter().filter(|r| r.name == name) {
-                match &r.value {
-                    SnapValue::Counter(v) => counter_sum += v,
-                    SnapValue::Gauge(v) => gauge_max = Some(gauge_max.unwrap_or(0).max(*v)),
-                    SnapValue::Hist(h) => hist.merge(h),
-                }
-            }
-            let bench = format!("{prefix}/{name}");
-            if hist.count() > 0 {
-                let unit = if unit_bytes { "bytes" } else { "ticks" };
-                out.push(format!(
-                    "{{\"schema\": 1, \"bench\": \"{bench}\", \"n\": {n}, \"ns_per_op\": {:.1}, \
-                     \"p50_ns\": {:.1}, \"p99_ns\": {:.1}, \"p999_ns\": {:.1}, \"unit\": \"{unit}\"}}",
-                    hist.mean(),
-                    hist.quantile(0.50) as f64,
-                    hist.quantile(0.99) as f64,
-                    hist.quantile(0.999) as f64,
-                ));
-            } else {
-                let v = gauge_max.unwrap_or(counter_sum);
-                let unit = if unit_bytes { "bytes" } else { "count" };
-                out.push(format!(
-                    "{{\"schema\": 1, \"bench\": \"{bench}\", \"n\": {n}, \"ns_per_op\": {v}.0, \
-                     \"unit\": \"{unit}\"}}"
-                ));
             }
         }
         out
@@ -1205,10 +1153,6 @@ mod tests {
         assert_eq!(h.count(), 4);
         assert_eq!(h.max(), 1000);
         assert!(h.quantile(0.999) >= 512, "p999 lands in the 1000-sample's bucket");
-        let lines = s.to_json_lines("t", 10);
-        assert_eq!(lines.len(), 4, "one line per metric name");
-        assert!(lines.iter().all(|l| l.contains("\"schema\": 1")));
-        assert!(lines[0].contains("\"bench\": \"t/alpha\"") && lines[0].contains("6.0"));
     }
 
     #[test]
