@@ -14,27 +14,18 @@
 //! cargo run --release --bin e_scale -- 10000 20000 10000  # CI smoke size
 //! cargo run --release --bin e_scale -- 10000 20000 10000 dh 42
 //! #                       n  lookups  churn  fast|dh|both  seed
-//! cargo run --release --bin e_scale -- --threads 8        # pin the pool width
 //! ```
-//!
-//! `--threads T` (anywhere on the command line) pins the worker count
-//! of the multi-core batch section, which always measures the parallel
-//! fast-lookup driver at 1 thread *and* at `T` (default: auto
-//! detection). The two runs must be bit-identical; the binary asserts
-//! it.
 
 use cd_bench::{section, MASTER_SEED};
 use cd_core::point::Point;
 use cd_core::pointset::PointSet;
-use cd_core::rng::{seeded, splitmix64};
+use cd_core::rng::seeded;
 use dh_dht::{DhNetwork, LookupKind, NodeId};
 use rand::Rng;
 use std::time::Instant;
 
 fn main() {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let threads = cd_bench::parse_threads(&mut raw);
-    let mut args = raw.into_iter();
+    let mut args = std::env::args().skip(1);
     let n: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(1_000_000);
     let lookups: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(200_000);
     let churn_ops: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(50_000);
@@ -75,16 +66,16 @@ fn main() {
         println!("- validate(): ok");
     }
 
-    // 2. Lookup throughput (reused buffers, single-threaded).
+    // 2. Lookup throughput (reused buffers).
     let queries: Vec<(NodeId, Point)> =
         (0..lookups).map(|_| (net.random_node(&mut rng), Point(rng.gen()))).collect();
     let mut fast_rate = f64::INFINITY;
     for kind in kinds {
-        // the two-phase lookup is ~2× the hops; batch it smaller
         let batch = match kind {
             LookupKind::Fast => &queries[..],
             // the two-phase lookup is ~2× the hops; batch it smaller
-            LookupKind::DistanceHalving => &queries[..lookups / 4],
+            // (but never empty: a mean over zero lookups prints NaN)
+            LookupKind::DistanceHalving => &queries[..(lookups / 4).max(1).min(lookups)],
             LookupKind::Greedy => unreachable!("rejected at argument parsing"),
         };
         let t0 = Instant::now();
@@ -100,44 +91,6 @@ fn main() {
             fast_rate = rate;
         }
     }
-
-    // 2b. Multi-core batch throughput: the same fast-lookup batch
-    // through the parallel driver at 1 thread and at the configured
-    // worker count. Routes are a pure function of the queries, so the
-    // two runs must agree hop for hop — asserted via a fingerprint of
-    // every route.
-    let max_threads = threads.unwrap_or_else(rayon::current_num_threads);
-    let mut witness: Option<(usize, u64, f64)> = None;
-    for t in [1, max_threads] {
-        rayon::set_num_threads(t);
-        let t0 = Instant::now();
-        let mut fp = 0xcbf2_9ce4_8422_2325u64;
-        let hops = net.lookup_many_par(LookupKind::Fast, &queries, seed, |_, route| {
-            fp = splitmix64(fp ^ u64::from(route.destination().0) ^ ((route.hops() as u64) << 32));
-        });
-        let secs = t0.elapsed().as_secs_f64();
-        let rate = queries.len() as f64 / secs;
-        println!(
-            "- fast lookup (par, {t} thread{}): {} lookups in {secs:.2} s = {rate:.0}/s",
-            if t == 1 { "" } else { "s" },
-            queries.len()
-        );
-        match witness {
-            None => witness = Some((hops, fp, rate)),
-            Some((h1, f1, r1)) => {
-                assert_eq!(
-                    (hops, fp),
-                    (h1, f1),
-                    "parallel fast lookups must be bit-identical across thread counts"
-                );
-                println!("  identical routes at 1 and {t} threads; speedup ×{:.2}", rate / r1);
-            }
-        }
-        if max_threads == 1 {
-            break;
-        }
-    }
-    rayon::set_num_threads(0);
 
     // 3. Churn throughput: join/leave pairs (each pair = 2 ops).
     let t0 = Instant::now();

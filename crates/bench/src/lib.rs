@@ -31,21 +31,6 @@ pub fn section(title: &str) {
     println!("\n## {title}\n");
 }
 
-/// Strip a `--threads N` flag (anywhere on the command line) out of
-/// `args` and return `N` (`e_scale`'s pool width); panics on a
-/// malformed value so a typo'd sweep fails loudly instead of measuring
-/// the wrong width.
-pub fn parse_threads(args: &mut Vec<String>) -> Option<usize> {
-    let pos = args.iter().position(|a| a == "--threads")?;
-    let threads = args
-        .get(pos + 1)
-        .and_then(|v| v.parse().ok())
-        .filter(|&t| t > 0)
-        .expect("--threads needs a positive integer");
-    args.drain(pos..=pos + 1);
-    Some(threads)
-}
-
 /// Strip a `--backend mem|file` flag out of `args` and return whether
 /// the file (WAL) backend was requested. Panics on an unknown value
 /// so a typo'd sweep fails loudly instead of benchmarking RAM.

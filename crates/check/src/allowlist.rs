@@ -23,24 +23,10 @@ pub struct RelaxedAllow {
 /// Every reviewed `Ordering::Relaxed` site in the workspace.
 pub const RELAXED_ALLOWLIST: &[RelaxedAllow] = &[
     RelaxedAllow {
-        file: "crates/dht/src/metrics.rs",
-        sites: 4,
-        why: "per-message load counters are pure statistics: incremented during the parallel \
-              section, read only after the pool's scope join, which publishes every count; \
-              no protocol decision reads them concurrently",
-    },
-    RelaxedAllow {
         file: "crates/store/src/tamper.rs",
         sites: 1,
         why: "scratch-file name uniquifier: the fetch_add only needs per-process uniqueness \
               of the returned value, never cross-thread ordering, and the name stays out of \
               every trace",
-    },
-    RelaxedAllow {
-        file: "shims/rayon/src/lib.rs",
-        sites: 1,
-        why: "the chunk-cursor claim: fetch_add(1, Relaxed) hands out each chunk index exactly \
-              once (RMW atomicity), claims commute, and results are published by the scope \
-              join, not the cursor — model-checked by dh_check's pool protocol tests",
     },
 ];

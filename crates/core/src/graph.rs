@@ -41,9 +41,8 @@ use crate::point::Point;
 /// A continuous graph on the circle, ready for discretization.
 ///
 /// Implementations must be cheap to clone (they are parameter structs,
-/// not state) and shareable across threads (workload drivers fan out
-/// lookups over a rayon pool).
-pub trait ContinuousGraph: Clone + Send + Sync {
+/// not state).
+pub trait ContinuousGraph: Clone {
     /// Short static name of the instance family (`"dh"`, `"chord"`,
     /// `"debruijn"`).
     fn name(&self) -> &'static str;

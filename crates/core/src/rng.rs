@@ -1,9 +1,9 @@
 //! Deterministic randomness plumbing.
 //!
 //! Every experiment in the repository is seeded so that results are
-//! exactly reproducible. Parallel drivers derive per-worker sub-seeds
+//! exactly reproducible. Batch drivers derive per-index sub-seeds
 //! with SplitMix64 so that the set of random choices is independent of
-//! the thread count and iteration order.
+//! iteration order.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -1,13 +1,13 @@
 //! Workload drivers for the congestion and permutation-routing
 //! experiments (Theorems 2.7, 2.9, 2.10, 2.11).
 //!
-//! Lookups are read-only on the network, so batches fan out over a
-//! rayon pool; every lookup draws its randomness from a per-index
-//! sub-seed (SplitMix64-derived), making results independent of thread
-//! count and scheduling. Loads are accumulated in [`LoadCounters`]
-//! (cache-padded relaxed atomics).
+//! A batch is a plain loop through one reused [`LookupScratch`] and
+//! [`Route`]; lookup `i` draws its randomness from `sub_rng(seed, i)`
+//! (SplitMix64-derived), so every result is a pure function of
+//! `(network, seed)` whatever order the indices run in. Loads are
+//! accumulated in [`LoadCounters`].
 
-use crate::lookup::LookupKind;
+use crate::lookup::{LookupKind, LookupScratch, Route};
 use crate::metrics::LoadCounters;
 use crate::network::{CdNetwork, NodeId};
 use cd_core::graph::ContinuousGraph;
@@ -15,7 +15,6 @@ use cd_core::point::Point;
 use cd_core::rng::sub_rng;
 use cd_core::stats::Summary;
 use rand::Rng;
-use rayon::prelude::*;
 
 /// Result of a batch workload.
 pub struct BatchResult {
@@ -38,13 +37,14 @@ pub fn random_lookups<G: ContinuousGraph>(
     seed: u64,
 ) -> BatchResult {
     let counters = LoadCounters::for_network(net);
+    let mut scratch = LookupScratch::new();
+    let mut route = Route::empty();
     let lengths: Vec<u64> = (0..m)
-        .into_par_iter()
         .map(|i| {
             let mut rng = sub_rng(seed, i as u64);
             let from = net.random_node(&mut rng);
             let target = Point(rng.gen());
-            let route = net.lookup(kind, from, target, &mut rng);
+            net.lookup_into(kind, from, target, &mut rng, &mut scratch, &mut route);
             route.charge(&counters);
             route.hops() as u64
         })
@@ -70,8 +70,10 @@ pub fn permutation_routing<G: ContinuousGraph>(
     let live = net.live();
     assert_eq!(permutation.len(), live.len(), "permutation arity mismatch");
     let counters = LoadCounters::for_network(net);
+    let mut scratch = LookupScratch::new();
+    let mut route = Route::empty();
     let lengths: Vec<u64> = live
-        .par_iter()
+        .iter()
         .enumerate()
         .map(|(i, &from)| {
             let mut rng = sub_rng(seed, i as u64);
@@ -79,7 +81,7 @@ pub fn permutation_routing<G: ContinuousGraph>(
             let seg = net.node(permutation[i]).segment;
             let off = rng.gen_range(0..seg.len());
             let target = seg.start().wrapping_add(off as u64);
-            let route = net.lookup(kind, from, target, &mut rng);
+            net.lookup_into(kind, from, target, &mut rng, &mut scratch, &mut route);
             route.charge(&counters);
             route.hops() as u64
         })

@@ -19,20 +19,17 @@
 //!   clockwise routing for the Chord-like instances,
 //! * [`analysis`] — exact edge/degree counting used by the
 //!   Theorem 2.1/2.2 experiments and the De Bruijn isomorphism check,
-//! * [`metrics`] + [`driver`] — congestion accounting
-//!   (cache-padded atomic counters) and rayon-parallel workload
-//!   drivers for the congestion/permutation-routing experiments,
+//! * [`metrics`] + [`driver`] — congestion accounting (per-server
+//!   message counters) and the workload drivers for the
+//!   congestion/permutation-routing experiments,
 //! * [`proto`] — the network on the `dh_proto` wire API: the
 //!   [`dh_proto::Topology`] impl, message-driven lookup batches over
 //!   any transport, and churn as wire traffic.
 //!
-//! The heavy read-only batch paths run **multi-core**: the bulk
-//! builder's derive sweep, [`CdNetwork::lookup_many_par`] and the
-//! [`driver`] workloads fan out over the workspace thread pool with
-//! per-index sub-seeding, so their results are bit-identical for every
-//! thread count (see `tests/par_threads.rs` and DESIGN.md §5). Ops that
-//! go through the event engine run one at a time on the caller's
-//! thread.
+//! Everything runs on the caller's thread (DESIGN.md Non-goals, "No
+//! thread pool"): the batched path is [`CdNetwork::lookup_many`], and
+//! the [`driver`] workloads seed lookup `i` from `sub_rng(seed, i)`, so
+//! a batch is a pure function of `(network, seed)`.
 //!
 //! Routing uses **only local state**: every hop moves along an entry of
 //! the current node's own neighbor table, and the implementation

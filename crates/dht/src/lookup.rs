@@ -425,87 +425,6 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         }
     }
 
-    /// [`Self::lookup_many`] on the workspace thread pool: the query
-    /// slice is split into fixed-size chunks (independent of the
-    /// thread count), each chunk runs on a worker with its own
-    /// [`LookupScratch`]/route buffers — Fast chunks through the
-    /// interleaved engine, the others through the `*_into` paths — and
-    /// the per-chunk results are **merged back in query order**, so
-    /// `visit` sees queries `0, 1, 2, …` exactly as the sequential
-    /// driver would.
-    ///
-    /// Randomized lookups draw their digits from `sub_rng(seed, i)`
-    /// where `i` is the query's global index, so every route is a pure
-    /// function of `(network, query, seed)`: the results are
-    /// **bit-identical for every thread count** (pinned by
-    /// `tests/par_threads.rs`), unlike [`Self::lookup_many`], whose
-    /// shared sequential `rng` has no parallel equivalent.
-    /// Deterministic kinds ignore `seed` and match
-    /// [`Self::fast_lookup`]/[`Self::greedy_lookup`] exactly.
-    pub fn lookup_many_par(
-        &self,
-        kind: LookupKind,
-        queries: &[(NodeId, Point)],
-        seed: u64,
-        mut visit: impl FnMut(usize, &Route),
-    ) -> usize {
-        use rayon::prelude::*;
-
-        /// Queries per parallel chunk: big enough to amortize the
-        /// per-chunk scratch state and keep the interleaved Fast
-        /// engine's flight window full, small enough to load-balance.
-        const PAR_CHUNK: usize = 1024;
-
-        let chunks: Vec<(usize, Vec<Route>)> = queries
-            .par_chunks(PAR_CHUNK)
-            .enumerate()
-            .map(|(ci, chunk)| {
-                let base = ci * PAR_CHUNK;
-                let mut hops = 0usize;
-                let mut routes: Vec<Route> = Vec::with_capacity(chunk.len());
-                match kind {
-                    LookupKind::Fast => {
-                        routes.resize_with(chunk.len(), Route::empty);
-                        hops = self.fast_lookup_many(chunk, |j, route| {
-                            routes[j] = route.clone();
-                        });
-                    }
-                    LookupKind::DistanceHalving => {
-                        let mut scratch = LookupScratch::new();
-                        let mut route = Route::empty();
-                        for (j, &(from, target)) in chunk.iter().enumerate() {
-                            let mut rng = cd_core::rng::sub_rng(seed, (base + j) as u64);
-                            self.dh_lookup_into(from, target, &mut rng, &mut scratch, &mut route);
-                            hops += route.hops();
-                            routes.push(route.clone());
-                        }
-                    }
-                    LookupKind::Greedy => {
-                        let mut route = Route::empty();
-                        for &(from, target) in chunk.iter() {
-                            self.greedy_lookup_into(from, target, &mut route);
-                            hops += route.hops();
-                            routes.push(route.clone());
-                        }
-                    }
-                }
-                (hops, routes)
-            })
-            .collect();
-
-        let mut total_hops = 0usize;
-        let mut qi = 0usize;
-        for (hops, routes) in &chunks {
-            total_hops += hops;
-            for route in routes {
-                visit(qi, route);
-                qi += 1;
-            }
-        }
-        debug_assert_eq!(qi, queries.len());
-        total_hops
-    }
-
     /// The interleaved Fast-Lookup engine behind [`Self::lookup_many`].
     fn fast_lookup_many(
         &self,

@@ -4,19 +4,18 @@
 //! participates in a random lookup (Definition 3), and *load* as the
 //! number of messages a server handles in a batch workload
 //! (Theorems 2.7, 2.9–2.11). [`LoadCounters`] tracks per-server message
-//! counts with one cache-padded relaxed atomic per slab slot, so
-//! thousands of lookups can be charged concurrently from a rayon pool
-//! without false sharing or contention on a shared lock.
+//! counts, one `Cell<u64>` per slab slot: a batch charges through a
+//! shared `&self` while it also borrows the network, and nothing in
+//! the workspace charges from a second thread.
 
 use crate::network::{CdNetwork, NodeId};
 use cd_core::graph::ContinuousGraph;
 use cd_core::stats::Summary;
-use crossbeam_utils::CachePadded;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Per-server message counters (slab-indexed).
 pub struct LoadCounters {
-    counts: Vec<CachePadded<AtomicU64>>,
+    counts: Vec<Cell<u64>>,
 }
 
 impl LoadCounters {
@@ -27,19 +26,19 @@ impl LoadCounters {
 
     /// Counters for `capacity` slab slots.
     pub fn with_capacity(capacity: usize) -> Self {
-        LoadCounters { counts: (0..capacity).map(|_| CachePadded::new(AtomicU64::new(0))).collect() }
+        LoadCounters { counts: vec![Cell::new(0); capacity] }
     }
 
-    /// Charge `amount` messages to a server. Relaxed ordering: the
-    /// counters are pure statistics, read only after the driver joins.
+    /// Charge `amount` messages to a server.
     #[inline]
     pub fn add(&self, id: NodeId, amount: u64) {
-        self.counts[id.0 as usize].fetch_add(amount, Ordering::Relaxed);
+        let c = &self.counts[id.0 as usize];
+        c.set(c.get() + amount);
     }
 
     /// Current count for a server.
     pub fn get(&self, id: NodeId) -> u64 {
-        self.counts[id.0 as usize].load(Ordering::Relaxed)
+        self.counts[id.0 as usize].get()
     }
 
     /// Load of every *live* server of `net`, in `net.live()` order.
@@ -57,17 +56,16 @@ impl LoadCounters {
         Summary::of_u64(self.live_loads(net))
     }
 
-    /// Zero every counter so the allocation (one cache line per slab
-    /// slot — significant at large n) is reused across batches.
+    /// Zero every counter so the allocation is reused across batches.
     pub fn reset(&self) {
         for c in &self.counts {
-            c.store(0, Ordering::Relaxed);
+            c.set(0);
         }
     }
 
     /// Total messages charged.
     pub fn total(&self) -> u64 {
-        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+        self.counts.iter().map(Cell::get).sum()
     }
 }
 

@@ -231,15 +231,8 @@ impl<G: ContinuousGraph> CdNetwork<G> {
     /// the `BTreeMap` oracle. Node `i` is the `i`-th point in sorted
     /// order, so ring pointers are index arithmetic.
     pub fn build(graph: G, points: &PointSet) -> Self {
-        use rayon::prelude::*;
-
-        /// Nodes per parallel derive chunk (fixed, so the CSR layout —
-        /// and with it every table — is independent of thread count).
-        const BUILD_CHUNK: usize = 4096;
-
         let n = points.len();
         let bits: Vec<u64> = points.points().iter().map(|p| p.bits()).collect();
-        let bits = &bits;
         // cover(b): index of the segment containing the point `b` —
         // greatest i with bits[i] ≤ b, wrapping to the last segment.
         let cover = |b: u64| -> usize {
@@ -260,66 +253,36 @@ impl<G: ContinuousGraph> CdNetwork<G> {
                 cur = (cur + 1) % n;
             }
         };
-        // One sweep, fanned out over the thread pool: each fixed-size
-        // chunk of the sorted identifier array derives its nodes'
-        // sorted neighbor id lists into a local CSR slab (flat ids +
-        // per-node lengths) with chunk-local scratch buffers; the
-        // slabs concatenate in chunk order, so the result is
-        // bit-identical to the sequential sweep for any thread count.
-        let derive = |lo: usize, hi: usize| -> (Vec<u32>, Vec<u32>) {
-            let mut flat: Vec<u32> = Vec::with_capacity((hi - lo) * (graph.delta() as usize + 4));
-            let mut lens: Vec<u32> = Vec::with_capacity(hi - lo);
-            let mut ids: Vec<u32> = Vec::new();
-            let mut arcs: Vec<Interval> = Vec::new();
-            for i in lo..hi {
-                ids.clear();
-                let seg = points.segment(i);
-                arcs.clear();
-                graph.edge_arcs(&seg, &mut arcs);
-                for q in &arcs {
-                    collect(q, &mut ids);
-                }
-                ids.push(((i + 1) % n) as u32);
-                ids.push(((i + n - 1) % n) as u32);
-                ids.sort_unstable();
-                ids.dedup();
-                if let Ok(pos) = ids.binary_search(&(i as u32)) {
-                    ids.remove(pos);
-                }
-                flat.extend_from_slice(&ids);
-                lens.push(ids.len() as u32);
-            }
-            (flat, lens)
-        };
-        let nchunks = n.div_ceil(BUILD_CHUNK).max(1);
-        // with_max_len(1): each 4096-node block is one coarse unit of
-        // pool work, so even a handful of blocks fans out
-        let slabs: Vec<(Vec<u32>, Vec<u32>)> = (0..nchunks)
-            .into_par_iter()
-            .with_max_len(1)
-            .map(|c| derive(c * BUILD_CHUNK, ((c + 1) * BUILD_CHUNK).min(n)))
-            .collect();
-        let mut flat: Vec<u32> = Vec::with_capacity(slabs.iter().map(|(f, _)| f.len()).sum());
+        // One sweep over the sorted identifier array: node `i`'s sorted
+        // neighbor ids land in `flat[offs[i]..offs[i + 1]]` (CSR).
+        let mut flat: Vec<u32> = Vec::with_capacity(n * (graph.delta() as usize + 4));
         let mut offs: Vec<usize> = Vec::with_capacity(n + 1);
         offs.push(0);
-        for (slab, lens) in &slabs {
-            for &len in lens {
-                offs.push(offs.last().expect("seeded") + len as usize);
+        let mut ids: Vec<u32> = Vec::new();
+        let mut arcs: Vec<Interval> = Vec::new();
+        for i in 0..n {
+            ids.clear();
+            let seg = points.segment(i);
+            arcs.clear();
+            graph.edge_arcs(&seg, &mut arcs);
+            for q in &arcs {
+                collect(q, &mut ids);
             }
-            flat.extend_from_slice(slab);
+            ids.push(((i + 1) % n) as u32);
+            ids.push(((i + n - 1) % n) as u32);
+            ids.sort_unstable();
+            ids.dedup();
+            if let Ok(pos) = ids.binary_search(&(i as u32)) {
+                ids.remove(pos);
+            }
+            flat.extend_from_slice(&ids);
+            offs.push(flat.len());
         }
-        debug_assert_eq!(offs.len(), n + 1);
-        debug_assert_eq!(*offs.last().expect("seeded"), flat.len());
-        drop(slabs);
-        // Materialize node state (also fanned out; per-node output only).
-        // Index order is identifier order, so the id lists are already
-        // sorted by segment start.
-        let flat_ref = &flat;
-        let offs_ref = &offs;
-        let nodes: Vec<Option<NodeState>> = (0..n)
-            .into_par_iter()
+        // Materialize node state. Index order is identifier order, so
+        // the id lists are already sorted by segment start.
+        let mut nodes: Vec<Option<NodeState>> = (0..n)
             .map(|i| {
-                let neighbors: Vec<Neighbor> = flat_ref[offs_ref[i]..offs_ref[i + 1]]
+                let neighbors: Vec<Neighbor> = flat[offs[i]..offs[i + 1]]
                     .iter()
                     .map(|&j| Neighbor { id: NodeId(j), segment: points.segment(j as usize) })
                     .collect();
@@ -333,7 +296,6 @@ impl<G: ContinuousGraph> CdNetwork<G> {
                 })
             })
             .collect();
-        let mut nodes = nodes;
         // Reverse index in one pass over the CSR lists.
         for i in 0..n {
             for &j in &flat[offs[i]..offs[i + 1]] {

@@ -163,7 +163,7 @@ mod tests {
     use cd_core::rng::seeded;
     use cd_core::Point as CPoint;
     use dh_proto::transport::Sim;
-    use dh_proto::{FaultModel, Faulty};
+    use dh_proto::ChaosNet;
     use rand::Rng;
 
     #[test]
@@ -269,9 +269,9 @@ mod tests {
         let mut dht = Dht::new(net, &mut rng);
         let from = dht.net.random_node(&mut rng);
         dht.put(from, 4, Bytes::from_static(b"keep"), &mut rng);
-        let mut liars = Faulty::new(Inline, FaultModel::FalseMessageInjection);
+        let mut liars = ChaosNet::new(Inline, 0);
         for &id in dht.net.live() {
-            liars.fail(id);
+            liars.lie(id);
         }
         // a corrupted put must not be stored
         let (out, stored) =
@@ -283,9 +283,9 @@ mod tests {
             assert_eq!(got, None);
         }
         // a corrupted remove must not destroy data
-        let mut liars = Faulty::new(Inline, FaultModel::FalseMessageInjection);
+        let mut liars = ChaosNet::new(Inline, 0);
         for &id in dht.net.live() {
-            liars.fail(id);
+            liars.lie(id);
         }
         let (out, removed) = dht.remove_over(from, 4, liars, 92, RetryPolicy::default());
         if out.msgs > 0 {
@@ -303,9 +303,9 @@ mod tests {
         let from = dht.net.random_node(&mut rng);
         dht.put(from, 9, Bytes::from_static(b"honest"), &mut rng);
         // every server lies: any multi-hop get loses integrity
-        let mut faulty = Faulty::new(Inline, FaultModel::FalseMessageInjection);
+        let mut faulty = ChaosNet::new(Inline, 0);
         for &id in dht.net.live() {
-            faulty.fail(id);
+            faulty.lie(id);
         }
         let (out, got) = dht.get_over(from, 9, faulty, 77, RetryPolicy::default());
         assert!(out.ok, "liars still route");

@@ -19,7 +19,7 @@ use dh_dht::{CdNetwork, LookupKind, Route};
 use dh_proto::engine::{Engine, RetryPolicy};
 use dh_proto::transport::{Inline, Sim};
 use dh_proto::wire::Action;
-use dh_proto::{FaultModel, Faulty};
+use dh_proto::ChaosNet;
 use rand::Rng;
 
 /// Every transition of `route` must follow a real table edge and end
@@ -169,7 +169,7 @@ fn chord_engine_inline_routes_are_bit_identical() {
 }
 
 /// Engine-driven storage over one instance under `Inline`, `Sim` with
-/// latency, `Sim` with loss + duplication, and a fail-stop `Faulty`
+/// latency, `Sim` with loss + duplication, and a fail-stop `ChaosNet`
 /// wrapper — the acceptance matrix of the refactor.
 fn storage_matrix<G: ContinuousGraph>(graph: G, seed: u64) {
     let mut rng = seeded(seed);
@@ -222,13 +222,13 @@ fn storage_matrix<G: ContinuousGraph>(graph: G, seed: u64) {
     assert!(stored >= 55, "{label}: only {stored}/60 puts survived 5% loss with retries");
     assert!(fetched >= stored - 3, "{label}: only {fetched}/{stored} lossy gets succeeded");
 
-    // Faulty (fail-stop adversary as a transport behavior): a dead
+    // ChaosNet (fail-stop adversary as a transport behavior): a dead
     // destination exhausts the retry budget instead of wedging.
     let key = 999u64;
     let point = dht.hash.point(key);
     let dest = dht.net.cover_of(point);
     let from = dht.net.ring_succ(dest);
-    let mut faulty = Faulty::new(Inline, FaultModel::FailStop);
+    let mut faulty = ChaosNet::new(Inline, 0);
     faulty.fail(dest);
     let (out, stored) = dht.put_over(
         from,

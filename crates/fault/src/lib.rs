@@ -38,7 +38,7 @@
 //!
 //! Since the protocol-API redesign, the two failure models themselves
 //! ([`FaultModel`]) live in `dh_proto` and are implemented as
-//! *transport behaviors* (`dh_proto::Faulty` drops a fail-stopped
+//! *transport behaviors* (`dh_proto::ChaosNet` drops a fail-stopped
 //! server's traffic or corrupts a liar's payloads under any inner
 //! transport), so the plain Distance Halving DHT can be driven under
 //! both adversaries through the same event engine. What remains here

@@ -21,7 +21,7 @@ use std::collections::BTreeSet;
 pub struct OverlapNodeId(pub u32);
 
 // Since the protocol-API redesign the failure models are transport
-// behaviors (`dh_proto::Faulty` wraps any transport with them for the
+// behaviors (`dh_proto::ChaosNet` wraps any transport with them for the
 // plain DH network); this crate re-exports the shared vocabulary and
 // keeps the §6 *overlapping discretisation*, which is a genuinely
 // different topology rather than a failure mode.

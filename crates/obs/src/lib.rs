@@ -24,7 +24,7 @@
 //! ticks, ids are protocol ids, byte costs are wire-encoding lengths.
 //! Nothing here reads a wall clock or an OS facility (detlint rules
 //! D1/D2 cover this crate), so the recorder fingerprint is invariant
-//! across thread counts and machines.
+//! across runs and machines.
 //!
 //! Two deliberate carve-outs keep the fingerprint *pinnable*:
 //!

@@ -1993,7 +1993,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
 mod tests {
     use super::*;
     use crate::transport::{Inline, Recorder, Sim};
-    use crate::fault::{FaultModel, Faulty};
+    use crate::fault::ChaosNet;
     use cd_core::pointset::PointSet;
 
     /// A complete-graph toy topology: every server's "table" covers the
@@ -2176,7 +2176,7 @@ mod tests {
         let net = Complete::new(16, 2);
         let target = Point(u64::MAX / 2 + 12345);
         let dest = net.cover(target);
-        let mut faulty = Faulty::new(Inline, FaultModel::FailStop);
+        let mut faulty = ChaosNet::new(Inline, 0);
         faulty.fail(dest);
         let from = NodeId((dest.0 + 1) % 16);
         let mut eng = Engine::new(&net, faulty, 19)
@@ -2193,11 +2193,11 @@ mod tests {
     #[test]
     fn injection_marks_outcomes_corrupt() {
         let net = Complete::new(16, 2);
-        let mut faulty = Faulty::new(Inline, FaultModel::FalseMessageInjection);
+        let mut faulty = ChaosNet::new(Inline, 0);
         // fail every node: any route that sends at least one message
         // must arrive corrupted
         for i in 0..16 {
-            faulty.fail(NodeId(i));
+            faulty.lie(NodeId(i));
         }
         let mut eng = Engine::new(&net, faulty, 23);
         let ops = submit_mixed(&mut eng, 20);
@@ -2344,7 +2344,7 @@ mod tests {
         let (m, k, key) = (5u8, 3u8, 11u64);
         let holders = clique(&net, item, m);
         // fail m−k holders, but never the coordinating primary
-        let mut faulty = Faulty::new(Inline, FaultModel::FailStop);
+        let mut faulty = ChaosNet::new(Inline, 0);
         faulty.fail(holders[2]);
         faulty.fail(holders[4]);
         let cover = holders[0];
@@ -2367,7 +2367,7 @@ mod tests {
         for &i in &out.shares {
             table.insert((holders[i as usize].0, key, i), 24u32);
         }
-        let mut faulty = Faulty::new(Inline, FaultModel::FailStop);
+        let mut faulty = ChaosNet::new(Inline, 0);
         faulty.fail(holders[2]);
         faulty.fail(holders[4]);
         let mut eng = Engine::new(&net, faulty, 109)
@@ -2423,9 +2423,9 @@ mod tests {
         // ever placed and the put must exhaust its retries
         let net = Complete::new(16, 2);
         let item = Point(u64::MAX / 7);
-        let mut liars = Faulty::new(Inline, FaultModel::FalseMessageInjection);
+        let mut liars = ChaosNet::new(Inline, 0);
         for i in 0..16 {
-            liars.fail(NodeId(i));
+            liars.lie(NodeId(i));
         }
         let cover = net.cover(item);
         let from = NodeId((cover.0 + 5) % 16);

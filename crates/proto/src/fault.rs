@@ -5,19 +5,29 @@
 //! never responds) and *false message injection* (a failed server
 //! keeps routing but its payloads are corrupted). Both are properties
 //! of the communication substrate, not of the overlay topology — so
-//! here they are transport wrappers: [`Faulty`] turns any inner
-//! transport into a faulty one, and the same engine-driven protocols
-//! run against it unchanged. (`dh_fault` keeps the §6 *overlapping
-//! discretisation*, which is a genuinely different topology; its
-//! `FaultModel` is this one, re-exported.)
+//! here they are two node sets of the one fault transport,
+//! [`ChaosNet`], which turns any inner transport into a faulty one
+//! while the same engine-driven protocols run against it unchanged:
+//!
+//! * **fail-stop** ([`ChaosNet::fail`] / [`ChaosNet::revive`]) — every
+//!   message **to or from** a failed server is silently lost (a
+//!   crashed server neither sends nor receives); the engine's
+//!   timeout/retry machinery sees exactly what a real peer would see;
+//! * **false message injection** ([`ChaosNet::lie`]) — messages are
+//!   delivered on schedule but anything *sent by* a liar arrives with
+//!   the `corrupt` flag set: routing survives, payload integrity does
+//!   not, which is what majority filtering defends against.
+//!
+//! (`dh_fault` keeps the §6 *overlapping discretisation*, which is a
+//! genuinely different topology; its [`FaultModel`] is this module's,
+//! re-exported.)
 //!
 //! Deployed overlays, though, mostly die of failures the paper's
 //! binary model cannot express: slow-but-alive peers, flapping
 //! processes, asymmetric partitions, congestion loss. [`ChaosNet`]
-//! extends the vocabulary with exactly those shapes — every one a
-//! deterministic function of the chaos seed and the (epoch-extended)
-//! clock, so a chaos campaign fingerprints as reproducibly as a
-//! healthy run:
+//! carries exactly those shapes too — every one a deterministic
+//! function of the chaos seed and the (epoch-extended) clock, so a
+//! chaos campaign fingerprints as reproducibly as a healthy run:
 //!
 //! * **partitions** ([`Partition`]) — a node-set bisection with a
 //!   [`CutDirection`] (two-way, or asymmetric one-way cuts) active on
@@ -43,7 +53,9 @@ use crate::wire::Envelope;
 use cd_core::rng::splitmix64;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Which failure model is active.
+/// Which §6 failure model a faulty substrate applies to its failed
+/// servers (`dh_fault::OverlapNet` carries one; on [`ChaosNet`] the
+/// two are the `failed` and `liars` sets).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FaultModel {
     /// Failed servers do not respond at all.
@@ -51,70 +63,6 @@ pub enum FaultModel {
     /// Failed servers respond with corrupted payloads but follow the
     /// routing protocol otherwise (§6's false message injection).
     FalseMessageInjection,
-}
-
-/// Wraps a transport with a set of failed servers and a
-/// [`FaultModel`].
-///
-/// * Under [`FaultModel::FailStop`], every message **to or from** a
-///   failed server is silently lost (a crashed server neither sends
-///   nor receives); the engine's timeout/retry machinery sees exactly
-///   what a real peer would see.
-/// * Under [`FaultModel::FalseMessageInjection`], messages are
-///   delivered on schedule but anything *sent by* a failed server
-///   arrives with the `corrupt` flag set — routing survives, payload
-///   integrity does not, which is what majority filtering defends
-///   against.
-pub struct Faulty<T> {
-    inner: T,
-    /// The active failure semantics.
-    pub model: FaultModel,
-    /// The failed servers.
-    pub failed: BTreeSet<NodeId>,
-}
-
-impl<T: Transport> Faulty<T> {
-    /// Wrap `inner` with no failures yet.
-    pub fn new(inner: T, model: FaultModel) -> Self {
-        Faulty { inner, model, failed: BTreeSet::new() }
-    }
-
-    /// Mark a server failed.
-    pub fn fail(&mut self, id: NodeId) {
-        self.failed.insert(id);
-    }
-
-    /// Revive a server.
-    pub fn revive(&mut self, id: NodeId) {
-        self.failed.remove(&id);
-    }
-
-    /// Is `id` currently failed?
-    pub fn is_failed(&self, id: NodeId) -> bool {
-        self.failed.contains(&id)
-    }
-}
-
-impl<T: Transport> Transport for Faulty<T> {
-    fn plan(&mut self, now: u64, env: &Envelope, out: &mut Vec<Delivery>) {
-        match self.model {
-            FaultModel::FailStop => {
-                if self.failed.contains(&env.src) || self.failed.contains(&env.dst) {
-                    return; // dropped on the floor
-                }
-                self.inner.plan(now, env, out);
-            }
-            FaultModel::FalseMessageInjection => {
-                let start = out.len();
-                self.inner.plan(now, env, out);
-                if self.failed.contains(&env.src) {
-                    for d in out.iter_mut().skip(start) {
-                        d.corrupt = true;
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Which directions a [`Partition`] severs. Side *A* is the
@@ -201,8 +149,9 @@ pub struct LossBurst {
     pub permille: u64,
 }
 
-/// Deterministic grey-failure injection around any inner transport.
-/// See the module docs for the fault taxonomy. Drop decisions happen
+/// The one fault transport: the §6 failure sets and deterministic
+/// grey-failure injection around any inner transport. See the module
+/// docs for the fault taxonomy. Drop decisions happen
 /// *before* the inner transport is consulted, so a chaos-dropped send
 /// consumes no inner-transport randomness — healing a partition
 /// leaves the surviving links' schedule untouched.
@@ -222,6 +171,11 @@ pub struct ChaosNet<T> {
     pub flaps: BTreeMap<NodeId, FlapSchedule>,
     /// Scheduled loss bursts.
     pub bursts: Vec<LossBurst>,
+    /// §6 fail-stopped servers: they neither send nor receive.
+    pub failed: BTreeSet<NodeId>,
+    /// §6 false-message injectors: they route on schedule, but every
+    /// delivery they *send* arrives `corrupt`.
+    pub liars: BTreeSet<NodeId>,
 }
 
 impl<T: Transport> ChaosNet<T> {
@@ -237,6 +191,8 @@ impl<T: Transport> ChaosNet<T> {
             grey: BTreeMap::new(),
             flaps: BTreeMap::new(),
             bursts: Vec::new(),
+            failed: BTreeSet::new(),
+            liars: BTreeSet::new(),
         }
     }
 
@@ -341,6 +297,21 @@ impl<T: Transport> ChaosNet<T> {
         self.bursts.push(LossBurst { from, until, permille: permille.min(1000) });
     }
 
+    /// Fail-stop a server until [`Self::revive`].
+    pub fn fail(&mut self, node: NodeId) {
+        self.failed.insert(node);
+    }
+
+    /// Revive a fail-stopped server.
+    pub fn revive(&mut self, node: NodeId) {
+        self.failed.remove(&node);
+    }
+
+    /// Make a server a false-message injector.
+    pub fn lie(&mut self, node: NodeId) {
+        self.liars.insert(node);
+    }
+
     /// Is `node` flap-down at effective time `t`?
     pub fn is_down(&self, node: NodeId, t: u64) -> bool {
         match self.flaps.get(&node) {
@@ -355,8 +326,10 @@ impl<T: Transport> Transport for ChaosNet<T> {
         let t = self.epoch.saturating_add(now);
         let sn = self.sends;
         self.sends = self.sends.wrapping_add(1);
-        // 1. flapping: a down endpoint neither sends nor receives
-        if self.is_down(env.src, t) || self.is_down(env.dst, t) {
+        // 1. fail-stop and flapping: a down endpoint neither sends nor
+        // receives
+        let down = |n: NodeId| self.failed.contains(&n) || self.is_down(n, t);
+        if down(env.src) || down(env.dst) {
             return;
         }
         // 2. partitions
@@ -377,6 +350,12 @@ impl<T: Transport> Transport for ChaosNet<T> {
             for d in out.iter_mut().skip(start) {
                 let lat = d.at.saturating_sub(now).max(1);
                 d.at = now.saturating_add(lat.saturating_mul(g));
+            }
+        }
+        // 5. false message injection: a liar's payloads arrive corrupted
+        if self.liars.contains(&env.src) {
+            for d in out.iter_mut().skip(start) {
+                d.corrupt = true;
             }
         }
     }
@@ -400,7 +379,7 @@ mod tests {
 
     #[test]
     fn fail_stop_drops_both_directions() {
-        let mut t = Faulty::new(Inline, FaultModel::FailStop);
+        let mut t = ChaosNet::new(Inline, 0);
         t.fail(NodeId(5));
         let mut out = Vec::new();
         t.plan(0, &env(5, 1), &mut out);
@@ -415,8 +394,8 @@ mod tests {
 
     #[test]
     fn injection_delivers_but_corrupts() {
-        let mut t = Faulty::new(Inline, FaultModel::FalseMessageInjection);
-        t.fail(NodeId(3));
+        let mut t = ChaosNet::new(Inline, 0);
+        t.lie(NodeId(3));
         let mut out = Vec::new();
         t.plan(0, &env(3, 1), &mut out);
         assert_eq!(out.len(), 1);
@@ -564,5 +543,35 @@ mod tests {
             all
         };
         assert_eq!(chaos, reference);
+    }
+
+    #[test]
+    fn empty_section6_sets_plan_exactly_as_the_parent_did() {
+        // 1 000 seeded sends through every chaos shape over a lossy,
+        // duplicating Sim, folded delivery by delivery. The pin was
+        // captured at the parent of the PR that gave ChaosNet its
+        // `failed`/`liars` sets: while both are empty not one send may
+        // move, be dropped, or arrive corrupt.
+        let nodes: Vec<NodeId> = (0..40).map(NodeId).collect();
+        let inner = Sim::new(0xC4A0).with_latency(3, 20, 5).with_drop(0.1).with_dup(0.1);
+        let mut t = ChaosNet::new(inner, 0xC4A0);
+        t.bisect(&nodes, CutDirection::AToB, 300, 500);
+        t.grey_fraction(&nodes, 200, 6);
+        t.flap_fraction(&nodes, 150, 90, 25);
+        t.loss_burst(600, 800, 400);
+        let mut rng = cd_core::rng::seeded(0xC4A0);
+        let mut fold = 0xcbf2_9ce4_8422_2325u64;
+        let mut out = Vec::new();
+        for i in 0..1_000u64 {
+            use rand::Rng;
+            t.set_epoch(i / 250 * 40);
+            out.clear();
+            t.plan(i, &env(rng.gen_range(0..40), rng.gen_range(0..40)), &mut out);
+            fold = splitmix64(fold ^ out.len() as u64);
+            for d in &out {
+                fold = splitmix64(fold ^ d.at ^ (u64::from(d.corrupt) << 63));
+            }
+        }
+        assert_eq!(fold, 0xd1d4_7b34_fd52_536c, "no failed server, no liar, yet a send moved");
     }
 }

@@ -17,12 +17,12 @@
 //!   [`transport::Sim`] models per-link latency, loss, duplication and
 //!   reordering, [`transport::Recorder`]/[`transport::Replay`] capture
 //!   and replay delivery traces for debugging, and
-//!   [`fault::Faulty`] turns the §6 failure models (fail-stop, false
-//!   message injection) into transport behaviors;
-//!   [`fault::ChaosNet`] extends the vocabulary to grey failures —
-//!   partitions (incl. asymmetric one-way cuts) with heal events,
-//!   per-node service-latency multipliers, scheduled flapping and
-//!   loss bursts, all deterministic functions of the chaos seed;
+//!   [`fault::ChaosNet`] is the one fault transport: the §6 failure
+//!   models (fail-stop, false message injection) as two node sets,
+//!   plus the grey failures — partitions (incl. asymmetric one-way
+//!   cuts) with heal events, per-node service-latency multipliers,
+//!   scheduled flapping and loss bursts, all deterministic functions
+//!   of the chaos seed;
 //! * [`health::NetHealth`] — per-destination Jacobson RTT estimators
 //!   plus an accrual suspicion failure detector, shared across engine
 //!   runs via [`engine::Engine::with_health`]; the opt-in
@@ -63,7 +63,7 @@ pub mod transport;
 pub mod wire;
 
 pub use engine::{Engine, EngineStats, NoShares, OpOutcome, Path, RetryPolicy, ShareView, Topology};
-pub use fault::{ChaosNet, CutDirection, FaultModel, Faulty, FlapSchedule, LossBurst, Partition};
+pub use fault::{ChaosNet, CutDirection, FaultModel, FlapSchedule, LossBurst, Partition};
 pub use health::{NetHealth, RttEstimate};
 pub use node::NodeId;
 pub use transport::{Delivery, Inline, Recorder, Replay, Sim, Trace, Transport};

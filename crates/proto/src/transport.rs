@@ -12,7 +12,7 @@
 //! | [`Sim`] | per-link latency + per-message jitter, seeded drops and duplication (jitter ⇒ reordering) |
 //! | [`Recorder`] | wraps any transport, records every decision into a [`Trace`] |
 //! | [`Replay`] | replays a recorded [`Trace`] decision-for-decision |
-//! | [`crate::fault::Faulty`] | wraps any transport with the §6 failure models |
+//! | [`crate::fault::ChaosNet`] | wraps any transport with the §6 failure models and grey failures |
 
 use crate::node::NodeId;
 use crate::wire::Envelope;

@@ -19,7 +19,7 @@
 //!   and completes at `k` acks (write quorum). **Reads** route
 //!   `GetShares` and complete when the first `k` of `m`
 //!   [`dh_proto::Wire::ShareReply`]s arrive — over [`Inline`], lossy
-//!   [`dh_proto::Sim`] and fail-stop [`dh_proto::Faulty`] transports
+//!   [`dh_proto::Sim`] and fail-stop [`dh_proto::ChaosNet`] transports
 //!   alike, with every message priced. The per-op state machines live
 //!   in the engine (`dh_proto::engine`), so replicated storage
 //!   inherits timeout/retry, stamps and determinism from the same
@@ -690,7 +690,7 @@ mod tests {
     use cd_core::rng::seeded;
     use dh_dht::network::DhNetwork;
     use dh_proto::transport::Sim;
-    use dh_proto::{FaultModel, Faulty};
+    use dh_proto::ChaosNet;
 
     fn store(n: usize, m: u8, k: u8, seed: u64) -> (ReplicatedDht, rand::rngs::StdRng) {
         let mut rng = seeded(seed);
@@ -776,7 +776,7 @@ mod tests {
             for b in (a + 1)..5 {
                 let dead = [clique[a], clique[b]];
                 let mk = |_: usize| {
-                    let mut f = Faulty::new(Inline, FaultModel::FailStop);
+                    let mut f = ChaosNet::new(Inline, 0);
                     f.fail(dead[0]);
                     f.fail(dead[1]);
                     f
@@ -828,9 +828,9 @@ mod tests {
     fn false_message_injection_cannot_fake_writes() {
         let (mut dht, mut rng) = store(96, 5, 3, 0xA7);
         let from = dht.net.random_node(&mut rng);
-        let mut liars = Faulty::new(Inline, FaultModel::FalseMessageInjection);
+        let mut liars = ChaosNet::new(Inline, 0);
         for &id in dht.net.live() {
-            liars.fail(id);
+            liars.lie(id);
         }
         let retry = RetryPolicy::aggressive();
         let (out, placed) =
@@ -863,7 +863,7 @@ mod tests {
         // fail-stop all covers but the first two: the overwrite can
         // place at most 2 < k shares and must fail its write quorum
         let clique = dht.clique(3);
-        let mut faulty = Faulty::new(Inline, FaultModel::FailStop);
+        let mut faulty = ChaosNet::new(Inline, 0);
         for &c in &clique[2..] {
             faulty.fail(c);
         }

@@ -12,7 +12,7 @@ use cd_core::Point;
 use dh_dht::CdNetwork;
 use dh_proto::engine::RetryPolicy;
 use dh_proto::transport::{Inline, Recorder, Sim};
-use dh_proto::{FaultModel, Faulty};
+use dh_proto::ChaosNet;
 use dh_replica::{ReplicatedDht, Shelves};
 use dh_store::{FileShelves, MemShelves, ScratchPath};
 use rand::Rng;
@@ -63,7 +63,7 @@ fn durability_after_churn_on<G: ContinuousGraph, S: Shelves>(graph: G, seed: u64
         for rot in 0..3usize {
             let dead: Vec<_> = (0..3).map(|i| clique[(rot * 2 + i) % 6]).collect();
             let mk = |_: usize| {
-                let mut f = Faulty::new(Inline, FaultModel::FailStop);
+                let mut f = ChaosNet::new(Inline, 0);
                 for &d in &dead {
                     f.fail(d);
                 }

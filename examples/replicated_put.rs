@@ -13,7 +13,7 @@ use continuous_discrete::core::Point;
 use continuous_discrete::dht::DhNetwork;
 use continuous_discrete::proto::engine::RetryPolicy;
 use continuous_discrete::proto::transport::Inline;
-use continuous_discrete::proto::{FaultModel, Faulty};
+use continuous_discrete::proto::ChaosNet;
 use continuous_discrete::replica::ReplicatedDht;
 use bytes::Bytes;
 use rand::Rng;
@@ -38,7 +38,7 @@ fn main() {
     // disaster: any m − k covers fail-stop — the primary included
     let dead: Vec<_> = clique.iter().take((m - k) as usize).copied().collect();
     let make_faulty = |_: usize| {
-        let mut f = Faulty::new(Inline, FaultModel::FailStop);
+        let mut f = ChaosNet::new(Inline, 0);
         for &d in &dead {
             f.fail(d);
         }

@@ -1,603 +1,10 @@
-//! Offline shim for the subset of `rayon` this workspace uses — now
-//! backed by a **real chunked scoped-thread pool** instead of the
-//! former sequential fallback.
-//!
-//! The execution model is deliberately narrow so that parallel results
-//! are *bit-identical to sequential results, independent of thread
-//! count*:
-//!
-//! * every parallel iterator here is **indexed**: a known length plus a
-//!   pure per-index producer (`&self`-only closures, `Fn + Sync`);
-//! * the driver ([`pool::run_indexed`]) splits `0..len` into
-//!   fixed-size chunks, hands chunks to scoped worker threads
-//!   ([`std::thread::scope`]) through an atomic chunk cursor, and
-//!   **merges the chunk outputs back in index order** — which thread
-//!   computed which chunk can vary run to run, but the output vector
-//!   cannot;
-//! * per-index randomness at the call sites comes from
-//!   `sub_rng(seed, index)` sub-seeding, so the random choices are a
-//!   pure function of the index, never of the interleaving.
-//!
-//! The thread count comes from [`pool::set_num_threads`] (a process
-//! override, used by the `--threads` bench flags), else the
-//! `CD_THREADS` environment variable, else
-//! [`std::thread::available_parallelism`]. Call sites keep rayon's
-//! shape (`par_iter().map(..).collect()`), so swapping the real rayon
-//! back in is a manifest change only.
+//! What is left of the `rayon` shim: one no-op. The workspace runs on
+//! one thread (DESIGN.md Non-goals, "No thread pool") and no crate in
+//! it depends on this package. It exists only because
+//! `benchmark/src/main.rs` calls `rayon::set_num_threads(1)` through
+//! `benchmark/Cargo.toml`'s path dependency, and `benchmark/` was
+//! read-only to the PR that deleted the pool. ROADMAP item 0(c): drop
+//! `rayon` from `benchmark/`, then delete `shims/rayon`.
 
-#![deny(unsafe_code)]
-
-pub mod chk;
-
-pub mod pool {
-    //! The chunked scoped-thread pool driving every parallel iterator.
-    //!
-    //! Compiled with `--cfg dh_check`, the pool's cursor atomic and
-    //! scoped threads come from [`crate::chk`] instead of `std`, so
-    //! the `dh_check` crate's bounded interleaving explorer can
-    //! model-check the *real* chunk-claim/merge protocol below —
-    //! every tracked operation becomes a schedulable yield point.
-    //! Normal builds use the `std` types directly; the protocol code
-    //! is identical in both.
-
-    mod sync {
-        #[cfg(dh_check)]
-        pub use crate::chk::{scope, AtomicUsize};
-        #[cfg(not(dh_check))]
-        pub use std::sync::atomic::AtomicUsize;
-        #[cfg(not(dh_check))]
-        pub use std::thread::scope;
-        pub use std::sync::atomic::Ordering;
-    }
-
-    use sync::{scope, AtomicUsize, Ordering};
-
-    /// Process-wide thread-count override; 0 means "auto".
-    static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-    /// Below this many items a parallel call runs inline on the caller
-    /// thread — thread spawn latency would dominate real work.
-    const MIN_PAR_LEN: usize = 256;
-
-    /// Override the worker count for subsequent parallel calls
-    /// (`0` restores auto detection). Used by the `--threads` flags of
-    /// the bench binaries and by the determinism test matrix; results
-    /// are the same for every setting, only wall-clock changes.
-    pub fn set_num_threads(n: usize) {
-        THREAD_OVERRIDE.store(n, Ordering::SeqCst);
-    }
-
-    /// The worker count parallel calls will use right now: the
-    /// [`set_num_threads`] override, else `CD_THREADS`, else
-    /// [`std::thread::available_parallelism`].
-    pub fn current_num_threads() -> usize {
-        let forced = THREAD_OVERRIDE.load(Ordering::SeqCst);
-        if forced > 0 {
-            return forced;
-        }
-        if let Some(n) =
-            std::env::var("CD_THREADS").ok().and_then(|v| v.parse::<usize>().ok()).filter(|&n| n > 0)
-        {
-            return n;
-        }
-        std::thread::available_parallelism().map(std::num::NonZero::get).unwrap_or(1)
-    }
-
-    /// The chunk size [`run_indexed`] picks for a job of `len` items on
-    /// `threads` workers: enough chunks per worker that the atomic
-    /// cursor load-balances, big enough to amortize the per-chunk
-    /// bookkeeping.
-    pub fn chunk_size(len: usize, threads: usize) -> usize {
-        (len / (threads.max(1) * 8)).clamp(32, 8192)
-    }
-
-    /// Map `f` over `0..len` in parallel and collect the results **in
-    /// index order**, treating each index as *fine-grained* work: the
-    /// chunk size is picked by [`chunk_size`] and small jobs (a few
-    /// hundred items) run inline, since thread spawn latency would
-    /// dominate. Coarse-grained jobs — where each index is itself a
-    /// block of work, like a shard or a derive chunk — must use
-    /// [`run_indexed_coarse`]/[`run_indexed_on`] instead, or the
-    /// item-count floor would defeat the parallelism.
-    /// `f` must be pure per index (it runs once per index, on an
-    /// unspecified thread).
-    pub fn run_indexed<R: Send>(len: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-        let threads = current_num_threads();
-        if len < MIN_PAR_LEN {
-            return (0..len).map(f).collect();
-        }
-        run_indexed_on(len, chunk_size(len, threads), threads, f)
-    }
-
-    /// Map `f` over `0..len` in parallel where every index is a
-    /// *coarse* unit of work (a shard, a block of thousands of items):
-    /// one index per chunk, parallel whenever `len > 1` and more than
-    /// one worker is available.
-    pub fn run_indexed_coarse<R: Send>(len: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-        run_indexed_on(len, 1, current_num_threads(), f)
-    }
-
-    /// [`run_indexed`] with explicit chunk size and worker count — the
-    /// deterministic core, exposed so tests can pin both parameters.
-    /// Runs inline only when a single worker or a single chunk would
-    /// do all the work anyway.
-    ///
-    /// Chunk `c` covers indices `[c·chunk, min((c+1)·chunk, len))`;
-    /// workers claim chunks through a shared atomic cursor and stash
-    /// `(chunk index, outputs)` pairs, which are merged back in chunk
-    /// order after the scope joins. Every index is visited exactly
-    /// once and the output order equals the sequential order, for any
-    /// worker count.
-    pub fn run_indexed_on<R: Send>(
-        len: usize,
-        chunk: usize,
-        threads: usize,
-        f: impl Fn(usize) -> R + Sync,
-    ) -> Vec<R> {
-        assert!(chunk > 0, "chunk size must be positive");
-        if threads <= 1 || len <= chunk {
-            return (0..len).map(f).collect();
-        }
-        let nchunks = len.div_ceil(chunk);
-        let workers = threads.min(nchunks);
-        let cursor = AtomicUsize::new(0);
-        let f = &f;
-        let mut parts: Vec<(usize, Vec<R>)> = scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut local: Vec<(usize, Vec<R>)> = Vec::new();
-                        loop {
-                            let c = cursor.fetch_add(1, Ordering::Relaxed);
-                            if c >= nchunks {
-                                break;
-                            }
-                            let lo = c * chunk;
-                            let hi = ((c + 1) * chunk).min(len);
-                            local.push((c, (lo..hi).map(f).collect()));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("pool worker panicked"))
-                .collect()
-        });
-        // in-order merge: chunk ids are a permutation of 0..nchunks
-        parts.sort_unstable_by_key(|&(c, _)| c);
-        let mut out = Vec::with_capacity(len);
-        for (_, mut v) in parts {
-            out.append(&mut v);
-        }
-        out
-    }
-
-    /// Run `f` over `0..len` in parallel for its side effects only
-    /// (the map-collect driver with the outputs discarded).
-    pub fn for_each_index(len: usize, f: impl Fn(usize) + Sync) {
-        run_indexed(len, f);
-    }
-}
-
-/// The indexed parallel-iterator surface: adapters compose a pure
-/// per-index producer, and the terminal operations hand it to
-/// [`pool::run_indexed`].
-pub mod iter {
-    use crate::pool;
-
-    /// A parallel iterator: a known length plus a pure per-index
-    /// producer. All adapters preserve both, so terminal operations
-    /// can chunk the index space and merge in order.
-    pub trait ParallelIterator: Sized + Sync {
-        /// The element type.
-        type Item: Send;
-
-        /// Number of items.
-        fn par_len(&self) -> usize;
-
-        /// Produce item `index` (pure: same index ⇒ same item).
-        fn par_get(&self, index: usize) -> Self::Item;
-
-        /// Chunking hint for the pool: `0` means the items are
-        /// fine-grained (auto chunking with the small-job inline
-        /// floor); `k ≥ 1` caps a chunk at `k` items because each item
-        /// is already a coarse block of work. [`ParChunks`] returns 1,
-        /// [`MaxLen`] overrides, adapters delegate.
-        fn par_chunk_hint(&self) -> usize {
-            0
-        }
-
-        /// Map each item through `f` (applied on the worker threads).
-        fn map<R: Send, F: Fn(Self::Item) -> R + Sync>(self, f: F) -> Map<Self, F> {
-            Map { base: self, f }
-        }
-
-        /// Pair each item with its index.
-        fn enumerate(self) -> Enumerate<Self> {
-            Enumerate { base: self }
-        }
-
-        /// Cap parallel chunks at `max` items (rayon's
-        /// `IndexedParallelIterator::with_max_len`). `with_max_len(1)`
-        /// declares every item a coarse unit of work that deserves its
-        /// own chunk — the right call when iterating over shards or
-        /// block indices, where the item count is far below the
-        /// fine-grained inline floor but each item is heavy.
-        fn with_max_len(self, max: usize) -> MaxLen<Self> {
-            assert!(max > 0, "with_max_len needs a positive cap");
-            MaxLen { base: self, max }
-        }
-
-        /// Run `f` on every item, in parallel.
-        fn for_each<F: Fn(Self::Item) + Sync>(self, f: F) {
-            drive(&Map { base: self, f });
-        }
-
-        /// Collect all items **in index order**.
-        fn collect<C: FromParallelIterator<Self::Item>>(self) -> C {
-            C::from_ordered_vec(drive(&self))
-        }
-
-        /// Sum the items, in index order (the reduction runs on the
-        /// caller thread over the in-order outputs, so float sums are
-        /// reproducible too).
-        fn sum<S: std::iter::Sum<Self::Item>>(self) -> S {
-            drive(&self).into_iter().sum()
-        }
-    }
-
-    /// The shared terminal driver: honor the chunk hint, hand to the
-    /// pool, return the in-order outputs.
-    fn drive<I: ParallelIterator>(it: &I) -> Vec<I::Item> {
-        let len = it.par_len();
-        match it.par_chunk_hint() {
-            0 => pool::run_indexed(len, |i| it.par_get(i)),
-            cap => pool::run_indexed_on(len, cap, pool::current_num_threads(), |i| it.par_get(i)),
-        }
-    }
-
-    /// Collection types a parallel iterator can collect into.
-    pub trait FromParallelIterator<T> {
-        /// Build the collection from the items in index order.
-        fn from_ordered_vec(items: Vec<T>) -> Self;
-    }
-
-    impl<T> FromParallelIterator<T> for Vec<T> {
-        fn from_ordered_vec(items: Vec<T>) -> Self {
-            items
-        }
-    }
-
-    /// Parallel iterator over `Range<usize>` (and friends).
-    pub struct ParRange<T> {
-        pub(crate) start: T,
-        pub(crate) len: usize,
-    }
-
-    macro_rules! impl_par_range {
-        ($($t:ty),*) => {$(
-            impl ParallelIterator for ParRange<$t> {
-                type Item = $t;
-                fn par_len(&self) -> usize {
-                    self.len
-                }
-                fn par_get(&self, index: usize) -> $t {
-                    self.start + index as $t
-                }
-            }
-        )*};
-    }
-    impl_par_range!(usize, u32, u64, i32, i64);
-
-    /// Parallel iterator over `&[T]`.
-    pub struct ParSliceIter<'a, T> {
-        pub(crate) slice: &'a [T],
-    }
-
-    impl<'a, T: Sync> ParallelIterator for ParSliceIter<'a, T> {
-        type Item = &'a T;
-        fn par_len(&self) -> usize {
-            self.slice.len()
-        }
-        fn par_get(&self, index: usize) -> &'a T {
-            &self.slice[index]
-        }
-    }
-
-    /// Parallel iterator over the fixed-size chunks of a slice
-    /// (last chunk may be shorter) — the `par_chunks` surface.
-    pub struct ParChunks<'a, T> {
-        pub(crate) slice: &'a [T],
-        pub(crate) size: usize,
-    }
-
-    impl<'a, T: Sync> ParallelIterator for ParChunks<'a, T> {
-        type Item = &'a [T];
-        fn par_len(&self) -> usize {
-            self.slice.len().div_ceil(self.size)
-        }
-        fn par_get(&self, index: usize) -> &'a [T] {
-            let lo = index * self.size;
-            let hi = (lo + self.size).min(self.slice.len());
-            &self.slice[lo..hi]
-        }
-        fn par_chunk_hint(&self) -> usize {
-            // each item is a whole slice chunk — coarse by definition
-            1
-        }
-    }
-
-    /// The `map` adapter.
-    pub struct Map<I, F> {
-        base: I,
-        f: F,
-    }
-
-    impl<I, R, F> ParallelIterator for Map<I, F>
-    where
-        I: ParallelIterator,
-        R: Send,
-        F: Fn(I::Item) -> R + Sync,
-    {
-        type Item = R;
-        fn par_len(&self) -> usize {
-            self.base.par_len()
-        }
-        fn par_get(&self, index: usize) -> R {
-            (self.f)(self.base.par_get(index))
-        }
-        fn par_chunk_hint(&self) -> usize {
-            self.base.par_chunk_hint()
-        }
-    }
-
-    /// The `enumerate` adapter.
-    pub struct Enumerate<I> {
-        base: I,
-    }
-
-    impl<I: ParallelIterator> ParallelIterator for Enumerate<I> {
-        type Item = (usize, I::Item);
-        fn par_len(&self) -> usize {
-            self.base.par_len()
-        }
-        fn par_get(&self, index: usize) -> (usize, I::Item) {
-            (index, self.base.par_get(index))
-        }
-        fn par_chunk_hint(&self) -> usize {
-            self.base.par_chunk_hint()
-        }
-    }
-
-    /// The `with_max_len` adapter: caps the pool's chunk size.
-    pub struct MaxLen<I> {
-        base: I,
-        max: usize,
-    }
-
-    impl<I: ParallelIterator> ParallelIterator for MaxLen<I> {
-        type Item = I::Item;
-        fn par_len(&self) -> usize {
-            self.base.par_len()
-        }
-        fn par_get(&self, index: usize) -> I::Item {
-            self.base.par_get(index)
-        }
-        fn par_chunk_hint(&self) -> usize {
-            match self.base.par_chunk_hint() {
-                0 => self.max,
-                h => h.min(self.max),
-            }
-        }
-    }
-}
-
-pub mod prelude {
-    //! Glob-import surface matching `rayon::prelude::*`.
-
-    use crate::iter::{ParChunks, ParRange, ParSliceIter};
-    pub use crate::iter::{FromParallelIterator, ParallelIterator};
-
-    /// Owning conversion into a parallel iterator
-    /// (`rayon::iter::IntoParallelIterator`, indexed subset: ranges).
-    pub trait IntoParallelIterator {
-        /// The parallel iterator type.
-        type Iter: ParallelIterator<Item = Self::Item>;
-        /// The element type.
-        type Item: Send;
-        /// Iterate in parallel.
-        fn into_par_iter(self) -> Self::Iter;
-    }
-
-    macro_rules! impl_into_par_range {
-        ($($t:ty),*) => {$(
-            impl IntoParallelIterator for std::ops::Range<$t> {
-                type Iter = ParRange<$t>;
-                type Item = $t;
-                fn into_par_iter(self) -> ParRange<$t> {
-                    let len = if self.end > self.start {
-                        (self.end - self.start) as usize
-                    } else {
-                        0
-                    };
-                    ParRange { start: self.start, len }
-                }
-            }
-        )*};
-    }
-    impl_into_par_range!(usize, u32, u64);
-
-    /// Borrowing conversion into a parallel iterator over references
-    /// (`rayon::iter::IntoParallelRefIterator`).
-    pub trait IntoParallelRefIterator<T: Sync> {
-        /// Iterate over references in parallel.
-        fn par_iter(&self) -> ParSliceIter<'_, T>;
-    }
-
-    impl<T: Sync> IntoParallelRefIterator<T> for [T] {
-        fn par_iter(&self) -> ParSliceIter<'_, T> {
-            ParSliceIter { slice: self }
-        }
-    }
-
-    impl<T: Sync> IntoParallelRefIterator<T> for Vec<T> {
-        fn par_iter(&self) -> ParSliceIter<'_, T> {
-            ParSliceIter { slice: self.as_slice() }
-        }
-    }
-
-    /// Chunked parallel views of slices (`rayon::slice::ParallelSlice`).
-    pub trait ParallelSlice<T: Sync> {
-        /// Iterate over `size`-element chunks in parallel (the last
-        /// chunk may be shorter). Panics if `size == 0`.
-        fn par_chunks(&self, size: usize) -> ParChunks<'_, T>;
-    }
-
-    impl<T: Sync> ParallelSlice<T> for [T] {
-        fn par_chunks(&self, size: usize) -> ParChunks<'_, T> {
-            assert!(size > 0, "chunk size must be positive");
-            ParChunks { slice: self, size }
-        }
-    }
-}
-
-pub use pool::{current_num_threads, set_num_threads};
-
-#[cfg(test)]
-mod tests {
-    use super::pool;
-    use super::prelude::*;
-    use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-
-    #[test]
-    fn ranges_map_collect_in_order() {
-        let got: Vec<usize> = (0..10_000usize).into_par_iter().map(|i| i * 7 + 1).collect();
-        let want: Vec<usize> = (0..10_000usize).map(|i| i * 7 + 1).collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn slices_enumerate_and_chunks() {
-        let data: Vec<u64> = (0..5_000u64).map(|i| i * i).collect();
-        let got: Vec<(usize, u64)> = data.par_iter().enumerate().map(|(i, &v)| (i, v + 1)).collect();
-        for (i, (gi, gv)) in got.iter().enumerate() {
-            assert_eq!(*gi, i);
-            assert_eq!(*gv, data[i] + 1);
-        }
-        let sums: Vec<u64> =
-            data.par_chunks(333).map(|chunk| chunk.iter().sum::<u64>()).collect();
-        assert_eq!(sums.len(), data.len().div_ceil(333));
-        assert_eq!(sums.iter().sum::<u64>(), data.iter().sum::<u64>());
-    }
-
-    #[test]
-    fn for_each_touches_every_index_once() {
-        let hits: Vec<AtomicU32> = (0..3_000).map(|_| AtomicU32::new(0)).collect();
-        (0..hits.len()).into_par_iter().for_each(|i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn results_are_thread_count_independent() {
-        let run = |threads: usize| -> Vec<u64> {
-            pool::run_indexed_on(2_001, 64, threads, |i| (i as u64).wrapping_mul(0x9E37_79B9))
-        };
-        let seq = run(1);
-        for threads in [2, 3, 8] {
-            assert_eq!(run(threads), seq, "thread count {threads} changed the output");
-        }
-    }
-
-    #[test]
-    fn sum_matches_sequential() {
-        let s: u64 = (0..10_000u64).into_par_iter().map(|i| i * 3).sum();
-        assert_eq!(s, (0..10_000u64).map(|i| i * 3).sum());
-    }
-
-    #[test]
-    fn coarse_jobs_fan_out_even_when_tiny() {
-        // A handful of coarse items (shards, derive blocks) must not
-        // fall through to the sequential inline path: with chunk = 1
-        // and blocking work per item, more than one worker thread has
-        // to participate.
-        use std::collections::HashSet;
-        use std::sync::Mutex;
-        let seen: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
-        let out = pool::run_indexed_on(6, 1, 4, |i| {
-            seen.lock().unwrap().insert(std::thread::current().id());
-            std::thread::sleep(std::time::Duration::from_millis(3));
-            i * 2
-        });
-        assert_eq!(out, vec![0, 2, 4, 6, 8, 10]);
-        assert!(
-            seen.lock().unwrap().len() > 1,
-            "coarse chunks must be claimed by more than one worker"
-        );
-        // the iterator surface reaches the same path via with_max_len
-        let seen2: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
-        pool::set_num_threads(4);
-        let got: Vec<usize> = (0..6usize)
-            .into_par_iter()
-            .with_max_len(1)
-            .map(|i| {
-                seen2.lock().unwrap().insert(std::thread::current().id());
-                std::thread::sleep(std::time::Duration::from_millis(3));
-                i + 1
-            })
-            .collect();
-        pool::set_num_threads(0);
-        assert_eq!(got, vec![1, 2, 3, 4, 5, 6]);
-        assert!(seen2.lock().unwrap().len() > 1, "with_max_len(1) must reach the pool");
-    }
-
-    #[test]
-    fn par_chunks_are_coarse_by_default() {
-        let data = [0u8; 100];
-        assert_eq!(crate::prelude::ParallelSlice::par_chunks(&data[..], 10).par_chunk_hint(), 1);
-        assert_eq!(
-            crate::prelude::ParallelSlice::par_chunks(&data[..], 10).enumerate().par_chunk_hint(),
-            1
-        );
-        assert_eq!((0..100usize).into_par_iter().par_chunk_hint(), 0, "ranges stay fine-grained");
-        assert_eq!((0..100usize).into_par_iter().with_max_len(7).par_chunk_hint(), 7);
-    }
-
-    #[test]
-    fn override_is_read_back() {
-        // other tests run concurrently and results are thread-count
-        // independent by design, so poking the override is safe
-        pool::set_num_threads(3);
-        assert_eq!(pool::current_num_threads(), 3);
-        pool::set_num_threads(0);
-        assert!(pool::current_num_threads() >= 1);
-    }
-
-    mod prop {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #[test]
-            fn chunking_visits_every_index_exactly_once_in_order(
-                len in 0usize..700,
-                chunk in 1usize..97,
-                threads in 1usize..9,
-            ) {
-                let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
-                let out = pool::run_indexed_on(len, chunk, threads, |i| {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                    i
-                });
-                // in-order merge: output equals the identity sequence
-                prop_assert_eq!(out, (0..len).collect::<Vec<_>>());
-                for (i, h) in hits.iter().enumerate() {
-                    prop_assert_eq!(h.load(Ordering::Relaxed), 1, "index {} visited ≠ once", i);
-                }
-            }
-        }
-    }
-}
+/// No-op: there is no pool left to size.
+pub fn set_num_threads(_: usize) {}

@@ -129,7 +129,7 @@ fn lookup_kinds_agree_on_destination() {
 
 #[test]
 fn parallel_driver_matches_sequential_destinations() {
-    // the rayon driver must produce the same deterministic result set
+    // the batch driver must produce the same deterministic result set
     let net = DhNetwork::new(&PointSet::evenly_spaced(64));
     let a = random_lookups(&net, LookupKind::DistanceHalving, 500, 31);
     let b = random_lookups(&net, LookupKind::DistanceHalving, 500, 31);
