@@ -19,7 +19,6 @@
 //!   even under deletions (where the pure join algorithms fail).
 
 #![deny(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod bucket;
 pub mod churn;

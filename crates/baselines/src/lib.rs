@@ -22,7 +22,6 @@
 //! maximum constant (given smoothness).
 
 #![deny(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod can;
 pub mod chord;

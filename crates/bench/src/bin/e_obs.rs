@@ -1,17 +1,15 @@
-//! E-obs: the flight recorder priced and proved on the open-loop
-//! SLO scenario.
+//! E-obs: the flight recorder priced and put to work on the SLO
+//! scenario.
 //!
-//! Runs the scenario `e_slo` scores ([`cd_bench::slo`] — one function
-//! drives both, so the wire fingerprint equals `e_slo`'s pinned value
-//! for the same `n items ops`) with the `dh_obs` deterministic flight
-//! recorder and metrics registry attached, and answers three questions
-//! the SLO numbers alone can't:
+//! Runs [`cd_bench::slo`]'s scenario at its pinned shape with the
+//! `dh_obs` deterministic flight recorder and metrics registry
+//! attached, and reports three things nothing else does:
 //!
 //! * **Explain every op** — each foreground request runs under its
 //!   own op context; the recorder's bounded ring reconstructs the
-//!   causal chain (`explain(op)`) of the worst-p999 get of the chaos
-//!   pass: which timers fired, which hedges launched, which suspects
-//!   were blamed, how many bytes it burned.
+//!   causal chain (`explain(op)`) of the chaos pass's p999 get, ranked
+//!   by engine ticks: which timers fired, which hedges launched, which
+//!   suspects were blamed, how many bytes it burned.
 //! * **Price every subsystem** — engine stats export per plane
 //!   (label 0 = client ops, label 1 = repair), per-node delivery
 //!   loads accumulate under `load/deliver`, checked against the
@@ -21,20 +19,15 @@
 //!   recorded event is asserted ≤ [`BUDGET_NS_PER_EVENT`] (the
 //!   percentage of op time rides along, ungated).
 //!
-//! The recorder is itself fingerprintable: its protocol-plane event
-//! fold is pinned in CI on both backends (the
-//! storage plane — WAL appends, fsyncs, compactions, recovery scans —
-//! is recorded and counted but excluded from the fold, which is what
-//! makes one pinned value cover `mem` and `file`).
+//! The recorder's own fold, and the wire fold with it attached, are
+//! pinned in `cd_bench::pins`, not here.
 //!
 //! ```sh
-//! cargo run --release --bin e_obs                       # n = 10k
-//! cargo run --release --bin e_obs -- 2000 400 800 [expect-wire-fp] [expect-rec-fp] \
-//!     [--backend mem|file] [--chaos]
+//! cargo run --release --bin e_obs [-- --backend mem|file] [--chaos]
 //! ```
 
 use cd_bench::slo::{self, Run, K, M};
-use cd_bench::{parse_backend_file, parse_flag, section, MASTER_SEED};
+use cd_bench::{parse_backend_file, parse_flag, section};
 use cd_core::stats::Table;
 use dh_obs::Obs;
 
@@ -93,28 +86,19 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let file_backend = parse_backend_file(&mut args);
     let chaos = parse_flag(&mut args, "--chaos");
-    let mut args = args.into_iter();
-    let n: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(10_000);
-    let items: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(2_000);
-    let ops: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(4_000);
-    let expect_wire_fp: Option<u64> =
-        args.next().and_then(|a| u64::from_str_radix(a.trim_start_matches("0x"), 16).ok());
-    let expect_rec_fp: Option<u64> =
-        args.next().and_then(|a| u64::from_str_radix(a.trim_start_matches("0x"), 16).ok());
+    let (n, items, ops) = slo::SHAPE;
     let backend = if file_backend { "file" } else { "mem" };
-    let shape = (n, items, ops);
-    let seed = MASTER_SEED ^ 0x510; // e_slo's seed: same schedule, same wire fp
 
     println!(
-        "# E-obs — flight recorder + metrics plane on the open-loop scenario \
+        "# E-obs — flight recorder + metrics plane on the SLO scenario \
          (n = {n}, items = {items}, ops = {ops}, m = {M}, k = {K}, backend = {backend})"
     );
 
     // fresh shelves per pass; the file backend additionally threads
     // the recorder into the WAL so storage-plane events land too
-    let pass = |grey: bool, obs: Obs| slo::run(shape, seed, file_backend, grey, obs);
+    let pass = |grey: bool, obs: Obs| slo::pinned(file_backend, grey, obs);
 
-    section("recorded healthy pass (twin-run determinism witness)");
+    section("recorder overhead (identical scenario, recorder on and off)");
     // Recorded and bare passes interleave so thermal drift hits both
     // sides of the overhead comparison evenly. Wall-clock noise on a
     // shared host has two shapes, and each defeats a different
@@ -134,7 +118,7 @@ fn main() {
     };
     let pct = |on: u64, off: u64| (on as f64 - off as f64) / off.max(1) as f64 * 100.0;
     // the gated unit: added inline ns per recorded event (every pass
-    // records the same events — the fold assert below proves it)
+    // records the same events)
     let per_event =
         |on: u64, off: u64, events: u64| (on as f64 - off as f64) / events.max(1) as f64;
     let mut on_passes: Vec<Run> = Vec::new();
@@ -170,43 +154,10 @@ fn main() {
         }
     }
     let out = &on_passes[0];
-    let off = &off_passes[0];
-    let rec_fp = out.obs.fingerprint();
-    for p in &on_passes {
-        assert_eq!(
-            out.wire_fp, p.wire_fp,
-            "same seed must reproduce the identical wire trace with the recorder on"
-        );
-        assert_eq!(
-            rec_fp,
-            p.obs.fingerprint(),
-            "same seed must reproduce the identical recorder event fold"
-        );
-    }
-    println!("wire fingerprint (must equal e_slo's pin): {:#018x}", out.wire_fp);
-    println!(
-        "recorder fingerprint: {rec_fp:#018x} over {} events ({} evicted)",
-        out.obs.recorded(),
-        out.obs.overflow()
-    );
-    if let Some(want) = expect_wire_fp {
-        assert_eq!(
-            out.wire_fp, want,
-            "wire fingerprint with the recorder ON diverged from e_slo's pin — \
-             observability perturbed the protocol"
-        );
-        println!("wire fingerprint matches e_slo's pinned value");
-    }
-    if let Some(want) = expect_rec_fp {
-        assert_eq!(rec_fp, want, "recorder fingerprint changed — the event vocabulary moved");
-        println!("recorder fingerprint matches the pinned value");
-    }
-
-    section("recorder overhead (identical scenario, recorder off)");
-    assert_eq!(off.wire_fp, out.wire_fp, "the off pass must replay the same schedule");
     let overhead_pct = floor_pct.min(pass_pct);
     let overhead_ns = floor_ns.min(pass_ns);
     let events = out.obs.recorded();
+    println!("{events} events recorded per pass ({} evicted from the ring)", out.obs.overflow());
     // The instrument's resolution: score the bare passes against
     // themselves. Two disjoint halves of the off side run identical
     // code, so any "overhead" between them is pure host noise — the
@@ -233,7 +184,7 @@ fn main() {
     if file_backend {
         // the WAL's physical fsyncs dominate (and jitter) the file
         // backend's inline path; the per-event budget is defined and
-        // gated on the e_slo mem scenario, the file number is printed
+        // gated on the mem backend, the file number is printed
         println!("(budget gate applies to the mem backend; file number printed, not gated)");
     } else {
         assert!(
@@ -283,13 +234,12 @@ fn main() {
     );
 
     if chaos {
-        section("chaos pass: explain the worst-p999 get");
+        section("chaos pass: explain the p999 get");
         let dg = pass(true, Obs::recording(RING_CAP));
-        let mut by_latency: Vec<(u64, u64)> =
-            dg.get.iter().copied().zip(dg.get_ops.iter().copied()).collect();
-        by_latency.sort_unstable();
-        let idx = ((by_latency.len() - 1) as f64 * 0.999).round() as usize;
-        let (worst_ns, worst_op) = by_latency[idx];
+        let mut by_ticks = dg.gets.clone();
+        by_ticks.sort_unstable_by_key(|&(op, ticks)| (ticks, op));
+        let idx = ((by_ticks.len() - 1) as f64 * 0.999).round() as usize;
+        let (worst_op, worst_ticks) = by_ticks[idx];
         let ex = dg.obs.explain(worst_op).expect("recording");
         // well-formedness: the chain is non-empty, every event belongs
         // to the op, and a completed quorum get gathered ≥ k shares
@@ -307,10 +257,7 @@ fn main() {
             K - 1,
             ex.acks()
         );
-        println!(
-            "worst-p999 get: op {worst_op} at {:.1} µs queue latency — its causal chain:",
-            worst_ns as f64 / 1e3
-        );
+        println!("p999 get: op {worst_op} at {worst_ticks} engine ticks — its causal chain:");
         print!("{ex}");
         if !ex.suspects_blamed().is_empty() {
             println!("suspects blamed: {:?}", ex.suspects_blamed());

@@ -41,10 +41,10 @@ fn main() {
     };
     // reject unsupported kinds before the (expensive) build: this
     // harness drives the Distance Halving instance, which has no
-    // greedy routing (the cross-topology sweep is e_table1)
+    // greedy routing (the cross-topology sweep is the e_table1 pin)
     assert!(
         !kinds.contains(&LookupKind::Greedy),
-        "e_scale drives the DH instance; `greedy` runs under e_table1"
+        "e_scale drives the DH instance; `greedy` runs under the e_table1 pin"
     );
     let mut rng = seeded(seed);
 

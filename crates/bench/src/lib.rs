@@ -1,14 +1,17 @@
-//! The experiment harness: what the bins under `src/bin/` share.
+//! The experiment harness.
 //!
 //! [`paper`] is the oracle — every bound the paper states, measured
-//! and asserted (`e_paper`). [`slo`] is the open-loop storage scenario
-//! `e_slo` scores and `e_obs` records. The other bins (`e_msgs`,
-//! `e_table1`, `e_repl`, `e_chaos`, `e_scale`) each drive one pinned
-//! scenario and print a table; `figures` renders. None of them writes
-//! a file: the perf ledger is `benchmark/`.
+//! and asserted (`e_paper`, `tests/paper.rs`). [`pins`] is the safety
+//! net — one table of seeded scenarios whose recorded event traces
+//! must fold to the pinned values (`tests/pins.rs`); [`slo`] and
+//! [`chaos`] are the two storage scenarios behind its rows that a bin
+//! also reports on (`e_obs`: the recorder's cost and an op's
+//! `explain` chain; `e_chaos`: the grey-failure matrix in virtual
+//! ticks). `e_scale` validates and times the million-server build;
+//! `figures` renders. None of them writes a file, and the only
+//! wall-clock ledger is `benchmark/`.
 
 #![deny(missing_docs)]
-#![deny(unsafe_code)]
 
 use cd_core::pointset::PointSet;
 use cd_core::rng::seeded;
@@ -57,5 +60,7 @@ pub fn parse_flag(args: &mut Vec<String>, flag: &str) -> bool {
     true
 }
 
+pub mod chaos;
 pub mod paper;
+pub mod pins;
 pub mod slo;

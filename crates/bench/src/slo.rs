@@ -1,16 +1,11 @@
-//! The open-loop SLO scenario `e_slo` scores and `e_obs` records, with
-//! the latency arithmetic and the mem/file dispatch the storage bins
-//! share.
+//! The storage scenario behind two pin rows ([`crate::pins`]: `e_slo`
+//! with the recorder off, `e_obs` with it on) and the `e_obs` report,
+//! plus the mem/file dispatch the storage scenarios share
+//! ([`crate::with_shelves!`]).
 //!
-//! The closed-loop harnesses (`e_repl`) measure *service time*: each
-//! op starts when the previous one finishes, so a 500µs repair stall
-//! costs exactly one op 500µs. Real clients are **open-loop**: they
-//! arrive on their own clock, and a stall queues everyone behind it —
-//! tail latency compounds. [`run`] models that:
+//! One seeded stream over a `ReplicatedDht` on a latency-modelled
+//! `Sim`:
 //!
-//! * **arrivals** on a fixed-rate clock with periodic bursts (every
-//!   [`BURST_EVERY`]-th slot, [`BURST`] requests land on the same
-//!   instant),
 //! * **Zipf popularity** (s = 1) over the key space — the head keys
 //!   absorb most of the traffic, as in any real cache/store trace,
 //! * a **70/30 get/put mix** driven through the full wire engine
@@ -20,19 +15,15 @@
 //!   foreground op a server joins or leaves; the repair plan's wire
 //!   frames queue in the replica outbox and at most [`PACE`] of them
 //!   are pumped after each foreground op (`pump_repair`), spreading the
-//!   repair tax across the arrival stream instead of stalling one op.
+//!   repair tax across the stream instead of stalling one op.
 //!
-//! Latency is scored on a single-server queue: `completion =
-//! max(arrival, prev_completion) + service`, `latency = completion −
-//! arrival`, with measured wall-clock service times (churn/repair work
-//! occupies the same server, so its cost delays whoever queues behind
-//! it).
-//!
-//! The op/churn/repair *schedule* is a pure function of the seed —
-//! wall-clock only enters the latency arithmetic, and the recorder
-//! handle draws nothing — so the wire fingerprint is the same with
-//! [`Obs::off`] and a recording handle, on either backend, and CI pins
-//! one value for `e_slo` and `e_obs` alike.
+//! The stream is a pure function of the seed, and the recorder handle
+//! draws nothing, so the wire fingerprint is the same with
+//! [`Obs::off`] and a recording handle, on either backend. What an op
+//! cost is reported in engine ticks ([`Run::gets`]); the arrival clock,
+//! the queue and every wall-clock latency of this scenario live in
+//! `benchmark/`'s `churn_slo` workload. The one clock read here times
+//! the client call for `e_obs`'s ns/event gate and feeds nothing back.
 
 use bytes::Bytes;
 use cd_core::pointset::PointSet;
@@ -51,12 +42,6 @@ use std::time::Instant;
 pub const M: u8 = 8;
 /// Shares that reconstruct it.
 pub const K: u8 = 4;
-/// Open-loop arrival interval (modeled ns between requests).
-pub const INTERVAL_NS: u64 = 60_000;
-/// Every `BURST_EVERY`-th arrival slot opens a burst…
-pub const BURST_EVERY: usize = 101;
-/// …of this many same-instant arrivals.
-pub const BURST: usize = 8;
 /// One churn event (alternating leave/join) per this many requests.
 pub const CHURN_EVERY: usize = 150;
 /// Repair frames pumped after each foreground request.
@@ -88,63 +73,20 @@ fn value_of(key: u64, gen: u32) -> Bytes {
     Bytes::from(format!("slo-item-{key:08}-gen{gen:04}-{:016x}", key.wrapping_mul(0x9E37)))
 }
 
-/// `q`-quantile of an unsorted sample (sorts it).
-pub fn percentile(lat: &mut [u64], q: f64) -> f64 {
-    if lat.is_empty() {
-        return 0.0;
-    }
-    lat.sort_unstable();
-    let idx = ((lat.len() - 1) as f64 * q).round() as usize;
-    lat[idx] as f64
-}
-
-/// Mean, median and tail of one latency sample.
-pub struct Percentiles {
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Median.
-    pub p50: f64,
-    /// 99th percentile.
-    pub p99: f64,
-    /// 99.9th percentile.
-    pub p999: f64,
-    /// Sample size.
-    pub count: usize,
-}
-
-/// Summarize an unsorted latency sample (sorts it).
-pub fn summarize(lat: &mut [u64]) -> Percentiles {
-    let count = lat.len();
-    let mean = lat.iter().sum::<u64>() as f64 / count.max(1) as f64;
-    Percentiles {
-        mean,
-        p50: percentile(lat, 0.50),
-        p99: percentile(lat, 0.99),
-        p999: percentile(lat, 0.999),
-        count,
-    }
-}
-
 /// What one pass of the scenario measured.
 pub struct Run {
-    /// Queue latency of every put, ns.
-    pub put: Vec<u64>,
-    /// Queue latency of every get, ns.
-    pub get: Vec<u64>,
-    /// The op id (= stream index) of every get, parallel to `get`, so
-    /// the tail is explainable from the recorder.
-    pub get_ops: Vec<u64>,
-    /// Service time of the inline (client) path per foreground op — the
-    /// put/get call only, excluding the paced repair pump.
+    /// `(op id, engine ticks to completion)` of every get, in stream
+    /// order. The op id is the stream index, so the tail is
+    /// explainable from the recorder.
+    pub gets: Vec<(u64, u64)>,
+    /// Wall-clock service time of the client call (put or get only,
+    /// not the repair pump) per foreground op — what `e_obs` prices
+    /// the recorder against.
     pub inline_ns: Vec<u64>,
     /// Repair traffic of the whole stream.
     pub repair: RepairReport,
     /// Churn events executed.
     pub churn_events: usize,
-    /// Peak repair backlog, frames.
-    pub backlog_peak: usize,
-    /// Throughput over the modeled makespan.
-    pub ops_per_s: f64,
     /// The transport-trace fingerprint (the pinned one).
     pub wire_fp: u64,
     /// The recorder handle the pass ran under.
@@ -189,19 +131,14 @@ fn scenario<S: Shelves, T: Transport>(
         cum.push(total);
     }
 
-    let (mut put, mut get, mut get_ops) = (Vec::new(), Vec::new(), Vec::new());
+    let mut gets = Vec::with_capacity(ops);
     let mut inline_ns = Vec::with_capacity(ops);
     let mut repair = RepairReport::default();
-    let (mut churn_events, mut backlog_peak) = (0usize, 0usize);
-    let mut arrival = 0u64; // modeled request clock
-    let mut server = 0u64; // modeled completion clock
+    let mut churn_events = 0usize;
     for i in 0..ops {
-        // churn rides the same server: its service time delays
-        // whoever queues behind it, but only the *plan* cost lands
-        // here — the wire frames drain PACE-at-a-time below
+        // only the *plan* of a churn event runs here — its wire frames
+        // drain PACE-at-a-time below
         if i % CHURN_EVERY == CHURN_EVERY - 1 {
-            // detlint: allow(nondet-source): service time feeds the queue model only, never the schedule
-            let t0 = Instant::now();
             if churn_events.is_multiple_of(2) {
                 let victim = dht.net.random_node(&mut rng);
                 let (_, report) = dht.leave_over(victim, &mut rec, subseed(seed ^ 0xC4, i as u64));
@@ -218,8 +155,6 @@ fn scenario<S: Shelves, T: Transport>(
                 repair.merge(&report);
             }
             churn_events += 1;
-            backlog_peak = backlog_peak.max(dht.repair_backlog());
-            server = server.max(arrival) + t0.elapsed().as_nanos() as u64;
         }
 
         // Zipf-popular key, 70/30 get/put
@@ -228,7 +163,7 @@ fn scenario<S: Shelves, T: Transport>(
         let from = dht.net.random_node(&mut rng);
         let is_put = rng.gen_range(0..10u32) < 3;
         obs.begin_op(i as u64);
-        // detlint: allow(nondet-source): service time feeds the queue model only, never the schedule
+        // detlint: allow(nondet-source): times the client call for e_obs's ns/event gate, never read back
         let t0 = Instant::now();
         if is_put {
             gens[key] += 1;
@@ -242,34 +177,22 @@ fn scenario<S: Shelves, T: Transport>(
             );
             assert!(out.ok, "lossless put must commit");
         } else {
-            let (_, value) =
+            let (out, value) =
                 dht.get_over(from, key as u64, &mut rec, subseed(seed ^ 0xF1, i as u64), retry);
             assert_eq!(
                 value,
                 Some(value_of(key as u64, gens[key])),
                 "get of key {key} must serve the last committed write, even mid-repair"
             );
+            gets.push((i as u64, out.completed_at.expect("a served get completed")));
         }
         inline_ns.push(t0.elapsed().as_nanos() as u64);
         // the paced repair tax: at most PACE frames interleave here,
-        // as background work that still occupies the modeled server
+        // as background work
         obs.begin_op(BACKGROUND);
         let (m, b) = dht.pump_repair(&mut rec, subseed(seed ^ 0xF2, i as u64));
         repair.msgs += m;
         repair.bytes += b;
-        server = server.max(arrival) + t0.elapsed().as_nanos() as u64;
-        if is_put {
-            put.push(server - arrival);
-        } else {
-            get.push(server - arrival);
-            get_ops.push(i as u64);
-        }
-
-        // fixed-rate arrivals with periodic same-instant bursts: in a
-        // burst slot the next request already arrived
-        if i % BURST_EVERY < BURST_EVERY - BURST {
-            arrival += INTERVAL_NS;
-        }
     }
     // drain what churn still owes, then prove nothing was lost
     let (m, b) = dht.flush_repair(&mut rec, seed ^ 0xF3);
@@ -285,16 +208,11 @@ fn scenario<S: Shelves, T: Transport>(
     // gauges per node)
     dht.health().export(&obs);
 
-    let makespan = server.max(arrival);
     Run {
-        put,
-        get,
-        get_ops,
+        gets,
         inline_ns,
         repair,
         churn_events,
-        backlog_peak,
-        ops_per_s: ops as f64 / (makespan as f64 / 1e9).max(1e-12),
         wire_fp: rec.trace.fingerprint(),
         obs,
     }
@@ -323,4 +241,13 @@ pub fn run(
     } else {
         scenario(shape, seed, shelves, RetryPolicy::patient(), obs, |_| Recorder::new(sim()))
     })
+}
+
+/// The one shape the table pins and `e_obs` reports on: servers,
+/// items, foreground ops.
+pub const SHAPE: (usize, usize, usize) = (2_000, 400, 800);
+
+/// [`run`] at the pinned [`SHAPE`] and seed.
+pub fn pinned(file_backend: bool, grey: bool, obs: Obs) -> Run {
+    run(SHAPE, crate::MASTER_SEED ^ 0x510, file_backend, grey, obs)
 }

@@ -27,7 +27,6 @@
 //! Theorem 3.8 (multi-hotspot cache size O(log n), supplies O(log² n)).
 
 #![deny(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod protocol;
 pub mod tree;

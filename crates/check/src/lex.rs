@@ -1,6 +1,6 @@
 //! A minimal Rust lexer for detlint.
 //!
-//! No registry access means no `syn`; the rules D1–D5 only need a
+//! No registry access means no `syn`; the rules only need a
 //! token stream that is *sound about what is code*: string/char/byte
 //! literals, lifetimes, and comments must never be mistaken for
 //! identifiers (a `"HashMap"` in a test fixture or a `// HashMap`
@@ -23,7 +23,7 @@ pub enum Tok {
     /// deliberately dropped: rules must never match inside literals.
     Literal,
     /// `// …` comment text (doc comments included). Kept because
-    /// pragmas and `SAFETY:` markers live here.
+    /// pragmas live here.
     LineComment(String),
 }
 

@@ -29,7 +29,7 @@ fn main() -> ExitCode {
             "detlint — determinism lints for this workspace\n\n\
              usage: cargo run -p dh_check [-- --root <dir>]\n\n\
              rules: D1 hash-order, D2 nondet-source, D3 unwrap/indexing,\n\
-             D4 safety-comment, D5 relaxed-ordering (allowlist).\n\
+             D5 relaxed-ordering (allowlist).\n\
              Escape hatch: // detlint: allow(<rule>): <justification>\n\
              Full catalog: DESIGN.md §11."
         );

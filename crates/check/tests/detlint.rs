@@ -120,16 +120,6 @@ fn attributes_and_slices_of_literals_are_not_indexing() {
     assert_eq!(rules_of("crates/store/src/wal.rs", src), Vec::<String>::new());
 }
 
-// ---------------------------------------------------------------- D4
-
-#[test]
-fn unsafe_without_safety_comment_is_flagged() {
-    let dirty = "fn f(p: *const u8) -> u8 { unsafe { *p } }\n";
-    assert_eq!(rules_of("crates/core/src/x.rs", dirty), vec!["safety-comment".to_string()]);
-    let clean = "fn f(p: *const u8) -> u8 {\n    // SAFETY: caller guarantees p is valid\n    unsafe { *p }\n}\n";
-    assert_eq!(rules_of("crates/core/src/x.rs", clean), Vec::<String>::new());
-}
-
 // ---------------------------------------------------------------- D5
 
 #[test]

@@ -20,7 +20,6 @@
 //! wrapping arc may consist of **two** arcs — [`Pieces`] holds up to two.
 
 use crate::point::Point;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The full circle length, `2^64`, as a `u128`.
@@ -28,7 +27,7 @@ pub const FULL: u128 = 1u128 << 64;
 
 /// A half-open arc `[start, start + len)` on the circle, possibly
 /// wrapping through `0`. `len == FULL` denotes the whole circle.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Interval {
     start: Point,
     /// `len − 1`: offset of the last grid point of the arc from `start`.

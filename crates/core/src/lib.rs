@@ -29,7 +29,6 @@
 //! `cd-expander`, …).
 
 #![deny(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod graph;
 pub mod hashing;

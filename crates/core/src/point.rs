@@ -13,11 +13,10 @@
 //! *exactly* in the binary case and up to one unit in the last place
 //! (2⁻⁶⁴) for non-power-of-two ∆.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A point on the continuous circle `I = [0,1)`, stored as `bits / 2^64`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Point(pub u64);
 
 /// The top bit, i.e. the fixed-point representation of `1/2`.

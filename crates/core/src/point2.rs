@@ -16,11 +16,10 @@
 //! invertible.
 
 use crate::point::Point;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A point on the unit torus, exact fixed-point coordinates.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Point2 {
     /// Horizontal coordinate.
     pub x: Point,

@@ -37,7 +37,6 @@
 //! edge-derivation lemmas into runtime-checked invariants.
 
 #![deny(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod analysis;
 pub mod driver;

@@ -27,7 +27,6 @@
 //! and torus graphs over the point sets of the balance crate.
 
 #![deny(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod emulate;
 pub mod families;

@@ -25,7 +25,6 @@
 //!   with the stored generation's `(k, m)` (used by `dh_replica`).
 
 #![deny(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod gf256;
 pub mod header;

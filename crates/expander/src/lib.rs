@@ -39,7 +39,6 @@
 //!   smoothness ≤ 2 w.h.p., making the expander constant-degree.
 
 #![deny(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod balance2d;
 pub mod gg;

@@ -47,7 +47,6 @@
 //! — and its Simple/Majority lookups.
 
 #![deny(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod net;
 pub mod lookup;

@@ -17,7 +17,6 @@
 //!   Gabber-Galil continuous expander.
 
 #![deny(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod delaunay;
 pub mod polygon;

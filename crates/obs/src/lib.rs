@@ -46,7 +46,6 @@
 //! the five pinned wire fingerprints stay byte-identical with
 //! observability disabled — by construction, not by re-measurement.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use cd_core::rng::splitmix64;
@@ -615,6 +614,13 @@ enum Queued {
 /// Capacity of a deferred [`Queued::Adds`] entry.
 const ADDS_MAX: usize = 12;
 
+/// Hard bound on the deferred-encoding queue: the enqueue that reaches
+/// it drains in place. [`Obs::begin_op`] drains far earlier, so only a
+/// caller that never marks an op boundary and never reads (a store
+/// that churns and repairs with a recorder attached) gets here — and
+/// still holds at most this many entries in front of the ring.
+const QUEUE_CAP: usize = 1024;
+
 /// The flight recorder: a bounded event ring plus the registry, a
 /// monotone sequence counter, a running protocol-plane fingerprint,
 /// and the current op context.
@@ -627,9 +633,10 @@ pub struct Recorder {
     fp: u64,
     ctx: u64,
     last_at: u64,
-    /// Enqueued-but-unencoded events, in arrival order. Drained (in
-    /// order, so the fold and the ring are identical to immediate
-    /// encoding) before any read of event-derived state.
+    /// Enqueued-but-unencoded events, in arrival order, at most
+    /// [`QUEUE_CAP`] entries. Drained (in order, so the fold and the
+    /// ring are identical to immediate encoding) before any read of
+    /// event-derived state.
     queue: std::collections::VecDeque<Queued>,
     /// Recycled batch buffers handed back to flushing engines.
     spare: Vec<Vec<(u64, u32, EventKind)>>,
@@ -672,7 +679,14 @@ impl Recorder {
     /// Enqueue one event (encoded on the next read). `at: None`
     /// defers the timestamp to the storage-plane rule.
     pub fn enqueue(&mut self, at: Option<u64>, attempt: u32, kind: EventKind) {
-        self.queue.push_back(Queued::One { ctx: self.ctx, at, attempt, kind });
+        self.push(Queued::One { ctx: self.ctx, at, attempt, kind });
+    }
+
+    fn push(&mut self, q: Queued) {
+        self.queue.push_back(q);
+        if self.queue.len() >= QUEUE_CAP {
+            self.drain();
+        }
     }
 
     /// Take ownership of a flushing engine's event buffer (leaving an
@@ -683,7 +697,7 @@ impl Recorder {
         // held — the caller's next run fills warm capacity instead of
         // re-growing from zero on its own (timed) path
         let full = std::mem::replace(buf, self.take_spare());
-        self.queue.push_back(Queued::Batch { ctx: self.ctx, buf: full });
+        self.push(Queued::Batch { ctx: self.ctx, buf: full });
     }
 
     /// Hand out a recycled (cache-warm) event buffer for an engine to
@@ -747,7 +761,7 @@ impl Recorder {
         if adds.len() <= ADDS_MAX {
             let mut entries = [("", 0u64, 0u64); ADDS_MAX];
             entries[..adds.len()].copy_from_slice(adds);
-            self.queue.push_back(Queued::Adds { n: adds.len() as u8, entries });
+            self.push(Queued::Adds { n: adds.len() as u8, entries });
         } else {
             for &(name, label, v) in adds {
                 self.registry.add(name, label, v);
@@ -767,7 +781,7 @@ impl Recorder {
             let mut entries = [("", 0u64, 0u64); ADDS_MAX];
             entries[..adds.len()].copy_from_slice(adds);
             entries[adds.len()..adds.len() + observes.len()].copy_from_slice(observes);
-            self.queue.push_back(Queued::Stats {
+            self.push(Queued::Stats {
                 adds: adds.len() as u8,
                 observes: observes.len() as u8,
                 entries,
@@ -1100,6 +1114,32 @@ mod tests {
         assert_eq!(ex.events.len(), 4);
         assert!(ex.truncated);
         assert_eq!(ex.events.last().map(|e| e.at), Some(63));
+    }
+
+    #[test]
+    fn deferred_queue_is_bounded_without_op_boundaries_or_reads() {
+        // nobody calls begin_op and nobody reads: the queue in front of
+        // the ring must still hold under its cap, and deferring must
+        // fold exactly what draining after every call folds
+        let lazy = Obs::recording(64);
+        let eager = Obs::recording(64);
+        let mut peak = 0usize;
+        for i in 0..100_000u32 {
+            for o in [&lazy, &eager] {
+                let at = u64::from(i);
+                o.emit_batch(&mut vec![(at, 0, send(i)), (at + 1, 1, EventKind::Retry)]);
+                o.emit_storage(EventKind::WalAppend { bytes: i });
+                o.add_many(&[("ops", 0, 1), ("bytes", u64::from(i % 7), 8)]);
+            }
+            eager.with(Recorder::drain);
+            peak = peak.max(lazy.with(|r| r.queued()).expect("recording"));
+        }
+        assert!((64..QUEUE_CAP).contains(&peak), "queue peaked at {peak}");
+        assert_eq!(lazy.fingerprint(), eager.fingerprint());
+        assert_eq!(lazy.recorded(), 300_000);
+        assert_eq!(lazy.snapshot().counter_series("bytes"), eager.snapshot().counter_series("bytes"));
+        let (l, e) = (lazy.explain(BACKGROUND), eager.explain(BACKGROUND));
+        assert_eq!(l.expect("recording").events, e.expect("recording").events);
     }
 
     #[test]

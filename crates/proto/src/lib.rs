@@ -40,7 +40,7 @@
 //!
 //! `dh_dht` implements [`engine::Topology`] for its `DhNetwork` and
 //! re-exports [`NodeId`]; higher layers (`storage::Dht`, caching,
-//! fault experiments, the `e_msgs` harness) drive their operations
+//! fault experiments, the `cd_bench` scenarios) drive their operations
 //! through the engine and inherit latency/loss/accounting for free.
 //!
 //! # Determinism
@@ -53,7 +53,6 @@
 //! vendored `rand` is integer-only and stream-stable).
 
 #![deny(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod engine;
 pub mod fault;

@@ -5,11 +5,10 @@
 //! on any particular discretisation. `dh_dht` re-exports it, so
 //! `dh_dht::NodeId` remains the same type.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A stable handle to a live server (slab index).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct NodeId(pub u32);
 
 impl fmt::Display for NodeId {

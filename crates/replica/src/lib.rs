@@ -41,7 +41,6 @@
 //! placements. Every op runs on its own engine on the caller's thread.
 
 #![deny(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod repair;
 

@@ -42,7 +42,6 @@
 //! with identical traces and fingerprints.
 
 #![deny(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod crash;
 pub mod file;

@@ -4,12 +4,6 @@
 //! [`Bytes::slice`] is zero-copy exactly like upstream — the WAL shelf
 //! store (`dh_store`) leans on this to hand out share payloads as
 //! views into the single recovered file buffer.
-//!
-//! `forbid` rather than `deny`: no inner `#[allow]` can ever
-//! reintroduce unsafe here, so detlint's D4 (`// SAFETY:` on every
-//! unsafe block) holds vacuously and permanently for this shim.
-
-#![forbid(unsafe_code)]
 
 use std::fmt;
 use std::ops::{Bound, Deref, RangeBounds};

@@ -10,8 +10,6 @@
 //! message. Determinism makes failures reproducible without persistence
 //! files.
 
-#![deny(unsafe_code)]
-
 use std::ops::{Range, RangeFrom, RangeInclusive};
 
 /// Failure channel of a single test case.

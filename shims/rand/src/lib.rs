@@ -7,8 +7,6 @@
 //! the repository's seeded experiments; the stream differs from
 //! upstream `rand`, which no test relies on.
 
-#![deny(unsafe_code)]
-
 /// Low-level generator interface: a source of uniform `u64`s.
 pub trait RngCore {
     /// The next 64 uniformly random bits.
