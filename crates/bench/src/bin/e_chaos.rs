@@ -12,8 +12,12 @@
 //! adaptive timeouts, a suspicion-driven failure detector and hedged
 //! quorum reads, the store routes around grey nodes instead of paying
 //! their ×8 latency — hedged p99 must undercut the fixed-timeout p99
-//! by ≥ 2× while availability stays ≥ 99.9%. The campaign's
-//! fingerprint is pinned in `cd_bench::pins`, not here.
+//! by ≥ 2× while availability stays ≥ 99.9%. Both policies read by
+//! the same path — fetch `k` shares, back a silent cover up on a timer
+//! — so the fixed rows must stay as available and within `2(m − k)`
+//! messages of the hedged ones: a read that went back to fetching all
+//! `m` fails the report. The campaign's fingerprint is pinned in
+//! `cd_bench::pins`, not here.
 //!
 //! ```sh
 //! cargo run --release --bin e_chaos [-- --backend mem|file]
@@ -25,6 +29,10 @@ use cd_bench::chaos::{
 use cd_bench::slo::{GREY_MULT, GREY_PERMILLE, K, M};
 use cd_bench::{parse_backend_file, section};
 use cd_core::stats::Table;
+
+fn msgs_per_op(cell: &Cell) -> f64 {
+    cell.msgs as f64 / cell.lat.len().max(1) as f64
+}
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -56,7 +64,7 @@ fn main() {
             format!("{:.0}", percentile(&mut lat, 0.50)),
             format!("{:.0}", percentile(&mut lat, 0.99)),
             format!("{:.0}", percentile(&mut lat, 0.999)),
-            format!("{:.1}", cell.msgs as f64 / reads),
+            format!("{:.1}", msgs_per_op(cell)),
             format!("{}", cell.hedged),
             format!("{}", cell.shed),
             format!("{:.2}", cell.attempts as f64 / reads),
@@ -83,8 +91,20 @@ fn main() {
         grey_hedged.availability()
     );
     assert!(
-        (cell("healthy_fixed").availability() - 1.0).abs() < f64::EPSILON,
+        grey_fixed.availability() >= 0.999,
+        "without hedging the backup timer alone must keep grey reads available, got {:.4}",
+        grey_fixed.availability()
+    );
+    let (healthy_fixed, healthy_hedged) = (cell("healthy_fixed"), cell("healthy_hedged"));
+    assert!(
+        (healthy_fixed.availability() - 1.0).abs() < f64::EPSILON,
         "healthy availability must be 1.0"
+    );
+    assert!(
+        msgs_per_op(healthy_fixed) <= msgs_per_op(healthy_hedged) + 2.0 * f64::from(M - K),
+        "a healthy read fetches k shares under either policy: fixed {:.1} vs hedged {:.1} msgs/op",
+        msgs_per_op(healthy_fixed),
+        msgs_per_op(healthy_hedged)
     );
 
     println!(

@@ -1,6 +1,7 @@
-//! The conformance table: every bound of the paper (E1–E23, A1, A2 and
-//! Table 1), measured and checked — see [`cd_bench::paper`] for the
-//! claims, the experiments and the constant policy.
+//! The conformance table: every bound of the paper (E1–E23, A1, A2, the
+//! §6.2 floors R1–R3 and Table 1), measured and checked — see
+//! [`cd_bench::paper`] for the claims, the experiments and the constant
+//! policy.
 //!
 //! ```sh
 //! cargo run --release --bin e_paper            # all of it, ~10 s

@@ -23,7 +23,9 @@
 //! is fixed where it is wrong, or the bound is re-derived and the
 //! derivation goes in the claim text and the crate's docs.
 
+use crate::slo::{K, M};
 use crate::{random_points, MASTER_SEED, SIZES};
+use bytes::Bytes;
 use cd_core::hashing::KWiseHash;
 use cd_core::interval::FULL;
 use cd_core::point::Point;
@@ -44,6 +46,9 @@ use dh_dht::driver::{
 };
 use dh_dht::{DhNetwork, LookupKind, NodeId};
 use dh_fault::{FaultModel, OverlapNet, OverlapNodeId};
+use dh_proto::engine::RetryPolicy;
+use dh_proto::transport::Inline;
+use dh_replica::ReplicatedDht;
 use p2p_baselines::can::Can;
 use p2p_baselines::chord::Chord;
 use p2p_baselines::kleinberg::SmallWorld;
@@ -76,8 +81,8 @@ impl Cmp {
 /// One bound of the paper.
 #[derive(Debug)]
 pub struct Claim {
-    /// Experiment id (`E1`…`E23`, `A1`, `A2`, `T1`) plus a letter when
-    /// one theorem states several bounds.
+    /// Experiment id (`E1`…`E23`, `A1`, `A2`, `R1`…`R3`, `T1`) plus a
+    /// letter when one theorem states several bounds.
     pub id: &'static str,
     /// The theorem and the quantity it bounds.
     pub text: &'static str,
@@ -299,6 +304,9 @@ claims! {
     E21B Le "Thm 6.6 in its regime (that bound ≤ 1 %): wrong lookups of 200" => "0";
     E21C Le "Thm 6.6: mean messages of a Majority Lookup are O(log³ n)" => "1.5·log₂³ n";
     E21D Le "Thm 6.6: mean parallel time" => "log₂ n + 4";
+    R1   Le "§6.2 (any k of m reconstruct): clique messages of a quorum get on a healthy store, total − route hops: a fetch and a reply per share beyond the coordinator's own" => "2(k − 1)";
+    R2   Le "§6.2: clique messages of a put: a store and an ack per cover beyond the coordinator" => "2(m − 1)";
+    R3   Le "§6.2: wire bytes of a quorum get of a len = 16 KiB value: only k − 1 shares of len/k travel; the two implementation terms are ≤ 80 B around each (fetch 30 + reply header 35 + seal 8 + padding) and ≤ 64 B per LookupStep of a route no longer than Thm 2.8's" => "(k − 1)(len/k + 80) + 64·(2 log₂ n + 3)";
     E22A Le "Thm 7.1: max guests per host g; the paper's ρ + 1 is the case 2^k = n" => "ρ·2^k/n + 1";
     E22B Le "Thm 7.1: max guest edges per host edge; the paper's ρ² counts ρ guests per host where the mapping gives g" => "g²";
     E22C Le "Thm 7.1: max host degree, likewise" => "g·d";
@@ -704,6 +712,37 @@ fn fault(t: &mut Table, p: &Params) {
     }
 }
 
+/// The floors of one replicated op at (m, k) = (8, 4), over `Inline`
+/// (one message per hop, so `msgs − hops` is the clique's share).
+fn quorum(t: &mut Table, p: &Params) {
+    const VALUE_LEN: usize = 16 << 10;
+    const ITEMS: u64 = 64;
+    let (m, k) = (f64::from(M), f64::from(K));
+    for &n in p.sizes {
+        let mut rng = seeded(MASTER_SEED ^ 0x62 ^ n as u64);
+        let mut dht = ReplicatedDht::new(DhNetwork::new(&random_points(n, 24)), M, K, &mut rng);
+        let (mut put_scatter, mut get_scatter, mut get_bytes) = (0u64, 0u64, 0u64);
+        for key in 0..ITEMS {
+            let value = Bytes::from(vec![key as u8; VALUE_LEN]);
+            let from = dht.net.random_node(&mut rng);
+            let (out, _) = dht.put_over(from, key, value, Inline, rng.gen(), RetryPolicy::patient());
+            put_scatter += out.msgs - out.path.hops() as u64;
+        }
+        for key in 0..ITEMS {
+            let from = dht.net.random_node(&mut rng);
+            let (out, value) = dht.get_over(from, key, Inline, rng.gen(), RetryPolicy::patient());
+            assert_eq!(value.map(|v| v.len()), Some(VALUE_LEN), "a healthy store reads back");
+            get_scatter += out.msgs - out.path.hops() as u64;
+            get_bytes += out.bytes;
+        }
+        let per_op = |total: u64| total as f64 / ITEMS as f64;
+        t.push(&R1, at_n(n), per_op(get_scatter), 2.0 * (k - 1.0));
+        t.push(&R2, at_n(n), per_op(put_scatter), 2.0 * (m - 1.0));
+        let floor = (k - 1.0) * (VALUE_LEN as f64 / k + 80.0);
+        t.push(&R3, at_n(n), per_op(get_bytes), floor + 64.0 * (2.0 * lg(n) + 3.0));
+    }
+}
+
 fn emulation(t: &mut Table, p: &Params) {
     let hosts = 1000 * p.n / 4096;
     for (label, points) in [
@@ -801,7 +840,7 @@ fn table1(t: &mut Table, p: &Params) {
 type Experiment = fn(&mut Table, &Params);
 
 /// Every experiment with the ids of the claims it pushes.
-const EXPERIMENTS: [(&str, Experiment); 15] = [
+const EXPERIMENTS: [(&str, Experiment); 16] = [
     ("E1 E2 A2", degree),
     ("E3", debruijn),
     ("E4 E6", lookup),
@@ -814,6 +853,7 @@ const EXPERIMENTS: [(&str, Experiment); 15] = [
     ("E16", churn),
     ("E17 E18", expander),
     ("E19 E20 E21", fault),
+    ("R1 R2 R3", quorum),
     ("E22", emulation),
     ("E23", join),
     ("T1", table1),

@@ -23,6 +23,19 @@
 //! Duplicated or reordered deliveries and retransmissions from
 //! abandoned attempts are recognised by their stamps and ignored.
 //!
+//! # The quorum read
+//!
+//! §6.2 stores an item as `m` shares of which any `k` reconstruct, so
+//! a `GetShares` scatter fetches `k`, not `m`: the coordinator's own
+//! share (a free local step) plus the next `k − 1` covers in contact
+//! order. A *not-found* reply that leaves the read short fetches the
+//! shortfall from the next covers at once; a reply that is merely late
+//! or lost is covered by a backup `FetchShare` (wave-stamped) after a
+//! hedge delay, so a lost reply costs one extra fetch, not an
+//! end-to-end restart. The read completes at `k` found shares, or once
+//! every cover has answered (a definitive miss). There is no other
+//! read path, under any [`RetryPolicy`].
+//!
 //! # Grey-failure tolerance
 //!
 //! A fixed timeout cannot distinguish "dead" from "slow". Attaching a
@@ -36,14 +49,15 @@
 //!   exponential backoff across attempts and deterministic per-attempt
 //!   jitter drawn from `sub_rng(seed, op, attempt)` — traces stay
 //!   fingerprintable;
-//! * **`hedge`** — quorum reads contact the `k` least-suspect covers
-//!   first and launch backup `FetchShare`s (wave-stamped) after an
-//!   adaptive hedge delay instead of waiting for the full round
-//!   timeout; ops whose target clique is majority-suspected fail fast
-//!   ([`EngineStats::shed`]) instead of burning the retry budget.
+//! * **`hedge`** — everything that needs the detector's verdicts: a
+//!   quorum read contacts the least-suspect covers first and hands
+//!   coordination off a suspect coordinator, DH walks are pre-planned
+//!   around suspects, and ops whose target clique is majority-suspected
+//!   fail fast ([`EngineStats::shed`]) instead of burning the retry
+//!   budget.
 //!
-//! With no health attached (or both flags off) the engine behaves —
-//! and fingerprints — exactly as before.
+//! With both flags off the estimators set one thing only: the hedge
+//! delay of a quorum read's backup timer.
 
 use crate::health::NetHealth;
 use crate::node::NodeId;
@@ -174,10 +188,10 @@ pub struct RetryPolicy {
     /// exponential backoff, deterministic per-attempt jitter). No-op
     /// unless a health tracker is attached.
     pub adaptive: bool,
-    /// Hedge quorum reads (suspicion-ordered staged fan-out with
-    /// backup fetches after an adaptive hedge delay) and shed ops
-    /// whose target clique is majority-suspected. No-op unless a
-    /// health tracker is attached.
+    /// Consult the failure detector's verdicts: suspicion-ordered
+    /// quorum reads with coordinator handoff, pre-planned DH walks,
+    /// and shedding of ops whose target clique is majority-suspected.
+    /// No-op unless a health tracker is attached.
     pub hedge: bool,
 }
 
@@ -208,8 +222,8 @@ impl RetryPolicy {
         self
     }
 
-    /// Enable hedged quorum reads + load shedding. Hedging needs the
-    /// RTT estimators anyway, so this implies [`Self::adaptive`].
+    /// Enable the detector-driven behaviors of the `hedge` field; they
+    /// need the RTT estimators, so this implies [`Self::adaptive`].
     pub const fn hedged(mut self) -> Self {
         self.hedge = true;
         self.adaptive = true;
@@ -237,7 +251,9 @@ pub struct EngineStats {
     /// Extra arrivals beyond the first (duplication).
     pub duplicated: u64,
     /// Deliveries ignored because their `(attempt, step)` stamp was
-    /// stale (old attempt, duplicate, or reordered-behind).
+    /// stale (old attempt, duplicate, reordered-behind, or an ack past
+    /// the write quorum). A healthy quorum read leaves none: it fetches
+    /// only the `k` shares it uses.
     pub stale: u64,
     /// Op restarts triggered by progress timeouts.
     pub retries: u64,
@@ -245,7 +261,8 @@ pub struct EngineStats {
     pub completed: u64,
     /// Ops abandoned after `max_attempts`.
     pub failed: u64,
-    /// Backup fetches launched by hedged quorum reads.
+    /// Backup fetches quorum reads launched on the hedge timer, past
+    /// a late or lost reply (top-ups on *not-found* are not counted).
     pub hedged: u64,
     /// Ops fast-failed because their target clique was
     /// majority-suspected (counted in `failed` too).
@@ -354,15 +371,28 @@ struct ReplicaState {
     replied: Vec<u8>,
     /// Indices found on the current attempt, in arrival order.
     gathered: Vec<u8>,
-    /// Contact order (share indices) of the current attempt: identity
-    /// for plain scatters, suspicion-sorted (coordinator first) when
-    /// hedging.
+    /// Contact order (share indices) of the current attempt: the
+    /// coordinator first, then index order (suspicion-sorted when
+    /// hedging).
     contact_order: Vec<u8>,
-    /// Entries of `contact_order` contacted so far — hedged reads
-    /// contact lazily, everything else contacts all upfront.
+    /// Entries of `contact_order` contacted so far — reads contact
+    /// lazily, puts contact all upfront.
     contacted: usize,
     /// Hedge wave counter stamped into backup `FetchShare`s.
     wave: u8,
+}
+
+impl ReplicaState {
+    /// The contacted covers other than `cur` whose share index is not
+    /// among `answered` — whom a fired timer blames.
+    fn silent(&self, answered: &[u8], cur: NodeId) -> Vec<NodeId> {
+        let contacted = self.contact_order.iter().take(self.contacted);
+        contacted
+            .filter(|idx| !answered.contains(idx))
+            .filter_map(|&idx| self.holders.get(idx as usize).copied())
+            .filter(|&n| n != cur)
+            .collect()
+    }
 }
 
 struct Op {
@@ -412,7 +442,7 @@ enum EventKind {
     Start { op: OpId },
     Deliver { env: Envelope },
     Timer { op: OpId, attempt: u32, step: u32 },
-    /// Hedge checkpoint of a staged quorum read: if the read is still
+    /// Backup checkpoint of a quorum read: if the read is still
     /// short, blame the silent covers and contact the next one.
     Hedge { op: OpId, attempt: u32 },
 }
@@ -581,10 +611,10 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
     }
 
     /// Attach a failure detector / RTT tracker that outlives this
-    /// engine run. Observation is unconditional (and trace-neutral:
-    /// it never changes what the engine schedules); the adaptive and
-    /// hedge behaviors additionally require the corresponding
-    /// [`RetryPolicy`] flags.
+    /// engine run. Observation is unconditional, and a quorum read
+    /// takes its hedge delay from the observed population RTT; the
+    /// adaptive and hedge behaviors additionally require the
+    /// corresponding [`RetryPolicy`] flags.
     pub fn with_health(mut self, health: &'g mut NetHealth) -> Self {
         self.health = Some(health);
         self
@@ -1298,7 +1328,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         self.backed_off(base, id, attempt)
     }
 
-    /// How long a staged quorum read waits before its next hedge.
+    /// How long a quorum read waits before its next backup fetch.
     fn hedge_delay_now(&self) -> u64 {
         match self.health.as_deref() {
             Some(h) => h.hedge_delay(self.retry.timeout),
@@ -1365,10 +1395,11 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
     /// Enter the §6.2 clique protocol: the node the route landed on
     /// becomes the coordinator, enumerates the item's cover clique
     /// over the ring (every member is one hop away — the clique
-    /// property), and fans one `StoreShare`/`FetchShare` out per
-    /// cover; its own share is a free local step. One progress timer
-    /// covers the whole round: if the quorum is not reached in time,
-    /// the op restarts end to end like any other routed op.
+    /// property), and fans out one `StoreShare` per cover, or one
+    /// `FetchShare` to each of the first `k − 1` (see the module docs);
+    /// its own share is a free local step. One progress timer covers
+    /// the whole round: if the quorum is not reached in time, the op
+    /// restarts end to end like any other routed op.
     fn begin_scatter<V: ShareView>(&mut self, id: OpId, view: &V) {
         let op = &self.ops[id as usize];
         let cur = op.cur;
@@ -1448,25 +1479,22 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
                 }
             }
         }
-        // contact order: identity normally (bit-identical to the
-        // pre-health fan-out); suspicion-sorted with the coordinator's
-        // free local share first when hedging
-        let reorder = self.retry.hedge && self.health.is_some();
+        // contact order: the coordinator's own share first (a free
+        // local step), then share-index order — least-suspect first
+        // when the policy consults the detector
         let mut order: Vec<u8> = (0..holders.len() as u8).collect();
-        if reorder {
+        if self.retry.hedge {
             if let Some(h) = self.health.as_deref() {
                 order.sort_by_key(|&i| (h.suspicion(holders[i as usize]), i));
             }
-            if let Some(pos) = order.iter().position(|&i| holders[i as usize] == cur) {
-                let own = order.remove(pos);
-                order.insert(0, own);
-            }
         }
-        // staged fan-out: a hedged read contacts only a quorum's worth
-        // of covers upfront; hedge timers and not-found replies extend
+        if let Some(pos) = order.iter().position(|&i| holders[i as usize] == cur) {
+            order[..=pos].rotate_right(1);
+        }
+        // a put places every share; a read fetches only a quorum's
+        // worth — not-found replies and the backup timer extend it
         let need = (k as usize).min(holders.len()).max(1);
-        let staged = reorder && !put;
-        let contact = if staged { need } else { holders.len() };
+        let contact = if put { holders.len() } else { need };
         self.note(
             self.clock,
             self.ops[id as usize].attempt,
@@ -1526,15 +1554,17 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
             EventKind::Timer { op: id, attempt, step },
             Lane::Timer,
         );
-        if staged && contact < holders.len() {
+        if contact < holders.len() {
             let delay = self.hedge_delay_now();
             self.push_event(self.clock + delay, EventKind::Hedge { op: id, attempt }, Lane::Timer);
         }
+        // at k = 1 a coordinator lacking its share has nothing in flight
+        self.extend_contact_if_stalled(id);
         self.check_quorum(id);
     }
 
-    /// Launch the next staged fetch of a hedged quorum read, if any
-    /// cover remains uncontacted. Returns whether one was sent.
+    /// Fetch from the next uncontacted cover of a quorum read, if any
+    /// remains. Returns whether a fetch was sent.
     fn contact_next(&mut self, id: OpId) -> bool {
         let op = &mut self.ops[id as usize];
         let Action::GetShares { key, .. } = op.action else { return false };
@@ -1550,9 +1580,11 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         true
     }
 
-    /// Reply-driven top-up of a staged quorum read: every contacted
-    /// cover has answered but the quorum is still short — extend to
-    /// the next cover immediately instead of waiting for a hedge.
+    /// Reply-driven top-up of a quorum read: every contacted cover
+    /// has answered but the quorum is still short — fetch the whole
+    /// shortfall from the next covers at once instead of waiting for
+    /// the backup timer (a definitive miss is then two waves, not one
+    /// round trip per cover).
     fn extend_contact_if_stalled(&mut self, id: OpId) {
         let op = &self.ops[id as usize];
         if !matches!(op.machine, Machine::Scatter) {
@@ -1561,38 +1593,26 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         let Action::GetShares { k, .. } = op.action else { return };
         let Some(rep) = op.replica.as_ref() else { return };
         let need = (k as usize).min(rep.holders.len()).max(1);
-        if rep.gathered.len() >= need
-            || rep.contacted >= rep.contact_order.len()
-            || rep.replied.len() < rep.contacted
-        {
+        if rep.replied.len() < rep.contacted {
             return;
         }
-        self.contact_next(id);
+        for _ in rep.gathered.len()..need {
+            if !self.contact_next(id) {
+                break;
+            }
+        }
     }
 
-    /// A hedge timer fired: if the staged quorum read is still short,
-    /// raise (gentle) suspicion of the silent covers, launch one
-    /// backup fetch, and chain the next hedge.
+    /// A hedge timer fired: if the quorum read is still short, raise
+    /// (gentle) suspicion of the silent covers, launch one backup
+    /// fetch, and chain the next hedge.
     fn hedge_fire(&mut self, id: OpId, attempt: u32) {
         let op = &self.ops[id as usize];
         if !matches!(op.machine, Machine::Scatter) || attempt != op.attempt {
             return; // the read completed or restarted since
         }
         let Some(rep) = op.replica.as_ref() else { return };
-        let cur = op.cur;
-        let mut silent: Vec<NodeId> = Vec::new();
-        for slot in 0..rep.contacted {
-            if let Some(&idx) = rep.contact_order.get(slot) {
-                if !rep.replied.contains(&idx) {
-                    if let Some(&n) = rep.holders.get(idx as usize) {
-                        if n != cur {
-                            silent.push(n);
-                        }
-                    }
-                }
-            }
-        }
-        for n in silent {
+        for n in rep.silent(&rep.replied, op.cur) {
             self.raise_suspicion(n, true);
         }
         if self.contact_next(id) {
@@ -1844,9 +1864,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
                 );
             }
         }
-        if self.retry.hedge {
-            self.extend_contact_if_stalled(id);
-        }
+        self.extend_contact_if_stalled(id);
         self.check_quorum(id);
     }
 
@@ -1903,33 +1921,13 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         // the accrual detector's primary signal: blame whoever we were
         // waiting on when the progress timer fired
         if self.health.is_some() {
-            let mut blamed: Vec<NodeId> = Vec::new();
-            match (&op.machine, op.replica.as_ref()) {
+            let blamed: Vec<NodeId> = match (&op.machine, op.replica.as_ref()) {
                 (Machine::Scatter, Some(rep)) => {
                     let put = matches!(op.action, Action::PutShares { .. });
-                    for slot in 0..rep.contacted {
-                        if let Some(&idx) = rep.contact_order.get(slot) {
-                            let answered = if put {
-                                rep.acked.contains(&idx)
-                            } else {
-                                rep.replied.contains(&idx)
-                            };
-                            if !answered {
-                                if let Some(&n) = rep.holders.get(idx as usize) {
-                                    if n != op.cur {
-                                        blamed.push(n);
-                                    }
-                                }
-                            }
-                        }
-                    }
+                    rep.silent(if put { &rep.acked } else { &rep.replied }, op.cur)
                 }
-                _ => {
-                    if let Some(n) = op.waiting_on {
-                        blamed.push(n);
-                    }
-                }
-            }
+                _ => op.waiting_on.into_iter().collect(),
+            };
             for n in blamed {
                 self.raise_suspicion(n, false);
             }
@@ -1992,7 +1990,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{Inline, Recorder, Sim};
+    use crate::transport::{Delivery, Inline, Recorder, Sim, Trace, TraceRecord};
     use crate::fault::ChaosNet;
     use cd_core::pointset::PointSet;
 
@@ -2311,30 +2309,130 @@ mod tests {
         assert_eq!((eng.stats.retries, eng.stats.dropped), (0, 0));
     }
 
+    /// A share table in which every cover of the clique holds its
+    /// share of `key` (40 bytes) except the indices in `lacking`.
+    fn shares_on(holders: &[NodeId], key: u64, lacking: &[u8]) -> TableShares {
+        let held = (0..holders.len() as u8).filter(|i| !lacking.contains(i));
+        TableShares(held.map(|i| ((holders[i as usize].0, key, i), 40u32)).collect())
+    }
+
+    /// The tags of the clique-protocol messages a recorded run sent, in
+    /// send order: `'F'` per `FetchShare`, `'R'` per `ShareReply`.
+    fn scatter_tags(trace: &Trace) -> String {
+        let fetch = Wire::FetchShare { op: 0, attempt: 1, idx: 0, key: 0, wave: 0 }.tag();
+        let reply =
+            Wire::ShareReply { op: 0, attempt: 1, idx: 0, key: 0, found: false, len: 0 }.tag();
+        let tag = |r: &TraceRecord| match r.tag {
+            t if t == fetch => Some('F'),
+            t if t == reply => Some('R'),
+            _ => None,
+        };
+        trace.records.iter().filter_map(tag).collect()
+    }
+
     #[test]
     fn quorum_read_gathers_first_k_shares() {
         let net = Complete::new(16, 2);
         let item = Point(12345 << 32);
         let (m, k, key) = (5u8, 3u8, 9u64);
         let holders = clique(&net, item, m);
-        let mut table = std::collections::HashMap::new();
-        for (i, h) in holders.iter().enumerate() {
-            table.insert((h.0, key, i as u8), 40u32);
-        }
-        let view = TableShares(table);
-        let mut eng = Engine::new(&net, Inline, 103);
+        let view = shares_on(&holders, key, &[]);
+        let mut eng = Engine::new(&net, Recorder::new(Inline), 103);
         let from = NodeId((net.cover(item).0 + 7) % 16);
         let op = eng.submit(RouteKind::Fast, from, item, Action::GetShares { key, m, k, item });
         eng.run_with_shares(&view);
         let out = eng.outcome(op);
         assert!(out.ok);
         assert_eq!(out.holders, holders);
-        assert_eq!(out.shares.len(), k as usize, "first k of m responses reconstruct");
+        assert_eq!(out.shares.len(), k as usize, "k shares reconstruct");
+        // the coordinator's own share is the first one used
+        let own = holders.iter().position(|&h| Some(h) == out.dest).expect("a cover coordinates");
+        assert_eq!(out.shares[0], own as u8);
         // the reply bytes include the share payloads
-        assert!(out.bytes >= 3 * 40);
-        // exactly the m − k post-quorum replies are stale
-        assert_eq!(eng.stats.stale, u64::from(m - k));
+        assert!(out.bytes >= 2 * 40);
+        // nothing is fetched to be thrown away
+        assert_eq!((eng.stats.stale, eng.stats.hedged), (0, 0));
         assert_eq!((eng.stats.retries, eng.stats.dropped), (0, 0));
+        let trace = eng.into_transport().into_trace();
+        assert_eq!(scatter_tags(&trace), "FFRR", "exactly k − 1 fetches, each answered");
+    }
+
+    #[test]
+    fn a_cover_lacking_its_share_costs_one_extra_fetch() {
+        let net = Complete::new(16, 2);
+        let item = Point(12345 << 32);
+        let (m, k, key) = (5u8, 3u8, 9u64);
+        let holders = clique(&net, item, m);
+        let view = shares_on(&holders, key, &[1]);
+        let mut eng = Engine::new(&net, Recorder::new(Inline), 103);
+        let get = Action::GetShares { key, m, k, item };
+        let op = eng.submit(RouteKind::Fast, holders[0], item, get);
+        eng.run_with_shares(&view);
+        let out = eng.outcome(op);
+        assert!(out.ok);
+        assert_eq!(out.shares, vec![0, 2, 3], "the next cover in contact order fills in");
+        assert_eq!((eng.stats.stale, eng.stats.hedged, eng.stats.retries), (0, 0, 0));
+        // the top-up leaves on the not-found reply, not on a timer
+        assert_eq!(scatter_tags(&eng.into_transport().into_trace()), "FFRRFR");
+    }
+
+    #[test]
+    fn a_lone_coordinator_without_its_share_fetches_at_once() {
+        // plain replication (k = 1): the first wave is the coordinator's
+        // own share alone, so its absence must extend the read on the
+        // spot — not a hedge delay (512 / 8 ticks) later
+        let net = Complete::new(16, 2);
+        let item = Point(0xABCD << 40);
+        let (m, k, key) = (3u8, 1u8, 5u64);
+        let holders = clique(&net, item, m);
+        let view = shares_on(&holders, key, &[0]);
+        let mut eng = Engine::new(&net, Sim::new(3), 139).with_retry(RetryPolicy::fixed(512, 4));
+        let get = Action::GetShares { key, m, k, item };
+        let op = eng.submit(RouteKind::Fast, holders[0], item, get);
+        eng.run_with_shares(&view);
+        let out = eng.outcome(op);
+        assert!(out.ok);
+        assert_eq!(out.shares, vec![1]);
+        assert!(out.completed_at.expect("done") < 512 / 8, "one round trip, no timer");
+        assert_eq!((eng.stats.hedged, eng.stats.retries), (0, 0));
+    }
+
+    /// `Sim`, except that the first message tagged `tag` is lost.
+    struct LoseFirst {
+        inner: Sim,
+        tag: u8,
+        lost: bool,
+    }
+
+    impl Transport for LoseFirst {
+        fn plan(&mut self, now: u64, env: &Envelope, out: &mut Vec<Delivery>) {
+            if !self.lost && env.msg.tag() == self.tag {
+                self.lost = true;
+                return;
+            }
+            self.inner.plan(now, env, out)
+        }
+    }
+
+    #[test]
+    fn a_lost_reply_costs_a_backup_fetch_not_a_restart() {
+        let net = Complete::new(16, 2);
+        let item = Point(12345 << 32);
+        let (m, k, key) = (5u8, 3u8, 9u64);
+        let holders = clique(&net, item, m);
+        let view = shares_on(&holders, key, &[]);
+        let reply =
+            Wire::ShareReply { op: 0, attempt: 1, idx: 0, key, found: true, len: 40 }.tag();
+        let lossy = LoseFirst { inner: Sim::new(11), tag: reply, lost: false };
+        let mut eng = Engine::new(&net, lossy, 149).with_retry(RetryPolicy::fixed(512, 4));
+        let from = NodeId((net.cover(item).0 + 7) % 16);
+        let op = eng.submit(RouteKind::Fast, from, item, Action::GetShares { key, m, k, item });
+        eng.run_with_shares(&view);
+        let out = eng.outcome(op);
+        assert!(out.ok);
+        assert_eq!(out.shares.len(), k as usize);
+        assert_eq!(out.attempts, 1);
+        assert_eq!((eng.stats.dropped, eng.stats.retries, eng.stats.hedged), (1, 0, 1));
     }
 
     #[test]
@@ -2385,7 +2483,7 @@ mod tests {
     fn missing_item_read_completes_once_every_cover_answered() {
         let net = Complete::new(16, 2);
         let item = Point(42);
-        let mut eng = Engine::new(&net, Inline, 113);
+        let mut eng = Engine::new(&net, Recorder::new(Inline), 113);
         let op = eng.submit(
             RouteKind::Fast,
             NodeId(3),
@@ -2397,6 +2495,10 @@ mod tests {
         assert!(out.ok, "a complete round of not-founds is an answer, not a timeout");
         assert!(out.shares.is_empty());
         assert_eq!(out.attempts, 1);
+        // two waves reach all m covers: own + k − 1, then the shortfall
+        // of k at once — not one round trip per cover
+        assert_eq!((eng.stats.hedged, eng.stats.retries), (0, 0));
+        assert_eq!(scatter_tags(&eng.into_transport().into_trace()), "FRFFRR");
     }
 
     #[test]

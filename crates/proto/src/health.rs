@@ -201,7 +201,7 @@ impl NetHealth {
         (est.rto().saturating_mul(3)).clamp(self.min_timeout.min(ceiling), ceiling)
     }
 
-    /// How long a hedged quorum read waits for its first wave before
+    /// How long a quorum read waits for its first wave before
     /// launching a backup fetch: two population-typical exchanges —
     /// long enough that healthy stragglers almost never trigger it,
     /// short enough that a grey cover costs one hedge delay instead of

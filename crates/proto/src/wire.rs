@@ -81,10 +81,11 @@ pub enum Action {
         /// point, wherever the routed phase entered it.
         item: Point,
     },
-    /// Quorum read (§6.2): route to the clique entry, then fan one
-    /// [`Wire::FetchShare`] out per cover; the first `k` found
-    /// responses reconstruct, so the op completes at quorum without
-    /// waiting for stragglers (or once every cover has answered).
+    /// Quorum read (§6.2): route to the clique entry, then send a
+    /// [`Wire::FetchShare`] to `k − 1` covers beside the coordinator's
+    /// own share — more only where a cover lacks its share or stays
+    /// silent; `k` found responses reconstruct (or every cover has
+    /// answered: a definitive miss).
     GetShares {
         /// Item key.
         key: u64,
@@ -180,8 +181,9 @@ pub enum Wire {
         idx: u8,
         /// Item key.
         key: u64,
-        /// Hedge wave: 0 for the initial fan-out, `n` for the `n`-th
-        /// backup fetch a hedged read launched past a silent cover.
+        /// Wave: 0 for the initial `k − 1` fetches, `n` for the `n`-th
+        /// fetch a read added past a cover that lacked its share or
+        /// stayed silent.
         /// On the wire it packs into the high nibble of the `idx` byte
         /// (`idx < m ≤ 16`, waves saturate at 15), so it costs no
         /// extra bytes — [`Wire::wire_bytes`] is unchanged.

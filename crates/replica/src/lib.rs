@@ -17,8 +17,10 @@
 //! * **Writes** route a `PutShares` op to the clique, where the
 //!   coordinator fans one [`dh_proto::Wire::StoreShare`] out per cover
 //!   and completes at `k` acks (write quorum). **Reads** route
-//!   `GetShares` and complete when the first `k` of `m`
-//!   [`dh_proto::Wire::ShareReply`]s arrive — over [`Inline`], lossy
+//!   `GetShares` and fetch only the `k` shares they decode — the
+//!   coordinator's own plus `k − 1` [`dh_proto::Wire::ShareReply`]s,
+//!   topped up when a cover lacks its share and backed up on a timer
+//!   when one is silent — over [`Inline`], lossy
 //!   [`dh_proto::Sim`] and fail-stop [`dh_proto::ChaosNet`] transports
 //!   alike, with every message priced. The per-op state machines live
 //!   in the engine (`dh_proto::engine`), so replicated storage
@@ -105,7 +107,8 @@ pub struct QuorumRead {
     pub attempts: u32,
     /// Attempts fast-failed by load shedding (majority-suspect clique).
     pub shed: u64,
-    /// Backup fetches launched by hedging across all attempts.
+    /// Backup fetches launched past silent covers across all
+    /// attempts — under any policy, the read path arms the timer.
     pub hedged: u64,
     /// Engine-level op restarts (progress timeouts) across all
     /// attempts — the wasted-work half of grey-failure accounting.
@@ -168,8 +171,9 @@ pub struct ReplicatedDht<G: ContinuousGraph = DistanceHalving, S: Shelves = MemS
     /// shared across every engine run this store drives (each op runs
     /// its own engine, so the ledger is what carries grey-failure
     /// knowledge from one op to the next). Observation is always on
-    /// and trace-neutral; the adaptive/hedge [`RetryPolicy`] flags opt
-    /// individual ops into consulting it.
+    /// and sets the hedge delay of every quorum read's backup timer;
+    /// the adaptive/hedge [`RetryPolicy`] flags opt individual ops
+    /// into consulting its verdicts.
     health: RefCell<NetHealth>,
     /// The observability sink ([`dh_obs::Obs`]): off by default (inert
     /// handle, fingerprints unchanged), cloned into every engine this
@@ -431,12 +435,13 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         placed
     }
 
-    /// Quorum read over an arbitrary transport, coordinated by the
-    /// clique primary: the op routes to `h(key)`, the coordinator fans
-    /// `FetchShare` out, and the first `k` found replies reconstruct.
-    /// `None` means the item is absent, under-quorum, or the route
-    /// failed (a dead primary — see [`Self::get_quorum`] for
-    /// client-side failover).
+    /// Quorum read over an arbitrary transport: the op routes toward
+    /// `h(key)`, the first clique member it reaches coordinates,
+    /// fetching `k − 1` shares beside its own (more only where a cover
+    /// lacks or withholds its share), and `k` found shares reconstruct.
+    /// `None` means the item is absent, under-quorum — every cover was
+    /// asked before that is concluded — or the route failed (a dead
+    /// primary — see [`Self::get_quorum`] for client-side failover).
     pub fn get_over<T: Transport>(
         &self,
         from: NodeId,
@@ -533,7 +538,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
     }
 
     /// [`Self::get_quorum`] with full SLO accounting: modeled ticks,
-    /// message counts, shed/hedge activity. Under a hedged
+    /// message counts, shed activity and backup fetches. Under a hedged
     /// [`RetryPolicy`] each sweep additionally orders candidate
     /// coordinators by the failure detector's suspicion level (stable
     /// on ties), so reads route around grey or flapping covers instead
