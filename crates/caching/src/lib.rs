@@ -31,5 +31,5 @@
 pub mod protocol;
 pub mod tree;
 
-pub use protocol::{CachedDht, EpochReport, Probe, Served};
+pub use protocol::{CachedDht, EpochReport, Served};
 pub use tree::{ActiveTree, PathTreeNode};

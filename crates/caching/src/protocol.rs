@@ -11,44 +11,8 @@ use cd_core::point::Point;
 use cd_core::walk::TwoSidedWalk;
 use cd_core::graph::{ContinuousGraph, DistanceHalving};
 use dh_dht::{CdNetwork, NodeId};
-use dh_proto::engine::{Engine, OpOutcome};
-use dh_proto::transport::Transport;
-use dh_proto::wire::{Action, RouteKind};
 use rand::Rng;
 use std::collections::HashMap;
-
-/// Result of probing one path-tree node during a phase-2 climb — the
-/// serve decision shared by the direct path ([`CachedDht::request`])
-/// and the engine-driven one ([`CachedDht::request_over`]).
-#[derive(Clone, Copy, Debug)]
-pub enum Probe {
-    /// The node is not active for this item; the climb continues.
-    Miss,
-    /// The node served the request. If the hit saturated it
-    /// (threshold `c` reached), the two children that just became
-    /// active.
-    Hit(Option<[Point; 2]>),
-}
-
-/// The one serve decision both paths call — free-standing so the
-/// engine-driven path can invoke it while the network is borrowed by
-/// the engine.
-fn probe_tree(
-    trees: &mut HashMap<u64, ActiveTree>,
-    threshold: u64,
-    item: u64,
-    q: Point,
-) -> Probe {
-    let Some(tree) = trees.get_mut(&item) else { return Probe::Miss };
-    if !tree.is_active(q) {
-        return Probe::Miss;
-    }
-    if tree.record_hit(q) >= threshold {
-        Probe::Hit(Some(tree.activate_children(q)))
-    } else {
-        Probe::Hit(None)
-    }
-}
 
 /// Outcome of one cached request.
 #[derive(Clone, Debug)]
@@ -209,7 +173,7 @@ impl<G: ContinuousGraph> CachedDht<G> {
                 cur = next;
             }
             let level = (t - idx) as u32;
-            if let Probe::Hit(kids) = self.serve_probe(item, q) {
+            if let Some(kids) = self.serve_probe(item, q) {
                 if let Some(kids) = kids {
                     // one replication message to each child's server
                     for k in kids {
@@ -231,74 +195,17 @@ impl<G: ContinuousGraph> CachedDht<G> {
         served.expect("the root of an active tree is always active")
     }
 
-    /// Probe the path-tree node `q` of `item`: if it is active, record
-    /// the hit (replicating into both children once the count reaches
-    /// the threshold `c`) and serve the request here.
-    pub fn serve_probe(&mut self, item: u64, q: Point) -> Probe {
-        probe_tree(&mut self.trees, self.threshold, item, q)
-    }
-
-    /// [`Self::request`] over the wire-protocol engine: the request is
-    /// a routed `CacheServe` RPC, and every node of the phase-2 climb
-    /// probes the active tree through the same [`Self::serve_probe`]
-    /// decision as the direct path. Over `dh_proto`'s `Inline`
-    /// transport (with an aligned digit stream) it serves at the same
-    /// tree node with the same hop count; over `Sim` the caching
-    /// protocol acquires latency, loss (retried end-to-end) and
-    /// per-request message/byte accounting. Returns `None` for the
-    /// serve record only if the retry budget ran out.
-    pub fn request_over<T: Transport>(
-        &mut self,
-        from: NodeId,
-        item: u64,
-        transport: T,
-        seed: u64,
-    ) -> (Option<Served>, OpOutcome) {
-        let y = self.hash.point(item);
-        self.trees.entry(item).or_insert_with(|| ActiveTree::new(y));
-        let mut replicated: Vec<Point> = Vec::new();
-        let out = {
-            // split borrows: the engine routes over the network while
-            // the serve closure mutates the trees
-            let CachedDht { net, trees, threshold, .. } = &mut *self;
-            let thr = *threshold;
-            let mut eng = Engine::new(&*net, transport, seed);
-            let op = eng.submit(RouteKind::DistanceHalving, from, y, Action::CacheServe { item });
-            eng.run_with(|_node, it, q, _level| match probe_tree(trees, thr, it, q) {
-                Probe::Miss => false,
-                Probe::Hit(kids) => {
-                    replicated.extend(kids.into_iter().flatten());
-                    true
-                }
-            });
-            eng.take_outcome(op)
-        };
-        if !out.ok {
-            return (None, out);
+    /// Probe the path-tree node `q` of `item`: `None` if it is not
+    /// active (the climb continues); otherwise record the hit and serve
+    /// the request here — `Some(kids)`, where `kids` are the two
+    /// children the hit activated if it saturated the node (threshold
+    /// `c` reached).
+    fn serve_probe(&mut self, item: u64, q: Point) -> Option<Option<[Point; 2]>> {
+        let tree = self.trees.get_mut(&item)?;
+        if !tree.is_active(q) {
+            return None;
         }
-        // the engine accounted the wire; mirror the per-server epoch
-        // counters of the direct path
-        for &n in &out.path.nodes {
-            self.charge(n, 1);
-        }
-        for &k in &replicated {
-            let owner = self.net.cover_of(k);
-            self.charge(owner, 1);
-        }
-        let by = out.dest.expect("completed");
-        let idx = by.0 as usize;
-        if self.supplies.len() <= idx {
-            self.supplies.resize(idx + 1, 0);
-        }
-        self.supplies[idx] += 1;
-        let served = Served {
-            at: out.serve_at.expect("served"),
-            level: out.serve_level.expect("served"),
-            by,
-            hops: out.path.hops(),
-            entered_at: out.entered_at.expect("dh route"),
-        };
-        (Some(served), out)
+        Some((tree.record_hit(q) >= self.threshold).then(|| tree.activate_children(q)))
     }
 
     /// Propagate a content change from the owner down the active tree
@@ -342,12 +249,19 @@ impl<G: ContinuousGraph> CachedDht<G> {
 
     /// Per-server supplies so far this epoch (live servers only).
     pub fn supplies(&self) -> Vec<(NodeId, u64)> {
-        self.net.live().iter().map(|&id| (id, self.supplies[id.0 as usize])).collect()
+        self.per_live(&self.supplies)
     }
 
     /// Per-server messages handled so far this epoch (live servers only).
     pub fn messages(&self) -> Vec<(NodeId, u64)> {
-        self.net.live().iter().map(|&id| (id, self.messages[id.0 as usize])).collect()
+        self.per_live(&self.messages)
+    }
+
+    /// `counts` for every live server. `net` is public, so a server
+    /// may have joined since the counters last grew: it reads 0.
+    fn per_live(&self, counts: &[u64]) -> Vec<(NodeId, u64)> {
+        let at = |id: NodeId| counts.get(id.0 as usize).copied().unwrap_or(0);
+        self.net.live().iter().map(|&id| (id, at(id))).collect()
     }
 
     /// Per-server count of distinct cached items right now.
@@ -378,56 +292,18 @@ mod tests {
     }
 
     #[test]
-    fn request_over_inline_matches_the_direct_serve_path() {
-        // two identically built caches, one driven directly, one
-        // through the engine over Inline; aligned digit streams must
-        // serve at the same tree node with the same hops and leave the
-        // same per-server counters behind
-        use cd_core::rng::sub_rng;
-        let build = || {
-            let mut rng = seeded(0x77);
-            let net = DhNetwork::new(&PointSet::random(128, &mut rng));
-            let hash = KWiseHash::new(16, &mut rng);
-            CachedDht::new(net, hash, 4)
-        };
-        let mut direct = build();
-        let mut engine = build();
-        for i in 0..300u64 {
-            let item = i % 5;
-            let mut pick = sub_rng(0xCAFE, i);
-            let from = direct.net.random_node(&mut pick);
-            let a = direct.request(from, item, &mut sub_rng(i, 0));
-            let (b, out) = engine.request_over(from, item, dh_proto::Inline, i);
-            let b = b.expect("Inline cannot fail");
-            assert_eq!((a.at, a.level, a.by), (b.at, b.level, b.by), "serve point diverges");
-            assert_eq!(a.hops, b.hops, "hop count diverges");
-            assert_eq!(a.entered_at, b.entered_at);
-            assert_eq!(out.msgs as usize, b.hops, "under Inline one hop = one message");
+    fn accessors_cover_servers_joined_since_construction() {
+        // the counters are sized at construction; a join through the
+        // public `net` adds a slot past their end
+        let (mut cache, mut rng) = setup(32, 4, 0x10);
+        let newcomer = cache.net.join(Point(rng.gen())).expect("fresh identifier");
+        for rows in [cache.supplies(), cache.messages()] {
+            assert_eq!(rows.len(), 33);
+            assert!(rows.contains(&(newcomer, 0)), "a newcomer starts at 0");
         }
-        assert_eq!(direct.supplies(), engine.supplies());
-        assert_eq!(direct.messages(), engine.messages());
-        assert_eq!(
-            direct.tree(0).expect("hot").len(),
-            engine.tree(0).expect("hot").len(),
-            "active trees diverge"
-        );
-    }
-
-    #[test]
-    fn request_over_survives_a_lossy_transport() {
-        let (mut cache, mut rng) = setup(128, 4, 0x10);
-        let mut served = 0usize;
-        for i in 0..200u64 {
-            let from = cache.net.random_node(&mut rng);
-            let sim = dh_proto::Sim::new(i ^ 0x1055).with_drop(0.03);
-            let (s, out) = cache.request_over(from, 3, sim, i);
-            if let Some(s) = s {
-                served += 1;
-                assert!(out.msgs as usize >= s.hops, "retries cost extra messages");
-            }
-        }
-        assert!(served >= 195, "only {served}/200 served under 3% loss with retries");
-        cache.tree(3).expect("tree").validate();
+        cache.request(newcomer, 5, &mut rng);
+        let charged = cache.messages().into_iter().find(|&(id, _)| id == newcomer);
+        assert!(charged.is_some_and(|(_, m)| m >= 1), "the request is charged to the newcomer");
     }
 
     #[test]

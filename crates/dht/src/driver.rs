@@ -45,7 +45,9 @@ pub fn random_lookups<G: ContinuousGraph>(
             let from = net.random_node(&mut rng);
             let target = Point(rng.gen());
             net.lookup_into(kind, from, target, &mut rng, &mut scratch, &mut route);
-            route.charge(&counters);
+            for &id in &route.nodes {
+                counters.add(id, 1);
+            }
             route.hops() as u64
         })
         .collect();
@@ -82,7 +84,9 @@ pub fn permutation_routing<G: ContinuousGraph>(
             let off = rng.gen_range(0..seg.len());
             let target = seg.start().wrapping_add(off as u64);
             net.lookup_into(kind, from, target, &mut rng, &mut scratch, &mut route);
-            route.charge(&counters);
+            for &id in &route.nodes {
+                counters.add(id, 1);
+            }
             route.hops() as u64
         })
         .collect();

@@ -29,7 +29,6 @@
 //! a cached request). Theorems 2.9–2.11: congestion `Θ(log n / n)`
 //! even for worst-case permutation workloads.
 
-use crate::metrics::LoadCounters;
 use crate::network::{CdNetwork, NodeId};
 use cd_core::graph::ContinuousGraph;
 use cd_core::point::Point;
@@ -78,63 +77,13 @@ impl std::fmt::Display for LookupKind {
     }
 }
 
-/// A completed lookup route. `nodes[0]` is the source server and
-/// `nodes.last()` the server covering the target; `points[k]` is the
-/// continuous-graph position of the message when held by `nodes[k]`.
-#[derive(Clone, Debug)]
-pub struct Route {
-    /// Servers visited, in order (consecutive duplicates collapsed).
-    pub nodes: Vec<NodeId>,
-    /// Continuous position of the message at each visited server.
-    pub points: Vec<Point>,
-    /// Index into `nodes` where phase 2 began (DH lookup only).
-    pub phase2_start: Option<usize>,
-}
-
-impl Route {
-    /// An empty route buffer for reuse with the `*_into` lookup
-    /// variants ([`CdNetwork::fast_lookup_into`],
-    /// [`CdNetwork::dh_lookup_into`]).
-    pub fn empty() -> Self {
-        Route { nodes: Vec::new(), points: Vec::new(), phase2_start: None }
-    }
-
-    /// Reset to a single-node route starting at `source`, keeping the
-    /// buffers.
-    fn reset(&mut self, source: NodeId, at: Point) {
-        self.nodes.clear();
-        self.points.clear();
-        self.phase2_start = None;
-        self.nodes.push(source);
-        self.points.push(at);
-    }
-
-    fn push(&mut self, node: NodeId, at: Point) {
-        if *self.nodes.last().expect("route never empty") != node {
-            self.nodes.push(node);
-            self.points.push(at);
-        } else {
-            *self.points.last_mut().expect("route never empty") = at;
-        }
-    }
-
-    /// Number of hops (messages sent) = visited servers − 1.
-    pub fn hops(&self) -> usize {
-        self.nodes.len() - 1
-    }
-
-    /// The server that answered the lookup.
-    pub fn destination(&self) -> NodeId {
-        *self.nodes.last().expect("route never empty")
-    }
-
-    /// Charge one unit of load to every server that handled the message.
-    pub fn charge(&self, counters: &LoadCounters) {
-        for &id in &self.nodes {
-            counters.add(id, 1);
-        }
-    }
-}
+/// A completed lookup route — the engine's route record, so a direct
+/// lookup and one driven through `dh_proto` produce the same value.
+/// `nodes[0]` is the source server and `nodes.last()` the server
+/// covering the target; `points[k]` is the continuous-graph position of
+/// the message when held by `nodes[k]`. [`Route::empty`] is the
+/// reusable buffer of the `*_into` variants.
+pub use dh_proto::engine::Path as Route;
 
 /// Reusable per-lookup state: the two-sided walk's digit buffer and
 /// the phase-2 trace. Holding one of these (plus a [`Route`]) across
@@ -642,6 +591,8 @@ mod tests {
         let route = net.fast_lookup(id, target);
         assert_eq!(route.hops(), 0);
         assert_eq!(route.destination(), id);
+        // an unused buffer has no hops either (no `0 − 1` underflow)
+        assert_eq!(Route::empty().hops(), 0);
     }
 
     #[test]

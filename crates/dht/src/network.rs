@@ -439,12 +439,6 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         }
     }
 
-    /// The identifier points of all live nodes as a `PointSet`
-    /// (analysis view).
-    pub fn point_set(&self) -> PointSet {
-        PointSet::new(self.live.iter().map(|&id| self.node(id).x).collect())
-    }
-
     // ------------------------------------------------------------------
     // Neighbor derivation
     // ------------------------------------------------------------------

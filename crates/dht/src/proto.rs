@@ -17,15 +17,14 @@
 //! table maintenance of [`CdNetwork`] applies the state transition —
 //! the message layer prices what the state layer does.
 
-use crate::lookup::{LookupKind, Route};
-use crate::metrics::LoadCounters;
+use crate::lookup::LookupKind;
 use crate::network::{CdNetwork, NodeId};
 use cd_core::graph::ContinuousGraph;
 use cd_core::interval::Interval;
 use cd_core::point::Point;
 use cd_core::rng::{splitmix64, sub_rng};
 use cd_core::stats::Summary;
-use dh_proto::engine::{Engine, Path, RetryPolicy, Topology};
+use dh_proto::engine::{Engine, RetryPolicy, Topology};
 use dh_proto::transport::Transport;
 use dh_proto::wire::{Action, RouteKind, Wire};
 use rand::Rng;
@@ -67,23 +66,11 @@ pub fn route_kind(kind: LookupKind) -> RouteKind {
     }
 }
 
-/// Reinterpret an engine [`Path`] as the lookup layer's [`Route`]
-/// (same fields, same collapse semantics).
-pub fn path_to_route(path: Path) -> Route {
-    Route { nodes: path.nodes, points: path.points, phase2_start: path.phase2_start }
-}
-
-/// Result of a message-driven lookup batch: the synchronous driver's
-/// metrics plus everything only a transport can measure.
+/// Result of a message-driven lookup batch: what only a transport can
+/// measure. Per-server loads are [`crate::driver::random_lookups`]'s.
 pub struct MsgBatch {
     /// Hops of each completed lookup.
     pub path_lengths: Summary,
-    /// Per-live-server loads (servers that handled each message).
-    pub loads: Summary,
-    /// Max load over servers.
-    pub max_load: u64,
-    /// Lookups submitted.
-    pub lookups: usize,
     /// Lookups that completed.
     pub completed: usize,
     /// Lookups abandoned after retry exhaustion.
@@ -92,12 +79,8 @@ pub struct MsgBatch {
     pub msgs: u64,
     /// Total modeled bytes.
     pub bytes: u64,
-    /// Messages the transport lost.
-    pub dropped: u64,
     /// End-to-end op restarts.
     pub retries: u64,
-    /// Engine time by which the last lookup completed.
-    pub makespan: u64,
 }
 
 impl MsgBatch {
@@ -137,34 +120,21 @@ pub fn lookups_over<G: ContinuousGraph, T: Transport>(
         })
         .collect();
     eng.run();
-    let counters = LoadCounters::for_network(net);
-    let mut lengths: Vec<u64> = Vec::with_capacity(m);
-    let mut completed = 0usize;
-    let mut makespan = 0u64;
-    for &op in &ops {
-        let out = eng.take_outcome(op);
-        if out.ok {
-            completed += 1;
-            lengths.push(out.path.hops() as u64);
-            makespan = makespan.max(out.completed_at.unwrap_or(0));
-            for &n in &out.path.nodes {
-                counters.add(n, 1);
-            }
-        }
-    }
+    let lengths: Vec<u64> = ops
+        .iter()
+        .map(|&op| eng.take_outcome(op))
+        .filter(|out| out.ok)
+        .map(|out| out.path.hops() as u64)
+        .collect();
+    let completed = lengths.len();
     let stats = eng.stats;
     let batch = MsgBatch {
         path_lengths: Summary::of_u64(lengths),
-        loads: counters.summary(net),
-        max_load: counters.max_load(net),
-        lookups: m,
         completed,
         failed: m - completed,
         msgs: stats.msgs,
         bytes: stats.bytes,
-        dropped: stats.dropped,
         retries: stats.retries,
-        makespan,
     };
     (batch, eng.into_transport())
 }

@@ -13,7 +13,7 @@
 
 use crate::lookup::{LookupKind, Route};
 use crate::network::{CdNetwork, DistanceHalving, NodeId, StoredItem};
-use crate::proto::{path_to_route, route_kind};
+use crate::proto::route_kind;
 use bytes::Bytes;
 use cd_core::graph::ContinuousGraph;
 use cd_core::hashing::KWiseHash;
@@ -66,7 +66,7 @@ impl<G: ContinuousGraph> Dht<G> {
     pub fn put(&mut self, from: NodeId, key: u64, value: Bytes, rng: &mut impl Rng) -> Route {
         let (out, stored) = self.put_over(from, key, value, Inline, rng.gen(), RetryPolicy::default());
         debug_assert!(stored, "Inline transport cannot fail a put");
-        path_to_route(out.path)
+        out.path
     }
 
     /// [`Self::put`] over an arbitrary transport: the `Put` RPC is
@@ -99,7 +99,7 @@ impl<G: ContinuousGraph> Dht<G> {
     /// value if present.
     pub fn get(&self, from: NodeId, key: u64, rng: &mut impl Rng) -> (Route, Option<Bytes>) {
         let (out, value) = self.get_over(from, key, Inline, rng.gen(), RetryPolicy::default());
-        (path_to_route(out.path), value)
+        (out.path, value)
     }
 
     /// [`Self::get`] over an arbitrary transport. A `None` value means
@@ -128,7 +128,7 @@ impl<G: ContinuousGraph> Dht<G> {
     pub fn remove(&mut self, from: NodeId, key: u64, rng: &mut impl Rng) -> (Route, Option<Bytes>) {
         let (out, value) = self.remove_over(from, key, Inline, rng.gen(), RetryPolicy::default());
         debug_assert!(out.ok, "Inline transport cannot fail a remove");
-        (path_to_route(out.path), value)
+        (out.path, value)
     }
 
     /// [`Self::remove`] over an arbitrary transport: the item is

@@ -8,7 +8,7 @@
 use cd_core::pointset::PointSet;
 use cd_core::rng::{seeded, sub_rng};
 use cd_core::Point;
-use dh_dht::proto::{path_to_route, route_kind};
+use dh_dht::proto::route_kind;
 use dh_dht::{DhNetwork, LookupKind, NodeId};
 use dh_proto::engine::{Engine, RetryPolicy};
 use dh_proto::transport::{Inline, Recorder, Sim};
@@ -28,14 +28,14 @@ fn engine_route(
     let mut eng = Engine::new(net, Inline, seed);
     let op = eng.submit(route_kind(kind), from, target, Action::Locate);
     eng.run();
-    let out = eng.outcome(op);
+    let out = eng.take_outcome(op);
     assert!(out.ok, "Inline routing cannot fail");
     assert_eq!(
         out.msgs as usize,
         out.path.hops(),
         "under Inline every hop is exactly one message"
     );
-    path_to_route(out.path)
+    out.path
 }
 
 fn assert_bit_identical(net: &DhNetwork, from: NodeId, target: Point, seed: u64) {
@@ -127,7 +127,7 @@ proptest! {
             let outcomes: Vec<_> = ops
                 .iter()
                 .map(|&op| {
-                    let o = eng.outcome(op);
+                    let o = eng.take_outcome(op);
                     (o.ok, o.dest, o.msgs, o.bytes, o.attempts, o.completed_at, o.path.nodes)
                 })
                 .collect();

@@ -13,7 +13,7 @@ use cd_core::graph::{ChordLike, ContinuousGraph, DeBruijn, DistanceHalving};
 use cd_core::pointset::PointSet;
 use cd_core::rng::seeded;
 use cd_core::Point;
-use dh_dht::proto::{path_to_route, route_kind};
+use dh_dht::proto::route_kind;
 use dh_dht::storage::Dht;
 use dh_dht::{CdNetwork, LookupKind, Route};
 use dh_proto::engine::{Engine, RetryPolicy};
@@ -148,10 +148,10 @@ fn chord_engine_inline_routes_are_bit_identical() {
             let mut eng = Engine::new(net, Inline, i);
             let op = eng.submit(route_kind(LookupKind::Greedy), from, target, Action::Locate);
             eng.run();
-            let out = eng.outcome(op);
+            let out = eng.take_outcome(op);
             assert!(out.ok, "Inline routing cannot fail");
             assert_eq!(out.msgs as usize, out.path.hops(), "one hop = one message under Inline");
-            let engine = path_to_route(out.path);
+            let engine = out.path;
             assert_eq!(direct.nodes, engine.nodes, "greedy route servers diverge");
             assert_eq!(direct.points, engine.points, "greedy route positions diverge");
         }

@@ -158,11 +158,6 @@ impl OverlapNet {
         out
     }
 
-    /// Live servers covering `p`.
-    pub fn live_covers_of(&self, p: Point) -> Vec<OverlapNodeId> {
-        self.covers_of(p).into_iter().filter(|id| self.alive(*id)).collect()
-    }
-
     /// Derive the neighbor table of `id`: servers whose segments
     /// intersect `s`, `ℓ(s)`, `r(s)` or `b(s)`.
     fn derive_neighbors(&self, id: OverlapNodeId) -> Vec<OverlapNodeId> {

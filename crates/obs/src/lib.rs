@@ -400,16 +400,6 @@ impl Registry {
         self.counters.get(&(name, label)).copied().unwrap_or(0)
     }
 
-    /// Read a gauge back.
-    pub fn gauge_value(&self, name: &'static str, label: u64) -> Option<u64> {
-        self.gauges.get(&(name, label)).copied()
-    }
-
-    /// Read a histogram back.
-    pub fn hist(&self, name: &'static str, label: u64) -> Option<&Hist> {
-        self.hists.get(&(name, label))
-    }
-
     /// Deterministic point-in-time snapshot.
     pub fn snapshot(&self) -> Snapshot {
         let mut rows = Vec::new();
@@ -846,13 +836,6 @@ impl Recorder {
         self.seq += 1;
     }
 
-    /// Record a storage-plane event stamped with the last-seen engine
-    /// time (storage has no clock of its own).
-    pub fn record_storage(&mut self, kind: EventKind) {
-        let at = self.last_at;
-        self.record(at, 0, kind);
-    }
-
     /// Set the op context stamped on subsequent events.
     pub fn begin_op(&mut self, op: u64) {
         self.ctx = op;
@@ -1000,15 +983,6 @@ impl Obs {
     pub fn add_many(&self, entries: &[(&'static str, u64, u64)]) {
         if self.inner.is_some() {
             self.with(|r| r.enqueue_adds(entries));
-        }
-    }
-
-    /// Run `f` against the registry under a single lock (no-op when
-    /// off) — for mixed counter/gauge/histogram updates that belong
-    /// to one logical export.
-    pub fn registry_apply(&self, f: impl FnOnce(&mut Registry)) {
-        if self.inner.is_some() {
-            self.with(|r| f(r.registry_mut()));
         }
     }
 

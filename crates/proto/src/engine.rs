@@ -42,21 +42,18 @@
 //! [`crate::health::NetHealth`] ([`Engine::with_health`]) feeds every
 //! planned delivery into per-destination Jacobson RTT estimators and
 //! decays/raises per-node suspicion counters; the opt-in
-//! [`RetryPolicy`] flags then change behavior:
+//! [`RetryPolicy::hedge`] flag then changes behavior: progress timers
+//! use the per-destination bound (`3·rto`, clamped to the fixed
+//! timeout as a ceiling) with deterministic per-attempt jitter drawn
+//! from `sub_rng(seed, op, attempt)` — traces stay fingerprintable —
+//! and scatter rounds back off exponentially across attempts; a
+//! quorum read contacts the least-suspect covers first and hands
+//! coordination off a suspect coordinator, DH walks are pre-planned
+//! around suspects, and ops whose target clique is majority-suspected
+//! fail fast ([`EngineStats::shed`]) instead of burning the retry
+//! budget.
 //!
-//! * **`adaptive`** — progress timers use the per-destination bound
-//!   (`3·rto`, clamped to the fixed timeout as a ceiling) with
-//!   exponential backoff across attempts and deterministic per-attempt
-//!   jitter drawn from `sub_rng(seed, op, attempt)` — traces stay
-//!   fingerprintable;
-//! * **`hedge`** — everything that needs the detector's verdicts: a
-//!   quorum read contacts the least-suspect covers first and hands
-//!   coordination off a suspect coordinator, DH walks are pre-planned
-//!   around suspects, and ops whose target clique is majority-suspected
-//!   fail fast ([`EngineStats::shed`]) instead of burning the retry
-//!   budget.
-//!
-//! With both flags off the estimators set one thing only: the hedge
+//! With the flag off the estimators set one thing only: the hedge
 //! delay of a quorum read's backup timer.
 
 use crate::health::NetHealth;
@@ -122,8 +119,8 @@ pub trait ShareView {
 }
 
 /// The empty share store: no node holds anything. What [`Engine::run`]
-/// and [`Engine::run_with`] consult — sufficient for every non-
-/// replicated protocol and for replicated *writes*.
+/// consults — sufficient for every non-replicated protocol and for
+/// replicated *writes*.
 pub struct NoShares;
 
 impl ShareView for NoShares {
@@ -132,9 +129,11 @@ impl ShareView for NoShares {
     }
 }
 
-/// The wire-level view of a route: servers visited (consecutive
-/// duplicates collapsed) and the continuous position of the message at
-/// each. Field-for-field the same record as `dh_dht::Route`.
+/// A route: servers visited (consecutive duplicates collapsed) and the
+/// continuous position of the message at each. `nodes[0]` is the
+/// source and `nodes.last()` the server covering the target. The one
+/// route record of the system — `dh_dht` re-exports it as `Route` for
+/// its synchronous lookups.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Path {
     /// Servers visited, in order.
@@ -146,7 +145,14 @@ pub struct Path {
 }
 
 impl Path {
-    fn reset(&mut self, source: NodeId, at: Point) {
+    /// An empty route buffer, for reuse across lookups.
+    pub fn empty() -> Self {
+        Path::default()
+    }
+
+    /// Reset to a single-node route starting at `source`, keeping the
+    /// buffers.
+    pub fn reset(&mut self, source: NodeId, at: Point) {
         self.nodes.clear();
         self.points.clear();
         self.phase2_start = None;
@@ -154,7 +160,9 @@ impl Path {
         self.points.push(at);
     }
 
-    fn push(&mut self, node: NodeId, at: Point) {
+    /// Move the message to `node` at position `at` (a new entry only
+    /// when `node` differs from the current server).
+    pub fn push(&mut self, node: NodeId, at: Point) {
         if *self.nodes.last().expect("path never empty") != node {
             self.nodes.push(node);
             self.points.push(at);
@@ -163,7 +171,8 @@ impl Path {
         }
     }
 
-    /// Number of hops (messages sent on the successful attempt).
+    /// Number of hops (messages sent on the successful attempt) =
+    /// visited servers − 1; 0 for an empty route.
     pub fn hops(&self) -> usize {
         self.nodes.len().saturating_sub(1)
     }
@@ -177,29 +186,27 @@ impl Path {
 /// End-to-end retransmission policy.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
-    /// Ticks without progress before the origin restarts the op. In
-    /// adaptive mode this is the *ceiling* (and the cold-start value);
+    /// Ticks without progress before the origin restarts the op. When
+    /// hedging this is the *ceiling* (and the cold-start value);
     /// per-destination estimates undercut it, never exceed it.
     pub timeout: u64,
     /// Attempts (including the first) before the op is abandoned.
     pub max_attempts: u32,
-    /// Derive progress timeouts from the attached
-    /// [`crate::health::NetHealth`] (per-destination Jacobson bound,
-    /// exponential backoff, deterministic per-attempt jitter). No-op
-    /// unless a health tracker is attached.
-    pub adaptive: bool,
-    /// Consult the failure detector's verdicts: suspicion-ordered
-    /// quorum reads with coordinator handoff, pre-planned DH walks,
-    /// and shedding of ops whose target clique is majority-suspected.
-    /// No-op unless a health tracker is attached.
+    /// Consult the attached [`crate::health::NetHealth`]: progress
+    /// timeouts from the per-destination Jacobson bound (deterministic
+    /// per-attempt jitter; exponential backoff for scatter rounds),
+    /// suspicion-ordered quorum reads with coordinator handoff,
+    /// pre-planned DH walks, and shedding of ops whose target clique
+    /// is majority-suspected. No-op unless a health tracker is
+    /// attached.
     pub hedge: bool,
 }
 
 impl RetryPolicy {
-    /// A fixed-timeout policy with no adaptive behavior — the classic
-    /// pre-health engine semantics.
+    /// A fixed-timeout policy with no detector-driven behavior — the
+    /// classic pre-health engine semantics.
     pub const fn fixed(timeout: u64, max_attempts: u32) -> Self {
-        RetryPolicy { timeout, max_attempts, adaptive: false, hedge: false }
+        RetryPolicy { timeout, max_attempts, hedge: false }
     }
 
     /// Fast-failing: a short timeout and a small retry budget, for
@@ -216,17 +223,10 @@ impl RetryPolicy {
         RetryPolicy::fixed(4_096, 8)
     }
 
-    /// Enable adaptive per-destination timeouts (builder-style).
-    pub const fn adaptive(mut self) -> Self {
-        self.adaptive = true;
-        self
-    }
-
-    /// Enable the detector-driven behaviors of the `hedge` field; they
-    /// need the RTT estimators, so this implies [`Self::adaptive`].
+    /// Enable the detector-driven behaviors of the `hedge` field
+    /// (builder-style).
     pub const fn hedged(mut self) -> Self {
         self.hedge = true;
-        self.adaptive = true;
         self
     }
 }
@@ -314,13 +314,6 @@ pub struct OpOutcome {
     /// Whether any delivery the successful attempt consumed was
     /// corrupted in flight (false message injection).
     pub corrupt: bool,
-    /// For `CacheServe`: the path-tree level that served the request.
-    pub serve_level: Option<u32>,
-    /// For `CacheServe`: the tree node (continuous point) that served.
-    pub serve_at: Option<Point>,
-    /// DH routing: the path-tree level at which phase 2 entered the
-    /// climb (the trace length − 1).
-    pub entered_at: Option<u32>,
     /// Replicated ops: the cover clique the scatter fanned out to —
     /// share index `i` belongs on `holders[i]`. Empty otherwise.
     pub holders: Vec<NodeId>,
@@ -414,9 +407,6 @@ struct Op {
     bytes: u64,
     corrupt: bool,
     completed_at: Option<u64>,
-    serve_level: Option<u32>,
-    serve_at: Option<Point>,
-    entered_at: Option<u32>,
     /// The node the op's last routed send is waiting on — whom the
     /// failure detector blames if the progress timer fires.
     waiting_on: Option<NodeId>,
@@ -478,7 +468,7 @@ enum Lane {
     /// Deliveries scheduled for the current tick (every `Inline` send).
     Immediate,
     /// Progress/hedge timers (a fixed retry delay ⇒ monotone pushes;
-    /// adaptive timeouts vary per destination and simply spill).
+    /// hedged timeouts vary per destination and simply spill).
     Timer,
     /// Op start events (drivers submit in nondecreasing time order).
     Start,
@@ -613,8 +603,8 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
     /// Attach a failure detector / RTT tracker that outlives this
     /// engine run. Observation is unconditional, and a quorum read
     /// takes its hedge delay from the observed population RTT; the
-    /// adaptive and hedge behaviors additionally require the
-    /// corresponding [`RetryPolicy`] flags.
+    /// detector-driven behaviors additionally require
+    /// [`RetryPolicy::hedge`].
     pub fn with_health(mut self, health: &'g mut NetHealth) -> Self {
         self.health = Some(health);
         self
@@ -677,9 +667,6 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
             bytes: 0,
             corrupt: false,
             completed_at: None,
-            serve_level: None,
-            serve_at: None,
-            entered_at: None,
             waiting_on: None,
             planned: Vec::new(),
             handed_off: false,
@@ -701,34 +688,15 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         self.dispatch(env, bytes, 0);
     }
 
-    /// Run to quiescence with no cache layer and no share store
-    /// attached.
+    /// Run to quiescence with no share store attached.
     pub fn run(&mut self) {
-        self.run_core(&mut |_, _, _, _| false, &NoShares);
-    }
-
-    /// Run to quiescence. `serve(node, item, point, level)` is
-    /// consulted at every path-tree node a `CacheServe` op visits on
-    /// its phase-2 climb (entry node included); returning `true`
-    /// serves the request there and completes the op. The climb's root
-    /// (level 0) completes the op regardless, mirroring "the root is
-    /// always active".
-    pub fn run_with(&mut self, mut serve: impl FnMut(NodeId, u64, Point, u32) -> bool) {
-        self.run_core(&mut serve, &NoShares);
+        self.run_with_shares(&NoShares);
     }
 
     /// Run to quiescence with a share store attached: every
     /// [`Wire::FetchShare`] a cover receives is answered by consulting
     /// `view` — what quorum reads ([`Action::GetShares`]) need.
     pub fn run_with_shares<V: ShareView>(&mut self, view: &V) {
-        self.run_core(&mut |_, _, _, _| false, view);
-    }
-
-    fn run_core<V: ShareView>(
-        &mut self,
-        serve: &mut impl FnMut(NodeId, u64, Point, u32) -> bool,
-        view: &V,
-    ) {
         while let Some(ev) = self.queue.pop() {
             debug_assert!(ev.at >= self.clock, "time went backwards");
             debug_assert!(ev.seq < self.seq, "event from the future");
@@ -736,10 +704,10 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
             match ev.kind {
                 EventKind::Start { op } => {
                     self.start_op(op);
-                    self.advance_or_enter(op, serve, view);
+                    self.advance_or_enter(op, view);
                 }
-                EventKind::Deliver { env } => self.deliver(env, serve, view),
-                EventKind::Timer { op, attempt, step } => self.timer(op, attempt, step, serve, view),
+                EventKind::Deliver { env } => self.deliver(env, view),
+                EventKind::Timer { op, attempt, step } => self.timer(op, attempt, step, view),
                 EventKind::Hedge { op, attempt } => self.hedge_fire(op, attempt),
             }
         }
@@ -749,28 +717,10 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
     }
 
     /// The outcome of a submitted op (meaningful after [`Self::run`]).
-    /// Clones the route; completion paths that consume the outcome
-    /// should prefer [`Self::take_outcome`], which hands the route out
-    /// by move.
-    pub fn outcome(&self, id: OpId) -> OpOutcome {
-        let op = &self.ops[id as usize];
-        let mut out = self.outcome_sans_path(op);
-        out.path = op.path.clone();
-        out
-    }
-
-    /// [`Self::outcome`] without the `path.clone()`: moves the route
-    /// buffers out of the op. Call at most once per op — a second call
-    /// returns the metrics again but an empty route.
+    /// Moves the route buffers out of the op: a second call returns
+    /// the metrics again but an empty route.
     pub fn take_outcome(&mut self, id: OpId) -> OpOutcome {
         let op = &mut self.ops[id as usize];
-        let path = mem::take(&mut op.path);
-        let mut out = self.outcome_sans_path(&self.ops[id as usize]);
-        out.path = path;
-        out
-    }
-
-    fn outcome_sans_path(&self, op: &Op) -> OpOutcome {
         let ok = matches!(op.machine, Machine::Done);
         let (holders, shares) = match &op.replica {
             Some(rep) => (
@@ -788,23 +738,15 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
             // the path may already have been taken; the destination is
             // wherever the op's message last sat
             dest: ok.then_some(op.cur),
-            path: Path::default(),
+            path: mem::take(&mut op.path),
             msgs: op.msgs,
             bytes: op.bytes,
             attempts: op.attempt,
             completed_at: op.completed_at,
             corrupt: op.corrupt,
-            serve_level: op.serve_level,
-            serve_at: op.serve_at,
-            entered_at: op.entered_at,
             holders,
             shares,
         }
-    }
-
-    /// Number of submitted ops.
-    pub fn op_count(&self) -> usize {
-        self.ops.len()
     }
 
     // ------------------------------------------------------------------
@@ -942,12 +884,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
 
     /// Take local steps for `op` at its current node until it either
     /// completes or must send a message (sent here), then return.
-    fn advance<V: ShareView>(
-        &mut self,
-        id: OpId,
-        serve: &mut impl FnMut(NodeId, u64, Point, u32) -> bool,
-        view: &V,
-    ) {
+    fn advance<V: ShareView>(&mut self, id: OpId, view: &V) {
         loop {
             let op = &mut self.ops[id as usize];
             let cur = op.cur;
@@ -988,7 +925,6 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
                             op.path.push(next, q);
                             op.path.phase2_start = Some(op.path.nodes.len() - 1);
                             op.walk.target_backtrace_into(&mut op.trace);
-                            op.entered_at = Some((op.trace.len() - 1) as u32);
                             op.machine = Machine::Dh2 { idx: 0 };
                             if next != cur {
                                 self.send_step(id, next, q);
@@ -1056,22 +992,9 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
                     }
                 }
                 Machine::Dh2 { idx } => {
-                    // visit the current trace node (cache climbs serve
-                    // here), then hop to the next one
-                    let t = op.trace.len() - 1;
-                    let q = op.trace[idx];
-                    let level = (t - idx) as u32;
-                    if let Action::CacheServe { item } = op.action {
-                        // (a served op is completed on the spot, so this
-                        // branch never sees serve_level already set)
-                        if serve(cur, item, q, level) || level == 0 {
-                            op.serve_level = Some(level);
-                            op.serve_at = Some(q);
-                            self.complete(id);
-                            return;
-                        }
-                    }
-                    if idx == t {
+                    // at the last trace node the op has arrived;
+                    // otherwise hop to the next one
+                    if idx == op.trace.len() - 1 {
                         debug_assert!(self.net.segment_of(cur).contains(op.target));
                         self.arrive(id, view);
                         return;
@@ -1168,50 +1091,36 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         );
     }
 
-    /// Exponential backoff across attempts plus deterministic
-    /// per-`(op, attempt)` jitter on top of `base`, clamped to the
-    /// policy ceiling. The jitter stream is `sub_rng(seed, op, attempt)`
-    /// — a pure function of the engine seed, so traces stay
-    /// fingerprintable.
-    fn backed_off(&self, base: u64, id: OpId, attempt: u32) -> u64 {
-        let ceiling = self.retry.timeout;
-        let shift = attempt.saturating_sub(1).min(4);
-        let backed = base.saturating_mul(1u64 << shift).min(ceiling);
-        let span = (backed / 4).max(1);
+    /// `base` plus deterministic per-`(op, attempt)` jitter of up to a
+    /// quarter, clamped to the policy ceiling. The jitter stream is
+    /// `sub_rng(seed, op, attempt)` — a pure function of the engine
+    /// seed, so traces stay fingerprintable.
+    fn jittered(&self, base: u64, id: OpId, attempt: u32) -> u64 {
+        let span = (base / 4).max(1);
         let mut rng = sub_rng(
             self.seed ^ 0xBACC_0FF5,
             (u64::from(id) << 32) | u64::from(attempt),
         );
-        (backed + rng.gen_range(0..span)).min(ceiling)
+        (base + rng.gen_range(0..span)).min(self.retry.timeout)
     }
 
     /// The progress timeout for a send toward `dst`: the fixed policy
-    /// timeout, or — in adaptive mode with health attached — the
-    /// per-destination Jacobson bound with backoff and jitter.
+    /// timeout, or — hedging with health attached — the
+    /// per-destination Jacobson bound with jitter.
     fn progress_timeout(&self, id: OpId, dst: NodeId, attempt: u32) -> u64 {
         let ceiling = self.retry.timeout;
-        if !self.retry.adaptive {
+        if !self.retry.hedge {
             return ceiling;
         }
         let Some(h) = self.health.as_deref() else { return ceiling };
-        let base = h.timeout_for(dst, ceiling);
-        if self.retry.hedge {
-            // a hedged route stalls one healthy-sized wait at most,
-            // every attempt: a premature fire costs one in-place
-            // retransmission (position kept), a true stall takes the
-            // re-planning detour around the blamed cover
-            // ([`Self::plan_walk`]) — so neither a slow cover's own
-            // inflated timeout nor exponential backoff should delay
-            // either. Flat cap, per-attempt jitter only.
-            let capped = base.min(h.route_cap(ceiling));
-            let span = (capped / 4).max(1);
-            let mut rng = sub_rng(
-                self.seed ^ 0xBACC_0FF5,
-                (u64::from(id) << 32) | u64::from(attempt),
-            );
-            return (capped + rng.gen_range(0..span)).min(ceiling);
-        }
-        self.backed_off(base, id, attempt)
+        // a hedged route stalls one healthy-sized wait at most, every
+        // attempt: a premature fire costs one in-place retransmission
+        // (position kept), a true stall takes the re-planning detour
+        // around the blamed cover ([`Self::plan_walk`]) — so neither a
+        // slow cover's own inflated timeout nor exponential backoff
+        // should delay either. Flat cap, per-attempt jitter only.
+        let capped = h.timeout_for(dst, ceiling).min(h.route_cap(ceiling));
+        self.jittered(capped, id, attempt)
     }
 
     /// Pre-plan a hedged Distance-Halving walk: simulate a few
@@ -1313,10 +1222,11 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
     }
 
     /// The progress timeout of a scatter round: the slowest contacted
-    /// cover bounds the round, so take the max per-destination bound.
+    /// cover bounds the round, so take the max per-destination bound,
+    /// backed off exponentially across attempts.
     fn scatter_timeout(&self, id: OpId, holders: &[NodeId], attempt: u32) -> u64 {
         let ceiling = self.retry.timeout;
-        if !self.retry.adaptive {
+        if !self.retry.hedge {
             return ceiling;
         }
         let Some(h) = self.health.as_deref() else { return ceiling };
@@ -1325,7 +1235,8 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
             .map(|&n| h.timeout_for(n, ceiling))
             .max()
             .unwrap_or(ceiling);
-        self.backed_off(base, id, attempt)
+        let shift = attempt.saturating_sub(1).min(4);
+        self.jittered(base.saturating_mul(1u64 << shift).min(ceiling), id, attempt)
     }
 
     /// How long a quorum read waits before its next backup fetch.
@@ -1357,12 +1268,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
     /// locate *one* cover, the clique reaches the rest in one hop.
     /// (This is also what makes quorum ops reachable around a dead
     /// primary: any live cover the route touches can coordinate.)
-    fn advance_or_enter<V: ShareView>(
-        &mut self,
-        id: OpId,
-        serve: &mut impl FnMut(NodeId, u64, Point, u32) -> bool,
-        view: &V,
-    ) {
+    fn advance_or_enter<V: ShareView>(&mut self, id: OpId, view: &V) {
         let op = &self.ops[id as usize];
         let entry = match op.action {
             Action::PutShares { item, m, .. } | Action::GetShares { item, m, .. } => {
@@ -1377,7 +1283,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         if entry.is_some() {
             self.begin_scatter(id, view);
         } else {
-            self.advance(id, serve, view);
+            self.advance(id, view);
         }
     }
 
@@ -1704,12 +1610,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         }
     }
 
-    fn deliver<V: ShareView>(
-        &mut self,
-        env: Envelope,
-        serve: &mut impl FnMut(NodeId, u64, Point, u32) -> bool,
-        view: &V,
-    ) {
+    fn deliver<V: ShareView>(&mut self, env: Envelope, view: &V) {
         self.stats.delivered += 1;
         if self.obs.is_on() {
             let attempt = match &env.msg {
@@ -1746,7 +1647,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
                 op.cur = env.dst;
                 op.corrupt |= env.corrupt;
                 op.waiting_on = None;
-                self.advance_or_enter(id, serve, view);
+                self.advance_or_enter(id, view);
             }
             Wire::StoreShare { op: id, attempt, idx, .. } => {
                 self.deliver_store(&env, id, attempt, idx)
@@ -1868,14 +1769,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         self.check_quorum(id);
     }
 
-    fn timer<V: ShareView>(
-        &mut self,
-        id: OpId,
-        attempt: u32,
-        step: u32,
-        serve: &mut impl FnMut(NodeId, u64, Point, u32) -> bool,
-        view: &V,
-    ) {
+    fn timer<V: ShareView>(&mut self, id: OpId, attempt: u32, step: u32, view: &V) {
         let op = &self.ops[id as usize];
         if matches!(op.machine, Machine::Done | Machine::Failed)
             || attempt != op.attempt
@@ -1943,9 +1837,6 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         op.attempt += 1;
         op.step = 0;
         op.corrupt = false;
-        op.serve_level = None;
-        op.serve_at = None;
-        op.entered_at = None;
         self.stats.retries += 1;
         let fresh = op.attempt;
         self.note(self.clock, fresh, ObsEvent::Retry);
@@ -1971,7 +1862,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         } else {
             self.start_op(id);
         }
-        self.advance_or_enter(id, serve, view);
+        self.advance_or_enter(id, view);
     }
 
     fn complete(&mut self, id: OpId) {
@@ -2061,7 +1952,7 @@ mod tests {
         assert_eq!(eng.stats.failed, 0);
         assert_eq!(eng.stats.completed, 40);
         for id in ops {
-            let out = eng.outcome(id);
+            let out = eng.take_outcome(id);
             assert!(out.ok);
             let dest = out.dest.expect("completed");
             assert!(net.segment_of(dest).contains(
@@ -2085,7 +1976,7 @@ mod tests {
         eng.run();
         assert_eq!(eng.stats.failed, 0);
         for id in ops {
-            let out = eng.outcome(id);
+            let out = eng.take_outcome(id);
             assert!(out.ok);
             let target = *out.path.points.last().expect("nonempty");
             assert!(net.segment_of(out.dest.expect("done")).contains(target));
@@ -2109,7 +2000,7 @@ mod tests {
         eng.run();
         assert_eq!(eng.stats.failed, 0, "retry must absorb 25% loss on short greedy routes");
         for id in ops {
-            assert!(eng.outcome(id).ok);
+            assert!(eng.take_outcome(id).ok);
         }
     }
 
@@ -2125,7 +2016,7 @@ mod tests {
             let outs: Vec<(bool, u64, u64, u32, Option<u64>)> = ops
                 .iter()
                 .map(|&id| {
-                    let o = eng.outcome(id);
+                    let o = eng.take_outcome(id);
                     (o.ok, o.msgs, o.bytes, o.attempts, o.completed_at)
                 })
                 .collect();
@@ -2149,7 +2040,7 @@ mod tests {
         assert_eq!(eng.stats.failed, 0, "retry must absorb 30% loss on short routes");
         assert!(eng.stats.retries > 0, "with 30% loss some op must have retried");
         for id in ops {
-            assert!(eng.outcome(id).ok);
+            assert!(eng.take_outcome(id).ok);
         }
     }
 
@@ -2163,7 +2054,7 @@ mod tests {
         assert!(eng.stats.stale > 0, "duplicate arrivals must be discarded as stale");
         assert_eq!(eng.stats.failed, 0);
         for id in ops {
-            let o = eng.outcome(id);
+            let o = eng.take_outcome(id);
             assert!(o.ok);
             assert_eq!(o.attempts, 1, "duplication alone must never trigger a retry");
         }
@@ -2181,7 +2072,7 @@ mod tests {
             .with_retry(RetryPolicy::fixed(50, 3));
         let op = eng.submit(RouteKind::Fast, from, target, Action::Locate);
         eng.run();
-        let out = eng.outcome(op);
+        let out = eng.take_outcome(op);
         assert!(!out.ok, "a dead destination cannot answer");
         assert_eq!(out.attempts, 3);
         assert_eq!(eng.stats.failed, 1);
@@ -2201,7 +2092,7 @@ mod tests {
         let ops = submit_mixed(&mut eng, 20);
         eng.run();
         for id in ops {
-            let o = eng.outcome(id);
+            let o = eng.take_outcome(id);
             assert!(o.ok, "liars keep routing");
             assert_eq!(o.corrupt, o.msgs > 0, "message-free ops cannot be corrupted");
         }
@@ -2251,16 +2142,14 @@ mod tests {
         let mut eng = Engine::new(&net, Inline, 59);
         let op = eng.submit(RouteKind::Fast, NodeId(2), Point(u64::MAX / 7), Action::Locate);
         eng.run();
-        let cloned = eng.outcome(op);
         let taken = eng.take_outcome(op);
         assert!(taken.ok);
-        assert_eq!(taken.path, cloned.path);
-        assert_eq!(taken.dest, cloned.dest);
-        assert_eq!((taken.msgs, taken.bytes, taken.attempts), (cloned.msgs, cloned.bytes, cloned.attempts));
+        assert_eq!(taken.path.destination(), taken.dest.expect("completed"));
         // a second take still reports the metrics but the route is gone
         let again = eng.take_outcome(op);
         assert!(again.ok && again.path.nodes.is_empty());
-        assert_eq!(again.dest, cloned.dest, "destination survives the move");
+        assert_eq!((again.msgs, again.bytes, again.attempts), (taken.msgs, taken.bytes, taken.attempts));
+        assert_eq!(again.dest, taken.dest, "destination survives the move");
     }
 
     /// A share table for the replica tests: `(node, key, idx) → len`.
@@ -2291,7 +2180,7 @@ mod tests {
         let action = Action::PutShares { key: 7, len: 32, m: 5, k: 3, item };
         let op = eng.submit(RouteKind::Fast, cover, item, action);
         eng.run();
-        let out = eng.outcome(op);
+        let out = eng.take_outcome(op);
         assert!(out.ok);
         assert_eq!(out.dest, Some(cover), "the primary cover coordinates");
         assert_eq!(out.holders, clique(&net, item, 5));
@@ -2341,7 +2230,7 @@ mod tests {
         let from = NodeId((net.cover(item).0 + 7) % 16);
         let op = eng.submit(RouteKind::Fast, from, item, Action::GetShares { key, m, k, item });
         eng.run_with_shares(&view);
-        let out = eng.outcome(op);
+        let out = eng.take_outcome(op);
         assert!(out.ok);
         assert_eq!(out.holders, holders);
         assert_eq!(out.shares.len(), k as usize, "k shares reconstruct");
@@ -2368,7 +2257,7 @@ mod tests {
         let get = Action::GetShares { key, m, k, item };
         let op = eng.submit(RouteKind::Fast, holders[0], item, get);
         eng.run_with_shares(&view);
-        let out = eng.outcome(op);
+        let out = eng.take_outcome(op);
         assert!(out.ok);
         assert_eq!(out.shares, vec![0, 2, 3], "the next cover in contact order fills in");
         assert_eq!((eng.stats.stale, eng.stats.hedged, eng.stats.retries), (0, 0, 0));
@@ -2390,7 +2279,7 @@ mod tests {
         let get = Action::GetShares { key, m, k, item };
         let op = eng.submit(RouteKind::Fast, holders[0], item, get);
         eng.run_with_shares(&view);
-        let out = eng.outcome(op);
+        let out = eng.take_outcome(op);
         assert!(out.ok);
         assert_eq!(out.shares, vec![1]);
         assert!(out.completed_at.expect("done") < 512 / 8, "one round trip, no timer");
@@ -2428,7 +2317,7 @@ mod tests {
         let from = NodeId((net.cover(item).0 + 7) % 16);
         let op = eng.submit(RouteKind::Fast, from, item, Action::GetShares { key, m, k, item });
         eng.run_with_shares(&view);
-        let out = eng.outcome(op);
+        let out = eng.take_outcome(op);
         assert!(out.ok);
         assert_eq!(out.shares.len(), k as usize);
         assert_eq!(out.attempts, 1);
@@ -2455,7 +2344,7 @@ mod tests {
             Action::PutShares { key, len: 24, m, k, item },
         );
         eng.run();
-        let out = eng.outcome(put);
+        let out = eng.take_outcome(put);
         assert!(out.ok, "k live covers are a write quorum");
         let mut stored = out.shares.clone();
         stored.sort_unstable();
@@ -2472,7 +2361,7 @@ mod tests {
             .with_retry(RetryPolicy::fixed(64, 4));
         let get = eng.submit(RouteKind::Fast, cover, item, Action::GetShares { key, m, k, item });
         eng.run_with_shares(&TableShares(table));
-        let out = eng.outcome(get);
+        let out = eng.take_outcome(get);
         assert!(out.ok, "k live shares are a read quorum");
         let mut gathered = out.shares.clone();
         gathered.sort_unstable();
@@ -2491,7 +2380,7 @@ mod tests {
             Action::GetShares { key: 99, m: 4, k: 2, item },
         );
         eng.run_with_shares(&NoShares);
-        let out = eng.outcome(op);
+        let out = eng.take_outcome(op);
         assert!(out.ok, "a complete round of not-founds is an answer, not a timeout");
         assert!(out.shares.is_empty());
         assert_eq!(out.attempts, 1);
@@ -2514,7 +2403,7 @@ mod tests {
             Action::PutShares { key: 5, len: 16, m: 4, k: 2, item },
         );
         eng.run();
-        let out = eng.outcome(op);
+        let out = eng.take_outcome(op);
         assert!(out.ok, "retry must absorb 20% loss");
         assert!(out.shares.len() >= 2, "at least the quorum was placed");
     }
@@ -2540,7 +2429,7 @@ mod tests {
             Action::PutShares { key: 3, len: 8, m: 4, k: 3, item },
         );
         eng.run();
-        let out = eng.outcome(op);
+        let out = eng.take_outcome(op);
         assert!(!out.ok, "a quorum of corrupted shares must not commit");
         // only the coordinator's own (local, message-free) share stands
         assert_eq!(out.shares, vec![0]);
@@ -2553,7 +2442,7 @@ mod tests {
         let a = eng.submit_at(0, RouteKind::Fast, NodeId(0), Point(u64::MAX / 3), Action::Locate);
         let b = eng.submit_at(500, RouteKind::Fast, NodeId(1), Point(u64::MAX / 5), Action::Locate);
         eng.run();
-        let (oa, ob) = (eng.outcome(a), eng.outcome(b));
+        let (oa, ob) = (eng.take_outcome(a), eng.take_outcome(b));
         assert!(oa.ok && ob.ok);
         if ob.msgs > 0 {
             assert!(ob.completed_at.expect("done") >= 500);

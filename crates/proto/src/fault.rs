@@ -231,11 +231,6 @@ impl<T: Transport> ChaosNet<T> {
         a
     }
 
-    /// Remove every partition immediately (an unscheduled heal).
-    pub fn heal_partitions(&mut self) {
-        self.partitions.clear();
-    }
-
     /// Mark one node grey with the given latency multiplier.
     pub fn set_grey(&mut self, node: NodeId, mult: u64) {
         self.grey.insert(node, mult.max(1));

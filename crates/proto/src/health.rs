@@ -30,8 +30,7 @@
 //! slab of estimators indexed by node id, a sparse `BTreeMap` of
 //! suspicion counters) — a pure function of the observed delivery
 //! schedule, so attaching health to an engine never perturbs a trace
-//! by itself: only the opt-in adaptive/hedged retry policies consult
-//! it.
+//! by itself: only the opt-in hedged retry policy consults it.
 
 use crate::node::NodeId;
 use std::collections::BTreeMap;

@@ -7,7 +7,7 @@
 //!
 //! * [`wire::Wire`] — the typed RPC vocabulary of the Distance Halving
 //!   system (`LookupStep`, `JoinSplit`, `LeaveMerge`, `NeighborDiff`,
-//!   `Put`/`Get`/`Remove`, `CacheServe`, and the §6.2 replication
+//!   `Put`/`Get`/`Remove`, and the §6.2 replication
 //!   vocabulary: `StoreShare`/`ShareAck`, `FetchShare`/`ShareReply`,
 //!   `ShareDigest`/`RepairPull`/`RepairPush`), with per-message byte
 //!   accounting;
@@ -26,7 +26,7 @@
 //! * [`health::NetHealth`] — per-destination Jacobson RTT estimators
 //!   plus an accrual suspicion failure detector, shared across engine
 //!   runs via [`engine::Engine::with_health`]; the opt-in
-//!   [`engine::RetryPolicy`] `adaptive`/`hedge` flags turn it into
+//!   [`engine::RetryPolicy::hedge`] flag turns it into
 //!   per-destination timeouts with deterministic backoff + jitter,
 //!   suspicion-ordered hedged quorum reads, and load shedding;
 //! * [`engine::Engine`] — a deterministic discrete-event runtime
@@ -39,7 +39,7 @@
 //!   engine on the caller's thread is the only way an op runs.
 //!
 //! `dh_dht` implements [`engine::Topology`] for its `DhNetwork` and
-//! re-exports [`NodeId`]; higher layers (`storage::Dht`, caching,
+//! re-exports [`NodeId`]; higher layers (`storage::Dht`, `dh_replica`,
 //! fault experiments, the `cd_bench` scenarios) drive their operations
 //! through the engine and inherit latency/loss/accounting for free.
 //!

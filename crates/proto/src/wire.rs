@@ -1,7 +1,7 @@
 //! The typed RPC vocabulary of the Distance Halving system.
 //!
 //! Every message a server can receive is a [`Wire`] variant. Routing
-//! messages (`LookupStep` and the routed storage/cache RPCs) carry the
+//! messages (`LookupStep` and the routed storage RPCs) carry the
 //! op header — op id, attempt and step stamps — so duplicated or
 //! reordered deliveries and retransmissions from old attempts are
 //! recognised and ignored by the receiving state machine.
@@ -55,13 +55,6 @@ pub enum Action {
     Remove {
         /// Item key.
         key: u64,
-    },
-    /// Serve a cached item on the phase-2 climb (§3.1): the request is
-    /// answered by the first server holding an active tree node on the
-    /// climb path.
-    CacheServe {
-        /// Item key.
-        item: u64,
     },
     /// Replicated store (§6.2): route to the clique entry, then fan
     /// one [`Wire::StoreShare`] out to each of the `m` covers of
@@ -270,7 +263,6 @@ impl Wire {
                             Action::Locate => 0,
                             Action::Put { len, .. } => 12 + u64::from(*len),
                             Action::Get { .. } | Action::Remove { .. } => 8,
-                            Action::CacheServe { .. } => 8,
                             // key + per-share len + (m, k) + item point;
                             // the routed request carries no share data —
                             // shares travel in StoreShare/ShareReply

@@ -53,7 +53,7 @@ use cd_core::point::Point;
 use dh_dht::network::{CdNetwork, DistanceHalving, NodeId};
 use dh_dht::proto::route_kind;
 use dh_dht::LookupKind;
-use dh_erasure::{encode, sealed_len, shard_len, try_decode, Share, ShareHeader};
+use dh_erasure::{encode, sealed_len, try_decode, Share, ShareHeader};
 use dh_obs::Obs;
 use dh_proto::engine::{Engine, EngineStats, OpOutcome, RetryPolicy};
 use dh_proto::health::NetHealth;
@@ -172,8 +172,8 @@ pub struct ReplicatedDht<G: ContinuousGraph = DistanceHalving, S: Shelves = MemS
     /// its own engine, so the ledger is what carries grey-failure
     /// knowledge from one op to the next). Observation is always on
     /// and sets the hedge delay of every quorum read's backup timer;
-    /// the adaptive/hedge [`RetryPolicy`] flags opt individual ops
-    /// into consulting its verdicts.
+    /// [`RetryPolicy::hedge`] opts individual ops into consulting its
+    /// verdicts.
     health: RefCell<NetHealth>,
     /// The observability sink ([`dh_obs::Obs`]): off by default (inert
     /// handle, fingerprints unchanged), cloned into every engine this
@@ -248,13 +248,6 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         self.health.borrow()
     }
 
-    /// Forget everything the failure detector learned (e.g. between
-    /// benchmark scenarios, so one scenario's grey set cannot bias the
-    /// next).
-    pub fn reset_health(&self) {
-        self.health.borrow_mut().reset();
-    }
-
     /// Rebuild the arc and holder indices from the shelves. Required
     /// after mutating `shelves` in ways that add or remove items or
     /// holders outside the normal verbs (tests forging state, manual
@@ -315,12 +308,6 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         let mut out = Vec::with_capacity(self.m as usize);
         self.net.clique_of(self.hash.point(key), self.m as usize, &mut out);
         out
-    }
-
-    /// The sealed on-wire/on-shelf size of one share of a `len`-byte
-    /// value under this store's geometry.
-    pub fn share_wire_len(&self, len: usize) -> u32 {
-        sealed_len(shard_len(len, self.k as usize)) as u32
     }
 
     /// Store `value` under `key` over an arbitrary transport: the

@@ -25,7 +25,7 @@ fn main() {
     );
     eng.run(); // deterministic: same seeds ⇒ same trace, bit for bit
 
-    let out = eng.outcome(op);
+    let out = eng.take_outcome(op);
     println!(
         "answered by {:?} after {} hops, {} msgs / {} bytes on the wire, t = {:?}",
         out.dest,
