@@ -1,9 +1,8 @@
-//! E-obs: the flight recorder priced and put to work on the SLO
-//! scenario.
+//! E-obs: the flight recorder put to work on the SLO scenario.
 //!
 //! Runs [`cd_bench::slo`]'s scenario at its pinned shape with the
 //! `dh_obs` deterministic flight recorder and metrics registry
-//! attached, and reports three things nothing else does:
+//! attached, and reports two things nothing else does:
 //!
 //! * **Explain every op** — each foreground request runs under its
 //!   own op context; the recorder's bounded ring reconstructs the
@@ -14,52 +13,23 @@
 //!   (label 0 = client ops, label 1 = repair), per-node delivery
 //!   loads accumulate under `load/deliver`, checked against the
 //!   congestion shape.
-//! * **Cost the recorder itself** — the identical scenario runs with
-//!   the recorder off and on; the added inline service time per
-//!   recorded event is asserted ≤ [`BUDGET_NS_PER_EVENT`] (the
-//!   percentage of op time rides along, ungated).
 //!
 //! The recorder's own fold, and the wire fold with it attached, are
-//! pinned in `cd_bench::pins`, not here.
+//! pinned in `cd_bench::pins`, not here. What the recorder costs an op
+//! is the benchmark's traced-run metric `obs.recorder_overhead_pct`.
 //!
 //! ```sh
 //! cargo run --release --bin e_obs [-- --backend mem|file] [--chaos]
 //! ```
 
-use cd_bench::slo::{self, Run, K, M};
+use cd_bench::slo::{self, K, M};
 use cd_bench::{parse_backend_file, parse_flag, section};
 use cd_core::stats::Table;
 use dh_obs::Obs;
 
-/// Ring capacity for the chaos pass: generous, so the worst op's
-/// chain is still resident at the end of a CI-sized run (overflow is
-/// counted, not fatal).
+/// Ring capacity: generous, so the worst op's chain is still resident
+/// at the end of a CI-sized run (overflow is counted, not fatal).
 const RING_CAP: usize = 1 << 20;
-
-/// Ring capacity for the healthy measurement passes: small enough to
-/// stay cache-resident. The fingerprint folds at record time, so
-/// eviction never touches it — a shallow ring only narrows `explain`'s
-/// window, which the overhead passes don't query, and it keeps the
-/// recorder's heap footprint from perturbing what the twin bare passes
-/// see.
-const MEASURE_RING: usize = 1 << 14;
-
-/// The recorder's budget: inline (client-path) nanoseconds added per
-/// recorded event, `(on − off) ÷ recorded()`.
-///
-/// The gate used to read "≤ 10 % of op time", which charges the
-/// recorder for how fast everything *else* is: PR 14 halved the op
-/// path, left the recorder's absolute cost alone, and the same
-/// recorder went from passing to failing. The unit that does not
-/// depend on the rest of the stack is cost per event, so the budget is
-/// what the 10 % gate allowed at the commit it was last calibrated on
-/// (PR 14's parent, `c1ce186`), measured by this binary there: six
-/// `e_obs 2000 400 800` mem runs gave an off-side per-op floor sum of
-/// 12.66–13.37 ms over the 800 foreground ops (median 12.97 ms,
-/// 16.2 µs per op) and 102 190 recorded events (127.7 per op — every
-/// event, preload and background included, which is also the gate's
-/// denominator), so 10 % × 12.97 ms ÷ 102 190 = 12.7 ns per event.
-const BUDGET_NS_PER_EVENT: f64 = 12.7;
 
 /// Render the hedge/retry/repair cost-attribution table from the
 /// registry snapshot: label 0 = client ops, label 1 = repair.
@@ -98,101 +68,12 @@ fn main() {
     // the recorder into the WAL so storage-plane events land too
     let pass = |grey: bool, obs: Obs| slo::pinned(file_backend, grey, obs);
 
-    section("recorder overhead (identical scenario, recorder on and off)");
-    // Recorded and bare passes interleave so thermal drift hits both
-    // sides of the overhead comparison evenly. Wall-clock noise on a
-    // shared host has two shapes, and each defeats a different
-    // estimator: per-op scheduler/page-fault spikes (damped by a
-    // per-op minimum across a side's passes) and whole-pass drift —
-    // frequency scaling or a noisy neighbour slowing one entire pass
-    // (damped by taking the fastest single pass per side, since
-    // per-op minima correlate within the slowed pass). A real
-    // recorder cost survives both estimators, so the recorder is
-    // charged the smaller; a second round of passes runs only when
-    // the first round's verdict lands over budget.
-    let floor_sum = |passes: &[&Run]| -> u64 {
-        (0..ops).map(|i| passes.iter().map(|p| p.inline_ns[i]).min().unwrap_or(0)).sum()
-    };
-    let best_pass = |passes: &[&Run]| -> u64 {
-        passes.iter().map(|p| p.inline_ns.iter().sum::<u64>()).min().unwrap_or(0)
-    };
-    let pct = |on: u64, off: u64| (on as f64 - off as f64) / off.max(1) as f64 * 100.0;
-    // the gated unit: added inline ns per recorded event (every pass
-    // records the same events)
-    let per_event =
-        |on: u64, off: u64, events: u64| (on as f64 - off as f64) / events.max(1) as f64;
-    let mut on_passes: Vec<Run> = Vec::new();
-    let mut off_passes: Vec<Run> = Vec::new();
-    let (mut floor_pct, mut pass_pct) = (f64::INFINITY, f64::INFINITY);
-    let (mut floor_ns, mut pass_ns) = (f64::INFINITY, f64::INFINITY);
-    for round in 0..3 {
-        for _ in 0..3 {
-            on_passes.push(pass(false, Obs::recording(MEASURE_RING)));
-            off_passes.push(pass(false, Obs::off()));
-        }
-        // each round is scored on its own passes, so host noise that
-        // poisons one round cannot contaminate a later clean one
-        let on3: Vec<&Run> = on_passes[round * 3..].iter().collect();
-        let off3: Vec<&Run> = off_passes[round * 3..].iter().collect();
-        let events = on_passes[0].obs.recorded();
-        let (on_f, off_f) = (floor_sum(&on3), floor_sum(&off3));
-        let (on_p, off_p) = (best_pass(&on3), best_pass(&off3));
-        floor_pct = floor_pct.min(pct(on_f, off_f));
-        pass_pct = pass_pct.min(pct(on_p, off_p));
-        let (f, p) = (per_event(on_f, off_f, events), per_event(on_p, off_p, events));
-        floor_ns = floor_ns.min(f);
-        pass_ns = pass_ns.min(p);
-        if floor_ns.min(pass_ns) <= BUDGET_NS_PER_EVENT {
-            break;
-        }
-        if round < 2 {
-            println!(
-                "measurement round {} over budget ({f:+.1} ns/event floor, {p:+.1} ns/event \
-                 pass) — retrying",
-                round + 1
-            );
-        }
-    }
-    let out = &on_passes[0];
-    let overhead_pct = floor_pct.min(pass_pct);
-    let overhead_ns = floor_ns.min(pass_ns);
-    let events = out.obs.recorded();
-    println!("{events} events recorded per pass ({} evicted from the ring)", out.obs.overflow());
-    // The instrument's resolution: score the bare passes against
-    // themselves. Two disjoint halves of the off side run identical
-    // code, so any "overhead" between them is pure host noise — the
-    // budget gate widens by exactly that measured floor, staying
-    // tight on quiet machines and honest on loud ones.
-    let off_a: Vec<&Run> = off_passes.iter().step_by(2).collect();
-    let off_b: Vec<&Run> = off_passes.iter().skip(1).step_by(2).collect();
-    let (floor_a, floor_b) = (floor_sum(&off_a), floor_sum(&off_b));
-    let (pass_a, pass_b) = (best_pass(&off_a), best_pass(&off_b));
-    let noise_pct = pct(floor_a, floor_b).abs().min(pct(pass_a, pass_b).abs());
-    let noise_ns =
-        per_event(floor_a, floor_b, events).abs().min(per_event(pass_a, pass_b, events).abs());
+    let out = pass(false, Obs::recording(RING_CAP));
     println!(
-        "inline overhead over {} pass pairs: {floor_ns:+.1} ns/event by per-op floor, \
-         {pass_ns:+.1} ns/event by best pass → charged {overhead_ns:+.1} ns/event \
-         over {events} events (off-vs-off noise floor {noise_ns:.1} ns/event)",
-        on_passes.len()
+        "{} events recorded ({} evicted from the ring)",
+        out.obs.recorded(),
+        out.obs.overflow()
     );
-    println!(
-        "as a share of op time (reported, not gated — it moves with the op path, not the \
-         recorder): {floor_pct:+.1}% by per-op floor, {pass_pct:+.1}% by best pass → \
-         {overhead_pct:+.1}% (noise floor {noise_pct:.1}%)"
-    );
-    if file_backend {
-        // the WAL's physical fsyncs dominate (and jitter) the file
-        // backend's inline path; the per-event budget is defined and
-        // gated on the mem backend, the file number is printed
-        println!("(budget gate applies to the mem backend; file number printed, not gated)");
-    } else {
-        assert!(
-            overhead_ns <= BUDGET_NS_PER_EVENT + noise_ns,
-            "recorder cost {overhead_ns:.1} ns/event exceeds the {BUDGET_NS_PER_EVENT} ns/event \
-             budget (instrument noise floor {noise_ns:.1} ns/event)"
-        );
-    }
 
     section("per-node delivery load vs the congestion shape");
     let snap = out.obs.snapshot();

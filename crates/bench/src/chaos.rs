@@ -255,7 +255,7 @@ fn cell<S: Shelves>(
         epoch += STRIDE;
     }
 
-    out.fingerprint = shared.borrow().trace.fingerprint();
+    out.fingerprint = shared.borrow().fingerprint();
     out
 }
 

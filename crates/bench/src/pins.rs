@@ -142,7 +142,7 @@ fn msgs(_: Backend) -> u64 {
             inline.msgs_per_op().to_bits(),
             "{kind}: lossless latency changes schedules, never routes"
         );
-        fingerprint ^= rec.trace.fingerprint();
+        fingerprint ^= rec.fingerprint();
         // a few lossy lookups may exhaust the retry budget; every
         // retransmission is charged either way
         let lossy_net = Sim::new(seed).with_latency(4, 16, 4).with_drop(0.01).with_dup(0.005);
@@ -171,7 +171,7 @@ fn table1(_: Backend) -> u64 {
             lossless.msgs, inline.msgs,
             "{label}: lossless latency changes schedules, never routes"
         );
-        rec.trace.fingerprint()
+        rec.fingerprint()
     }
     let points = PointSet::random(LOOKUPS.0, &mut seeded(LOOKUP_SEED ^ 0x7AB1E));
     row(DistanceHalving::binary(), LookupKind::Fast, &points)
@@ -257,7 +257,7 @@ fn repl_over<S: Shelves>(shelves: S) -> u64 {
         (get_scatter..=route + get_scatter).contains(&get_msgs),
         "get cost {get_msgs:.1} msgs/op is outside route + k − 1 fetches"
     );
-    rec.trace.fingerprint()
+    rec.fingerprint()
 }
 
 fn slo_wire(backend: Backend) -> u64 {

@@ -22,8 +22,7 @@
 //! [`Obs::off`] and a recording handle, on either backend. What an op
 //! cost is reported in engine ticks ([`Run::gets`]); the arrival clock,
 //! the queue and every wall-clock latency of this scenario live in
-//! `benchmark/`'s `churn_slo` workload. The one clock read here times
-//! the client call for `e_obs`'s ns/event gate and feeds nothing back.
+//! `benchmark/`'s `churn_slo` workload; nothing here reads a clock.
 
 use bytes::Bytes;
 use cd_core::pointset::PointSet;
@@ -36,7 +35,6 @@ use dh_proto::transport::{Recorder, Sim, Transport};
 use dh_proto::{ChaosNet, NodeId};
 use dh_replica::{RepairReport, ReplicatedDht, Shelves};
 use rand::Rng;
-use std::time::Instant;
 
 /// Shares per item.
 pub const M: u8 = 8;
@@ -79,10 +77,6 @@ pub struct Run {
     /// order. The op id is the stream index, so the tail is
     /// explainable from the recorder.
     pub gets: Vec<(u64, u64)>,
-    /// Wall-clock service time of the client call (put or get only,
-    /// not the repair pump) per foreground op — what `e_obs` prices
-    /// the recorder against.
-    pub inline_ns: Vec<u64>,
     /// Repair traffic of the whole stream.
     pub repair: RepairReport,
     /// Churn events executed.
@@ -132,7 +126,6 @@ fn scenario<S: Shelves, T: Transport>(
     }
 
     let mut gets = Vec::with_capacity(ops);
-    let mut inline_ns = Vec::with_capacity(ops);
     let mut repair = RepairReport::default();
     let mut churn_events = 0usize;
     for i in 0..ops {
@@ -163,8 +156,6 @@ fn scenario<S: Shelves, T: Transport>(
         let from = dht.net.random_node(&mut rng);
         let is_put = rng.gen_range(0..10u32) < 3;
         obs.begin_op(i as u64);
-        // detlint: allow(nondet-source): times the client call for e_obs's ns/event gate, never read back
-        let t0 = Instant::now();
         if is_put {
             gens[key] += 1;
             let (out, _) = dht.put_over(
@@ -186,7 +177,6 @@ fn scenario<S: Shelves, T: Transport>(
             );
             gets.push((i as u64, out.completed_at.expect("a served get completed")));
         }
-        inline_ns.push(t0.elapsed().as_nanos() as u64);
         // the paced repair tax: at most PACE frames interleave here,
         // as background work
         obs.begin_op(BACKGROUND);
@@ -210,10 +200,9 @@ fn scenario<S: Shelves, T: Transport>(
 
     Run {
         gets,
-        inline_ns,
         repair,
         churn_events,
-        wire_fp: rec.trace.fingerprint(),
+        wire_fp: rec.fingerprint(),
         obs,
     }
 }

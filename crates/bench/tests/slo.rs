@@ -16,7 +16,6 @@ fn pass(file_backend: bool, grey: bool, obs: Obs) -> Run {
 #[test]
 fn wire_fingerprint_ignores_recorder_and_backend() {
     let bare = pass(false, false, Obs::off());
-    assert_eq!(bare.inline_ns.len(), SHAPE.2);
     assert!(bare.gets.len() > SHAPE.2 / 2, "a 70/30 mix: {} gets", bare.gets.len());
     assert!(bare.gets.iter().all(|&(_, ticks)| ticks > 0), "a get takes engine time");
     assert!(bare.churn_events == 2 && bare.repair.msgs > 0, "churn must bite: {:?}", bare.repair);

@@ -352,7 +352,7 @@ mod tests {
                 RetryPolicy::fixed(2_000, 8),
                 3,
             );
-            (batch.msgs, batch.bytes, batch.retries, batch.completed, rec.trace.fingerprint())
+            (batch.msgs, batch.bytes, batch.retries, batch.completed, rec.fingerprint())
         };
         assert_eq!(run(), run(), "same seed must reproduce the batch exactly");
         let (msgs, _, _, completed, _) = run();

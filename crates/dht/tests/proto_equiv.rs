@@ -132,7 +132,7 @@ proptest! {
                 })
                 .collect();
             let stats = eng.stats;
-            (outcomes, stats, eng.into_transport().into_trace().fingerprint())
+            (outcomes, stats, eng.into_transport().fingerprint())
         };
         let a = run();
         let b = run();

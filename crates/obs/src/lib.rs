@@ -7,7 +7,7 @@
 //! suspicion counters, plus bench-local percentile math. This crate
 //! unifies them behind two deterministic primitives:
 //!
-//! * a **flight recorder** ([`Recorder`]) — a bounded ring of
+//! * a **flight recorder** (behind [`Obs`]) — a bounded ring of
 //!   structured [`Event`]s stamped with the engine's virtual clock,
 //!   with an [`Obs::explain`] query that reconstructs the causal chain
 //!   of any op (route steps → scatter fan-out → hedges/retries →
@@ -38,20 +38,24 @@
 //!   but never touches the fingerprint (folded at record time) — the
 //!   overflow is counted, not silently dropped.
 //!
-//! # Cost when off
+//! # Cost
 //!
 //! The [`Obs`] handle is a `Clone`-able `Option` around the recorder.
 //! The default handle is *off*: every emit/add/observe call is a
 //! single `Option` discriminant test and nothing else, which is how
-//! the five pinned wire fingerprints stay byte-identical with
+//! the pinned wire folds (`cd_bench::pins`) stay byte-identical with
 //! observability disabled — by construction, not by re-measurement.
+//! When on, every event is encoded (folded and pushed onto the ring)
+//! the moment it is emitted; what that costs an op is the benchmark's
+//! traced-run metric `obs.recorder_overhead_pct`.
 
 #![deny(missing_docs)]
 
 use cd_core::rng::splitmix64;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// Sentinel op id stamped on events that belong to no foreground op
 /// (preload, churn, repair pumping, recovery).
@@ -145,7 +149,7 @@ pub enum EventKind {
     },
     /// The WAL was compacted (storage plane). Byte counts saturate at
     /// `u32::MAX` — the narrow fields keep [`EventKind`] (and with it
-    /// every buffered and ring-resident event) compact.
+    /// every ring-resident event) compact.
     Compaction {
         /// Live bytes surviving the rewrite (saturating).
         live_bytes: u32,
@@ -580,42 +584,11 @@ impl fmt::Display for Explain {
     }
 }
 
-/// A unit of not-yet-encoded recording work: the emit path enqueues
-/// (O(1) under the lock) and the fold/ring encoding runs lazily when
-/// the recorder is read — the instrumented hot path never pays it.
-#[derive(Debug)]
-enum Queued {
-    /// One engine run's buffered events, stamped with the op context
-    /// current at flush time (a run executes under a single op).
-    Batch { ctx: u64, buf: Vec<(u64, u32, EventKind)> },
-    /// A single directly-emitted event; `at: None` means "stamp with
-    /// the wire time current when the drain reaches this entry" (the
-    /// storage plane has no clock of its own).
-    One { ctx: u64, at: Option<u64>, attempt: u32, kind: EventKind },
-    /// Up to [`ADDS_MAX`] counter increments captured alloc-free —
-    /// the per-op stats export defers its registry work here.
-    Adds { n: u8, entries: [(&'static str, u64, u64); ADDS_MAX] },
-    /// A mixed per-op stats export: the first `adds` entries are
-    /// counter increments, the next `observes` are histogram samples.
-    /// One queue slot defers a whole quorum-read pricing.
-    Stats { adds: u8, observes: u8, entries: [(&'static str, u64, u64); ADDS_MAX] },
-}
-
-/// Capacity of a deferred [`Queued::Adds`] entry.
-const ADDS_MAX: usize = 12;
-
-/// Hard bound on the deferred-encoding queue: the enqueue that reaches
-/// it drains in place. [`Obs::begin_op`] drains far earlier, so only a
-/// caller that never marks an op boundary and never reads (a store
-/// that churns and repairs with a recorder attached) gets here — and
-/// still holds at most this many entries in front of the ring.
-const QUEUE_CAP: usize = 1024;
-
 /// The flight recorder: a bounded event ring plus the registry, a
 /// monotone sequence counter, a running protocol-plane fingerprint,
 /// and the current op context.
 #[derive(Debug)]
-pub struct Recorder {
+struct Recorder {
     ring: std::collections::VecDeque<Event>,
     cap: usize,
     seq: u64,
@@ -623,13 +596,6 @@ pub struct Recorder {
     fp: u64,
     ctx: u64,
     last_at: u64,
-    /// Enqueued-but-unencoded events, in arrival order, at most
-    /// [`QUEUE_CAP`] entries. Drained (in order, so the fold and the
-    /// ring are identical to immediate encoding) before any read of
-    /// event-derived state.
-    queue: std::collections::VecDeque<Queued>,
-    /// Recycled batch buffers handed back to flushing engines.
-    spare: Vec<Vec<(u64, u32, EventKind)>>,
     registry: Registry,
     /// Dense per-node delivery counts (index = node id). Kept out of
     /// the string-keyed registry map — thousands of per-node labels
@@ -640,8 +606,8 @@ pub struct Recorder {
 
 impl Recorder {
     /// A recorder whose ring holds at most `cap` events (≥ 1).
-    pub fn new(cap: usize) -> Self {
-        // pre-fault the ring's backing pages up front: drains then
+    fn new(cap: usize) -> Self {
+        // pre-fault the ring's backing pages up front: records then
         // write into warm memory instead of advancing the heap
         // frontier mid-run, which would charge minor faults (and the
         // allocator churn around them) to the instrumented pass
@@ -659,136 +625,14 @@ impl Recorder {
             fp: 0xcbf2_9ce4_8422_2325,
             ctx: BACKGROUND,
             last_at: 0,
-            queue: std::collections::VecDeque::new(),
-            spare: Vec::new(),
             registry: Registry::default(),
             node_loads: Vec::new(),
         }
     }
 
-    /// Enqueue one event (encoded on the next read). `at: None`
-    /// defers the timestamp to the storage-plane rule.
-    pub fn enqueue(&mut self, at: Option<u64>, attempt: u32, kind: EventKind) {
-        self.push(Queued::One { ctx: self.ctx, at, attempt, kind });
-    }
-
-    fn push(&mut self, q: Queued) {
-        self.queue.push_back(q);
-        if self.queue.len() >= QUEUE_CAP {
-            self.drain();
-        }
-    }
-
-    /// Take ownership of a flushing engine's event buffer (leaving an
-    /// empty one behind) and enqueue it whole — the caller's cost is
-    /// O(1) regardless of the buffer length.
-    pub fn enqueue_batch(&mut self, buf: &mut Vec<(u64, u32, EventKind)>) {
-        // swap a recycled buffer back in while the lock is already
-        // held — the caller's next run fills warm capacity instead of
-        // re-growing from zero on its own (timed) path
-        let full = std::mem::replace(buf, self.take_spare());
-        self.push(Queued::Batch { ctx: self.ctx, buf: full });
-    }
-
-    /// Hand out a recycled (cache-warm) event buffer for an engine to
-    /// fill, or a fresh one when none has come back through
-    /// [`Self::drain`] yet.
-    pub fn take_spare(&mut self) -> Vec<(u64, u32, EventKind)> {
-        self.spare.pop().unwrap_or_else(|| Vec::with_capacity(256))
-    }
-
-    /// Encode everything enqueued so far into the fold and the ring.
-    /// FIFO order makes the result identical to immediate encoding;
-    /// the live op context is restored afterwards.
-    pub fn drain(&mut self) {
-        if self.queue.is_empty() {
-            return;
-        }
-        let live = self.ctx;
-        while let Some(q) = self.queue.pop_front() {
-            match q {
-                Queued::Batch { ctx, mut buf } => {
-                    self.ctx = ctx;
-                    for &(at, attempt, kind) in &buf {
-                        self.record(at, attempt, kind);
-                    }
-                    buf.clear();
-                    if self.spare.len() < 32 {
-                        self.spare.push(buf);
-                    }
-                }
-                Queued::One { ctx, at, attempt, kind } => {
-                    self.ctx = ctx;
-                    self.record(at.unwrap_or(self.last_at), attempt, kind);
-                }
-                Queued::Adds { n, entries } => {
-                    for &(name, label, v) in &entries[..usize::from(n)] {
-                        self.registry.add(name, label, v);
-                    }
-                }
-                Queued::Stats { adds, observes, entries } => {
-                    let (a, o) = (usize::from(adds), usize::from(observes));
-                    for &(name, label, v) in &entries[..a] {
-                        self.registry.add(name, label, v);
-                    }
-                    for &(name, label, v) in &entries[a..a + o] {
-                        self.registry.observe(name, label, v);
-                    }
-                }
-            }
-        }
-        self.ctx = live;
-    }
-
-    /// Entries waiting in the deferred-encoding queue.
-    pub fn queued(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Defer a batch of counter increments (≤ `ADDS_MAX`) through
-    /// the queue; larger batches are applied immediately.
-    pub fn enqueue_adds(&mut self, adds: &[(&'static str, u64, u64)]) {
-        if adds.len() <= ADDS_MAX {
-            let mut entries = [("", 0u64, 0u64); ADDS_MAX];
-            entries[..adds.len()].copy_from_slice(adds);
-            self.push(Queued::Adds { n: adds.len() as u8, entries });
-        } else {
-            for &(name, label, v) in adds {
-                self.registry.add(name, label, v);
-            }
-        }
-    }
-
-    /// Defer a mixed batch of counter increments and histogram
-    /// samples (≤ `ADDS_MAX` combined) as one alloc-free queue
-    /// entry; larger batches are applied immediately.
-    pub fn enqueue_stats(
-        &mut self,
-        adds: &[(&'static str, u64, u64)],
-        observes: &[(&'static str, u64, u64)],
-    ) {
-        if adds.len() + observes.len() <= ADDS_MAX {
-            let mut entries = [("", 0u64, 0u64); ADDS_MAX];
-            entries[..adds.len()].copy_from_slice(adds);
-            entries[adds.len()..adds.len() + observes.len()].copy_from_slice(observes);
-            self.push(Queued::Stats {
-                adds: adds.len() as u8,
-                observes: observes.len() as u8,
-                entries,
-            });
-        } else {
-            for &(name, label, v) in adds {
-                self.registry.add(name, label, v);
-            }
-            for &(name, label, v) in observes {
-                self.registry.observe(name, label, v);
-            }
-        }
-    }
-
     /// Registry snapshot with the dense per-node delivery loads
     /// merged in as `load/deliver` counter rows.
-    pub fn snapshot(&self) -> Snapshot {
+    fn snapshot(&self) -> Snapshot {
         let mut snap = self.registry.snapshot();
         for (i, &v) in self.node_loads.iter().enumerate() {
             if v != 0 {
@@ -806,7 +650,7 @@ impl Recorder {
     /// Record one event at virtual time `at`. The fingerprint folds
     /// protocol-plane events only; the ring keeps everything, evicting
     /// the oldest event (counted in `overflow`) at capacity.
-    pub fn record(&mut self, at: u64, attempt: u32, kind: EventKind) {
+    fn record(&mut self, at: u64, attempt: u32, kind: EventKind) {
         self.last_at = at;
         if let EventKind::Deliver { dst, .. } = kind {
             // per-node load falls straight out of the event stream
@@ -836,39 +680,9 @@ impl Recorder {
         self.seq += 1;
     }
 
-    /// Set the op context stamped on subsequent events.
-    pub fn begin_op(&mut self, op: u64) {
-        self.ctx = op;
-    }
-
-    /// Running protocol-plane fingerprint.
-    pub fn fingerprint(&self) -> u64 {
-        self.fp
-    }
-
-    /// Events evicted from the ring so far.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Events recorded so far (evicted or not).
-    pub fn recorded(&self) -> u64 {
-        self.seq
-    }
-
-    /// The registry (metrics side).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Mutable registry access.
-    pub fn registry_mut(&mut self) -> &mut Registry {
-        &mut self.registry
-    }
-
     /// Reconstruct the causal chain of `op` from the events still in
     /// the ring.
-    pub fn explain(&self, op: u64) -> Explain {
+    fn explain(&self, op: u64) -> Explain {
         Explain {
             op,
             events: self.ring.iter().filter(|e| e.op == op).copied().collect(),
@@ -881,15 +695,12 @@ impl Recorder {
 /// engine, replica, store and benches. `Obs::default()` /
 /// [`Obs::off`] is a no-op sink: every call is one `Option` test.
 ///
-/// The live recorder sits behind an `Arc<Mutex<_>>` so the handle is
-/// `Send + Sync`. The lock is uncontended in every deterministic
-/// scenario (ops are issued sequentially); if a caller does record
-/// from several threads, counters and histograms stay exact (sums
-/// commute) but event order — and therefore the fingerprint — is only
-/// meaningful single-threaded.
+/// Everything runs on one thread, so the live recorder sits behind an
+/// `Rc<RefCell<_>>`: clones share one recorder, and every event is
+/// encoded — folded and pushed onto the ring — when it is emitted.
 #[derive(Clone, Default, Debug)]
 pub struct Obs {
-    inner: Option<Arc<Mutex<Recorder>>>,
+    inner: Option<Rc<RefCell<Recorder>>>,
 }
 
 impl Obs {
@@ -900,7 +711,7 @@ impl Obs {
 
     /// A live recorder with ring capacity `cap`.
     pub fn recording(cap: usize) -> Self {
-        Obs { inner: Some(Arc::new(Mutex::new(Recorder::new(cap)))) }
+        Obs { inner: Some(Rc::new(RefCell::new(Recorder::new(cap)))) }
     }
 
     /// Is a recorder attached?
@@ -908,156 +719,73 @@ impl Obs {
         self.inner.is_some()
     }
 
-    /// Run `f` on the live recorder, if any. A poisoned lock (a
-    /// panicking recorder user) drops the observation rather than
-    /// propagating the panic into protocol code.
+    /// Run `f` on the live recorder, if any.
+    #[inline]
     fn with<R>(&self, f: impl FnOnce(&mut Recorder) -> R) -> Option<R> {
-        let r = self.inner.as_ref()?;
-        let mut guard = r.lock().ok()?;
-        Some(f(&mut guard))
+        self.inner.as_ref().map(|r| f(&mut r.borrow_mut()))
     }
 
     /// Set the op context stamped on subsequent events ([`BACKGROUND`]
-    /// for non-op traffic). Also drains the deferred-encoding queue —
-    /// op boundaries sit off the latency-critical path, so the
-    /// encode work lands here and the freed buffers recycle while
-    /// still cache-warm.
+    /// for non-op traffic).
     pub fn begin_op(&self, op: u64) {
-        self.with(|r| {
-            // batched housekeeping: encode only once the queue has
-            // grown — one cache-polluting drain per ~dozens of ops,
-            // not one per op — while keeping buffers circulating
-            if r.queued() >= 64 {
-                r.drain();
-            }
-            r.begin_op(op);
-        });
-    }
-
-    /// A recycled event buffer for an engine run (empty when off).
-    pub fn take_buf(&self) -> Vec<(u64, u32, EventKind)> {
-        self.with(Recorder::take_spare).unwrap_or_default()
+        self.with(|r| r.ctx = op);
     }
 
     /// Record one protocol-plane event at virtual time `at`.
     #[inline]
     pub fn emit(&self, at: u64, attempt: u32, kind: EventKind) {
-        if self.inner.is_some() {
-            self.with(|r| r.enqueue(Some(at), attempt, kind));
-        }
+        self.with(|r| r.record(at, attempt, kind));
     }
 
     /// Record a storage-plane event (stamped with the last-seen
     /// engine time).
     #[inline]
     pub fn emit_storage(&self, kind: EventKind) {
-        if self.inner.is_some() {
-            self.with(|r| r.enqueue(None, 0, kind));
-        }
+        self.with(|r| r.record(r.last_at, 0, kind));
     }
 
     /// Add `v` to the counter `(name, label)`.
     #[inline]
     pub fn add(&self, name: &'static str, label: u64, v: u64) {
-        if self.inner.is_some() {
-            self.with(|r| r.registry_mut().add(name, label, v));
-        }
-    }
-
-    /// Drain a buffer of `(at, attempt, kind)` events into the ring
-    /// under a single lock. Engines buffer their protocol-plane
-    /// events locally (a plain `Vec` push per event) and flush once
-    /// per run — the per-message path never pays the lock.
-    pub fn emit_batch(&self, buf: &mut Vec<(u64, u32, EventKind)>) {
-        if self.inner.is_some() {
-            self.with(|r| r.enqueue_batch(buf));
-        } else {
-            buf.clear();
-        }
-    }
-
-    /// Add a batch of `(name, label, value)` counter increments under
-    /// a single lock — instrumented layers that export a dozen
-    /// counters per op pay one lock and one memcpy; the map updates
-    /// ride the deferred-encoding queue.
-    pub fn add_many(&self, entries: &[(&'static str, u64, u64)]) {
-        if self.inner.is_some() {
-            self.with(|r| r.enqueue_adds(entries));
-        }
-    }
-
-    /// Defer a mixed batch of counter increments and histogram
-    /// samples under a single lock; the map updates ride the
-    /// deferred-encoding queue like [`Self::add_many`].
-    pub fn stats_many(
-        &self,
-        adds: &[(&'static str, u64, u64)],
-        observes: &[(&'static str, u64, u64)],
-    ) {
-        if self.inner.is_some() {
-            self.with(|r| r.enqueue_stats(adds, observes));
-        }
+        self.with(|r| r.registry.add(name, label, v));
     }
 
     /// Set the gauge `(name, label)`.
     #[inline]
     pub fn gauge(&self, name: &'static str, label: u64, v: u64) {
-        if self.inner.is_some() {
-            self.with(|r| r.registry_mut().gauge(name, label, v));
-        }
+        self.with(|r| r.registry.gauge(name, label, v));
     }
 
     /// Record `sample` into the histogram `(name, label)`.
     #[inline]
     pub fn observe(&self, name: &'static str, label: u64, sample: u64) {
-        if self.inner.is_some() {
-            self.with(|r| r.registry_mut().observe(name, label, sample));
-        }
+        self.with(|r| r.registry.observe(name, label, sample));
     }
 
     /// Running protocol-plane fingerprint (0 when off).
     pub fn fingerprint(&self) -> u64 {
-        self.with(|r| {
-            r.drain();
-            r.fingerprint()
-        })
-        .unwrap_or(0)
+        self.with(|r| r.fp).unwrap_or(0)
     }
 
     /// Ring evictions so far.
     pub fn overflow(&self) -> u64 {
-        self.with(|r| {
-            r.drain();
-            r.overflow()
-        })
-        .unwrap_or(0)
+        self.with(|r| r.overflow).unwrap_or(0)
     }
 
     /// Events recorded so far.
     pub fn recorded(&self) -> u64 {
-        self.with(|r| {
-            r.drain();
-            r.recorded()
-        })
-        .unwrap_or(0)
+        self.with(|r| r.seq).unwrap_or(0)
     }
 
     /// Reconstruct the causal chain of `op`. `None` when off.
     pub fn explain(&self, op: u64) -> Option<Explain> {
-        self.with(|r| {
-            r.drain();
-            r.explain(op)
-        })
+        self.with(|r| r.explain(op))
     }
 
     /// Snapshot the registry, per-node load table included (empty
     /// when off).
     pub fn snapshot(&self) -> Snapshot {
-        self.with(|r| {
-            r.drain();
-            r.snapshot()
-        })
-        .unwrap_or_default()
+        self.with(|r| r.snapshot()).unwrap_or_default()
     }
 }
 
@@ -1088,32 +816,6 @@ mod tests {
         assert_eq!(ex.events.len(), 4);
         assert!(ex.truncated);
         assert_eq!(ex.events.last().map(|e| e.at), Some(63));
-    }
-
-    #[test]
-    fn deferred_queue_is_bounded_without_op_boundaries_or_reads() {
-        // nobody calls begin_op and nobody reads: the queue in front of
-        // the ring must still hold under its cap, and deferring must
-        // fold exactly what draining after every call folds
-        let lazy = Obs::recording(64);
-        let eager = Obs::recording(64);
-        let mut peak = 0usize;
-        for i in 0..100_000u32 {
-            for o in [&lazy, &eager] {
-                let at = u64::from(i);
-                o.emit_batch(&mut vec![(at, 0, send(i)), (at + 1, 1, EventKind::Retry)]);
-                o.emit_storage(EventKind::WalAppend { bytes: i });
-                o.add_many(&[("ops", 0, 1), ("bytes", u64::from(i % 7), 8)]);
-            }
-            eager.with(Recorder::drain);
-            peak = peak.max(lazy.with(|r| r.queued()).expect("recording"));
-        }
-        assert!((64..QUEUE_CAP).contains(&peak), "queue peaked at {peak}");
-        assert_eq!(lazy.fingerprint(), eager.fingerprint());
-        assert_eq!(lazy.recorded(), 300_000);
-        assert_eq!(lazy.snapshot().counter_series("bytes"), eager.snapshot().counter_series("bytes"));
-        let (l, e) = (lazy.explain(BACKGROUND), eager.explain(BACKGROUND));
-        assert_eq!(l.expect("recording").events, e.expect("recording").events);
     }
 
     #[test]

@@ -276,19 +276,21 @@ impl EngineStats {
     /// Counters accumulate across engine runs, which is exactly what
     /// a scenario spanning many short-lived engines wants.
     pub fn export(&self, obs: &Obs, label: u64) {
-        obs.add_many(&[
-            ("engine/msgs", label, self.msgs),
-            ("engine/bytes", label, self.bytes),
-            ("engine/delivered", label, self.delivered),
-            ("engine/dropped", label, self.dropped),
-            ("engine/duplicated", label, self.duplicated),
-            ("engine/stale", label, self.stale),
-            ("engine/retries", label, self.retries),
-            ("engine/completed", label, self.completed),
-            ("engine/failed", label, self.failed),
-            ("engine/hedged", label, self.hedged),
-            ("engine/shed", label, self.shed),
-        ]);
+        for (name, v) in [
+            ("engine/msgs", self.msgs),
+            ("engine/bytes", self.bytes),
+            ("engine/delivered", self.delivered),
+            ("engine/dropped", self.dropped),
+            ("engine/duplicated", self.duplicated),
+            ("engine/stale", self.stale),
+            ("engine/retries", self.retries),
+            ("engine/completed", self.completed),
+            ("engine/failed", self.failed),
+            ("engine/hedged", self.hedged),
+            ("engine/shed", self.shed),
+        ] {
+            obs.add(name, label, v);
+        }
     }
 }
 
@@ -561,10 +563,6 @@ pub struct Engine<'g, G: Topology, T: Transport> {
     /// emit is one `Option` test, so an un-instrumented run schedules
     /// bit-identically to a build without the recorder at all.
     obs: Obs,
-    /// Buffered protocol-plane events, drained into the recorder
-    /// under one lock at the end of each run: the per-event cost on
-    /// the hot path is an `Option` test plus a `Vec` push.
-    ev_buf: Vec<(u64, u32, ObsEvent)>,
     plan_buf: Vec<Delivery>,
     /// Recycled phase-2 trace buffers (released when an op completes,
     /// claimed by the next op entering phase 2) — the DH hot path
@@ -588,7 +586,6 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
             stats: EngineStats::default(),
             health: None,
             obs: Obs::off(),
-            ev_buf: Vec::new(),
             plan_buf: Vec::new(),
             trace_pool: Vec::new(),
         }
@@ -615,9 +612,6 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
     /// no emission consumes engine randomness — so an instrumented
     /// run's wire trace is bit-identical to an un-instrumented one.
     pub fn with_obs(mut self, obs: Obs) -> Self {
-        // recycled (cache-warm) buffer: the run's events accumulate
-        // without realloc chains or fresh page faults
-        self.ev_buf = obs.take_buf();
         self.obs = obs;
         self
     }
@@ -627,7 +621,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         self.clock
     }
 
-    /// Give back the transport (e.g. to read a recorded trace).
+    /// Give back the transport (e.g. to read a recorder's fold).
     pub fn into_transport(self) -> T {
         self.transport
     }
@@ -711,9 +705,6 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
                 EventKind::Hedge { op, attempt } => self.hedge_fire(op, attempt),
             }
         }
-        if !self.ev_buf.is_empty() {
-            self.obs.emit_batch(&mut self.ev_buf);
-        }
     }
 
     /// The outcome of a submitted op (meaningful after [`Self::run`]).
@@ -763,19 +754,10 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
     /// is `env.msg.wire_bytes()`, computed once by the caller (it also
     /// charges the per-op accounting with it); `attempt` stamps the
     /// recorder's Send event (0 for bare sends).
-    /// Buffer one flight-recorder event (flushed under a single
-    /// recorder lock when the run completes).
-    #[inline]
-    fn note(&mut self, at: u64, attempt: u32, kind: ObsEvent) {
-        if self.obs.is_on() {
-            self.ev_buf.push((at, attempt, kind));
-        }
-    }
-
     fn dispatch(&mut self, env: Envelope, bytes: u64, attempt: u32) {
         self.stats.msgs += 1;
         self.stats.bytes += bytes;
-        self.note(
+        self.obs.emit(
             self.clock,
             attempt,
             ObsEvent::Send { src: env.src.0, dst: env.dst.0, bytes: bytes as u32 },
@@ -1079,7 +1061,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         // send's own delivery is observed
         let timeout = self.progress_timeout(id, next, attempt);
         self.dispatch(Envelope { src, dst: next, msg, corrupt: false }, bytes, attempt);
-        self.note(
+        self.obs.emit(
             self.clock,
             attempt,
             ObsEvent::TimerArm { dst: next.0, deadline: self.clock + timeout },
@@ -1401,7 +1383,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         // worth — not-found replies and the backup timer extend it
         let need = (k as usize).min(holders.len()).max(1);
         let contact = if put { holders.len() } else { need };
-        self.note(
+        self.obs.emit(
             self.clock,
             self.ops[id as usize].attempt,
             ObsEvent::QuorumEntry {
@@ -1450,7 +1432,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
             }
         }
         let timeout = self.scatter_timeout(id, &holders, attempt);
-        self.note(
+        self.obs.emit(
             self.clock,
             attempt,
             ObsEvent::TimerArm { dst: cur.0, deadline: self.clock + timeout },
@@ -1524,7 +1506,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         if self.contact_next(id) {
             self.stats.hedged += 1;
             let wave = self.ops[id as usize].replica.as_ref().map_or(0, |r| u32::from(r.wave));
-            self.note(self.clock, attempt, ObsEvent::Hedge { wave });
+            self.obs.emit(self.clock, attempt, ObsEvent::Hedge { wave });
             let more = self.ops[id as usize]
                 .replica
                 .as_ref()
@@ -1593,7 +1575,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         let now = h.is_suspect(node);
         let level = h.suspicion(node);
         if was != now {
-            self.note(self.clock, 0, ObsEvent::SuspicionEdge { node: node.0, up: now, level });
+            self.obs.emit(self.clock, 0, ObsEvent::SuspicionEdge { node: node.0, up: now, level });
         }
     }
 
@@ -1606,7 +1588,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         let now = h.is_suspect(node);
         let level = h.suspicion(node);
         if was != now {
-            self.note(self.clock, 0, ObsEvent::SuspicionEdge { node: node.0, up: now, level });
+            self.obs.emit(self.clock, 0, ObsEvent::SuspicionEdge { node: node.0, up: now, level });
         }
     }
 
@@ -1621,7 +1603,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
                 | Wire::ShareReply { attempt, .. } => *attempt,
                 _ => 0,
             };
-            self.note(
+            self.obs.emit(
                 self.clock,
                 attempt,
                 ObsEvent::Deliver { src: env.src.0, dst: env.dst.0 },
@@ -1701,7 +1683,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         if !rep.acked.contains(&idx) {
             rep.acked.push(idx);
         }
-        self.note(
+        self.obs.emit(
             self.clock,
             attempt,
             ObsEvent::ShareAck { holder: env.src.0, idx: u32::from(idx) },
@@ -1758,7 +1740,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
                 rep.gathered.push(idx);
                 // a found reply is the read-side twin of a put's ack:
                 // the holder contributed a share toward the quorum
-                self.note(
+                self.obs.emit(
                     self.clock,
                     attempt,
                     ObsEvent::ShareAck { holder: env.src.0, idx: u32::from(idx) },
@@ -1777,7 +1759,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         {
             return; // the op made progress since this timer was armed
         }
-        self.note(self.clock, attempt, ObsEvent::TimerFire { step });
+        self.obs.emit(self.clock, attempt, ObsEvent::TimerFire { step });
         let op = &self.ops[id as usize];
         // spurious-timeout protection for hedged routes: a stalled
         // step is usually a lost or merely-late message (a grey
@@ -1839,7 +1821,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         op.corrupt = false;
         self.stats.retries += 1;
         let fresh = op.attempt;
-        self.note(self.clock, fresh, ObsEvent::Retry);
+        self.obs.emit(self.clock, fresh, ObsEvent::Retry);
         let op = &self.ops[id as usize];
         // a hedged DH route that stalled mid-walk resumes from the
         // node holding the message — a fresh random descent from here
@@ -1881,7 +1863,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{Delivery, Inline, Recorder, Sim, Trace, TraceRecord};
+    use crate::transport::{Delivery, Inline, Recorder, Sim};
     use crate::fault::ChaosNet;
     use cd_core::pointset::PointSet;
 
@@ -2021,7 +2003,7 @@ mod tests {
                 })
                 .collect();
             let stats = eng.stats;
-            (outs, stats, eng.into_transport().into_trace().fingerprint())
+            (outs, stats, eng.into_transport().fingerprint())
         };
         let (a_out, a_stats, a_fp) = run();
         let (b_out, b_stats, b_fp) = run();
@@ -2205,18 +2187,20 @@ mod tests {
         TableShares(held.map(|i| ((holders[i as usize].0, key, i), 40u32)).collect())
     }
 
-    /// The tags of the clique-protocol messages a recorded run sent, in
+    /// `Inline` that logs the clique-protocol messages it carries, in
     /// send order: `'F'` per `FetchShare`, `'R'` per `ShareReply`.
-    fn scatter_tags(trace: &Trace) -> String {
-        let fetch = Wire::FetchShare { op: 0, attempt: 1, idx: 0, key: 0, wave: 0 }.tag();
-        let reply =
-            Wire::ShareReply { op: 0, attempt: 1, idx: 0, key: 0, found: false, len: 0 }.tag();
-        let tag = |r: &TraceRecord| match r.tag {
-            t if t == fetch => Some('F'),
-            t if t == reply => Some('R'),
-            _ => None,
-        };
-        trace.records.iter().filter_map(tag).collect()
+    #[derive(Default)]
+    struct ScatterTags(String);
+
+    impl Transport for ScatterTags {
+        fn plan(&mut self, now: u64, env: &Envelope, out: &mut Vec<Delivery>) {
+            match env.msg {
+                Wire::FetchShare { .. } => self.0.push('F'),
+                Wire::ShareReply { .. } => self.0.push('R'),
+                _ => {}
+            }
+            Inline.plan(now, env, out)
+        }
     }
 
     #[test]
@@ -2226,7 +2210,7 @@ mod tests {
         let (m, k, key) = (5u8, 3u8, 9u64);
         let holders = clique(&net, item, m);
         let view = shares_on(&holders, key, &[]);
-        let mut eng = Engine::new(&net, Recorder::new(Inline), 103);
+        let mut eng = Engine::new(&net, ScatterTags::default(), 103);
         let from = NodeId((net.cover(item).0 + 7) % 16);
         let op = eng.submit(RouteKind::Fast, from, item, Action::GetShares { key, m, k, item });
         eng.run_with_shares(&view);
@@ -2242,8 +2226,7 @@ mod tests {
         // nothing is fetched to be thrown away
         assert_eq!((eng.stats.stale, eng.stats.hedged), (0, 0));
         assert_eq!((eng.stats.retries, eng.stats.dropped), (0, 0));
-        let trace = eng.into_transport().into_trace();
-        assert_eq!(scatter_tags(&trace), "FFRR", "exactly k − 1 fetches, each answered");
+        assert_eq!(eng.into_transport().0, "FFRR", "exactly k − 1 fetches, each answered");
     }
 
     #[test]
@@ -2253,7 +2236,7 @@ mod tests {
         let (m, k, key) = (5u8, 3u8, 9u64);
         let holders = clique(&net, item, m);
         let view = shares_on(&holders, key, &[1]);
-        let mut eng = Engine::new(&net, Recorder::new(Inline), 103);
+        let mut eng = Engine::new(&net, ScatterTags::default(), 103);
         let get = Action::GetShares { key, m, k, item };
         let op = eng.submit(RouteKind::Fast, holders[0], item, get);
         eng.run_with_shares(&view);
@@ -2262,7 +2245,7 @@ mod tests {
         assert_eq!(out.shares, vec![0, 2, 3], "the next cover in contact order fills in");
         assert_eq!((eng.stats.stale, eng.stats.hedged, eng.stats.retries), (0, 0, 0));
         // the top-up leaves on the not-found reply, not on a timer
-        assert_eq!(scatter_tags(&eng.into_transport().into_trace()), "FFRRFR");
+        assert_eq!(eng.into_transport().0, "FFRRFR");
     }
 
     #[test]
@@ -2372,7 +2355,7 @@ mod tests {
     fn missing_item_read_completes_once_every_cover_answered() {
         let net = Complete::new(16, 2);
         let item = Point(42);
-        let mut eng = Engine::new(&net, Recorder::new(Inline), 113);
+        let mut eng = Engine::new(&net, ScatterTags::default(), 113);
         let op = eng.submit(
             RouteKind::Fast,
             NodeId(3),
@@ -2387,7 +2370,7 @@ mod tests {
         // two waves reach all m covers: own + k − 1, then the shortfall
         // of k at once — not one round trip per cover
         assert_eq!((eng.stats.hedged, eng.stats.retries), (0, 0));
-        assert_eq!(scatter_tags(&eng.into_transport().into_trace()), "FRFFRR");
+        assert_eq!(eng.into_transport().0, "FRFFRR");
     }
 
     #[test]

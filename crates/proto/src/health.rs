@@ -17,7 +17,7 @@
 //!   fires against the node, raised slightly when a hedge passes over
 //!   it, decayed every time any message from it is delivered. A node
 //!   whose smoothed RTT sits far above the population's
-//!   ([`NetHealth::slow_factor`]) carries a standing penalty, so grey
+//!   ([`SLOW_FACTOR`]) carries a standing penalty, so grey
 //!   nodes become suspects from pure observation, before any timeout
 //!   fires.
 //!
@@ -37,7 +37,26 @@ use std::collections::BTreeMap;
 
 /// Suspicion ceiling: bounds how long a recovered node needs to talk
 /// itself back below the threshold.
-const SUSPICION_CAP: u32 = 32;
+pub const SUSPICION_CAP: u32 = 32;
+/// Floor of every adaptive timeout (ticks) — guards against a burst of
+/// tiny samples collapsing the timer to nothing.
+pub const MIN_TIMEOUT: u64 = 8;
+/// A destination whose smoothed delay exceeds `SLOW_FACTOR ×` the
+/// population's is carrying a standing grey-node penalty.
+pub const SLOW_FACTOR: u64 = 3;
+/// The standing suspicion penalty of a slow destination.
+pub const SLOW_PENALTY: u32 = 6;
+/// Suspicion added when a progress timer fires against a node.
+pub const RAISE: u32 = 8;
+/// Suspicion added when a hedge fires past a still-silent node.
+pub const HEDGE_RAISE: u32 = 2;
+/// Suspicion removed whenever a message from the node is delivered.
+pub const DECAY: u32 = 1;
+/// Suspicion at or above this level makes the node a suspect.
+pub const THRESHOLD: u32 = 6;
+/// Minimum per-destination samples before the slow comparison is
+/// trusted.
+pub const SLOW_MIN_SAMPLES: u64 = 3;
 
 /// Integer Jacobson/Karels RTT estimator. `srtt` is kept scaled ×8 and
 /// the mean deviation ×4 (the classic fixed-point trick), so the
@@ -92,9 +111,8 @@ impl RttEstimate {
 }
 
 /// The failure detector + adaptive-timeout state shared across engine
-/// runs. See the module docs; every knob is a public field with a
-/// conservative default.
-#[derive(Clone, Debug)]
+/// runs. See the module docs; its rules are the module's constants.
+#[derive(Clone, Debug, Default)]
 pub struct NetHealth {
     /// Per-destination delivery-delay estimators, indexed by
     /// `NodeId.0` (node ids are slab indices, so the table is dense)
@@ -103,52 +121,15 @@ pub struct NetHealth {
     /// `samples == 0` is an unobserved destination.
     rtt: Vec<RttEstimate>,
     /// Population-wide estimator (all destinations pooled): the
-    /// baseline that `slow_factor` compares against and the source of
-    /// the hedge delay.
+    /// baseline that [`SLOW_FACTOR`] compares against and the source
+    /// of the hedge delay.
     global: RttEstimate,
     /// Accrual suspicion counters (absent ⇒ 0).
     susp: BTreeMap<NodeId, u32>,
-    /// Floor of every adaptive timeout (ticks) — guards against a
-    /// burst of tiny samples collapsing the timer to nothing.
-    pub min_timeout: u64,
-    /// A destination whose smoothed delay exceeds `slow_factor ×` the
-    /// population's is carrying a standing grey-node penalty.
-    pub slow_factor: u64,
-    /// The standing suspicion penalty of a slow destination.
-    pub slow_penalty: u32,
-    /// Suspicion added when a progress timer fires against a node.
-    pub raise: u32,
-    /// Suspicion added when a hedge fires past a still-silent node.
-    pub hedge_raise: u32,
-    /// Suspicion removed whenever a message from the node is delivered.
-    pub decay: u32,
-    /// Suspicion at or above this level makes the node a suspect.
-    pub threshold: u32,
-    /// Minimum per-destination samples before the slow comparison is
-    /// trusted.
-    pub slow_min_samples: u64,
-}
-
-impl Default for NetHealth {
-    fn default() -> Self {
-        NetHealth {
-            rtt: Vec::new(),
-            global: RttEstimate::default(),
-            susp: BTreeMap::new(),
-            min_timeout: 8,
-            slow_factor: 3,
-            slow_penalty: 6,
-            raise: 8,
-            hedge_raise: 2,
-            decay: 1,
-            threshold: 6,
-            slow_min_samples: 3,
-        }
-    }
 }
 
 impl NetHealth {
-    /// A fresh detector with the default knobs.
+    /// A fresh detector.
     pub fn new() -> Self {
         NetHealth::default()
     }
@@ -156,7 +137,7 @@ impl NetHealth {
     /// Feed one observed delivery delay toward `dst` (ticks between
     /// send and planned arrival) into the per-destination and global
     /// estimators. The population baseline describes what *healthy*
-    /// exchanges look like, so samples far above it (`slow_factor ×`
+    /// exchanges look like, so samples far above it (`SLOW_FACTOR ×`
     /// its smoothed delay — a grey endpoint's doing) only train the
     /// per-destination estimator: one slow cover must not slacken
     /// every bound derived from the baseline (route caps, hedge
@@ -170,7 +151,7 @@ impl NetHealth {
             e.observe(delay);
         }
         if self.global.samples() == 0
-            || delay <= self.slow_factor.saturating_mul(self.global.srtt().max(1))
+            || delay <= SLOW_FACTOR.saturating_mul(self.global.srtt().max(1))
         {
             self.global.observe(delay);
         }
@@ -187,7 +168,7 @@ impl NetHealth {
     }
 
     /// The adaptive progress timeout for a send toward `dst`, clamped
-    /// to `[min_timeout, ceiling]`. `3 × rto` covers a full
+    /// to `[MIN_TIMEOUT, ceiling]`. `3 × rto` covers a full
     /// request/response exchange (two delivery legs plus dispersion);
     /// with no samples at all the ceiling (the policy's fixed timeout)
     /// applies — cold starts are conservative, never trigger-happy.
@@ -197,19 +178,19 @@ impl NetHealth {
             None if self.global.samples() > 0 => &self.global,
             None => return ceiling,
         };
-        (est.rto().saturating_mul(3)).clamp(self.min_timeout.min(ceiling), ceiling)
+        (est.rto().saturating_mul(3)).clamp(MIN_TIMEOUT.min(ceiling), ceiling)
     }
 
     /// How long a quorum read waits for its first wave before
     /// launching a backup fetch: two population-typical exchanges —
     /// long enough that healthy stragglers almost never trigger it,
     /// short enough that a grey cover costs one hedge delay instead of
-    /// a full timeout. Clamped to `[min_timeout, ceiling]`.
+    /// a full timeout. Clamped to `[MIN_TIMEOUT, ceiling]`.
     pub fn hedge_delay(&self, ceiling: u64) -> u64 {
         if self.global.samples() == 0 {
-            return (ceiling / 8).max(self.min_timeout).min(ceiling);
+            return (ceiling / 8).max(MIN_TIMEOUT).min(ceiling);
         }
-        (self.global.rto().saturating_mul(2)).clamp(self.min_timeout.min(ceiling), ceiling)
+        (self.global.rto().saturating_mul(2)).clamp(MIN_TIMEOUT.min(ceiling), ceiling)
     }
 
     /// The per-step progress bound of a *hedged* route: what a send to
@@ -224,38 +205,38 @@ impl NetHealth {
         if self.global.samples() == 0 {
             return ceiling;
         }
-        (self.global.rto().saturating_mul(3)).clamp(self.min_timeout.min(ceiling), ceiling)
+        (self.global.rto().saturating_mul(3)).clamp(MIN_TIMEOUT.min(ceiling), ceiling)
     }
 
     /// Is `dst` far slower than the population (a grey node)?
     pub fn is_slow(&self, dst: NodeId) -> bool {
         match self.estimate(dst) {
             Some(e) => {
-                e.samples() >= self.slow_min_samples
-                    && self.global.samples() >= self.slow_min_samples
-                    && e.srtt() > self.slow_factor.saturating_mul(self.global.srtt().max(1))
+                e.samples() >= SLOW_MIN_SAMPLES
+                    && self.global.samples() >= SLOW_MIN_SAMPLES
+                    && e.srtt() > SLOW_FACTOR.saturating_mul(self.global.srtt().max(1))
             }
             None => false,
         }
     }
 
-    /// Raise suspicion of `node` by the timeout amount ([`Self::raise`]).
+    /// Raise suspicion of `node` by the timeout amount ([`RAISE`]).
     pub fn raise(&mut self, node: NodeId) {
         let s = self.susp.entry(node).or_insert(0);
-        *s = s.saturating_add(self.raise).min(SUSPICION_CAP);
+        *s = s.saturating_add(RAISE).min(SUSPICION_CAP);
     }
 
     /// Raise suspicion of `node` by the hedge amount
-    /// ([`Self::hedge_raise`]) — a cover a hedge had to fire past.
+    /// ([`HEDGE_RAISE`]) — a cover a hedge had to fire past.
     pub fn raise_hedge(&mut self, node: NodeId) {
         let s = self.susp.entry(node).or_insert(0);
-        *s = s.saturating_add(self.hedge_raise).min(SUSPICION_CAP);
+        *s = s.saturating_add(HEDGE_RAISE).min(SUSPICION_CAP);
     }
 
     /// A message from `node` was delivered: decay its suspicion.
     pub fn alive(&mut self, node: NodeId) {
         if let Some(s) = self.susp.get_mut(&node) {
-            *s = s.saturating_sub(self.decay);
+            *s = s.saturating_sub(DECAY);
             if *s == 0 {
                 self.susp.remove(&node);
             }
@@ -266,14 +247,14 @@ impl NetHealth {
     /// standing grey-node penalty when the node is [`Self::is_slow`].
     pub fn suspicion(&self, node: NodeId) -> u32 {
         let counter = self.susp.get(&node).copied().unwrap_or(0);
-        let penalty = if self.is_slow(node) { self.slow_penalty } else { 0 };
+        let penalty = if self.is_slow(node) { SLOW_PENALTY } else { 0 };
         counter.saturating_add(penalty)
     }
 
     /// Is `node` currently a suspect (suspicion at/above the
     /// threshold)?
     pub fn is_suspect(&self, node: NodeId) -> bool {
-        self.suspicion(node) >= self.threshold
+        self.suspicion(node) >= THRESHOLD
     }
 
     /// Is `node` suspected *dead* — its accrual counter alone (no
@@ -281,7 +262,7 @@ impl NetHealth {
     /// keys off this: a slow cover can still serve a quorum, an
     /// unresponsive one cannot.
     pub fn is_dead_suspect(&self, node: NodeId) -> bool {
-        self.susp.get(&node).copied().unwrap_or(0) >= self.threshold
+        self.susp.get(&node).copied().unwrap_or(0) >= THRESHOLD
     }
 
     /// Number of nodes currently judged suspect ([`Self::is_suspect`])
@@ -367,7 +348,7 @@ mod tests {
             h.observe(NodeId(1), 10);
         }
         let t = h.timeout_for(NodeId(1), 512);
-        assert!(t >= h.min_timeout && t < 512, "adaptive timeout {t} must undercut the ceiling");
+        assert!((MIN_TIMEOUT..512).contains(&t), "adaptive timeout {t} must undercut the ceiling");
         // an unknown destination borrows the population estimate
         let u = h.timeout_for(NodeId(99), 512);
         assert!(u < 512);
@@ -408,7 +389,7 @@ mod tests {
         assert!(!h.is_suspect(n));
         // hedge raises are gentler than timeout raises
         h.raise_hedge(n);
-        assert!(h.suspicion(n) < h.raise);
+        assert!(h.suspicion(n) < RAISE);
         h.reset();
         assert_eq!(h.suspicion(n), 0);
         assert_eq!(h.global_estimate().samples(), 0);

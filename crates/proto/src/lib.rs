@@ -15,8 +15,8 @@
 //!   [`transport::Inline`] is zero-overhead direct dispatch (routes
 //!   bit-identical to the synchronous algorithms),
 //!   [`transport::Sim`] models per-link latency, loss, duplication and
-//!   reordering, [`transport::Recorder`]/[`transport::Replay`] capture
-//!   and replay delivery traces for debugging, and
+//!   reordering, [`transport::Recorder`] folds every delivery decision
+//!   into the fingerprint the pins assert, and
 //!   [`fault::ChaosNet`] is the one fault transport: the §6 failure
 //!   models (fail-stop, false message injection) as two node sets,
 //!   plus the grey failures — partitions (incl. asymmetric one-way
@@ -65,5 +65,5 @@ pub use engine::{Engine, EngineStats, NoShares, OpOutcome, Path, RetryPolicy, Sh
 pub use fault::{ChaosNet, CutDirection, FaultModel, FlapSchedule, LossBurst, Partition};
 pub use health::{NetHealth, RttEstimate};
 pub use node::NodeId;
-pub use transport::{Delivery, Inline, Recorder, Replay, Sim, Trace, Transport};
+pub use transport::{Delivery, Inline, Recorder, Sim, Transport};
 pub use wire::{Envelope, OpId, Wire};

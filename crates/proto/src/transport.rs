@@ -10,8 +10,7 @@
 //! | --- | --- |
 //! | [`Inline`] | zero latency, FIFO — direct dispatch, routes bit-identical to the synchronous algorithms |
 //! | [`Sim`] | per-link latency + per-message jitter, seeded drops and duplication (jitter ⇒ reordering) |
-//! | [`Recorder`] | wraps any transport, records every decision into a [`Trace`] |
-//! | [`Replay`] | replays a recorded [`Trace`] decision-for-decision |
+//! | [`Recorder`] | wraps any transport, folds every decision into a fingerprint |
 //! | [`crate::fault::ChaosNet`] | wraps any transport with the §6 failure models and grey failures |
 
 use crate::node::NodeId;
@@ -47,7 +46,7 @@ impl<T: Transport + ?Sized> Transport for &mut T {
 
 /// A shared transport handle: many sequential engine runs (one per
 /// operation, as the replica layer creates them) can drive the *same*
-/// underlying transport, so its state — RNG stream, recorded trace,
+/// underlying transport, so its state — RNG stream, recorded fold,
 /// chaos schedules — is continuous across operations. Cloning the
 /// `Rc` is how a `make_transport(attempt)` closure hands every
 /// attempt the same substrate.
@@ -155,77 +154,24 @@ impl Transport for Sim {
     }
 }
 
-/// One recorded transport decision.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceRecord {
-    /// Send time.
-    pub sent_at: u64,
-    /// Sender.
-    pub src: NodeId,
-    /// Receiver.
-    pub dst: NodeId,
-    /// Message tag ([`crate::wire::Wire::tag`]).
-    pub tag: u8,
-    /// Modeled size of the message.
-    pub bytes: u64,
-    /// Planned arrivals (empty ⇒ dropped).
-    pub deliveries: Vec<Delivery>,
-}
-
-/// A complete record of every transport decision of an engine run —
-/// the replay-debugging artifact and the determinism witness.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Trace {
-    /// The decisions, in send order.
-    pub records: Vec<TraceRecord>,
-}
-
-impl Trace {
-    /// Number of sends recorded.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True iff nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// A 64-bit fingerprint of the whole trace (order-sensitive).
-    /// Identical traces ⇒ identical fingerprints, so asserting a
-    /// fingerprint pins the entire event schedule of a seeded run.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |v: u64| h = splitmix64(h ^ v);
-        for r in &self.records {
-            mix(r.sent_at);
-            mix((u64::from(r.src.0) << 32) | u64::from(r.dst.0));
-            mix((u64::from(r.tag) << 56) | r.bytes);
-            for d in &r.deliveries {
-                mix(d.at.wrapping_mul(2).wrapping_add(u64::from(d.corrupt)));
-            }
-            mix(r.deliveries.len() as u64);
-        }
-        h
-    }
-}
-
-/// Wraps any transport and records its decisions into a [`Trace`].
+/// Wraps any transport and folds every decision it makes into a
+/// running 64-bit fingerprint (order-sensitive): identical decision
+/// sequences ⇒ identical folds, so asserting a fingerprint pins the
+/// entire event schedule of a seeded run.
 pub struct Recorder<T> {
     inner: T,
-    /// The trace recorded so far.
-    pub trace: Trace,
+    fp: u64,
 }
 
 impl<T: Transport> Recorder<T> {
     /// Record the decisions of `inner`.
     pub fn new(inner: T) -> Self {
-        Recorder { inner, trace: Trace::default() }
+        Recorder { inner, fp: 0xcbf2_9ce4_8422_2325 }
     }
 
-    /// Stop recording and return the trace.
-    pub fn into_trace(self) -> Trace {
-        self.trace
+    /// The fold of every decision so far.
+    pub fn fingerprint(&self) -> u64 {
+        self.fp
     }
 
     /// The wrapped transport (e.g. to advance a `ChaosNet` epoch
@@ -239,61 +185,16 @@ impl<T: Transport> Transport for Recorder<T> {
     fn plan(&mut self, now: u64, env: &Envelope, out: &mut Vec<Delivery>) {
         let start = out.len();
         self.inner.plan(now, env, out);
-        self.trace.records.push(TraceRecord {
-            sent_at: now,
-            src: env.src,
-            dst: env.dst,
-            tag: env.msg.tag(),
-            bytes: env.msg.wire_bytes(),
-            deliveries: out[start..].to_vec(),
-        });
-    }
-}
-
-/// Replays a recorded [`Trace`]: the `k`-th send of the run gets
-/// exactly the deliveries the `k`-th record planned. Panics if the
-/// replayed run diverges from the recording (different sender,
-/// receiver or message kind at some step) — that divergence is the
-/// bug the replay is hunting.
-pub struct Replay {
-    trace: Trace,
-    cursor: usize,
-}
-
-impl Replay {
-    /// Replay `trace` from the beginning.
-    pub fn new(trace: Trace) -> Self {
-        Replay { trace, cursor: 0 }
-    }
-
-    /// How many records have been consumed.
-    pub fn position(&self) -> usize {
-        self.cursor
-    }
-}
-
-impl Transport for Replay {
-    fn plan(&mut self, now: u64, env: &Envelope, out: &mut Vec<Delivery>) {
-        let rec = self
-            .trace
-            .records
-            .get(self.cursor)
-            .unwrap_or_else(|| panic!("replay exhausted after {} sends", self.cursor));
-        assert_eq!(
-            (rec.sent_at, rec.src, rec.dst, rec.tag),
-            (now, env.src, env.dst, env.msg.tag()),
-            "replay diverged at send #{}: recorded {:?}→{:?} tag {} at t={}, live {:?}→{:?} tag {} at t={now}",
-            self.cursor,
-            rec.src,
-            rec.dst,
-            rec.tag,
-            rec.sent_at,
-            env.src,
-            env.dst,
-            env.msg.tag(),
-        );
-        out.extend(rec.deliveries.iter().copied());
-        self.cursor += 1;
+        let mut h = self.fp;
+        let mut mix = |v: u64| h = splitmix64(h ^ v);
+        mix(now);
+        mix((u64::from(env.src.0) << 32) | u64::from(env.dst.0));
+        mix((u64::from(env.msg.tag()) << 56) | env.msg.wire_bytes());
+        for d in &out[start..] {
+            mix(d.at.wrapping_mul(2).wrapping_add(u64::from(d.corrupt)));
+        }
+        mix((out.len() - start) as u64);
+        self.fp = h;
     }
 }
 
@@ -359,38 +260,16 @@ mod tests {
 
     #[test]
     fn recorder_replay_roundtrip() {
-        let mut rec = Recorder::new(Sim::new(11).with_drop(0.3).with_dup(0.3));
-        let mut outs = Vec::new();
-        for i in 0..100u32 {
-            let mut out = Vec::new();
-            rec.plan(u64::from(i), &env(i, i + 1), &mut out);
-            outs.push(out);
-        }
-        let trace = rec.into_trace();
-        let fp = trace.fingerprint();
-        let mut rep = Replay::new(trace);
-        for i in 0..100u32 {
-            let mut out = Vec::new();
-            rep.plan(u64::from(i), &env(i, i + 1), &mut out);
-            assert_eq!(out, outs[i as usize]);
-        }
-        // the fingerprint is a pure function of the records
-        let mut rec2 = Recorder::new(Sim::new(11).with_drop(0.3).with_dup(0.3));
-        for i in 0..100u32 {
-            let mut out = Vec::new();
-            rec2.plan(u64::from(i), &env(i, i + 1), &mut out);
-        }
-        assert_eq!(rec2.trace.fingerprint(), fp);
-    }
-
-    #[test]
-    #[should_panic(expected = "replay diverged")]
-    fn replay_detects_divergence() {
-        let mut rec = Recorder::new(Inline);
-        let mut out = Vec::new();
-        rec.plan(0, &env(1, 2), &mut out);
-        let mut rep = Replay::new(rec.into_trace());
-        out.clear();
-        rep.plan(0, &env(1, 3), &mut out);
+        let fold = |dst_of: fn(u32) -> u32| {
+            let mut rec = Recorder::new(Sim::new(11).with_drop(0.3).with_dup(0.3));
+            for i in 0..100u32 {
+                rec.plan(u64::from(i), &env(i, dst_of(i)), &mut Vec::new());
+            }
+            rec.fingerprint()
+        };
+        // the fold is a pure function of the sends and their deliveries
+        assert_eq!(fold(|i| i + 1), fold(|i| i + 1));
+        // …and one differing send moves it
+        assert_ne!(fold(|i| i + 1), fold(|i| if i == 57 { i + 2 } else { i + 1 }));
     }
 }

@@ -8,21 +8,20 @@
 //! length and id 0.
 
 use dh_obs::{Obs, SnapValue};
-use dh_proto::health::{NetHealth, RttEstimate};
+use dh_proto::health::{
+    NetHealth, RttEstimate, DECAY, HEDGE_RAISE, MIN_TIMEOUT, RAISE, SLOW_FACTOR, SLOW_MIN_SAMPLES,
+    SLOW_PENALTY, SUSPICION_CAP, THRESHOLD,
+};
 use dh_proto::NodeId;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// `NetHealth::SUSPICION_CAP` (private there).
-const CAP: u32 = 32;
-
-/// The reference: the same rules over `BTreeMap`s, knobs read from a
-/// default [`NetHealth`].
+/// The reference: the same rules over `BTreeMap`s, reading the
+/// detector's constants.
 struct Model {
     rtt: BTreeMap<u32, RttEstimate>,
     global: RttEstimate,
     susp: BTreeMap<u32, u32>,
-    knobs: NetHealth,
 }
 
 impl Model {
@@ -31,11 +30,10 @@ impl Model {
             rtt: BTreeMap::new(),
             global: RttEstimate::default(),
             susp: BTreeMap::new(),
-            knobs: NetHealth::new(),
         }
     }
     fn slow_bar(&self) -> u64 {
-        self.knobs.slow_factor.saturating_mul(self.global.srtt().max(1))
+        SLOW_FACTOR.saturating_mul(self.global.srtt().max(1))
     }
     fn observe(&mut self, n: u32, delay: u64) {
         self.rtt.entry(n).or_default().observe(delay);
@@ -45,11 +43,11 @@ impl Model {
     }
     fn bump(&mut self, n: u32, by: u32) {
         let s = self.susp.entry(n).or_insert(0);
-        *s = s.saturating_add(by).min(CAP);
+        *s = s.saturating_add(by).min(SUSPICION_CAP);
     }
     fn alive(&mut self, n: u32) {
         if let Some(s) = self.susp.get_mut(&n) {
-            *s = s.saturating_sub(self.knobs.decay);
+            *s = s.saturating_sub(DECAY);
             if *s == 0 {
                 self.susp.remove(&n);
             }
@@ -61,21 +59,20 @@ impl Model {
             None if self.global.samples() > 0 => &self.global,
             None => return ceiling,
         };
-        est.rto().saturating_mul(3).clamp(self.knobs.min_timeout.min(ceiling), ceiling)
+        est.rto().saturating_mul(3).clamp(MIN_TIMEOUT.min(ceiling), ceiling)
     }
     fn is_slow(&self, n: u32) -> bool {
-        let min = self.knobs.slow_min_samples;
+        let min = SLOW_MIN_SAMPLES;
         self.rtt.get(&n).is_some_and(|e| {
             e.samples() >= min && self.global.samples() >= min && e.srtt() > self.slow_bar()
         })
     }
     fn suspicion(&self, n: u32) -> u32 {
-        let penalty = if self.is_slow(n) { self.knobs.slow_penalty } else { 0 };
+        let penalty = if self.is_slow(n) { SLOW_PENALTY } else { 0 };
         self.susp.get(&n).copied().unwrap_or(0).saturating_add(penalty)
     }
     fn suspect_nodes(&self) -> Vec<NodeId> {
-        let bar = self.knobs.threshold;
-        self.susp.keys().filter(|&&n| self.suspicion(n) >= bar).map(|&n| NodeId(n)).collect()
+        self.susp.keys().filter(|&&n| self.suspicion(n) >= THRESHOLD).map(|&n| NodeId(n)).collect()
     }
     /// The gauges `export` writes, in registry (name, label) order.
     fn exported(&self) -> Vec<(&'static str, u64, u64)> {
@@ -128,8 +125,8 @@ proptest! {
                     h.observe(NodeId(n), delay);
                     m.observe(n, delay);
                 }
-                24..=28 => { h.raise(NodeId(n)); m.bump(n, m.knobs.raise); }
-                29..=32 => { h.raise_hedge(NodeId(n)); m.bump(n, m.knobs.hedge_raise); }
+                24..=28 => { h.raise(NodeId(n)); m.bump(n, RAISE); }
+                29..=32 => { h.raise_hedge(NodeId(n)); m.bump(n, HEDGE_RAISE); }
                 33..=38 => { h.alive(NodeId(n)); m.alive(n); }
                 _ => { h.reset(); m = Model::new(); }
             }
@@ -142,7 +139,7 @@ proptest! {
                     let want = m.timeout_for(p, cap);
                     prop_assert_eq!(h.timeout_for(id, cap), want, "timeout_for({p}) @ {step}");
                 }
-                let suspect = m.suspicion(p) >= m.knobs.threshold;
+                let suspect = m.suspicion(p) >= THRESHOLD;
                 prop_assert_eq!(h.is_slow(id), m.is_slow(p), "is_slow({p}) @ {step}");
                 prop_assert_eq!(h.suspicion(id), m.suspicion(p), "suspicion({p}) @ {step}");
                 prop_assert_eq!(h.is_suspect(id), suspect, "is_suspect({p}) @ {step}");

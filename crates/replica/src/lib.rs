@@ -607,19 +607,10 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
     /// read count, failure count, and the failover-attempt and latency
     /// distributions (no-op with observability off).
     fn note_quorum(&self, read: &QuorumRead) {
-        if !self.obs.is_on() {
-            return;
-        }
-        self.obs.stats_many(
-            &[
-                ("quorum/reads", 0, 1),
-                ("quorum/failed", 0, u64::from(read.value.is_none())),
-            ],
-            &[
-                ("quorum/attempts", 0, u64::from(read.attempts)),
-                ("quorum/ticks", 0, read.ticks),
-            ],
-        );
+        self.obs.add("quorum/reads", 0, 1);
+        self.obs.add("quorum/failed", 0, u64::from(read.value.is_none()));
+        self.obs.observe("quorum/attempts", 0, u64::from(read.attempts));
+        self.obs.observe("quorum/ticks", 0, read.ticks);
     }
 
     /// Delete `key`: a routed `Remove` reaches the clique primary,

@@ -346,20 +346,17 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         if budget == 0 || self.outbox.is_empty() {
             return (0, 0);
         }
+        let sent = budget.min(self.outbox.len());
+        // every frame of the pump is recorded before its first send:
+        // the `e_obs recorder` pin folds them in this order
+        for (src, dst, msg) in self.outbox.iter().take(sent) {
+            let bytes = msg.wire_bytes() as u32;
+            self.obs.emit_storage(ObsEvent::RepairFrame { src: src.0, dst: dst.0, bytes });
+        }
         let mut eng =
             Engine::new(&self.net, &mut *transport, seed).with_obs(self.obs.clone());
-        let mut sent = 0usize;
-        while sent < budget {
-            let Some((src, dst, msg)) = self.outbox.pop_front() else {
-                break;
-            };
-            self.obs.emit_storage(ObsEvent::RepairFrame {
-                src: src.0,
-                dst: dst.0,
-                bytes: msg.wire_bytes() as u32,
-            });
+        for (src, dst, msg) in self.outbox.drain(..sent) {
             eng.send(src, dst, msg);
-            sent += 1;
         }
         eng.run();
         self.obs.add("repair/frames_pumped", 0, sent as u64);
@@ -456,6 +453,7 @@ mod tests {
     use cd_core::rng::seeded;
     use cd_core::Point as CPoint;
     use dh_dht::network::DhNetwork;
+    use dh_obs::{Obs, BACKGROUND};
     use dh_proto::transport::{Inline, Recorder};
     use rand::Rng;
 
@@ -656,10 +654,26 @@ mod tests {
         assert_eq!(twin.shelves.map(), dht.shelves.map());
     }
 
+    /// One paced pump whose frames are all recorded before its first
+    /// `Send` — the order the `e_obs recorder` pin folds. Everything
+    /// here is background traffic and the ring never evicts, so the
+    /// pump's events are the tail of `explain(BACKGROUND)`.
+    fn pump_frames_first(dht: &mut ReplicatedDht, obs: &Obs, seed: u64) {
+        let from = obs.recorded() as usize;
+        let (msgs, _) = dht.pump_repair(&mut Inline, seed);
+        let ex = obs.explain(BACKGROUND).expect("recording");
+        let pump = &ex.events[from..];
+        let is_frame = |e: &&dh_obs::Event| matches!(e.kind, ObsEvent::RepairFrame { .. });
+        let frames = pump.iter().take_while(is_frame).count();
+        assert_eq!(frames as u64, msgs, "one frame event per frame sent, ahead of the sends");
+        assert!(matches!(pump[frames].kind, ObsEvent::Send { .. }), "the pump's first send");
+        assert!(!pump[frames..].iter().any(|e| is_frame(&e)), "a frame recorded after a send");
+    }
+
     #[test]
     fn leave_mid_backlog_counts_the_frames_it_purges() {
         let (mut dht, mut rng) = store(96, 6, 3, 0xB9);
-        let obs = dh_obs::Obs::recording(64);
+        let obs = Obs::recording(1 << 16);
         dht.set_obs(obs.clone());
         for key in 0..25u64 {
             let from = dht.net.random_node(&mut rng);
@@ -682,7 +696,7 @@ mod tests {
         let victim = dht.net.random_node(&mut rng);
         dht.leave_over(victim, &mut t, 1);
         assert!(dht.repair_backlog() > 2, "a share-holding leaver must queue repair frames");
-        dht.pump_repair(&mut t, 2);
+        pump_frames_first(&mut dht, &obs, 2);
         assert_eq!(balance(&dht), 0, "nothing purged yet");
         // a server with frames still queued leaves mid-backlog
         let (_, busy, _) = dht.outbox[0];
@@ -690,9 +704,10 @@ mod tests {
         assert!(dht.outbox.iter().all(|&(src, dst, _)| src != busy && dst != busy));
         assert!(balance(&dht) > 0, "the leaver's queued frames must be counted as purged");
         while dht.repair_backlog() > 0 {
-            dht.pump_repair(&mut t, 4);
+            pump_frames_first(&mut dht, &obs, 4);
         }
         balance(&dht);
+        assert_eq!(obs.overflow(), 0, "the ring held every event");
         assert_healthy(&dht, &mut rng);
     }
 
@@ -738,7 +753,7 @@ mod tests {
                 let (_, report) = dht.leave_over(victim, &mut rec, i);
                 reports.push(report);
             }
-            (reports, rec.trace.fingerprint())
+            (reports, rec.fingerprint())
         };
         assert_eq!(run(), run(), "repair must fingerprint identically per seed");
     }

@@ -149,7 +149,7 @@ fn lossy_stream_on<S: Shelves>(shelves: S) -> StreamKey {
         })
         .collect();
     // the recorder pins the entire event schedule
-    (brief, placement, rec.trace.fingerprint())
+    (brief, placement, rec.fingerprint())
 }
 
 /// Backend-independence of the op path: a WAL-backed lossy op stream
