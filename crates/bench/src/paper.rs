@@ -26,6 +26,7 @@
 use crate::slo::{K, M};
 use crate::{random_points, MASTER_SEED, SIZES};
 use bytes::Bytes;
+use cd_core::graph::{ChordLike, ContinuousGraph, DeBruijn, DistanceHalving};
 use cd_core::hashing::KWiseHash;
 use cd_core::interval::FULL;
 use cd_core::point::Point;
@@ -44,10 +45,12 @@ use dh_dht::analysis::{check_debruijn_isomorphism, graph_stats};
 use dh_dht::driver::{
     permutation_routing, random_lookups, random_permutation, reversal_permutation,
 };
-use dh_dht::{DhNetwork, LookupKind, NodeId};
+use dh_dht::{CdNetwork, DhNetwork, LookupKind, NodeId};
 use dh_fault::{FaultModel, OverlapNet, OverlapNodeId};
+use dh_obs::Obs;
 use dh_proto::engine::RetryPolicy;
-use dh_proto::transport::Inline;
+use dh_proto::transport::{Delivery, Inline, Transport};
+use dh_proto::wire::{Envelope, Wire};
 use dh_replica::ReplicatedDht;
 use p2p_baselines::can::Can;
 use p2p_baselines::chord::Chord;
@@ -81,7 +84,7 @@ impl Cmp {
 /// One bound of the paper.
 #[derive(Debug)]
 pub struct Claim {
-    /// Experiment id (`E1`…`E23`, `A1`, `A2`, `R1`…`R3`, `T1`) plus a
+    /// Experiment id (`E1`…`E23`, `A1`, `A2`, `R1`…`R4`, `T1`) plus a
     /// letter when one theorem states several bounds.
     pub id: &'static str,
     /// The theorem and the quantity it bounds.
@@ -307,6 +310,9 @@ claims! {
     R1   Le "§6.2 (any k of m reconstruct): clique messages of a quorum get on a healthy store, total − route hops: a fetch and a reply per share beyond the coordinator's own" => "2(k − 1)";
     R2   Le "§6.2: clique messages of a put: a store and an ack per cover beyond the coordinator" => "2(m − 1)";
     R3   Le "§6.2: wire bytes of a quorum get of a len = 16 KiB value: only k − 1 shares of len/k travel; the two implementation terms are ≤ 80 B around each (fetch 30 + reply header 35 + seal 8 + padding) and ≤ 64 B per LookupStep of a route no longer than Thm 2.8's" => "(k − 1)(len/k + 80) + 64·(2 log₂ n + 3)";
+    R4A  Le "§6.2 with placement as a set (any k distinct shares reconstruct): shares placed per churn event ÷ items it shifted — c = 1, one share per shifted item" => "1";
+    R4B  Le "… a join hands the share of the member it pushed out of each clique to the newcomer: RepairPull/RepairPullBatch frames sent by joins" => "0";
+    R4C  Ge "… a leave rebuilds the one share it took: shares rebuilt (not handed off) by leaves ÷ items they shifted" => "1";
     E22A Le "Thm 7.1: max guests per host g; the paper's ρ + 1 is the case 2^k = n" => "ρ·2^k/n + 1";
     E22B Le "Thm 7.1: max guest edges per host edge; the paper's ρ² counts ρ guests per host where the mapping gives g" => "g²";
     E22C Le "Thm 7.1: max host degree, likewise" => "g·d";
@@ -743,6 +749,65 @@ fn quorum(t: &mut Table, p: &Params) {
     }
 }
 
+/// `Inline`, counting the repair pull frames it carries.
+#[derive(Default)]
+struct Pulls(u64);
+
+impl Transport for Pulls {
+    fn plan(&mut self, now: u64, env: &Envelope, out: &mut Vec<Delivery>) {
+        self.0 += u64::from(matches!(env.msg, Wire::RepairPull { .. } | Wire::RepairPullBatch { .. }));
+        Inline.plan(now, env, out)
+    }
+}
+
+/// The repair floor of one topology: alternate leaves and joins
+/// through the store's churn entry points at (m, k) = (8, 4), n > m.
+fn repair_floor_on<G: ContinuousGraph>(t: &mut Table, graph: G, n: usize) {
+    const ITEMS: u64 = 256;
+    const EVENTS: u64 = 40;
+    let at = format!("{}, n = {n}", graph.label());
+    let mut rng = seeded(MASTER_SEED ^ 0x64 ^ n as u64);
+    let net = CdNetwork::build(graph, &random_points(n, 25));
+    let mut dht = ReplicatedDht::new(net, M, K, &mut rng);
+    let obs = Obs::recording(1 << 10);
+    dht.set_obs(obs.clone());
+    for key in 0..ITEMS {
+        let from = dht.net.random_node(&mut rng);
+        dht.put(from, key, Bytes::from(vec![key as u8; 64]), &mut rng);
+    }
+    let rebuilt = || obs.snapshot().counter_total("repair/shares_rebuilt");
+    let (mut shifted, mut placed, mut join_pulls) = (0usize, 0usize, 0u64);
+    let (mut leave_shifted, mut leave_rebuilt) = (0usize, 0u64);
+    for i in 0..EVENTS {
+        let mut wire = Pulls::default();
+        if i % 2 == 0 {
+            let before = rebuilt();
+            let victim = dht.net.random_node(&mut rng);
+            let (_, report) = dht.leave_over(victim, &mut wire, i);
+            (shifted, placed) = (shifted + report.items_shifted, placed + report.shares_rebuilt);
+            leave_shifted += report.items_shifted;
+            leave_rebuilt += rebuilt() - before;
+        } else {
+            let (host, kind) = (dht.net.random_node(&mut rng), dht.kind);
+            let joined = dht.join_over(host, Point(rng.gen()), kind, i, &mut wire, RetryPolicy::default());
+            if let Some((_, _, report)) = joined {
+                (shifted, placed) = (shifted + report.items_shifted, placed + report.shares_rebuilt);
+                join_pulls += wire.0;
+            }
+        }
+    }
+    t.check(&R4A, &at, placed as f64 / shifted as f64);
+    t.check(&R4B, &at, join_pulls as f64);
+    t.check(&R4C, &at, leave_rebuilt as f64 / leave_shifted as f64);
+}
+
+fn repair_floor(t: &mut Table, p: &Params) {
+    let n = p.sizes[0];
+    repair_floor_on(t, DistanceHalving::binary(), n);
+    repair_floor_on(t, ChordLike, n);
+    repair_floor_on(t, DeBruijn::new(8), n);
+}
+
 fn emulation(t: &mut Table, p: &Params) {
     let hosts = 1000 * p.n / 4096;
     for (label, points) in [
@@ -840,7 +905,7 @@ fn table1(t: &mut Table, p: &Params) {
 type Experiment = fn(&mut Table, &Params);
 
 /// Every experiment with the ids of the claims it pushes.
-const EXPERIMENTS: [(&str, Experiment); 16] = [
+const EXPERIMENTS: [(&str, Experiment); 17] = [
     ("E1 E2 A2", degree),
     ("E3", debruijn),
     ("E4 E6", lookup),
@@ -854,6 +919,7 @@ const EXPERIMENTS: [(&str, Experiment); 16] = [
     ("E17 E18", expander),
     ("E19 E20 E21", fault),
     ("R1 R2 R3", quorum),
+    ("R4", repair_floor),
     ("E22", emulation),
     ("E23", join),
     ("T1", table1),

@@ -14,7 +14,8 @@
 //! * [`rs`] — a non-systematic Reed-Solomon code (Vandermonde
 //!   evaluation at `x_i = i + 1`; no share is a verbatim shard):
 //!   `encode` produces `m` shares of [`shard_len`] bytes from `k` data
-//!   shards; [`try_decode`] reconstructs from **any** `k` of them
+//!   shards, [`encode_row`] just one of them (repair's lost share);
+//!   [`try_decode`] reconstructs from **any** `k` of them
 //!   (inverting the k×k Vandermonde, then the same row kernel as
 //!   `encode`) and reports a typed [`DecodeError`] — never a panic —
 //!   when fewer than `k` distinct shares survive or the bytes are not
@@ -31,4 +32,4 @@ pub mod header;
 pub mod rs;
 
 pub use header::{open, open_shared, seal, sealed_len, HeaderError, ShareHeader, HEADER_BYTES};
-pub use rs::{decode, encode, shard_len, try_decode, DecodeError, Share};
+pub use rs::{decode, encode, encode_row, shard_len, try_decode, DecodeError, Share};

@@ -166,11 +166,10 @@ fn invert(mut a: Vec<u8>, k: usize) -> Option<Vec<u8>> {
     Some(inv)
 }
 
-/// Split `data` into `k` shards (padding with the length trailer) and
-/// produce `m` shares, any `k` of which reconstruct. `0 < k ≤ m ≤ 255`.
-/// The shares are windows into one shared buffer.
-pub fn encode(data: &[u8], k: usize, m: usize) -> Vec<Share> {
-    assert!(0 < k && k <= m && m <= 255, "need 0 < k ≤ m ≤ 255");
+/// Share rows `first..first + rows` of `data` cut into `k` shards,
+/// back to back: share i = Σ_j shards[j] · x_i^j with x_i = i + 1
+/// (nonzero points). Returns the buffer and the share length.
+fn encode_rows(data: &[u8], k: usize, first: usize, rows: usize) -> (Vec<u8>, usize) {
     // shard layout: data ‖ 8-byte big-endian length ‖ < k zero bytes
     let len = shard_len(data.len(), k);
     let mut padded = Vec::with_capacity(len * k);
@@ -178,11 +177,30 @@ pub fn encode(data: &[u8], k: usize, m: usize) -> Vec<Share> {
     padded.extend_from_slice(&(data.len() as u64).to_be_bytes());
     padded.resize(len * k, 0);
     let shards: Vec<&[u8]> = padded.chunks_exact(len).collect();
-    // share i = Σ_j shards[j] · x_i^j with x_i = i+1 (nonzero points)
-    let mut out = vec![0u8; len * m];
-    mul_rows(&vandermonde((1..=m).map(|x| x as u8), k), &shards, &mut out);
+    let mut out = vec![0u8; len * rows];
+    let points = (first + 1..=first + rows).map(|x| x as u8);
+    mul_rows(&vandermonde(points, k), &shards, &mut out);
+    (out, len)
+}
+
+/// Split `data` into `k` shards (padding with the length trailer) and
+/// produce `m` shares, any `k` of which reconstruct. `0 < k ≤ m ≤ 255`.
+/// The shares are windows into one shared buffer.
+pub fn encode(data: &[u8], k: usize, m: usize) -> Vec<Share> {
+    assert!(0 < k && k <= m && m <= 255, "need 0 < k ≤ m ≤ 255");
+    let (out, len) = encode_rows(data, k, 0, m);
     let out = Bytes::from(out);
     (0..m).map(|i| Share { index: i as u8, data: out.slice(i * len..(i + 1) * len) }).collect()
+}
+
+/// Share `idx` of `data` alone — `encode(data, k, m)[idx]` for any
+/// `m > idx`, through the same kernel with one Vandermonde row instead
+/// of `m`. What repair needs to replace one lost share. `0 < k`,
+/// `idx < 255`.
+pub fn encode_row(data: &[u8], k: usize, idx: u8) -> Share {
+    assert!(0 < k && k <= 255 && idx < u8::MAX, "need 0 < k ≤ 255 and idx < 255");
+    let (out, _) = encode_rows(data, k, usize::from(idx), 1);
+    Share { index: idx, data: Bytes::from(out) }
 }
 
 /// Reconstruct the original data from any `k` distinct shares.
@@ -430,6 +448,18 @@ mod tests {
             subset.shuffle(&mut rng);
             subset.truncate(k);
             prop_assert_eq!(decode(&subset, k).expect("decode"), data);
+        }
+
+        #[test]
+        fn prop_one_row_is_that_row_of_the_full_encode(
+            data in proptest::collection::vec(any::<u8>(), 0..200),
+            m in 1usize..=16, k_seed: usize) {
+            // up to 200 bytes: shares past two whole 32-byte blocks, so
+            // the scalar tail after the last block is exercised too
+            let k = 1 + k_seed % m;
+            for share in encode(&data, k, m) {
+                prop_assert_eq!(&encode_row(&data, k, share.index), &share, "idx {}", share.index);
+            }
         }
 
         #[test]

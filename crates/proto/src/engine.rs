@@ -112,10 +112,12 @@ pub trait Topology {
 /// consulted by the engine whenever a [`Wire::FetchShare`] arrives at
 /// a cover: the engine models the message flow of the §6.2 clique
 /// protocol, the actual share bytes live above it (`dh_replica`).
+/// Placement is a set — any `k` distinct shares reconstruct — so a
+/// cover is asked for *its* share, whichever index that is.
 pub trait ShareView {
-    /// The wire length in bytes of share `idx` of item `key` if
-    /// `node` currently holds it (latest version only), else `None`.
-    fn share_len(&self, node: NodeId, key: u64, idx: u8) -> Option<u32>;
+    /// The share `node` holds of item `key`'s committed generation:
+    /// its index and its wire length in bytes. `None` if it holds none.
+    fn share_of(&self, node: NodeId, key: u64) -> Option<(u8, u32)>;
 }
 
 /// The empty share store: no node holds anything. What [`Engine::run`]
@@ -124,7 +126,7 @@ pub trait ShareView {
 pub struct NoShares;
 
 impl ShareView for NoShares {
-    fn share_len(&self, _node: NodeId, _key: u64, _idx: u8) -> Option<u32> {
+    fn share_of(&self, _node: NodeId, _key: u64) -> Option<(u8, u32)> {
         None
     }
 }
@@ -316,14 +318,16 @@ pub struct OpOutcome {
     /// Whether any delivery the successful attempt consumed was
     /// corrupted in flight (false message injection).
     pub corrupt: bool,
-    /// Replicated ops: the cover clique the scatter fanned out to —
-    /// share index `i` belongs on `holders[i]`. Empty otherwise.
+    /// Replicated ops: the cover clique the scatter fanned out to, in
+    /// ring order from the primary. A put sends share index `i` to
+    /// `holders[i]`; churn repair may later move it to any member.
+    /// Empty otherwise.
     pub holders: Vec<NodeId>,
     /// Replicated ops: for `PutShares`, the share indices whose
     /// [`Wire::StoreShare`] arrived intact at their holder (all
     /// attempts — these shares really are placed); for `GetShares`,
-    /// the indices gathered on the completing attempt, in arrival
-    /// order (the first `k` reconstruct at quorum).
+    /// the indices the replying covers named on the completing
+    /// attempt, in arrival order (the first `k` reconstruct at quorum).
     pub shares: Vec<u8>,
 }
 
@@ -351,24 +355,25 @@ enum Machine {
     Failed,
 }
 
-/// Scatter-phase bookkeeping of a replicated op: the clique and which
-/// share indices have been placed, acknowledged or gathered. Boxed
-/// into the op lazily — non-replicated ops never allocate it.
+/// Scatter-phase bookkeeping of a replicated op, keyed by cover: a
+/// *slot* is a position in the clique. A put sends share `i` to slot
+/// `i`, so for puts slot and share index coincide; a read asks each
+/// slot for whatever share it holds. Boxed into the op lazily —
+/// non-replicated ops never allocate it.
 #[derive(Default)]
 struct ReplicaState {
-    /// The covers of the item, in share-index order.
+    /// The covers of the item, in ring order from the primary.
     holders: Vec<NodeId>,
-    /// Indices whose `StoreShare` arrived intact (all attempts).
+    /// Slots whose `StoreShare` arrived intact (all attempts).
     stored: Vec<u8>,
-    /// Indices acked to the coordinator on the current attempt.
+    /// Slots acked to the coordinator on the current attempt.
     acked: Vec<u8>,
-    /// Indices that answered a fetch on the current attempt.
+    /// Slots that answered a fetch on the current attempt.
     replied: Vec<u8>,
-    /// Indices found on the current attempt, in arrival order.
+    /// Share indices found on the current attempt, in arrival order.
     gathered: Vec<u8>,
-    /// Contact order (share indices) of the current attempt: the
-    /// coordinator first, then index order (suspicion-sorted when
-    /// hedging).
+    /// Contact order (slots) of the current attempt: the coordinator
+    /// first, then ring order (suspicion-sorted when hedging).
     contact_order: Vec<u8>,
     /// Entries of `contact_order` contacted so far — reads contact
     /// lazily, puts contact all upfront.
@@ -378,13 +383,13 @@ struct ReplicaState {
 }
 
 impl ReplicaState {
-    /// The contacted covers other than `cur` whose share index is not
-    /// among `answered` — whom a fired timer blames.
+    /// The contacted covers other than `cur` whose slot is not among
+    /// `answered` — whom a fired timer blames.
     fn silent(&self, answered: &[u8], cur: NodeId) -> Vec<NodeId> {
         let contacted = self.contact_order.iter().take(self.contacted);
         contacted
-            .filter(|idx| !answered.contains(idx))
-            .filter_map(|&idx| self.holders.get(idx as usize).copied())
+            .filter(|slot| !answered.contains(slot))
+            .filter_map(|&slot| self.holders.get(slot as usize).copied())
             .filter(|&n| n != cur)
             .collect()
     }
@@ -1367,9 +1372,9 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
                 }
             }
         }
-        // contact order: the coordinator's own share first (a free
-        // local step), then share-index order — least-suspect first
-        // when the policy consults the detector
+        // contact order: the coordinator's own slot first (a free local
+        // step), then ring order — least-suspect first when the policy
+        // consults the detector
         let mut order: Vec<u8> = (0..holders.len() as u8).collect();
         if self.retry.hedge {
             if let Some(h) = self.health.as_deref() {
@@ -1407,26 +1412,26 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         rep.contacted = contact;
         rep.wave = 0;
         op.machine = Machine::Scatter;
-        for &idx in order.iter().take(contact) {
-            let holder = holders[idx as usize];
+        for &slot in order.iter().take(contact) {
+            let holder = holders[slot as usize];
             if holder == cur {
                 let rep = self.ops[id as usize].replica.as_mut().expect("just set");
                 if put {
-                    if !rep.stored.contains(&idx) {
-                        rep.stored.push(idx);
+                    if !rep.stored.contains(&slot) {
+                        rep.stored.push(slot);
                     }
-                    rep.acked.push(idx);
+                    rep.acked.push(slot);
                 } else {
-                    rep.replied.push(idx);
-                    if view.share_len(holder, key, idx).is_some() {
+                    rep.replied.push(slot);
+                    if let Some((idx, _)) = view.share_of(holder, key) {
                         rep.gathered.push(idx);
                     }
                 }
             } else {
                 let msg = if put {
-                    Wire::StoreShare { op: id, attempt, idx, key, len: share_len }
+                    Wire::StoreShare { op: id, attempt, idx: slot, key, len: share_len }
                 } else {
-                    Wire::FetchShare { op: id, attempt, idx, key, wave: 0 }
+                    Wire::FetchShare { op: id, attempt, key, wave: 0 }
                 };
                 self.send_replica(id, cur, holder, msg);
             }
@@ -1459,12 +1464,12 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         let attempt = op.attempt;
         let cur = op.cur;
         let Some(rep) = op.replica.as_mut() else { return false };
-        let Some(&idx) = rep.contact_order.get(rep.contacted) else { return false };
+        let Some(&slot) = rep.contact_order.get(rep.contacted) else { return false };
         rep.contacted += 1;
         rep.wave = rep.wave.saturating_add(1);
         let wave = rep.wave;
-        let Some(&holder) = rep.holders.get(idx as usize) else { return false };
-        self.send_replica(id, cur, holder, Wire::FetchShare { op: id, attempt, idx, key, wave });
+        let Some(&holder) = rep.holders.get(slot as usize) else { return false };
+        self.send_replica(id, cur, holder, Wire::FetchShare { op: id, attempt, key, wave });
         true
     }
 
@@ -1635,8 +1640,8 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
                 self.deliver_store(&env, id, attempt, idx)
             }
             Wire::ShareAck { op: id, attempt, idx } => self.deliver_ack(&env, id, attempt, idx),
-            Wire::FetchShare { op: id, attempt, idx, key, .. } => {
-                self.deliver_fetch(&env, id, attempt, idx, key, view)
+            Wire::FetchShare { op: id, attempt, key, .. } => {
+                self.deliver_fetch(&env, id, attempt, key, view)
             }
             Wire::ShareReply { op: id, attempt, idx, found, .. } => {
                 self.deliver_reply(&env, id, attempt, idx, found)
@@ -1691,13 +1696,13 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         self.check_quorum(id);
     }
 
-    /// Holder side of a quorum read: consult the share store, answer.
+    /// Holder side of a quorum read: consult the share store, answer
+    /// with the share this cover holds, naming its index.
     fn deliver_fetch<V: ShareView>(
         &mut self,
         env: &Envelope,
         id: OpId,
         attempt: u32,
-        idx: u8,
         key: u64,
         view: &V,
     ) {
@@ -1712,9 +1717,9 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
             self.stats.stale += 1;
             return;
         }
-        let (found, len) = match view.share_len(env.dst, key, idx) {
-            Some(len) => (true, len),
-            None => (false, 0),
+        let (idx, found, len) = match view.share_of(env.dst, key) {
+            Some((idx, len)) => (idx, true, len),
+            None => (0, false, 0),
         };
         let reply = Wire::ShareReply { op: id, attempt, idx, key, found, len };
         self.send_replica(id, env.dst, env.src, reply);
@@ -1734,8 +1739,14 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
             return;
         }
         let rep = op.replica.as_mut().expect("scatter state exists");
-        if !rep.replied.contains(&idx) {
-            rep.replied.push(idx);
+        // replies are counted per cover; `idx` is the share it named
+        let Some(slot) = rep.holders.iter().position(|&h| h == env.src) else {
+            self.stats.stale += 1;
+            return;
+        };
+        let slot = slot as u8;
+        if !rep.replied.contains(&slot) {
+            rep.replied.push(slot);
             if found {
                 rep.gathered.push(idx);
                 // a found reply is the read-side twin of a put's ack:
@@ -2134,12 +2145,12 @@ mod tests {
         assert_eq!(again.dest, taken.dest, "destination survives the move");
     }
 
-    /// A share table for the replica tests: `(node, key, idx) → len`.
-    struct TableShares(std::collections::HashMap<(u32, u64, u8), u32>);
+    /// A share table for the replica tests: `(node, key) → (idx, len)`.
+    struct TableShares(std::collections::HashMap<(u32, u64), (u8, u32)>);
 
     impl ShareView for TableShares {
-        fn share_len(&self, node: NodeId, key: u64, idx: u8) -> Option<u32> {
-            self.0.get(&(node.0, key, idx)).copied()
+        fn share_of(&self, node: NodeId, key: u64) -> Option<(u8, u32)> {
+            self.0.get(&(node.0, key)).copied()
         }
     }
 
@@ -2180,11 +2191,12 @@ mod tests {
         assert_eq!((eng.stats.retries, eng.stats.dropped), (0, 0));
     }
 
-    /// A share table in which every cover of the clique holds its
-    /// share of `key` (40 bytes) except the indices in `lacking`.
+    /// A share table in which every cover of the clique holds the share
+    /// of `key` a put left there (index = slot, 40 bytes), except the
+    /// slots in `lacking`.
     fn shares_on(holders: &[NodeId], key: u64, lacking: &[u8]) -> TableShares {
         let held = (0..holders.len() as u8).filter(|i| !lacking.contains(i));
-        TableShares(held.map(|i| ((holders[i as usize].0, key, i), 40u32)).collect())
+        TableShares(held.map(|i| ((holders[i as usize].0, key), (i, 40u32))).collect())
     }
 
     /// `Inline` that logs the clique-protocol messages it carries, in
@@ -2246,6 +2258,30 @@ mod tests {
         assert_eq!((eng.stats.stale, eng.stats.hedged, eng.stats.retries), (0, 0, 0));
         // the top-up leaves on the not-found reply, not on a timer
         assert_eq!(eng.into_transport().0, "FFRRFR");
+    }
+
+    #[test]
+    fn a_read_gathers_whichever_indices_the_covers_hold() {
+        // after churn repair the shares sit on the clique as a set, not
+        // by position: slot i holds index σ(i) and one slot holds none
+        let net = Complete::new(16, 2);
+        let item = Point(12345 << 32);
+        let (m, k, key) = (5u8, 3u8, 9u64);
+        let holders = clique(&net, item, m);
+        let sigma = [Some(4u8), None, Some(0), Some(2), Some(1)];
+        let table = holders
+            .iter()
+            .zip(sigma)
+            .filter_map(|(h, idx)| Some(((h.0, key), (idx?, 40u32))))
+            .collect();
+        let mut eng = Engine::new(&net, ScatterTags::default(), 103);
+        let get = Action::GetShares { key, m, k, item };
+        let op = eng.submit(RouteKind::Fast, holders[0], item, get);
+        eng.run_with_shares(&TableShares(table));
+        let out = eng.take_outcome(op);
+        assert!(out.ok);
+        assert_eq!(out.shares, vec![4, 0, 2], "own share, then the next covers' indices");
+        assert_eq!(eng.into_transport().0, "FFRRFR", "the empty slot costs one top-up");
     }
 
     #[test]
@@ -2335,7 +2371,7 @@ mod tests {
         // now read back through the same fault pattern
         let mut table = std::collections::HashMap::new();
         for &i in &out.shares {
-            table.insert((holders[i as usize].0, key, i), 24u32);
+            table.insert((holders[i as usize].0, key), (i, 24u32));
         }
         let mut faulty = ChaosNet::new(Inline, 0);
         faulty.fail(holders[2]);

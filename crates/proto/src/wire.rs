@@ -163,33 +163,31 @@ pub enum Wire {
         /// Acknowledged share index.
         idx: u8,
     },
-    /// Clique fan-out of a quorum read (§6.2): ask cover `idx` for its
-    /// share of `key`. Answered by [`Wire::ShareReply`].
+    /// Clique fan-out of a quorum read (§6.2): ask a cover for its
+    /// share of `key` — whichever index it holds, since any `k`
+    /// distinct shares reconstruct. Answered by [`Wire::ShareReply`].
+    /// On the wire: the key and one byte carrying the wave.
     FetchShare {
         /// The replicated op.
         op: OpId,
         /// Retry attempt number of the op.
         attempt: u32,
-        /// Share index within the clique.
-        idx: u8,
         /// Item key.
         key: u64,
         /// Wave: 0 for the initial `k − 1` fetches, `n` for the `n`-th
         /// fetch a read added past a cover that lacked its share or
         /// stayed silent.
-        /// On the wire it packs into the high nibble of the `idx` byte
-        /// (`idx < m ≤ 16`, waves saturate at 15), so it costs no
-        /// extra bytes — [`Wire::wire_bytes`] is unchanged.
         wave: u8,
     },
-    /// A cover's answer to [`Wire::FetchShare`]: whether it holds the
-    /// share and, if so, the share payload (charged by `len`).
+    /// A cover's answer to [`Wire::FetchShare`]: whether it holds a
+    /// share of the committed generation and, if so, which index and
+    /// the share payload (charged by `len`).
     ShareReply {
         /// The replicated op.
         op: OpId,
         /// Attempt stamp echoed from the request.
         attempt: u32,
-        /// Share index this reply is about.
+        /// The share index the sender holds (0 when `!found`).
         idx: u8,
         /// Item key.
         key: u64,
@@ -206,17 +204,19 @@ pub enum Wire {
         /// Number of digest entries carried.
         keys: u32,
     },
-    /// Repair: a fresh cover asks a live holder for its share of `key`
-    /// so the missing share can be re-materialized from any `k`
-    /// holders. Answered by [`Wire::RepairPush`].
+    /// Repair after a leave: the cover entering the clique asks a kept
+    /// member for its share of `key`, so the leaver's lost share can
+    /// be rebuilt from any `k`. Answered by [`Wire::RepairPush`]. A
+    /// join pulls nothing: its share is handed over unasked.
     RepairPull {
         /// Item key being repaired.
         key: u64,
         /// Share index the *sender* needs to re-materialize.
         idx: u8,
     },
-    /// Repair data transfer: a live holder ships its share of `key`
-    /// back to the repairing cover.
+    /// Repair data transfer: a kept member answering a
+    /// [`Wire::RepairPull`], or — on a join — the member that left the
+    /// clique handing its share to the cover that entered it.
     RepairPush {
         /// Item key being repaired.
         key: u64,
@@ -386,6 +386,12 @@ mod tests {
         assert_eq!(store(100).wire_bytes(), store(0).wire_bytes() + 100);
         let reply = |found, len| Wire::ShareReply { op: 0, attempt: 1, idx: 3, key: 9, found, len };
         assert!(reply(true, 64).wire_bytes() > reply(false, 0).wire_bytes());
+        // a fetch is the key plus a wave byte; naming the share held
+        // costs the reply nothing beyond its idx byte
+        let fetch = Wire::FetchShare { op: 0, attempt: 1, key: 9, wave: 2 };
+        assert_eq!(fetch.wire_bytes(), Wire::HEADER_BYTES + 9);
+        let named = Wire::ShareReply { op: 0, attempt: 1, idx: 7, key: 9, found: true, len: 64 };
+        assert_eq!(named.wire_bytes(), reply(true, 64).wire_bytes());
         // control messages are small: an ack is near the bare header
         assert_eq!(Wire::ShareAck { op: 0, attempt: 1, idx: 3 }.wire_bytes(), Wire::HEADER_BYTES + 1);
         // digests charge per entry, like NeighborDiff

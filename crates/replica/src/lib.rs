@@ -26,13 +26,19 @@
 //!   in the engine (`dh_proto::engine`), so replicated storage
 //!   inherits timeout/retry, stamps and determinism from the same
 //!   runtime as everything else.
+//! * **Placement is a set**: a put writes share `i` to clique member
+//!   `i`, but an item counts as placed whenever each member of its
+//!   current clique holds one distinct share of the committed
+//!   generation, in any order — so a read asks a cover for *its* share
+//!   and the reply names the index.
 //! * **Self-healing**: [`ReplicatedDht::repair`] is the anti-entropy
 //!   pass hooked into [`ReplicatedDht::join_over`] /
 //!   [`ReplicatedDht::leave_over`] churn — when cover membership
-//!   shifts, digests ([`dh_proto::Wire::ShareDigest`]) flag
-//!   under-replicated keys and the fresh covers re-materialize their
-//!   shares from any `k` live holders
-//!   ([`dh_proto::Wire::RepairPull`]/[`dh_proto::Wire::RepairPush`]).
+//!   shifts, digests ([`dh_proto::Wire::ShareDigest`]) flag the
+//!   shifted keys and each cover entering a clique gets one share: on
+//!   a join, the share of the member it pushed out, handed over whole
+//!   ([`dh_proto::Wire::RepairPush`]); on a leave, the lost share,
+//!   rebuilt from `k` pulled ones ([`dh_proto::Wire::RepairPull`]).
 //! * Shares rest and travel **sealed** ([`dh_erasure::header`]):
 //!   versioned, so quorum reads only combine shares of one item
 //!   generation and interrupted overwrites cannot be mistaken for
@@ -303,7 +309,8 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         self.shelves.shelved_shares()
     }
 
-    /// The cover clique of `key` right now, in share-index order.
+    /// The cover clique of `key` right now, in ring order from the
+    /// primary — the order a put writes share `i` to member `i` in.
     pub fn clique(&self, key: u64) -> Vec<NodeId> {
         let mut out = Vec::with_capacity(self.m as usize);
         self.net.clique_of(self.hash.point(key), self.m as usize, &mut out);
@@ -475,7 +482,9 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         (out, value, ticks, stats)
     }
 
-    /// Decode the value a completed quorum read gathered.
+    /// Decode the value a completed quorum read gathered: the shares
+    /// whose indices the replying covers named, wherever in the clique
+    /// each one sits.
     fn reconstruct(&self, key: u64, out: &OpOutcome) -> Option<Bytes> {
         if !out.ok || out.corrupt {
             return None;
@@ -486,7 +495,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
             .iter()
             .filter_map(|&idx| {
                 let h = item.holders.get(&idx)?;
-                (h.node == out.holders[idx as usize] && h.version == item.version)
+                (out.holders.contains(&h.node) && h.version == item.version)
                     .then(|| h.share())
                     .flatten()
             })

@@ -2,21 +2,40 @@
 //!
 //! Join splits a segment and leave merges one, so the cover clique of
 //! an item — the `m` ring-consecutive servers starting at the cover
-//! of `h(item)` — **shifts** under churn: fresh covers hold no share,
-//! a departed cover's shares are simply gone, and surviving shares may
-//! sit on servers that are no longer in the clique. The anti-entropy
-//! pass ([`ReplicatedDht::repair`]) detects that drift per item by
-//! digest exchange ([`Wire::ShareDigest`]) and re-materializes the
-//! placement: each cover missing its share pulls any `k` live shares
-//! ([`Wire::RepairPull`]/[`Wire::RepairPush`]), reconstructs the item
-//! (newest generation with a quorum of live shares — an interrupted
-//! overwrite rolls back, never mixes), re-encodes and shelves its
-//! share. The churn entry points [`ReplicatedDht::join_over`] and
-//! [`ReplicatedDht::leave_over`] run the wire-churn protocol of
-//! `dh_dht::proto` and then this pass, so a store driven through them
-//! is always fully replicated between churn events — which is exactly
-//! the induction step behind the durability guarantee (at most `m − k`
-//! losses between repairs keep every item at read quorum).
+//! of `h(item)` — **shifts** under churn: one server enters it and,
+//! on a large enough ring, one leaves it. §6.2 needs only that *any*
+//! `k` of the `m` shares reconstruct, so placement is a **set**: an
+//! item is placed when every member of its current clique holds
+//! exactly one share of the committed generation, the indices are
+//! distinct, and nothing is held outside the clique. Which member
+//! holds which index does not matter (a put writes index `i` to member
+//! `i`; churn permutes that freely). So a shift costs one share:
+//!
+//! * **join** — the member pushed out of the clique still holds its
+//!   share and hands it to the newcomer: one [`Wire::RepairPush`] of
+//!   the stored sealed blob, no pull, no decode, no encode. The blob is
+//!   shipped only if it opens at the placed generation; a damaged one
+//!   is rebuilt instead, as on a leave;
+//! * **leave** — the leaver's share is gone. The cover entering the
+//!   clique pulls `k` shares from kept members
+//!   ([`Wire::RepairPull`]/[`Wire::RepairPush`]), decodes them (the
+//!   codeword check) and computes the one missing row
+//!   ([`dh_erasure::encode_row`]).
+//!
+//! The anti-entropy pass ([`ReplicatedDht::repair`]) detects drift per
+//! item by digest exchange ([`Wire::ShareDigest`]) and applies that
+//! rule to whatever it finds: the generation placed is the committed
+//! one when every share is of it, else the newest with a decodable
+//! quorum (an interrupted overwrite rolls back, never mixes); members
+//! lacking a share take a spare one (held outside the clique, or a
+//! member's second) if it is intact, else a rebuilt free index; every
+//! other share is dropped. The churn entry points
+//! [`ReplicatedDht::join_over`] and [`ReplicatedDht::leave_over`] run
+//! the wire-churn protocol of `dh_dht::proto` and then this pass, so a
+//! store driven through them is always fully replicated between churn
+//! events — which is exactly the induction step behind the durability
+//! guarantee (at most `m − k` losses between repairs keep every item
+//! at read quorum).
 //!
 //! ## Incremental (arc-scoped) repair
 //!
@@ -32,8 +51,8 @@
 //! arc, not the keyspace. The full-scan [`ReplicatedDht::repair`]
 //! stays as the ground truth: both run the same per-item judgement,
 //! and a property test asserts that a full scan after any churn op
-//! finds nothing left to shift, rebuild or lose and leaves the shelf
-//! map untouched.
+//! finds nothing left to shift, place or lose and leaves the shelf map
+//! untouched.
 //!
 //! ## Batching and pacing
 //!
@@ -63,7 +82,7 @@ use cd_core::rng::splitmix64;
 use dh_dht::network::NodeId;
 use dh_dht::proto::{join_over, leave_over, ChurnMsgCost};
 use dh_dht::LookupKind;
-use dh_erasure::{encode, sealed_len, try_decode, Share, ShareHeader};
+use dh_erasure::{encode_row, try_decode, Share, ShareHeader};
 use dh_obs::EventKind as ObsEvent;
 use dh_proto::engine::{Engine, RetryPolicy};
 use dh_proto::transport::Transport;
@@ -78,7 +97,9 @@ pub struct RepairReport {
     pub items_checked: usize,
     /// Items whose placement had drifted from their current clique.
     pub items_shifted: usize,
-    /// Shares re-materialized onto fresh covers.
+    /// Shares placed on covers that entered a clique: handed off plus
+    /// rebuilt (the registry counts the two kinds apart, as
+    /// `repair/shares_handed_off` and `repair/shares_rebuilt`).
     pub shares_rebuilt: usize,
     /// Items with fewer than `k` live shares in every generation —
     /// unrecoverable (more than `m − k` covers lost between repairs).
@@ -115,11 +136,15 @@ type Owed<T> = BTreeMap<(NodeId, NodeId), T>;
 struct RepairPlan {
     /// Clique primary → peer: digest entries owed.
     digests: Owed<u32>,
-    /// Repairing cover → live holder: `(key, idx)` pulls owed.
+    /// Rebuilding cover → kept member: `(key, idx)` pulls owed.
     pulls: Owed<Vec<(u64, u8)>>,
-    /// Live holder → repairing cover: `(key, idx, sealed_len)` shares
-    /// owed back.
+    /// Holder → entering cover: `(key, idx, sealed_len)` shares owed,
+    /// pulled ones and handed-off ones alike.
     pushes: Owed<Vec<(u64, u8, u32)>>,
+    /// Shares handed over whole by a member that left the clique.
+    handed_off: u64,
+    /// Shares rebuilt from `k` pulled ones.
+    rebuilt: u64,
 }
 
 impl RepairPlan {
@@ -172,10 +197,10 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
     }
 
     /// One anti-entropy pass over every item: detect placement drift
-    /// against the current cliques, re-materialize missing shares from
-    /// any `k` live holders, garbage-collect shares stranded outside
-    /// their clique. All message costs are priced through `transport`
-    /// on a fresh engine seeded by `seed` (or queued, under pacing).
+    /// against the current cliques, give every member lacking a share
+    /// a spare one or a rebuilt one, garbage-collect the rest. All
+    /// message costs are priced through `transport` on a fresh engine
+    /// seeded by `seed` (or queued, under pacing).
     pub fn repair<T: Transport>(&mut self, transport: &mut T, seed: u64) -> RepairReport {
         let keys: Vec<u64> = self.shelves.map().keys().copied().collect();
         self.repair_keys(&keys, transport, seed)
@@ -195,11 +220,12 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         for &key in keys {
             self.plan_item(key, &mut plan, &mut report);
         }
+        self.obs.add("repair/shares_handed_off", 0, plan.handed_off);
+        self.obs.add("repair/shares_rebuilt", 0, plan.rebuilt);
         let before = self.outbox.len();
         plan.enqueue(&mut self.outbox);
         report.frames_queued = self.outbox.len() - before;
         self.obs.add("repair/frames_planned", 0, report.frames_queued as u64);
-        self.obs.add("repair/shares_rebuilt", 0, report.shares_rebuilt as u64);
         if self.pace.is_none() {
             let (msgs, bytes) = self.flush_repair(transport, seed);
             report.msgs = msgs;
@@ -212,14 +238,14 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
     /// Judge one item against its current clique; mutate the shelves
     /// to the repaired placement and add the owed traffic to `plan`.
     fn plan_item(&mut self, key: u64, plan: &mut RepairPlan, report: &mut RepairReport) {
-        let (m, k) = (self.m() as usize, self.k() as usize);
+        let (m, k) = (self.m(), self.k() as usize);
         let Some(item) = self.shelves.map().get(&key) else {
             return;
         };
         report.items_checked += 1;
-        let mut clique: Vec<NodeId> = Vec::with_capacity(m);
-        self.net.clique_of(item.point, m, &mut clique);
-        if placement_matches(item, &clique) {
+        let mut clique: Vec<NodeId> = Vec::with_capacity(m as usize);
+        self.net.clique_of(item.point, m as usize, &mut clique);
+        if placed(item, &clique) {
             return;
         }
         report.items_shifted += 1;
@@ -229,68 +255,110 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         for &h in &clique[1..] {
             *plan.digests.entry((clique[0], h)).or_insert(0) += 1;
         }
-        // newest generation still holding a quorum of live shares
-        let Some((version, value)) = best_generation(item, k) else {
-            report.items_lost += 1;
-            return;
+        // the generation to place: the committed one when every share
+        // is of it (decoded only if a row must be rebuilt), else the
+        // newest generation still decoding from a quorum of live shares
+        let uniform =
+            item.holders.len() >= k && item.holders.values().all(|h| h.version == item.version);
+        let (version, mut value) = if uniform {
+            (item.version, None)
+        } else {
+            let Some((version, value)) = best_generation(item, k) else {
+                report.items_lost += 1;
+                return;
+            };
+            (version, Some(value))
         };
-        // re-encode the full generation; every cover whose share is
-        // missing (or stale) pulls k shares and re-materializes
-        let point = item.point;
-        let m_actual = m.min(clique.len()).max(k);
-        let shares = encode(&value, k, m_actual);
-        let sealed = sealed_len(shares[0].data.len()) as u32;
-        let sources: Vec<NodeId> = item
-            .holders
-            .values()
-            .filter(|h| h.version == version)
-            .take(k)
-            .map(|h| h.node)
-            .collect();
-        let stale: Vec<bool> = clique
+        // each member keeps the lowest index it holds of `version`; the
+        // shares nobody keeps are spares (a member's that left the
+        // clique, or a member's second), handed on only if intact
+        let of_version = |idx: &u8| item.holders[idx].version == version;
+        let kept: Vec<Option<u8>> = clique
             .iter()
-            .enumerate()
-            .map(|(i, &cover)| {
-                item.holders
-                    .get(&(i as u8))
-                    .is_none_or(|h| h.node != cover || h.version != version)
-            })
+            .map(|&c| item.holders.iter().find(|(i, h)| h.node == c && of_version(i)))
+            .map(|held| held.map(|(&idx, _)| idx))
             .collect();
-        let stranded: Vec<u8> = item
+        let spare: Vec<u8> = item
             .holders
             .keys()
             .copied()
-            .filter(|&idx| idx as usize >= clique.len())
+            .filter(|idx| of_version(idx) && !kept.contains(&Some(*idx)))
             .collect();
-        let prev: BTreeMap<u8, u32> =
-            item.holders.iter().map(|(&idx, h)| (idx, h.node.0)).collect();
-        // apply with the same write discipline as a put — park the
-        // rebuilt shares, drop the stranded indices, commit last — so
-        // on a WAL backend a crash mid-repair still recovers to a
-        // generation repair can finish from
-        for (i, &cover) in clique.iter().enumerate() {
-            let idx = i as u8;
-            if !stale[i] {
-                continue; // this cover already holds its share
-            }
-            report.shares_rebuilt += 1;
-            for &src in &sources {
-                if src != cover {
-                    plan.pulls.entry((cover, src)).or_default().push((key, idx));
-                    plan.pushes.entry((src, cover)).or_default().push((key, idx, sealed));
+        let mut intact = spare.iter().copied().filter(|idx| item.holders[idx].share().is_some());
+        // every member without a share takes a spare, else a rebuilt
+        // index no member holds
+        let mut used: Vec<u8> = kept.iter().flatten().copied().collect();
+        let mut fills: Vec<(NodeId, u8, bool)> = Vec::new();
+        for (&cover, _) in clique.iter().zip(&kept).filter(|(_, kept)| kept.is_none()) {
+            let (idx, handed) = match intact.next() {
+                Some(idx) => (idx, true),
+                None => {
+                    let free = (0..m).find(|i| !used.contains(i));
+                    (free.expect("a clique has at most m members"), false)
                 }
-            }
-            if let Some(&old) = prev.get(&idx) {
-                self.held.remove(&(old, key, idx));
-            }
-            self.held.insert((cover.0, key, idx));
-            let header = ShareHeader { version, index: idx, k: k as u8, m: m_actual as u8 };
-            self.shelves.park(key, point, idx, Holder::seal(cover, header, &shares[i]));
+            };
+            used.push(idx);
+            fills.push((cover, idx, handed));
         }
-        for idx in stranded {
-            if let Some(&old) = prev.get(&idx) {
-                self.held.remove(&(old, key, idx));
+        // a rebuild pulls the first k intact shares: kept members' in
+        // clique order, then the spares
+        let mut sources: Vec<(u8, Share)> = Vec::new();
+        if fills.iter().any(|&(_, _, handed)| !handed) {
+            let order = kept.iter().flatten().chain(&spare);
+            sources = order.filter_map(|&i| Some((i, item.holders[&i].share()?))).take(k).collect();
+            if value.is_none() {
+                let shares: Vec<Share> = sources.iter().map(|(_, s)| s.clone()).collect();
+                value = try_decode(&shares, k).ok();
             }
+            if value.is_none() {
+                report.items_lost += 1;
+                return;
+            }
+        }
+        report.shares_rebuilt += fills.len();
+        // (index, its previous holder, its new holder)
+        let mut parks: Vec<(u8, Option<NodeId>, Holder)> = Vec::with_capacity(fills.len());
+        for &(cover, idx, handed) in &fills {
+            let holder = if handed {
+                plan.handed_off += 1;
+                let from = &item.holders[&idx];
+                let len = from.sealed.len() as u32;
+                plan.pushes.entry((from.node, cover)).or_default().push((key, idx, len));
+                Holder { node: cover, version, sealed: from.sealed.clone() }
+            } else {
+                plan.rebuilt += 1;
+                for (src_idx, _) in &sources {
+                    let src = &item.holders[src_idx];
+                    let len = src.sealed.len() as u32;
+                    plan.pulls.entry((cover, src.node)).or_default().push((key, idx));
+                    plan.pushes.entry((src.node, cover)).or_default().push((key, *src_idx, len));
+                }
+                let value = value.as_deref().expect("decoded above");
+                let header = ShareHeader { version, index: idx, k: k as u8, m };
+                Holder::seal(cover, header, &encode_row(value, k, idx))
+            };
+            parks.push((idx, item.holders.get(&idx).map(|h| h.node), holder));
+        }
+        let dropped: Vec<(u8, NodeId)> = item
+            .holders
+            .iter()
+            .filter(|(idx, _)| !used.contains(idx))
+            .map(|(&idx, h)| (idx, h.node))
+            .collect();
+        let point = item.point;
+        // apply with the same write discipline as a put — park the
+        // placed shares, drop the rest, commit last — so on a WAL
+        // backend a crash mid-repair still recovers to a generation
+        // repair can finish from
+        for (idx, old, holder) in parks {
+            if let Some(old) = old {
+                self.held.remove(&(old.0, key, idx));
+            }
+            self.held.insert((holder.node.0, key, idx));
+            self.shelves.park(key, point, idx, holder);
+        }
+        for (idx, old) in dropped {
+            self.held.remove(&(old.0, key, idx));
             self.shelves.unpark(key, idx);
         }
         self.shelves.commit(key, version);
@@ -366,7 +434,8 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
 
     /// Algorithm Join as wire traffic plus the repair pass: the member
     /// protocol of `dh_dht::proto::join_over`, then anti-entropy so
-    /// every clique the split shifted is fully replicated again —
+    /// every clique the split shifted is fully replicated again — the
+    /// member each one pushed out hands its share to the newcomer —
     /// scoped to the shifted arc.
     /// Returns `None` on identifier collision or failed join lookup.
     pub fn join_over<T: Transport>(
@@ -388,10 +457,9 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
 
     /// The simple Leave as wire traffic plus the repair pass: the
     /// departing server's shelves vanish with it, the member protocol
-    /// of `dh_dht::proto::leave_over` runs, and anti-entropy
-    /// re-materializes the lost shares on the shifted cliques —
-    /// exactly the arc that contained the leaver plus the keys its
-    /// shelves held.
+    /// of `dh_dht::proto::leave_over` runs, and anti-entropy rebuilds
+    /// each lost share on the cover entering its clique — exactly the
+    /// arc that contained the leaver plus the keys its shelves held.
     pub fn leave_over<T: Transport>(
         &mut self,
         id: NodeId,
@@ -415,14 +483,14 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
     }
 }
 
-/// Does the item's placement already match `clique` exactly — every
-/// cover holding its index of the current generation, nothing extra?
-fn placement_matches(item: &ItemState, clique: &[NodeId]) -> bool {
+/// Is the item placed on `clique` — every member holding a share of
+/// the committed generation, and nothing else held? With as many
+/// shares as members that is one distinct index per member, in any
+/// order.
+fn placed(item: &ItemState, clique: &[NodeId]) -> bool {
     item.holders.len() == clique.len()
-        && clique.iter().enumerate().all(|(i, &cover)| {
-            item.holders
-                .get(&(i as u8))
-                .is_some_and(|h| h.node == cover && h.version == item.version)
+        && clique.iter().all(|&cover| {
+            item.holders.values().any(|h| h.node == cover && h.version == item.version)
         })
 }
 
@@ -453,8 +521,10 @@ mod tests {
     use cd_core::rng::seeded;
     use cd_core::Point as CPoint;
     use dh_dht::network::DhNetwork;
+    use dh_erasure::encode;
     use dh_obs::{Obs, BACKGROUND};
-    use dh_proto::transport::{Inline, Recorder};
+    use dh_proto::transport::{Delivery, Inline, Recorder};
+    use dh_proto::wire::Envelope;
     use rand::Rng;
 
     fn store(n: usize, m: u8, k: u8, seed: u64) -> (ReplicatedDht, rand::rngs::StdRng) {
@@ -463,18 +533,79 @@ mod tests {
         (ReplicatedDht::new(net, m, k, &mut rng), rng)
     }
 
-    /// Every item fully replicated on its current clique, and readable.
+    /// Every item placed on its current clique as a set — each member
+    /// holding exactly one committed share, nothing held elsewhere —
+    /// and readable.
     fn assert_healthy(dht: &ReplicatedDht, rng: &mut impl Rng) {
         for (&key, item) in dht.shelves.map() {
             let clique = dht.clique(key);
             assert_eq!(item.holders.len(), clique.len(), "item {key} under-replicated");
-            for (idx, h) in &item.holders {
-                assert_eq!(h.node, clique[*idx as usize], "item {key} share {idx} misplaced");
-                assert_eq!(h.version, item.version);
+            for cover in &clique {
+                let held = item.holders.values().filter(|h| h.node == *cover).count();
+                assert_eq!(held, 1, "item {key}: cover {cover:?} holds {held} shares");
             }
+            assert!(item.holders.values().all(|h| h.version == item.version));
             let from = dht.net.random_node(rng);
             assert!(dht.get(from, key, rng).is_some(), "item {key} unreadable");
         }
+    }
+
+    /// `Inline`, counting the repair pull frames it carries.
+    #[derive(Default)]
+    struct Pulls(u64);
+
+    impl Transport for Pulls {
+        fn plan(&mut self, now: u64, env: &Envelope, out: &mut Vec<Delivery>) {
+            let pull = matches!(env.msg, Wire::RepairPull { .. } | Wire::RepairPullBatch { .. });
+            self.0 += u64::from(pull);
+            Inline.plan(now, env, out)
+        }
+    }
+
+    #[test]
+    fn a_join_hands_one_share_off_and_a_leave_rebuilds_one() {
+        let (mut dht, mut rng) = store(96, 6, 3, 0xBA);
+        let obs = Obs::recording(1 << 10);
+        dht.set_obs(obs.clone());
+        for key in 0..40u64 {
+            let from = dht.net.random_node(&mut rng);
+            dht.put(from, key, Bytes::from(vec![key as u8; 30]), &mut rng);
+        }
+        let counted = || {
+            let snap = obs.snapshot();
+            let kinds = ["repair/shares_handed_off", "repair/shares_rebuilt"];
+            kinds.map(|name| snap.counter_total(name))
+        };
+        let (mut joined, mut left) = (0, 0);
+        for i in 0..30u64 {
+            let before = counted();
+            let mut t = Pulls::default();
+            let join = i % 2 == 0;
+            let report = if join {
+                let (host, x, kind) = (dht.net.random_node(&mut rng), CPoint(rng.gen()), dht.kind);
+                match dht.join_over(host, x, kind, i, &mut t, RetryPolicy::default()) {
+                    Some((_, _, report)) => report,
+                    None => continue,
+                }
+            } else {
+                let victim = dht.net.random_node(&mut rng);
+                dht.leave_over(victim, &mut t, i).1
+            };
+            let [handed, rebuilt] = counted();
+            let (handed, rebuilt) = (handed - before[0], rebuilt - before[1]);
+            let shifted = report.items_shifted as u64;
+            assert_eq!(handed + rebuilt, report.shares_rebuilt as u64, "the two kinds sum up");
+            if join {
+                assert_eq!((handed, rebuilt), (shifted, 0), "event {i}: a join hands off");
+                assert_eq!(t.0, 0, "event {i}: a join pulls nothing");
+                joined += shifted;
+            } else {
+                assert_eq!((handed, rebuilt), (0, shifted), "event {i}: a leave rebuilds");
+                left += shifted;
+            }
+            assert_healthy(&dht, &mut rng);
+        }
+        assert!(joined > 0 && left > 0, "both kinds of event shifted items");
     }
 
     #[test]

@@ -9,9 +9,14 @@
 //! through random (churn sequence × item set) histories and asserts
 //! after **every** event that a full scan
 //!
-//! * reports nothing shifted, rebuilt or lost, and
+//! * reports nothing shifted, placed or lost, and
 //! * leaves the complete shelf map unchanged (placement, versions,
 //!   holders — byte-level, via `ItemState` equality),
+//!
+//! and that the placement is the set rule's: every member of an item's
+//! clique holds exactly one share of the committed generation, the
+//! members' indices are pairwise distinct, and nothing is held outside
+//! the clique,
 //!
 //! and, at the end, that every key still reads back its value at
 //! quorum — across all three topology instances (Distance Halving,
@@ -103,6 +108,36 @@ fn full_scan_is_a_noop<G: ContinuousGraph, S: Shelves>(
     Ok(())
 }
 
+/// The set rule, checked directly against the shelves: each member of
+/// `clique(key)` holds exactly one committed index, the indices are
+/// distinct, and no share sits outside the clique.
+fn placed_as_a_set<G: ContinuousGraph, S: Shelves>(
+    dht: &ReplicatedDht<G, S>,
+    step: usize,
+) -> Result<(), TestCaseError> {
+    for (&key, item) in dht.shelves.map() {
+        let clique = dht.clique(key);
+        let mut indices = Vec::new();
+        for cover in &clique {
+            let held: Vec<u8> = item
+                .holders
+                .iter()
+                .filter(|(_, h)| h.node == *cover && h.version == item.version)
+                .map(|(&idx, _)| idx)
+                .collect();
+            prop_assert_eq!(held.len(), 1, "step {}: key {} cover {:?} holds {:?}", step, key, cover, held);
+            indices.extend(held);
+        }
+        indices.sort_unstable();
+        indices.dedup();
+        prop_assert_eq!(indices.len(), clique.len(), "step {}: key {} repeats an index", step, key);
+        for (idx, h) in &item.holders {
+            prop_assert!(clique.contains(&h.node), "step {}: key {} share {} outside", step, key, idx);
+        }
+    }
+    Ok(())
+}
+
 /// Every key in `keys` reads back its value at quorum.
 fn all_readable<G: ContinuousGraph, S: Shelves>(
     dht: &ReplicatedDht<G, S>,
@@ -130,6 +165,7 @@ fn equiv_on<G: ContinuousGraph, S: Shelves>(
     for (step, &leave) in churn.iter().enumerate() {
         let sseed = seed ^ ((step as u64 + 1) << 8);
         churn_once(&mut dht, &mut rng, leave, sseed);
+        placed_as_a_set(&dht, step)?;
         full_scan_is_a_noop(&mut dht, sseed ^ 0xF011, step)?;
     }
     all_readable(&dht, (0..items).map(|key| (key, value_of(key))), seed)
@@ -168,6 +204,7 @@ fn equivalence_holds_with_write_bursts_between_churn() {
     let (mut dht, mut rng) = build(DistanceHalving::binary(), seed, 12, MemShelves::new());
     for step in 0..6u64 {
         churn_once(&mut dht, &mut rng, step % 2 == 0, seed ^ step);
+        placed_as_a_set(&dht, step as usize).unwrap();
         full_scan_is_a_noop(&mut dht, seed ^ step ^ 0xF011, step as usize).unwrap();
         for i in 0..16u64 {
             let key = 100 + step * 16 + i;

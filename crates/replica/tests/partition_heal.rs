@@ -193,9 +193,11 @@ fn storm_on<G: ContinuousGraph, S: Shelves>(graph: G, seed: u64, shelves: S) -> 
         assert_eq!(clique.len(), M as usize, "network shrank below m");
         let item = &dht.shelves.map()[&key];
         assert_eq!(item.holders.len(), M as usize, "item {key} not fully replicated after heal");
-        for (i, &cover) in clique.iter().enumerate() {
-            let h = &item.holders[&(i as u8)];
-            assert_eq!(h.node, cover, "item {key} share {i} parked off-clique after heal");
+        for cover in &clique {
+            let held = item.holders.values().filter(|h| h.node == *cover).count();
+            assert_eq!(held, 1, "item {key}: cover {cover:?} holds {held} shares after heal");
+        }
+        for (i, h) in &item.holders {
             assert_eq!(h.version, item.version, "item {key} share {i} stale after heal");
         }
         let from = dht.net.random_node(&mut rng);

@@ -10,7 +10,7 @@
 //!
 //! * the read returns the last committed value iff a direct count over
 //!   `shelves.map()` finds at least `k` shares of the committed
-//!   generation on the covers that should hold them, and is a
+//!   generation on the clique's covers, whichever indices, and is a
 //!   definitive miss (`ok`, fewer than `k` shares, no retry) otherwise;
 //! * the read sent `2(k − 1)` clique messages when its first wave all
 //!   held their shares, and never more than `2(m − 1)`,
@@ -37,13 +37,12 @@ const K: u8 = 3;
 /// Keys are drawn from a range this small so that puts overwrite.
 const KEYS: u64 = 6;
 
-/// Does cover `idx` of `clique` hold its share of `key`'s committed
-/// generation? (What `ShelfView` answers a `FetchShare` with.)
-fn holds<S: Shelves>(shelves: &S, key: u64, clique: &[NodeId], idx: usize) -> bool {
+/// Does cover `slot` of `clique` hold *a* share of `key`'s committed
+/// generation, whichever index? (What `ShelfView` answers a
+/// `FetchShare` with: placement is a set.)
+fn holds<S: Shelves>(shelves: &S, key: u64, clique: &[NodeId], slot: usize) -> bool {
     shelves.map().get(&key).is_some_and(|item| {
-        item.holders
-            .get(&(idx as u8))
-            .is_some_and(|h| h.node == clique[idx] && h.version == item.version)
+        item.holders.values().any(|h| h.node == clique[slot] && h.version == item.version)
     })
 }
 
@@ -144,10 +143,11 @@ proptest! {
 }
 
 /// The witness that the histories above reach both verdicts: a clique
-/// whose last `m − k` share holders left still reads, one more and the
+/// that lost `m − k` share holders still reads, one more and the
 /// read is a definitive miss — with no repair in between. (Covers leave
-/// from the clique's tail: a share is held *at its index*, so a leave
-/// further up would shift every later cover off its share at once.)
+/// from the clique's second slot: placement is a set, so a member's
+/// leave costs that member's share only, wherever it sits; the server
+/// entering at the tail holds none.)
 #[test]
 fn withheld_repair_reaches_both_sides_of_the_quorum() {
     let mut rng = seeded(0x51DE);
@@ -159,7 +159,7 @@ fn withheld_repair_reaches_both_sides_of_the_quorum() {
     let committed = BTreeMap::from([(1u64, value)]);
     let mut read_back = Vec::new();
     for lost in 1..=(M - K + 1) as usize {
-        let victim = dht.clique(1)[M as usize - lost];
+        let victim = dht.clique(1)[1];
         dht.shelves.retire(victim);
         dht.reindex();
         dht.net.leave(victim);

@@ -5,15 +5,19 @@
 //! **record-granular** prices (one flipped bit costs one record, never
 //! the store), the surviving shares must keep every committed item at
 //! read quorum, and one anti-entropy pass must re-materialize what the
-//! damage took — after which a second pass prices zero messages.
+//! damage took — after which a second pass prices zero messages. A
+//! join's hand-off, likewise, never ships a damaged blob: it rebuilds.
 
 use bytes::Bytes;
 use cd_core::graph::{ChordLike, ContinuousGraph, DeBruijn, DistanceHalving};
 use cd_core::pointset::PointSet;
 use cd_core::rng::seeded;
+use cd_core::Point;
 use dh_dht::CdNetwork;
+use dh_obs::Obs;
+use dh_proto::engine::RetryPolicy;
 use dh_proto::transport::Inline;
-use dh_replica::{ReplicatedDht, Shelves};
+use dh_replica::{Holder, ReplicatedDht, Shelves};
 use dh_store::{FileShelves, ScratchPath, TamperFile};
 use std::path::Path;
 
@@ -118,4 +122,53 @@ fn tampered_wal_heals_chord() {
 #[test]
 fn tampered_wal_heals_debruijn8() {
     tampered_recovery_heals(DeBruijn::new(8), 0x7A03);
+}
+
+/// The member a join pushes out of an item's clique holds a damaged
+/// blob: the newcomer's share must be rebuilt from `k` kept members,
+/// not handed over, and the item must read back.
+fn damaged_hand_off_is_rebuilt<G: ContinuousGraph>(graph: G, seed: u64) {
+    let mut rng = seeded(seed);
+    let net = CdNetwork::build(graph, &PointSet::random(N, &mut rng));
+    let mut dht = ReplicatedDht::new(net, M, K, &mut rng);
+    let obs = Obs::recording(1 << 10);
+    dht.set_obs(obs.clone());
+    let key = 1;
+    let from = dht.net.random_node(&mut rng);
+    dht.put(from, key, value_of(key), &mut rng);
+
+    // a join halfway between the clique's third and fourth members
+    // pushes the last member out: damage that member's blob first
+    let clique = dht.clique(key);
+    let item = &dht.shelves.map()[&key];
+    let (idx, exiting) = item.holders.iter().find(|(_, h)| h.node == clique[M as usize - 1]).unwrap();
+    let mut sealed = exiting.sealed.to_vec();
+    sealed[0] ^= 0xFF;
+    let damaged = Holder { node: exiting.node, version: exiting.version, sealed: Bytes::from(sealed) };
+    assert!(damaged.share().is_none(), "the damage must be detectable");
+    let (idx, point) = (*idx, item.point);
+    dht.shelves.park(key, point, idx, damaged);
+
+    let (a, b) = (dht.net.node(clique[2]).x.bits(), dht.net.node(clique[3]).x.bits());
+    let x = Point(a.wrapping_add(b.wrapping_sub(a) / 2));
+    let (host, kind) = (dht.net.random_node(&mut rng), dht.kind);
+    let (joiner, _, report) =
+        dht.join_over(host, x, kind, seed, &mut Inline, RetryPolicy::default()).expect("join");
+    assert_eq!((report.items_shifted, report.shares_rebuilt, report.items_lost), (1, 1, 0));
+    let snap = obs.snapshot();
+    assert_eq!(snap.counter_total("repair/shares_handed_off"), 0, "damage was handed off");
+    assert_eq!(snap.counter_total("repair/shares_rebuilt"), 1);
+
+    let item = &dht.shelves.map()[&key];
+    let entered = item.holders.values().find(|h| h.node == joiner).expect("the joiner holds a share");
+    assert!(entered.share().is_some(), "the entering cover's share must be intact");
+    assert!(item.holders.values().all(|h| h.share().is_some()), "damage left on the clique");
+    assert_eq!(dht.get(from, key, &mut rng), Some(value_of(key)));
+}
+
+#[test]
+fn a_damaged_hand_off_is_rebuilt_on_every_topology() {
+    damaged_hand_off_is_rebuilt(DistanceHalving::binary(), 0x7A11);
+    damaged_hand_off_is_rebuilt(ChordLike, 0x7A12);
+    damaged_hand_off_is_rebuilt(DeBruijn::new(8), 0x7A13);
 }

@@ -312,19 +312,22 @@ pub fn apply_record(rec: &crate::wal::WalRecord, shelves: &mut impl Shelves) -> 
 }
 
 /// The engine's read-only window into a shelf backend: answers
-/// [`dh_proto::wire::Wire::FetchShare`] probes for the **committed
-/// generation only**, so a quorum completion always means `k`
-/// same-version shares — and a parked (uncommitted) generation can
-/// never satisfy a read. This is the seam that wires any [`Shelves`]
-/// backend beneath `dh_proto`'s event engine
+/// [`dh_proto::wire::Wire::FetchShare`] probes with the share a node
+/// holds of the **committed generation only**, whatever its index, so
+/// a quorum completion always means `k` distinct same-version shares —
+/// and a parked (uncommitted) generation can never satisfy a read.
+/// This is the seam that wires any [`Shelves`] backend beneath
+/// `dh_proto`'s event engine
 /// ([`dh_proto::engine::Engine::run_with_shares`]).
 pub struct ShelfView<'a, S: Shelves>(pub &'a S);
 
 impl<S: Shelves> ShareView for ShelfView<'_, S> {
-    fn share_len(&self, node: NodeId, key: u64, idx: u8) -> Option<u32> {
+    fn share_of(&self, node: NodeId, key: u64) -> Option<(u8, u32)> {
         let item = self.0.map().get(&key)?;
-        let h = item.holders.get(&idx)?;
-        (h.node == node && h.version == item.version).then(|| h.sealed.len() as u32)
+        item.holders
+            .iter()
+            .find(|(_, h)| h.node == node && h.version == item.version)
+            .map(|(&idx, h)| (idx, h.sealed.len() as u32))
     }
 }
 
@@ -347,16 +350,18 @@ mod tests {
         mem.park(7, p, 1, holder(2, 1, b"gen one"));
         // parked but uncommitted: version still 0, nothing served
         assert_eq!(mem.map()[&7].version, 0);
-        assert_eq!(view_len(&mem, 1, 7, 0), None, "uncommitted share served");
+        assert_eq!(view_idx(&mem, 1, 7), None, "uncommitted share served");
         mem.commit(7, 1);
-        assert!(view_len(&mem, 1, 7, 0).is_some());
-        // wrong node or wrong index stays invisible
-        assert_eq!(view_len(&mem, 2, 7, 0), None);
-        assert_eq!(view_len(&mem, 1, 7, 1), None);
+        // each node is answered with the index it holds
+        assert_eq!(view_idx(&mem, 1, 7), Some(0));
+        assert_eq!(view_idx(&mem, 2, 7), Some(1));
+        // a node holding nothing, or another key, stays invisible
+        assert_eq!(view_idx(&mem, 3, 7), None);
+        assert_eq!(view_idx(&mem, 1, 8), None);
     }
 
-    fn view_len(mem: &MemShelves, node: u32, key: u64, idx: u8) -> Option<u32> {
-        ShelfView(mem).share_len(NodeId(node), key, idx)
+    fn view_idx(mem: &MemShelves, node: u32, key: u64) -> Option<u8> {
+        ShelfView(mem).share_of(NodeId(node), key).map(|(idx, _)| idx)
     }
 
     #[test]

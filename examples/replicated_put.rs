@@ -1,7 +1,7 @@
 //! Durability on the wire: store an item as 8 Reed-Solomon shares on
 //! its §6.2 cover clique, kill any 4 covers (m − k), and read it back
-//! at quorum — then churn the network and watch repair re-materialize
-//! the lost shares.
+//! at quorum — then churn the network and watch repair put one share
+//! on each cover that enters the clique.
 //!
 //! ```sh
 //! cargo run --release --example replicated_put
@@ -59,13 +59,14 @@ fn main() {
     println!("quorum read reconstructed the item from {k} of the surviving covers\n");
 
     // churn: the dead covers really leave, new servers join — repair
-    // (hooked into the wire-churn entry points) re-materializes every
-    // share the clique shift displaced
+    // (hooked into the wire-churn entry points) gives every cover that
+    // enters the clique one share: rebuilt for a leave, handed over by
+    // the member it pushed out for a join
     let mut transport = Inline;
-    let mut rebuilt = 0usize;
+    let mut placed_by_repair = 0usize;
     for (i, &d) in dead.iter().enumerate() {
         let (_, report) = store.leave_over(d, &mut transport, i as u64);
-        rebuilt += report.shares_rebuilt;
+        placed_by_repair += report.shares_rebuilt;
         assert_eq!(report.items_lost, 0);
     }
     for i in 0..4u64 {
@@ -74,10 +75,10 @@ fn main() {
         if let Some((_, _, report)) =
             store.join_over(host, Point(rng.gen()), kind, i, &mut transport, retry)
         {
-            rebuilt += report.shares_rebuilt;
+            placed_by_repair += report.shares_rebuilt;
         }
     }
-    println!("churned {} leaves + 4 joins; repair rebuilt {rebuilt} shares", dead.len());
+    println!("churned {} leaves + 4 joins; repair placed {placed_by_repair} shares", dead.len());
 
     let got = store.get(reader, key, &mut rng).expect("still readable");
     assert_eq!(got, value);
