@@ -311,8 +311,8 @@ claims! {
     R2   Le "§6.2: clique messages of a put: a store and an ack per cover beyond the coordinator" => "2(m − 1)";
     R3   Le "§6.2: wire bytes of a quorum get of a len = 16 KiB value: only k − 1 shares of len/k travel; the two implementation terms are ≤ 80 B around each (fetch 30 + reply header 35 + seal 8 + padding) and ≤ 64 B per LookupStep of a route no longer than Thm 2.8's" => "(k − 1)(len/k + 80) + 64·(2 log₂ n + 3)";
     R4A  Le "§6.2 with placement as a set (any k distinct shares reconstruct): shares placed per churn event ÷ items it shifted — c = 1, one share per shifted item" => "1";
-    R4B  Le "… a join hands the share of the member it pushed out of each clique to the newcomer: RepairPull/RepairPullBatch frames sent by joins" => "0";
-    R4C  Ge "… a leave rebuilds the one share it took: shares rebuilt (not handed off) by leaves ÷ items they shifted" => "1";
+    R4B  Le "… joins and graceful leaves (§2.1's hand-off) ship the share of the member that left each clique to the one that entered it: RepairPull/RepairPullBatch frames they send" => "0";
+    R4C  Ge "… a crash (drop_shelves_of, then leave_over) leaves no share to hand off: shares rebuilt (not handed off) by crashes ÷ items they shifted" => "1";
     E22A Le "Thm 7.1: max guests per host g; the paper's ρ + 1 is the case 2^k = n" => "ρ·2^k/n + 1";
     E22B Le "Thm 7.1: max guest edges per host edge; the paper's ρ² counts ρ guests per host where the mapping gives g" => "g²";
     E22C Le "Thm 7.1: max host degree, likewise" => "g·d";
@@ -760,8 +760,9 @@ impl Transport for Pulls {
     }
 }
 
-/// The repair floor of one topology: alternate leaves and joins
-/// through the store's churn entry points at (m, k) = (8, 4), n > m.
+/// The repair floor of one topology: graceful leaves, joins and
+/// crashes through the store's churn entry points at (m, k) = (8, 4),
+/// n > m, in the cycle leave, join, crash, join.
 fn repair_floor_on<G: ContinuousGraph>(t: &mut Table, graph: G, n: usize) {
     const ITEMS: u64 = 256;
     const EVENTS: u64 = 40;
@@ -776,29 +777,37 @@ fn repair_floor_on<G: ContinuousGraph>(t: &mut Table, graph: G, n: usize) {
         dht.put(from, key, Bytes::from(vec![key as u8; 64]), &mut rng);
     }
     let rebuilt = || obs.snapshot().counter_total("repair/shares_rebuilt");
-    let (mut shifted, mut placed, mut join_pulls) = (0usize, 0usize, 0u64);
-    let (mut leave_shifted, mut leave_rebuilt) = (0usize, 0u64);
+    let (mut shifted, mut placed, mut hand_off_pulls) = (0usize, 0usize, 0u64);
+    let (mut crash_shifted, mut crash_rebuilt) = (0usize, 0u64);
     for i in 0..EVENTS {
         let mut wire = Pulls::default();
-        if i % 2 == 0 {
-            let before = rebuilt();
+        let report = if i % 2 == 0 {
             let victim = dht.net.random_node(&mut rng);
+            let crash = i % 4 == 2;
+            if crash {
+                dht.drop_shelves_of(victim);
+            }
+            let before = rebuilt();
             let (_, report) = dht.leave_over(victim, &mut wire, i);
-            (shifted, placed) = (shifted + report.items_shifted, placed + report.shares_rebuilt);
-            leave_shifted += report.items_shifted;
-            leave_rebuilt += rebuilt() - before;
+            if crash {
+                crash_shifted += report.items_shifted;
+                crash_rebuilt += rebuilt() - before;
+            } else {
+                hand_off_pulls += wire.0;
+            }
+            report
         } else {
             let (host, kind) = (dht.net.random_node(&mut rng), dht.kind);
             let joined = dht.join_over(host, Point(rng.gen()), kind, i, &mut wire, RetryPolicy::default());
-            if let Some((_, _, report)) = joined {
-                (shifted, placed) = (shifted + report.items_shifted, placed + report.shares_rebuilt);
-                join_pulls += wire.0;
-            }
-        }
+            let Some((_, _, report)) = joined else { continue };
+            hand_off_pulls += wire.0;
+            report
+        };
+        (shifted, placed) = (shifted + report.items_shifted, placed + report.shares_rebuilt);
     }
     t.check(&R4A, &at, placed as f64 / shifted as f64);
-    t.check(&R4B, &at, join_pulls as f64);
-    t.check(&R4C, &at, leave_rebuilt as f64 / leave_shifted as f64);
+    t.check(&R4B, &at, hand_off_pulls as f64);
+    t.check(&R4C, &at, crash_rebuilt as f64 / crash_shifted as f64);
 }
 
 fn repair_floor(t: &mut Table, p: &Params) {

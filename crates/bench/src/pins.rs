@@ -68,17 +68,17 @@ const NO_SHELVES: &[Backend] = &[Backend::Mem];
 const BOTH: &[Backend] = &[Backend::Mem, Backend::File];
 
 /// `e_slo`'s pin, which `e_obs`'s wire fold must reproduce.
-const SLO_WIRE: u64 = 0x8b824790591f30e8;
+const SLO_WIRE: u64 = 0x9c13752d2c376bf5;
 
 /// The table.
 pub static PINS: [Pin; 7] = [
     Pin { name: "e_msgs", backends: NO_SHELVES, scenario: msgs, want: 0xdbb66edfc105b37e },
     Pin { name: "e_table1", backends: NO_SHELVES, scenario: table1, want: 0xe6adac908951bb17 },
-    Pin { name: "e_repl", backends: BOTH, scenario: repl, want: 0x0dfb1a03eecbf275 },
+    Pin { name: "e_repl", backends: BOTH, scenario: repl, want: 0x5931b1d98b32db2f },
     Pin { name: "e_slo", backends: BOTH, scenario: slo_wire, want: SLO_WIRE },
     Pin { name: "e_chaos", backends: BOTH, scenario: chaos_campaign, want: 0x32eeae599e4300b2 },
     Pin { name: "e_obs wire", backends: BOTH, scenario: obs_wire, want: SLO_WIRE },
-    Pin { name: "e_obs recorder", backends: BOTH, scenario: obs_recorder, want: 0xea659acff4912cb5 },
+    Pin { name: "e_obs recorder", backends: BOTH, scenario: obs_recorder, want: 0xeeacd3c0a9bbbeb6 },
 ];
 
 /// Run every row once per backend and return one line per failure:

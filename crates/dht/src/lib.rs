@@ -9,8 +9,9 @@
 //! provides
 //!
 //! * [`network::CdNetwork`] — the discrete graph of **any** instance,
-//!   with dynamic join/leave, neighbor-table derivation and item
-//!   storage; [`network::DhNetwork`] = `CdNetwork<DistanceHalving>`
+//!   with dynamic join/leave and neighbor-table derivation (items live
+//!   in `dh_replica`, which places them on this network's cover
+//!   cliques); [`network::DhNetwork`] = `CdNetwork<DistanceHalving>`
 //!   is the paper's flagship instance, and the Chord-like
 //!   (`CdNetwork<ChordLike>`) and base-∆ de Bruijn
 //!   (`CdNetwork<DeBruijn>`) instances of §4 run the same machinery,
@@ -44,11 +45,9 @@ pub mod lookup;
 pub mod metrics;
 pub mod network;
 pub mod proto;
-pub mod storage;
 
 pub use cd_core::graph::ContinuousGraph;
 pub use lookup::{LookupKind, LookupScratch, Route};
 pub use metrics::LoadCounters;
 pub use network::{CdNetwork, ChordLike, DeBruijn, DhNetwork, DistanceHalving, NodeId};
 pub use proto::{join_over, leave_over, lookups_over, MsgBatch};
-pub use storage::Dht;

@@ -17,8 +17,8 @@
 //! for the Chord-like instance they are the `O(log n)` translated
 //! finger arcs `s(V) + 2⁻ⁱ`. Everything below the arc derivation —
 //! ring maintenance, incremental churn over reused scratch buffers,
-//! the one-sweep bulk builder, item migration, validation — is
-//! instance-independent and written once, here.
+//! the one-sweep bulk builder, validation — is instance-independent
+//! and written once, here. Items live in `dh_replica`, not here.
 //!
 //! Routing only ever moves a message from a node to a point covered by
 //! an entry of that node's **own** table:
@@ -89,17 +89,8 @@ pub struct Neighbor {
 // few entries inside two or three cache lines.
 const _: () = assert!(std::mem::size_of::<Neighbor>() == 24);
 
-/// An item stored on a node.
-#[derive(Clone, Debug)]
-pub struct StoredItem {
-    /// The hashed location of the item.
-    pub point: Point,
-    /// The payload.
-    pub value: bytes::Bytes,
-}
-
 /// Per-server state: identifier point, owned segment, neighbor table,
-/// reverse index, stored items.
+/// reverse index.
 #[derive(Clone, Debug)]
 pub struct NodeState {
     /// This node's id.
@@ -112,8 +103,6 @@ pub struct NodeState {
     pub neighbors: Vec<Neighbor>,
     /// Reverse index: nodes whose tables list this node.
     pub watchers: BTreeSet<NodeId>,
-    /// Stored data items, keyed by item key.
-    pub items: BTreeMap<u64, StoredItem>,
 }
 
 impl NodeState {
@@ -175,8 +164,6 @@ struct ChurnScratch {
     old: Vec<(u64, NodeId)>,
     /// Nodes whose tables must be rebuilt by the current operation.
     affected: Vec<NodeId>,
-    /// Item keys migrating between servers.
-    moved_keys: Vec<u64>,
     /// Continuous edge-image arcs of the segment being (re)derived.
     arcs: Vec<Interval>,
 }
@@ -292,7 +279,6 @@ impl<G: ContinuousGraph> CdNetwork<G> {
                     segment: points.segment(i),
                     neighbors,
                     watchers: BTreeSet::new(),
-                    items: BTreeMap::new(),
                 })
             })
             .collect();
@@ -365,14 +351,6 @@ impl<G: ContinuousGraph> CdNetwork<G> {
 
     fn node_mut(&mut self, id: NodeId) -> &mut NodeState {
         self.nodes[id.0 as usize].as_mut().expect("dangling NodeId")
-    }
-
-    /// Mutable access to a node's state. Exposed for the storage layer
-    /// and the caching protocol; topology fields (`x`, `segment`,
-    /// `neighbors`, `watchers`) must only be changed through
-    /// [`Self::join`]/[`Self::leave`].
-    pub fn node_state_mut(&mut self, id: NodeId) -> &mut NodeState {
-        self.node_mut(id)
     }
 
     /// The ring successor of a live node — O(1).
@@ -579,8 +557,8 @@ impl<G: ContinuousGraph> CdNetwork<G> {
     // ------------------------------------------------------------------
 
     /// Join a new server with identifier point `x` (Algorithm Join,
-    /// §2.1). The segment covering `x` splits at `x`; items in the new
-    /// half move over; tables of the affected nodes are rebuilt.
+    /// §2.1). The segment covering `x` splits at `x`; tables of the
+    /// affected nodes are rebuilt.
     ///
     /// Returns the new node's id, or `None` if `x` collides with an
     /// existing identifier.
@@ -602,7 +580,6 @@ impl<G: ContinuousGraph> CdNetwork<G> {
                     segment: give,
                     neighbors: Vec::new(),
                     watchers: BTreeSet::new(),
-                    items: BTreeMap::new(),
                 });
                 id
             }
@@ -614,7 +591,6 @@ impl<G: ContinuousGraph> CdNetwork<G> {
                     segment: give,
                     neighbors: Vec::new(),
                     watchers: BTreeSet::new(),
-                    items: BTreeMap::new(),
                 }));
                 self.live_pos.push(0);
                 self.succ.push(id);
@@ -632,21 +608,6 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         self.succ[id.0 as usize] = after;
         self.pred[after.0 as usize] = id;
         self.node_mut(old).segment = keep;
-        // transfer items that now belong to the new node
-        let mut moved = mem::take(&mut self.scratch.moved_keys);
-        moved.clear();
-        moved.extend(
-            self.node(old)
-                .items
-                .iter()
-                .filter(|(_, it)| give.contains(it.point))
-                .map(|(&k, _)| k),
-        );
-        for &k in &moved {
-            let it = self.node_mut(old).items.remove(&k).expect("item vanished");
-            self.node_mut(id).items.insert(k, it);
-        }
-        self.scratch.moved_keys = moved;
         // rebuild affected tables: new, old, and everyone watching old
         let mut affected = mem::take(&mut self.scratch.affected);
         affected.clear();
@@ -704,8 +665,8 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         }
     }
 
-    /// Remove a server; its ring predecessor absorbs the segment and
-    /// the stored items (the simple Leave of §2.1).
+    /// Remove a server; its ring predecessor absorbs the segment (the
+    /// simple Leave of §2.1).
     ///
     /// Panics when removing the last node.
     pub fn leave(&mut self, id: NodeId) {
@@ -731,13 +692,11 @@ impl<G: ContinuousGraph> CdNetwork<G> {
             self.node_mut(nb).watchers.remove(&id);
         }
         self.scratch.ids = detach;
-        // pred absorbs segment + items
+        // pred absorbs the segment
         let pred_seg = self.node(pred).segment;
         let merged =
             Interval::new(pred_seg.start(), (pred_seg.len() + seg.len()).min(cd_core::interval::FULL));
         self.node_mut(pred).segment = merged;
-        let items: Vec<(u64, StoredItem)> = mem::take(&mut self.node_mut(id).items).into_iter().collect();
-        self.node_mut(pred).items.extend(items);
         // unsplice the ring
         let after = self.succ[id.0 as usize];
         self.succ[pred.0 as usize] = after;

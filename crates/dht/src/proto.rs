@@ -217,10 +217,10 @@ pub fn join_over<G: ContinuousGraph, T: Transport>(
 }
 
 /// The simple Leave (§2.1) as wire traffic: `LeaveMerge` hands the
-/// segment and items to the ring predecessor, then the departing
-/// server and the predecessor notify every watcher whose table must be
-/// rebuilt. The verified [`CdNetwork::leave`] applies the state
-/// transition.
+/// segment to the ring predecessor, then the departing server and the
+/// predecessor notify every watcher whose table must be rebuilt. The
+/// verified [`CdNetwork::leave`] applies the state transition. The
+/// leaver's shares follow as `dh_replica`'s repair frames.
 pub fn leave_over<G: ContinuousGraph, T: Transport>(
     net: &mut CdNetwork<G>,
     id: NodeId,
@@ -245,10 +245,9 @@ pub fn leave_over<G: ContinuousGraph, T: Transport>(
     notify.sort_unstable();
     {
         let mut eng = Engine::new(&*net, &mut *transport, seed);
-        let merge = Wire::LeaveMerge { items: net.node(id).items.len() as u32 };
         cost.notify_msgs += 1;
-        cost.bytes += merge.wire_bytes();
-        eng.send(id, pred, merge);
+        cost.bytes += Wire::LeaveMerge.wire_bytes();
+        eng.send(id, pred, Wire::LeaveMerge);
         for &(src, dst) in &notify {
             let msg = Wire::NeighborDiff { entries: 1 };
             cost.notify_msgs += 1;

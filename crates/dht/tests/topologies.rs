@@ -5,21 +5,18 @@
 //! bound, (2) preserve the table/watcher invariants under churn storms,
 //! (3) execute bit-identically through the `Engine<Inline>` wire path
 //! (mirroring `proto_equiv.rs`, here for the greedy machine), and
-//! (4) complete engine-driven `put`/`get`/`remove` under `Inline`,
-//! `Sim`, lossy and fault-injecting transports.
+//! (4) run Join/Leave as wire traffic. Storage over every instance and
+//! transport is `dh_replica`'s `tests/topologies.rs`.
 
-use bytes::Bytes;
 use cd_core::graph::{ChordLike, ContinuousGraph, DeBruijn, DistanceHalving};
 use cd_core::pointset::PointSet;
 use cd_core::rng::seeded;
 use cd_core::Point;
 use dh_dht::proto::route_kind;
-use dh_dht::storage::Dht;
 use dh_dht::{CdNetwork, LookupKind, Route};
 use dh_proto::engine::{Engine, RetryPolicy};
-use dh_proto::transport::{Inline, Sim};
+use dh_proto::transport::Inline;
 use dh_proto::wire::Action;
-use dh_proto::ChaosNet;
 use rand::Rng;
 
 /// Every transition of `route` must follow a real table edge and end
@@ -166,92 +163,6 @@ fn chord_engine_inline_routes_are_bit_identical() {
         }
     }
     check_equiv(&net, &mut rng);
-}
-
-/// Engine-driven storage over one instance under `Inline`, `Sim` with
-/// latency, `Sim` with loss + duplication, and a fail-stop `ChaosNet`
-/// wrapper — the acceptance matrix of the refactor.
-fn storage_matrix<G: ContinuousGraph>(graph: G, seed: u64) {
-    let mut rng = seeded(seed);
-    let net = CdNetwork::build(graph, &PointSet::random(96, &mut rng));
-    let label = net.graph().label();
-    let mut dht = Dht::new(net, &mut rng);
-    let retry = RetryPolicy::fixed(2_000, 10);
-
-    // Inline: every op completes, values roundtrip, removes delete.
-    for key in 0..60u64 {
-        let from = dht.net.random_node(&mut rng);
-        let value = Bytes::from(format!("{label}-{key}"));
-        dht.put(from, key, value.clone(), &mut rng);
-        let (_, got) = dht.get(dht.net.random_node(&mut rng), key, &mut rng);
-        assert_eq!(got, Some(value), "{label}: inline get lost key {key}");
-    }
-    let (_, removed) = dht.remove(dht.net.random_node(&mut rng), 7, &mut rng);
-    assert!(removed.is_some(), "{label}: remove must return the stored value");
-    let (_, gone) = dht.get(dht.net.random_node(&mut rng), 7, &mut rng);
-    assert_eq!(gone, None, "{label}: removed key must be gone");
-
-    // Sim with latency only (lossless): still every op completes.
-    for key in 100..130u64 {
-        let from = dht.net.random_node(&mut rng);
-        let sim = Sim::new(key ^ seed).with_latency(2, 12, 5);
-        let (out, stored) =
-            dht.put_over(from, key, Bytes::from(vec![key as u8; 9]), sim, key, retry);
-        assert!(out.ok && stored, "{label}: lossless Sim cannot fail a put");
-        let sim = Sim::new(key ^ seed ^ 1).with_latency(2, 12, 5);
-        let (_, got) = dht.get_over(from, key, sim, key ^ 2, retry);
-        assert_eq!(got, Some(Bytes::from(vec![key as u8; 9])), "{label}: Sim get diverged");
-    }
-
-    // Sim with loss + duplication: retries absorb almost everything.
-    let mut stored = 0usize;
-    let mut fetched = 0usize;
-    for key in 200..260u64 {
-        let from = dht.net.random_node(&mut rng);
-        let sim = Sim::new(key ^ seed).with_drop(0.05).with_dup(0.02);
-        let (_, ok) = dht.put_over(from, key, Bytes::from(vec![key as u8; 4]), sim, key, retry);
-        if ok {
-            stored += 1;
-            let sim = Sim::new(key ^ seed ^ 3).with_drop(0.05);
-            let (_, got) = dht.get_over(from, key, sim, key ^ 4, retry);
-            if got == Some(Bytes::from(vec![key as u8; 4])) {
-                fetched += 1;
-            }
-        }
-    }
-    assert!(stored >= 55, "{label}: only {stored}/60 puts survived 5% loss with retries");
-    assert!(fetched >= stored - 3, "{label}: only {fetched}/{stored} lossy gets succeeded");
-
-    // ChaosNet (fail-stop adversary as a transport behavior): a dead
-    // destination exhausts the retry budget instead of wedging.
-    let key = 999u64;
-    let point = dht.hash.point(key);
-    let dest = dht.net.cover_of(point);
-    let from = dht.net.ring_succ(dest);
-    let mut faulty = ChaosNet::new(Inline, 0);
-    faulty.fail(dest);
-    let (out, stored) = dht.put_over(
-        from,
-        key,
-        Bytes::from_static(b"doomed"),
-        faulty,
-        41,
-        RetryPolicy::fixed(50, 3),
-    );
-    if out.msgs > 0 {
-        assert!(!out.ok && !stored, "{label}: a dead destination cannot acknowledge a put");
-        assert_eq!(out.attempts, 3, "{label}: the retry budget must be spent");
-    }
-}
-
-#[test]
-fn chord_storage_over_every_transport() {
-    storage_matrix(ChordLike, 0xD0);
-}
-
-#[test]
-fn debruijn_storage_over_every_transport() {
-    storage_matrix(DeBruijn::new(8), 0xD1);
 }
 
 #[test]

@@ -7,8 +7,8 @@
 //!
 //! * [`wire::Wire`] — the typed RPC vocabulary of the Distance Halving
 //!   system (`LookupStep`, `JoinSplit`, `LeaveMerge`, `NeighborDiff`,
-//!   `Put`/`Get`/`Remove`, and the §6.2 replication
-//!   vocabulary: `StoreShare`/`ShareAck`, `FetchShare`/`ShareReply`,
+//!   the routed `PutShares`/`GetShares`/`Remove`, and the §6.2
+//!   replication vocabulary: `StoreShare`/`ShareAck`, `FetchShare`/`ShareReply`,
 //!   `ShareDigest`/`RepairPull`/`RepairPush`), with per-message byte
 //!   accounting;
 //! * [`transport::Transport`] — the pluggable delivery substrate.
@@ -39,8 +39,8 @@
 //!   engine on the caller's thread is the only way an op runs.
 //!
 //! `dh_dht` implements [`engine::Topology`] for its `DhNetwork` and
-//! re-exports [`NodeId`]; higher layers (`storage::Dht`, `dh_replica`,
-//! fault experiments, the `cd_bench` scenarios) drive their operations
+//! re-exports [`NodeId`]; higher layers (`dh_replica`, fault
+//! experiments, the `cd_bench` scenarios) drive their operations
 //! through the engine and inherit latency/loss/accounting for free.
 //!
 //! # Determinism

@@ -10,7 +10,9 @@
 //! (op id + tag + src/dst + stamps) plus the variant payload. The
 //! Distance Halving Lookup's message header carries the digit string
 //! `τ` (the paper's phase-2 header, §2.2.2), so its size is charged
-//! per digit; `Put` is charged for the payload it carries.
+//! per digit; share payloads are charged on the messages that carry
+//! them (`StoreShare`, `ShareReply`, `RepairPush`), never on the routed
+//! request.
 
 use crate::node::NodeId;
 use cd_core::point::Point;
@@ -38,19 +40,6 @@ pub enum RouteKind {
 pub enum Action {
     /// Pure lookup: report the covering server.
     Locate,
-    /// Store an item (`key`, payload of `len` bytes).
-    Put {
-        /// Item key.
-        key: u64,
-        /// Payload size in bytes (the engine models cost, the storage
-        /// layer holds the actual bytes).
-        len: u32,
-    },
-    /// Retrieve an item.
-    Get {
-        /// Item key.
-        key: u64,
-    },
     /// Delete an item.
     Remove {
         /// Item key.
@@ -125,12 +114,10 @@ pub enum Wire {
         /// The joiner's chosen identifier point.
         x: Point,
     },
-    /// Hand the sender's segment and items to the ring predecessor
-    /// (simple Leave, §2.1).
-    LeaveMerge {
-        /// Number of stored items migrating with the segment.
-        items: u32,
-    },
+    /// Hand the sender's segment to the ring predecessor (simple Leave,
+    /// §2.1). Its shares travel as repair frames to the covers entering
+    /// its cliques.
+    LeaveMerge,
     /// Tell a watcher that the sender's segment changed so its table
     /// entry must be refreshed (steps 4 of Join/Leave).
     NeighborDiff {
@@ -204,10 +191,11 @@ pub enum Wire {
         /// Number of digest entries carried.
         keys: u32,
     },
-    /// Repair after a leave: the cover entering the clique asks a kept
-    /// member for its share of `key`, so the leaver's lost share can
-    /// be rebuilt from any `k`. Answered by [`Wire::RepairPush`]. A
-    /// join pulls nothing: its share is handed over unasked.
+    /// Repair after a crash: the cover entering the clique asks a kept
+    /// member for its share of `key`, so the crashed server's lost
+    /// share can be rebuilt from any `k`. Answered by
+    /// [`Wire::RepairPush`]. A join or a graceful leave pulls nothing:
+    /// its share is handed over unasked.
     RepairPull {
         /// Item key being repaired.
         key: u64,
@@ -215,8 +203,9 @@ pub enum Wire {
         idx: u8,
     },
     /// Repair data transfer: a kept member answering a
-    /// [`Wire::RepairPull`], or — on a join — the member that left the
-    /// clique handing its share to the cover that entered it.
+    /// [`Wire::RepairPull`], or — on a join or a leave — the member
+    /// that left the clique handing its share to the cover that
+    /// entered it.
     RepairPush {
         /// Item key being repaired.
         key: u64,
@@ -261,8 +250,7 @@ impl Wire {
                     8 + u64::from(*digits).div_ceil(2)
                         + match action {
                             Action::Locate => 0,
-                            Action::Put { len, .. } => 12 + u64::from(*len),
-                            Action::Get { .. } | Action::Remove { .. } => 8,
+                            Action::Remove { .. } => 8,
                             // key + per-share len + (m, k) + item point;
                             // the routed request carries no share data —
                             // shares travel in StoreShare/ShareReply
@@ -271,7 +259,7 @@ impl Wire {
                         }
                 }
                 Wire::JoinSplit { .. } => 8,
-                Wire::LeaveMerge { items } => 4 + 16 * u64::from(*items),
+                Wire::LeaveMerge => 4,
                 Wire::NeighborDiff { entries } => 4 + 12 * u64::from(*entries),
                 // key + idx + len field + the share payload itself
                 Wire::StoreShare { len, .. } => 13 + u64::from(*len),
@@ -311,7 +299,7 @@ impl Wire {
         match self {
             Wire::LookupStep { .. } => 0,
             Wire::JoinSplit { .. } => 1,
-            Wire::LeaveMerge { .. } => 2,
+            Wire::LeaveMerge => 2,
             Wire::NeighborDiff { .. } => 3,
             Wire::StoreShare { .. } => 4,
             Wire::ShareAck { .. } => 5,
@@ -347,24 +335,20 @@ mod tests {
 
     #[test]
     fn byte_model_is_monotone_in_payload() {
-        let small = Wire::LookupStep {
+        let routed = |len| Wire::LookupStep {
             op: 0,
             attempt: 0,
             step: 0,
             at: Point(0),
             digits: 0,
-            action: Action::Put { key: 1, len: 10 },
+            action: Action::PutShares { key: 1, len, m: 8, k: 4, item: Point(0) },
         };
-        let big = Wire::LookupStep {
-            op: 0,
-            attempt: 0,
-            step: 0,
-            at: Point(0),
-            digits: 0,
-            action: Action::Put { key: 1, len: 100 },
-        };
-        assert!(big.wire_bytes() == small.wire_bytes() + 90);
-        assert!(small.wire_bytes() > Wire::HEADER_BYTES);
+        // the routed request is sized by its header, whatever it stores…
+        assert_eq!(routed(100).wire_bytes(), routed(10).wire_bytes());
+        assert!(routed(10).wire_bytes() > Wire::HEADER_BYTES);
+        // …and the share fan-out pays for every payload byte
+        let store = |len| Wire::StoreShare { op: 0, attempt: 0, idx: 1, key: 1, len };
+        assert_eq!(store(100).wire_bytes(), store(10).wire_bytes() + 90);
     }
 
     #[test]

@@ -35,10 +35,12 @@
 //!   pass hooked into [`ReplicatedDht::join_over`] /
 //!   [`ReplicatedDht::leave_over`] churn — when cover membership
 //!   shifts, digests ([`dh_proto::Wire::ShareDigest`]) flag the
-//!   shifted keys and each cover entering a clique gets one share: on
-//!   a join, the share of the member it pushed out, handed over whole
-//!   ([`dh_proto::Wire::RepairPush`]); on a leave, the lost share,
-//!   rebuilt from `k` pulled ones ([`dh_proto::Wire::RepairPull`]).
+//!   shifted keys and each cover entering a clique gets one share,
+//!   handed over whole ([`dh_proto::Wire::RepairPush`]) by the member
+//!   that left the clique — the one a join pushed out, or the leaver
+//!   itself (§2.1's hand-off). Only a share that is gone (damaged, or
+//!   lost with a crashed server's disk) is rebuilt from `k` pulled ones
+//!   ([`dh_proto::Wire::RepairPull`]).
 //! * Shares rest and travel **sealed** ([`dh_erasure::header`]):
 //!   versioned, so quorum reads only combine shares of one item
 //!   generation and interrupted overwrites cannot be mistaken for
@@ -51,6 +53,8 @@
 #![deny(missing_docs)]
 
 pub mod repair;
+#[cfg(test)]
+mod storage;
 
 use bytes::Bytes;
 use cd_core::graph::ContinuousGraph;
@@ -77,8 +81,8 @@ pub use repair::RepairReport;
 /// The arc index: `(h(key).bits, key)` per shelved item, so churn can
 /// range-query the shifted interval of the ring.
 type ArcIndex = BTreeSet<(u64, u64)>;
-/// The holder index: `(node, key, idx)` per shelved share, so a leave
-/// can retire the departed server's slots without a scan.
+/// The holder index: `(node, key, idx)` per shelved share, so a
+/// departure finds the server's slots without a scan.
 type HeldIndex = BTreeSet<(u32, u64, u8)>;
 
 /// Build the arc index and the holder index from a shelf map in one
@@ -124,9 +128,10 @@ pub struct QuorumRead {
 /// The replicated storage layer: a network plus the placement hash,
 /// the replication geometry `(m, k)`, and the shelves.
 ///
-/// Mirrors [`dh_dht::Dht`] in shape; where `Dht` stores one copy at
-/// the covering server, this stores `m` sealed Reed-Solomon shares on
-/// the item's cover clique, any `k` of which reconstruct.
+/// It stores `m` sealed Reed-Solomon shares on the item's cover
+/// clique, any `k` of which reconstruct. At `m = k = 1` that is §2.1's
+/// plain DHT: one copy on the covering server, handed to the new cover
+/// by every join and leave that moves it.
 ///
 /// Generic over the [`Shelves`] storage backend: [`MemShelves`] (the
 /// default) keeps shares in RAM, [`dh_store::FileShelves`] puts a
@@ -136,9 +141,8 @@ pub struct QuorumRead {
 ///
 /// Drive churn through [`Self::join_over`]/[`Self::leave_over`] (or
 /// call [`Self::repair`] yourself after mutating `net` directly):
-/// repair is what re-materializes shares after membership shifts, and
-/// the shelves of a departed server must be dropped before its slab
-/// slot can be reused.
+/// repair is what moves shares after membership shifts, and nothing
+/// may name a departed server once its slab slot can be reused.
 pub struct ReplicatedDht<G: ContinuousGraph = DistanceHalving, S: Shelves = MemShelves> {
     /// The overlay network.
     pub net: CdNetwork<G>,
@@ -161,9 +165,9 @@ pub struct ReplicatedDht<G: ContinuousGraph = DistanceHalving, S: Shelves = MemS
     /// `shelves` directly.
     arc: ArcIndex,
     /// The holder index: `(node, key, idx)` for every shelved share —
-    /// so a leave retires the departed server's shares by range query
-    /// ([`dh_store::Shelves::retire_hinted`]) instead of scanning
-    /// every item. Maintained wherever shares are placed or dropped;
+    /// so a leave finds the shares it hands off, and a crash retires
+    /// them ([`dh_store::Shelves::retire_hinted`]), by range query
+    /// instead of scanning every item. Maintained wherever shares are placed or dropped;
     /// [`Self::reindex`] rebuilds it too.
     held: HeldIndex,
     /// Repair pacing budget: `None` flushes repair traffic inside the
@@ -353,7 +357,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
     }
 
     /// Place the shares a put outcome reports as stored. Returns the
-    /// share count. Two safety rules mirror the single-copy path:
+    /// share count. Two safety rules:
     ///
     /// * a request that arrived **corrupted** is rejected wholesale —
     ///   the holders' integrity checks fail every share derived from

@@ -15,9 +15,12 @@
 //!   share and hands it to the newcomer: one [`Wire::RepairPush`] of
 //!   the stored sealed blob, no pull, no decode, no encode. The blob is
 //!   shipped only if it opens at the placed generation; a damaged one
-//!   is rebuilt instead, as on a leave;
-//! * **leave** — the leaver's share is gone. The cover entering the
-//!   clique pulls `k` shares from kept members
+//!   is rebuilt instead, as after a crash;
+//! * **leave** — §2.1's hand-off: the leaver ships each share it holds
+//!   to the cover entering that clique, as a join's pushed-out member
+//!   does. Only a share that is gone — damaged, or lost in a crash
+//!   ([`ReplicatedDht::drop_shelves_of`] first) — is rebuilt: the
+//!   entering cover pulls `k` shares from kept members
 //!   ([`Wire::RepairPull`]/[`Wire::RepairPush`]), decodes them (the
 //!   codeword check) and computes the one missing row
 //!   ([`dh_erasure::encode_row`]).
@@ -67,7 +70,9 @@
 //! [`ReplicatedDht::pump_repair`] drains — bounded background repair
 //! overlapping foreground traffic instead of a synchronous storm.
 //! Shelves are repaired at plan time either way: pacing spreads the
-//! modeled wire cost, never the durability fix.
+//! modeled wire cost, never the durability fix. The one exception is a
+//! leaver's own hand-off frames, priced inside its `leave_over`: no
+//! queued frame may name a server whose slab slot can be reused.
 //!
 //! Determinism: items are scanned in key order (`BTreeMap`), frames
 //! are emitted in `BTreeMap` order of `(src, dst)`, message costs run
@@ -89,6 +94,8 @@ use dh_proto::transport::Transport;
 use dh_proto::wire::Wire;
 use dh_store::{Holder, ItemState, Shelves};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::mem;
+use std::ops::RangeInclusive;
 
 /// What one repair pass did and what it cost on the wire.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -176,24 +183,22 @@ impl RepairPlan {
 }
 
 impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
-    /// Drop every shelf entry held by `node` (it is leaving — its
-    /// shares go with it). Called before the slab slot can be reused.
-    /// Returns the keys that lost a share.
+    /// Drop every shelf entry held by `node`: the server's disk died
+    /// with it. A crash-stop departure is spelled `drop_shelves_of(v)`
+    /// then [`Self::leave_over`]`(v)`; the repair pass then finds no
+    /// share to hand off and rebuilds each lost one.
     ///
-    /// The holder index knows exactly which `(key, idx)` slots the
-    /// leaver holds, so this hands the backend a hint list
+    /// The holder index knows exactly which `(key, idx)` slots `node`
+    /// holds, so this hands the backend a hint list
     /// ([`Shelves::retire_hinted`]) instead of letting it scan every
-    /// item — the last O(items) walk on the leave path.
-    pub(crate) fn drop_shelves_of(&mut self, node: NodeId) -> Vec<u64> {
-        let hints: Vec<(u64, u8)> = self
-            .held
-            .range((node.0, 0, 0)..=(node.0, u64::MAX, u8::MAX))
-            .map(|&(_, key, idx)| (key, idx))
-            .collect();
+    /// item.
+    pub fn drop_shelves_of(&mut self, node: NodeId) {
+        let hints: Vec<(u64, u8)> =
+            self.held.range(held_by(node)).map(|&(_, key, idx)| (key, idx)).collect();
         for &(key, idx) in &hints {
             self.held.remove(&(node.0, key, idx));
         }
-        self.shelves.retire_hinted(node, &hints)
+        self.shelves.retire_hinted(node, &hints);
     }
 
     /// One anti-entropy pass over every item: detect placement drift
@@ -455,32 +460,55 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         Some((id, cost, report))
     }
 
-    /// The simple Leave as wire traffic plus the repair pass: the
-    /// departing server's shelves vanish with it, the member protocol
-    /// of `dh_dht::proto::leave_over` runs, and anti-entropy rebuilds
-    /// each lost share on the cover entering its clique — exactly the
-    /// arc that contained the leaver plus the keys its shelves held.
+    /// §2.1's Leave as wire traffic plus the repair pass: the member
+    /// protocol of `dh_dht::proto::leave_over`, then anti-entropy over
+    /// the arc that contained the leaver plus the keys it holds, which
+    /// hands each of its shares to the cover entering that clique (a
+    /// share that does not open is rebuilt). A crash is
+    /// [`Self::drop_shelves_of`] first. Afterwards nothing names the
+    /// leaver, whose slab slot may be reused: its hand-off frames are
+    /// priced inside this call even under pacing.
     pub fn leave_over<T: Transport>(
         &mut self,
         id: NodeId,
         transport: &mut T,
         seed: u64,
     ) -> (ChurnMsgCost, RepairReport) {
-        // queued frames addressed to or from the leaver can no longer
-        // be delivered (and its slab slot may be reused): purged, and
-        // counted so planned = pumped + purged + backlog stays exact
+        // frames queued before the leave addressed to or from the
+        // leaver can no longer be delivered: purged, and counted so
+        // planned = pumped + purged + backlog stays exact
         let queued = self.outbox.len();
         self.outbox.retain(|&(src, dst, _)| src != id && dst != id);
         self.obs.add("repair/frames_purged", 0, (queued - self.outbox.len()) as u64);
         // computed before the leave: the cliques that will change are
-        // those the leaver is still part of
+        // those the leaver is still part of, plus what it holds
         let mut keys = self.shifted_keys(id);
-        keys.extend(self.drop_shelves_of(id));
+        keys.extend(self.held.range(held_by(id)).map(|&(_, key, _)| key));
         let cost = leave_over(&mut self.net, id, transport, seed);
         let keys: Vec<u64> = keys.into_iter().collect();
-        let report = self.repair_keys(&keys, transport, splitmix64(seed ^ 0x5E1F));
+        let seed = splitmix64(seed ^ 0x5E1F);
+        let mut report = self.repair_keys(&keys, transport, seed);
+        // the planner leaves an item it cannot recover untouched; the
+        // leaver's share of it goes with the leaver
+        self.drop_shelves_of(id);
+        if self.pace.is_some() {
+            // every frame still naming the leaver is one of this
+            // leave's hand-offs
+            let (own, rest): (VecDeque<_>, VecDeque<_>) = mem::take(&mut self.outbox)
+                .into_iter()
+                .partition(|&(src, dst, _)| src == id || dst == id);
+            self.outbox = own;
+            report.frames_queued -= self.outbox.len();
+            (report.msgs, report.bytes) = self.flush_repair(transport, seed);
+            self.outbox = rest;
+        }
         (cost, report)
     }
+}
+
+/// The holder-index range of every share `node` holds.
+fn held_by(node: NodeId) -> RangeInclusive<(u32, u64, u8)> {
+    (node.0, 0, 0)..=(node.0, u64::MAX, u8::MAX)
 }
 
 /// Is the item placed on `clique` — every member holding a share of
@@ -576,12 +604,14 @@ mod tests {
             let kinds = ["repair/shares_handed_off", "repair/shares_rebuilt"];
             kinds.map(|name| snap.counter_total(name))
         };
-        let (mut joined, mut left) = (0, 0);
-        for i in 0..30u64 {
+        // per kind of event — join, graceful leave, crash — the items
+        // it shifted
+        let mut shifted_by = [0u64; 3];
+        for i in 0..45u64 {
             let before = counted();
             let mut t = Pulls::default();
-            let join = i % 2 == 0;
-            let report = if join {
+            let kind_of_event = (i % 3) as usize;
+            let report = if kind_of_event == 0 {
                 let (host, x, kind) = (dht.net.random_node(&mut rng), CPoint(rng.gen()), dht.kind);
                 match dht.join_over(host, x, kind, i, &mut t, RetryPolicy::default()) {
                     Some((_, _, report)) => report,
@@ -589,23 +619,25 @@ mod tests {
                 }
             } else {
                 let victim = dht.net.random_node(&mut rng);
+                if kind_of_event == 2 {
+                    dht.drop_shelves_of(victim);
+                }
                 dht.leave_over(victim, &mut t, i).1
             };
             let [handed, rebuilt] = counted();
             let (handed, rebuilt) = (handed - before[0], rebuilt - before[1]);
             let shifted = report.items_shifted as u64;
             assert_eq!(handed + rebuilt, report.shares_rebuilt as u64, "the two kinds sum up");
-            if join {
-                assert_eq!((handed, rebuilt), (shifted, 0), "event {i}: a join hands off");
-                assert_eq!(t.0, 0, "event {i}: a join pulls nothing");
-                joined += shifted;
+            if kind_of_event < 2 {
+                assert_eq!((handed, rebuilt), (shifted, 0), "event {i}: joins and leaves hand off");
+                assert_eq!(t.0, 0, "event {i}: a hand-off pulls nothing");
             } else {
-                assert_eq!((handed, rebuilt), (0, shifted), "event {i}: a leave rebuilds");
-                left += shifted;
+                assert_eq!((handed, rebuilt), (0, shifted), "event {i}: a crash rebuilds");
             }
+            shifted_by[kind_of_event] += shifted;
             assert_healthy(&dht, &mut rng);
         }
-        assert!(joined > 0 && left > 0, "both kinds of event shifted items");
+        assert!(shifted_by.iter().all(|&s| s > 0), "every kind of event shifted items");
     }
 
     #[test]
@@ -633,13 +665,15 @@ mod tests {
         let mut t = Inline;
         let mut total = RepairReport::default();
         for i in 0..20u64 {
+            // a crash: the victim's shares die with it
             let victim = dht.net.random_node(&mut rng);
+            dht.drop_shelves_of(victim);
             let (_, report) = dht.leave_over(victim, &mut t, i);
-            assert_eq!(report.items_lost, 0, "one leave can never exceed m − k losses");
+            assert_eq!(report.items_lost, 0, "one crash can never exceed m − k losses");
             total.merge(&report);
             assert_healthy(&dht, &mut rng);
         }
-        assert!(total.shares_rebuilt > 0, "leaves of share-holding covers must trigger repair");
+        assert!(total.shares_rebuilt > 0, "crashes of share-holding covers must trigger repair");
         assert!(total.msgs > 0, "repair traffic must be priced");
         for key in 0..25u64 {
             let from = dht.net.random_node(&mut rng);
@@ -727,7 +761,11 @@ mod tests {
                 let kind = dht.kind;
                 dht.join_over(host, CPoint(rng.gen()), kind, i, &mut t, RetryPolicy::default());
             } else {
+                // a graceful leave, then a crash
                 let victim = dht.net.random_node(&mut rng);
+                if i % 3 == 1 {
+                    dht.drop_shelves_of(victim);
+                }
                 dht.leave_over(victim, &mut t, i);
             }
             // the full scan judges every item with the same rule: after
@@ -754,10 +792,13 @@ mod tests {
         }
         let mut t = Inline;
         dht.set_repair_pacing(Some(3));
+        // a crash: nothing of the victim's is left to send, so nothing
+        // is priced inside the call
         let victim = dht.net.random_node(&mut rng);
+        dht.drop_shelves_of(victim);
         let (_, report) = dht.leave_over(victim, &mut t, 1);
         assert_eq!(report.msgs, 0, "paced repair must not price traffic synchronously");
-        assert!(report.frames_queued > 0, "a share-holding leaver must queue repair frames");
+        assert!(report.frames_queued > 0, "a share-holding victim must queue repair frames");
         assert_eq!(dht.repair_backlog(), report.frames_queued);
         // shelf state is already repaired — pacing defers only the wire
         assert_healthy(&dht, &mut rng);
@@ -770,7 +811,7 @@ mod tests {
             total.1 += bytes;
             pumps += 1;
         }
-        assert!(pumps >= 2, "a leave of a share holder should take several pumps at budget 3");
+        assert!(pumps >= 2, "a crash of a share holder should take several pumps at budget 3");
         assert_eq!(total.0, report.frames_queued as u64, "every queued frame priced once");
         assert!(total.1 > 0);
         // the unpaced twin prices the same frames in one flush
@@ -779,6 +820,7 @@ mod tests {
             let from = twin.net.random_node(&mut rng2);
             twin.put(from, key, Bytes::from(vec![key as u8; 20]), &mut rng2);
         }
+        twin.drop_shelves_of(victim);
         let (_, unpaced) = twin.leave_over(victim, &mut t, 1);
         assert_eq!(unpaced.msgs, total.0, "pacing must not change what goes on the wire");
         assert_eq!(unpaced.bytes, total.1);
@@ -824,16 +866,28 @@ mod tests {
             );
             snap.counter_total("repair/frames_purged")
         };
+        // a departed server owes nothing and is owed nothing, since its
+        // slab slot may be reused: no queued frame, index entry or shelf
+        // slot names it, and the indices still agree with the shelves
+        let departed = |dht: &ReplicatedDht, gone: NodeId| {
+            assert!(dht.outbox.iter().all(|&(src, dst, _)| src != gone && dst != gone));
+            assert!(dht.held.range(held_by(gone)).next().is_none(), "{gone:?} still indexed");
+            let holders = || dht.shelves.map().values().flat_map(|item| item.holders.values());
+            assert!(holders().all(|h| h.node != gone), "{gone:?} still holds a share");
+            assert!(dht.indices_consistent());
+            balance(dht)
+        };
         let victim = dht.net.random_node(&mut rng);
-        dht.leave_over(victim, &mut t, 1);
-        assert!(dht.repair_backlog() > 2, "a share-holding leaver must queue repair frames");
+        let (_, report) = dht.leave_over(victim, &mut t, 1);
+        assert!(report.msgs > 0, "the leaver's hand-offs are priced inside the call");
+        departed(&dht, victim);
+        assert!(dht.repair_backlog() > 2, "the rest of the leave's repair is queued");
         pump_frames_first(&mut dht, &obs, 2);
         assert_eq!(balance(&dht), 0, "nothing purged yet");
         // a server with frames still queued leaves mid-backlog
         let (_, busy, _) = dht.outbox[0];
         dht.leave_over(busy, &mut t, 3);
-        assert!(dht.outbox.iter().all(|&(src, dst, _)| src != busy && dst != busy));
-        assert!(balance(&dht) > 0, "the leaver's queued frames must be counted as purged");
+        assert!(departed(&dht, busy) > 0, "the leaver's queued frames must be counted as purged");
         while dht.repair_backlog() > 0 {
             pump_frames_first(&mut dht, &obs, 4);
         }
@@ -853,7 +907,9 @@ mod tests {
             dht.put(from, key, Bytes::from(vec![key as u8; 16]), &mut rng);
         }
         let mut t = Inline;
+        // a crash, so every shifted item pulls k shares
         let victim = dht.net.random_node(&mut rng);
+        dht.drop_shelves_of(victim);
         let (_, report) = dht.leave_over(victim, &mut t, 7);
         assert!(report.shares_rebuilt > 0);
         // what the pre-batching per-item exchange would have cost:

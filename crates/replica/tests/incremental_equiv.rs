@@ -6,8 +6,10 @@
 //! item index, plus the leaver's held keys). The full scan
 //! ([`ReplicatedDht::repair`]) judges every item with the same
 //! per-item rule and is the ground truth. This test drives one store
-//! through random (churn sequence × item set) histories and asserts
-//! after **every** event that a full scan
+//! at (m, k) = (8, 4) through random (churn sequence × item set)
+//! histories — joins, graceful leaves that hand their shares off, and
+//! crashes whose shares are rebuilt — and asserts after **every** event
+//! that a full scan
 //!
 //! * reports nothing shifted, placed or lost, and
 //! * leaves the complete shelf map unchanged (placement, versions,
@@ -40,8 +42,8 @@ use proptest::prelude::*;
 use rand::Rng;
 
 const N: usize = 48;
-const M: u8 = 6;
-const K: u8 = 3;
+const M: u8 = 8;
+const K: u8 = 4;
 
 fn value_of(key: u64) -> Bytes {
     Bytes::from(format!("equiv-item-{key:04}"))
@@ -64,18 +66,27 @@ fn build<G: ContinuousGraph, S: Shelves>(
     (dht, rng)
 }
 
-/// One churn event (a leave if asked for and the ring can spare a
-/// server, a join otherwise) through the incremental path.
+/// What a churn event does: join, leave gracefully, or crash.
+const JOIN: u8 = 0;
+const LEAVE: u8 = 1;
+const CRASH: u8 = 2;
+
+/// One churn event through the incremental path: a graceful leave or a
+/// crash (`drop_shelves_of`, then the leave) if asked for and the ring
+/// can spare a server, a join otherwise.
 fn churn_once<G: ContinuousGraph, S: Shelves>(
     dht: &mut ReplicatedDht<G, S>,
     rng: &mut impl Rng,
-    leave: bool,
+    event: u8,
     seed: u64,
 ) {
-    if leave && dht.net.len() > M as usize + 8 {
+    if event != JOIN && dht.net.len() > M as usize + 8 {
         let victim = dht.net.random_node(rng);
+        if event == CRASH {
+            dht.drop_shelves_of(victim);
+        }
         let (_, report) = dht.leave_over(victim, &mut Inline, seed);
-        assert_eq!(report.items_lost, 0, "one leave can never exceed m − k losses");
+        assert_eq!(report.items_lost, 0, "one departure can never exceed m − k losses");
     } else {
         let host = dht.net.random_node(rng);
         let kind = dht.kind;
@@ -158,13 +169,13 @@ fn equiv_on<G: ContinuousGraph, S: Shelves>(
     graph: G,
     seed: u64,
     items: u64,
-    churn: &[bool],
+    churn: &[u8],
     shelves: S,
 ) -> Result<(), TestCaseError> {
     let (mut dht, mut rng) = build(graph, seed, items, shelves);
-    for (step, &leave) in churn.iter().enumerate() {
+    for (step, &event) in churn.iter().enumerate() {
         let sseed = seed ^ ((step as u64 + 1) << 8);
-        churn_once(&mut dht, &mut rng, leave, sseed);
+        churn_once(&mut dht, &mut rng, event, sseed);
         placed_as_a_set(&dht, step)?;
         full_scan_is_a_noop(&mut dht, sseed ^ 0xF011, step)?;
     }
@@ -174,7 +185,7 @@ fn equiv_on<G: ContinuousGraph, S: Shelves>(
 proptest! {
     #[test]
     fn prop_incremental_equals_full_scan_all_topologies_mem(
-        seed: u64, items in 1u64..16, churn in proptest::collection::vec(any::<bool>(), 1..8)
+        seed: u64, items in 1u64..16, churn in proptest::collection::vec(JOIN..=CRASH, 1..8)
     ) {
         equiv_on(DistanceHalving::binary(), seed, items, &churn, MemShelves::new())?;
         equiv_on(ChordLike, seed, items, &churn, MemShelves::new())?;
@@ -183,7 +194,7 @@ proptest! {
 
     #[test]
     fn prop_incremental_equals_full_scan_all_topologies_file(
-        seed: u64, items in 1u64..10, churn in proptest::collection::vec(any::<bool>(), 1..6)
+        seed: u64, items in 1u64..10, churn in proptest::collection::vec(JOIN..=CRASH, 1..6)
     ) {
         let wal = |tag: &str| {
             let scratch = ScratchPath::new(tag);
@@ -196,14 +207,16 @@ proptest! {
 }
 
 /// The write-burst witness: one fixed history — preload, then six
-/// rounds of (churn event, 16 fresh sequential puts) — with the oracle
+/// rounds of (churn event, 16 fresh sequential puts), the events
+/// cycling leave, join, crash — with the oracle
 /// consulted after every churn event and every burst.
 #[test]
 fn equivalence_holds_with_write_bursts_between_churn() {
     let seed = 0x001D_E2E0;
     let (mut dht, mut rng) = build(DistanceHalving::binary(), seed, 12, MemShelves::new());
     for step in 0..6u64 {
-        churn_once(&mut dht, &mut rng, step % 2 == 0, seed ^ step);
+        let event = [LEAVE, JOIN, CRASH][step as usize % 3];
+        churn_once(&mut dht, &mut rng, event, seed ^ step);
         placed_as_a_set(&dht, step as usize).unwrap();
         full_scan_is_a_noop(&mut dht, seed ^ step ^ 0xF011, step as usize).unwrap();
         for i in 0..16u64 {

@@ -64,10 +64,10 @@ fn storm_op<G: ContinuousGraph, S: Shelves>(
     let mut handle = chaos.clone();
     let seed_op = subseed(0x9A27, st.op_no);
     match rng.gen_range(0..5u32) {
-        // leave: the departing cover's shares vanish; the incremental
-        // repair pass re-materializes them — a single leave can never
-        // lose a *committed* item (only uncommitted orphans are ever
-        // beyond rebuilding)
+        // leave: the incremental repair pass hands the departing
+        // cover's shares to the covers entering its cliques — a single
+        // leave can never lose a *committed* item (only uncommitted
+        // orphans are ever beyond rebuilding)
         0 if dht.net.len() > 36 => {
             let v = dht.net.random_node(rng);
             let (_, report) = dht.leave_over(v, &mut handle, seed_op);

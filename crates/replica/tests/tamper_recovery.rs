@@ -6,7 +6,8 @@
 //! the store), the surviving shares must keep every committed item at
 //! read quorum, and one anti-entropy pass must re-materialize what the
 //! damage took — after which a second pass prices zero messages. A
-//! join's hand-off, likewise, never ships a damaged blob: it rebuilds.
+//! hand-off, likewise — a join's or a leave's — never ships a damaged
+//! blob: it rebuilds.
 
 use bytes::Bytes;
 use cd_core::graph::{ChordLike, ContinuousGraph, DeBruijn, DistanceHalving};
@@ -124,9 +125,10 @@ fn tampered_wal_heals_debruijn8() {
     tampered_recovery_heals(DeBruijn::new(8), 0x7A03);
 }
 
-/// The member a join pushes out of an item's clique holds a damaged
-/// blob: the newcomer's share must be rebuilt from `k` kept members,
-/// not handed over, and the item must read back.
+/// The member that leaves an item's clique holds a damaged blob — the
+/// one a join pushes out, then a graceful leaver itself: each time the
+/// entering cover's share must be rebuilt from `k` kept members, not
+/// handed over, and the item must read back.
 fn damaged_hand_off_is_rebuilt<G: ContinuousGraph>(graph: G, seed: u64) {
     let mut rng = seeded(seed);
     let net = CdNetwork::build(graph, &PointSet::random(N, &mut rng));
@@ -137,33 +139,43 @@ fn damaged_hand_off_is_rebuilt<G: ContinuousGraph>(graph: G, seed: u64) {
     let from = dht.net.random_node(&mut rng);
     dht.put(from, key, value_of(key), &mut rng);
 
-    // a join halfway between the clique's third and fourth members
-    // pushes the last member out: damage that member's blob first
-    let clique = dht.clique(key);
-    let item = &dht.shelves.map()[&key];
-    let (idx, exiting) = item.holders.iter().find(|(_, h)| h.node == clique[M as usize - 1]).unwrap();
-    let mut sealed = exiting.sealed.to_vec();
-    sealed[0] ^= 0xFF;
-    let damaged = Holder { node: exiting.node, version: exiting.version, sealed: Bytes::from(sealed) };
-    assert!(damaged.share().is_none(), "the damage must be detectable");
-    let (idx, point) = (*idx, item.point);
-    dht.shelves.park(key, point, idx, damaged);
+    for (event, leave) in [(1, false), (2, true)] {
+        // the leaver, or the last member, which a join halfway between
+        // the third and fourth members pushes out: damage its blob
+        let clique = dht.clique(key);
+        let exiting = if leave { clique[1] } else { clique[M as usize - 1] };
+        let item = &dht.shelves.map()[&key];
+        let (&idx, held) = item.holders.iter().find(|(_, h)| h.node == exiting).unwrap();
+        let mut sealed = held.sealed.to_vec();
+        sealed[0] ^= 0xFF;
+        let damaged = Holder { node: exiting, version: held.version, sealed: Bytes::from(sealed) };
+        assert!(damaged.share().is_none(), "the damage must be detectable");
+        let point = item.point;
+        dht.shelves.park(key, point, idx, damaged);
 
-    let (a, b) = (dht.net.node(clique[2]).x.bits(), dht.net.node(clique[3]).x.bits());
-    let x = Point(a.wrapping_add(b.wrapping_sub(a) / 2));
-    let (host, kind) = (dht.net.random_node(&mut rng), dht.kind);
-    let (joiner, _, report) =
-        dht.join_over(host, x, kind, seed, &mut Inline, RetryPolicy::default()).expect("join");
-    assert_eq!((report.items_shifted, report.shares_rebuilt, report.items_lost), (1, 1, 0));
-    let snap = obs.snapshot();
-    assert_eq!(snap.counter_total("repair/shares_handed_off"), 0, "damage was handed off");
-    assert_eq!(snap.counter_total("repair/shares_rebuilt"), 1);
+        let report = if leave {
+            dht.leave_over(exiting, &mut Inline, seed ^ 1).1
+        } else {
+            let (a, b) = (dht.net.node(clique[2]).x.bits(), dht.net.node(clique[3]).x.bits());
+            let x = Point(a.wrapping_add(b.wrapping_sub(a) / 2));
+            let (host, kind) = (dht.net.random_node(&mut rng), dht.kind);
+            dht.join_over(host, x, kind, seed, &mut Inline, RetryPolicy::default()).expect("join").2
+        };
+        assert_eq!((report.items_shifted, report.shares_rebuilt, report.items_lost), (1, 1, 0));
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter_total("repair/shares_handed_off"), 0, "damage was handed off");
+        assert_eq!(snap.counter_total("repair/shares_rebuilt"), event);
 
-    let item = &dht.shelves.map()[&key];
-    let entered = item.holders.values().find(|h| h.node == joiner).expect("the joiner holds a share");
-    assert!(entered.share().is_some(), "the entering cover's share must be intact");
-    assert!(item.holders.values().all(|h| h.share().is_some()), "damage left on the clique");
-    assert_eq!(dht.get(from, key, &mut rng), Some(value_of(key)));
+        let now = dht.clique(key);
+        let entering = *now.iter().find(|c| !clique.contains(c)).expect("a cover entered");
+        let item = &dht.shelves.map()[&key];
+        let entered = item.holders.values().find(|h| h.node == entering).expect("it holds a share");
+        assert!(entered.share().is_some(), "the entering cover's share must be intact");
+        assert!(item.holders.values().all(|h| now.contains(&h.node)), "a share left the clique");
+        assert!(item.holders.values().all(|h| h.share().is_some()), "damage left on the clique");
+        let from = dht.net.random_node(&mut rng);
+        assert_eq!(dht.get(from, key, &mut rng), Some(value_of(key)));
+    }
 }
 
 #[test]

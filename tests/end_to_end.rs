@@ -10,28 +10,34 @@ use continuous_discrete::core::rng::seeded;
 use continuous_discrete::core::Point;
 use continuous_discrete::dht::analysis::graph_stats;
 use continuous_discrete::dht::driver::{permutation_routing, random_lookups, random_permutation};
-use continuous_discrete::dht::storage::Dht;
 use continuous_discrete::dht::{DhNetwork, LookupKind};
+use continuous_discrete::proto::engine::RetryPolicy;
+use continuous_discrete::proto::transport::Inline;
+use continuous_discrete::replica::ReplicatedDht;
 use rand::Rng;
 
 #[test]
 fn full_stack_storage_caching_churn() {
     let mut rng = seeded(0xE2E);
     let net = DhNetwork::new(&PointSet::random(128, &mut rng));
-    let mut dht = Dht::new(net, &mut rng);
+    // one copy per item on its covering server: §2.1's DHT
+    let mut dht = ReplicatedDht::new(net, 1, 1, &mut rng);
 
     // store 64 items
     for key in 0..64u64 {
         let from = dht.net.random_node(&mut rng);
         dht.put(from, key, Bytes::from(key.to_le_bytes().to_vec()), &mut rng);
     }
-    // heavy churn
-    for _ in 0..200 {
+    // heavy churn: every join and leave hands the items it moves over
+    let mut wire = Inline;
+    for i in 0..200u64 {
         if dht.net.len() > 16 && rng.gen_bool(0.5) {
             let v = dht.net.random_node(&mut rng);
-            dht.net.leave(v);
+            let (_, report) = dht.leave_over(v, &mut wire, i);
+            assert_eq!(report.items_lost, 0);
         } else {
-            dht.net.join(Point(rng.gen()));
+            let (host, kind) = (dht.net.random_node(&mut rng), dht.kind);
+            dht.join_over(host, Point(rng.gen()), kind, i, &mut wire, RetryPolicy::default());
         }
     }
     dht.net.validate();
@@ -39,9 +45,9 @@ fn full_stack_storage_caching_churn() {
     let bound = 2.0 * (dht.net.len() as f64).log2() + 40.0;
     for key in 0..64u64 {
         let from = dht.net.random_node(&mut rng);
-        let (route, value) = dht.get(from, key, &mut rng);
+        let (out, value) = dht.get_over(from, key, Inline, rng.gen(), RetryPolicy::default());
         assert_eq!(value, Some(Bytes::from(key.to_le_bytes().to_vec())));
-        assert!((route.hops() as f64) < bound);
+        assert!((out.path.hops() as f64) < bound);
     }
 }
 
