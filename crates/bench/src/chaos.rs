@@ -93,8 +93,6 @@ pub struct Cell {
     pub msgs: u64,
     /// Hedge waves launched.
     pub hedged: u64,
-    /// Sends shed by the detector.
-    pub shed: u64,
     /// Coordinator attempts.
     pub attempts: u64,
     /// Fold of the cell's recorded delivery trace.
@@ -208,7 +206,6 @@ fn cell<S: Shelves>(
         served: 0,
         msgs: 0,
         hedged: 0,
-        shed: 0,
         attempts: 0,
         fingerprint: 0,
     };
@@ -229,7 +226,6 @@ fn cell<S: Shelves>(
         out.lat.push(read.ticks);
         out.msgs += read.msgs;
         out.hedged += read.hedged;
-        out.shed += read.shed;
         out.attempts += u64::from(read.attempts);
         epoch += STRIDE;
     }

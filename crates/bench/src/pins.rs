@@ -76,7 +76,7 @@ pub static PINS: [Pin; 7] = [
     Pin { name: "e_table1", backends: NO_SHELVES, scenario: table1, want: 0xe6adac908951bb17 },
     Pin { name: "e_repl", backends: BOTH, scenario: repl, want: 0x5931b1d98b32db2f },
     Pin { name: "e_slo", backends: BOTH, scenario: slo_wire, want: SLO_WIRE },
-    Pin { name: "e_chaos", backends: BOTH, scenario: chaos_campaign, want: 0x32eeae599e4300b2 },
+    Pin { name: "e_chaos", backends: BOTH, scenario: chaos_campaign, want: 0x6332f3a482a7e711 },
     Pin { name: "e_obs wire", backends: BOTH, scenario: obs_wire, want: SLO_WIRE },
     Pin { name: "e_obs recorder", backends: BOTH, scenario: obs_recorder, want: 0xeeacd3c0a9bbbeb6 },
 ];

@@ -9,12 +9,17 @@
 //! independent of how ops interleave.
 //!
 //! Every hop decision uses **only the current node's own table**
-//! ([`Topology::local_cover`]) — the engine never consults a global
-//! oracle, so what it executes is the paper's local protocol, message
-//! by message. Local steps (the message position moves but stays on
-//! the same server) cost nothing; a message is sent exactly when the
-//! hop crosses to another server, which is why the `Inline` transport
-//! reproduces `DhNetwork::lookup` routes bit for bit.
+//! ([`Topology::local_cover`]), so what the engine executes is the
+//! paper's local protocol, message by message. Local steps (the
+//! message position moves but stays on the same server) cost nothing;
+//! a message is sent exactly when the hop crosses to another server,
+//! which is why the `Inline` transport reproduces `DhNetwork::lookup`
+//! routes bit for bit. One exception: a hedged DH op with a detector
+//! attached has its digit string chosen up front (`Engine::plan_walk`)
+//! from 32 candidate walks simulated over *other* servers' tables and
+//! priced with the detector's per-destination estimates. Without it
+//! `e_chaos`'s healthy hedged p50 goes 137 → 182 ticks and its grey
+//! hedged p99 380 → 804, losing the 2× margin over the fixed policy.
 //!
 //! Loss is survived end-to-end: each send arms a progress timer
 //! stamped with the op's `(attempt, step)`; if the op has not advanced
@@ -48,10 +53,9 @@
 //! from `sub_rng(seed, op, attempt)` — traces stay fingerprintable —
 //! and scatter rounds back off exponentially across attempts; a
 //! quorum read contacts the least-suspect covers first and hands
-//! coordination off a suspect coordinator, DH walks are pre-planned
-//! around suspects, and ops whose target clique is majority-suspected
-//! fail fast ([`EngineStats::shed`]) instead of burning the retry
-//! budget.
+//! coordination off a suspect coordinator, and DH walks are
+//! pre-planned around suspects. Suspicion never fails an op: only
+//! fewer than `k` answering covers put a clique out of reach.
 //!
 //! With the flag off the estimators set one thing only: the hedge
 //! delay of a quorum read's backup timer.
@@ -197,9 +201,8 @@ pub struct RetryPolicy {
     /// Consult the attached [`crate::health::NetHealth`]: progress
     /// timeouts from the per-destination Jacobson bound (deterministic
     /// per-attempt jitter; exponential backoff for scatter rounds),
-    /// suspicion-ordered quorum reads with coordinator handoff,
-    /// pre-planned DH walks, and shedding of ops whose target clique
-    /// is majority-suspected. No-op unless a health tracker is
+    /// suspicion-ordered quorum reads with coordinator handoff, and
+    /// pre-planned DH walks. No-op unless a health tracker is
     /// attached.
     pub hedge: bool,
 }
@@ -266,9 +269,6 @@ pub struct EngineStats {
     /// Backup fetches quorum reads launched on the hedge timer, past
     /// a late or lost reply (top-ups on *not-found* are not counted).
     pub hedged: u64,
-    /// Ops fast-failed because their target clique was
-    /// majority-suspected (counted in `failed` too).
-    pub shed: u64,
 }
 
 impl EngineStats {
@@ -289,7 +289,6 @@ impl EngineStats {
             ("engine/completed", self.completed),
             ("engine/failed", self.failed),
             ("engine/hedged", self.hedged),
-            ("engine/shed", self.shed),
         ] {
             obs.add(name, label, v);
         }
@@ -925,38 +924,12 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
                                 "phase 1 failed to converge (∆ = {delta})"
                             );
                             // a planner-vetted digit string takes
-                            // precedence; past its end (or after a
-                            // retry cleared it) the op draws its own
-                            if let Some(&d) = op.planned.get(op.walk.steps()) {
-                                op.walk.step_with(d);
-                                let p = op.walk.source();
-                                if self.hop(id, p) {
-                                    return;
-                                }
-                                continue;
-                            }
-                            // hedged mode steers the walk's digit away
-                            // from covers the detector holds suspect:
-                            // any digit halves the gap, so the walk is
-                            // still a valid §2.2.2 descent — the drawn
-                            // digit stays the deterministic default
-                            let d0 = op.rng.gen_range(0..delta);
-                            let mut d = d0;
-                            if self.retry.hedge {
-                                if let Some(h) = self.health.as_deref() {
-                                    for off in 0..delta {
-                                        let cand = (d0 + off) % delta;
-                                        let p = op.walk.source().child(cand, delta);
-                                        match self.net.local_cover(cur, p) {
-                                            Some(n) if !h.is_suspect(n) => {
-                                                d = cand;
-                                                break;
-                                            }
-                                            _ => {}
-                                        }
-                                    }
-                                }
-                            }
+                            // precedence; past its end (or when no plan
+                            // was made) the op draws its own
+                            let d = match op.planned.get(op.walk.steps()) {
+                                Some(&d) => d,
+                                None => op.rng.gen_range(0..delta),
+                            };
                             op.walk.step_with(d);
                             let p = op.walk.source();
                             if self.hop(id, p) {
@@ -1322,33 +1295,6 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
             h = self.net.ring_succ(h);
             if h == primary {
                 break;
-            }
-        }
-        // load shedding: when a majority of the clique is suspected
-        // *dead* (accrual counter, not the mere-slowness penalty) a
-        // quorum is unreachable in practice — fail fast instead of
-        // burning the whole retry budget against dead covers. Each
-        // shed also decays the suspects one notch: the shed stream is
-        // the detector's clock, so a healed partition's stale
-        // suspicion drains instead of locking the clique out forever.
-        if self.retry.hedge {
-            let suspects: Vec<NodeId> = match self.health.as_deref() {
-                Some(h) => holders
-                    .iter()
-                    .copied()
-                    .filter(|&n| n != cur && h.is_dead_suspect(n))
-                    .collect(),
-                None => Vec::new(),
-            };
-            if suspects.len() * 2 > holders.len() {
-                for n in suspects {
-                    self.note_alive(n);
-                }
-                let op = &mut self.ops[id as usize];
-                op.machine = Machine::Failed;
-                self.stats.shed += 1;
-                self.stats.failed += 1;
-                return;
             }
         }
         // coordinator handoff: a suspect coordinator relays every
@@ -2385,6 +2331,31 @@ mod tests {
         let mut gathered = out.shares.clone();
         gathered.sort_unstable();
         assert_eq!(gathered, vec![0, 1, 3]);
+    }
+
+    #[test]
+    fn stale_suspicion_does_not_lock_a_healthy_clique_out() {
+        // a healed partition leaves a majority of the clique suspected
+        // though every cover is alive: the read must still be served
+        let net = Complete::new(16, 2);
+        let item = Point(12345 << 32);
+        let (m, k, key) = (5u8, 3u8, 9u64);
+        let holders = clique(&net, item, m);
+        let view = shares_on(&holders, key, &[]);
+        let mut health = NetHealth::new();
+        for &h in &holders[1..4] {
+            health.raise(h);
+        }
+        let mut eng = Engine::new(&net, Inline, 151)
+            .with_retry(RetryPolicy::patient().hedged())
+            .with_health(&mut health);
+        let get = Action::GetShares { key, m, k, item };
+        let op = eng.submit(RouteKind::Fast, holders[0], item, get);
+        eng.run_with_shares(&view);
+        let out = eng.take_outcome(op);
+        assert!(out.ok, "k live covers answer, suspected or not");
+        assert_eq!(out.shares.len(), k as usize);
+        assert_eq!(out.attempts, 1);
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //! Everything here is integer arithmetic over ordered containers (a
 //! slab of estimators indexed by node id, a sparse `BTreeMap` of
 //! suspicion counters) — a pure function of the observed delivery
-//! schedule, so attaching health to an engine never perturbs a trace
-//! by itself: only the opt-in hedged retry policy consults it.
+//! schedule. Every quorum read takes its backup-timer delay from it
+//! ([`NetHealth::hedge_delay`]); only the hedged policy reads the rest.
 
 use crate::node::NodeId;
 use std::collections::BTreeMap;
@@ -255,14 +255,6 @@ impl NetHealth {
     /// threshold)?
     pub fn is_suspect(&self, node: NodeId) -> bool {
         self.suspicion(node) >= THRESHOLD
-    }
-
-    /// Is `node` suspected *dead* — its accrual counter alone (no
-    /// grey-node penalty) is at/above the threshold? Load shedding
-    /// keys off this: a slow cover can still serve a quorum, an
-    /// unresponsive one cannot.
-    pub fn is_dead_suspect(&self, node: NodeId) -> bool {
-        self.susp.get(&node).copied().unwrap_or(0) >= THRESHOLD
     }
 
     /// Number of nodes currently judged suspect ([`Self::is_suspect`])

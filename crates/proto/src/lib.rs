@@ -28,12 +28,14 @@
 //!   runs via [`engine::Engine::with_health`]; the opt-in
 //!   [`engine::RetryPolicy::hedge`] flag turns it into
 //!   per-destination timeouts with deterministic backoff + jitter,
-//!   suspicion-ordered hedged quorum reads, and load shedding;
+//!   suspicion-ordered hedged quorum reads, and planned walks;
 //! * [`engine::Engine`] — a deterministic discrete-event runtime
 //!   (seeded, `(time, seq)`-ordered clock over lane-FIFO event queues)
 //!   that drives per-node protocol state machines over any
 //!   [`engine::Topology`]. Each hop decision uses only the current
-//!   node's own table, messages carry the op header (attempt/step
+//!   node's own table (the hedged walk planner, which prices candidate
+//!   walks over other servers' tables, is the one exception — see
+//!   [`engine`]), messages carry the op header (attempt/step
 //!   stamps make duplicates and stale attempts harmless), and dropped
 //!   messages are recovered by end-to-end timeout + retry. One
 //!   engine on the caller's thread is the only way an op runs.

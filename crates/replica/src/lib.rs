@@ -115,8 +115,6 @@ pub struct QuorumRead {
     pub bytes: u64,
     /// Failover attempts made (1 = first coordinator answered).
     pub attempts: u32,
-    /// Attempts fast-failed by load shedding (majority-suspect clique).
-    pub shed: u64,
     /// Backup fetches launched past silent covers across all
     /// attempts — under any policy, the read path arms the timer.
     pub hedged: u64,
@@ -538,7 +536,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
     }
 
     /// [`Self::get_quorum`] with full SLO accounting: modeled ticks,
-    /// message counts, shed activity and backup fetches. Under a hedged
+    /// message counts, retries and backup fetches. Under a hedged
     /// [`RetryPolicy`] each sweep additionally orders candidate
     /// coordinators by the failure detector's suspicion level (stable
     /// on ties), so reads route around grey or flapping covers instead
@@ -593,7 +591,6 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
                 read.msgs += out.msgs;
                 read.bytes += out.bytes;
                 read.attempts += 1;
-                read.shed += stats.shed;
                 read.hedged += stats.hedged;
                 read.retries += stats.retries;
                 if out.ok {
