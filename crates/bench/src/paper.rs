@@ -308,7 +308,7 @@ claims! {
     E21C Le "Thm 6.6: mean messages of a Majority Lookup are O(log³ n)" => "1.5·log₂³ n";
     E21D Le "Thm 6.6: mean parallel time" => "log₂ n + 4";
     R1   Le "§6.2 (any k of m reconstruct): clique messages of a quorum get on a healthy store, total − route hops: a fetch and a reply per share beyond the coordinator's own" => "2(k − 1)";
-    R2   Le "§6.2: clique messages of a put: a store and an ack per cover beyond the coordinator" => "2(m − 1)";
+    R2   Le "§6.2: clique messages of a put: a store per cover beyond the coordinator, an ack from k − 1 of them" => "(m − 1) + (k − 1)";
     R3   Le "§6.2: wire bytes of a quorum get of a len = 16 KiB value: only k − 1 shares of len/k travel; the two implementation terms are ≤ 80 B around each (fetch 30 + reply header 35 + seal 8 + padding) and ≤ 64 B per LookupStep of a route no longer than Thm 2.8's" => "(k − 1)(len/k + 80) + 64·(2 log₂ n + 3)";
     R4A  Le "§6.2 with placement as a set (any k distinct shares reconstruct): shares placed per churn event ÷ items it shifted — c = 1, one share per shifted item" => "1";
     R4B  Le "… joins and graceful leaves (§2.1's hand-off) ship the share of the member that left each clique to the one that entered it: RepairPull/RepairPullBatch frames they send" => "0";
@@ -743,7 +743,7 @@ fn quorum(t: &mut Table, p: &Params) {
         }
         let per_op = |total: u64| total as f64 / ITEMS as f64;
         t.push(&R1, at_n(n), per_op(get_scatter), 2.0 * (k - 1.0));
-        t.push(&R2, at_n(n), per_op(put_scatter), 2.0 * (m - 1.0));
+        t.push(&R2, at_n(n), per_op(put_scatter), (m - 1.0) + (k - 1.0));
         let floor = (k - 1.0) * (VALUE_LEN as f64 / k + 80.0);
         t.push(&R3, at_n(n), per_op(get_bytes), floor + 64.0 * (2.0 * lg(n) + 3.0));
     }

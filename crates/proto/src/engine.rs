@@ -41,6 +41,21 @@
 //! every cover has answered (a definitive miss). There is no other
 //! read path, under any [`RetryPolicy`].
 //!
+//! # The quorum write
+//!
+//! A `PutShares` scatter still ships one `StoreShare` to every cover
+//! — placement is all `m` shares — but a write commits at `k`
+//! acknowledgements, so only the coordinator's own slot (a free local
+//! ack) and the next `k − 1` covers in contact order are asked to ack
+//! (the store's ack bit). For a put, *contacted* means "asked to ack",
+//! as it means "asked to reply" for a read, so the read machinery
+//! serves it unchanged: the hedge timer backs a silent acker up by
+//! asking the next covers in contact order — as many as the write is
+//! still short, at once — with a store carrying the ack bit
+//! (idempotent where the share already landed, a re-shipment where it
+//! was lost), and only a cover that was asked is ever blamed. The put
+//! completes at `k` acks; no ack is sent to be thrown away.
+//!
 //! # Grey-failure tolerance
 //!
 //! A fixed timeout cannot distinguish "dead" from "slow". Attaching a
@@ -52,13 +67,13 @@
 //! timeout as a ceiling) with deterministic per-attempt jitter drawn
 //! from `sub_rng(seed, op, attempt)` — traces stay fingerprintable —
 //! and scatter rounds back off exponentially across attempts; a
-//! quorum read contacts the least-suspect covers first and hands
+//! quorum op asks the least-suspect covers first, a read hands
 //! coordination off a suspect coordinator, and DH walks are
 //! pre-planned around suspects. Suspicion never fails an op: only
 //! fewer than `k` answering covers put a clique out of reach.
 //!
 //! With the flag off the estimators set one thing only: the hedge
-//! delay of a quorum read's backup timer.
+//! delay of a quorum op's backup timer.
 
 use crate::health::NetHealth;
 use crate::node::NodeId;
@@ -256,9 +271,9 @@ pub struct EngineStats {
     /// Extra arrivals beyond the first (duplication).
     pub duplicated: u64,
     /// Deliveries ignored because their `(attempt, step)` stamp was
-    /// stale (old attempt, duplicate, reordered-behind, or an ack past
-    /// the write quorum). A healthy quorum read leaves none: it fetches
-    /// only the `k` shares it uses.
+    /// stale (old attempt, duplicate, reordered-behind, or a reply or
+    /// ack that a backup already made redundant). A healthy quorum
+    /// read or write leaves none: it asks only the `k` covers it uses.
     pub stale: u64,
     /// Op restarts triggered by progress timeouts.
     pub retries: u64,
@@ -266,8 +281,9 @@ pub struct EngineStats {
     pub completed: u64,
     /// Ops abandoned after `max_attempts`.
     pub failed: u64,
-    /// Backup fetches quorum reads launched on the hedge timer, past
-    /// a late or lost reply (top-ups on *not-found* are not counted).
+    /// Backup requests launched on the hedge timer past a late or lost
+    /// answer: a read's `FetchShare`s and a write's acked
+    /// `StoreShare`s (top-ups on *not-found* are not counted).
     pub hedged: u64,
 }
 
@@ -365,7 +381,8 @@ struct ReplicaState {
     holders: Vec<NodeId>,
     /// Slots whose `StoreShare` arrived intact (all attempts).
     stored: Vec<u8>,
-    /// Slots acked to the coordinator on the current attempt.
+    /// Slots acked to the coordinator on the current attempt (its own
+    /// included).
     acked: Vec<u8>,
     /// Slots that answered a fetch on the current attempt.
     replied: Vec<u8>,
@@ -374,14 +391,26 @@ struct ReplicaState {
     /// Contact order (slots) of the current attempt: the coordinator
     /// first, then ring order (suspicion-sorted when hedging).
     contact_order: Vec<u8>,
-    /// Entries of `contact_order` contacted so far — reads contact
-    /// lazily, puts contact all upfront.
+    /// Entries of `contact_order` contacted so far: asked to reply (a
+    /// read) or asked to ack (a put, which stores on every cover but
+    /// asks only these).
     contacted: usize,
-    /// Hedge wave counter stamped into backup `FetchShare`s.
+    /// Hedge wave counter: backups launched on this attempt (stamped
+    /// into a read's backup `FetchShare`s).
     wave: u8,
 }
 
 impl ReplicaState {
+    /// The slots that answered on the current attempt: acks for a put,
+    /// replies for a read.
+    fn answered(&self, put: bool) -> &[u8] {
+        if put {
+            &self.acked
+        } else {
+            &self.replied
+        }
+    }
+
     /// The contacted covers other than `cur` whose slot is not among
     /// `answered` — whom a fired timer blames.
     fn silent(&self, answered: &[u8], cur: NodeId) -> Vec<NodeId> {
@@ -438,8 +467,8 @@ enum EventKind {
     Start { op: OpId },
     Deliver { env: Envelope },
     Timer { op: OpId, attempt: u32, step: u32 },
-    /// Backup checkpoint of a quorum read: if the read is still
-    /// short, blame the silent covers and contact the next one.
+    /// Backup checkpoint of a quorum op: if it is still short, blame
+    /// the silent covers and contact the next ones.
     Hedge { op: OpId, attempt: u32 },
 }
 
@@ -1261,11 +1290,12 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
     /// Enter the §6.2 clique protocol: the node the route landed on
     /// becomes the coordinator, enumerates the item's cover clique
     /// over the ring (every member is one hop away — the clique
-    /// property), and fans out one `StoreShare` per cover, or one
-    /// `FetchShare` to each of the first `k − 1` (see the module docs);
-    /// its own share is a free local step. One progress timer covers
-    /// the whole round: if the quorum is not reached in time, the op
-    /// restarts end to end like any other routed op.
+    /// property), and asks the first `k − 1` covers beside itself to
+    /// answer — a `FetchShare` each, or a `StoreShare` with the ack bit
+    /// — while a put also stores on every other cover, unasked (see the
+    /// module docs); its own share is a free local step. One progress
+    /// timer covers the whole round: if the quorum is not reached in
+    /// time, the op restarts end to end like any other routed op.
     fn begin_scatter<V: ShareView>(&mut self, id: OpId, view: &V) {
         let op = &self.ops[id as usize];
         let cur = op.cur;
@@ -1330,10 +1360,10 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         if let Some(pos) = order.iter().position(|&i| holders[i as usize] == cur) {
             order[..=pos].rotate_right(1);
         }
-        // a put places every share; a read fetches only a quorum's
-        // worth — not-found replies and the backup timer extend it
+        // a quorum's worth of covers is asked to answer — not-found
+        // replies and the backup timer extend it; a put still places
+        // every share
         let need = (k as usize).min(holders.len()).max(1);
-        let contact = if put { holders.len() } else { need };
         self.obs.emit(
             self.clock,
             self.ops[id as usize].attempt,
@@ -1355,10 +1385,13 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         rep.holders.extend_from_slice(&holders);
         rep.contact_order.clear();
         rep.contact_order.extend_from_slice(&order);
-        rep.contacted = contact;
+        rep.contacted = need;
         rep.wave = 0;
         op.machine = Machine::Scatter;
-        for &slot in order.iter().take(contact) {
+        // who is sent something, not who is asked: every cover gets its
+        // store, only the asked covers get a fetch
+        let sends = if put { holders.len() } else { need };
+        for (pos, &slot) in order.iter().enumerate().take(sends) {
             let holder = holders[slot as usize];
             if holder == cur {
                 let rep = self.ops[id as usize].replica.as_mut().expect("just set");
@@ -1375,7 +1408,8 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
                 }
             } else {
                 let msg = if put {
-                    Wire::StoreShare { op: id, attempt, idx: slot, key, len: share_len }
+                    let ack = pos < need;
+                    Wire::StoreShare { op: id, attempt, idx: slot, key, len: share_len, ack }
                 } else {
                     Wire::FetchShare { op: id, attempt, key, wave: 0 }
                 };
@@ -1393,7 +1427,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
             EventKind::Timer { op: id, attempt, step },
             Lane::Timer,
         );
-        if contact < holders.len() {
+        if need < holders.len() {
             let delay = self.hedge_delay_now();
             self.push_event(self.clock + delay, EventKind::Hedge { op: id, attempt }, Lane::Timer);
         }
@@ -1402,20 +1436,27 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         self.check_quorum(id);
     }
 
-    /// Fetch from the next uncontacted cover of a quorum read, if any
-    /// remains. Returns whether a fetch was sent.
+    /// Ask the next uncontacted cover of a quorum op, if any remains:
+    /// a read fetches its share, a write re-sends its store with the
+    /// ack bit (idempotent where the first copy landed). Returns
+    /// whether a request was sent.
     fn contact_next(&mut self, id: OpId) -> bool {
         let op = &mut self.ops[id as usize];
-        let Action::GetShares { key, .. } = op.action else { return false };
-        let attempt = op.attempt;
-        let cur = op.cur;
+        let (attempt, cur, action) = (op.attempt, op.cur, op.action);
         let Some(rep) = op.replica.as_mut() else { return false };
         let Some(&slot) = rep.contact_order.get(rep.contacted) else { return false };
         rep.contacted += 1;
         rep.wave = rep.wave.saturating_add(1);
         let wave = rep.wave;
         let Some(&holder) = rep.holders.get(slot as usize) else { return false };
-        self.send_replica(id, cur, holder, Wire::FetchShare { op: id, attempt, key, wave });
+        let msg = match action {
+            Action::GetShares { key, .. } => Wire::FetchShare { op: id, attempt, key, wave },
+            Action::PutShares { key, len, .. } => {
+                Wire::StoreShare { op: id, attempt, idx: slot, key, len, ack: true }
+            }
+            _ => return false,
+        };
+        self.send_replica(id, cur, holder, msg);
         true
     }
 
@@ -1442,34 +1483,39 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         }
     }
 
-    /// A hedge timer fired: if the quorum read is still short, raise
-    /// (gentle) suspicion of the silent covers, launch one backup
-    /// fetch, and chain the next hedge.
+    /// A hedge timer fired: if the quorum op is still short, raise
+    /// (gentle) suspicion of the silent covers, launch backups — one
+    /// fetch for a read, the whole ack shortfall at once for a write —
+    /// and chain the next hedge.
     fn hedge_fire(&mut self, id: OpId, attempt: u32) {
         let op = &self.ops[id as usize];
         if !matches!(op.machine, Machine::Scatter) || attempt != op.attempt {
-            return; // the read completed or restarted since
+            return; // the op completed or restarted since
         }
         let Some(rep) = op.replica.as_ref() else { return };
-        for n in rep.silent(&rep.replied, op.cur) {
+        let (put, backups) = match op.action {
+            Action::PutShares { k, .. } => {
+                (true, (k as usize).min(rep.holders.len()).saturating_sub(rep.acked.len()))
+            }
+            _ => (false, 1),
+        };
+        for n in rep.silent(rep.answered(put), op.cur) {
             self.raise_suspicion(n, true);
         }
-        if self.contact_next(id) {
+        let mut sent = 0;
+        while sent < backups && self.contact_next(id) {
+            sent += 1;
             self.stats.hedged += 1;
             let wave = self.ops[id as usize].replica.as_ref().map_or(0, |r| u32::from(r.wave));
             self.obs.emit(self.clock, attempt, ObsEvent::Hedge { wave });
-            let more = self.ops[id as usize]
-                .replica
-                .as_ref()
-                .is_some_and(|r| r.contacted < r.contact_order.len());
-            if more {
-                let delay = self.hedge_delay_now();
-                self.push_event(
-                    self.clock + delay,
-                    EventKind::Hedge { op: id, attempt },
-                    Lane::Timer,
-                );
-            }
+        }
+        let more = self.ops[id as usize]
+            .replica
+            .as_ref()
+            .is_some_and(|r| r.contacted < r.contact_order.len());
+        if sent > 0 && more {
+            let delay = self.hedge_delay_now();
+            self.push_event(self.clock + delay, EventKind::Hedge { op: id, attempt }, Lane::Timer);
         }
     }
 
@@ -1582,8 +1628,8 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
                 op.waiting_on = None;
                 self.advance_or_enter(id, view);
             }
-            Wire::StoreShare { op: id, attempt, idx, .. } => {
-                self.deliver_store(&env, id, attempt, idx)
+            Wire::StoreShare { op: id, attempt, idx, ack, .. } => {
+                self.deliver_store(&env, id, attempt, idx, ack)
             }
             Wire::ShareAck { op: id, attempt, idx } => self.deliver_ack(&env, id, attempt, idx),
             Wire::FetchShare { op: id, attempt, key, .. } => {
@@ -1596,8 +1642,9 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         }
     }
 
-    /// Holder side of a replicated put: record the placement and ack.
-    fn deliver_store(&mut self, env: &Envelope, id: OpId, attempt: u32, idx: u8) {
+    /// Holder side of a replicated put: record the placement, and ack
+    /// if the coordinator asked for it.
+    fn deliver_store(&mut self, env: &Envelope, id: OpId, attempt: u32, idx: u8, ack: bool) {
         let Some(op) = self.ops.get_mut(id as usize) else {
             self.stats.stale += 1;
             return;
@@ -1612,9 +1659,9 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         if !rep.stored.contains(&idx) {
             rep.stored.push(idx);
         }
-        // late arrivals past quorum still place their share (recorded
-        // above) but the ack could no longer matter — stay quiet
-        if !matches!(op.machine, Machine::Done) {
+        // an unasked cover, or a late arrival past quorum, still places
+        // its share (recorded above) but no ack could matter — stay quiet
+        if ack && !matches!(op.machine, Machine::Done) {
             self.send_replica(id, env.dst, env.src, Wire::ShareAck { op: id, attempt, idx });
         }
     }
@@ -1757,7 +1804,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
             let blamed: Vec<NodeId> = match (&op.machine, op.replica.as_ref()) {
                 (Machine::Scatter, Some(rep)) => {
                     let put = matches!(op.action, Action::PutShares { .. });
-                    rep.silent(if put { &rep.acked } else { &rep.replied }, op.cur)
+                    rep.silent(rep.answered(put), op.cur)
                 }
                 _ => op.waiting_on.into_iter().collect(),
             };
@@ -2115,7 +2162,7 @@ mod tests {
         let net = Complete::new(16, 2);
         let item = Point(u64::MAX / 3);
         let cover = net.cover(item);
-        let mut eng = Engine::new(&net, Inline, 101);
+        let mut eng = Engine::new(&net, ScatterTags::default(), 101);
         let action = Action::PutShares { key: 7, len: 32, m: 5, k: 3, item };
         let op = eng.submit(RouteKind::Fast, cover, item, action);
         eng.run();
@@ -2126,15 +2173,53 @@ mod tests {
         let mut stored = out.shares.clone();
         stored.sort_unstable();
         assert_eq!(stored, vec![0, 1, 2, 3, 4], "under Inline every share lands");
-        // origin covers the item: 4 remote StoreShares + 4 acks, no
-        // routing messages
-        assert_eq!(out.msgs, 8);
+        // origin covers the item: (m − 1) remote StoreShares + the
+        // (k − 1) acks that complete the quorum, no routing messages
+        assert_eq!(out.msgs, (5 - 1) + (3 - 1));
         assert_eq!(out.attempts, 1);
-        // the op completes at the k-th ack; the m − k acks still in
-        // flight arrive after it left the scatter and count as stale —
-        // late replies of a healthy run, not wasted retries
-        assert_eq!(eng.stats.stale, 5 - 3);
+        // only the acks the quorum uses are asked for: none arrives
+        // after the op left its scatter
+        assert_eq!((eng.stats.stale, eng.stats.hedged), (0, 0));
         assert_eq!((eng.stats.retries, eng.stats.dropped), (0, 0));
+        assert_eq!(eng.into_transport().0, "SSSSAA", "a store per cover, k − 1 acks");
+    }
+
+    #[test]
+    fn put_backs_up_a_silent_designated_acker() {
+        let net = Complete::new(16, 2);
+        let item = Point(u64::MAX / 3);
+        let (m, k) = (5u8, 3u8);
+        let holders = clique(&net, item, m);
+        // contact order is ring order from the coordinator (holders[0]),
+        // so slots 1 and 2 are asked to ack; slot 1 is dead, and so is
+        // slot 4, which nobody asks
+        let mut faulty = ChaosNet::new(Inline, 0);
+        faulty.fail(holders[1]);
+        faulty.fail(holders[4]);
+        let mut health = NetHealth::new();
+        let mut eng = Engine::new(&net, faulty, 157)
+            .with_retry(RetryPolicy::fixed(512, 4))
+            .with_health(&mut health);
+        let action = Action::PutShares { key: 7, len: 32, m, k, item };
+        let op = eng.submit(RouteKind::Fast, holders[0], item, action);
+        eng.run();
+        let out = eng.take_outcome(op);
+        let stats = eng.stats;
+        drop(eng);
+        assert!(out.ok && out.attempts == 1, "k live covers commit without a restart");
+        // Inline delays are 0, so the hedge waits the detector's floor
+        assert_eq!(out.completed_at, Some(crate::health::MIN_TIMEOUT), "one hedge delay");
+        assert_eq!((stats.hedged, stats.retries, stats.stale), (1, 0, 0));
+        let mut stored = out.shares.clone();
+        stored.sort_unstable();
+        assert_eq!(stored, vec![0, 2, 3], "every live slot, no other");
+        // 4 stores (2 lost) + slot 2's ack, then slot 3's backup + ack
+        assert_eq!((out.msgs, stats.dropped), (7, 2));
+        // the silent acker is blamed; the dead cover nobody asked is not
+        assert!(health.suspicion(holders[1]) > 0);
+        for h in [holders[0], holders[2], holders[3], holders[4]] {
+            assert_eq!(health.suspicion(h), 0, "{h} was blamed without being asked");
+        }
     }
 
     /// A share table in which every cover of the clique holds the share
@@ -2146,7 +2231,8 @@ mod tests {
     }
 
     /// `Inline` that logs the clique-protocol messages it carries, in
-    /// send order: `'F'` per `FetchShare`, `'R'` per `ShareReply`.
+    /// send order: `'F'` per `FetchShare`, `'R'` per `ShareReply`,
+    /// `'S'` per `StoreShare`, `'A'` per `ShareAck`.
     #[derive(Default)]
     struct ScatterTags(String);
 
@@ -2155,6 +2241,8 @@ mod tests {
             match env.msg {
                 Wire::FetchShare { .. } => self.0.push('F'),
                 Wire::ShareReply { .. } => self.0.push('R'),
+                Wire::StoreShare { .. } => self.0.push('S'),
+                Wire::ShareAck { .. } => self.0.push('A'),
                 _ => {}
             }
             Inline.plan(now, env, out)

@@ -47,8 +47,9 @@ pub enum Action {
     },
     /// Replicated store (§6.2): route to the clique entry, then fan
     /// one [`Wire::StoreShare`] out to each of the `m` covers of
-    /// `item`; the op completes once `k` covers acknowledged (write
-    /// quorum).
+    /// `item`, asking `k − 1` of them beside the coordinator to ack —
+    /// more only where one stays silent; the op completes once `k`
+    /// covers acknowledged (write quorum).
     PutShares {
         /// Item key.
         key: u64,
@@ -126,8 +127,9 @@ pub enum Wire {
     },
     /// Clique fan-out of a replicated put (§6.2): the coordinator
     /// hands cover `idx` its Reed-Solomon share of `key`. Stamped with
-    /// the op header so stale attempts are recognised; the holder
-    /// answers with [`Wire::ShareAck`].
+    /// the op header so stale attempts are recognised. Every cover
+    /// gets one; only those the coordinator asks to (`ack`) answer
+    /// with [`Wire::ShareAck`].
     StoreShare {
         /// The replicated op this share placement belongs to.
         op: OpId,
@@ -139,9 +141,14 @@ pub enum Wire {
         key: u64,
         /// Share payload size in bytes (header included).
         len: u32,
+        /// Whether the holder acks: set for the `k − 1` covers that
+        /// complete the write quorum and for their backups. It rides in
+        /// the top bit of the `len` field (a share is far below 2 GiB),
+        /// so it costs no byte.
+        ack: bool,
     },
-    /// A cover's acknowledgement that it durably holds share `idx`
-    /// of the op's item.
+    /// A cover's acknowledgement, asked for by the [`Wire::StoreShare`]
+    /// it answers, that it durably holds share `idx` of the op's item.
     ShareAck {
         /// The replicated op.
         op: OpId,
@@ -261,7 +268,8 @@ impl Wire {
                 Wire::JoinSplit { .. } => 8,
                 Wire::LeaveMerge => 4,
                 Wire::NeighborDiff { entries } => 4 + 12 * u64::from(*entries),
-                // key + idx + len field + the share payload itself
+                // key + idx + len field (its top bit the ack bit) + the
+                // share payload itself
                 Wire::StoreShare { len, .. } => 13 + u64::from(*len),
                 Wire::ShareAck { .. } => 1,
                 Wire::FetchShare { .. } => 9,
@@ -347,7 +355,7 @@ mod tests {
         assert_eq!(routed(100).wire_bytes(), routed(10).wire_bytes());
         assert!(routed(10).wire_bytes() > Wire::HEADER_BYTES);
         // …and the share fan-out pays for every payload byte
-        let store = |len| Wire::StoreShare { op: 0, attempt: 0, idx: 1, key: 1, len };
+        let store = |len| Wire::StoreShare { op: 0, attempt: 0, idx: 1, key: 1, len, ack: false };
         assert_eq!(store(100).wire_bytes(), store(10).wire_bytes() + 90);
     }
 
@@ -366,8 +374,11 @@ mod tests {
 
     #[test]
     fn replica_messages_charge_share_payloads() {
-        let store = |len| Wire::StoreShare { op: 0, attempt: 1, idx: 3, key: 9, len };
-        assert_eq!(store(100).wire_bytes(), store(0).wire_bytes() + 100);
+        let store = |len, ack| Wire::StoreShare { op: 0, attempt: 1, idx: 3, key: 9, len, ack };
+        assert_eq!(store(100, false).wire_bytes(), store(0, false).wire_bytes() + 100);
+        // asking for an ack costs the store nothing: key, idx, len
+        assert_eq!(store(100, true).wire_bytes(), Wire::HEADER_BYTES + 13 + 100);
+        assert_eq!(store(100, true).wire_bytes(), store(100, false).wire_bytes());
         let reply = |found, len| Wire::ShareReply { op: 0, attempt: 1, idx: 3, key: 9, found, len };
         assert!(reply(true, 64).wire_bytes() > reply(false, 0).wire_bytes());
         // a fetch is the key plus a wave byte; naming the share held

@@ -15,8 +15,9 @@
 //!   servers starting at the server covering `h(item)`
 //!   ([`dh_dht::CdNetwork::clique_of`]).
 //! * **Writes** route a `PutShares` op to the clique, where the
-//!   coordinator fans one [`dh_proto::Wire::StoreShare`] out per cover
-//!   and completes at `k` acks (write quorum). **Reads** route
+//!   coordinator fans one [`dh_proto::Wire::StoreShare`] out per cover,
+//!   asks only `k − 1` of them to ack (backing a silent one up on a
+//!   timer) and completes at `k` acks (write quorum). **Reads** route
 //!   `GetShares` and fetch only the `k` shares they decode — the
 //!   coordinator's own plus `k − 1` [`dh_proto::Wire::ShareReply`]s,
 //!   topped up when a cover lacks its share and backed up on a timer
@@ -321,11 +322,11 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
 
     /// Store `value` under `key` over an arbitrary transport: the
     /// `PutShares` op routes to the clique, the coordinator scatters
-    /// one sealed share per cover, and the op completes at `k` acks.
-    /// Every share whose `StoreShare` arrived intact is placed — also
-    /// on a failed op (those covers really hold it; repair or a
-    /// re-put reconciles). Returns the op outcome and the number of
-    /// shares placed.
+    /// one sealed share per cover, asking `k − 1` of them to ack, and
+    /// the op completes at `k` acks. Every share whose `StoreShare`
+    /// arrived intact is placed, acked or not — also on a failed op
+    /// (those covers really hold it; repair or a re-put reconciles).
+    /// Returns the op outcome and the number of shares placed.
     pub fn put_over<T: Transport>(
         &mut self,
         from: NodeId,

@@ -96,9 +96,12 @@ fn storm<S: Shelves>(seed: u64, shelves: S) -> Seen {
                 "join without repair, then overwrite"
             }
             9 | 10 => {
+                // one short attempt: a write re-ships a lost store to
+                // the next covers on its backup timer, so a round much
+                // longer than a few hedge delays rarely tears
                 let sim = Sim::new(sseed).with_drop(0.35);
                 let (out, _) =
-                    dht.put_over(from, key, value, sim, sseed, RetryPolicy::fixed(64, 1));
+                    dht.put_over(from, key, value, sim, sseed, RetryPolicy::fixed(32, 1));
                 seen.torn += u32::from(!out.ok && !out.shares.is_empty());
                 "put over a lossy transport"
             }

@@ -98,11 +98,12 @@ fn storm_op<G: ContinuousGraph, S: Shelves>(
             );
             if out.ok {
                 st.committed.insert(key, value_of(key));
-                // a quorum write completes at k acks, so the slower
-                // m − k placements may never land; the anti-entropy
-                // pass tops the placement up before the next leave can
-                // erode a k-share item below its threshold — exactly
-                // the put-then-repair cadence a deployment runs
+                // a quorum write commits at k acks, but every store it
+                // sent to a cover cut off by the partition is lost; the
+                // anti-entropy pass tops the placement up before the
+                // next leave can erode a k-share item below its
+                // threshold — the put-then-repair cadence a deployment
+                // runs
                 let report = dht.repair(&mut handle, subseed(seed_op, 0x70));
                 assert!(
                     report.items_lost <= st.orphans.len(),

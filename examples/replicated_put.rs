@@ -26,8 +26,9 @@ fn main() {
     let mut store = ReplicatedDht::new(net, m, k, &mut rng);
     println!("replicated store on {n} servers: m = {m} shares per item, any k = {k} reconstruct");
 
-    // a routed PutShares op: lookup to the clique, StoreShare fan-out,
-    // completes at k acks — every message modeled and priced
+    // a routed PutShares op: lookup to the clique, a StoreShare to every
+    // cover, acks asked of k − 1 of them, completes at k acks — every
+    // message modeled and priced
     let from = store.net.random_node(&mut rng);
     let key = 7u64;
     let value = Bytes::from_static(b"the data stored by any small subset of the servers suffices");
