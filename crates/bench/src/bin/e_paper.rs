@@ -1,5 +1,5 @@
 //! The conformance table: every bound of the paper (E1–E23, A1, A2, the
-//! §6.2 floors R1–R4 and Table 1), measured and checked — see
+//! §6.2 floors R1–R5 and Table 1), measured and checked — see
 //! [`cd_bench::paper`] for the claims, the experiments and the constant
 //! policy.
 //!

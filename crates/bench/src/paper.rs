@@ -51,7 +51,7 @@ use dh_obs::Obs;
 use dh_proto::engine::RetryPolicy;
 use dh_proto::transport::{Delivery, Inline, Transport};
 use dh_proto::wire::{Envelope, Wire};
-use dh_replica::ReplicatedDht;
+use dh_replica::{ReplicatedDht, Shelves};
 use p2p_baselines::can::Can;
 use p2p_baselines::chord::Chord;
 use p2p_baselines::kleinberg::SmallWorld;
@@ -70,6 +70,8 @@ pub enum Cmp {
     Le,
     /// measured ≥ bound
     Ge,
+    /// measured = bound, exactly (an accounting identity)
+    Eq,
 }
 
 impl Cmp {
@@ -77,6 +79,7 @@ impl Cmp {
         match self {
             Cmp::Le => "≤",
             Cmp::Ge => "≥",
+            Cmp::Eq => "=",
         }
     }
 }
@@ -84,7 +87,7 @@ impl Cmp {
 /// One bound of the paper.
 #[derive(Debug)]
 pub struct Claim {
-    /// Experiment id (`E1`…`E23`, `A1`, `A2`, `R1`…`R4`, `T1`) plus a
+    /// Experiment id (`E1`…`E23`, `A1`, `A2`, `R1`…`R5`, `T1`) plus a
     /// letter when one theorem states several bounds.
     pub id: &'static str,
     /// The theorem and the quantity it bounds.
@@ -110,6 +113,7 @@ impl Measured {
         let gap = match self.claim.cmp {
             Cmp::Le => self.bound - self.measured,
             Cmp::Ge => self.measured - self.bound,
+            Cmp::Eq => -(self.measured - self.bound).abs(),
         };
         gap / self.bound.abs().max(self.measured.abs()).max(f64::MIN_POSITIVE)
     }
@@ -313,6 +317,7 @@ claims! {
     R4A  Le "§6.2 with placement as a set (any k distinct shares reconstruct): shares placed per churn event ÷ items it shifted — c = 1, one share per shifted item" => "1";
     R4B  Le "… joins and graceful leaves (§2.1's hand-off) ship the share of the member that left each clique to the one that entered it: RepairPull/RepairPullBatch frames they send" => "0";
     R4C  Ge "… a crash (drop_shelves_of, then leave_over) leaves no share to hand off: shares rebuilt (not handed off) by crashes ÷ items they shifted" => "1";
+    R5   Eq "§6.2 stored bytes: shelved ÷ user bytes of a len-byte value = the m/k floor plus two 8-byte implementation terms, the length trailer in the k shards and the sealed header on each of m shares (the systematic code stores what the non-systematic one did)" => "m·(⌈(len + 8)/k⌉ + 8)/len";
     E22A Le "Thm 7.1: max guests per host g; the paper's ρ + 1 is the case 2^k = n" => "ρ·2^k/n + 1";
     E22B Le "Thm 7.1: max guest edges per host edge; the paper's ρ² counts ρ guests per host where the mapping gives g" => "g²";
     E22C Le "Thm 7.1: max host degree, likewise" => "g·d";
@@ -810,6 +815,26 @@ fn repair_floor_on<G: ContinuousGraph>(t: &mut Table, graph: G, n: usize) {
     t.check(&R4C, &at, crash_rebuilt as f64 / crash_shifted as f64);
 }
 
+/// Bytes at rest per user byte at the benchmark's three geometries:
+/// 64 B at (4, 2), 256 B at (8, 4) and 16 KiB at (8, 4).
+fn stored_bytes(t: &mut Table, p: &Params) {
+    const ITEMS: u64 = 16;
+    let n = p.sizes[0];
+    for (len, m, k) in [(64usize, 4u8, 2u8), (256, 8, 4), (16 << 10, 8, 4)] {
+        let mut rng = seeded(MASTER_SEED ^ 0x65 ^ len as u64);
+        let mut dht = ReplicatedDht::new(DhNetwork::new(&random_points(n, 26)), m, k, &mut rng);
+        for key in 0..ITEMS {
+            let from = dht.net.random_node(&mut rng);
+            dht.put(from, key, Bytes::from(vec![key as u8; len]), &mut rng);
+        }
+        let holders = dht.shelves.map().values().flat_map(|it| it.holders.values());
+        let shelved: usize = holders.map(|h| h.sealed.len()).sum();
+        let measured = shelved as f64 / (ITEMS as usize * len) as f64;
+        let bound = f64::from(m) * ((len + 8).div_ceil(usize::from(k)) + 8) as f64 / len as f64;
+        t.push(&R5, format!("len = {len} B, (m, k) = ({m}, {k})"), measured, bound);
+    }
+}
+
 fn repair_floor(t: &mut Table, p: &Params) {
     let n = p.sizes[0];
     repair_floor_on(t, DistanceHalving::binary(), n);
@@ -914,7 +939,7 @@ fn table1(t: &mut Table, p: &Params) {
 type Experiment = fn(&mut Table, &Params);
 
 /// Every experiment with the ids of the claims it pushes.
-const EXPERIMENTS: [(&str, Experiment); 17] = [
+const EXPERIMENTS: [(&str, Experiment); 18] = [
     ("E1 E2 A2", degree),
     ("E3", debruijn),
     ("E4 E6", lookup),
@@ -929,6 +954,7 @@ const EXPERIMENTS: [(&str, Experiment); 17] = [
     ("E19 E20 E21", fault),
     ("R1 R2 R3", quorum),
     ("R4", repair_floor),
+    ("R5", stored_bytes),
     ("E22", emulation),
     ("E23", join),
     ("T1", table1),

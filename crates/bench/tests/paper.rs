@@ -8,6 +8,8 @@ use cd_bench::SIZES;
 static FLAT: Claim =
     Claim { id: "X1", text: "a Θ(1) column: spread over the sweep", cmp: Cmp::Le, bound: "1.5" };
 static FLOOR: Claim = Claim { id: "X2", text: "a floor", cmp: Cmp::Ge, bound: "n / 2" };
+static IDENTITY: Claim =
+    Claim { id: "X3", text: "an accounting identity", cmp: Cmp::Eq, bound: "2" };
 
 #[test]
 fn every_claim_is_measured_exactly_once_and_holds_at_small_sizes() {
@@ -38,6 +40,18 @@ fn a_violated_bound_fails_and_is_named() {
     assert!(failures[0].starts_with("X2 at n = 16: 7 is not ≥ n / 2 = 8"), "{}", failures[0]);
     assert!(t.to_markdown().contains("FAIL"));
     assert!(t.to_markdown().contains("0 of 1 claims hold over 2 points"));
+}
+
+#[test]
+fn an_identity_fails_on_either_side_of_its_value() {
+    let mut t = Table::default();
+    t.check(&IDENTITY, "exact", 2.0);
+    assert!(t.failures().is_empty());
+    t.check(&IDENTITY, "below", 2.0 - 1e-12);
+    t.check(&IDENTITY, "above", 2.5);
+    let failures = t.failures();
+    assert_eq!(failures.len(), 2, "{failures:?}");
+    assert!(failures[1].starts_with("X3 at above: 2.500 is not = 2"), "{}", failures[1]);
 }
 
 #[test]

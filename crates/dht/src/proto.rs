@@ -193,11 +193,10 @@ pub fn join_over<G: ContinuousGraph, T: Transport>(
         out.dest.expect("completed")
     };
     // the affected set: the split node's watchers (their tables are
-    // rebuilt), known locally at `dest` via its reverse index — sorted
-    // so the notification order (and any recorded trace) is a pure
-    // function of the membership, not of hash-set iteration
-    let mut watchers: Vec<NodeId> = net.node(dest).watchers.iter().copied().collect();
-    watchers.sort_unstable();
+    // rebuilt), known locally at `dest` via its reverse index — a
+    // `BTreeSet`, so the notification order (and any recorded trace) is
+    // ascending id, a pure function of the membership
+    let watchers: Vec<NodeId> = net.node(dest).watchers.iter().copied().collect();
     let id = net.join(x)?;
     // step 4: the split node informs every affected server; the joiner
     // receives its freshly derived table
@@ -240,8 +239,9 @@ pub fn leave_over<G: ContinuousGraph, T: Transport>(
             notify.push((pred, w));
         }
     }
-    // deterministic notification order (watchers is a hash set; its
-    // iteration order must never leak into the wire trace)
+    // deterministic notification order: each `watchers` is a `BTreeSet`
+    // and iterates ascending, but the leaver's and the predecessor's
+    // lists are concatenated — sort the pairs by (sender, receiver)
     notify.sort_unstable();
     {
         let mut eng = Engine::new(&*net, &mut *transport, seed);

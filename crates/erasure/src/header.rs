@@ -17,8 +17,14 @@ use crate::rs::Share;
 use bytes::Bytes;
 use std::fmt;
 
-/// Magic byte starting every sealed share (catches stray buffers).
-const MAGIC: u8 = 0xE5;
+/// Magic byte starting every sealed share (catches stray buffers). It
+/// names the code too: shares of the systematic code.
+const MAGIC: u8 = 0xE6;
+
+/// The magic the retired non-systematic coder sealed with. Its
+/// payloads are not shares of the systematic code, so they are refused
+/// by name ([`HeaderError::RetiredCode`]), never decoded.
+const RETIRED_MAGIC: u8 = 0xE5;
 
 /// The metadata sealed in front of a share's payload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,6 +51,9 @@ pub enum HeaderError {
     Truncated,
     /// The magic byte is wrong — this is not a sealed share.
     BadMagic,
+    /// A share sealed by the retired non-systematic coder: a real
+    /// share, of a code this crate no longer decodes.
+    RetiredCode,
     /// The header fields are mutually inconsistent (`k > m`, `k = 0`
     /// or `index ≥ m`).
     BadParams,
@@ -55,6 +64,9 @@ impl fmt::Display for HeaderError {
         match self {
             HeaderError::Truncated => write!(f, "buffer shorter than a share header"),
             HeaderError::BadMagic => write!(f, "not a sealed share (bad magic)"),
+            HeaderError::RetiredCode => {
+                write!(f, "share of the retired non-systematic code (not decodable)")
+            }
             HeaderError::BadParams => write!(f, "inconsistent share header parameters"),
         }
     }
@@ -82,8 +94,10 @@ fn parse_header(sealed: &[u8]) -> Result<ShareHeader, HeaderError> {
     if sealed.len() < HEADER_BYTES {
         return Err(HeaderError::Truncated);
     }
-    if sealed[0] != MAGIC {
-        return Err(HeaderError::BadMagic);
+    match sealed[0] {
+        MAGIC => {}
+        RETIRED_MAGIC => return Err(HeaderError::RetiredCode),
+        _ => return Err(HeaderError::BadMagic),
     }
     let version = u32::from_be_bytes([sealed[1], sealed[2], sealed[3], sealed[4]]);
     let (index, k, m) = (sealed[5], sealed[6], sealed[7]);
@@ -153,15 +167,25 @@ mod tests {
 
     #[test]
     fn open_rejects_garbage() {
-        assert_eq!(open(&[0xE5, 0, 0]), Err(HeaderError::Truncated));
+        assert_eq!(open(&[MAGIC, 0, 0]), Err(HeaderError::Truncated));
         assert_eq!(open(&[0u8; 12]), Err(HeaderError::BadMagic));
         // k > m
-        let mut bad = vec![0xE5, 0, 0, 0, 1, 0, 5, 3];
+        let mut bad = vec![MAGIC, 0, 0, 0, 1, 0, 5, 3];
         assert_eq!(open(&bad), Err(HeaderError::BadParams));
         // index ≥ m
         bad[5] = 3;
         bad[6] = 2;
         assert_eq!(open(&bad), Err(HeaderError::BadParams));
+    }
+
+    #[test]
+    fn shares_of_the_retired_code_are_refused_by_name() {
+        // a well-formed header under the old magic: index 1 of (2, 4)
+        let header = ShareHeader { version: 3, index: 1, k: 2, m: 4 };
+        let mut old = seal(header, &encode(b"v1", 2, 4)[1]).to_vec();
+        old[0] = RETIRED_MAGIC;
+        assert_eq!(open(&old), Err(HeaderError::RetiredCode));
+        assert_eq!(open_shared(&Bytes::from(old)), Err(HeaderError::RetiredCode));
     }
 
     #[test]

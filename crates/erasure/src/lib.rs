@@ -11,19 +11,22 @@
 //!
 //! * [`gf256`] — arithmetic in `GF(2⁸)` (AES polynomial `0x11B`) with
 //!   log/antilog tables built at compile time,
-//! * [`rs`] — a non-systematic Reed-Solomon code (Vandermonde
-//!   evaluation at `x_i = i + 1`; no share is a verbatim shard):
-//!   `encode` produces `m` shares of [`shard_len`] bytes from `k` data
-//!   shards, [`encode_row`] just one of them (repair's lost share);
-//!   [`try_decode`] reconstructs from **any** `k` of them
-//!   (inverting the k×k Vandermonde, then the same row kernel as
-//!   `encode`) and reports a typed [`DecodeError`] — never a panic —
-//!   when fewer than `k` distinct shares survive or the bytes are not
-//!   a codeword,
+//! * [`rs`] — a systematic Reed-Solomon code: shares `0..k` are the `k`
+//!   data shards of [`shard_len`] bytes verbatim, and share `i ≥ k` is
+//!   the Lagrange basis over the data points `1..=k` evaluated at
+//!   `x_i = i + 1`, so any `k` shares reconstruct. [`encode`] computes
+//!   only the `m − k` parity rows, [`encode_row`] just one share
+//!   (repair's lost share); [`try_decode`] copies the data shares it
+//!   is given and computes only the missing shards (the k×k generator
+//!   inverse on coefficients, then the same row kernel as `encode`),
+//!   and reports a typed [`DecodeError`] — never a panic — when fewer
+//!   than `k` distinct shares survive or the bytes are not a codeword,
 //! * [`header`] — share versioning: the [`ShareHeader`] sealed in
 //!   front of every stored or shipped share, so quorum reads only
 //!   combine shares of one item generation and repair re-materializes
-//!   with the stored generation's `(k, m)` (used by `dh_replica`).
+//!   with the stored generation's `(k, m)` (used by `dh_replica`). Its
+//!   magic byte names the code: a share sealed by the retired
+//!   non-systematic coder opens as [`HeaderError::RetiredCode`].
 
 #![deny(missing_docs)]
 

@@ -1,18 +1,26 @@
 //! Reed-Solomon erasure code over `GF(2⁸)`: `k` data shards become
 //! `m ≤ 255` shares such that **any** `k` shares reconstruct the data.
 //!
-//! The code is a **non-systematic** Vandermonde evaluation: the value,
-//! followed by its length as an 8-byte big-endian trailer and fewer
-//! than `k` zero bytes of padding, is cut into `k` shards of
-//! [`shard_len`] bytes, and share `i` is `Σ_j shards[j]·x_i^j` at the
-//! point `x_i = i + 1`. Share 0 is therefore the XOR of all shards and
-//! no share is a verbatim shard. It stays that way because shelves and
-//! write-ahead logs already hold these bytes: a systematic code would
-//! orphan every stored share.
+//! The code is **systematic**: the value, followed by its length as an
+//! 8-byte big-endian trailer and fewer than `k` zero bytes of padding,
+//! is cut into `k` shards of [`shard_len`] bytes; share `i < k` *is*
+//! shard `i`, and share `i ≥ k` is `Σ_j L_j(x_i)·shards[j]`, where
+//! `L_j` is the Lagrange basis over the data points `x_j = j + 1`,
+//! `j < k`, evaluated at `x_i = i + 1`. Every share is therefore the
+//! value at `x_i` of the one polynomial of degree `< k` that takes the
+//! value `shards[j]` at `x_j`, so any `k` distinct shares determine it
+//! — the Reed-Solomon argument, in the Lagrange basis instead of the
+//! monomial one. The generator is `[I_k ; V_bottom·V_top⁻¹]`; its rows
+//! are built per call in `O(k²)` field operations, never cached.
 //!
-//! Both directions are one matrix product over the shard rows —
-//! `V·shards` to encode, `V⁻¹·shares` to decode — and share the one
-//! multiply-accumulate loop over payload bytes, `mul_rows`.
+//! Both directions run through the one multiply-accumulate loop over
+//! payload bytes, `mul_rows`: encoding forms only the `m − k` parity
+//! rows, and decoding copies the data shares it was given and forms only
+//! the shards none of them is. A read that gathered the `k` data shares
+//! multiplies nothing.
+//!
+//! Shares of the retired non-systematic code are refused by their seal
+//! ([`crate::HeaderError::RetiredCode`]); this module never sees them.
 
 use crate::gf256::GF;
 use bytes::Bytes;
@@ -127,10 +135,33 @@ fn mul_rows(coeff: &[u8], src: &[&[u8]], dst: &mut [u8]) {
     }
 }
 
-/// The Vandermonde rows `[1, x, x², …, x^(k−1)]` at the given points,
-/// row-major.
-fn vandermonde(points: impl Iterator<Item = u8>, k: usize) -> Vec<u8> {
-    points.flat_map(|x| (0..k).map(move |j| GF.pow(x, j))).collect()
+/// The generator rows at the given share indices, row-major, `k`
+/// coefficients each. Row `i < k` is the unit row `e_i`; row `i ≥ k`
+/// is `L_j(x)` at `x = i + 1` for `j < k`, computed barycentrically:
+/// `L_j(x) = ℓ(x)·w_j / (x − x_j)` with `ℓ(x) = Π_t (x − x_t)` and
+/// `w_j = 1 / Π_{t≠j} (x_j − x_t)` — `O(k²)` for the weights, `O(k)`
+/// per row. Subtraction is XOR; `x ≠ x_j` because `i ≥ k > j`.
+/// Indices must be `< 255`.
+fn generator_rows(indices: impl Iterator<Item = usize>, k: usize) -> Vec<u8> {
+    let point = |j: usize| j as u8 + 1;
+    let weights: Vec<u8> = (0..k)
+        .map(|j| {
+            let den = (0..k).filter(|&t| t != j).fold(1, |p, t| GF.mul(p, point(j) ^ point(t)));
+            GF.inv(den)
+        })
+        .collect();
+    let mut rows = Vec::new();
+    for i in indices {
+        if i < k {
+            rows.extend((0..k).map(|j| u8::from(j == i)));
+        } else {
+            let x = point(i);
+            let ell = (0..k).fold(1, |p, t| GF.mul(p, x ^ point(t)));
+            let basis = |(j, &w): (usize, &u8)| GF.div(GF.mul(ell, w), x ^ point(j));
+            rows.extend(weights.iter().enumerate().map(basis));
+        }
+    }
+    rows
 }
 
 /// Invert the row-major `k × k` matrix `a` by Gauss–Jordan elimination
@@ -166,41 +197,56 @@ fn invert(mut a: Vec<u8>, k: usize) -> Option<Vec<u8>> {
     Some(inv)
 }
 
-/// Share rows `first..first + rows` of `data` cut into `k` shards,
-/// back to back: share i = Σ_j shards[j] · x_i^j with x_i = i + 1
-/// (nonzero points). Returns the buffer and the share length.
-fn encode_rows(data: &[u8], k: usize, first: usize, rows: usize) -> (Vec<u8>, usize) {
-    // shard layout: data ‖ 8-byte big-endian length ‖ < k zero bytes
+/// `data` cut into `k` shards, back to back — `data ‖ 8-byte
+/// big-endian length ‖ < k zero bytes` — followed by `extra` zeroed
+/// share rows for parity. Returns the buffer and the share length.
+fn pad(data: &[u8], k: usize, extra: usize) -> (Vec<u8>, usize) {
     let len = shard_len(data.len(), k);
-    let mut padded = Vec::with_capacity(len * k);
-    padded.extend_from_slice(data);
-    padded.extend_from_slice(&(data.len() as u64).to_be_bytes());
-    padded.resize(len * k, 0);
-    let shards: Vec<&[u8]> = padded.chunks_exact(len).collect();
-    let mut out = vec![0u8; len * rows];
-    let points = (first + 1..=first + rows).map(|x| x as u8);
-    mul_rows(&vandermonde(points, k), &shards, &mut out);
+    let mut out = Vec::with_capacity(len * (k + extra));
+    out.extend_from_slice(data);
+    out.extend_from_slice(&(data.len() as u64).to_be_bytes());
+    out.resize(len * (k + extra), 0);
     (out, len)
+}
+
+/// Parity rows at `indices` (all `≥ k`) of the `k` shards at the head
+/// of `buf`, written into `buf`'s tail.
+fn parity_into(buf: &mut [u8], len: usize, k: usize, indices: impl Iterator<Item = usize>) {
+    let (shards, parity) = buf.split_at_mut(k * len);
+    let shards: Vec<&[u8]> = shards.chunks_exact(len).collect();
+    mul_rows(&generator_rows(indices, k), &shards, parity);
 }
 
 /// Split `data` into `k` shards (padding with the length trailer) and
 /// produce `m` shares, any `k` of which reconstruct. `0 < k ≤ m ≤ 255`.
-/// The shares are windows into one shared buffer.
+/// Shares `0..k` are the shards; only the `m − k` parity rows are
+/// computed. The shares are windows into one `shards ‖ parity` buffer.
 pub fn encode(data: &[u8], k: usize, m: usize) -> Vec<Share> {
     assert!(0 < k && k <= m && m <= 255, "need 0 < k ≤ m ≤ 255");
-    let (out, len) = encode_rows(data, k, 0, m);
+    let (mut out, len) = pad(data, k, m - k);
+    if m > k {
+        parity_into(&mut out, len, k, k..m);
+    }
     let out = Bytes::from(out);
     (0..m).map(|i| Share { index: i as u8, data: out.slice(i * len..(i + 1) * len) }).collect()
 }
 
 /// Share `idx` of `data` alone — `encode(data, k, m)[idx]` for any
-/// `m > idx`, through the same kernel with one Vandermonde row instead
-/// of `m`. What repair needs to replace one lost share. `0 < k`,
-/// `idx < 255`.
+/// `m > idx`: the shard itself for `idx < k`, else one generator row
+/// through the same kernel. What repair needs to replace one lost
+/// share. `0 < k`, `idx < 255`.
 pub fn encode_row(data: &[u8], k: usize, idx: u8) -> Share {
     assert!(0 < k && k <= 255 && idx < u8::MAX, "need 0 < k ≤ 255 and idx < 255");
-    let (out, _) = encode_rows(data, k, usize::from(idx), 1);
-    Share { index: idx, data: Bytes::from(out) }
+    let i = usize::from(idx);
+    let (mut buf, len) = pad(data, k, usize::from(i >= k));
+    // a data share is its shard; a parity share is the one row past them
+    let row = if i < k {
+        i
+    } else {
+        parity_into(&mut buf, len, k, std::iter::once(i));
+        k
+    };
+    Share { index: idx, data: Bytes::from(buf[row * len..(row + 1) * len].to_vec()) }
 }
 
 /// Reconstruct the original data from any `k` distinct shares.
@@ -241,14 +287,31 @@ pub fn try_decode(shares: &[Share], k: usize) -> Result<Vec<u8>, DecodeError> {
     if total < 8 {
         return Err(DecodeError::Inconsistent);
     }
-    // shares = V · shards with V[r][j] = x_r^j, x_r = index+1, so
-    // shards = V⁻¹ · shares. (V on distinct nonzero points always has
-    // an inverse; its absence means the share set was not a codeword.)
-    let v = vandermonde(chosen.iter().map(|s| s.index + 1), k);
-    let inverse = invert(v, k).ok_or(DecodeError::Inconsistent)?;
-    let rows: Vec<&[u8]> = chosen.iter().map(|s| &s.data[..]).collect();
+    // the data shares are shards verbatim: copy them into place
     let mut padded = vec![0u8; total];
-    mul_rows(&inverse, &rows, &mut padded);
+    let mut have = vec![false; k];
+    for s in chosen.iter().filter(|s| usize::from(s.index) < k) {
+        let j = usize::from(s.index);
+        padded[j * len..(j + 1) * len].copy_from_slice(&s.data);
+        have[j] = true;
+    }
+    let missing: Vec<usize> = (0..k).filter(|&j| !have[j]).collect();
+    if !missing.is_empty() {
+        // shares = G · shards with G the generator rows at the chosen
+        // indices, so shards = G⁻¹ · shares — of which only the rows of
+        // the missing shards are formed. (Any k distinct rows of G are
+        // invertible; a singular G means the set was not a codeword.)
+        let g = generator_rows(chosen.iter().map(|s| usize::from(s.index)), k);
+        let inverse = invert(g, k).ok_or(DecodeError::Inconsistent)?;
+        let coeff: Vec<u8> =
+            missing.iter().flat_map(|&j| inverse[j * k..(j + 1) * k].iter().copied()).collect();
+        let rows: Vec<&[u8]> = chosen.iter().map(|s| &s.data[..]).collect();
+        let mut rebuilt = vec![0u8; missing.len() * len];
+        mul_rows(&coeff, &rows, &mut rebuilt);
+        for (&j, row) in missing.iter().zip(rebuilt.chunks_exact(len)) {
+            padded[j * len..(j + 1) * len].copy_from_slice(row);
+        }
+    }
     // padded = data ‖ len ‖ fewer than k zeros, so the trailer starts
     // in the last k windows; anything else is not an `encode` layout.
     for at in (total.saturating_sub(8 + k - 1)..=total - 8).rev() {
@@ -419,15 +482,16 @@ mod tests {
     #[test]
     fn golden_codeword_is_pinned() {
         // Shelves and write-ahead logs hold these bytes: a change to the
-        // codeword has to edit this vector, i.e. announce itself.
+        // codeword has to edit this vector, i.e. announce itself. The
+        // first k rows are the value (7i + 3), its length 40 and padding.
         let data: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(7).wrapping_add(3)).collect();
         let golden = [
-            "939a61686fb6bd8490f0f0909090b098",
-            "447be1decb093837763d20cbc2d9d46f",
-            "d4eb91aebb99a887dd8f990b0517019b",
-            "66dbaa177c28bfc9a1bc9b7d664b1c87",
-            "f64bda670cb82f790a0e22bda185c973",
-            "21aa5ad1a807aacaecc3f2e6f3ccad84",
+            "030a11181f262d343b424950575e656c",
+            "737a81888f969da4abb2b9c0c7ced5dc",
+            "e3eaf1f8ff060d140000000000000028",
+            "0900bab3b49a91b32580e2311b6507fa",
+            "9990cac3c40a01038e325bf1dcabd20e",
+            "e9e05a5354bab1931ec2ab614c3b62be",
         ];
         let shares = encode(&data, 3, 6);
         assert_eq!(shares.len(), golden.len());

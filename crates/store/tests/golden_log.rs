@@ -2,34 +2,43 @@
 //!
 //! Changes to how a record gets *to* the file — the checksum kernel,
 //! where a record is framed, how parks are coalesced, when compaction
-//! flushes — must not change what the file *holds*: format version 1
-//! has readers (every store already on disk). One scripted sequence
-//! that walks every verb, an explicit compaction with parks still
-//! buffered, and appends after it is run against the current code;
-//! its file must equal `fixtures/golden_v1.wal`, which the same script
-//! wrote at the commit before the append path was reworked (parent of
-//! PR 16), and hash to the fingerprint captured then. The fixture must
-//! also reopen cleanly — nothing skipped, nothing torn — into the state
-//! the script leaves behind.
+//! flushes — must not change what the file *holds*: the log has readers
+//! (every store already on disk). One scripted sequence that walks
+//! every verb, an explicit compaction with parks still buffered, and
+//! appends after it is run against the current code; its file must
+//! equal `fixtures/golden_v2.wal` and hash to the fingerprint captured
+//! with it. The fixture must also reopen cleanly — nothing skipped,
+//! nothing torn — into the state the script leaves behind.
+//!
+//! `golden_v2.wal` holds shares of the systematic code. The same script
+//! wrote `fixtures/golden_v1.wal` under the retired non-systematic code;
+//! the frames are unchanged, but its shares are sealed with the old
+//! magic. It is kept as the refusal fixture: it reopens without a panic
+//! or a torn byte, every share record is skipped, and no old share is
+//! ever served.
 
 use cd_core::hashing::fnv1a;
 use cd_core::point::Point;
 use dh_erasure::{encode, ShareHeader};
 use dh_proto::node::NodeId;
-use dh_store::{FileShelves, Holder, ScratchPath, Shelves};
+use dh_store::{scan, FileShelves, Holder, ScratchPath, Shelves, WalRecord};
 
 const M: usize = 4;
 const K: usize = 2;
 
-/// FNV-1a 64 of the scripted log, captured at the parent commit.
-const GOLDEN_FINGERPRINT: u64 = 0x82E5_A1AC_24DB_27E1;
+/// FNV-1a 64 of the scripted log, captured when the fixture was written.
+const GOLDEN_FINGERPRINT: u64 = 0xA426_B562_32B6_C8B1;
 
 /// Records the script appends (compaction rewrites are not appends).
 const GOLDEN_APPENDS: u64 = 44;
 
-fn fixture() -> Vec<u8> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden_v1.wal");
+fn read_fixture(name: &str) -> Vec<u8> {
+    let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
     std::fs::read(path).expect("the committed fixture")
+}
+
+fn fixture() -> Vec<u8> {
+    read_fixture("golden_v2.wal")
 }
 
 fn payload(key: u64, version: u32) -> Vec<u8> {
@@ -118,4 +127,25 @@ fn the_parent_written_fixture_reopens_to_the_scripted_state() {
     // item 2's torn generation is still parked beside the committed one
     assert_eq!(got.map()[&2].version, 1);
     assert_eq!(got.map()[&2].shares_of(2).len(), 3);
+}
+
+#[test]
+fn the_retired_code_fixture_reopens_with_every_share_refused() {
+    let old = read_fixture("golden_v1.wal");
+    let parks = scan(&old.clone().into())
+        .expect("a shelf WAL")
+        .records
+        .iter()
+        .filter(|r| matches!(r, WalRecord::Park { .. }))
+        .count();
+    assert_eq!(parks, 20, "the log holds 20 share records");
+    let copy = ScratchPath::new("golden-log-v1");
+    std::fs::write(copy.path(), &old).unwrap();
+    let got = FileShelves::open(copy.path()).unwrap();
+    assert_eq!(got.recovery().torn_bytes, 0);
+    assert_eq!(got.recovery().skipped, parks, "every old share is refused, nothing else");
+    // its commits and its unpark find nothing to act on
+    assert_eq!(got.shelved_shares(), 0);
+    assert_eq!(got.items(), 0);
+    assert_eq!(got.wal_len(), old.len() as u64);
 }
