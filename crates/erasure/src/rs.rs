@@ -13,8 +13,9 @@
 //! monomial one. The generator is `[I_k ; V_bottom·V_top⁻¹]`; its rows
 //! are built per call in `O(k²)` field operations, never cached.
 //!
-//! Both directions run through the one multiply-accumulate loop over
-//! payload bytes, `mul_rows`: encoding forms only the `m − k` parity
+//! Both directions run through the one multiply-accumulate kernel over
+//! payload bytes, `mul_rows` (one block loop at two widths, chosen by
+//! the share length): encoding forms only the `m − k` parity
 //! rows, and decoding copies the data shares it was given and forms only
 //! the shards none of them is. A read that gathered the `k` data shares
 //! multiplies nothing.
@@ -75,43 +76,47 @@ pub fn shard_len(len: usize, k: usize) -> usize {
     (len + 8).div_ceil(k)
 }
 
-/// Bytes the kernel handles per step: two SSE2 registers per row. The
-/// coefficient-bit test is paid once per block, so 64 is faster still
-/// (16 KiB, k = 4, m = 8: 11.7 vs 20.7 µs); DESIGN §9 has why it waits.
-const BLOCK: usize = 32;
+/// The kernel's two block widths. Per block and source column it pays
+/// the `used` fold and one coefficient-bit test per (bit, row), which
+/// dominates at 32 bytes; a 256-byte block pays it 8× less often
+/// (16 KiB, k = 4, m = 8: 7.5 vs 20 µs encode). A wide block alone
+/// would send short shares (36 and 66 bytes on the benchmark's small
+/// values) to the scalar tail, so the wide width runs over the longest
+/// whole-256 prefix of a share and the narrow one over what remains.
+/// The share length picks the width; there is no knob.
+const WIDE: usize = 256;
+const NARROW: usize = 32;
 
 /// Multiply every lane by `x` (the field element 2): shift left and
 /// fold the carried-out bit back in as the reduction polynomial.
 #[inline]
-fn xtime(v: &mut [u8; BLOCK]) {
+fn xtime<const B: usize>(v: &mut [u8; B]) {
     for b in v.iter_mut() {
         let carry = ((*b as i8) >> 7) as u8; // 0xFF iff the top bit is set
         *b = (*b << 1) ^ (carry & 0x1B);
     }
 }
 
-/// `dst[r] = Σ_c coeff[r][c]·src[c]` over `GF(2⁸)`, row by row of
-/// bytes: `coeff` is row-major `rows × src.len()`, every `src[c]` has
-/// the same length and `dst` is `rows` such rows back to back.
-///
-/// Per [`BLOCK`] of a source row the doublings `s, 2s, 4s, …` are
-/// formed once and each is XORed into every output row whose
-/// coefficient has that bit set — a product by a constant is the XOR
-/// of the doublings its bits select. The lane loops have a constant
-/// trip count, so the compiler vectorises them without `unsafe` or
-/// target features; the bytes past the last whole block go through the
-/// scalar table multiply.
-fn mul_rows(coeff: &[u8], src: &[&[u8]], dst: &mut [u8]) {
+/// [`mul_rows`] over the whole `B`-byte blocks of bytes `from..`, and
+/// the offset where they end. Per block of a source row the doublings
+/// `s, 2s, 4s, …` are formed once and each is XORed into every output
+/// row whose coefficient has that bit set — a product by a constant is
+/// the XOR of the doublings its bits select. The lane loops have a
+/// constant trip count, so the compiler vectorises them without
+/// `unsafe` or target features. A width with no whole block allocates
+/// no scratch and returns `from`.
+fn blocks<const B: usize>(coeff: &[u8], src: &[&[u8]], dst: &mut [u8], from: usize) -> usize {
     let cols = src.len();
-    let rows = coeff.len() / cols;
     let len = src[0].len();
-    assert!(coeff.len() == rows * cols && dst.len() == rows * len, "mul_rows: shape mismatch");
-    let whole = len - len % BLOCK;
-    let mut acc = vec![[0u8; BLOCK]; rows];
-    for off in (0..whole).step_by(BLOCK) {
-        acc.fill([0; BLOCK]);
+    let whole = from + (len - from) / B * B;
+    if whole == from {
+        return from;
+    }
+    let mut acc = vec![[0u8; B]; coeff.len() / cols];
+    for off in (from..whole).step_by(B) {
+        acc.fill([0; B]);
         for (c, s) in src.iter().enumerate() {
-            let mut d: [u8; BLOCK] = s[off..off + BLOCK].try_into().expect("a whole block");
+            let mut d: [u8; B] = s[off..off + B].try_into().expect("a whole block");
             let used = coeff.iter().skip(c).step_by(cols).fold(0, |bits, &x| bits | x);
             for bit in 0..u8::BITS - used.leading_zeros() {
                 for (a, row) in acc.iter_mut().zip(coeff.chunks_exact(cols)) {
@@ -125,9 +130,26 @@ fn mul_rows(coeff: &[u8], src: &[&[u8]], dst: &mut [u8]) {
             }
         }
         for (out, a) in dst.chunks_exact_mut(len).zip(&acc) {
-            out[off..off + BLOCK].copy_from_slice(a);
+            out[off..off + B].copy_from_slice(a);
         }
     }
+    whole
+}
+
+/// `dst[r] = Σ_c coeff[r][c]·src[c]` over `GF(2⁸)`, row by row of
+/// bytes: `coeff` is row-major `rows × src.len()`, every `src[c]` has
+/// the same length and `dst` is `rows` such rows back to back.
+///
+/// [`blocks`] runs at [`WIDE`] over the longest whole-256 prefix, then
+/// at [`NARROW`] over what remains; the last `< 32` bytes go through
+/// the scalar table multiply.
+fn mul_rows(coeff: &[u8], src: &[&[u8]], dst: &mut [u8]) {
+    let cols = src.len();
+    let rows = coeff.len() / cols;
+    let len = src[0].len();
+    assert!(coeff.len() == rows * cols && dst.len() == rows * len, "mul_rows: shape mismatch");
+    let wide = blocks::<WIDE>(coeff, src, dst, 0);
+    let whole = blocks::<NARROW>(coeff, src, dst, wide);
     for (out, row) in dst.chunks_exact_mut(len).zip(coeff.chunks_exact(cols)) {
         for i in whole..len {
             out[i] = row.iter().zip(src).fold(0, |sum, (&c, s)| sum ^ GF.mul(c, s[i]));
@@ -463,20 +485,39 @@ mod tests {
 
     #[test]
     fn mul_rows_matches_scalar_mul_for_every_coefficient() {
-        // 70 bytes: whole blocks plus a scalar tail
-        let a: Vec<u8> = (0..70u32).map(|i| (i * 151 + 7) as u8).collect();
-        let b: Vec<u8> = (0..70u32).map(|i| (i * 29 + 250) as u8).collect();
-        for c in 0..=255u8 {
-            // rows [c, c̄] and [1, c]; then the same with column 1 zeroed
-            for coeff in [[c, !c, 1, c], [c, 0, 1, 0]] {
-                let mut dst = vec![0xEEu8; 2 * 70];
-                mul_rows(&coeff, &[&a, &b], &mut dst);
-                for i in 0..70 {
-                    assert_eq!(dst[i], GF.mul(coeff[0], a[i]) ^ GF.mul(coeff[1], b[i]), "c {c}, byte {i}");
-                    assert_eq!(dst[70 + i], GF.mul(coeff[2], a[i]) ^ GF.mul(coeff[3], b[i]), "c {c}, byte {i}");
+        // 70 bytes: two narrow blocks plus a scalar tail; 300 bytes: one
+        // wide block, one narrow block and a 12-byte scalar tail
+        for len in [70u32, 300] {
+            let n = len as usize;
+            let a: Vec<u8> = (0..len).map(|i| (i * 151 + 7) as u8).collect();
+            let b: Vec<u8> = (0..len).map(|i| (i * 29 + 250) as u8).collect();
+            for c in 0..=255u8 {
+                // rows [c, c̄] and [1, c]; then the same with column 1 zeroed
+                for coeff in [[c, !c, 1, c], [c, 0, 1, 0]] {
+                    let mut dst = vec![0xEEu8; 2 * n];
+                    mul_rows(&coeff, &[&a, &b], &mut dst);
+                    for i in 0..n {
+                        let (top, bottom) = (dst[i], dst[n + i]);
+                        assert_eq!(top, GF.mul(coeff[0], a[i]) ^ GF.mul(coeff[1], b[i]), "len {n}, c {c}, byte {i}");
+                        assert_eq!(bottom, GF.mul(coeff[2], a[i]) ^ GF.mul(coeff[3], b[i]), "len {n}, c {c}, byte {i}");
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_width_with_no_whole_block_returns_from_and_writes_nothing() {
+        // 287 bytes: one wide block, then 31 bytes that hold no whole
+        // block of either width
+        let a: Vec<u8> = (0..287u32).map(|i| (i * 151 + 7) as u8).collect();
+        let mut dst = vec![0xEEu8; 287];
+        assert_eq!(blocks::<WIDE>(&[3], &[&a], &mut dst, 256), 256);
+        assert_eq!(blocks::<NARROW>(&[3], &[&a], &mut dst, 256), 256);
+        assert!(dst.iter().all(|&x| x == 0xEE));
+        assert_eq!(blocks::<WIDE>(&[3], &[&a], &mut dst, 0), 256);
+        assert!(dst[..256].iter().zip(&a).all(|(&x, &y)| x == GF.mul(3, y)));
+        assert!(dst[256..].iter().all(|&x| x == 0xEE));
     }
 
     #[test]
@@ -516,10 +557,10 @@ mod tests {
 
         #[test]
         fn prop_one_row_is_that_row_of_the_full_encode(
-            data in proptest::collection::vec(any::<u8>(), 0..200),
+            data in proptest::collection::vec(any::<u8>(), 0..700),
             m in 1usize..=16, k_seed: usize) {
-            // up to 200 bytes: shares past two whole 32-byte blocks, so
-            // the scalar tail after the last block is exercised too
+            // up to 700 bytes: at small k a share crosses a whole 256-byte
+            // block, then narrow blocks and the scalar tail after them
             let k = 1 + k_seed % m;
             for share in encode(&data, k, m) {
                 prop_assert_eq!(&encode_row(&data, k, share.index), &share, "idx {}", share.index);

@@ -97,10 +97,13 @@ fn widest_code_matches_the_reference() {
 
 #[test]
 fn block_edges_match_the_reference() {
-    // shard lengths on both sides of every multiple of the kernel's
-    // block, whichever power of two ≤ 128 that block is
+    // shard lengths on both sides of the kernel's edges: its 32-byte
+    // blocks, its 256-byte blocks, one wide block plus one narrow
+    // (288), two wide blocks, and `payload_heavy`'s 4 098-byte shard
+    // (16 wide blocks and a 2-byte scalar tail)
     let mut rng = rand::rngs::StdRng::seed_from_u64(64);
-    for shard in [1, 31, 32, 33, 63, 64, 65, 127, 128, 129] {
+    let edges = [1, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257, 287, 288, 289, 511, 512, 513, 4_098];
+    for shard in edges {
         for k in [1usize, 3, 4, 8] {
             // the longest value whose shards are exactly `shard` bytes
             let Some(len) = (shard * k).checked_sub(8) else { continue };
