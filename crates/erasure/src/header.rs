@@ -9,9 +9,12 @@
 //! version, and a repair pull must re-materialize the share with the
 //! *code parameters of the stored generation*, not whatever the
 //! store's current defaults are. [`ShareHeader`] carries it, and
-//! [`seal`]/[`open`] round-trip a [`crate::Share`] through the framed
-//! byte form used for wire-size accounting and for parking shares on
-//! shelves.
+//! [`seal`]/[`open_shared`] round-trip a [`crate::Share`] through the
+//! framed byte form used for wire-size accounting and for parking
+//! shares on shelves. A put seals all `m` shares at once with
+//! [`crate::encode_sealed`], which leaves room for each header in the
+//! codeword buffer and has this module write it there; the layout of
+//! a header is known here only.
 
 use crate::rs::Share;
 use bytes::Bytes;
@@ -44,7 +47,7 @@ pub struct ShareHeader {
 /// m): what every stored or shipped share pays on top of its payload.
 pub const HEADER_BYTES: usize = 8;
 
-/// Why [`open`] rejected a buffer.
+/// Why [`open_shared`] rejected a buffer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HeaderError {
     /// The buffer is shorter than a header.
@@ -74,22 +77,28 @@ impl fmt::Display for HeaderError {
 
 impl std::error::Error for HeaderError {}
 
+impl ShareHeader {
+    /// The sealed form of the header: `magic ‖ version ‖ index ‖ k ‖
+    /// m`, the bytes in front of every sealed payload.
+    pub(crate) fn to_bytes(self) -> [u8; HEADER_BYTES] {
+        let v = self.version.to_be_bytes();
+        [MAGIC, v[0], v[1], v[2], v[3], self.index, self.k, self.m]
+    }
+}
+
 /// Frame `share` with `header`: `magic ‖ version ‖ index ‖ k ‖ m ‖
 /// payload`. The header's `index` is taken from the share itself so
-/// the two can never disagree.
+/// the two can never disagree. Copies the payload once, into a buffer
+/// of its own; a put seals its shares in place instead
+/// ([`crate::encode_sealed`]).
 pub fn seal(header: ShareHeader, share: &Share) -> Bytes {
     let mut out = Vec::with_capacity(HEADER_BYTES + share.data.len());
-    out.push(MAGIC);
-    out.extend_from_slice(&header.version.to_be_bytes());
-    out.push(share.index);
-    out.push(header.k);
-    out.push(header.m);
+    out.extend_from_slice(&ShareHeader { index: share.index, ..header }.to_bytes());
     out.extend_from_slice(&share.data);
     Bytes::from(out)
 }
 
-/// Parse and validate the header of a sealed buffer (shared by
-/// [`open`] and [`open_shared`]).
+/// Parse and validate the header of a sealed buffer.
 fn parse_header(sealed: &[u8]) -> Result<ShareHeader, HeaderError> {
     if sealed.len() < HEADER_BYTES {
         return Err(HeaderError::Truncated);
@@ -108,29 +117,14 @@ fn parse_header(sealed: &[u8]) -> Result<ShareHeader, HeaderError> {
 }
 
 /// Unframe a sealed share: the header back out, and the payload as a
-/// [`Share`] ready for [`crate::try_decode`]. Copies the payload; use
-/// [`open_shared`] when the sealed form is already a [`Bytes`].
-pub fn open(sealed: &[u8]) -> Result<(ShareHeader, Share), HeaderError> {
-    let header = parse_header(sealed)?;
-    let share =
-        Share { index: header.index, data: Bytes::from(sealed[HEADER_BYTES..].to_vec()) };
-    Ok((header, share))
-}
-
-/// Zero-copy [`open`]: the returned share's payload is a
-/// [`Bytes::slice`] window into `sealed`, sharing its backing
+/// [`Share`] ready for [`crate::try_decode`]. Zero-copy: the payload
+/// is a [`Bytes::slice`] window into `sealed`, sharing its backing
 /// allocation. This is how the WAL shelf store (`dh_store`) serves
 /// shares straight out of the recovered file buffer without copying.
 pub fn open_shared(sealed: &Bytes) -> Result<(ShareHeader, Share), HeaderError> {
     let header = parse_header(sealed)?;
     let share = Share { index: header.index, data: sealed.slice(HEADER_BYTES..) };
     Ok((header, share))
-}
-
-/// The sealed wire/shelf size of a share with `payload_len` payload
-/// bytes — what the byte-accounting model charges per share.
-pub fn sealed_len(payload_len: usize) -> usize {
-    HEADER_BYTES + payload_len
 }
 
 #[cfg(test)]
@@ -144,8 +138,8 @@ mod tests {
         for (i, s) in shares.iter().enumerate() {
             let hdr = ShareHeader { version: 42, index: s.index, k: 3, m: 7 };
             let sealed = seal(hdr, s);
-            assert_eq!(sealed.len(), sealed_len(s.data.len()));
-            let (back, share) = open(&sealed).expect("roundtrip");
+            assert_eq!(sealed.len(), HEADER_BYTES + s.data.len());
+            let (back, share) = open_shared(&sealed).expect("roundtrip");
             assert_eq!(back, hdr);
             assert_eq!(share.index, i as u8);
             assert_eq!(share.data, s.data);
@@ -160,13 +154,13 @@ mod tests {
         let (back, share) = open_shared(&sealed).expect("roundtrip");
         assert_eq!(back, hdr);
         assert_eq!(share.data, shares[1].data);
-        // same visible bytes as the copying path
-        let (_, copied) = open(&sealed).unwrap();
-        assert_eq!(share.data, copied.data);
+        // the payload is the sealed buffer's tail, not a copy of it
+        assert_eq!(share.data.as_ptr(), sealed[HEADER_BYTES..].as_ptr());
     }
 
     #[test]
     fn open_rejects_garbage() {
+        let open = |bytes: &[u8]| open_shared(&Bytes::from(bytes.to_vec()));
         assert_eq!(open(&[MAGIC, 0, 0]), Err(HeaderError::Truncated));
         assert_eq!(open(&[0u8; 12]), Err(HeaderError::BadMagic));
         // k > m
@@ -184,7 +178,6 @@ mod tests {
         let header = ShareHeader { version: 3, index: 1, k: 2, m: 4 };
         let mut old = seal(header, &encode(b"v1", 2, 4)[1]).to_vec();
         old[0] = RETIRED_MAGIC;
-        assert_eq!(open(&old), Err(HeaderError::RetiredCode));
         assert_eq!(open_shared(&Bytes::from(old)), Err(HeaderError::RetiredCode));
     }
 
@@ -193,8 +186,8 @@ mod tests {
         let shares = encode(b"v", 2, 3);
         let a = seal(ShareHeader { version: 1, index: 0, k: 2, m: 3 }, &shares[0]);
         let b = seal(ShareHeader { version: 2, index: 0, k: 2, m: 3 }, &shares[0]);
-        let (ha, _) = open(&a).unwrap();
-        let (hb, _) = open(&b).unwrap();
+        let (ha, _) = open_shared(&a).unwrap();
+        let (hb, _) = open_shared(&b).unwrap();
         assert_ne!(ha.version, hb.version);
     }
 }

@@ -15,10 +15,12 @@
 //!   data shards of [`shard_len`] bytes verbatim, and share `i ≥ k` is
 //!   the Lagrange basis over the data points `1..=k` evaluated at
 //!   `x_i = i + 1`, so any `k` shares reconstruct. [`encode`] computes
-//!   only the `m − k` parity rows, [`encode_row`] just one share
-//!   (repair's lost share); [`try_decode`] copies the data shares it
-//!   is given and computes only the missing shards (the k×k generator
-//!   inverse on coefficients, then the same row kernel as `encode`),
+//!   only the `m − k` parity rows, [`encode_sealed`] the same shares
+//!   already sealed (built in place, what a put parks), [`encode_row`]
+//!   just one share (repair's lost share); [`try_decode`] copies the
+//!   data shares it is given and computes only the missing shards (the
+//!   k×k generator inverse on coefficients, then the same row kernel as
+//!   `encode`),
 //!   and reports a typed [`DecodeError`] — never a panic — when fewer
 //!   than `k` distinct shares survive or the bytes are not a codeword,
 //! * [`header`] — share versioning: the [`ShareHeader`] sealed in
@@ -34,5 +36,5 @@ pub mod gf256;
 pub mod header;
 pub mod rs;
 
-pub use header::{open, open_shared, seal, sealed_len, HeaderError, ShareHeader, HEADER_BYTES};
-pub use rs::{decode, encode, encode_row, shard_len, try_decode, DecodeError, Share};
+pub use header::{open_shared, seal, HeaderError, ShareHeader, HEADER_BYTES};
+pub use rs::{decode, encode, encode_row, encode_sealed, shard_len, try_decode, DecodeError, Share};

@@ -15,17 +15,22 @@
 //!
 //! Both directions run through the one multiply-accumulate kernel over
 //! payload bytes, `mul_rows` (one block loop at two widths, chosen by
-//! the share length): encoding forms only the `m − k` parity
-//! rows, and decoding copies the data shares it was given and forms only
-//! the shards none of them is. A read that gathered the `k` data shares
-//! multiplies nothing.
+//! the share length, writing rows at a caller-given pitch): encoding
+//! forms only the `m − k` parity rows, and decoding copies the data
+//! shares it was given and forms only the shards none of them is. A
+//! read that gathered the `k` data shares multiplies nothing. Every
+//! encoder is one codeword builder, `codeword`, which can leave room
+//! for a share header in front of each row, so [`encode_sealed`] hands
+//! a put its sealed shares without copying one.
 //!
 //! Shares of the retired non-systematic code are refused by their seal
 //! ([`crate::HeaderError::RetiredCode`]); this module never sees them.
 
 use crate::gf256::GF;
+use crate::header::{ShareHeader, HEADER_BYTES};
 use bytes::Bytes;
 use std::fmt;
+use std::ops::Range;
 
 /// One coded share.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -105,7 +110,13 @@ fn xtime<const B: usize>(v: &mut [u8; B]) {
 /// constant trip count, so the compiler vectorises them without
 /// `unsafe` or target features. A width with no whole block allocates
 /// no scratch and returns `from`.
-fn blocks<const B: usize>(coeff: &[u8], src: &[&[u8]], dst: &mut [u8], from: usize) -> usize {
+fn blocks<const B: usize>(
+    coeff: &[u8],
+    src: &[&[u8]],
+    dst: &mut [u8],
+    pitch: usize,
+    from: usize,
+) -> usize {
     let cols = src.len();
     let len = src[0].len();
     let whole = from + (len - from) / B * B;
@@ -129,7 +140,7 @@ fn blocks<const B: usize>(coeff: &[u8], src: &[&[u8]], dst: &mut [u8], from: usi
                 xtime(&mut d);
             }
         }
-        for (out, a) in dst.chunks_exact_mut(len).zip(&acc) {
+        for (out, a) in dst.chunks_mut(pitch).zip(&acc) {
             out[off..off + B].copy_from_slice(a);
         }
     }
@@ -138,19 +149,24 @@ fn blocks<const B: usize>(coeff: &[u8], src: &[&[u8]], dst: &mut [u8], from: usi
 
 /// `dst[r] = Σ_c coeff[r][c]·src[c]` over `GF(2⁸)`, row by row of
 /// bytes: `coeff` is row-major `rows × src.len()`, every `src[c]` has
-/// the same length and `dst` is `rows` such rows back to back.
+/// the same length `len`, and output row `r` is `dst[r·pitch..][..len]`
+/// — `pitch ≥ len`, so a caller can leave room between rows (a sealed
+/// share's header); the bytes between rows are not touched.
 ///
 /// [`blocks`] runs at [`WIDE`] over the longest whole-256 prefix, then
 /// at [`NARROW`] over what remains; the last `< 32` bytes go through
 /// the scalar table multiply.
-fn mul_rows(coeff: &[u8], src: &[&[u8]], dst: &mut [u8]) {
+fn mul_rows(coeff: &[u8], src: &[&[u8]], dst: &mut [u8], pitch: usize) {
     let cols = src.len();
     let rows = coeff.len() / cols;
     let len = src[0].len();
-    assert!(coeff.len() == rows * cols && dst.len() == rows * len, "mul_rows: shape mismatch");
-    let wide = blocks::<WIDE>(coeff, src, dst, 0);
-    let whole = blocks::<NARROW>(coeff, src, dst, wide);
-    for (out, row) in dst.chunks_exact_mut(len).zip(coeff.chunks_exact(cols)) {
+    assert!(
+        coeff.len() == rows * cols && len <= pitch && dst.len() + pitch == rows * pitch + len,
+        "mul_rows: shape mismatch"
+    );
+    let wide = blocks::<WIDE>(coeff, src, dst, pitch, 0);
+    let whole = blocks::<NARROW>(coeff, src, dst, pitch, wide);
+    for (out, row) in dst.chunks_mut(pitch).zip(coeff.chunks_exact(cols)) {
         for i in whole..len {
             out[i] = row.iter().zip(src).fold(0, |sum, (&c, s)| sum ^ GF.mul(c, s[i]));
         }
@@ -219,24 +235,36 @@ fn invert(mut a: Vec<u8>, k: usize) -> Option<Vec<u8>> {
     Some(inv)
 }
 
-/// `data` cut into `k` shards, back to back — `data ‖ 8-byte
-/// big-endian length ‖ < k zero bytes` — followed by `extra` zeroed
-/// share rows for parity. Returns the buffer and the share length.
-fn pad(data: &[u8], k: usize, extra: usize) -> (Vec<u8>, usize) {
+/// The codeword builder every encoder runs: the `k` shards of `data`
+/// — `data ‖ 8-byte big-endian length ‖ < k zero bytes`, cut into rows
+/// of [`shard_len`] bytes — then the parity shares at `parity` (all
+/// `≥ k`), each row behind `headroom` zero bytes, in one buffer at a
+/// pitch of `headroom + len`. The shards are copied into their slots
+/// and the parity rows computed straight into theirs (zeroed first:
+/// the kernel writes into initialised rows), so no share is copied
+/// after it is formed. Returns the buffer and the share length `len`.
+fn codeword(data: &[u8], k: usize, parity: Range<usize>, headroom: usize) -> (Vec<u8>, usize) {
     let len = shard_len(data.len(), k);
-    let mut out = Vec::with_capacity(len * (k + extra));
-    out.extend_from_slice(data);
-    out.extend_from_slice(&(data.len() as u64).to_be_bytes());
-    out.resize(len * (k + extra), 0);
+    let pitch = headroom + len;
+    let n = data.len();
+    let trailer = (n as u64).to_be_bytes();
+    let mut out = Vec::with_capacity(pitch * (k + parity.len()));
+    for j in 0..k {
+        // shard j is bytes j·len.. of the padded value
+        let (from, to) = (j * len, (j + 1) * len);
+        out.resize(out.len() + headroom, 0);
+        let row = out.len();
+        out.extend_from_slice(&data[from.min(n)..to.min(n)]);
+        out.extend_from_slice(&trailer[from.clamp(n, n + 8) - n..to.clamp(n, n + 8) - n]);
+        out.resize(row + len, 0);
+    }
+    if !parity.is_empty() {
+        out.resize(pitch * (k + parity.len()), 0);
+        let (shards, rows) = out.split_at_mut(k * pitch);
+        let shards: Vec<&[u8]> = shards.chunks_exact(pitch).map(|row| &row[headroom..]).collect();
+        mul_rows(&generator_rows(parity, k), &shards, &mut rows[headroom..], pitch);
+    }
     (out, len)
-}
-
-/// Parity rows at `indices` (all `≥ k`) of the `k` shards at the head
-/// of `buf`, written into `buf`'s tail.
-fn parity_into(buf: &mut [u8], len: usize, k: usize, indices: impl Iterator<Item = usize>) {
-    let (shards, parity) = buf.split_at_mut(k * len);
-    let shards: Vec<&[u8]> = shards.chunks_exact(len).collect();
-    mul_rows(&generator_rows(indices, k), &shards, parity);
 }
 
 /// Split `data` into `k` shards (padding with the length trailer) and
@@ -245,12 +273,28 @@ fn parity_into(buf: &mut [u8], len: usize, k: usize, indices: impl Iterator<Item
 /// computed. The shares are windows into one `shards ‖ parity` buffer.
 pub fn encode(data: &[u8], k: usize, m: usize) -> Vec<Share> {
     assert!(0 < k && k <= m && m <= 255, "need 0 < k ≤ m ≤ 255");
-    let (mut out, len) = pad(data, k, m - k);
-    if m > k {
-        parity_into(&mut out, len, k, k..m);
-    }
+    let (out, len) = codeword(data, k, k..m, 0);
     let out = Bytes::from(out);
     (0..m).map(|i| Share { index: i as u8, data: out.slice(i * len..(i + 1) * len) }).collect()
+}
+
+/// [`encode`] with every share sealed under generation `version`:
+/// element `i` is byte for byte `seal(ShareHeader { version, index: i,
+/// k, m }, &encode(data, k, m)[i])`. The codeword is built with room
+/// for a header in front of every row and the headers are written in
+/// place, so the sealed shares are windows into one buffer and no
+/// share is copied after the coder wrote it. What a put parks.
+/// `0 < k ≤ m ≤ 255`.
+pub fn encode_sealed(data: &[u8], k: usize, m: usize, version: u32) -> Vec<Bytes> {
+    assert!(0 < k && k <= m && m <= 255, "need 0 < k ≤ m ≤ 255");
+    let (mut out, len) = codeword(data, k, k..m, HEADER_BYTES);
+    let pitch = HEADER_BYTES + len;
+    for (i, row) in out.chunks_exact_mut(pitch).enumerate() {
+        let header = ShareHeader { version, index: i as u8, k: k as u8, m: m as u8 };
+        row[..HEADER_BYTES].copy_from_slice(&header.to_bytes());
+    }
+    let out = Bytes::from(out);
+    (0..m).map(|i| out.slice(i * pitch..(i + 1) * pitch)).collect()
 }
 
 /// Share `idx` of `data` alone — `encode(data, k, m)[idx]` for any
@@ -260,15 +304,10 @@ pub fn encode(data: &[u8], k: usize, m: usize) -> Vec<Share> {
 pub fn encode_row(data: &[u8], k: usize, idx: u8) -> Share {
     assert!(0 < k && k <= 255 && idx < u8::MAX, "need 0 < k ≤ 255 and idx < 255");
     let i = usize::from(idx);
-    let (mut buf, len) = pad(data, k, usize::from(i >= k));
     // a data share is its shard; a parity share is the one row past them
-    let row = if i < k {
-        i
-    } else {
-        parity_into(&mut buf, len, k, std::iter::once(i));
-        k
-    };
-    Share { index: idx, data: Bytes::from(buf[row * len..(row + 1) * len].to_vec()) }
+    let (parity, row) = if i < k { (k..k, i) } else { (i..i + 1, k) };
+    let (buf, len) = codeword(data, k, parity, 0);
+    Share { index: idx, data: Bytes::from(buf).slice(row * len..(row + 1) * len) }
 }
 
 /// Reconstruct the original data from any `k` distinct shares.
@@ -309,15 +348,13 @@ pub fn try_decode(shares: &[Share], k: usize) -> Result<Vec<u8>, DecodeError> {
     if total < 8 {
         return Err(DecodeError::Inconsistent);
     }
-    // the data shares are shards verbatim: copy them into place
-    let mut padded = vec![0u8; total];
-    let mut have = vec![false; k];
+    // the data shares are shards verbatim
+    let mut shard: Vec<Option<&[u8]>> = vec![None; k];
     for s in chosen.iter().filter(|s| usize::from(s.index) < k) {
-        let j = usize::from(s.index);
-        padded[j * len..(j + 1) * len].copy_from_slice(&s.data);
-        have[j] = true;
+        shard[usize::from(s.index)] = Some(&s.data);
     }
-    let missing: Vec<usize> = (0..k).filter(|&j| !have[j]).collect();
+    let missing: Vec<usize> = (0..k).filter(|&j| shard[j].is_none()).collect();
+    let mut rebuilt = Vec::new();
     if !missing.is_empty() {
         // shares = G · shards with G the generator rows at the chosen
         // indices, so shards = G⁻¹ · shares — of which only the rows of
@@ -328,11 +365,15 @@ pub fn try_decode(shares: &[Share], k: usize) -> Result<Vec<u8>, DecodeError> {
         let coeff: Vec<u8> =
             missing.iter().flat_map(|&j| inverse[j * k..(j + 1) * k].iter().copied()).collect();
         let rows: Vec<&[u8]> = chosen.iter().map(|s| &s.data[..]).collect();
-        let mut rebuilt = vec![0u8; missing.len() * len];
-        mul_rows(&coeff, &rows, &mut rebuilt);
-        for (&j, row) in missing.iter().zip(rebuilt.chunks_exact(len)) {
-            padded[j * len..(j + 1) * len].copy_from_slice(row);
-        }
+        rebuilt = vec![0u8; missing.len() * len];
+        mul_rows(&coeff, &rows, &mut rebuilt, len);
+    }
+    // the padded value, row by row in index order: each row is the
+    // data share or the rebuilt one, so each byte is written once
+    let mut rebuilt = rebuilt.chunks_exact(len);
+    let mut padded = Vec::with_capacity(total);
+    for row in &shard {
+        padded.extend_from_slice(row.unwrap_or_else(|| rebuilt.next().expect("a rebuilt row")));
     }
     // padded = data ‖ len ‖ fewer than k zeros, so the trailer starts
     // in the last k windows; anything else is not an `encode` layout.
@@ -486,21 +527,23 @@ mod tests {
     #[test]
     fn mul_rows_matches_scalar_mul_for_every_coefficient() {
         // 70 bytes: two narrow blocks plus a scalar tail; 300 bytes: one
-        // wide block, one narrow block and a 12-byte scalar tail
-        for len in [70u32, 300] {
-            let n = len as usize;
+        // wide block, one narrow block and a 12-byte scalar tail — each
+        // with the rows back to back and a header's gap apart
+        for (len, gap) in [70u32, 300].into_iter().flat_map(|len| [(len, 0), (len, 8)]) {
+            let (n, pitch) = (len as usize, (len + gap) as usize);
             let a: Vec<u8> = (0..len).map(|i| (i * 151 + 7) as u8).collect();
             let b: Vec<u8> = (0..len).map(|i| (i * 29 + 250) as u8).collect();
             for c in 0..=255u8 {
                 // rows [c, c̄] and [1, c]; then the same with column 1 zeroed
                 for coeff in [[c, !c, 1, c], [c, 0, 1, 0]] {
-                    let mut dst = vec![0xEEu8; 2 * n];
-                    mul_rows(&coeff, &[&a, &b], &mut dst);
+                    let mut dst = vec![0xEEu8; pitch + n];
+                    mul_rows(&coeff, &[&a, &b], &mut dst, pitch);
                     for i in 0..n {
-                        let (top, bottom) = (dst[i], dst[n + i]);
+                        let (top, bottom) = (dst[i], dst[pitch + i]);
                         assert_eq!(top, GF.mul(coeff[0], a[i]) ^ GF.mul(coeff[1], b[i]), "len {n}, c {c}, byte {i}");
                         assert_eq!(bottom, GF.mul(coeff[2], a[i]) ^ GF.mul(coeff[3], b[i]), "len {n}, c {c}, byte {i}");
                     }
+                    assert!(dst[n..pitch].iter().all(|&x| x == 0xEE), "the gap is not the kernel's");
                 }
             }
         }
@@ -512,10 +555,10 @@ mod tests {
         // block of either width
         let a: Vec<u8> = (0..287u32).map(|i| (i * 151 + 7) as u8).collect();
         let mut dst = vec![0xEEu8; 287];
-        assert_eq!(blocks::<WIDE>(&[3], &[&a], &mut dst, 256), 256);
-        assert_eq!(blocks::<NARROW>(&[3], &[&a], &mut dst, 256), 256);
+        assert_eq!(blocks::<WIDE>(&[3], &[&a], &mut dst, 287, 256), 256);
+        assert_eq!(blocks::<NARROW>(&[3], &[&a], &mut dst, 287, 256), 256);
         assert!(dst.iter().all(|&x| x == 0xEE));
-        assert_eq!(blocks::<WIDE>(&[3], &[&a], &mut dst, 0), 256);
+        assert_eq!(blocks::<WIDE>(&[3], &[&a], &mut dst, 287, 0), 256);
         assert!(dst[..256].iter().zip(&a).all(|(&x, &y)| x == GF.mul(3, y)));
         assert!(dst[256..].iter().all(|&x| x == 0xEE));
     }
@@ -564,6 +607,24 @@ mod tests {
             let k = 1 + k_seed % m;
             for share in encode(&data, k, m) {
                 prop_assert_eq!(&encode_row(&data, k, share.index), &share, "idx {}", share.index);
+            }
+        }
+
+        #[test]
+        fn prop_sealed_shares_are_the_sealed_encode(
+            data in proptest::collection::vec(any::<u8>(), 0..1_100),
+            m in 1usize..=12, k_seed: usize, version: u32) {
+            // up to 1 100 bytes: at k = 1 a row crosses the 256-byte
+            // blocks, at every k the 32-byte ones, and the pitch is
+            // never the row length
+            let k = 1 + k_seed % m;
+            let shares = encode(&data, k, m);
+            let sealed = encode_sealed(&data, k, m, version);
+            prop_assert_eq!(sealed.len(), m);
+            for (window, share) in sealed.iter().zip(&shares) {
+                let header = ShareHeader { version, index: share.index, k: k as u8, m: m as u8 };
+                prop_assert_eq!(window, &crate::seal(header, share), "share {}", share.index);
+                prop_assert_eq!(crate::open_shared(window), Ok((header, share.clone())));
             }
         }
 

@@ -8,12 +8,17 @@
 //! generator matrix, no barycentric weights, no special case for the
 //! data rows (the product is 1 or 0 there by itself). Shelves and
 //! write-ahead logs hold shares the kernel produced, so it must
-//! reproduce every share byte for byte — at every block edge, and in
-//! the debug and the release build alike (CI runs both).
+//! reproduce every share byte for byte — at every block edge, with the
+//! rows back to back ([`encode`]) or a header apart
+//! ([`encode_sealed`]), and in the debug and the release build alike
+//! (CI runs both).
 
 use bytes::Bytes;
 use dh_erasure::gf256::Gf256;
-use dh_erasure::{encode, encode_row, shard_len, try_decode, DecodeError, Share};
+use dh_erasure::{
+    encode, encode_row, encode_sealed, open_shared, shard_len, try_decode, DecodeError, Share,
+    ShareHeader, HEADER_BYTES,
+};
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -70,6 +75,19 @@ fn check(data: &[u8], k: usize, m: usize, rng: &mut impl Rng) {
     assert_eq!(try_decode(&subset, k).as_deref(), Ok(data), "len {}, k {k}, m {m}", data.len());
 }
 
+/// Every sealed share is the reference share behind its header: the
+/// kernel writing rows at a pitch of `HEADER_BYTES + len`, not `len`.
+fn check_sealed(data: &[u8], k: usize, m: usize, version: u32) {
+    let want = reference_encode(data, k, m);
+    for (i, (sealed, want)) in encode_sealed(data, k, m, version).iter().zip(&want).enumerate() {
+        assert_eq!(sealed.len(), HEADER_BYTES + want.len());
+        assert_eq!(&sealed[HEADER_BYTES..], &want[..], "len {}, k {k}, m {m}, share {i}", data.len());
+        let (header, share) = open_shared(sealed).expect("a sealed share opens");
+        assert_eq!(header, ShareHeader { version, index: i as u8, k: k as u8, m: m as u8 });
+        assert_eq!(&share.data[..], &want[..]);
+    }
+}
+
 fn random_bytes(len: usize, rng: &mut impl Rng) -> Vec<u8> {
     (0..len).map(|_| rng.gen()).collect()
 }
@@ -100,7 +118,8 @@ fn block_edges_match_the_reference() {
     // shard lengths on both sides of the kernel's edges: its 32-byte
     // blocks, its 256-byte blocks, one wide block plus one narrow
     // (288), two wide blocks, and `payload_heavy`'s 4 098-byte shard
-    // (16 wide blocks and a 2-byte scalar tail)
+    // (16 wide blocks and a 2-byte scalar tail) — each at a row pitch
+    // of the row length and at one a header longer
     let mut rng = rand::rngs::StdRng::seed_from_u64(64);
     let edges = [1, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257, 287, 288, 289, 511, 512, 513, 4_098];
     for shard in edges {
@@ -108,7 +127,9 @@ fn block_edges_match_the_reference() {
             // the longest value whose shards are exactly `shard` bytes
             let Some(len) = (shard * k).checked_sub(8) else { continue };
             assert_eq!(shard_len(len, k), shard);
-            check(&random_bytes(len, &mut rng), k, k + 4, &mut rng);
+            let data = random_bytes(len, &mut rng);
+            check(&data, k, k + 4, &mut rng);
+            check_sealed(&data, k, k + 4, rng.gen());
         }
     }
 }

@@ -64,7 +64,7 @@ use cd_core::point::Point;
 use dh_dht::network::{CdNetwork, DistanceHalving, NodeId};
 use dh_dht::proto::route_kind;
 use dh_dht::LookupKind;
-use dh_erasure::{encode, sealed_len, try_decode, Share, ShareHeader};
+use dh_erasure::{encode_sealed, try_decode, Share};
 use dh_obs::Obs;
 use dh_proto::engine::{Engine, EngineStats, OpOutcome, RetryPolicy};
 use dh_proto::health::NetHealth;
@@ -327,6 +327,12 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
     /// arrived intact is placed, acked or not — also on a failed op
     /// (those covers really hold it; repair or a re-put reconciles).
     /// Returns the op outcome and the number of shares placed.
+    ///
+    /// The shares are sealed by the coder itself
+    /// ([`dh_erasure::encode_sealed`]): the generation is fixed before
+    /// the engine runs — it depends on the shelf alone, which the run
+    /// does not touch — and the shelves park windows into the one
+    /// codeword buffer, so no share is copied after it is coded.
     pub fn put_over<T: Transport>(
         &mut self,
         from: NodeId,
@@ -337,8 +343,9 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         retry: RetryPolicy,
     ) -> (OpOutcome, usize) {
         let point = self.hash.point(key);
-        let shares = encode(&value, self.k as usize, self.m as usize);
-        let len = sealed_len(shares[0].data.len()) as u32;
+        let version = self.next_version(key);
+        let sealed = encode_sealed(&value, self.k as usize, self.m as usize, version);
+        let len = sealed[0].len() as u32;
         let action = Action::PutShares { key, len, m: self.m, k: self.k, item: point };
         let out = {
             let mut health = self.health.borrow_mut();
@@ -351,12 +358,21 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
             eng.stats.export(&self.obs, 0);
             eng.take_outcome(op)
         };
-        let placed = self.apply_put(key, point, &shares, &out);
+        let placed = self.apply_put(key, point, version, &sealed, &out);
         (out, placed)
     }
 
-    /// Place the shares a put outcome reports as stored. Returns the
-    /// share count. Two safety rules:
+    /// The generation a put of `key` writes: strictly above every
+    /// share ever placed, so two torn writes can never park different
+    /// payloads under one version.
+    fn next_version(&self, key: u64) -> u32 {
+        let Some(item) = self.shelves.map().get(&key) else { return 1 };
+        item.holders.values().map(|h| h.version).max().unwrap_or(0).max(item.version) + 1
+    }
+
+    /// Place the sealed shares of generation `version` a put outcome
+    /// reports as stored (`sealed[i]` is share `i`). Returns the share
+    /// count. Two safety rules:
     ///
     /// * a request that arrived **corrupted** is rejected wholesale —
     ///   the holders' integrity checks fail every share derived from
@@ -372,26 +388,14 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         &mut self,
         key: u64,
         point: Point,
-        shares: &[Share],
+        version: u32,
+        sealed: &[Bytes],
         out: &OpOutcome,
     ) -> usize {
         if out.shares.is_empty() || out.corrupt {
             return 0;
         }
         let item = self.shelves.map().get(&key);
-        // strictly above every share ever placed, so two torn writes
-        // can never park different payloads under one version
-        let version = item
-            .map(|item| {
-                item.holders
-                    .values()
-                    .map(|h| h.version)
-                    .max()
-                    .unwrap_or(0)
-                    .max(item.version)
-            })
-            .unwrap_or(0)
-            + 1;
         // indices first, while `item` still shows the old placement:
         // an overwrite landing on the same cover (the common case)
         // changes neither, so it touches neither
@@ -414,8 +418,8 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         // the previous committed generation the readable one
         for &idx in &out.shares {
             let node = out.holders[idx as usize];
-            let header = ShareHeader { version, index: idx, k: self.k, m: self.m };
-            self.shelves.park(key, point, idx, Holder::seal(node, header, &shares[idx as usize]));
+            let sealed = sealed[idx as usize].clone();
+            self.shelves.park(key, point, idx, Holder { node, version, sealed });
         }
         if out.ok {
             self.shelves.commit(key, version);

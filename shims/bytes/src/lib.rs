@@ -1,9 +1,11 @@
 //! Offline shim for the subset of the `bytes` crate this workspace
 //! uses: an immutable, cheaply clonable byte buffer. Backed by
-//! `Arc<[u8]>` plus a window, so clones are reference bumps and
-//! [`Bytes::slice`] is zero-copy exactly like upstream — the WAL shelf
-//! store (`dh_store`) leans on this to hand out share payloads as
-//! views into the single recovered file buffer.
+//! `Arc<Vec<u8>>` plus a window, so clones are reference bumps,
+//! [`Bytes::slice`] is zero-copy and `Bytes::from(Vec<u8>)` keeps the
+//! vector's allocation, exactly like upstream — the WAL shelf store
+//! (`dh_store`) leans on this to hand out share payloads as views into
+//! the single recovered file buffer, and the coder to hand out a
+//! codeword's shares as views into the one buffer it wrote.
 
 use std::fmt;
 use std::ops::{Bound, Deref, RangeBounds};
@@ -13,7 +15,7 @@ use std::sync::Arc;
 /// allocation).
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -21,12 +23,12 @@ pub struct Bytes {
 impl Bytes {
     /// An empty buffer.
     pub fn new() -> Self {
-        Bytes { data: Arc::from(&[][..]), start: 0, end: 0 }
+        Bytes::from(Vec::new())
     }
 
     /// Wrap a static byte slice.
     pub fn from_static(bytes: &'static [u8]) -> Self {
-        Bytes { data: Arc::from(bytes), start: 0, end: bytes.len() }
+        Bytes::from(bytes.to_vec())
     }
 
     /// Length in bytes.
@@ -102,10 +104,12 @@ impl std::hash::Hash for Bytes {
     }
 }
 
+/// Takes ownership: the vector's allocation becomes the backing, no
+/// byte is copied.
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
-        Bytes { data: Arc::from(v), start: 0, end }
+        Bytes { data: Arc::new(v), start: 0, end }
     }
 }
 
@@ -181,6 +185,44 @@ mod tests {
             s.finish()
         };
         assert_eq!(h(&window), h(&fresh));
+    }
+
+    #[test]
+    fn from_vec_keeps_the_vectors_buffer() {
+        let v: Vec<u8> = (0..64).collect();
+        let at = v.as_ptr();
+        let a = Bytes::from(v);
+        assert_eq!(a.as_ptr(), at, "From<Vec<u8>> must not copy");
+        let b = a.clone();
+        assert_eq!(b.as_ptr(), at, "clone must share the buffer");
+        assert!(Arc::ptr_eq(&a.data, &b.data));
+        let tail = b.slice(16..);
+        assert_eq!(tail.as_ptr(), at.wrapping_add(16), "slice must be a window");
+        assert_eq!(&tail[..], &(16..64).collect::<Vec<u8>>()[..]);
+        assert_eq!(Bytes::from(String::from("owned")).to_vec(), b"owned".to_vec());
+    }
+
+    #[test]
+    fn new_static_eq_and_hash_are_unchanged() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let h = |b: &Bytes| {
+            let mut s = DefaultHasher::new();
+            b.hash(&mut s);
+            s.finish()
+        };
+        let empty = Bytes::new();
+        assert!(empty.is_empty());
+        assert_eq!(empty.len(), 0);
+        assert_eq!(empty, Bytes::default());
+        assert_eq!(empty, Bytes::from(Vec::new()));
+        assert_eq!(h(&empty), h(&Bytes::from_static(b"")));
+        let s = Bytes::from_static(b"static");
+        assert_eq!(&s[..], b"static");
+        assert_eq!(s, Bytes::from(b"static".to_vec()));
+        assert_eq!(h(&s), h(&Bytes::from(b"static".to_vec())));
+        assert_ne!(s, Bytes::from_static(b"statiC"));
+        assert_eq!(format!("{s:?}"), "b\"static\"");
     }
 
     #[test]
