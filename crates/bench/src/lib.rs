@@ -7,9 +7,8 @@
 //! [`chaos`] are the two storage scenarios behind its rows that a bin
 //! also reports on (`e_obs`: per-node load, cost by plane and an op's
 //! `explain` chain; `e_chaos`: the grey-failure matrix in virtual
-//! ticks). `e_scale` validates and times the million-server build —
-//! the one place here that reads a clock; `figures` renders. None of
-//! them writes a file, and the only wall-clock ledger is `benchmark/`.
+//! ticks); `figures` renders. Nothing here reads a clock or writes a
+//! file: the only wall-clock ledger is `benchmark/`.
 
 #![deny(missing_docs)]
 

@@ -6,7 +6,7 @@
 //! | id | rule | scope |
 //! |----|------|-------|
 //! | D1 `hash-order`      | no `HashMap`/`HashSet` in trace-affecting crates | crates/{proto,dht,replica,store,fault,obs} |
-//! | D2 `nondet-source`   | no `Instant::now`/`SystemTime`/`thread_rng`/`available_parallelism` | everywhere except shims/ and crates/bench/src/bin/ |
+//! | D2 `nondet-source`   | no `Instant::now`/`SystemTime`/`thread_rng`/`available_parallelism` | everywhere except shims/ |
 //! | D3 `unwrap`, `indexing` | no `.unwrap()`/`.expect()`/panicking indexing | store recovery + WAL replay (crates/store/src/{wal,file}.rs) and the fault path (crates/proto/src/{health,fault}.rs) |
 //! | D5 `relaxed-ordering`| every `Ordering::Relaxed` site is on the compiled allowlist | everywhere |
 //!
@@ -94,10 +94,9 @@ fn in_trace_crate(path: &str) -> bool {
 }
 
 fn d2_exempt(path: &str) -> bool {
-    // shims wrap the OS facilities by design; bench bins measure wall
-    // time on purpose (their *traces* come from the engine, not the
-    // clock)
-    path.starts_with("shims/") || path.starts_with("crates/bench/src/bin/")
+    // shims wrap the OS facilities by design; wall-clock measurement
+    // lives in `benchmark/`, outside the workspace
+    path.starts_with("shims/")
 }
 
 /// A parsed `// detlint: allow(rule): justification` pragma.

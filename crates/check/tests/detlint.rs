@@ -80,9 +80,10 @@ fn wall_clock_and_os_randomness_are_flagged() {
     "#;
     let rules = rules_of("crates/dht/src/x.rs", src);
     assert_eq!(rules.iter().filter(|r| *r == "nondet-source").count(), 3, "{rules:?}");
-    // same file under shims/ or a bench bin: exempt
+    // same file under shims/: exempt; under a bench bin: flagged too
     assert_eq!(rules_of("shims/proptest/src/lib.rs", src), Vec::<String>::new());
-    assert_eq!(rules_of("crates/bench/src/bin/e_new.rs", src), Vec::<String>::new());
+    let rules = rules_of("crates/bench/src/bin/e_new.rs", src);
+    assert_eq!(rules.iter().filter(|r| *r == "nondet-source").count(), 3, "{rules:?}");
 }
 
 #[test]

@@ -115,15 +115,9 @@ pub fn random_permutation<G: ContinuousGraph>(net: &CdNetwork<G>, rng: &mut impl
 pub fn reversal_permutation<G: ContinuousGraph>(net: &CdNetwork<G>) -> Vec<NodeId> {
     let mut by_point: Vec<NodeId> = net.live().to_vec();
     by_point.sort_by_key(|&id| net.node(id).x);
-    let n = by_point.len();
-    let mut perm = vec![NodeId(0); n];
-    let rank: std::collections::BTreeMap<NodeId, usize> =
-        by_point.iter().enumerate().map(|(r, &id)| (id, r)).collect();
-    for &id in net.live() {
-        let r = rank[&id];
-        perm[net.live().iter().position(|&x| x == id).expect("live")] = by_point[n - 1 - r];
-    }
-    perm
+    let target: std::collections::BTreeMap<NodeId, NodeId> =
+        by_point.iter().zip(by_point.iter().rev()).map(|(&id, &mirror)| (id, mirror)).collect();
+    net.live().iter().map(|id| target[id]).collect()
 }
 
 #[cfg(test)]
@@ -169,11 +163,26 @@ mod tests {
 
     #[test]
     fn reversal_permutation_is_a_permutation() {
-        let net = DhNetwork::new(&PointSet::evenly_spaced(16));
-        let perm = reversal_permutation(&net);
-        let mut seen: Vec<u32> = perm.iter().map(|id| id.0).collect();
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen.len(), 16);
+        let mut rng = seeded(9);
+        // joins append to live(), so the churned network's slab order
+        // is not its ring order
+        let mut churned = DhNetwork::new(&PointSet::random(32, &mut rng));
+        for _ in 0..8 {
+            churned.join(Point(rng.gen()));
+        }
+        for net in [DhNetwork::new(&PointSet::evenly_spaced(16)), churned] {
+            let perm = reversal_permutation(&net);
+            let n = net.len();
+            let mut seen: Vec<u32> = perm.iter().map(|id| id.0).collect();
+            seen.sort_unstable();
+            seen.dedup();
+            assert_eq!(seen.len(), n);
+            // perm[i] is the ring-rank mirror of live()[i]
+            let x = |id: NodeId| net.node(id).x;
+            let rank = |id: NodeId| net.live().iter().filter(|&&v| x(v) < x(id)).count();
+            for (i, &id) in net.live().iter().enumerate() {
+                assert_eq!(rank(perm[i]), n - 1 - rank(id), "server {i}");
+            }
+        }
     }
 }

@@ -28,9 +28,9 @@
 //!   any transport, and churn as wire traffic.
 //!
 //! Everything runs on the caller's thread (DESIGN.md Non-goals, "No
-//! thread pool"): the batched path is [`CdNetwork::lookup_many`], and
-//! the [`driver`] workloads seed lookup `i` from `sub_rng(seed, i)`, so
-//! a batch is a pure function of `(network, seed)`.
+//! thread pool"): the [`driver`] workloads seed lookup `i` from
+//! `sub_rng(seed, i)`, so a batch is a pure function of
+//! `(network, seed)`.
 //!
 //! Routing uses **only local state**: every hop moves along an entry of
 //! the current node's own neighbor table, and the implementation

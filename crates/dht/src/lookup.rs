@@ -50,23 +50,6 @@ pub enum LookupKind {
     Greedy,
 }
 
-impl std::str::FromStr for LookupKind {
-    type Err = String;
-
-    /// Parse the CLI spelling used by every `e_*` harness binary:
-    /// `fast`, `dh` (also accepts `distance-halving`) or `greedy`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "fast" => Ok(LookupKind::Fast),
-            "dh" | "distance-halving" => Ok(LookupKind::DistanceHalving),
-            "greedy" => Ok(LookupKind::Greedy),
-            other => {
-                Err(format!("unknown lookup kind {other:?} (expected `fast`, `dh` or `greedy`)"))
-            }
-        }
-    }
-}
-
 impl std::fmt::Display for LookupKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
@@ -87,9 +70,8 @@ pub use dh_proto::engine::Path as Route;
 
 /// Reusable per-lookup state: the two-sided walk's digit buffer and
 /// the phase-2 trace. Holding one of these (plus a [`Route`]) across
-/// lookups makes the hot path allocation-free — the `e_scale` harness
-/// and the batched [`CdNetwork::lookup_many`] measure the protocol,
-/// not the allocator.
+/// lookups makes the hot path allocation-free, so a caller timing
+/// lookups measures the protocol, not the allocator.
 pub struct LookupScratch {
     walk: TwoSidedWalk,
     trace: Vec<Point>,
@@ -137,10 +119,9 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         route
     }
 
-    /// Shared head of Fast Lookup: reset `route` and either complete
-    /// the lookup locally (returning `None`) or return the walk start
-    /// `h` and the number of backward hops `t` still to make.
-    fn fast_plan(&self, from: NodeId, target: Point, route: &mut Route) -> Option<(Point, usize)> {
+    /// [`Self::fast_lookup`] into a caller-owned route buffer —
+    /// allocation-free once the buffer has warmed up.
+    pub fn fast_lookup_into(&self, from: NodeId, target: Point, route: &mut Route) {
         assert!(
             self.graph().digit_routing(),
             "{} does not support the digit-walk lookups",
@@ -150,7 +131,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         route.reset(from, seg.midpoint());
         if seg.contains(target) {
             route.push(from, target);
-            return None;
+            return;
         }
         let z = seg.midpoint();
         let delta = self.delta();
@@ -164,17 +145,9 @@ impl<G: ContinuousGraph> CdNetwork<G> {
             assert!(t <= budget, "Fast Lookup failed to land in own segment after {t} steps");
             h = cd_core::walk::prefix_walk_delta(target, z, t, delta);
         }
-        Some((h, t))
-    }
-
-    /// [`Self::fast_lookup`] into a caller-owned route buffer —
-    /// allocation-free once the buffer has warmed up.
-    pub fn fast_lookup_into(&self, from: NodeId, target: Point, route: &mut Route) {
-        let Some((h, t)) = self.fast_plan(from, target, route) else { return };
         // walk t backward edges: exact expansion by ∆ per hop
         let mut cur = from;
         let mut p = h;
-        let delta = self.delta();
         for _ in 0..t {
             p = p.backward_delta(delta);
             cur = self.hop(cur, p, route);
@@ -326,151 +299,6 @@ impl<G: ContinuousGraph> CdNetwork<G> {
             LookupKind::Greedy => self.greedy_lookup_into(from, target, route),
         }
     }
-
-    /// Batched lookups through reused buffers: runs every
-    /// `(from, target)` query, invokes `visit(query_index, route)` with
-    /// each completed route, and returns the total hop count. This is
-    /// the allocation-free bulk driver the throughput benches build on.
-    ///
-    /// Fast lookups are executed by an *interleaved* engine that keeps
-    /// a window of lookups in flight and advances each by one hop per
-    /// round. Every hop of a lookup is a dependent random memory
-    /// access; interleaving makes the accesses of *different* lookups
-    /// overlap in the memory pipeline, which at million-node scale is
-    /// worth several× in single-threaded throughput. Consequently
-    /// `visit` may be called out of query order (each index exactly
-    /// once); per-route results are unchanged — each route is
-    /// identical to what [`Self::fast_lookup`] returns for that query.
-    pub fn lookup_many(
-        &self,
-        kind: LookupKind,
-        queries: &[(NodeId, Point)],
-        rng: &mut impl Rng,
-        mut visit: impl FnMut(usize, &Route),
-    ) -> usize {
-        match kind {
-            LookupKind::Fast => self.fast_lookup_many(queries, visit),
-            LookupKind::DistanceHalving => {
-                let mut scratch = LookupScratch::new();
-                let mut route = Route::empty();
-                let mut total_hops = 0usize;
-                for (i, &(from, target)) in queries.iter().enumerate() {
-                    self.dh_lookup_into(from, target, rng, &mut scratch, &mut route);
-                    total_hops += route.hops();
-                    visit(i, &route);
-                }
-                total_hops
-            }
-            LookupKind::Greedy => {
-                let mut route = Route::empty();
-                let mut total_hops = 0usize;
-                for (i, &(from, target)) in queries.iter().enumerate() {
-                    self.greedy_lookup_into(from, target, &mut route);
-                    total_hops += route.hops();
-                    visit(i, &route);
-                }
-                total_hops
-            }
-        }
-    }
-
-    /// The interleaved Fast-Lookup engine behind [`Self::lookup_many`].
-    fn fast_lookup_many(
-        &self,
-        queries: &[(NodeId, Point)],
-        mut visit: impl FnMut(usize, &Route),
-    ) -> usize {
-        /// In-flight lookups per round: enough to keep several cache
-        /// misses outstanding, small enough that per-slot state stays
-        /// in L1.
-        const WIDTH: usize = 32;
-
-        struct Flight {
-            qi: usize,
-            cur: NodeId,
-            /// Current message position on the backward walk.
-            p: Point,
-            /// Backward hops left before the ring correction.
-            remaining: usize,
-            target: Point,
-        }
-
-        let delta = self.delta();
-        let mut total_hops = 0usize;
-        let mut next = 0usize;
-        let width = WIDTH.min(queries.len());
-        let mut routes: Vec<Route> = (0..width).map(|_| Route::empty()).collect();
-        let mut flights: Vec<Option<Flight>> = (0..width).map(|_| None).collect();
-        let mut active = 0usize;
-
-        // Admit the next query into `slot`; local queries complete
-        // immediately, so keep admitting until one takes flight or the
-        // queue drains.
-        let admit = |slot: usize,
-                         next: &mut usize,
-                         routes: &mut [Route],
-                         total_hops: &mut usize,
-                         visit: &mut dyn FnMut(usize, &Route)|
-         -> Option<Flight> {
-            while *next < queries.len() {
-                let qi = *next;
-                *next += 1;
-                let (from, target) = queries[qi];
-                let route = &mut routes[slot];
-                match self.fast_plan(from, target, route) {
-                    Some((h, t)) => return Some(Flight { qi, cur: from, p: h, remaining: t, target }),
-                    None => {
-                        *total_hops += route.hops();
-                        visit(qi, route);
-                    }
-                }
-            }
-            None
-        };
-
-        for (slot, flight) in flights.iter_mut().enumerate() {
-            *flight = admit(slot, &mut next, &mut routes, &mut total_hops, &mut visit);
-            if flight.is_some() {
-                active += 1;
-            }
-        }
-        while active > 0 {
-            // indexed loop: the body both borrows routes[slot] and
-            // re-assigns flights[slot], which iter_mut can't express
-            #[allow(clippy::needless_range_loop)]
-            for slot in 0..width {
-                let Some(f) = flights[slot].as_mut() else { continue };
-                let route = &mut routes[slot];
-                let done = if f.remaining > 0 {
-                    // one backward hop: exact expansion by ∆
-                    f.p = f.p.backward_delta(delta);
-                    f.cur = self.hop(f.cur, f.p, route);
-                    f.remaining -= 1;
-                    false
-                } else {
-                    // ring correction toward the true cover of target
-                    let state = self.node(f.cur);
-                    if state.covers(f.target) {
-                        route.push(f.cur, f.target);
-                        true
-                    } else {
-                        let succ_start = state.segment.end();
-                        f.cur = self.hop(f.cur, succ_start, route);
-                        false
-                    }
-                };
-                if done {
-                    total_hops += route.hops();
-                    visit(f.qi, route);
-                    flights[slot] = admit(slot, &mut next, &mut routes, &mut total_hops, &mut visit);
-                    if flights[slot].is_none() {
-                        active -= 1;
-                    }
-                }
-            }
-        }
-        total_hops
-    }
 }
 
 #[cfg(test)]
@@ -616,38 +444,6 @@ mod tests {
             net.fast_lookup_into(from, target, &mut route);
             assert_eq!(fresh_fast.nodes, route.nodes);
         }
-    }
-
-    #[test]
-    fn lookup_many_visits_every_query() {
-        let mut rng = seeded(41);
-        let net = DhNetwork::new(&PointSet::random(100, &mut rng));
-        let queries: Vec<(NodeId, Point)> =
-            (0..500).map(|_| (net.random_node(&mut rng), CPoint(rng.gen()))).collect();
-        // The interleaved engine may complete queries out of order, but
-        // must visit each exactly once with the exact route the
-        // sequential Fast Lookup produces.
-        let mut seen = vec![false; queries.len()];
-        let mut hops_sum = 0usize;
-        let total = net.lookup_many(LookupKind::Fast, &queries, &mut rng, |i, route| {
-            assert!(!seen[i], "query {i} visited twice");
-            seen[i] = true;
-            let sequential = net.fast_lookup(queries[i].0, queries[i].1);
-            assert_eq!(route.nodes, sequential.nodes, "route for query {i} diverges");
-            assert_eq!(route.points, sequential.points);
-            hops_sum += route.hops();
-        });
-        assert!(seen.iter().all(|&s| s), "not every query visited");
-        assert_eq!(total, hops_sum);
-
-        // The DH batch path stays in submission order.
-        let mut expect = 0usize;
-        net.lookup_many(LookupKind::DistanceHalving, &queries[..50], &mut rng, |i, route| {
-            assert_eq!(i, expect);
-            expect += 1;
-            assert!(net.node(route.destination()).covers(queries[i].1));
-        });
-        assert_eq!(expect, 50);
     }
 
     #[test]

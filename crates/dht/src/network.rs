@@ -55,8 +55,7 @@
 //!   allocation, no O(degree²) scans.
 //! * **Bulk construction.** [`DhNetwork::with_delta`] derives all
 //!   tables with one sweep over the sorted identifier array instead of
-//!   `n` independent oracle rebuilds, which is what makes the
-//!   million-node `e_scale` scenario build in seconds.
+//!   `n` independent oracle rebuilds.
 
 use cd_core::graph::ContinuousGraph;
 use cd_core::interval::Interval;

@@ -873,8 +873,8 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
                     }
                     (h, t)
                 });
-                // a 0-length walk is the local hit of fast_plan's early
-                // exit; the ring-correction state completes it in place
+                // a 0-length walk is the local hit of `fast_lookup_into`'s
+                // early exit; the ring-correction state completes it in place
                 op.machine = if t == 0 && seg.contains(op.target) {
                     Machine::FastRing
                 } else {
