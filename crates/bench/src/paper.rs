@@ -28,7 +28,7 @@ use crate::{random_points, MASTER_SEED, SIZES};
 use bytes::Bytes;
 use cd_core::graph::{ChordLike, ContinuousGraph, DeBruijn, DistanceHalving};
 use cd_core::hashing::KWiseHash;
-use cd_core::interval::FULL;
+use cd_core::interval::{Interval, FULL};
 use cd_core::point::Point;
 use cd_core::pointset::PointSet;
 use cd_core::rng::seeded;
@@ -45,7 +45,7 @@ use dh_dht::analysis::{check_debruijn_isomorphism, graph_stats};
 use dh_dht::driver::{
     permutation_routing, random_lookups, random_permutation, reversal_permutation,
 };
-use dh_dht::{CdNetwork, DhNetwork, LookupKind, NodeId};
+use dh_dht::{join_over, leave_over, CdNetwork, DhNetwork, LookupKind, NodeId};
 use dh_fault::{FaultModel, OverlapNet, OverlapNodeId};
 use dh_obs::Obs;
 use dh_proto::engine::RetryPolicy;
@@ -324,6 +324,8 @@ claims! {
     E23A Le "§2.1: a join's lookup is a DH Lookup (E6A): max hops of 200 joins" => "2(log₂ n + log₂ ρ) + 3";
     E23B Le "§2.1: servers changing state per join, mean" => "20";
     E23C Le "§2.1: … is O(ρ + ∆), flat in n: spread of the mean over the n sweep" => "1.5";
+    E23D Eq "§2.1: a join sends a JoinSplit or NeighborDiff per server whose table changed (split node, joiner; every live table diffed): msgs of 32 joins" => "tables changed";
+    E23E Eq "§2.1: a graceful leave sends a LeaveMerge plus a NeighborDiff per server whose table changed: msgs of 32 leaves" => "leaves + tables changed";
     T1A  Le "Table 1, path length: mean path ÷ the row's order (Chord, Tapestry, Viceroy log₂ n; CAN d·n^(1/d); Small Worlds log₂² n; DH log_∆ n)" => "c_path (TABLE1)";
     T1B  Le "Table 1, congestion: max load/m ÷ (the row's path order / n)" => "c_cong (TABLE1)";
     T1C  Le "Table 1, linkage: max degree ÷ the row's order (log₂ n, log₂ n, d, 1, 1, ∆); for DH the mean degree, ≤ 2∆ + 4 by Thm 2.1's edge count plus the ring, its max being E8C's" => "c_link (TABLE1)";
@@ -883,8 +885,55 @@ fn join(t: &mut Table, p: &Params) {
         changes.push(costs.iter().map(|c| c.state_changes).sum::<usize>() as f64 / costs.len() as f64);
         t.push(&E23A, at_n(n), hops as f64, bound);
         t.check(&E23B, at_n(n), changes[changes.len() - 1]);
+        member_cost_on(t, DistanceHalving::binary(), n);
+        member_cost_on(t, ChordLike, n);
+        member_cost_on(t, DeBruijn::new(8), n);
     }
     t.check(&E23C, sweep(p.sizes), spread(&changes));
+}
+
+/// Every live table, entry ids and segments, keyed by server.
+fn tables<G: ContinuousGraph>(net: &CdNetwork<G>) -> BTreeMap<NodeId, Vec<(NodeId, Interval)>> {
+    let entries = |id| net.node(id).neighbors.iter().map(|nb| (nb.id, nb.segment)).collect();
+    net.live().iter().map(|&id| (id, entries(id))).collect()
+}
+
+/// §2.1's member cost, checked from outside the derivation: 32 joins
+/// and 32 graceful leaves over the wire, each op's notify messages
+/// against the tables a diff of every live table says it changed. One
+/// point per claim sums the ops; an op that misses its count adds its
+/// own point.
+fn member_cost_on<G: ContinuousGraph>(t: &mut Table, graph: G, n: usize) {
+    let at = format!("{}, n = {n}", graph.label());
+    let mut rng = seeded(MASTER_SEED ^ 0x23DE ^ n as u64);
+    let mut net = CdNetwork::build(graph, &random_points(n, 23));
+    let (kind, retry) = (net.native_kind(), RetryPolicy::default());
+    // (claim, notify messages, bound) over the joins, then the leaves
+    let mut sums = [(&E23D, 0u64, 0u64), (&E23E, 0, 0)];
+    let mut before = tables(&net);
+    for i in 0..64u64 {
+        let side = (i % 2) as usize;
+        let notify = if side == 0 {
+            let (host, x) = (net.random_node(&mut rng), Point(rng.gen()));
+            let joined = join_over(&mut net, host, x, kind, i, &mut Inline, retry);
+            joined.expect("Inline joins a fresh point").1.notify_msgs
+        } else {
+            let v = net.random_node(&mut rng);
+            leave_over(&mut net, v, &mut Inline, i).notify_msgs
+        };
+        let after = tables(&net);
+        let changed = after.iter().filter(|&(id, table)| before.get(id) != Some(table)).count();
+        // a leave's LeaveMerge rides on top of the diffs
+        let bound = (side + changed) as u64;
+        if notify != bound {
+            t.push(sums[side].0, format!("{at}, op {i}"), notify as f64, bound as f64);
+        }
+        (sums[side].1, sums[side].2) = (sums[side].1 + notify, sums[side].2 + bound);
+        before = after;
+    }
+    for (claim, notify, bound) in sums {
+        t.push(claim, &at, notify as f64, bound as f64);
+    }
 }
 
 type Order = fn(f64) -> f64;

@@ -68,17 +68,17 @@ const NO_SHELVES: &[Backend] = &[Backend::Mem];
 const BOTH: &[Backend] = &[Backend::Mem, Backend::File];
 
 /// `e_slo`'s pin, which `e_obs`'s wire fold must reproduce.
-const SLO_WIRE: u64 = 0x9b044eccad1da2bb;
+const SLO_WIRE: u64 = 0x7b10000e1a6ffa25;
 
 /// The table.
 pub static PINS: [Pin; 7] = [
     Pin { name: "e_msgs", backends: NO_SHELVES, scenario: msgs, want: 0xdbb66edfc105b37e },
     Pin { name: "e_table1", backends: NO_SHELVES, scenario: table1, want: 0xe6adac908951bb17 },
-    Pin { name: "e_repl", backends: BOTH, scenario: repl, want: 0xc5191e93a8c4a1b1 },
+    Pin { name: "e_repl", backends: BOTH, scenario: repl, want: 0xc6abaaa04a7f78ed },
     Pin { name: "e_slo", backends: BOTH, scenario: slo_wire, want: SLO_WIRE },
     Pin { name: "e_chaos", backends: BOTH, scenario: chaos_campaign, want: 0xd7818fdebf9f3654 },
     Pin { name: "e_obs wire", backends: BOTH, scenario: obs_wire, want: SLO_WIRE },
-    Pin { name: "e_obs recorder", backends: BOTH, scenario: obs_recorder, want: 0xd0c929dde1e609e1 },
+    Pin { name: "e_obs recorder", backends: BOTH, scenario: obs_recorder, want: 0xcde484eb2176f684 },
 ];
 
 /// Run every row once per backend and return one line per failure:

@@ -70,6 +70,15 @@ pub trait ContinuousGraph: Clone {
     /// afterwards, but bulk and incremental builds must agree).
     fn edge_arcs(&self, seg: &Interval, out: &mut Vec<Interval>);
 
+    /// Append arcs covering a point of every server `U` whose
+    /// [`Self::edge_arcs`] meet `seg` — the owner's *watchers*, which
+    /// the discrete layer derives from these covers (keeping those
+    /// whose table lists the owner), so any superset is exact. The
+    /// default, the edge arcs, suits a symmetric discrete relation.
+    fn preimage_arcs(&self, seg: &Interval, out: &mut Vec<Interval>) {
+        self.edge_arcs(seg, out);
+    }
+
     /// Does this instance support the digit-walk lookups of §2.2 (Fast
     /// Lookup and the two-phase Distance Halving Lookup)? True exactly
     /// for graphs whose `edge_arcs` include the forward images `f_d`
@@ -100,12 +109,17 @@ pub trait ContinuousGraph: Clone {
 }
 
 /// Shared arc derivation of the `f_d(y) = (y+d)/∆` family: the ∆
-/// forward images plus the backward image widened by ∆ ulps (absorbing
-/// the fixed-point flooring of the forward maps — see the edge
-/// derivation notes in `dh_dht::network`).
-fn digit_edge_arcs(delta: u32, seg: &Interval, out: &mut Vec<Interval>) {
+/// forward images, each reaching `back` ulps further back, plus the
+/// backward image widened by ∆ ulps (absorbing the fixed-point
+/// flooring of the forward maps — see the edge derivation notes in
+/// `dh_dht::network`). Edges take `back = 0`. Preimages take 1: `U`'s
+/// widened backward image ends on `b_∆(end of s(U))`, whose `f_d`-image
+/// is the first point past `s(U)`, so when that is `V`'s start `V`'s
+/// forward image misses `U` by one ulp (DESIGN §2).
+fn digit_arcs(delta: u32, back: u64, seg: &Interval, out: &mut Vec<Interval>) {
     for d in 0..delta {
-        out.extend(seg.image_child(d, delta).into_iter().flatten());
+        let pieces = seg.image_child(d, delta).into_iter().flatten();
+        out.extend(pieces.map(|p| p.translated(back.wrapping_neg()).widened(back.into())));
     }
     out.push(seg.image_backward_delta(delta).widened(delta as u128));
 }
@@ -155,7 +169,11 @@ impl ContinuousGraph for DistanceHalving {
     }
 
     fn edge_arcs(&self, seg: &Interval, out: &mut Vec<Interval>) {
-        digit_edge_arcs(self.delta, seg, out);
+        digit_arcs(self.delta, 0, seg, out);
+    }
+
+    fn preimage_arcs(&self, seg: &Interval, out: &mut Vec<Interval>) {
+        digit_arcs(self.delta, 1, seg, out);
     }
 
     fn digit_routing(&self) -> bool {
@@ -203,7 +221,11 @@ impl ContinuousGraph for DeBruijn {
     }
 
     fn edge_arcs(&self, seg: &Interval, out: &mut Vec<Interval>) {
-        digit_edge_arcs(self.delta, seg, out);
+        digit_arcs(self.delta, 0, seg, out);
+    }
+
+    fn preimage_arcs(&self, seg: &Interval, out: &mut Vec<Interval>) {
+        digit_arcs(self.delta, 1, seg, out);
     }
 
     fn digit_routing(&self) -> bool {
@@ -259,6 +281,23 @@ impl ContinuousGraph for ChordLike {
         // covers the union (and s(V) itself; self is dropped by the
         // table derivation).
         out.push(seg.widened(len.min(FULL)));
+    }
+
+    fn preimage_arcs(&self, seg: &Interval, out: &mut Vec<Interval>) {
+        let len = seg.len();
+        // U's finger s(U) + 2⁻ⁱ meets s(V) iff s(U) meets s(V) − 2⁻ⁱ;
+        // translates by 2⁻ⁱ < |s(V)| lie in [x_V − |s(V)|, x_V + |s(V)|).
+        // A U whose short-finger arc reaches x_V ends g < |s(U)| before
+        // it, so covers x_V − 2^k for the power 2^k in (g, 2g] (1 if
+        // g = 0): in that arc or at the start of a long one.
+        for shift in (0..=63u32).rev() {
+            let step = 1u64 << shift;
+            if (step as u128) < len {
+                break;
+            }
+            out.push(seg.translated(step.wrapping_neg()));
+        }
+        out.push(seg.translated((len as u64).wrapping_neg()).widened(len));
     }
 
     fn digit_routing(&self) -> bool {

@@ -34,7 +34,9 @@
 //!
 //! Join and leave maintain the tables incrementally: the set of nodes
 //! whose tables can change is `{split/absorbing node} ∪ watchers`,
-//! where `watchers(X)` is the reverse index of neighbor tables.
+//! where [`CdNetwork::watchers`]`(X)` — the servers whose tables list
+//! `X` — is derived from the continuous graph's preimage arcs when the
+//! operation starts, not stored.
 //!
 //! # Hot-path architecture
 //!
@@ -49,10 +51,10 @@
 //!   O(log n) registry seek plus O(k) pointer chasing.
 //! * **Incremental tables.** Neighbor tables are kept sorted by
 //!   segment start, so the per-hop routing primitive
-//!   ([`NodeState::neighbor_covering`]) is a binary search, and table
-//!   rebuilds diff old vs. new state with a single sort-merge pass
-//!   over scratch buffers owned by the network — no per-event
-//!   allocation, no O(degree²) scans.
+//!   ([`NodeState::neighbor_covering`]) is a binary search, and a
+//!   table rebuild derives the new table and rewrites the old one in
+//!   place over scratch buffers owned by the network — no per-event
+//!   allocation.
 //! * **Bulk construction.** [`DhNetwork::with_delta`] derives all
 //!   tables with one sweep over the sorted identifier array instead of
 //!   `n` independent oracle rebuilds.
@@ -62,7 +64,7 @@ use cd_core::interval::Interval;
 use cd_core::point::Point;
 use cd_core::pointset::PointSet;
 use cd_core::Point as CPoint;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::mem;
 
 // The recipe's instances are part of this crate's vocabulary: a
@@ -88,8 +90,7 @@ pub struct Neighbor {
 // few entries inside two or three cache lines.
 const _: () = assert!(std::mem::size_of::<Neighbor>() == 24);
 
-/// Per-server state: identifier point, owned segment, neighbor table,
-/// reverse index.
+/// Per-server state: identifier point, owned segment, neighbor table.
 #[derive(Clone, Debug)]
 pub struct NodeState {
     /// This node's id.
@@ -100,8 +101,6 @@ pub struct NodeState {
     pub segment: Interval,
     /// The neighbor table (excluding self), sorted by segment start.
     pub neighbors: Vec<Neighbor>,
-    /// Reverse index: nodes whose tables list this node.
-    pub watchers: BTreeSet<NodeId>,
 }
 
 impl NodeState {
@@ -159,8 +158,6 @@ pub struct JoinCost {
 struct ChurnScratch {
     /// Freshly derived neighbor ids (sorted by identifier point).
     ids: Vec<NodeId>,
-    /// Previous table (id, segment-start key), in table order.
-    old: Vec<(u64, NodeId)>,
     /// Nodes whose tables must be rebuilt by the current operation.
     affected: Vec<NodeId>,
     /// Continuous edge-image arcs of the segment being (re)derived.
@@ -266,7 +263,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         }
         // Materialize node state. Index order is identifier order, so
         // the id lists are already sorted by segment start.
-        let mut nodes: Vec<Option<NodeState>> = (0..n)
+        let nodes: Vec<Option<NodeState>> = (0..n)
             .map(|i| {
                 let neighbors: Vec<Neighbor> = flat[offs[i]..offs[i + 1]]
                     .iter()
@@ -277,20 +274,9 @@ impl<G: ContinuousGraph> CdNetwork<G> {
                     x: points.point(i),
                     segment: points.segment(i),
                     neighbors,
-                    watchers: BTreeSet::new(),
                 })
             })
             .collect();
-        // Reverse index in one pass over the CSR lists.
-        for i in 0..n {
-            for &j in &flat[offs[i]..offs[i + 1]] {
-                nodes[j as usize]
-                    .as_mut()
-                    .expect("slab full at build")
-                    .watchers
-                    .insert(NodeId(i as u32));
-            }
-        }
         CdNetwork {
             graph,
             nodes,
@@ -474,69 +460,47 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         out.retain(|&id| id != myself);
     }
 
-    /// Recompute one node's table from its current segment, updating
-    /// the reverse index with a sort-merge diff over the old table.
-    /// Steady-state allocation-free: all intermediates live in
-    /// [`ChurnScratch`].
+    /// The servers whose tables list live node `v`, ascending by id,
+    /// into `out`: the covers of `G::preimage_arcs(s(v))` plus the ring
+    /// neighbours, each kept only if its table lists `v`. The arcs
+    /// reach every such server (DESIGN §2), so the set is exact.
+    fn watchers_into(&self, v: NodeId, out: &mut Vec<NodeId>, arcs: &mut Vec<Interval>) {
+        let state = self.node(v);
+        out.clear();
+        arcs.clear();
+        self.graph.preimage_arcs(&state.segment, arcs);
+        for q in arcs.iter() {
+            self.covers_of_arc_into(q, out);
+        }
+        out.push(self.succ[v.0 as usize]);
+        out.push(self.pred[v.0 as usize]);
+        out.sort_unstable();
+        out.dedup();
+        out.retain(|&u| u != v && self.node(u).neighbor_covering(state.x) == Some(v));
+    }
+
+    /// The servers whose tables list live node `v`, ascending by id —
+    /// the receivers of a `NeighborDiff` when `v`'s segment changes.
+    pub fn watchers(&self, v: NodeId) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        self.watchers_into(v, &mut out, &mut Vec::new());
+        out
+    }
+
+    /// Recompute one node's table from its current segment and rewrite
+    /// it in place. Steady-state allocation-free: all intermediates live
+    /// in [`ChurnScratch`].
     fn rebuild_table(&mut self, id: NodeId) {
         let mut ids = mem::take(&mut self.scratch.ids);
-        let mut old = mem::take(&mut self.scratch.old);
         let mut arcs = mem::take(&mut self.scratch.arcs);
         let seg = self.node(id).segment;
         self.derive_into(&seg, id, &mut ids, &mut arcs);
-        self.scratch.arcs = arcs;
-        // The old table is sorted by stored segment start; identifier
-        // points never change while a node is alive (and a departed
-        // neighbor's key survives in its stored segment), so the stored
-        // start is a stable merge key.
-        old.clear();
-        old.extend(self.node(id).neighbors.iter().map(|nb| (nb.segment.start().bits(), nb.id)));
-        // Sort-merge diff: walk both sorted sequences once, updating
-        // the reverse index for insertions and removals.
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < ids.len() || j < old.len() {
-            let new_key = ids.get(i).map(|&nb| self.node(nb).x.bits());
-            match (new_key, old.get(j).copied()) {
-                (Some(nk), Some((ok, oid))) if nk == ok => {
-                    if ids[i] != oid {
-                        // slot reuse: a node left and another joined at
-                        // the same identifier point
-                        if let Some(n) = self.nodes[oid.0 as usize].as_mut() {
-                            n.watchers.remove(&id);
-                        }
-                        let added = ids[i];
-                        self.node_mut(added).watchers.insert(id);
-                    }
-                    i += 1;
-                    j += 1;
-                }
-                (Some(nk), Some((ok, _))) if nk < ok => {
-                    let added = ids[i];
-                    self.node_mut(added).watchers.insert(id);
-                    i += 1;
-                }
-                (Some(_), None) => {
-                    let added = ids[i];
-                    self.node_mut(added).watchers.insert(id);
-                    i += 1;
-                }
-                (_, Some((_, oid))) => {
-                    // the old neighbor may have just left the network
-                    if let Some(n) = self.nodes[oid.0 as usize].as_mut() {
-                        n.watchers.remove(&id);
-                    }
-                    j += 1;
-                }
-                (None, None) => unreachable!("loop condition"),
-            }
-        }
-        // Rewrite the table in place, reusing its allocation.
         let mut table = mem::take(&mut self.node_mut(id).neighbors);
         table.clear();
         table.extend(ids.iter().map(|&nb| Neighbor { id: nb, segment: self.node(nb).segment }));
         self.node_mut(id).neighbors = table;
         self.scratch.ids = ids;
-        self.scratch.old = old;
+        self.scratch.arcs = arcs;
     }
 
     /// Rebuild the tables listed in `scratch.affected` (deduplicated).
@@ -569,28 +533,22 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         // Split s(old) at x: old keeps [x_old, x), new gets [x, old_end).
         let old_seg = self.node(old).segment;
         let (keep, give) = old_seg.split(x);
+        // affected: old and everyone watching it, derived before mutation
+        let mut scratch = mem::take(&mut self.scratch);
+        self.watchers_into(old, &mut scratch.affected, &mut scratch.arcs);
+        scratch.affected.push(old);
+        self.scratch = scratch;
         // allocate
         let id = match self.free.pop() {
             Some(slot) => {
                 let id = NodeId(slot);
-                self.nodes[slot as usize] = Some(NodeState {
-                    id,
-                    x,
-                    segment: give,
-                    neighbors: Vec::new(),
-                    watchers: BTreeSet::new(),
-                });
+                self.nodes[slot as usize] =
+                    Some(NodeState { id, x, segment: give, neighbors: Vec::new() });
                 id
             }
             None => {
                 let id = NodeId(self.nodes.len() as u32);
-                self.nodes.push(Some(NodeState {
-                    id,
-                    x,
-                    segment: give,
-                    neighbors: Vec::new(),
-                    watchers: BTreeSet::new(),
-                }));
+                self.nodes.push(Some(NodeState { id, x, segment: give, neighbors: Vec::new() }));
                 self.live_pos.push(0);
                 self.succ.push(id);
                 self.pred.push(id);
@@ -607,13 +565,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         self.succ[id.0 as usize] = after;
         self.pred[after.0 as usize] = id;
         self.node_mut(old).segment = keep;
-        // rebuild affected tables: new, old, and everyone watching old
-        let mut affected = mem::take(&mut self.scratch.affected);
-        affected.clear();
-        affected.extend(self.node(old).watchers.iter().copied());
-        affected.push(old);
-        affected.push(id);
-        self.scratch.affected = affected;
+        self.scratch.affected.push(id);
         self.rebuild_affected();
         Some(id)
     }
@@ -634,7 +586,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         }
         let route = self.native_lookup(host, x, rng);
         debug_assert_eq!(route.destination(), self.cover_of(x));
-        let affected_before = self.node(route.destination()).watchers.len() + 2;
+        let affected_before = self.watchers(route.destination()).len() + 2;
         let id = self.join(x)?;
         Some(JoinCost {
             id,
@@ -674,23 +626,15 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         let seg = self.node(id).segment;
         let pred = self.pred[id.0 as usize];
         debug_assert_ne!(pred, id);
-        // affected set, computed before mutation
-        let mut affected = mem::take(&mut self.scratch.affected);
-        affected.clear();
-        affected.extend(self.node(id).watchers.iter().copied());
-        affected.extend(self.node(pred).watchers.iter().copied());
+        // affected set, derived before mutation (scratch.ids is free
+        // here — rebuilds happen only at the end of leave)
+        let mut scratch = mem::take(&mut self.scratch);
+        let ChurnScratch { ids: of_pred, affected, arcs } = &mut scratch;
+        self.watchers_into(id, affected, arcs);
+        self.watchers_into(pred, of_pred, arcs);
+        affected.extend(of_pred.iter().copied().filter(|&a| a != id));
         affected.push(pred);
-        affected.retain(|&a| a != id);
-        self.scratch.affected = affected;
-        // detach: remove from tables' reverse index (scratch.ids is
-        // free here — rebuilds happen only at the end of leave)
-        let mut detach = mem::take(&mut self.scratch.ids);
-        detach.clear();
-        detach.extend(self.node(id).neighbors.iter().map(|nb| nb.id));
-        for &nb in &detach {
-            self.node_mut(nb).watchers.remove(&id);
-        }
-        self.scratch.ids = detach;
+        self.scratch = scratch;
         // pred absorbs the segment
         let pred_seg = self.node(pred).segment;
         let merged =
@@ -719,8 +663,8 @@ impl<G: ContinuousGraph> CdNetwork<G> {
 
     /// Check global invariants (used by tests after churn):
     /// segments tile the circle, registry and ring pointers agree with
-    /// node state, tables match fresh derivation and are sorted, the
-    /// reverse index is consistent.
+    /// node state, tables match fresh derivation and are sorted, and
+    /// [`Self::watchers`] equals a reverse scan of every table.
     pub fn validate(&self) {
         // segments tile; ring pointers agree with the registry order
         let mut total: u128 = 0;
@@ -746,7 +690,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
             total += n.segment.len();
         }
         assert_eq!(total, cd_core::interval::FULL, "segments must tile the circle");
-        // tables match derivation, stay sorted, watchers consistent
+        // tables match derivation and stay sorted
         let mut fresh: Vec<NodeId> = Vec::new();
         let mut arcs: Vec<Interval> = Vec::new();
         for &id in &self.live {
@@ -766,8 +710,20 @@ impl<G: ContinuousGraph> CdNetwork<G> {
                     "stale segment info for {} in table of {id}",
                     nb.id
                 );
-                assert!(self.node(nb.id).watchers.contains(&id), "missing watcher backlink");
             }
+        }
+        // derived watchers = a brute-force reverse scan of the tables
+        let mut listed: Vec<Vec<NodeId>> = vec![Vec::new(); self.nodes.len()];
+        for &id in &self.live {
+            for nb in &self.node(id).neighbors {
+                listed[nb.id.0 as usize].push(id);
+            }
+        }
+        for &v in &self.live {
+            let scan = &mut listed[v.0 as usize];
+            scan.sort_unstable();
+            self.watchers_into(v, &mut fresh, &mut arcs);
+            assert_eq!(fresh, *scan, "derived watchers of {v} miss or add a table");
         }
     }
 
@@ -1028,6 +984,19 @@ mod tests {
         let tiny = DhNetwork::new(&PointSet::new(vec![CPoint(0), CPoint(1 << 63)]));
         tiny.clique_of(CPoint(7), 6, &mut clique);
         assert_eq!(clique.len(), 2);
+    }
+
+    #[test]
+    fn watchers_reach_one_ulp_past_a_forward_image() {
+        // Evenly spaced ids: V0's widened backward image [0, 2⁻²]
+        // ends exactly on V2's start, but V2's forward image f_0 starts
+        // at 2⁻³ = V1's start, one ulp past s(V0). The relation is not
+        // symmetric there, and the preimage arcs still find V0.
+        let net = DhNetwork::new(&PointSet::evenly_spaced(8));
+        let lists = |u: u32, v: u32| net.node(NodeId(u)).neighbors.iter().any(|nb| nb.id == NodeId(v));
+        assert!(lists(0, 2) && !lists(2, 0));
+        assert!(net.watchers(NodeId(2)).contains(&NodeId(0)));
+        net.validate();
     }
 
     #[test]

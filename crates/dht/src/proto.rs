@@ -13,7 +13,8 @@
 //! This module also drives **churn through messages**:
 //! [`join_over`]/[`leave_over`] run the paper's Join/Leave algorithms
 //! as wire traffic (lookup steps, a `JoinSplit`/`LeaveMerge` RPC, one
-//! `NeighborDiff` per affected watcher) while the verified incremental
+//! `NeighborDiff` per server whose table changes — the watchers
+//! [`CdNetwork::watchers`] derives) while the verified incremental
 //! table maintenance of [`CdNetwork`] applies the state transition —
 //! the message layer prices what the state layer does.
 
@@ -145,7 +146,8 @@ pub struct ChurnMsgCost {
     /// Messages of the initial lookup (Join step 2; 0 for Leave).
     pub lookup_msgs: u64,
     /// The `JoinSplit`/`LeaveMerge` RPC plus one `NeighborDiff` per
-    /// server whose table the operation rebuilt.
+    /// server whose table the operation changed, however many of its
+    /// entries changed.
     pub notify_msgs: u64,
     /// Total modeled bytes of all of the above.
     pub bytes: u64,
@@ -192,11 +194,10 @@ pub fn join_over<G: ContinuousGraph, T: Transport>(
         eng.run();
         out.dest.expect("completed")
     };
-    // the affected set: the split node's watchers (their tables are
-    // rebuilt), known locally at `dest` via its reverse index — a
-    // `BTreeSet`, so the notification order (and any recorded trace) is
-    // ascending id, a pure function of the membership
-    let watchers: Vec<NodeId> = net.node(dest).watchers.iter().copied().collect();
+    // the affected set, derived before the split: the split node's
+    // watchers, ascending by id, so the notification order (and any
+    // recorded trace) is a pure function of the membership
+    let watchers = net.watchers(dest);
     let id = net.join(x)?;
     // step 4: the split node informs every affected server; the joiner
     // receives its freshly derived table
@@ -216,9 +217,9 @@ pub fn join_over<G: ContinuousGraph, T: Transport>(
 }
 
 /// The simple Leave (§2.1) as wire traffic: `LeaveMerge` hands the
-/// segment to the ring predecessor, then the departing server and the
-/// predecessor notify every watcher whose table must be rebuilt. The
-/// verified [`CdNetwork::leave`] applies the state transition. The
+/// segment to the ring predecessor, then each watcher of either gets
+/// one `NeighborDiff` with an entry per server of the two it lists.
+/// The verified [`CdNetwork::leave`] applies the state transition. The
 /// leaver's shares follow as `dh_replica`'s repair frames.
 pub fn leave_over<G: ContinuousGraph, T: Transport>(
     net: &mut CdNetwork<G>,
@@ -228,28 +229,26 @@ pub fn leave_over<G: ContinuousGraph, T: Transport>(
 ) -> ChurnMsgCost {
     let pred = net.ring_pred(id);
     let mut cost = ChurnMsgCost::default();
-    let mut notify: Vec<(NodeId, NodeId)> = Vec::new();
-    for &w in &net.node(id).watchers {
-        if w != id {
-            notify.push((id, w));
+    let (of_leaver, of_pred) = (net.watchers(id), net.watchers(pred));
+    // the leaver tells its watchers, the predecessor the rest of its
+    // own; sent in (sender, receiver) order
+    let mut notify: Vec<(NodeId, NodeId, u32)> = Vec::new();
+    for &w in &of_leaver {
+        notify.push((id, w, 1 + u32::from(of_pred.binary_search(&w).is_ok())));
+    }
+    for &w in &of_pred {
+        if w != id && of_leaver.binary_search(&w).is_err() {
+            notify.push((pred, w, 1));
         }
     }
-    for &w in &net.node(pred).watchers {
-        if w != id {
-            notify.push((pred, w));
-        }
-    }
-    // deterministic notification order: each `watchers` is a `BTreeSet`
-    // and iterates ascending, but the leaver's and the predecessor's
-    // lists are concatenated — sort the pairs by (sender, receiver)
     notify.sort_unstable();
     {
         let mut eng = Engine::new(&*net, &mut *transport, seed);
         cost.notify_msgs += 1;
         cost.bytes += Wire::LeaveMerge.wire_bytes();
         eng.send(id, pred, Wire::LeaveMerge);
-        for &(src, dst) in &notify {
-            let msg = Wire::NeighborDiff { entries: 1 };
+        for &(src, dst, entries) in &notify {
+            let msg = Wire::NeighborDiff { entries };
             cost.notify_msgs += 1;
             cost.bytes += msg.wire_bytes();
             eng.send(src, dst, msg);
@@ -263,10 +262,11 @@ pub fn leave_over<G: ContinuousGraph, T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::DhNetwork;
+    use crate::network::{ChordLike, DhNetwork};
     use cd_core::pointset::PointSet;
     use cd_core::rng::seeded;
-    use dh_proto::transport::{Inline, Recorder, Sim};
+    use dh_proto::transport::{Delivery, Inline, Recorder, Sim};
+    use dh_proto::wire::Envelope;
 
     #[test]
     fn topology_view_matches_network_state() {
@@ -297,30 +297,38 @@ mod tests {
         }
     }
 
-    #[test]
-    fn churn_over_messages_preserves_invariants_and_locality() {
-        let mut rng = seeded(52);
-        let mut net = DhNetwork::new(&PointSet::random(64, &mut rng));
-        let mut transport = Inline;
-        let mut joined: Vec<NodeId> = Vec::new();
+    /// `Inline`, logging the receiver of every `NeighborDiff`.
+    #[derive(Default)]
+    struct Diffs(Vec<NodeId>);
+
+    impl Transport for Diffs {
+        fn plan(&mut self, now: u64, env: &Envelope, out: &mut Vec<Delivery>) {
+            if matches!(env.msg, Wire::NeighborDiff { .. }) {
+                self.0.push(env.dst);
+            }
+            Inline.plan(now, env, out)
+        }
+    }
+
+    fn churn_over<G: ContinuousGraph>(mut net: CdNetwork<G>, seed: u64) -> u64 {
+        let (mut rng, kind) = (seeded(seed), net.native_kind());
+        let mut transport = Recorder::new(Diffs::default());
         for i in 0..120u64 {
+            transport.inner_mut().0.clear();
             if net.len() > 8 && rng.gen_bool(0.45) {
                 let v = net.random_node(&mut rng);
                 let cost = leave_over(&mut net, v, &mut transport, i);
-                assert!(cost.notify_msgs >= 1);
-                joined.retain(|&j| j != v);
+                // one NeighborDiff per distinct receiver, never two
+                let mut receivers = transport.inner_mut().0.clone();
+                receivers.sort_unstable();
+                receivers.dedup();
+                assert_eq!(receivers.len(), transport.inner_mut().0.len(), "a receiver told twice");
+                assert_eq!(cost.notify_msgs, 1 + receivers.len() as u64);
             } else {
                 let host = net.random_node(&mut rng);
                 let x = Point(rng.gen());
-                if let Some((id, cost)) = join_over(
-                    &mut net,
-                    host,
-                    x,
-                    LookupKind::DistanceHalving,
-                    i,
-                    &mut transport,
-                    RetryPolicy::default(),
-                ) {
+                let retry = RetryPolicy::default();
+                if let Some((id, cost)) = join_over(&mut net, host, x, kind, i, &mut transport, retry) {
                     assert!(net.node(id).covers(x));
                     // join must stay local: O(degree) notifications
                     assert!(
@@ -329,11 +337,18 @@ mod tests {
                         cost.notify_msgs
                     );
                     assert!(cost.lookup_msgs <= 40);
-                    joined.push(id);
                 }
             }
         }
         net.validate();
+        transport.fingerprint()
+    }
+
+    #[test]
+    fn churn_over_messages_preserves_invariants_and_locality() {
+        let dh = || DhNetwork::new(&PointSet::random(64, &mut seeded(52)));
+        assert_eq!(churn_over(dh(), 52), churn_over(dh(), 52), "a seeded storm replays exactly");
+        churn_over(CdNetwork::build(ChordLike, &PointSet::random(64, &mut seeded(53))), 53);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use cd_core::pointset::PointSet;
 use cd_core::rng::seeded;
 use cd_core::Point;
 use dh_dht::proto::route_kind;
-use dh_dht::{CdNetwork, LookupKind, Route};
+use dh_dht::{CdNetwork, LookupKind, NodeId, Route};
 use dh_proto::engine::{Engine, RetryPolicy};
 use dh_proto::transport::Inline;
 use dh_proto::wire::Action;
@@ -127,6 +127,56 @@ fn bulk_build_matches_incremental_joins_for_new_instances() {
     }
     check(ChordLike, 0xB0);
     check(DeBruijn::new(8), 0xB1);
+}
+
+/// After every op of a 2 000-op join/leave storm, each live server's
+/// derived watchers equal a brute-force reverse scan of every live
+/// table — on the graphs the tables are symmetric for and on the
+/// directed Chord-like one.
+fn watchers_match_a_reverse_scan<G: ContinuousGraph>(graph: G, seed: u64) {
+    let mut rng = seeded(seed);
+    let mut net = CdNetwork::build(graph, &PointSet::random(512, &mut rng));
+    let mut listed: Vec<Vec<NodeId>> = Vec::new();
+    for step in 0..2000 {
+        if rng.gen_bool(0.5) {
+            let v = net.random_node(&mut rng);
+            net.leave(v);
+        } else {
+            net.join(Point(rng.gen()));
+        }
+        listed.iter_mut().for_each(Vec::clear);
+        listed.resize(net.slab_len(), Vec::new());
+        for &u in net.live() {
+            for nb in &net.node(u).neighbors {
+                listed[nb.id.0 as usize].push(u);
+            }
+        }
+        for &v in net.live() {
+            let scan = &mut listed[v.0 as usize];
+            scan.sort_unstable();
+            assert_eq!(net.watchers(v), *scan, "{} step {step}: watchers of {v}", net.graph().label());
+        }
+    }
+}
+
+#[test]
+fn derived_watchers_equal_a_reverse_scan_dh() {
+    watchers_match_a_reverse_scan(DistanceHalving::binary(), 0xD0);
+}
+
+#[test]
+fn derived_watchers_equal_a_reverse_scan_dh8() {
+    watchers_match_a_reverse_scan(DistanceHalving::with_delta(8), 0xD1);
+}
+
+#[test]
+fn derived_watchers_equal_a_reverse_scan_debruijn8() {
+    watchers_match_a_reverse_scan(DeBruijn::new(8), 0xD2);
+}
+
+#[test]
+fn derived_watchers_equal_a_reverse_scan_chord() {
+    watchers_match_a_reverse_scan(ChordLike, 0xD3);
 }
 
 #[test]

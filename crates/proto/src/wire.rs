@@ -119,8 +119,9 @@ pub enum Wire {
     /// §2.1). Its shares travel as repair frames to the covers entering
     /// its cliques.
     LeaveMerge,
-    /// Tell a watcher that the sender's segment changed so its table
-    /// entry must be refreshed (steps 4 of Join/Leave).
+    /// Tell a watcher that segments its table lists changed (step 4 of
+    /// Join/Leave): one per watcher per churn event, however many of
+    /// its entries it must refresh.
     NeighborDiff {
         /// Number of table entries the receiver must refresh.
         entries: u32,
