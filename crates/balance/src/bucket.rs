@@ -80,11 +80,6 @@ impl BucketRing {
         self.buckets.is_empty()
     }
 
-    /// Number of buckets.
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Bucket sizes in ring order.
     pub fn bucket_sizes(&self) -> Vec<usize> {
         self.buckets.iter().map(std::vec::Vec::len).collect()

@@ -8,7 +8,7 @@ use cd_core::graph::ChordLike;
 use cd_core::pointset::PointSet;
 use cd_core::rng::seeded;
 use cd_core::Point;
-use dh_dht::CdNetwork;
+use dh_dht::{CdNetwork, LookupKind};
 use p2p_baselines::chord::Chord;
 use p2p_baselines::scheme::LookupScheme;
 use rand::Rng;
@@ -38,7 +38,7 @@ fn cd_chord_matches_classic_chord_routing_profile() {
     for _ in 0..m {
         let from = net.random_node(&mut rng);
         let target = Point(rng.gen());
-        let route = net.greedy_lookup(from, target);
+        let route = net.lookup(LookupKind::Greedy, from, target, &mut rng);
         assert!(net.node(route.destination()).covers(target));
         cd_hops += route.hops();
     }

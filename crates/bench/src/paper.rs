@@ -875,14 +875,18 @@ fn join(t: &mut Table, p: &Params) {
         let ps = random_points(n, 23);
         let bound = dh_path_bound(n, ps.smoothness());
         let mut net = DhNetwork::new(&ps);
-        let costs: Vec<_> = (0..200)
-            .filter_map(|_| {
-                let host = net.random_node(&mut rng);
-                net.join_via_lookup(host, Point(rng.gen()), &mut rng)
+        let (kind, retry) = (net.native_kind(), RetryPolicy::default());
+        let costs: Vec<_> = (0..200u64)
+            .filter_map(|i| {
+                let (host, x) = (net.random_node(&mut rng), Point(rng.gen()));
+                join_over(&mut net, host, x, kind, i, &mut Inline, retry).map(|(_, cost)| cost)
             })
             .collect();
-        let hops = costs.iter().map(|c| c.lookup_hops).max().expect("joins");
-        changes.push(costs.iter().map(|c| c.state_changes).sum::<usize>() as f64 / costs.len() as f64);
+        // under Inline a lookup message is a hop, and the notifications
+        // (JoinSplit, a diff per watcher, the joiner's table) reach
+        // exactly the servers whose state changed
+        let hops = costs.iter().map(|c| c.lookup_msgs).max().expect("joins");
+        changes.push(costs.iter().map(|c| c.notify_msgs).sum::<u64>() as f64 / costs.len() as f64);
         t.push(&E23A, at_n(n), hops as f64, bound);
         t.check(&E23B, at_n(n), changes[changes.len() - 1]);
         member_cost_on(t, DistanceHalving::binary(), n);

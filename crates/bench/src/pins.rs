@@ -25,13 +25,14 @@ use crate::{chaos, MASTER_SEED};
 use bytes::Bytes;
 use cd_core::graph::{ChordLike, ContinuousGraph, DeBruijn, DistanceHalving};
 use cd_core::pointset::PointSet;
-use cd_core::rng::{seeded, subseed};
+use cd_core::rng::{seeded, splitmix64, sub_rng, subseed};
 use cd_core::Point;
-use dh_dht::proto::lookups_over;
+use dh_dht::proto::route_kind;
 use dh_dht::{CdNetwork, DhNetwork, LookupKind};
 use dh_obs::Obs;
-use dh_proto::engine::RetryPolicy;
-use dh_proto::transport::{Inline, Recorder, Sim};
+use dh_proto::engine::{Engine, RetryPolicy};
+use dh_proto::transport::{Inline, Recorder, Sim, Transport};
+use dh_proto::wire::Action;
 use dh_replica::{ReplicatedDht, Shelves};
 use dh_store::{FileShelves, MemShelves, ScratchPath};
 use rand::Rng;
@@ -115,38 +116,96 @@ fn sim(seed: u64) -> Recorder<Sim> {
 const LOOKUPS: (usize, usize) = (10_000, 5_000);
 const LOOKUP_SEED: u64 = MASTER_SEED ^ 0x06E5;
 
+/// What a lookup batch cost on the wire.
+struct Batch {
+    /// Lookups that completed.
+    ok: usize,
+    /// Hops of the completed lookups, summed.
+    hops: u64,
+    /// Messages handed to the transport, all attempts.
+    msgs: u64,
+    /// Modeled bytes of those messages.
+    bytes: u64,
+    /// End-to-end op restarts.
+    retries: u64,
+}
+
+impl Batch {
+    /// Messages per completed lookup.
+    fn msgs_per_op(&self) -> f64 {
+        self.msgs as f64 / self.ok.max(1) as f64
+    }
+}
+
+/// The lookup rows' batch through one engine over `transport`: pair
+/// `i` is drawn from `sub_rng(LOOKUP_SEED, i)` as in
+/// `dh_dht::driver::random_lookups` and submitted at tick 2·i, and the
+/// engine draws each op's digits from its own seed.
+fn lookups<G: ContinuousGraph, T: Transport>(
+    net: &CdNetwork<G>,
+    kind: LookupKind,
+    transport: T,
+) -> (Batch, T) {
+    let ((_, m), seed) = (LOOKUPS, LOOKUP_SEED);
+    let mut eng = Engine::new(net, transport, splitmix64(seed ^ 0x0E6E))
+        .with_retry(RetryPolicy::patient());
+    let ops: Vec<_> = (0..m as u64)
+        .map(|i| {
+            let mut rng = sub_rng(seed, i);
+            let (from, target) = (net.random_node(&mut rng), Point(rng.gen()));
+            eng.submit_at(2 * i, route_kind(kind), from, target, Action::Locate)
+        })
+        .collect();
+    eng.run();
+    let (mut ok, mut hops) = (0, 0);
+    for op in ops {
+        let out = eng.take_outcome(op);
+        if out.ok {
+            ok += 1;
+            hops += out.path.hops() as u64;
+        }
+    }
+    let stats = eng.stats;
+    let batch =
+        Batch { ok, hops, msgs: stats.msgs, bytes: stats.bytes, retries: stats.retries };
+    (batch, eng.into_transport())
+}
+
 /// Lookup cost on the wire: Fast and two-phase lookups over `Inline`
 /// (1 message per hop), a recorded lossless `Sim` (the fold) and a
 /// lossy, duplicating `Sim` absorbed by end-to-end retry.
 fn msgs(_: Backend) -> u64 {
     let ((n, m), seed) = (LOOKUPS, LOOKUP_SEED);
     let net = DhNetwork::new(&PointSet::random(n, &mut seeded(seed ^ 0x0E75)));
-    let retry = RetryPolicy::patient();
     let logn = (n as f64).log2();
     let mut fingerprint = 0u64;
     for (kind, bound) in
         [(LookupKind::Fast, logn + 2.0), (LookupKind::DistanceHalving, 2.0 * logn + 14.0)]
     {
-        let (inline, _) = lookups_over(&net, kind, m, seed, Inline, retry, 2);
-        assert_eq!(inline.failed, 0, "{kind}: Inline cannot fail an op");
-        assert!(inline.bytes_per_op() > inline.msgs_per_op(), "every message has a header");
+        let (inline, _) = lookups(&net, kind, Inline);
+        assert_eq!(inline.ok, m, "{kind}: Inline cannot fail an op");
+        assert_eq!(
+            (inline.msgs, inline.retries),
+            (inline.hops, 0),
+            "{kind}: under Inline every hop is exactly one message, sent once"
+        );
+        assert!(inline.bytes > inline.msgs, "every message has a header");
         assert!(
             inline.msgs_per_op() <= bound,
             "{kind}: {:.2} msgs/op exceeds the Corollary 2.5 / Theorem 2.8 shape {bound:.1}",
             inline.msgs_per_op()
         );
-        let (lossless, rec) = lookups_over(&net, kind, m, seed, sim(seed), retry, 2);
-        assert_eq!(lossless.failed, 0, "{kind}: a lossless transport cannot fail an op");
+        let (lossless, rec) = lookups(&net, kind, sim(seed));
+        assert_eq!(lossless.ok, m, "{kind}: a lossless transport cannot fail an op");
         assert_eq!(
-            lossless.msgs_per_op().to_bits(),
-            inline.msgs_per_op().to_bits(),
+            lossless.msgs, inline.msgs,
             "{kind}: lossless latency changes schedules, never routes"
         );
         fingerprint ^= rec.fingerprint();
         // a few lossy lookups may exhaust the retry budget; every
         // retransmission is charged either way
         let lossy_net = Sim::new(seed).with_latency(4, 16, 4).with_drop(0.01).with_dup(0.005);
-        let (lossy, _) = lookups_over(&net, kind, m, seed, lossy_net, retry, 2);
+        let (lossy, _) = lookups(&net, kind, lossy_net);
         assert!(
             lossy.msgs_per_op() >= lossless.msgs_per_op(),
             "{kind}: retransmissions cannot make lookups cheaper"
@@ -160,13 +219,11 @@ fn msgs(_: Backend) -> u64 {
 /// ∆ = 8 (Fast), Chord-like (greedy).
 fn table1(_: Backend) -> u64 {
     fn row<G: ContinuousGraph>(graph: G, kind: LookupKind, points: &PointSet) -> u64 {
-        let ((_, m), seed) = (LOOKUPS, LOOKUP_SEED);
         let label = graph.label();
         let net = CdNetwork::build(graph, points);
-        let retry = RetryPolicy::patient();
-        let (inline, _) = lookups_over(&net, kind, m, seed, Inline, retry, 2);
-        assert_eq!(inline.failed, 0, "{label}: Inline cannot fail an op");
-        let (lossless, rec) = lookups_over(&net, kind, m, seed, sim(seed), retry, 2);
+        let (inline, _) = lookups(&net, kind, Inline);
+        assert_eq!(inline.ok, LOOKUPS.1, "{label}: Inline cannot fail an op");
+        let (lossless, rec) = lookups(&net, kind, sim(LOOKUP_SEED));
         assert_eq!(
             lossless.msgs, inline.msgs,
             "{label}: lossless latency changes schedules, never routes"

@@ -7,10 +7,7 @@
 //! Mersenne prime field `GF(2^61 − 1)`, evaluated by Horner's rule with
 //! fast Mersenne reduction.
 //!
-//! For inputs that are arbitrary byte strings we first fold to a `u64`
-//! with FNV-1a. Folding can collide, which formally breaks k-wise
-//! independence over byte strings; all experiments in this repository
-//! use `u64` item identifiers, for which the family is exactly k-wise
+//! Items are `u64` identifiers, for which the family is exactly k-wise
 //! independent (over the prime field, then scaled to the circle).
 
 use crate::point::Point;
@@ -83,15 +80,10 @@ impl KWiseHash {
         // Scale [0, P) → [0, 2^64) preserving uniformity up to one ulp.
         Point((((h as u128) << 64) / MERSENNE_P as u128) as u64)
     }
-
-    /// Hash arbitrary bytes (FNV-1a fold, then the polynomial — see the
-    /// module docs for the independence caveat).
-    pub fn point_bytes(&self, bytes: &[u8]) -> Point {
-        self.point(fnv1a(bytes))
-    }
 }
 
-/// FNV-1a, used only to fold byte strings into `u64` identifiers.
+/// FNV-1a over a byte string: a fingerprint, not a member of the
+/// k-wise family.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

@@ -72,21 +72,9 @@ impl Point2 {
         Point2 { x: self.x, y: Point(self.y.0.wrapping_sub(self.x.0)) }
     }
 
-    /// The four Gabber-Galil neighbours of this point.
-    pub fn gg_neighbors(self) -> [Point2; 4] {
-        [self.gg_f(), self.gg_g(), self.gg_f_inv(), self.gg_g_inv()]
-    }
-
     /// Torus L∞ distance (used by grid-based smoothness checks).
     pub fn linf_dist(self, other: Self) -> u64 {
         self.x.ring_dist(other.x).max(self.y.ring_dist(other.y))
-    }
-
-    /// Squared Euclidean torus distance in `f64` (for Voronoi seeding).
-    pub fn torus_dist2(self, other: Self) -> f64 {
-        let dx = self.x.ring_dist(other.x) as f64 / 2f64.powi(64);
-        let dy = self.y.ring_dist(other.y) as f64 / 2f64.powi(64);
-        dx * dx + dy * dy
     }
 }
 

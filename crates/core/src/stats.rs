@@ -1,5 +1,5 @@
 //! Small statistics toolkit for the experiment harnesses: summary
-//! statistics, quantiles, log-scale histograms and Markdown tables.
+//! statistics, quantiles and Markdown tables.
 //!
 //! The paper states its results as asymptotic bounds (`O(log n)`,
 //! `Θ(log n / n)`, …); the harnesses report measured summaries next to
@@ -58,14 +58,6 @@ impl Summary {
     pub fn of_u64<I: IntoIterator<Item = u64>>(values: I) -> Summary {
         Summary::of(values.into_iter().map(|x| x as f64))
     }
-
-    /// Compact single-line rendering for harness output.
-    pub fn brief(&self) -> String {
-        format!(
-            "mean {:.2} p50 {:.2} p95 {:.2} p99 {:.2} max {:.2}",
-            self.mean, self.p50, self.p95, self.p99, self.max
-        )
-    }
 }
 
 /// Quantile of an ascending-sorted slice (nearest-rank with linear
@@ -81,42 +73,6 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
     sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-}
-
-/// A power-of-two histogram of integer values, for degree / load
-/// distributions.
-#[derive(Clone, Debug, Default)]
-pub struct LogHistogram {
-    counts: Vec<u64>,
-}
-
-impl LogHistogram {
-    /// Record one value.
-    pub fn record(&mut self, v: u64) {
-        let bucket = (64 - v.leading_zeros()) as usize; // 0 → bucket 0, 1 → 1, 2..3 → 2, …
-        if self.counts.len() <= bucket {
-            self.counts.resize(bucket + 1, 0);
-        }
-        self.counts[bucket] += 1;
-    }
-
-    /// Bucket counts: bucket `b` holds values in `[2^(b−1), 2^b)`
-    /// (bucket 0 holds zero).
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Render as `bucket:count` pairs.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        for (b, &c) in self.counts.iter().enumerate() {
-            if c > 0 {
-                let lo = if b == 0 { 0 } else { 1u64 << (b - 1) };
-                let _ = write!(s, "[{lo}+]:{c} ");
-            }
-        }
-        s.trim_end().to_string()
-    }
 }
 
 /// A Markdown table builder for harness output.
@@ -190,15 +146,6 @@ mod tests {
         assert_eq!(quantile_sorted(&v, 0.5), 5.0);
         assert_eq!(quantile_sorted(&v, 0.0), 0.0);
         assert_eq!(quantile_sorted(&v, 1.0), 10.0);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let mut h = LogHistogram::default();
-        for v in [0u64, 1, 2, 3, 4, 7, 8] {
-            h.record(v);
-        }
-        assert_eq!(h.counts(), &[1, 1, 2, 2, 1]);
     }
 
     #[test]

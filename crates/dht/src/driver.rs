@@ -4,16 +4,17 @@
 //! A batch is a plain loop through one reused [`LookupScratch`] and
 //! [`Route`]; lookup `i` draws its randomness from `sub_rng(seed, i)`
 //! (SplitMix64-derived), so every result is a pure function of
-//! `(network, seed)` whatever order the indices run in. Loads are
-//! accumulated in [`LoadCounters`].
+//! `(network, seed)` whatever order the indices run in. Each server's
+//! load — the messages it handles, the paper's congestion measure
+//! (Definition 3) — is counted in a slab-indexed vector.
 
 use crate::lookup::{LookupKind, LookupScratch, Route};
-use crate::metrics::LoadCounters;
 use crate::network::{CdNetwork, NodeId};
 use cd_core::graph::ContinuousGraph;
 use cd_core::point::Point;
 use cd_core::rng::sub_rng;
 use cd_core::stats::Summary;
+use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Result of a batch workload.
@@ -36,27 +37,7 @@ pub fn random_lookups<G: ContinuousGraph>(
     m: usize,
     seed: u64,
 ) -> BatchResult {
-    let counters = LoadCounters::for_network(net);
-    let mut scratch = LookupScratch::new();
-    let mut route = Route::empty();
-    let lengths: Vec<u64> = (0..m)
-        .map(|i| {
-            let mut rng = sub_rng(seed, i as u64);
-            let from = net.random_node(&mut rng);
-            let target = Point(rng.gen());
-            net.lookup_into(kind, from, target, &mut rng, &mut scratch, &mut route);
-            for &id in &route.nodes {
-                counters.add(id, 1);
-            }
-            route.hops() as u64
-        })
-        .collect();
-    BatchResult {
-        path_lengths: Summary::of_u64(lengths),
-        loads: counters.summary(net),
-        max_load: counters.max_load(net),
-        lookups: m,
-    }
+    batch(net, kind, m, seed, |_, rng| (net.random_node(rng), Point(rng.gen())))
 }
 
 /// Permutation routing (§2.2.3): a permutation `η` is sampled (or
@@ -71,30 +52,44 @@ pub fn permutation_routing<G: ContinuousGraph>(
 ) -> BatchResult {
     let live = net.live();
     assert_eq!(permutation.len(), live.len(), "permutation arity mismatch");
-    let counters = LoadCounters::for_network(net);
+    batch(net, kind, live.len(), seed, |i, rng| {
+        // target: a random point inside the destination's segment
+        let seg = net.node(permutation[i]).segment;
+        let off = rng.gen_range(0..seg.len());
+        (live[i], seg.start().wrapping_add(off as u64))
+    })
+}
+
+/// The batch loop: lookup `i` runs between the `(from, target)` pair
+/// that `pair(i, rng)` draws from `rng = sub_rng(seed, i)`, and every
+/// server on its route is charged one message.
+fn batch<G: ContinuousGraph>(
+    net: &CdNetwork<G>,
+    kind: LookupKind,
+    m: usize,
+    seed: u64,
+    pair: impl Fn(usize, &mut StdRng) -> (NodeId, Point),
+) -> BatchResult {
+    let mut loads = vec![0u64; net.slab_len()];
     let mut scratch = LookupScratch::new();
     let mut route = Route::empty();
-    let lengths: Vec<u64> = live
-        .iter()
-        .enumerate()
-        .map(|(i, &from)| {
+    let lengths: Vec<u64> = (0..m)
+        .map(|i| {
             let mut rng = sub_rng(seed, i as u64);
-            // target: a random point inside the destination's segment
-            let seg = net.node(permutation[i]).segment;
-            let off = rng.gen_range(0..seg.len());
-            let target = seg.start().wrapping_add(off as u64);
+            let (from, target) = pair(i, &mut rng);
             net.lookup_into(kind, from, target, &mut rng, &mut scratch, &mut route);
             for &id in &route.nodes {
-                counters.add(id, 1);
+                loads[id.0 as usize] += 1;
             }
             route.hops() as u64
         })
         .collect();
+    let live: Vec<u64> = net.live().iter().map(|&id| loads[id.0 as usize]).collect();
     BatchResult {
         path_lengths: Summary::of_u64(lengths),
-        loads: counters.summary(net),
-        max_load: counters.max_load(net),
-        lookups: live.len(),
+        max_load: live.iter().copied().max().unwrap_or(0),
+        loads: Summary::of_u64(live),
+        lookups: m,
     }
 }
 

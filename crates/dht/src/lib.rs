@@ -20,12 +20,12 @@
 //!   clockwise routing for the Chord-like instances,
 //! * [`analysis`] — exact edge/degree counting used by the
 //!   Theorem 2.1/2.2 experiments and the De Bruijn isomorphism check,
-//! * [`metrics`] + [`driver`] — congestion accounting (per-server
-//!   message counters) and the workload drivers for the
-//!   congestion/permutation-routing experiments,
+//! * [`driver`] — the workload drivers for the
+//!   congestion/permutation-routing experiments, with per-server
+//!   message counts,
 //! * [`proto`] — the network on the `dh_proto` wire API: the
-//!   [`dh_proto::Topology`] impl, message-driven lookup batches over
-//!   any transport, and churn as wire traffic.
+//!   [`dh_proto::Topology`] impl, so lookups run through the event
+//!   engine over any transport, and churn as wire traffic.
 //!
 //! Everything runs on the caller's thread (DESIGN.md Non-goals, "No
 //! thread pool"): the [`driver`] workloads seed lookup `i` from
@@ -42,12 +42,10 @@
 pub mod analysis;
 pub mod driver;
 pub mod lookup;
-pub mod metrics;
 pub mod network;
 pub mod proto;
 
 pub use cd_core::graph::ContinuousGraph;
 pub use lookup::{LookupKind, LookupScratch, Route};
-pub use metrics::LoadCounters;
 pub use network::{CdNetwork, ChordLike, DeBruijn, DhNetwork, DistanceHalving, NodeId};
-pub use proto::{join_over, leave_over, lookups_over, MsgBatch};
+pub use proto::{join_over, leave_over};

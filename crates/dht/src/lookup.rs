@@ -65,7 +65,7 @@ impl std::fmt::Display for LookupKind {
 /// `nodes[0]` is the source server and `nodes.last()` the server
 /// covering the target; `points[k]` is the continuous-graph position of
 /// the message when held by `nodes[k]`. [`Route::empty`] is the
-/// reusable buffer of the `*_into` variants.
+/// reusable buffer of [`CdNetwork::lookup_into`].
 pub use dh_proto::engine::Path as Route;
 
 /// Reusable per-lookup state: the two-sided walk's digit buffer and
@@ -113,15 +113,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
 
     /// Fast Lookup (§2.2.1) from server `from` to the server covering
     /// `target`.
-    pub fn fast_lookup(&self, from: NodeId, target: Point) -> Route {
-        let mut route = Route::empty();
-        self.fast_lookup_into(from, target, &mut route);
-        route
-    }
-
-    /// [`Self::fast_lookup`] into a caller-owned route buffer —
-    /// allocation-free once the buffer has warmed up.
-    pub fn fast_lookup_into(&self, from: NodeId, target: Point, route: &mut Route) {
+    fn fast_lookup_into(&self, from: NodeId, target: Point, route: &mut Route) {
         assert!(
             self.graph().digit_routing(),
             "{} does not support the digit-walk lookups",
@@ -164,16 +156,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
     /// Distance Halving Lookup (§2.2.2) from server `from` to the
     /// server covering `target`, driven by fresh random digits from
     /// `rng`.
-    pub fn dh_lookup(&self, from: NodeId, target: Point, rng: &mut impl Rng) -> Route {
-        let mut scratch = LookupScratch::new();
-        let mut route = Route::empty();
-        self.dh_lookup_into(from, target, rng, &mut scratch, &mut route);
-        route
-    }
-
-    /// [`Self::dh_lookup`] into caller-owned scratch and route buffers
-    /// — allocation-free once the buffers have warmed up.
-    pub fn dh_lookup_into(
+    fn dh_lookup_into(
         &self,
         from: NodeId,
         target: Point,
@@ -227,15 +210,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
     /// [`ContinuousGraph::greedy_step`], each discrete hop follows the
     /// table entry covering the new position. Deterministic; the walk
     /// lands on the target exactly, so no ring correction is needed.
-    pub fn greedy_lookup(&self, from: NodeId, target: Point) -> Route {
-        let mut route = Route::empty();
-        self.greedy_lookup_into(from, target, &mut route);
-        route
-    }
-
-    /// [`Self::greedy_lookup`] into a caller-owned route buffer —
-    /// allocation-free once the buffer has warmed up.
-    pub fn greedy_lookup_into(&self, from: NodeId, target: Point, route: &mut Route) {
+    fn greedy_lookup_into(&self, from: NodeId, target: Point, route: &mut Route) {
         assert!(
             self.graph().greedy_routing(),
             "{} does not support greedy routing",
@@ -260,7 +235,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
 
     /// The instance's native lookup algorithm: the randomized two-phase
     /// lookup for digit instances, greedy routing otherwise. This is
-    /// what `join_via_lookup` and the default storage path use.
+    /// what the default storage path uses.
     pub fn native_kind(&self) -> LookupKind {
         if self.graph().digit_routing() {
             LookupKind::DistanceHalving
@@ -269,21 +244,15 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         }
     }
 
-    /// Run the instance's native lookup (see [`Self::native_kind`]).
-    pub fn native_lookup(&self, from: NodeId, target: Point, rng: &mut impl Rng) -> Route {
-        self.lookup(self.native_kind(), from, target, rng)
-    }
-
     /// Run the chosen lookup algorithm.
     pub fn lookup(&self, kind: LookupKind, from: NodeId, target: Point, rng: &mut impl Rng) -> Route {
-        match kind {
-            LookupKind::Fast => self.fast_lookup(from, target),
-            LookupKind::DistanceHalving => self.dh_lookup(from, target, rng),
-            LookupKind::Greedy => self.greedy_lookup(from, target),
-        }
+        let mut route = Route::empty();
+        self.lookup_into(kind, from, target, rng, &mut LookupScratch::new(), &mut route);
+        route
     }
 
-    /// Run the chosen lookup for `(from, target)` into reused buffers.
+    /// [`Self::lookup`] into caller-owned scratch and route buffers —
+    /// allocation-free once the buffers have warmed up.
     pub fn lookup_into(
         &self,
         kind: LookupKind,
@@ -329,7 +298,7 @@ mod tests {
         for _ in 0..300 {
             let from = net.random_node(&mut rng);
             let target = CPoint(rng.gen());
-            let route = net.fast_lookup(from, target);
+            let route = net.lookup(LookupKind::Fast, from, target, &mut rng);
             check_route(&net, &route, target);
         }
     }
@@ -341,7 +310,7 @@ mod tests {
         for _ in 0..300 {
             let from = net.random_node(&mut rng);
             let target = CPoint(rng.gen());
-            let route = net.fast_lookup(from, target);
+            let route = net.lookup(LookupKind::Fast, from, target, &mut rng);
             check_route(&net, &route, target);
         }
     }
@@ -353,7 +322,7 @@ mod tests {
         for _ in 0..300 {
             let from = net.random_node(&mut rng);
             let target = CPoint(rng.gen());
-            let route = net.dh_lookup(from, target, &mut rng);
+            let route = net.lookup(LookupKind::DistanceHalving, from, target, &mut rng);
             check_route(&net, &route, target);
             assert!(route.phase2_start.is_some());
         }
@@ -367,8 +336,9 @@ mod tests {
             for _ in 0..100 {
                 let from = net.random_node(&mut rng);
                 let target = CPoint(rng.gen());
-                check_route(&net, &net.fast_lookup(from, target), target);
-                check_route(&net, &net.dh_lookup(from, target, &mut rng), target);
+                check_route(&net, &net.lookup(LookupKind::Fast, from, target, &mut rng), target);
+                let dh = net.lookup(LookupKind::DistanceHalving, from, target, &mut rng);
+                check_route(&net, &dh, target);
             }
         }
     }
@@ -383,7 +353,7 @@ mod tests {
         for _ in 0..500 {
             let from = net.random_node(&mut rng);
             let target = CPoint(rng.gen());
-            let route = net.fast_lookup(from, target);
+            let route = net.lookup(LookupKind::Fast, from, target, &mut rng);
             assert!(
                 (route.hops() as f64) <= bound,
                 "hops {} exceeds Corollary 2.5 bound {bound}",
@@ -402,7 +372,7 @@ mod tests {
         for _ in 0..500 {
             let from = net.random_node(&mut rng);
             let target = CPoint(rng.gen());
-            let route = net.dh_lookup(from, target, &mut rng);
+            let route = net.lookup(LookupKind::DistanceHalving, from, target, &mut rng);
             assert!(
                 (route.hops() as f64) <= bound,
                 "hops {} exceeds Theorem 2.8 bound {bound}",
@@ -416,7 +386,7 @@ mod tests {
         let net = DhNetwork::new(&PointSet::evenly_spaced(16));
         let id = net.live()[3];
         let target = net.node(id).segment.midpoint();
-        let route = net.fast_lookup(id, target);
+        let route = net.lookup(LookupKind::Fast, id, target, &mut seeded(0));
         assert_eq!(route.hops(), 0);
         assert_eq!(route.destination(), id);
         // an unused buffer has no hops either (no `0 − 1` underflow)
@@ -435,13 +405,14 @@ mod tests {
             // identical rng streams → identical routes
             let mut rng_a = seeded(target.bits());
             let mut rng_b = seeded(target.bits());
-            let fresh = net.dh_lookup(from, target, &mut rng_a);
-            net.dh_lookup_into(from, target, &mut rng_b, &mut scratch, &mut route);
+            let dh = LookupKind::DistanceHalving;
+            let fresh = net.lookup(dh, from, target, &mut rng_a);
+            net.lookup_into(dh, from, target, &mut rng_b, &mut scratch, &mut route);
             assert_eq!(fresh.nodes, route.nodes);
             assert_eq!(fresh.points, route.points);
             assert_eq!(fresh.phase2_start, route.phase2_start);
-            let fresh_fast = net.fast_lookup(from, target);
-            net.fast_lookup_into(from, target, &mut route);
+            let fresh_fast = net.lookup(LookupKind::Fast, from, target, &mut rng);
+            net.lookup_into(LookupKind::Fast, from, target, &mut rng, &mut scratch, &mut route);
             assert_eq!(fresh_fast.nodes, route.nodes);
         }
     }
@@ -459,8 +430,9 @@ mod tests {
             }
             let from = net.random_node(&mut rng);
             let target = CPoint(rng.gen());
-            check_route(&net, &net.fast_lookup(from, target), target);
-            check_route(&net, &net.dh_lookup(from, target, &mut rng), target);
+            check_route(&net, &net.lookup(LookupKind::Fast, from, target, &mut rng), target);
+            let dh = net.lookup(LookupKind::DistanceHalving, from, target, &mut rng);
+            check_route(&net, &dh, target);
         }
     }
 }

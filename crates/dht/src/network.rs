@@ -137,21 +137,6 @@ impl NodeState {
     }
 }
 
-/// Cost report of one lookup-driven join (the paper's "cost of
-/// join/leave" metric).
-#[derive(Clone, Copy, Debug)]
-pub struct JoinCost {
-    /// The new node.
-    pub id: NodeId,
-    /// Hops of the initial lookup (step 2 of Algorithm Join).
-    pub lookup_hops: usize,
-    /// Number of servers whose state changed (steps 3–4): the split
-    /// node, the joiner, and every server holding an edge to the split
-    /// node. The paper: "only a small number of servers should change
-    /// their state" — O(degree) = O(ρ + ∆).
-    pub state_changes: usize,
-}
-
 /// Reusable buffers for the churn machinery, owned by the network so
 /// that join/leave allocate nothing in the steady state.
 #[derive(Default)]
@@ -570,34 +555,6 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         Some(id)
     }
 
-    /// The full Algorithm Join of §2.1 with cost accounting: the
-    /// joining server contacts `host`, looks up its chosen point `x`
-    /// (step 2) with the instance's native lookup, splits the covering
-    /// segment (step 3) and informs the affected neighbors (step 4).
-    /// Returns the measured cost, or `None` on identifier collision.
-    pub fn join_via_lookup(
-        &mut self,
-        host: NodeId,
-        x: Point,
-        rng: &mut impl rand::Rng,
-    ) -> Option<JoinCost> {
-        if self.registry.contains_key(&x.bits()) {
-            return None;
-        }
-        let route = self.native_lookup(host, x, rng);
-        debug_assert_eq!(route.destination(), self.cover_of(x));
-        let affected_before = self.watchers(route.destination()).len() + 2;
-        let id = self.join(x)?;
-        Some(JoinCost {
-            id,
-            lookup_hops: route.hops(),
-            // servers whose state changed: the split node, the new
-            // node, and every watcher of the split node (their tables
-            // were rebuilt)
-            state_changes: affected_before,
-        })
-    }
-
     /// Join a new server whose identifier point is picked by one of
     /// the §4 smoothing strategies, evaluated against the live
     /// network's own segment view (the network implements
@@ -911,30 +868,6 @@ mod tests {
             } else {
                 net.join(CPoint(rng.gen()));
             }
-        }
-        net.validate();
-    }
-
-    #[test]
-    fn join_via_lookup_reports_costs() {
-        let mut rng = seeded(21);
-        let mut net = DhNetwork::new(&PointSet::evenly_spaced(64));
-        let logn = 6.0f64;
-        for _ in 0..30 {
-            let host = net.random_node(&mut rng);
-            let x = CPoint(rng.gen());
-            let Some(cost) = net.join_via_lookup(host, x, &mut rng) else { continue };
-            assert!(net.node(cost.id).covers(x));
-            assert!(
-                (cost.lookup_hops as f64) <= 2.0 * logn + 8.0,
-                "join lookup {} hops",
-                cost.lookup_hops
-            );
-            assert!(
-                cost.state_changes <= 40,
-                "{} servers changed state — join must be local",
-                cost.state_changes
-            );
         }
         net.validate();
     }

@@ -23,12 +23,10 @@ use crate::network::{CdNetwork, NodeId};
 use cd_core::graph::ContinuousGraph;
 use cd_core::interval::Interval;
 use cd_core::point::Point;
-use cd_core::rng::{splitmix64, sub_rng};
-use cd_core::stats::Summary;
+use cd_core::rng::splitmix64;
 use dh_proto::engine::{Engine, RetryPolicy, Topology};
 use dh_proto::transport::Transport;
 use dh_proto::wire::{Action, RouteKind, Wire};
-use rand::Rng;
 
 impl<G: ContinuousGraph> Topology for CdNetwork<G> {
     fn delta(&self) -> u32 {
@@ -45,7 +43,7 @@ impl<G: ContinuousGraph> Topology for CdNetwork<G> {
 
     fn greedy_step(&self, p: Point, target: Point) -> Point {
         // instances without greedy routing panic here (by name),
-        // exactly like the synchronous `greedy_lookup` gate
+        // exactly like the synchronous greedy lookup's gate
         self.graph().greedy_step(p, target)
     }
 
@@ -65,79 +63,6 @@ pub fn route_kind(kind: LookupKind) -> RouteKind {
         LookupKind::DistanceHalving => RouteKind::DistanceHalving,
         LookupKind::Greedy => RouteKind::Greedy,
     }
-}
-
-/// Result of a message-driven lookup batch: what only a transport can
-/// measure. Per-server loads are [`crate::driver::random_lookups`]'s.
-pub struct MsgBatch {
-    /// Hops of each completed lookup.
-    pub path_lengths: Summary,
-    /// Lookups that completed.
-    pub completed: usize,
-    /// Lookups abandoned after retry exhaustion.
-    pub failed: usize,
-    /// Total messages handed to the transport (all attempts).
-    pub msgs: u64,
-    /// Total modeled bytes.
-    pub bytes: u64,
-    /// End-to-end op restarts.
-    pub retries: u64,
-}
-
-impl MsgBatch {
-    /// Mean messages per completed lookup (all attempts charged).
-    pub fn msgs_per_op(&self) -> f64 {
-        self.msgs as f64 / self.completed.max(1) as f64
-    }
-
-    /// Mean bytes per completed lookup.
-    pub fn bytes_per_op(&self) -> f64 {
-        self.bytes as f64 / self.completed.max(1) as f64
-    }
-}
-
-/// Run `m` random lookups (the workload of Definition 3 / Theorems
-/// 2.7, 2.9) through the event engine over `transport`, one submission
-/// every `spacing` ticks. The `(from, target)` pairs are derived from
-/// `seed` exactly like [`crate::driver::random_lookups`]'s; per-op
-/// digits come from the engine's own sub-streams, so the whole batch
-/// is a pure function of `(seed, transport)`.
-pub fn lookups_over<G: ContinuousGraph, T: Transport>(
-    net: &CdNetwork<G>,
-    kind: LookupKind,
-    m: usize,
-    seed: u64,
-    transport: T,
-    retry: RetryPolicy,
-    spacing: u64,
-) -> (MsgBatch, T) {
-    let mut eng = Engine::new(net, transport, splitmix64(seed ^ 0x0E6E)).with_retry(retry);
-    let ops: Vec<_> = (0..m)
-        .map(|i| {
-            let mut rng = sub_rng(seed, i as u64);
-            let from = net.random_node(&mut rng);
-            let target = Point(rng.gen());
-            eng.submit_at(i as u64 * spacing, route_kind(kind), from, target, Action::Locate)
-        })
-        .collect();
-    eng.run();
-    let lengths: Vec<u64> = ops
-        .iter()
-        .map(|&op| eng.take_outcome(op))
-        .filter(|out| out.ok)
-        .map(|out| out.path.hops() as u64)
-        .collect();
-    let completed = lengths.len();
-    let stats = eng.stats;
-    let batch = MsgBatch {
-        path_lengths: Summary::of_u64(lengths),
-        completed,
-        failed: m - completed,
-        msgs: stats.msgs,
-        bytes: stats.bytes,
-        retries: stats.retries,
-    };
-    (batch, eng.into_transport())
 }
 
 /// Message cost of one churn operation driven through the engine.
@@ -265,8 +190,9 @@ mod tests {
     use crate::network::{ChordLike, DhNetwork};
     use cd_core::pointset::PointSet;
     use cd_core::rng::seeded;
-    use dh_proto::transport::{Delivery, Inline, Recorder, Sim};
+    use dh_proto::transport::{Delivery, Inline, Recorder};
     use dh_proto::wire::Envelope;
+    use rand::Rng;
 
     #[test]
     fn topology_view_matches_network_state() {
@@ -280,21 +206,6 @@ mod tests {
             }
         }
         assert_eq!(Topology::delta(&net), net.delta());
-    }
-
-    #[test]
-    fn lookups_over_inline_cost_equals_hops() {
-        let mut rng = seeded(51);
-        let net = DhNetwork::new(&PointSet::random(128, &mut rng));
-        for kind in [LookupKind::Fast, LookupKind::DistanceHalving] {
-            let (batch, _) =
-                lookups_over(&net, kind, 200, 0xBA7C, Inline, RetryPolicy::default(), 0);
-            assert_eq!(batch.completed, 200);
-            assert_eq!(batch.failed, 0);
-            assert_eq!(batch.retries, 0);
-            // under Inline every hop is exactly one message
-            assert_eq!(batch.msgs as f64, batch.path_lengths.mean * 200.0);
-        }
     }
 
     /// `Inline`, logging the receiver of every `NeighborDiff`.
@@ -348,29 +259,9 @@ mod tests {
     fn churn_over_messages_preserves_invariants_and_locality() {
         let dh = || DhNetwork::new(&PointSet::random(64, &mut seeded(52)));
         assert_eq!(churn_over(dh(), 52), churn_over(dh(), 52), "a seeded storm replays exactly");
+        // evenly spaced ids put a widened backward image one ulp short
+        // of a forward image (`watchers_reach_one_ulp_past_a_forward_image`)
+        churn_over(DhNetwork::new(&PointSet::evenly_spaced(64)), 21);
         churn_over(CdNetwork::build(ChordLike, &PointSet::random(64, &mut seeded(53))), 53);
-    }
-
-    #[test]
-    fn sim_batch_is_deterministic() {
-        let mut rng = seeded(53);
-        let net = DhNetwork::new(&PointSet::random(256, &mut rng));
-        let run = || {
-            let sim = Recorder::new(Sim::new(77).with_drop(0.01).with_dup(0.01));
-            let (batch, rec) = lookups_over(
-                &net,
-                LookupKind::DistanceHalving,
-                300,
-                0x5EED,
-                sim,
-                RetryPolicy::fixed(2_000, 8),
-                3,
-            );
-            (batch.msgs, batch.bytes, batch.retries, batch.completed, rec.fingerprint())
-        };
-        assert_eq!(run(), run(), "same seed must reproduce the batch exactly");
-        let (msgs, _, _, completed, _) = run();
-        assert_eq!(completed, 300);
-        assert!(msgs > 0);
     }
 }

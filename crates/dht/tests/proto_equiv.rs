@@ -39,17 +39,16 @@ fn engine_route(
 }
 
 fn assert_bit_identical(net: &DhNetwork, from: NodeId, target: Point, seed: u64) {
-    // Fast Lookup: deterministic, no randomness to align.
-    let direct = net.fast_lookup(from, target);
+    // The engine draws a DH digit string from sub_rng(seed, op-id)
+    // with op-id 0; feed the synchronous algorithm the identical
+    // stream. Fast Lookup is deterministic and draws nothing from it.
+    let mut rng = sub_rng(seed, 0);
+    let direct = net.lookup(LookupKind::Fast, from, target, &mut rng);
     let engine = engine_route(net, LookupKind::Fast, from, target, seed);
     assert_eq!(direct.nodes, engine.nodes, "fast route servers diverge");
     assert_eq!(direct.points, engine.points, "fast route positions diverge");
 
-    // DH Lookup: the engine draws the digit string from
-    // sub_rng(seed, op-id) with op-id 0; feed the synchronous
-    // algorithm the identical stream.
-    let mut rng = sub_rng(seed, 0);
-    let direct = net.dh_lookup(from, target, &mut rng);
+    let direct = net.lookup(LookupKind::DistanceHalving, from, target, &mut rng);
     let engine = engine_route(net, LookupKind::DistanceHalving, from, target, seed);
     assert_eq!(direct.nodes, engine.nodes, "dh route servers diverge");
     assert_eq!(direct.points, engine.points, "dh route positions diverge");

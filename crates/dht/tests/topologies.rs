@@ -46,7 +46,7 @@ fn exercise<G: ContinuousGraph>(graph: G, n: usize, seed: u64) {
         for _ in 0..m {
             let from = net.random_node(rng);
             let target = Point(rng.gen());
-            let route = net.native_lookup(from, target, rng);
+            let route = net.lookup(net.native_kind(), from, target, rng);
             check_route(net, &route, target);
             assert!(
                 (route.hops() as f64) <= bound,
@@ -191,7 +191,7 @@ fn chord_engine_inline_routes_are_bit_identical() {
         for i in 0..80u64 {
             let from = net.random_node(rng);
             let target = Point(rng.gen());
-            let direct = net.greedy_lookup(from, target);
+            let direct = net.lookup(LookupKind::Greedy, from, target, rng);
             let mut eng = Engine::new(net, Inline, i);
             let op = eng.submit(route_kind(LookupKind::Greedy), from, target, Action::Locate);
             eng.run();
@@ -257,13 +257,13 @@ fn native_kinds_and_gates() {
     // the digit lookups are gated off for non-digit instances
     let from = chord.random_node(&mut rng);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        chord.fast_lookup(from, Point(rng.gen()))
+        chord.lookup(LookupKind::Fast, from, Point(rng.gen()), &mut rng)
     }));
     assert!(result.is_err(), "fast lookup must refuse a non-digit instance");
     // and greedy is gated off for digit instances
     let from = dh.random_node(&mut rng);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        dh.greedy_lookup(from, Point(rng.gen()))
+        dh.lookup(LookupKind::Greedy, from, Point(rng.gen()), &mut rng)
     }));
     assert!(result.is_err(), "greedy lookup must refuse a digit instance");
 }

@@ -3,8 +3,8 @@
 //!
 //! The repro prices the paper's per-op claims (congestion, load under
 //! batch workloads, dilation) through several subsystem-local structs:
-//! `EngineStats`, `LoadCounters`, `RepairReport`, `NetHealth`'s
-//! suspicion counters, plus bench-local percentile math. This crate
+//! `EngineStats`, `RepairReport`, `NetHealth`'s suspicion counters,
+//! plus bench-local percentile math. This crate
 //! unifies them behind two deterministic primitives:
 //!
 //! * a **flight recorder** (behind [`Obs`]) — a bounded ring of
@@ -142,11 +142,8 @@ pub enum EventKind {
         /// Encoded record size.
         bytes: u32,
     },
-    /// A group-commit fsync (storage plane).
-    Fsync {
-        /// Commits batched into this sync.
-        batched: u32,
-    },
+    /// A commit's fsync (storage plane).
+    Fsync,
     /// The WAL was compacted (storage plane). Byte counts saturate at
     /// `u32::MAX` — the narrow fields keep [`EventKind`] (and with it
     /// every ring-resident event) compact.
@@ -183,7 +180,7 @@ impl EventKind {
             EventKind::RepairFrame { .. } => 8,
             EventKind::SuspicionEdge { .. } => 9,
             EventKind::WalAppend { .. } => 10,
-            EventKind::Fsync { .. } => 11,
+            EventKind::Fsync => 11,
             EventKind::Compaction { .. } => 12,
             EventKind::RecoveryScan { .. } => 13,
         }
@@ -196,7 +193,7 @@ impl EventKind {
         matches!(
             self,
             EventKind::WalAppend { .. }
-                | EventKind::Fsync { .. }
+                | EventKind::Fsync
                 | EventKind::Compaction { .. }
                 | EventKind::RecoveryScan { .. }
         )
@@ -242,7 +239,7 @@ impl EventKind {
             }
             // storage plane: never folded
             EventKind::WalAppend { .. }
-            | EventKind::Fsync { .. }
+            | EventKind::Fsync
             | EventKind::Compaction { .. }
             | EventKind::RecoveryScan { .. } => {}
         }
@@ -272,7 +269,7 @@ impl fmt::Display for EventKind {
                 write!(f, "suspicion edge: node {node} {dir} (level {level})")
             }
             EventKind::WalAppend { bytes } => write!(f, "wal append ({bytes} B)"),
-            EventKind::Fsync { batched } => write!(f, "fsync ({batched} commits batched)"),
+            EventKind::Fsync => write!(f, "fsync"),
             EventKind::Compaction { live_bytes, wal_bytes } => {
                 write!(f, "compaction ({wal_bytes} B wal -> {live_bytes} B live)")
             }
@@ -826,7 +823,7 @@ mod tests {
         b.emit(5, 0, send(1));
         // only `b` sees storage traffic — fingerprints must agree
         b.emit_storage(EventKind::WalAppend { bytes: 33 });
-        b.emit_storage(EventKind::Fsync { batched: 4 });
+        b.emit_storage(EventKind::Fsync);
         a.emit(9, 1, EventKind::Retry);
         b.emit(9, 1, EventKind::Retry);
         assert_eq!(a.fingerprint(), b.fingerprint());

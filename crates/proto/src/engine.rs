@@ -597,10 +597,6 @@ pub struct Engine<'g, G: Topology, T: Transport> {
     /// bit-identically to a build without the recorder at all.
     obs: Obs,
     plan_buf: Vec<Delivery>,
-    /// Recycled phase-2 trace buffers (released when an op completes,
-    /// claimed by the next op entering phase 2) — the DH hot path
-    /// allocates its trace once per engine, not once per op.
-    trace_pool: Vec<Vec<Point>>,
 }
 
 impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
@@ -620,7 +616,6 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
             health: None,
             obs: Obs::off(),
             plan_buf: Vec::new(),
-            trace_pool: Vec::new(),
         }
     }
 
@@ -829,15 +824,6 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
     /// retry): reset the path and plan/re-plan the walk.
     fn start_op(&mut self, id: OpId) {
         let delta = self.net.delta();
-        // claim a recycled phase-2 trace buffer for DH ops that have
-        // none yet (released again when the op completes)
-        if matches!(self.ops[id as usize].kind, RouteKind::DistanceHalving)
-            && self.ops[id as usize].trace.capacity() == 0
-        {
-            if let Some(buf) = self.trace_pool.pop() {
-                self.ops[id as usize].trace = buf;
-            }
-        }
         // a hedged DH op pre-plans its digit string against the
         // detector — the initial attempt and every from-origin retry
         // alike ([`Self::plan_walk`])
@@ -873,8 +859,8 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
                     }
                     (h, t)
                 });
-                // a 0-length walk is the local hit of `fast_lookup_into`'s
-                // early exit; the ring-correction state completes it in place
+                // a 0-length walk is the local hit of the synchronous
+                // Fast Lookup's early exit; the ring-correction state completes it in place
                 op.machine = if t == 0 && seg.contains(op.target) {
                     Machine::FastRing
                 } else {
@@ -1856,11 +1842,6 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         op.machine = Machine::Done;
         op.completed_at = Some(self.clock);
         self.stats.completed += 1;
-        // the trace is not part of the outcome — recycle its buffer
-        let trace = mem::take(&mut op.trace);
-        if trace.capacity() > 0 {
-            self.trace_pool.push(trace);
-        }
     }
 }
 

@@ -88,16 +88,10 @@ pub struct FileShelves {
     /// that record ([`Self::compact_if_due`]) — compacting inside the
     /// append would discard the record with the old log.
     compact_due: bool,
-    /// Whether to `sync_data` after `Commit` records (power-loss
+    /// Whether to `sync_data` after every `Commit` record (power-loss
     /// durability; off by default — the crash model here is process
     /// death, where the page cache survives).
     sync_commits: bool,
-    /// Group-commit width: with [`Self::set_sync_commits`] on,
-    /// `sync_data` fires on every `group_commit`-th `Commit` record
-    /// instead of every one. `1` is classic sync-every-commit.
-    group_commit: u32,
-    /// Commit records since the last `sync_data`.
-    commits_since_sync: u32,
     /// Bytes a compacted log of the live state would occupy,
     /// maintained incrementally by the mutation verbs — the
     /// denominator of the auto-compaction ratio. (Recomputing this by
@@ -181,8 +175,6 @@ impl FileShelves {
             auto_compact: 8,
             compact_due: false,
             sync_commits: false,
-            group_commit: 1,
-            commits_since_sync: 0,
             live,
             pending: Vec::with_capacity(1 << 12),
             obs: Obs::off(),
@@ -192,7 +184,7 @@ impl FileShelves {
     /// Attach a flight recorder. Emits the pending
     /// [`ObsEvent::RecoveryScan`] for the scan that ran at
     /// [`Self::open`] (the recorder cannot exist that early), then
-    /// records WAL appends, group-commit fsyncs and compactions as
+    /// records WAL appends, commit fsyncs and compactions as
     /// they happen.
     pub fn set_obs(&mut self, obs: Obs) {
         let Recovery { records, skipped, torn_bytes } = self.recovery;
@@ -266,20 +258,10 @@ impl FileShelves {
         self
     }
 
-    /// `sync_data` the log after `Commit` records (power-loss
+    /// `sync_data` the log after every `Commit` record (power-loss
     /// durability; default off — the crash model is process death).
     pub fn set_sync_commits(&mut self, on: bool) -> &mut Self {
         self.sync_commits = on;
-        self
-    }
-
-    /// Group-commit width `n ≥ 1`: with sync-commits on, `sync_data`
-    /// fires on every `n`-th `Commit` record instead of every one —
-    /// the classic durability/throughput dial. At `n` the power-loss
-    /// window is the last `n-1` committed puts; process-death
-    /// consistency is unaffected (the page cache holds every record).
-    pub fn set_group_commit(&mut self, n: u32) -> &mut Self {
-        self.group_commit = n.max(1);
         self
     }
 
@@ -370,12 +352,8 @@ impl FileShelves {
         }
         self.pending.clear();
         if self.sync_commits && matches!(rec, WalRecord::Commit { .. }) {
-            self.commits_since_sync += 1;
-            if self.commits_since_sync >= self.group_commit {
-                let _ = file.sync_data();
-                self.obs.emit_storage(ObsEvent::Fsync { batched: self.commits_since_sync });
-                self.commits_since_sync = 0;
-            }
+            let _ = file.sync_data();
+            self.obs.emit_storage(ObsEvent::Fsync);
         }
         self.wal_len += bytes;
         self.appended += 1;
@@ -805,16 +783,18 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_widths_accept_any_n() {
-        let scratch = ScratchPath::new("group-commit");
+    fn synced_commits_reopen_whole() {
+        let scratch = ScratchPath::new("sync-commits");
         let mut s = FileShelves::open(scratch.path()).unwrap();
+        let obs = Obs::recording(1 << 10);
+        s.set_obs(obs.clone());
         s.set_sync_commits(true);
-        s.set_group_commit(0); // clamps to 1
-        put_item(&mut s, 1, 1, b"every commit syncs");
-        s.set_group_commit(8);
-        for round in 2..=9u32 {
-            put_item(&mut s, 1, round, b"one sync per eight");
+        for round in 1..=9u32 {
+            put_item(&mut s, u64::from(round % 3), round, b"every commit syncs");
         }
+        let events = obs.explain(dh_obs::BACKGROUND).expect("recording").events;
+        let syncs = events.iter().filter(|e| e.kind == ObsEvent::Fsync).count();
+        assert_eq!(syncs, 9, "one sync per commit record");
         let want = s.snapshot();
         drop(s);
         let r = FileShelves::open(scratch.path()).unwrap();

@@ -126,8 +126,8 @@ fn lookup_kinds_agree_on_destination() {
     for _ in 0..100 {
         let from = net.random_node(&mut rng);
         let target = Point(rng.gen());
-        let fast = net.fast_lookup(from, target);
-        let dh = net.dh_lookup(from, target, &mut rng);
+        let fast = net.lookup(LookupKind::Fast, from, target, &mut rng);
+        let dh = net.lookup(LookupKind::DistanceHalving, from, target, &mut rng);
         assert_eq!(fast.destination(), dh.destination());
         assert_eq!(fast.destination(), net.cover_of(target));
     }
