@@ -319,8 +319,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
             let timeout = self.progress_timeout(id, dst, attempt);
             let msg = self.step_msg(id, at);
             self.send_op(id, src, dst, msg);
-            let deadline = self.clock + timeout;
-            self.push_event(deadline, EventKind::Timer { op: id, attempt, step }, Lane::Timer);
+            self.arm_timer(id, dst, timeout);
             return;
         }
         // the accrual detector's primary signal: blame whoever we were

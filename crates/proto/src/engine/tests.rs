@@ -660,3 +660,68 @@ fn staggered_arrivals_respect_the_clock() {
     }
     assert!(oa.completed_at.expect("done") <= 500, "op a runs before b starts");
 }
+
+#[test]
+fn hedged_without_a_detector_is_the_fixed_policy() {
+    let net = Complete::new(32, 2);
+    let run = |retry: RetryPolicy| {
+        let sim = Sim::new(3).with_drop(0.3).with_dup(0.1).with_latency(1, 20, 10);
+        let mut eng = Engine::new(&net, Recorder::new(sim), 11).with_retry(retry);
+        let ops = submit_mixed(&mut eng, 300);
+        eng.run();
+        let outs: Vec<(bool, u64, u64, u32, Option<u64>, Path)> = ops
+            .iter()
+            .map(|&id| {
+                let o = eng.take_outcome(id);
+                (o.ok, o.msgs, o.bytes, o.attempts, o.completed_at, o.path)
+            })
+            .collect();
+        let stats = eng.stats;
+        (outs, stats, eng.into_transport().fingerprint())
+    };
+    let fixed = RetryPolicy::fixed(256, 6);
+    let (f_out, f_stats, f_fp) = run(fixed);
+    let (h_out, h_stats, h_fp) = run(fixed.hedged());
+    assert!(f_stats.retries > 0, "the loss must exercise the timers");
+    assert_eq!(f_out, h_out);
+    assert_eq!(f_stats, h_stats);
+    assert_eq!(f_fp, h_fp, "hedging consults a detector; without one it is inert");
+}
+
+#[test]
+fn every_fired_timer_was_armed() {
+    // a hedged route's in-place resend arms a timer like any other
+    // send, so an op's explain chain never shows a fire it did not arm
+    let net = Complete::new(16, 2);
+    let obs = Obs::recording(1 << 16);
+    let mut health = NetHealth::new();
+    for i in 0..300u32 {
+        obs.begin_op(u64::from(i));
+        let mut eng = Engine::new(&net, Sim::new(u64::from(i)).with_drop(0.5), 61)
+            .with_retry(RetryPolicy::fixed(512, 8).hedged())
+            .with_health(&mut health)
+            .with_obs(obs.clone());
+        let target = Point(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(i) + 1));
+        eng.submit(RouteKind::DistanceHalving, NodeId(i % 16), target, Action::Locate);
+        eng.run();
+    }
+    let mut resent = 0;
+    for i in 0..300 {
+        let ex = obs.explain(i).expect("recording");
+        let count = |arm: bool| {
+            let kinds = ex.events.iter().map(|e| &e.kind);
+            kinds
+                .filter(|k| match k {
+                    ObsEvent::TimerArm { .. } => arm,
+                    ObsEvent::TimerFire { .. } => !arm,
+                    _ => false,
+                })
+                .count()
+        };
+        let (armed, fired) = (count(true), count(false));
+        assert!(fired <= armed, "op {i}: {fired} timer fires, {armed} arms");
+        // a fire beyond one per attempt resent in place
+        resent += usize::from(fired > ex.retries() + 1);
+    }
+    assert!(resent > 0, "the loss must exercise in-place resends");
+}

@@ -88,7 +88,7 @@ fn explain_reconstructs_hedge_and_retry_chain() {
 /// together when the protocol or the event vocabulary legitimately
 /// moves.
 const GOLDEN_SEED: u64 = 2;
-const GOLDEN_CHAIN_EVENTS: usize = 71;
+const GOLDEN_CHAIN_EVENTS: usize = 77;
 
 /// The golden lossy get: recorder fingerprint and event count out.
 fn traced_fp() -> (u64, u64) {
