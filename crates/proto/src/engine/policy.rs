@@ -310,8 +310,10 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         // restart is the last resort once the resend budget shows the
         // silence is real.
         const MAX_RESENDS: u8 = 2;
-        let routed = !matches!(op.machine, Machine::Scatter) && op.resends < MAX_RESENDS;
-        if let (true, Some(dst), Some(_)) = (routed, op.waiting_on, self.hedged_detector()) {
+        let resend = !matches!(op.machine, Machine::Scatter)
+            && op.resends < MAX_RESENDS
+            && self.hedged_detector().is_some();
+        if let Some(dst) = op.waiting_on.filter(|_| resend) {
             let (src, at) = (op.cur, op.last_at);
             self.ops[id as usize].resends += 1;
             // repeated silence still accrues, gently
