@@ -23,29 +23,6 @@ pub struct SmoothnessSample {
     pub min_times_n: f64,
 }
 
-/// Grow a ring from scratch to `n` servers, sampling every
-/// `sample_every` joins.
-pub fn grow_trajectory(
-    strategy: IdStrategy,
-    n: usize,
-    sample_every: usize,
-    rng: &mut impl Rng,
-) -> Vec<SmoothnessSample> {
-    let mut ring = Ring::new();
-    let mut samples = Vec::new();
-    for i in 0..n {
-        let id = strategy.choose(&ring, rng);
-        ring.insert(id);
-        if ring.len() >= 2 && (i + 1) % sample_every == 0 {
-            samples.push(sample(&ring, i + 1));
-        }
-    }
-    if samples.last().map(|s| s.ops) != Some(n) && ring.len() >= 2 {
-        samples.push(sample(&ring, n));
-    }
-    samples
-}
-
 /// Alternate joins (with the strategy) and uniformly random leaves,
 /// holding the population around `n`. This is the regime where the
 /// pure join algorithms lose smoothness (§4.1's motivation).
@@ -95,16 +72,6 @@ fn sample(ring: &Ring, ops: usize) -> SmoothnessSample {
 mod tests {
     use super::*;
     use cd_core::rng::seeded;
-
-    #[test]
-    fn grow_trajectory_samples() {
-        let mut rng = seeded(1);
-        let s = grow_trajectory(IdStrategy::MultipleChoice { t: 3 }, 500, 100, &mut rng);
-        assert!(s.len() >= 5);
-        assert_eq!(s.last().expect("samples").n, 500);
-        // multiple choice keeps ρ modest throughout growth
-        assert!(s.iter().all(|x| x.rho < 64.0));
-    }
 
     #[test]
     fn churn_degrades_multiple_choice_smoothness() {

@@ -38,7 +38,7 @@ fn attribution(obs: &Obs) -> Table {
     let series = |name: &str, label: u64| -> u64 {
         snap.counter_series(name).into_iter().find(|&(l, _)| l == label).map_or(0, |(_, v)| v)
     };
-    let mut t = Table::new(["plane", "msgs", "bytes", "retries", "hedges", "timeout resends"]);
+    let mut t = Table::new(["plane", "msgs", "bytes", "retries", "hedges", "stale deliveries"]);
     for (plane, label) in [("client ops", 0u64), ("repair", 1u64)] {
         t.row([
             plane.to_string(),

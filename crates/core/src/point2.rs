@@ -71,11 +71,6 @@ impl Point2 {
     pub fn gg_g_inv(self) -> Self {
         Point2 { x: self.x, y: Point(self.y.0.wrapping_sub(self.x.0)) }
     }
-
-    /// Torus L∞ distance (used by grid-based smoothness checks).
-    pub fn linf_dist(self, other: Self) -> u64 {
-        self.x.ring_dist(other.x).max(self.y.ring_dist(other.y))
-    }
 }
 
 impl fmt::Debug for Point2 {
@@ -112,13 +107,6 @@ mod tests {
             prop_assert_eq!(p.gg_g().gg_g_inv(), p);
             prop_assert_eq!(p.gg_f_inv().gg_f(), p);
             prop_assert_eq!(p.gg_g_inv().gg_g(), p);
-        }
-
-        #[test]
-        fn prop_linf_symmetric(a: (u64, u64), b: (u64, u64)) {
-            let p = Point2::from_bits(a.0, a.1);
-            let q = Point2::from_bits(b.0, b.1);
-            prop_assert_eq!(p.linf_dist(q), q.linf_dist(p));
         }
     }
 }

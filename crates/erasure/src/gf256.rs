@@ -65,15 +65,6 @@ impl Gf256 {
     pub fn div(&self, a: u8, b: u8) -> u8 {
         self.mul(a, self.inv(b))
     }
-
-    /// `base^e` by table lookup.
-    pub fn pow(&self, base: u8, e: usize) -> u8 {
-        if base == 0 {
-            return if e == 0 { 1 } else { 0 };
-        }
-        let l = self.log[base as usize] as usize;
-        self.exp[(l * e) % 255]
-    }
 }
 
 impl Default for Gf256 {
@@ -125,16 +116,6 @@ mod tests {
         fn prop_distributive(a: u8, b: u8, c: u8) {
             let f = Gf256::new();
             prop_assert_eq!(f.mul(a, f.add(b, c)), f.add(f.mul(a, b), f.mul(a, c)));
-        }
-
-        #[test]
-        fn prop_pow_matches_repeated_mul(a in 1u8..=255, e in 0usize..20) {
-            let f = Gf256::new();
-            let mut acc = 1u8;
-            for _ in 0..e {
-                acc = f.mul(acc, a);
-            }
-            prop_assert_eq!(f.pow(a, e), acc);
         }
     }
 }

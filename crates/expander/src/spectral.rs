@@ -136,40 +136,6 @@ pub fn sweep_conductance(adj: &[Vec<usize>], deg: &[f64], x: &[f64]) -> f64 {
     best
 }
 
-/// Edge expansion of random vertex subsets of size ≤ n/2 — a cheap
-/// Monte-Carlo floor check used by the experiments alongside the
-/// spectral certificate.
-pub fn sampled_vertex_expansion(adj: &[Vec<usize>], trials: usize, seed: u64) -> f64 {
-    let n = adj.len();
-    let mut rng = seeded(seed);
-    let mut worst = f64::INFINITY;
-    for _ in 0..trials {
-        let k = rng.gen_range(1..=n / 2);
-        let mut in_set = vec![false; n];
-        let mut chosen = 0usize;
-        while chosen < k {
-            let v = rng.gen_range(0..n);
-            if !in_set[v] {
-                in_set[v] = true;
-                chosen += 1;
-            }
-        }
-        let mut boundary = std::collections::HashSet::new();
-        for u in 0..n {
-            if !in_set[u] {
-                continue;
-            }
-            for &v in &adj[u] {
-                if !in_set[v] {
-                    boundary.insert(v);
-                }
-            }
-        }
-        worst = worst.min(boundary.len() as f64 / k as f64);
-    }
-    worst
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,11 +210,5 @@ mod tests {
             );
             assert!(r.sweep_conductance <= (2.0 * r.gap).sqrt() + 0.05);
         }
-    }
-
-    #[test]
-    fn sampled_expansion_positive_for_complete_graph() {
-        let e = sampled_vertex_expansion(&complete(20), 50, 9);
-        assert!(e >= 1.0, "complete graph expands every set");
     }
 }
