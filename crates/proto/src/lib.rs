@@ -38,7 +38,11 @@
 //!   [`engine`]), messages carry the op header (attempt/step
 //!   stamps make duplicates and stale attempts harmless), and dropped
 //!   messages are recovered by end-to-end timeout + retry. One
-//!   engine on the caller's thread is the only way an op runs.
+//!   engine on the caller's thread is the only way an op runs. Its
+//!   three decisions are three modules: `engine/route.rs` (§2.2's
+//!   local routing), `engine/scatter.rs` (§6.2's clique quorum) and
+//!   `engine/policy.rs` (the grey-failure policy, the only code that
+//!   reads the detector).
 //!
 //! `dh_dht` implements [`engine::Topology`] for its `DhNetwork` and
 //! re-exports [`NodeId`]; higher layers (`dh_replica`, fault
