@@ -10,9 +10,10 @@
 //!   by engine ticks: which timers fired, which hedges launched, which
 //!   suspects were blamed, how many bytes it burned.
 //! * **Price every subsystem** — engine stats export per plane
-//!   (label 0 = client ops, label 1 = repair), per-node delivery
-//!   loads accumulate under `load/deliver`, checked against the
-//!   congestion shape.
+//!   (label 0 = client ops, label 1 = repair), the member protocol of
+//!   every join and leave counts under `churn/member_*`, per-node
+//!   delivery loads accumulate under `load/deliver`, checked against
+//!   the congestion shape.
 //!
 //! The recorder's own fold, and the wire fold with it attached, are
 //! pinned in `cd_bench::pins`, not here. What the recorder costs an op
@@ -112,6 +113,11 @@ fn main() {
         snap.counter_total("repair/frames_pumped"),
         snap.counter_total("repair/frames_purged"),
         out.repair.shares_rebuilt,
+    );
+    println!(
+        "membership: {} msgs, {} bytes (join lookups, splits, merges, neighbor diffs)",
+        snap.counter_total("churn/member_msgs"),
+        snap.counter_total("churn/member_bytes"),
     );
 
     if chaos {

@@ -38,8 +38,6 @@ use dh_proto::transport::{Recorder, Sim};
 use dh_proto::{ChaosNet, CutDirection, NodeId};
 use dh_replica::{ReplicatedDht, Shelves};
 use rand::Rng;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// The campaign's one shape: servers, preloaded items, measured reads
 /// per cell.
@@ -133,34 +131,29 @@ fn cell<S: Shelves>(
     let net = DhNetwork::new(&PointSet::random(n, &mut rng));
     let mut dht = ReplicatedDht::with_shelves(net, M, K, shelves, &mut rng);
     let nodes: Vec<NodeId> = dht.net.live().to_vec();
-    // One recorded chaos substrate shared (by handle) across every
-    // per-op engine: the engines come and go, the weather persists.
-    let shared = Rc::new(RefCell::new(Recorder::new(ChaosNet::new(
-        Sim::new(seed).with_latency(4, 16, 4),
-        seed ^ 0xC405,
-    ))));
+    // One recorded chaos substrate lent to every per-op engine: the
+    // engines come and go, the weather persists.
+    let sim = Sim::new(seed).with_latency(4, 16, 4);
+    let mut wire = Recorder::new(ChaosNet::new(sim, seed ^ 0xC405));
 
     // chaos windows sit in *effective* time, after the preload epochs
     let base = items as u64 * STRIDE;
     let end = base + ops as u64 * STRIDE;
     let third = (end - base) / 3;
-    {
-        let mut t = shared.borrow_mut();
-        let c = t.inner_mut();
-        match chaos {
-            Chaos::None => {}
-            Chaos::Grey => {
-                c.grey_fraction(&nodes, GREY_PERMILLE, GREY_MULT);
-            }
-            Chaos::Partition => {
-                c.bisect(&nodes, CutDirection::Both, base + third, base + 2 * third);
-            }
-            Chaos::Flap => {
-                c.flap_fraction(&nodes, FLAP_PERMILLE, FLAP_PERIOD, FLAP_DOWN);
-            }
-            Chaos::Burst => {
-                c.loss_burst(base + third, base + 2 * third, BURST_PERMILLE);
-            }
+    let c = wire.inner_mut();
+    match chaos {
+        Chaos::None => {}
+        Chaos::Grey => {
+            c.grey_fraction(&nodes, GREY_PERMILLE, GREY_MULT);
+        }
+        Chaos::Partition => {
+            c.bisect(&nodes, CutDirection::Both, base + third, base + 2 * third);
+        }
+        Chaos::Flap => {
+            c.flap_fraction(&nodes, FLAP_PERMILLE, FLAP_PERIOD, FLAP_DOWN);
+        }
+        Chaos::Burst => {
+            c.loss_burst(base + third, base + 2 * third, BURST_PERMILLE);
         }
     }
 
@@ -175,13 +168,13 @@ fn cell<S: Shelves>(
         // tries moves the clock past it, so every key commits
         let mut committed = false;
         for try_no in 0..6u64 {
-            shared.borrow_mut().inner_mut().set_epoch(epoch);
+            wire.inner_mut().set_epoch(epoch);
             let from = dht.net.random_node(&mut rng);
             let (out, _) = dht.put_over(
                 from,
                 key,
                 value_of(key),
-                shared.clone(),
+                &mut wire,
                 subseed(seed, key | (try_no << 48)),
                 retry_pre,
             );
@@ -210,16 +203,10 @@ fn cell<S: Shelves>(
         fingerprint: 0,
     };
     for i in 0..ops {
-        shared.borrow_mut().inner_mut().set_epoch(epoch);
+        wire.inner_mut().set_epoch(epoch);
         let key = rng.gen_range(0..items as u64);
         let from = dht.net.random_node(&mut rng);
-        let read = dht.get_quorum_traced(
-            from,
-            key,
-            |_| shared.clone(),
-            subseed(seed ^ 0x9E7, i as u64),
-            retry,
-        );
+        let read = dht.get_quorum(from, key, &mut wire, subseed(seed ^ 0x9E7, i as u64), retry);
         if read.value == Some(value_of(key)) {
             out.served += 1;
         }
@@ -234,15 +221,9 @@ fn cell<S: Shelves>(
     // committed write must still be quorum-readable
     epoch = end + 4 * STRIDE;
     for key in 0..items as u64 {
-        shared.borrow_mut().inner_mut().set_epoch(epoch);
+        wire.inner_mut().set_epoch(epoch);
         let from = dht.net.random_node(&mut rng);
-        let read = dht.get_quorum_traced(
-            from,
-            key,
-            |_| shared.clone(),
-            subseed(seed ^ 0xAF7E, key),
-            retry,
-        );
+        let read = dht.get_quorum(from, key, &mut wire, subseed(seed ^ 0xAF7E, key), retry);
         assert_eq!(
             read.value,
             Some(value_of(key)),
@@ -251,7 +232,7 @@ fn cell<S: Shelves>(
         epoch += STRIDE;
     }
 
-    out.fingerprint = shared.borrow().fingerprint();
+    out.fingerprint = wire.fingerprint();
     out
 }
 

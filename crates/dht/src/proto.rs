@@ -98,26 +98,21 @@ pub fn join_over<G: ContinuousGraph, T: Transport>(
     if net.node(net.cover_of(x)).x == x {
         return None; // identifier collision
     }
-    let mut cost = ChurnMsgCost::default();
     // step 2: lookup x from the host
-    let dest = {
+    let (dest, lookup, split) = {
         let mut eng = Engine::new(&*net, &mut *transport, seed).with_retry(retry);
         let op = eng.submit(route_kind(kind), host, x, Action::Locate);
         eng.run();
         let out = eng.take_outcome(op);
-        cost.lookup_msgs = out.msgs;
-        cost.bytes += out.bytes;
-        cost.attempts = out.attempts;
         if !out.ok {
             return None;
         }
+        let dest = out.dest.expect("completed");
         // step 3: ask the cover to split (the joiner speaks through its
         // host until it is spliced into the ring)
-        eng.send(host, out.dest.expect("completed"), Wire::JoinSplit { x });
-        cost.notify_msgs += 1;
-        cost.bytes += Wire::JoinSplit { x }.wire_bytes();
+        eng.send(host, dest, Wire::JoinSplit { x });
         eng.run();
-        out.dest.expect("completed")
+        (dest, out, eng.stats)
     };
     // the affected set, derived before the split: the split node's
     // watchers, ascending by id, so the notification order (and any
@@ -128,16 +123,16 @@ pub fn join_over<G: ContinuousGraph, T: Transport>(
     // receives its freshly derived table
     let mut eng = Engine::new(&*net, &mut *transport, splitmix64(seed ^ 0x301F));
     for &w in &watchers {
-        let msg = Wire::NeighborDiff { entries: 1 };
-        cost.notify_msgs += 1;
-        cost.bytes += msg.wire_bytes();
-        eng.send(dest, w, msg);
+        eng.send(dest, w, Wire::NeighborDiff { entries: 1 });
     }
-    let table = Wire::NeighborDiff { entries: net.node(id).degree() as u32 };
-    cost.notify_msgs += 1;
-    cost.bytes += table.wire_bytes();
-    eng.send(dest, id, table);
+    eng.send(dest, id, Wire::NeighborDiff { entries: net.node(id).degree() as u32 });
     eng.run();
+    let cost = ChurnMsgCost {
+        lookup_msgs: lookup.msgs,
+        notify_msgs: split.msgs + eng.stats.msgs - lookup.msgs,
+        bytes: split.bytes + eng.stats.bytes,
+        attempts: lookup.attempts,
+    };
     Some((id, cost))
 }
 
@@ -153,7 +148,6 @@ pub fn leave_over<G: ContinuousGraph, T: Transport>(
     seed: u64,
 ) -> ChurnMsgCost {
     let pred = net.ring_pred(id);
-    let mut cost = ChurnMsgCost::default();
     let (of_leaver, of_pred) = (net.watchers(id), net.watchers(pred));
     // the leaver tells its watchers, the predecessor the rest of its
     // own; sent in (sender, receiver) order
@@ -167,19 +161,15 @@ pub fn leave_over<G: ContinuousGraph, T: Transport>(
         }
     }
     notify.sort_unstable();
-    {
+    let cost = {
         let mut eng = Engine::new(&*net, &mut *transport, seed);
-        cost.notify_msgs += 1;
-        cost.bytes += Wire::LeaveMerge.wire_bytes();
         eng.send(id, pred, Wire::LeaveMerge);
         for &(src, dst, entries) in &notify {
-            let msg = Wire::NeighborDiff { entries };
-            cost.notify_msgs += 1;
-            cost.bytes += msg.wire_bytes();
-            eng.send(src, dst, msg);
+            eng.send(src, dst, Wire::NeighborDiff { entries });
         }
         eng.run();
-    }
+        ChurnMsgCost { notify_msgs: eng.stats.msgs, bytes: eng.stats.bytes, ..Default::default() }
+    };
     net.leave(id);
     cost
 }
@@ -208,38 +198,54 @@ mod tests {
         assert_eq!(Topology::delta(&net), net.delta());
     }
 
-    /// `Inline`, logging the receiver of every `NeighborDiff`.
+    /// `Inline`, logging the receiver of every `NeighborDiff` and
+    /// counting every envelope and its wire bytes.
     #[derive(Default)]
-    struct Diffs(Vec<NodeId>);
+    struct Diffs {
+        receivers: Vec<NodeId>,
+        msgs: u64,
+        bytes: u64,
+    }
 
     impl Transport for Diffs {
         fn plan(&mut self, now: u64, env: &Envelope, out: &mut Vec<Delivery>) {
             if matches!(env.msg, Wire::NeighborDiff { .. }) {
-                self.0.push(env.dst);
+                self.receivers.push(env.dst);
             }
+            self.msgs += 1;
+            self.bytes += env.msg.wire_bytes();
             Inline.plan(now, env, out)
         }
+    }
+
+    /// The cost a churn op reports is what the transport carried.
+    fn assert_priced(cost: &ChurnMsgCost, seen: &Diffs) {
+        assert_eq!(cost.lookup_msgs + cost.notify_msgs, seen.msgs, "messages miscounted");
+        assert_eq!(cost.bytes, seen.bytes, "bytes miscounted");
     }
 
     fn churn_over<G: ContinuousGraph>(mut net: CdNetwork<G>, seed: u64) -> u64 {
         let (mut rng, kind) = (seeded(seed), net.native_kind());
         let mut transport = Recorder::new(Diffs::default());
         for i in 0..120u64 {
-            transport.inner_mut().0.clear();
+            *transport.inner_mut() = Diffs::default();
             if net.len() > 8 && rng.gen_bool(0.45) {
                 let v = net.random_node(&mut rng);
                 let cost = leave_over(&mut net, v, &mut transport, i);
+                let seen = transport.inner_mut();
+                assert_priced(&cost, seen);
                 // one NeighborDiff per distinct receiver, never two
-                let mut receivers = transport.inner_mut().0.clone();
+                let mut receivers = seen.receivers.clone();
                 receivers.sort_unstable();
                 receivers.dedup();
-                assert_eq!(receivers.len(), transport.inner_mut().0.len(), "a receiver told twice");
+                assert_eq!(receivers.len(), seen.receivers.len(), "a receiver told twice");
                 assert_eq!(cost.notify_msgs, 1 + receivers.len() as u64);
             } else {
                 let host = net.random_node(&mut rng);
                 let x = Point(rng.gen());
                 let retry = RetryPolicy::default();
                 if let Some((id, cost)) = join_over(&mut net, host, x, kind, i, &mut transport, retry) {
+                    assert_priced(&cost, transport.inner_mut());
                     assert!(net.node(id).covers(x));
                     // join must stay local: O(degree) notifications
                     assert!(

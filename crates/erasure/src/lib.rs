@@ -37,4 +37,4 @@ pub mod header;
 pub mod rs;
 
 pub use header::{open_shared, seal, HeaderError, ShareHeader, HEADER_BYTES};
-pub use rs::{decode, encode, encode_row, encode_sealed, shard_len, try_decode, DecodeError, Share};
+pub use rs::{encode, encode_row, encode_sealed, shard_len, try_decode, DecodeError, Share};

@@ -310,13 +310,6 @@ pub fn encode_row(data: &[u8], k: usize, idx: u8) -> Share {
     Share { index: idx, data: Bytes::from(buf).slice(row * len..(row + 1) * len) }
 }
 
-/// Reconstruct the original data from any `k` distinct shares.
-/// `Option` facade over [`try_decode`], kept for call sites that only
-/// care whether reconstruction succeeded.
-pub fn decode(shares: &[Share], k: usize) -> Option<Vec<u8>> {
-    try_decode(shares, k).ok()
-}
-
 /// Reconstruct the original data from any `k` distinct shares,
 /// reporting *why* on failure — too few shares left is the expected
 /// failure mode of a store that lost more than `m − k` covers, and
@@ -399,7 +392,7 @@ mod tests {
         let data = b"the continuous-discrete approach".to_vec();
         let shares = encode(&data, 4, 9);
         assert_eq!(shares.len(), 9);
-        let back = decode(&shares, 4).expect("decodes");
+        let back = try_decode(&shares, 4).expect("decodes");
         assert_eq!(back, data);
     }
 
@@ -413,7 +406,7 @@ mod tests {
             let mut subset = shares.clone();
             subset.shuffle(&mut rng);
             subset.truncate(k);
-            assert_eq!(decode(&subset, k).expect("any k decode"), data);
+            assert_eq!(try_decode(&subset, k).expect("any k decode"), data);
         }
     }
 
@@ -421,7 +414,7 @@ mod tests {
     fn fewer_than_k_fail() {
         let data = b"secret".to_vec();
         let shares = encode(&data, 3, 6);
-        assert!(decode(&shares[..2], 3).is_none());
+        assert!(try_decode(&shares[..2], 3).is_err());
     }
 
     #[test]
@@ -429,14 +422,14 @@ mod tests {
         let data = b"replica".to_vec();
         let shares = encode(&data, 1, 4);
         for s in &shares {
-            assert_eq!(decode(std::slice::from_ref(s), 1).expect("single share"), data);
+            assert_eq!(try_decode(std::slice::from_ref(s), 1).expect("single share"), data);
         }
     }
 
     #[test]
     fn empty_data_roundtrips() {
         let shares = encode(&[], 3, 5);
-        assert_eq!(decode(&shares[1..4], 3).expect("decodes"), Vec::<u8>::new());
+        assert_eq!(try_decode(&shares[1..4], 3).expect("decodes"), Vec::<u8>::new());
     }
 
     #[test]
@@ -444,7 +437,7 @@ mod tests {
         let data = b"dup".to_vec();
         let shares = encode(&data, 2, 4);
         let dup = vec![shares[0].clone(), shares[0].clone()];
-        assert!(decode(&dup, 2).is_none());
+        assert!(try_decode(&dup, 2).is_err());
     }
 
     #[test]
@@ -595,7 +588,7 @@ mod tests {
             let mut subset = shares.clone();
             subset.shuffle(&mut rng);
             subset.truncate(k);
-            prop_assert_eq!(decode(&subset, k).expect("decode"), data);
+            prop_assert_eq!(try_decode(&subset, k).expect("decode"), data);
         }
 
         #[test]

@@ -29,13 +29,6 @@ impl RetryPolicy {
         RetryPolicy { timeout, max_attempts, hedge: false }
     }
 
-    /// Fast-failing: a short timeout and a small retry budget, for
-    /// callers that prefer an error over a long stall (interactive
-    /// paths, tests asserting failure).
-    pub const fn aggressive() -> Self {
-        RetryPolicy::fixed(64, 3)
-    }
-
     /// Patient: a generous timeout ceiling and a deep retry budget,
     /// for lossy/slow substrates where completion beats latency
     /// (benches, repair, bulk drivers).

@@ -38,21 +38,12 @@ pub trait Transport {
     fn plan(&mut self, now: u64, env: &Envelope, out: &mut Vec<Delivery>);
 }
 
+/// A lent transport: sequential engine runs (one per operation) drive
+/// the same substrate, so its RNG stream, recorded fold and chaos
+/// schedules are continuous across operations.
 impl<T: Transport + ?Sized> Transport for &mut T {
     fn plan(&mut self, now: u64, env: &Envelope, out: &mut Vec<Delivery>) {
         (**self).plan(now, env, out)
-    }
-}
-
-/// A shared transport handle: many sequential engine runs (one per
-/// operation, as the replica layer creates them) can drive the *same*
-/// underlying transport, so its state — RNG stream, recorded fold,
-/// chaos schedules — is continuous across operations. Cloning the
-/// `Rc` is how a `make_transport(attempt)` closure hands every
-/// attempt the same substrate.
-impl<T: Transport> Transport for std::rc::Rc<std::cell::RefCell<T>> {
-    fn plan(&mut self, now: u64, env: &Envelope, out: &mut Vec<Delivery>) {
-        self.borrow_mut().plan(now, env, out)
     }
 }
 

@@ -71,7 +71,6 @@ use dh_proto::health::NetHealth;
 use dh_proto::transport::{Inline, Transport};
 use dh_proto::wire::{Action, Wire};
 use rand::Rng;
-use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
 
 pub use dh_store::{
@@ -101,8 +100,8 @@ fn index_of<S: Shelves>(shelves: &S) -> (ArcIndex, HeldIndex) {
     (arc, held)
 }
 
-/// What a traced quorum read ([`ReplicatedDht::get_quorum_traced`])
-/// observed, for SLO and chaos-campaign accounting.
+/// What a quorum read ([`ReplicatedDht::get_quorum`]) observed: the
+/// value plus the SLO and chaos-campaign accounting.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct QuorumRead {
     /// The reconstructed value, if any attempt reached quorum.
@@ -176,14 +175,13 @@ pub struct ReplicatedDht<G: ContinuousGraph = DistanceHalving, S: Shelves = MemS
     /// Repair frames planned but not yet priced through an engine.
     pub(crate) outbox: VecDeque<(NodeId, NodeId, Wire)>,
     /// The client-side network health ledger: per-destination Jacobson
-    /// RTT estimators plus the accrual suspicion failure detector,
-    /// shared across every engine run this store drives (each op runs
-    /// its own engine, so the ledger is what carries grey-failure
-    /// knowledge from one op to the next). Observation is always on
-    /// and sets the hedge delay of every quorum read's backup timer;
+    /// RTT estimators plus the accrual suspicion failure detector. Every
+    /// verb lends it to its engine, so grey-failure knowledge carries
+    /// from one op to the next. Observation is always on and sets the
+    /// hedge delay of every quorum read's backup timer;
     /// [`RetryPolicy::hedge`] opts individual ops into consulting its
     /// verdicts.
-    health: RefCell<NetHealth>,
+    health: NetHealth,
     /// The observability sink ([`dh_obs::Obs`]): off by default (inert
     /// handle, fingerprints unchanged), cloned into every engine this
     /// store drives so foreground, hedge and repair traffic all land
@@ -230,7 +228,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
             held,
             pace: None,
             outbox: VecDeque::new(),
-            health: RefCell::new(NetHealth::new()),
+            health: NetHealth::new(),
             obs: Obs::off(),
         }
     }
@@ -253,8 +251,8 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
 
     /// Snapshot accessor for the network health ledger (RTT
     /// estimators + suspicion counters accrued across ops).
-    pub fn health(&self) -> std::cell::Ref<'_, NetHealth> {
-        self.health.borrow()
+    pub fn health(&self) -> &NetHealth {
+        &self.health
     }
 
     /// Rebuild the arc and holder indices from the shelves. Required
@@ -348,10 +346,9 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         let len = sealed[0].len() as u32;
         let action = Action::PutShares { key, len, m: self.m, k: self.k, item: point };
         let out = {
-            let mut health = self.health.borrow_mut();
             let mut eng = Engine::new(&self.net, transport, seed)
                 .with_retry(retry)
-                .with_health(&mut health)
+                .with_health(&mut self.health)
                 .with_obs(self.obs.clone());
             let op = eng.submit(route_kind(self.kind), from, point, action);
             eng.run();
@@ -444,7 +441,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
     /// asked before that is concluded — or the route failed (a dead
     /// primary — see [`Self::get_quorum`] for client-side failover).
     pub fn get_over<T: Transport>(
-        &self,
+        &mut self,
         from: NodeId,
         key: u64,
         transport: T,
@@ -462,7 +459,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
     /// engine ran (completion time on success, final clock on failure)
     /// and the engine stats — the raw material for SLO accounting.
     fn get_via<T: Transport>(
-        &self,
+        &mut self,
         from: NodeId,
         key: u64,
         target: Point,
@@ -473,10 +470,9 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         let point = self.hash.point(key);
         let action = Action::GetShares { key, m: self.m, k: self.k, item: point };
         let (out, ticks, stats) = {
-            let mut health = self.health.borrow_mut();
             let mut eng = Engine::new(&self.net, transport, seed)
                 .with_retry(retry)
-                .with_health(&mut health)
+                .with_health(&mut self.health)
                 .with_obs(self.obs.clone());
             let op = eng.submit(route_kind(self.kind), from, target, action);
             eng.run_with_shares(&ShelfView(&self.shelves));
@@ -511,7 +507,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
     }
 
     /// [`Self::get_over`] on [`Inline`].
-    pub fn get(&self, from: NodeId, key: u64, rng: &mut impl Rng) -> Option<Bytes> {
+    pub fn get(&mut self, from: NodeId, key: u64, rng: &mut impl Rng) -> Option<Bytes> {
         self.get_over(from, key, Inline, rng.gen(), RetryPolicy::default()).1
     }
 
@@ -527,30 +523,19 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
     /// Re-randomizing the origin matters for deterministically routed
     /// instances (Chord-like greedy): a blocked approach path is
     /// origin-dependent, so a different vantage point unblocks it.
-    /// `make_transport(attempt)` builds each attempt's transport
-    /// (reproduce the same fault set in each).
+    /// Every attempt runs over the one `transport`, so dead covers and
+    /// loss persist between attempts as they do on a real network.
+    /// Under a hedged [`RetryPolicy`] each sweep additionally orders
+    /// candidate coordinators by the failure detector's suspicion level
+    /// (stable on ties), so reads route around grey or flapping covers
+    /// instead of paying their timeouts first. The returned
+    /// [`QuorumRead`] carries the value and the SLO accounting: modeled
+    /// ticks, message counts, retries and backup fetches.
     pub fn get_quorum<T: Transport>(
-        &self,
+        &mut self,
         from: NodeId,
         key: u64,
-        make_transport: impl Fn(usize) -> T,
-        seed: u64,
-        retry: RetryPolicy,
-    ) -> Option<Bytes> {
-        self.get_quorum_traced(from, key, make_transport, seed, retry).value
-    }
-
-    /// [`Self::get_quorum`] with full SLO accounting: modeled ticks,
-    /// message counts, retries and backup fetches. Under a hedged
-    /// [`RetryPolicy`] each sweep additionally orders candidate
-    /// coordinators by the failure detector's suspicion level (stable
-    /// on ties), so reads route around grey or flapping covers instead
-    /// of paying their timeouts first.
-    pub fn get_quorum_traced<T: Transport>(
-        &self,
-        from: NodeId,
-        key: u64,
-        make_transport: impl Fn(usize) -> T,
+        mut transport: T,
         seed: u64,
         retry: RetryPolicy,
     ) -> QuorumRead {
@@ -571,8 +556,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
             // historical sweep.
             let mut order: Vec<usize> = (0..clique.len()).collect();
             if retry.hedge {
-                let h = self.health.borrow();
-                order.sort_by_key(|&j| (h.suspicion(clique[j]), j));
+                order.sort_by_key(|&j| (self.health.suspicion(clique[j]), j));
             }
             for (pos, &j) in order.iter().enumerate() {
                 let coord = clique[j];
@@ -588,7 +572,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
                     origin,
                     key,
                     target,
-                    make_transport(attempt),
+                    &mut transport,
                     cd_core::rng::subseed(seed, attempt as u64),
                     retry,
                 );
@@ -618,7 +602,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         read
     }
 
-    /// Price a finished traced quorum read into the metrics registry:
+    /// Price a finished quorum read into the metrics registry:
     /// read count, failure count, and the failover-attempt and latency
     /// distributions (no-op with observability off).
     fn note_quorum(&self, read: &QuorumRead) {
@@ -641,10 +625,9 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         retry: RetryPolicy,
     ) -> (OpOutcome, bool) {
         let point = self.hash.point(key);
-        let mut health = self.health.borrow_mut();
         let mut eng = Engine::new(&self.net, transport, seed)
             .with_retry(retry)
-            .with_health(&mut health)
+            .with_health(&mut self.health)
             .with_obs(self.obs.clone());
         let op = eng.submit(route_kind(self.kind), from, point, Action::Remove { key });
         eng.run();
@@ -686,7 +669,8 @@ mod tests {
     use cd_core::pointset::PointSet;
     use cd_core::rng::seeded;
     use dh_dht::network::DhNetwork;
-    use dh_proto::transport::Sim;
+    use dh_proto::transport::{Delivery, Sim};
+    use dh_proto::wire::Envelope;
     use dh_proto::ChaosNet;
 
     fn store(n: usize, m: u8, k: u8, seed: u64) -> (ReplicatedDht, rand::rngs::StdRng) {
@@ -726,7 +710,7 @@ mod tests {
 
     #[test]
     fn missing_key_reads_none_without_retry_storm() {
-        let (dht, mut rng) = store(64, 6, 3, 0xA2);
+        let (mut dht, mut rng) = store(64, 6, 3, 0xA2);
         let from = dht.net.random_node(&mut rng);
         let (out, value) = dht.get_over(from, 999, Inline, 7, RetryPolicy::default());
         assert!(out.ok, "a full round of not-founds is an answer");
@@ -757,6 +741,16 @@ mod tests {
         assert!(!dht.remove(from, 1, &mut rng), "double remove is a no-op");
     }
 
+    /// A transport that counts the envelopes it plans.
+    struct Counting<T>(T, u64);
+
+    impl<T: Transport> Transport for Counting<T> {
+        fn plan(&mut self, now: u64, env: &Envelope, out: &mut Vec<Delivery>) {
+            self.1 += 1;
+            self.0.plan(now, env, out)
+        }
+    }
+
     #[test]
     fn survives_fail_stop_of_any_m_minus_k_covers() {
         // The §6.2 durability property, with the adversary choosing
@@ -768,16 +762,14 @@ mod tests {
         let from = dht.net.random_node(&mut rng);
         dht.put(from, 77, value.clone(), &mut rng);
         let clique = dht.clique(77);
+        let mut failed_over = false;
         // every pair of failed covers (m − k = 2 of 5), all C(5,2) = 10
         for a in 0..5usize {
             for b in (a + 1)..5 {
                 let dead = [clique[a], clique[b]];
-                let mk = |_: usize| {
-                    let mut f = ChaosNet::new(Inline, 0);
-                    f.fail(dead[0]);
-                    f.fail(dead[1]);
-                    f
-                };
+                let mut net = Counting(ChaosNet::new(Inline, 0), 0);
+                net.0.fail(dead[0]);
+                net.0.fail(dead[1]);
                 // the reader must itself be alive
                 let from = loop {
                     let f = dht.net.random_node(&mut rng);
@@ -786,14 +778,19 @@ mod tests {
                     }
                 };
                 let retry = RetryPolicy::fixed(128, 6);
-                let got = dht.get_quorum(from, 77, mk, 0xFEE7 ^ (a as u64) << 8 ^ b as u64, retry);
+                let seed = 0xFEE7 ^ (a as u64) << 8 ^ b as u64;
+                let read = dht.get_quorum(from, 77, &mut net, seed, retry);
                 assert_eq!(
-                    got,
+                    read.value,
                     Some(value.clone()),
                     "item unreadable with covers {a} and {b} dead"
                 );
+                // every attempt ran over the one lent transport
+                assert_eq!(read.msgs, net.1, "covers {a} and {b} dead: msgs miscounted");
+                failed_over |= read.attempts >= 2;
             }
         }
+        assert!(failed_over, "some dead pair must force a failover");
     }
 
     #[test]
@@ -829,7 +826,7 @@ mod tests {
         for &id in dht.net.live() {
             liars.lie(id);
         }
-        let retry = RetryPolicy::aggressive();
+        let retry = RetryPolicy::fixed(64, 3);
         let (out, placed) =
             dht.put_over(from, 9, Bytes::from_static(b"evil"), liars, 0x11, retry);
         if out.msgs > 0 {
@@ -864,7 +861,7 @@ mod tests {
         for &c in &clique[2..] {
             faulty.fail(c);
         }
-        let retry = RetryPolicy::aggressive();
+        let retry = RetryPolicy::fixed(64, 3);
         let (out, placed) =
             dht.put_over(clique[0], 3, Bytes::from_static(b"v2 torn"), faulty, 0x7E41, retry);
         assert!(!out.ok, "2 live covers cannot ack a k = 3 quorum");
@@ -884,10 +881,10 @@ mod tests {
         // a miss on a healthy network is answered by the first
         // coordinator (every cover replies not-found) — failover must
         // stop there instead of sweeping the clique for rounds
-        let (dht, mut rng) = store(96, 6, 3, 0xAC);
+        let (mut dht, mut rng) = store(96, 6, 3, 0xAC);
         let from = dht.net.random_node(&mut rng);
-        let got = dht.get_quorum(from, 424242, |_| Inline, 0x9, RetryPolicy::default());
-        assert_eq!(got, None);
+        let read = dht.get_quorum(from, 424242, Inline, 0x9, RetryPolicy::default());
+        assert_eq!(read.value, None);
     }
 
     #[test]

@@ -437,6 +437,13 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         (eng.stats.msgs, eng.stats.bytes)
     }
 
+    /// Price the member protocol of one join or leave into the metrics
+    /// registry, beside the repair traffic it triggers.
+    fn note_member(&self, cost: &ChurnMsgCost) {
+        self.obs.add("churn/member_msgs", 0, cost.lookup_msgs + cost.notify_msgs);
+        self.obs.add("churn/member_bytes", 0, cost.bytes);
+    }
+
     /// Algorithm Join as wire traffic plus the repair pass: the member
     /// protocol of `dh_dht::proto::join_over`, then anti-entropy so
     /// every clique the split shifted is fully replicated again — the
@@ -453,6 +460,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         retry: RetryPolicy,
     ) -> Option<(NodeId, ChurnMsgCost, RepairReport)> {
         let (id, cost) = join_over(&mut self.net, host, x, kind, seed, transport, retry)?;
+        self.note_member(&cost);
         // computed after the join: the cliques that changed are
         // exactly those the new node is now part of
         let keys: Vec<u64> = self.shifted_keys(id).into_iter().collect();
@@ -485,6 +493,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         let mut keys = self.shifted_keys(id);
         keys.extend(self.held.range(held_by(id)).map(|&(_, key, _)| key));
         let cost = leave_over(&mut self.net, id, transport, seed);
+        self.note_member(&cost);
         let keys: Vec<u64> = keys.into_iter().collect();
         let seed = splitmix64(seed ^ 0x5E1F);
         let mut report = self.repair_keys(&keys, transport, seed);
@@ -564,9 +573,11 @@ mod tests {
     /// Every item placed on its current clique as a set — each member
     /// holding exactly one committed share, nothing held elsewhere —
     /// and readable.
-    fn assert_healthy(dht: &ReplicatedDht, rng: &mut impl Rng) {
-        for (&key, item) in dht.shelves.map() {
+    fn assert_healthy(dht: &mut ReplicatedDht, rng: &mut impl Rng) {
+        let keys: Vec<u64> = dht.shelves.map().keys().copied().collect();
+        for key in keys {
             let clique = dht.clique(key);
+            let item = &dht.shelves.map()[&key];
             assert_eq!(item.holders.len(), clique.len(), "item {key} under-replicated");
             for cover in &clique {
                 let held = item.holders.values().filter(|h| h.node == *cover).count();
@@ -635,7 +646,7 @@ mod tests {
                 assert_eq!((handed, rebuilt), (0, shifted), "event {i}: a crash rebuilds");
             }
             shifted_by[kind_of_event] += shifted;
-            assert_healthy(&dht, &mut rng);
+            assert_healthy(&mut dht, &mut rng);
         }
         assert!(shifted_by.iter().all(|&s| s > 0), "every kind of event shifted items");
     }
@@ -671,7 +682,7 @@ mod tests {
             let (_, report) = dht.leave_over(victim, &mut t, i);
             assert_eq!(report.items_lost, 0, "one crash can never exceed m − k losses");
             total.merge(&report);
-            assert_healthy(&dht, &mut rng);
+            assert_healthy(&mut dht, &mut rng);
         }
         assert!(total.shares_rebuilt > 0, "crashes of share-holding covers must trigger repair");
         assert!(total.msgs > 0, "repair traffic must be priced");
@@ -701,7 +712,7 @@ mod tests {
                 .join_over(host, x, kind, i, &mut t, RetryPolicy::default())
                 .is_some()
             {
-                assert_healthy(&dht, &mut rng);
+                assert_healthy(&mut dht, &mut rng);
             }
         }
     }
@@ -779,7 +790,7 @@ mod tests {
                 "incremental repair left work for the full scan at event {i}"
             );
             assert_eq!(&before, dht.shelves.map(), "the full scan moved shelves at event {i}");
-            assert_healthy(&dht, &mut seeded(0x600D ^ i));
+            assert_healthy(&mut dht, &mut seeded(0x600D ^ i));
         }
     }
 
@@ -801,7 +812,7 @@ mod tests {
         assert!(report.frames_queued > 0, "a share-holding victim must queue repair frames");
         assert_eq!(dht.repair_backlog(), report.frames_queued);
         // shelf state is already repaired — pacing defers only the wire
-        assert_healthy(&dht, &mut rng);
+        assert_healthy(&mut dht, &mut rng);
         let mut total = (0u64, 0u64);
         let mut pumps = 0usize;
         while dht.repair_backlog() > 0 {
@@ -893,7 +904,7 @@ mod tests {
         }
         balance(&dht);
         assert_eq!(obs.overflow(), 0, "the ring held every event");
-        assert_healthy(&dht, &mut rng);
+        assert_healthy(&mut dht, &mut rng);
     }
 
     #[test]

@@ -48,7 +48,7 @@ mod tests {
 
     #[test]
     fn get_missing_returns_none() {
-        let (dht, mut rng) = single_copy(16, 31);
+        let (mut dht, mut rng) = single_copy(16, 31);
         let from = dht.net.random_node(&mut rng);
         let (out, got) = dht.get_over(from, 999, Inline, 7, RetryPolicy::default());
         assert!(out.ok, "a not-found is an answer");

@@ -87,7 +87,7 @@ fn every_crash_point_recovers_committed_and_hides_uncommitted() {
             }
 
             // the restarted node: recovered shelves, same world
-            let (dht, mut rng) = build(scratch.path());
+            let (mut dht, mut rng) = build(scratch.path());
             assert_eq!(dht.shelves.recovery().records, after as usize);
             assert_eq!(
                 dht.shelves.map(),

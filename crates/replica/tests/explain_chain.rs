@@ -30,10 +30,10 @@ fn lossy_traced_get(drop_seed: u64) -> (Obs, Option<Bytes>) {
     let from = dht.net.random_node(&mut rng);
     dht.put(from, KEY, Bytes::from_static(b"explain-me"), &mut rng);
     obs.begin_op(OP);
-    let mk = |_: usize| Sim::new(drop_seed).with_latency(4, 16, 4).with_drop(0.25);
+    let sim = Sim::new(drop_seed).with_latency(4, 16, 4).with_drop(0.25);
     let reader = dht.net.random_node(&mut rng);
-    let got = dht.get_quorum(reader, KEY, mk, drop_seed, RetryPolicy::patient().hedged());
-    (obs, got)
+    let read = dht.get_quorum(reader, KEY, sim, drop_seed, RetryPolicy::patient().hedged());
+    (obs, read.value)
 }
 
 /// Deterministically pick the drop seed: the first one whose chain

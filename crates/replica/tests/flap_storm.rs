@@ -23,9 +23,7 @@ use dh_proto::transport::Sim;
 use dh_proto::{ChaosNet, NodeId};
 use dh_replica::{QuorumRead, ReplicatedDht};
 use rand::Rng;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 /// Epoch stride between ops (engines restart their clock per op; the
 /// stride keeps the flap schedules on a continuous timeline).
@@ -54,35 +52,33 @@ fn flap_storm_no_lost_commits_bounded_waste() {
     let obs = Obs::recording(1 << 18);
     dht.set_obs(obs.clone());
     let nodes: Vec<NodeId> = dht.net.live().to_vec();
-    let chaos = Rc::new(RefCell::new(ChaosNet::new(
-        Sim::new(seed ^ 0x51).with_latency(4, 16, 4),
-        seed ^ 0xF1A9,
-    )));
+    let mut chaos = ChaosNet::new(Sim::new(seed ^ 0x51).with_latency(4, 16, 4), seed ^ 0xF1A9);
     let retry = RetryPolicy::patient().hedged();
     let mut epoch = 0u64;
 
-    let read = |dht: &ReplicatedDht,
-                    epoch: u64,
-                    key: u64,
-                    salt: u64,
-                    rng: &mut rand::rngs::StdRng|
+    let read = |dht: &mut ReplicatedDht,
+                chaos: &mut ChaosNet<Sim>,
+                epoch: u64,
+                key: u64,
+                salt: u64,
+                rng: &mut rand::rngs::StdRng|
      -> QuorumRead {
-        chaos.borrow_mut().set_epoch(epoch);
+        chaos.set_epoch(epoch);
         let from = dht.net.random_node(rng);
-        dht.get_quorum_traced(from, key, |_| chaos.clone(), subseed(seed ^ salt, key), retry)
+        dht.get_quorum(from, key, chaos, subseed(seed ^ salt, key), retry)
     };
 
     // healthy baseline: commit an initial population and price quorum
     // reads before anyone flaps
     let mut committed: BTreeMap<u64, Bytes> = BTreeMap::new();
     for key in 0..40u64 {
-        chaos.borrow_mut().set_epoch(epoch);
+        chaos.set_epoch(epoch);
         let from = dht.net.random_node(&mut rng);
         let (out, _) = dht.put_over(
             from,
             key,
             value_of(key),
-            chaos.clone(),
+            &mut chaos,
             subseed(seed, key),
             RetryPolicy::patient(),
         );
@@ -94,7 +90,7 @@ fn flap_storm_no_lost_commits_bounded_waste() {
     const BASELINE_READS: u64 = 40;
     for i in 0..BASELINE_READS {
         let key = rng.gen_range(0..40u64);
-        let r = read(&dht, epoch, key, 0xBA5E ^ i, &mut rng);
+        let r = read(&mut dht, &mut chaos, epoch, key, 0xBA5E ^ i, &mut rng);
         assert_eq!(r.value, Some(value_of(key)), "healthy read of {key} failed");
         healthy_msgs += r.msgs;
         epoch += STRIDE;
@@ -102,7 +98,7 @@ fn flap_storm_no_lost_commits_bounded_waste() {
     let healthy_per_read = healthy_msgs as f64 / BASELINE_READS as f64;
 
     // now 20% of the population starts flapping
-    let flappers = chaos.borrow_mut().flap_fraction(&nodes, FLAP_PERMILLE, FLAP_PERIOD, FLAP_DOWN);
+    let flappers = chaos.flap_fraction(&nodes, FLAP_PERMILLE, FLAP_PERIOD, FLAP_DOWN);
     assert!(
         !flappers.is_empty() && flappers.len() * 3 < nodes.len(),
         "a real but minority flapper set, got {}/{}",
@@ -126,13 +122,13 @@ fn flap_storm_no_lost_commits_bounded_waste() {
             next_key += 1;
             let mut ok = false;
             for try_no in 0..6u64 {
-                chaos.borrow_mut().set_epoch(epoch);
+                chaos.set_epoch(epoch);
                 let from = dht.net.random_node(&mut rng);
                 let (out, _) = dht.put_over(
                     from,
                     key,
                     value_of(key),
-                    chaos.clone(),
+                    &mut chaos,
                     subseed(seed, key | (try_no << 48)),
                     RetryPolicy::patient(),
                 );
@@ -150,7 +146,7 @@ fn flap_storm_no_lost_commits_bounded_waste() {
                 .next()
                 .or_else(|| committed.iter().next())
                 .expect("population is never empty");
-            let r = read(&dht, epoch, key, 0x57A6 ^ op, &mut rng);
+            let r = read(&mut dht, &mut chaos, epoch, key, 0x57A6 ^ op, &mut rng);
             if r.value.as_ref() == Some(want) {
                 served += 1;
             }
@@ -226,7 +222,7 @@ fn flap_storm_no_lost_commits_bounded_waste() {
     for (&key, want) in &committed {
         let mut got = None;
         for try_no in 0..4u64 {
-            let r = read(&dht, epoch, key, 0xAF7E ^ (try_no << 32), &mut rng);
+            let r = read(&mut dht, &mut chaos, epoch, key, 0xAF7E ^ (try_no << 32), &mut rng);
             epoch += STRIDE;
             if r.value.is_some() {
                 got = r.value;

@@ -151,7 +151,7 @@ fn placed_as_a_set<G: ContinuousGraph, S: Shelves>(
 
 /// Every key in `keys` reads back its value at quorum.
 fn all_readable<G: ContinuousGraph, S: Shelves>(
-    dht: &ReplicatedDht<G, S>,
+    dht: &mut ReplicatedDht<G, S>,
     keys: impl Iterator<Item = (u64, Bytes)>,
     seed: u64,
 ) -> Result<(), TestCaseError> {
@@ -179,7 +179,7 @@ fn equiv_on<G: ContinuousGraph, S: Shelves>(
         placed_as_a_set(&dht, step)?;
         full_scan_is_a_noop(&mut dht, sseed ^ 0xF011, step)?;
     }
-    all_readable(&dht, (0..items).map(|key| (key, value_of(key))), seed)
+    all_readable(&mut dht, (0..items).map(|key| (key, value_of(key))), seed)
 }
 
 proptest! {
@@ -227,5 +227,5 @@ fn equivalence_holds_with_write_bursts_between_churn() {
         full_scan_is_a_noop(&mut dht, seed ^ step ^ 0xF012, step as usize).unwrap();
     }
     let keys = (0..12u64).chain(100..196).map(|key| (key, value_of(key)));
-    all_readable(&dht, keys, seed).unwrap();
+    all_readable(&mut dht, keys, seed).unwrap();
 }

@@ -22,9 +22,7 @@ use dh_proto::{ChaosNet, CutDirection, NodeId};
 use dh_replica::{ReplicatedDht, Shelves};
 use dh_store::{FileShelves, MemShelves, ScratchPath};
 use rand::Rng;
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::rc::Rc;
 
 /// Epoch stride between storm ops: each op's engine restarts its
 /// clock at zero, so the harness advances the chaos epoch per op to
@@ -50,18 +48,17 @@ struct Storm {
     op_no: u64,
 }
 
-/// One storm op: leave / join / put / get, all driven over the shared
+/// One storm op: leave / join / put / get, all driven over the one
 /// chaos substrate. `cut` marks the bisection window, where failure is
 /// the partition doing its job rather than a bug.
 fn storm_op<G: ContinuousGraph, S: Shelves>(
     dht: &mut ReplicatedDht<G, S>,
-    chaos: &Rc<RefCell<ChaosNet<Sim>>>,
+    chaos: &mut ChaosNet<Sim>,
     rng: &mut impl Rng,
     st: &mut Storm,
     cut: bool,
 ) {
-    chaos.borrow_mut().set_epoch(st.epoch);
-    let mut handle = chaos.clone();
+    chaos.set_epoch(st.epoch);
     let seed_op = subseed(0x9A27, st.op_no);
     match rng.gen_range(0..5u32) {
         // leave: the incremental repair pass hands the departing
@@ -70,7 +67,7 @@ fn storm_op<G: ContinuousGraph, S: Shelves>(
         // orphans are ever beyond rebuilding)
         0 if dht.net.len() > 36 => {
             let v = dht.net.random_node(rng);
-            let (_, report) = dht.leave_over(v, &mut handle, seed_op);
+            let (_, report) = dht.leave_over(v, chaos, seed_op);
             assert!(
                 report.items_lost <= st.orphans.len(),
                 "single-leave churn with repair lost a committed item"
@@ -82,7 +79,7 @@ fn storm_op<G: ContinuousGraph, S: Shelves>(
             let host = dht.net.random_node(rng);
             let x = Point(rng.gen());
             let kind = dht.kind;
-            let _ = dht.join_over(host, x, kind, seed_op, &mut handle, RetryPolicy::default());
+            let _ = dht.join_over(host, x, kind, seed_op, chaos, RetryPolicy::default());
         }
         2 | 3 => {
             let key = st.next_key;
@@ -92,7 +89,7 @@ fn storm_op<G: ContinuousGraph, S: Shelves>(
                 from,
                 key,
                 value_of(key),
-                chaos.clone(),
+                &mut *chaos,
                 seed_op,
                 RetryPolicy::patient(),
             );
@@ -104,7 +101,7 @@ fn storm_op<G: ContinuousGraph, S: Shelves>(
                 // next leave can erode a k-share item below its
                 // threshold — the put-then-repair cadence a deployment
                 // runs
-                let report = dht.repair(&mut handle, subseed(seed_op, 0x70));
+                let report = dht.repair(chaos, subseed(seed_op, 0x70));
                 assert!(
                     report.items_lost <= st.orphans.len(),
                     "the top-up repair pass lost a committed item"
@@ -122,13 +119,8 @@ fn storm_op<G: ContinuousGraph, S: Shelves>(
                 st.committed.range(rng.gen::<u64>() % st.next_key.max(1)..).next()
             {
                 let from = dht.net.random_node(rng);
-                let got = dht.get_quorum(
-                    from,
-                    key,
-                    |_| chaos.clone(),
-                    subseed(seed_op, 0x9E7),
-                    RetryPolicy::patient().hedged(),
-                );
+                let retry = RetryPolicy::patient().hedged();
+                let got = dht.get_quorum(from, key, chaos, subseed(seed_op, 0x9E7), retry).value;
                 if !cut {
                     assert_eq!(got.as_ref(), Some(want), "item {key} unreadable while healthy");
                 }
@@ -147,33 +139,29 @@ fn storm_on<G: ContinuousGraph, S: Shelves>(graph: G, seed: u64, shelves: S) -> 
     let mut rng = seeded(seed);
     let net = CdNetwork::build(graph, &PointSet::random(48, &mut rng));
     let mut dht = ReplicatedDht::with_shelves(net, M, K, shelves, &mut rng);
-    let chaos = Rc::new(RefCell::new(ChaosNet::new(
-        Sim::new(seed ^ 0x5117).with_latency(4, 16, 4),
-        seed ^ 0xC47,
-    )));
+    let mut chaos = ChaosNet::new(Sim::new(seed ^ 0x5117).with_latency(4, 16, 4), seed ^ 0xC47);
     let mut st = Storm::default();
 
     // phase 1: the storm runs healthy
     for _ in 0..60 {
-        storm_op(&mut dht, &chaos, &mut rng, &mut st, false);
+        storm_op(&mut dht, &mut chaos, &mut rng, &mut st, false);
     }
 
     // phase 2: bisect mid-storm — a seeded half-split, cut both ways,
     // spanning the next 40 ops of effective time
     let cut_until = st.epoch + 40 * STRIDE;
     let nodes: Vec<NodeId> = dht.net.live().to_vec();
-    let side_a = chaos.borrow_mut().bisect(&nodes, CutDirection::Both, st.epoch, cut_until);
+    let side_a = chaos.bisect(&nodes, CutDirection::Both, st.epoch, cut_until);
     assert!(!side_a.is_empty() && side_a.len() < nodes.len(), "a real bisection");
     for _ in 0..40 {
-        storm_op(&mut dht, &chaos, &mut rng, &mut st, true);
+        storm_op(&mut dht, &mut chaos, &mut rng, &mut st, true);
     }
 
     // phase 3: the window end is the heal event; one full anti-entropy
     // pass converges every placement the split-brain churn disturbed
     st.epoch = st.epoch.max(cut_until) + STRIDE;
-    chaos.borrow_mut().set_epoch(st.epoch);
-    let mut handle = chaos.clone();
-    let report = dht.repair(&mut handle, subseed(seed, 0x4EA1));
+    chaos.set_epoch(st.epoch);
+    let report = dht.repair(&mut chaos, subseed(seed, 0x4EA1));
     assert!(
         report.items_lost <= st.orphans.len(),
         "the heal repair pass lost a committed item"
@@ -181,7 +169,7 @@ fn storm_on<G: ContinuousGraph, S: Shelves>(graph: G, seed: u64, shelves: S) -> 
 
     // phase 4: the storm continues on the healed network
     for _ in 0..30 {
-        storm_op(&mut dht, &chaos, &mut rng, &mut st, false);
+        storm_op(&mut dht, &mut chaos, &mut rng, &mut st, false);
     }
 
     // convergence: every committed item fully replicated on its
@@ -189,7 +177,7 @@ fn storm_on<G: ContinuousGraph, S: Shelves>(graph: G, seed: u64, shelves: S) -> 
     dht.net.validate();
     assert!(st.committed.len() >= 25, "the storm must have committed a real population");
     for (&key, want) in &st.committed {
-        chaos.borrow_mut().set_epoch(st.epoch);
+        chaos.set_epoch(st.epoch);
         let clique = dht.clique(key);
         assert_eq!(clique.len(), M as usize, "network shrank below m");
         let item = &dht.shelves.map()[&key];
@@ -205,11 +193,11 @@ fn storm_on<G: ContinuousGraph, S: Shelves>(graph: G, seed: u64, shelves: S) -> 
         let got = dht.get_quorum(
             from,
             key,
-            |_| chaos.clone(),
+            &mut chaos,
             subseed(seed ^ 0xAF7E, key),
             RetryPolicy::patient().hedged(),
         );
-        assert_eq!(got.as_ref(), Some(want), "item {key} not quorum-readable after heal");
+        assert_eq!(got.value.as_ref(), Some(want), "item {key} not quorum-readable after heal");
         st.epoch += STRIDE;
     }
     dht

@@ -62,13 +62,10 @@ fn durability_after_churn_on<G: ContinuousGraph, S: Shelves>(graph: G, seed: u64
         let clique = dht.clique(*key);
         for rot in 0..3usize {
             let dead: Vec<_> = (0..3).map(|i| clique[(rot * 2 + i) % 6]).collect();
-            let mk = |_: usize| {
-                let mut f = ChaosNet::new(Inline, 0);
-                for &d in &dead {
-                    f.fail(d);
-                }
-                f
-            };
+            let mut net = ChaosNet::new(Inline, 0);
+            for &d in &dead {
+                net.fail(d);
+            }
             // the reader must itself be alive (a fail-stopped origin
             // cannot send anything at all)
             let from = loop {
@@ -78,7 +75,7 @@ fn durability_after_churn_on<G: ContinuousGraph, S: Shelves>(graph: G, seed: u64
                 }
             };
             let retry = RetryPolicy::fixed(128, 6);
-            let got = dht.get_quorum(from, *key, mk, seed ^ (*key << 4) ^ rot as u64, retry);
+            let got = dht.get_quorum(from, *key, net, seed ^ (*key << 4) ^ rot as u64, retry).value;
             assert_eq!(
                 got.as_ref(),
                 Some(value),

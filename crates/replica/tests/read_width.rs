@@ -48,7 +48,7 @@ fn holds<S: Shelves>(shelves: &S, key: u64, clique: &[NodeId], slot: usize) -> b
 
 /// Read every key ever put and compare with the shelf-state oracle.
 fn reads_follow_the_shelves<G: ContinuousGraph, S: Shelves>(
-    dht: &ReplicatedDht<G, S>,
+    dht: &mut ReplicatedDht<G, S>,
     committed: &BTreeMap<u64, Bytes>,
     rng: &mut impl Rng,
     step: usize,
@@ -113,7 +113,7 @@ fn width_on<G: ContinuousGraph, S: Shelves>(
                 dht.net.join(Point(rng.gen()));
             }
         }
-        reads_follow_the_shelves(&dht, &committed, &mut rng, step)?;
+        reads_follow_the_shelves(&mut dht, &committed, &mut rng, step)?;
     }
     Ok(())
 }
@@ -163,7 +163,7 @@ fn withheld_repair_reaches_both_sides_of_the_quorum() {
         dht.shelves.retire(victim);
         dht.reindex();
         dht.net.leave(victim);
-        reads_follow_the_shelves(&dht, &committed, &mut rng, lost).unwrap();
+        reads_follow_the_shelves(&mut dht, &committed, &mut rng, lost).unwrap();
         let from = dht.net.random_node(&mut rng);
         read_back.push(dht.get(from, 1, &mut rng).is_some());
     }

@@ -29,7 +29,7 @@ fn value_of(key: u64) -> Bytes {
 /// by the server covering `h(key)` — and reconstructs at quorum from a
 /// random origin.
 fn check_all<G: ContinuousGraph, S: Shelves>(
-    dht: &ReplicatedDht<G, S>,
+    dht: &mut ReplicatedDht<G, S>,
     live: &BTreeMap<u64, Bytes>,
     rng: &mut impl Rng,
 ) {
@@ -120,14 +120,14 @@ fn storm_on<G: ContinuousGraph, S: Shelves>(
         ops += 1;
         if ops.is_multiple_of(250) {
             dht.net.validate();
-            check_all(&dht, &live, &mut rng);
+            check_all(&mut dht, &live, &mut rng);
         }
     }
     assert_eq!(lost_total, 0, "one departure at a time can never lose an item");
     assert!(live.len() > 100, "the storm must have stored a real population");
     assert_eq!(dht.items(), live.len(), "shelves must track the live population");
     dht.net.validate();
-    check_all(&dht, &live, &mut rng);
+    check_all(&mut dht, &live, &mut rng);
     dht
 }
 

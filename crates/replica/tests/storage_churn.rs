@@ -22,7 +22,7 @@ fn value_of(key: u64) -> Bytes {
 
 /// Every live item sits on the server covering its hashed point and is
 /// retrievable by a routed get from a random server.
-fn check_all(dht: &ReplicatedDht, live: &BTreeMap<u64, Bytes>, rng: &mut impl Rng) {
+fn check_all(dht: &mut ReplicatedDht, live: &BTreeMap<u64, Bytes>, rng: &mut impl Rng) {
     for (&key, want) in live {
         let owner = dht.net.cover_of(dht.hash.point(key));
         assert!(
@@ -79,13 +79,13 @@ fn storm(kind: LookupKind, seed: u64) {
         ops += 1;
         if ops.is_multiple_of(250) {
             dht.net.validate();
-            check_all(&dht, &live, &mut rng);
+            check_all(&mut dht, &live, &mut rng);
         }
     }
     assert!(live.len() > 100, "the storm must have stored a real population");
     assert_eq!(dht.shelved_shares(), live.len(), "one copy per live item");
     dht.net.validate();
-    check_all(&dht, &live, &mut rng);
+    check_all(&mut dht, &live, &mut rng);
 }
 
 #[test]

@@ -38,13 +38,10 @@ fn main() {
 
     // disaster: any m − k covers fail-stop — the primary included
     let dead: Vec<_> = clique.iter().take((m - k) as usize).copied().collect();
-    let make_faulty = |_: usize| {
-        let mut f = ChaosNet::new(Inline, 0);
-        for &d in &dead {
-            f.fail(d);
-        }
-        f
-    };
+    let mut faulty = ChaosNet::new(Inline, 0);
+    for &d in &dead {
+        faulty.fail(d);
+    }
     println!("fail-stopping {} covers (the primary among them): {dead:?}", dead.len());
     let reader = loop {
         let c = store.net.random_node(&mut rng);
@@ -54,7 +51,8 @@ fn main() {
     };
     let retry = RetryPolicy::fixed(256, 6);
     let got = store
-        .get_quorum(reader, key, make_faulty, 0xD00D, retry)
+        .get_quorum(reader, key, faulty, 0xD00D, retry)
+        .value
         .expect("k live covers are a read quorum");
     assert_eq!(got, value);
     println!("quorum read reconstructed the item from {k} of the surviving covers\n");

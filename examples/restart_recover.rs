@@ -88,7 +88,7 @@ fn main() {
     drop(store);
 
     // ---- life 3: the torn generation is invisible, not half-applied ----
-    let (store, mut rng) = boot(scratch.path());
+    let (mut store, mut rng) = boot(scratch.path());
     let rec = store.shelves.recovery();
     println!(
         "life 3: recovery truncated {} torn bytes; item 7 is at generation {}",
