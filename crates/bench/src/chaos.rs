@@ -44,15 +44,14 @@ use rand::Rng;
 pub const SHAPE: (usize, usize, usize) = (600, 160, 360);
 /// Per-mille of nodes flapping in the flap scenario.
 pub const FLAP_PERMILLE: u64 = 200;
-/// Flap cycle length (effective ticks)…
+/// Flap cycle length (engine ticks)…
 pub const FLAP_PERIOD: u64 = 30_000;
 /// …and the down-time within it.
 pub const FLAP_DOWN: u64 = 7_500;
 /// Loss-burst drop probability (per-mille).
 pub const BURST_PERMILLE: u64 = 300;
-/// Epoch stride between ops: each op's engine restarts its clock at
-/// zero, so the campaign advances the chaos epoch by this much per op
-/// to give schedules a continuous timeline.
+/// Arrival spacing: the store's clock advances at least this much per
+/// op, spreading the ops over the chaos schedules.
 const STRIDE: u64 = 10_000;
 
 /// The chaos shape of one cell; the discriminant salts its seed.
@@ -116,8 +115,8 @@ pub fn percentile(lat: &mut [u64], q: f64) -> f64 {
 
 /// One campaign cell: build a fresh store, preload it (healthy-path
 /// commits; the RTT estimators warm on this traffic), then drive the
-/// quorum reads with the chaos schedules live, advancing the chaos
-/// epoch per op. Ends with a full readback sweep past the chaos
+/// quorum reads with the chaos schedules live, one stride of the
+/// store's clock per op. Ends with a full readback sweep past the chaos
 /// windows: no committed write may be lost, whatever the weather was.
 fn cell<S: Shelves>(
     name: &'static str,
@@ -131,12 +130,12 @@ fn cell<S: Shelves>(
     let net = DhNetwork::new(&PointSet::random(n, &mut rng));
     let mut dht = ReplicatedDht::with_shelves(net, M, K, shelves, &mut rng);
     let nodes: Vec<NodeId> = dht.net.live().to_vec();
-    // One recorded chaos substrate lent to every per-op engine: the
-    // engines come and go, the weather persists.
+    // One recorded chaos substrate lent to every op on the store's
+    // one engine: the ops come and go, the weather persists.
     let sim = Sim::new(seed).with_latency(4, 16, 4);
     let mut wire = Recorder::new(ChaosNet::new(sim, seed ^ 0xC405));
 
-    // chaos windows sit in *effective* time, after the preload epochs
+    // chaos windows sit on the store's clock, after the preload strides
     let base = items as u64 * STRIDE;
     let end = base + ops as u64 * STRIDE;
     let third = (end - base) / 3;
@@ -164,11 +163,11 @@ fn cell<S: Shelves>(
     let mut epoch = 0u64;
     for key in 0..items as u64 {
         // under an always-on flap schedule a single put can lose all
-        // its attempts to a down window; advancing the epoch between
-        // tries moves the clock past it, so every key commits
+        // its attempts to a down window; advancing the clock between
+        // tries moves it past the window, so every key commits
         let mut committed = false;
         for try_no in 0..6u64 {
-            wire.inner_mut().set_epoch(epoch);
+            dht.advance_to(epoch);
             let from = dht.net.random_node(&mut rng);
             let (out, _) = dht.put_over(
                 from,
@@ -187,11 +186,8 @@ fn cell<S: Shelves>(
         assert!(committed, "preload put of key {key} must commit within 6 tries");
         epoch += STRIDE;
     }
-    // retries may have overrun the nominal preload window; the chaos
-    // windows assume measurement starts at `base`
-    epoch = epoch.max(base);
 
-    // the measured read stream, one epoch stride per op
+    // the measured read stream, one stride per op
     let retry = if hedged { RetryPolicy::patient().hedged() } else { RetryPolicy::patient() };
     let mut out = Cell {
         name,
@@ -203,7 +199,7 @@ fn cell<S: Shelves>(
         fingerprint: 0,
     };
     for i in 0..ops {
-        wire.inner_mut().set_epoch(epoch);
+        dht.advance_to(epoch);
         let key = rng.gen_range(0..items as u64);
         let from = dht.net.random_node(&mut rng);
         let read = dht.get_quorum(from, key, &mut wire, subseed(seed ^ 0x9E7, i as u64), retry);
@@ -221,7 +217,7 @@ fn cell<S: Shelves>(
     // committed write must still be quorum-readable
     epoch = end + 4 * STRIDE;
     for key in 0..items as u64 {
-        wire.inner_mut().set_epoch(epoch);
+        dht.advance_to(epoch);
         let from = dht.net.random_node(&mut rng);
         let read = dht.get_quorum(from, key, &mut wire, subseed(seed ^ 0xAF7E, key), retry);
         assert_eq!(

@@ -48,7 +48,7 @@ use dh_dht::driver::{
 use dh_dht::{join_over, leave_over, CdNetwork, DhNetwork, LookupKind, NodeId};
 use dh_fault::{FaultModel, OverlapNet, OverlapNodeId};
 use dh_obs::Obs;
-use dh_proto::engine::RetryPolicy;
+use dh_proto::engine::{Engine, RetryPolicy};
 use dh_proto::transport::{Delivery, Inline, Transport};
 use dh_proto::wire::{Envelope, Wire};
 use dh_replica::{ReplicatedDht, Shelves};
@@ -875,11 +875,11 @@ fn join(t: &mut Table, p: &Params) {
         let ps = random_points(n, 23);
         let bound = dh_path_bound(n, ps.smoothness());
         let mut net = DhNetwork::new(&ps);
-        let (kind, retry) = (net.native_kind(), RetryPolicy::default());
+        let (kind, mut eng) = (net.native_kind(), Engine::default());
         let costs: Vec<_> = (0..200u64)
             .filter_map(|i| {
                 let (host, x) = (net.random_node(&mut rng), Point(rng.gen()));
-                join_over(&mut net, host, x, kind, i, &mut Inline, retry).map(|(_, cost)| cost)
+                join_over(&mut eng, &mut net, host, x, kind, i, &mut Inline).map(|(_, cost)| cost)
             })
             .collect();
         // under Inline a lookup message is a hop, and the notifications
@@ -911,7 +911,7 @@ fn member_cost_on<G: ContinuousGraph>(t: &mut Table, graph: G, n: usize) {
     let at = format!("{}, n = {n}", graph.label());
     let mut rng = seeded(MASTER_SEED ^ 0x23DE ^ n as u64);
     let mut net = CdNetwork::build(graph, &random_points(n, 23));
-    let (kind, retry) = (net.native_kind(), RetryPolicy::default());
+    let (kind, mut eng) = (net.native_kind(), Engine::default());
     // (claim, notify messages, bound) over the joins, then the leaves
     let mut sums = [(&E23D, 0u64, 0u64), (&E23E, 0, 0)];
     let mut before = tables(&net);
@@ -919,11 +919,11 @@ fn member_cost_on<G: ContinuousGraph>(t: &mut Table, graph: G, n: usize) {
         let side = (i % 2) as usize;
         let notify = if side == 0 {
             let (host, x) = (net.random_node(&mut rng), Point(rng.gen()));
-            let joined = join_over(&mut net, host, x, kind, i, &mut Inline, retry);
+            let joined = join_over(&mut eng, &mut net, host, x, kind, i, &mut Inline);
             joined.expect("Inline joins a fresh point").1.notify_msgs
         } else {
             let v = net.random_node(&mut rng);
-            leave_over(&mut net, v, &mut Inline, i).notify_msgs
+            leave_over(&mut eng, &mut net, v, &mut Inline).notify_msgs
         };
         let after = tables(&net);
         let changed = after.iter().filter(|&(id, table)| before.get(id) != Some(table)).count();

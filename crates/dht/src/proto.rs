@@ -14,17 +14,17 @@
 //! [`join_over`]/[`leave_over`] run the paper's Join/Leave algorithms
 //! as wire traffic (lookup steps, a `JoinSplit`/`LeaveMerge` RPC, one
 //! `NeighborDiff` per server whose table changes — the watchers
-//! [`CdNetwork::watchers`] derives) while the verified incremental
-//! table maintenance of [`CdNetwork`] applies the state transition —
-//! the message layer prices what the state layer does.
+//! [`CdNetwork::watchers`] derives) on the caller's engine, while the
+//! verified incremental table maintenance of [`CdNetwork`] applies the
+//! state transition — the message layer prices what the state layer
+//! does. Churn lends its runs no detector and records nothing.
 
 use crate::lookup::LookupKind;
 use crate::network::{CdNetwork, NodeId};
 use cd_core::graph::ContinuousGraph;
 use cd_core::interval::Interval;
 use cd_core::point::Point;
-use cd_core::rng::splitmix64;
-use dh_proto::engine::{Engine, RetryPolicy, Topology};
+use dh_proto::engine::{Engine, NoShares, Topology};
 use dh_proto::transport::Transport;
 use dh_proto::wire::{Action, RouteKind, Wire};
 
@@ -66,7 +66,7 @@ pub fn route_kind(kind: LookupKind) -> RouteKind {
 }
 
 /// Message cost of one churn operation driven through the engine.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChurnMsgCost {
     /// Messages of the initial lookup (Join step 2; 0 for Leave).
     pub lookup_msgs: u64,
@@ -76,44 +76,38 @@ pub struct ChurnMsgCost {
     pub notify_msgs: u64,
     /// Total modeled bytes of all of the above.
     pub bytes: u64,
-    /// Attempts the lookup needed (lossy transports).
-    pub attempts: u32,
 }
 
-/// Algorithm Join (§2.1) as wire traffic: route a lookup for `x` from
-/// `host`, send `JoinSplit` to the covering server, apply the verified
-/// split ([`CdNetwork::join`]), then send one `NeighborDiff` to every
-/// server whose table changed. Returns `None` on identifier collision
-/// or if the lookup failed on a lossy transport (caller may retry with
-/// a fresh seed).
+/// Algorithm Join (§2.1) as wire traffic on `eng`, under its retry
+/// policy: route a lookup for `x` from `host`, send `JoinSplit` to the
+/// covering server, apply the verified split ([`CdNetwork::join`]),
+/// then send one `NeighborDiff` to every server whose table changed.
+/// Returns `None` on identifier collision or if the lookup failed on
+/// a lossy transport (caller may retry with a fresh seed).
 pub fn join_over<G: ContinuousGraph, T: Transport>(
+    eng: &mut Engine,
     net: &mut CdNetwork<G>,
     host: NodeId,
     x: Point,
     kind: LookupKind,
     seed: u64,
     transport: &mut T,
-    retry: RetryPolicy,
 ) -> Option<(NodeId, ChurnMsgCost)> {
     if net.node(net.cover_of(x)).x == x {
         return None; // identifier collision
     }
     // step 2: lookup x from the host
-    let (dest, lookup, split) = {
-        let mut eng = Engine::new(&*net, &mut *transport, seed).with_retry(retry);
-        let op = eng.submit(route_kind(kind), host, x, Action::Locate);
-        eng.run();
-        let out = eng.take_outcome(op);
-        if !out.ok {
-            return None;
-        }
-        let dest = out.dest.expect("completed");
-        // step 3: ask the cover to split (the joiner speaks through its
-        // host until it is spliced into the ring)
-        eng.send(host, dest, Wire::JoinSplit { x });
-        eng.run();
-        (dest, out, eng.stats)
-    };
+    let op = eng.submit(seed, route_kind(kind), host, x, Action::Locate);
+    let lookup = eng.run(&*net, transport, None, &Default::default(), &NoShares);
+    let out = eng.take_outcome(op);
+    if !out.ok {
+        return None;
+    }
+    let dest = out.dest.expect("completed");
+    // step 3: ask the cover to split (the joiner speaks through its
+    // host until it is spliced into the ring)
+    eng.send(host, dest, Wire::JoinSplit { x });
+    let split = eng.run(&*net, transport, None, &Default::default(), &NoShares);
     // the affected set, derived before the split: the split node's
     // watchers, ascending by id, so the notification order (and any
     // recorded trace) is a pure function of the membership
@@ -121,31 +115,30 @@ pub fn join_over<G: ContinuousGraph, T: Transport>(
     let id = net.join(x)?;
     // step 4: the split node informs every affected server; the joiner
     // receives its freshly derived table
-    let mut eng = Engine::new(&*net, &mut *transport, splitmix64(seed ^ 0x301F));
     for &w in &watchers {
         eng.send(dest, w, Wire::NeighborDiff { entries: 1 });
     }
     eng.send(dest, id, Wire::NeighborDiff { entries: net.node(id).degree() as u32 });
-    eng.run();
+    let notify = eng.run(&*net, transport, None, &Default::default(), &NoShares);
     let cost = ChurnMsgCost {
-        lookup_msgs: lookup.msgs,
-        notify_msgs: split.msgs + eng.stats.msgs - lookup.msgs,
-        bytes: split.bytes + eng.stats.bytes,
-        attempts: lookup.attempts,
+        lookup_msgs: out.msgs,
+        notify_msgs: split.msgs + notify.msgs,
+        bytes: lookup.bytes + split.bytes + notify.bytes,
     };
     Some((id, cost))
 }
 
-/// The simple Leave (§2.1) as wire traffic: `LeaveMerge` hands the
-/// segment to the ring predecessor, then each watcher of either gets
-/// one `NeighborDiff` with an entry per server of the two it lists.
-/// The verified [`CdNetwork::leave`] applies the state transition. The
-/// leaver's shares follow as `dh_replica`'s repair frames.
+/// The simple Leave (§2.1) as wire traffic on `eng`: `LeaveMerge`
+/// hands the segment to the ring predecessor, then each watcher of
+/// either gets one `NeighborDiff` with an entry per server of the two
+/// it lists. The verified [`CdNetwork::leave`] applies the state
+/// transition. The leaver's shares follow as `dh_replica`'s repair
+/// frames.
 pub fn leave_over<G: ContinuousGraph, T: Transport>(
+    eng: &mut Engine,
     net: &mut CdNetwork<G>,
     id: NodeId,
     transport: &mut T,
-    seed: u64,
 ) -> ChurnMsgCost {
     let pred = net.ring_pred(id);
     let (of_leaver, of_pred) = (net.watchers(id), net.watchers(pred));
@@ -161,17 +154,13 @@ pub fn leave_over<G: ContinuousGraph, T: Transport>(
         }
     }
     notify.sort_unstable();
-    let cost = {
-        let mut eng = Engine::new(&*net, &mut *transport, seed);
-        eng.send(id, pred, Wire::LeaveMerge);
-        for &(src, dst, entries) in &notify {
-            eng.send(src, dst, Wire::NeighborDiff { entries });
-        }
-        eng.run();
-        ChurnMsgCost { notify_msgs: eng.stats.msgs, bytes: eng.stats.bytes, ..Default::default() }
-    };
+    eng.send(id, pred, Wire::LeaveMerge);
+    for &(src, dst, entries) in &notify {
+        eng.send(src, dst, Wire::NeighborDiff { entries });
+    }
+    let stats = eng.run(&*net, transport, None, &Default::default(), &NoShares);
     net.leave(id);
-    cost
+    ChurnMsgCost { notify_msgs: stats.msgs, bytes: stats.bytes, ..Default::default() }
 }
 
 #[cfg(test)]
@@ -227,11 +216,12 @@ mod tests {
     fn churn_over<G: ContinuousGraph>(mut net: CdNetwork<G>, seed: u64) -> u64 {
         let (mut rng, kind) = (seeded(seed), net.native_kind());
         let mut transport = Recorder::new(Diffs::default());
+        let mut eng = Engine::default();
         for i in 0..120u64 {
             *transport.inner_mut() = Diffs::default();
             if net.len() > 8 && rng.gen_bool(0.45) {
                 let v = net.random_node(&mut rng);
-                let cost = leave_over(&mut net, v, &mut transport, i);
+                let cost = leave_over(&mut eng, &mut net, v, &mut transport);
                 let seen = transport.inner_mut();
                 assert_priced(&cost, seen);
                 // one NeighborDiff per distinct receiver, never two
@@ -243,8 +233,8 @@ mod tests {
             } else {
                 let host = net.random_node(&mut rng);
                 let x = Point(rng.gen());
-                let retry = RetryPolicy::default();
-                if let Some((id, cost)) = join_over(&mut net, host, x, kind, i, &mut transport, retry) {
+                let joined = join_over(&mut eng, &mut net, host, x, kind, i, &mut transport);
+                if let Some((id, cost)) = joined {
                     assert_priced(&cost, transport.inner_mut());
                     assert!(net.node(id).covers(x));
                     // join must stay local: O(degree) notifications

@@ -10,7 +10,7 @@ use cd_core::rng::{seeded, sub_rng};
 use cd_core::Point;
 use dh_dht::proto::route_kind;
 use dh_dht::{DhNetwork, LookupKind, NodeId};
-use dh_proto::engine::{Engine, RetryPolicy};
+use dh_proto::engine::{Engine, NoShares, RetryPolicy};
 use dh_proto::transport::{Inline, Recorder, Sim};
 use dh_proto::wire::Action;
 use proptest::prelude::*;
@@ -25,9 +25,9 @@ fn engine_route(
     target: Point,
     seed: u64,
 ) -> dh_dht::Route {
-    let mut eng = Engine::new(net, Inline, seed);
-    let op = eng.submit(route_kind(kind), from, target, Action::Locate);
-    eng.run();
+    let mut eng = Engine::default();
+    let op = eng.submit(seed, route_kind(kind), from, target, Action::Locate);
+    eng.run(net, &mut Inline, None, &Default::default(), &NoShares);
     let out = eng.take_outcome(op);
     assert!(out.ok, "Inline routing cannot fail");
     assert_eq!(
@@ -108,21 +108,19 @@ proptest! {
         let net = DhNetwork::new(&PointSet::random(128, &mut rng));
         let drop_p = f64::from(drop_pm) / 1000.0;
         let run = || {
-            let mut eng = Engine::new(
-                &net,
-                Recorder::new(Sim::new(sim_seed).with_drop(drop_p).with_dup(drop_p)),
-                net_seed ^ 0xE,
-            )
-            .with_retry(RetryPolicy::fixed(1_000, 8));
+            let mut rec = Recorder::new(Sim::new(sim_seed).with_drop(drop_p).with_dup(drop_p));
+            let mut eng = Engine::default();
+            eng.retry = RetryPolicy::fixed(1_000, 8);
             let mut qrng = seeded(sim_seed);
             let ops: Vec<_> = (0..24)
                 .map(|i| {
                     let kind = if i % 2 == 0 { LookupKind::Fast } else { LookupKind::DistanceHalving };
                     let from = net.random_node(&mut qrng);
-                    eng.submit_at(i * 7, route_kind(kind), from, Point(qrng.gen()), Action::Locate)
+                    let target = Point(qrng.gen());
+                    eng.submit_at(i * 7, net_seed ^ 0xE, route_kind(kind), from, target, Action::Locate)
                 })
                 .collect();
-            eng.run();
+            let stats = eng.run(&net, &mut rec, None, &Default::default(), &NoShares);
             let outcomes: Vec<_> = ops
                 .iter()
                 .map(|&op| {
@@ -130,8 +128,7 @@ proptest! {
                     (o.ok, o.dest, o.msgs, o.bytes, o.attempts, o.completed_at, o.path.nodes)
                 })
                 .collect();
-            let stats = eng.stats;
-            (outcomes, stats, eng.into_transport().fingerprint())
+            (outcomes, stats, rec.fingerprint())
         };
         let a = run();
         let b = run();

@@ -14,7 +14,7 @@ use cd_core::rng::seeded;
 use cd_core::Point;
 use dh_dht::proto::route_kind;
 use dh_dht::{CdNetwork, LookupKind, NodeId, Route};
-use dh_proto::engine::{Engine, RetryPolicy};
+use dh_proto::engine::{Engine, NoShares};
 use dh_proto::transport::Inline;
 use dh_proto::wire::Action;
 use rand::Rng;
@@ -192,9 +192,9 @@ fn chord_engine_inline_routes_are_bit_identical() {
             let from = net.random_node(rng);
             let target = Point(rng.gen());
             let direct = net.lookup(LookupKind::Greedy, from, target, rng);
-            let mut eng = Engine::new(net, Inline, i);
-            let op = eng.submit(route_kind(LookupKind::Greedy), from, target, Action::Locate);
-            eng.run();
+            let mut eng = Engine::default();
+            let op = eng.submit(i, route_kind(LookupKind::Greedy), from, target, Action::Locate);
+            eng.run(net, &mut Inline, None, &Default::default(), &NoShares);
             let out = eng.take_outcome(op);
             assert!(out.ok, "Inline routing cannot fail");
             assert_eq!(out.msgs as usize, out.path.hops(), "one hop = one message under Inline");
@@ -222,23 +222,18 @@ fn wire_churn_works_on_new_instances() {
     let mut rng = seeded(0xE0);
     let mut net = CdNetwork::build(ChordLike, &PointSet::random(64, &mut rng));
     let mut transport = Inline;
+    let mut eng = Engine::default();
     for i in 0..80u64 {
         if net.len() > 8 && rng.gen_bool(0.4) {
             let v = net.random_node(&mut rng);
-            let cost = dh_dht::leave_over(&mut net, v, &mut transport, i);
+            let cost = dh_dht::leave_over(&mut eng, &mut net, v, &mut transport);
             assert!(cost.notify_msgs >= 1);
         } else {
             let host = net.random_node(&mut rng);
             let x = Point(rng.gen());
-            if let Some((id, cost)) = dh_dht::join_over(
-                &mut net,
-                host,
-                x,
-                LookupKind::Greedy,
-                i,
-                &mut transport,
-                RetryPolicy::default(),
-            ) {
+            if let Some((id, cost)) =
+                dh_dht::join_over(&mut eng, &mut net, host, x, LookupKind::Greedy, i, &mut transport)
+            {
                 assert!(net.node(id).covers(x));
                 assert!(cost.lookup_msgs <= 40, "greedy join lookup too long");
             }

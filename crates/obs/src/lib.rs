@@ -573,9 +573,14 @@ impl fmt::Display for Explain {
             self.bytes_sent(),
             if self.truncated { " [head may be truncated: ring overflowed]" } else { "" },
         )?;
+        // every stamp, deadlines included, counts from the first event
         let t0 = self.events.first().map(|e| e.at).unwrap_or(0);
         for e in &self.events {
-            writeln!(f, "  t={:<8} a{} {}", e.at.saturating_sub(t0), e.attempt, e.kind)?;
+            let mut kind = e.kind;
+            if let EventKind::TimerArm { deadline, .. } = &mut kind {
+                *deadline = deadline.saturating_sub(t0);
+            }
+            writeln!(f, "  t={:<8} a{} {}", e.at.saturating_sub(t0), e.attempt, kind)?;
         }
         Ok(())
     }

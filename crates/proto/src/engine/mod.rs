@@ -4,9 +4,11 @@
 //! [`Topology`] and any [`crate::transport::Transport`]. Time is a
 //! `u64` tick counter; events (message deliveries, retry timers) live
 //! in a priority queue ordered by `(time, sequence-number)`, so runs
-//! are exactly reproducible. Per-op randomness (the Distance Halving
-//! Lookup's digit string) comes from `sub_rng(engine_seed, op)`,
-//! independent of how ops interleave.
+//! are exactly reproducible. The engine keeps what persists (clock,
+//! queue, op slab, retry policy); each [`Engine::run`] borrows the
+//! world it acts on, so one engine serves a network whose membership
+//! changes between runs. An op's randomness (digits, timer jitter,
+//! walk plans) keys on its seed and id, however ops interleave.
 //!
 //! Every hop decision uses **only the current node's own table**
 //! ([`Topology::local_cover`]), so what the engine executes is the
@@ -15,7 +17,7 @@
 //! a message is sent exactly when the hop crosses to another server,
 //! which is why the `Inline` transport reproduces `DhNetwork::lookup`
 //! routes bit for bit. One exception: a hedged DH op with a detector
-//! attached has its digit string chosen up front (`Engine::plan_walk`)
+//! attached has its digit string chosen up front (`policy::plan_walk`)
 //! from 32 candidate walks simulated over *other* servers' tables and
 //! priced with the detector's per-destination estimates. Without it
 //! `e_chaos`'s healthy hedged p50 goes 137 → 182 ticks and its grey
@@ -58,8 +60,8 @@
 //!
 //! # Grey-failure tolerance
 //!
-//! A fixed timeout cannot distinguish "dead" from "slow". Attaching a
-//! [`NetHealth`] ([`Engine::with_health`]) feeds every
+//! A fixed timeout cannot distinguish "dead" from "slow". Lending a
+//! run a [`NetHealth`] ([`Engine::run`]) feeds every
 //! planned delivery into per-destination Jacobson RTT estimators and
 //! decays/raises per-node suspicion counters; the opt-in
 //! [`RetryPolicy::hedge`] flag then changes behavior: progress timers
@@ -150,9 +152,8 @@ pub trait ShareView {
     fn share_of(&self, node: NodeId, key: u64) -> Option<(u8, u32)>;
 }
 
-/// The empty share store: no node holds anything. What [`Engine::run`]
-/// consults — sufficient for every non-replicated protocol and for
-/// replicated *writes*.
+/// The empty share store: no node holds anything — sufficient for
+/// every non-replicated protocol and for replicated *writes*.
 pub struct NoShares;
 
 impl ShareView for NoShares {
@@ -249,8 +250,8 @@ impl EngineStats {
     /// Push every counter into a [`dh_obs`] registry under the
     /// `engine/…` namespace, labelled by `label` (0 for "the run";
     /// a scenario can use it to split foreground from repair traffic).
-    /// Counters accumulate across engine runs, which is exactly what
-    /// a scenario spanning many short-lived engines wants.
+    /// The registry adds what each run exports, so a scenario reads
+    /// its totals there.
     pub fn export(&self, obs: &Obs, label: u64) {
         for (name, v) in [
             ("engine/msgs", self.msgs),
@@ -270,7 +271,7 @@ impl EngineStats {
 }
 
 /// The final record of one operation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OpOutcome {
     /// What the op did at its destination.
     pub action: Action,
@@ -286,7 +287,7 @@ pub struct OpOutcome {
     pub bytes: u64,
     /// Attempts used (1 = succeeded first try).
     pub attempts: u32,
-    /// Completion time on the engine clock.
+    /// Ticks from the op's start to its completion.
     pub completed_at: Option<u64>,
     /// Whether any delivery the successful attempt consumed was
     /// corrupted in flight (false message injection).
@@ -329,6 +330,10 @@ enum Machine {
 }
 
 struct Op {
+    /// With the op's id, keys its digits, timer jitter and walk plans.
+    seed: u64,
+    /// The tick the op's origin started acting.
+    started: u64,
     kind: RouteKind,
     action: Action,
     from: NodeId,
@@ -351,7 +356,7 @@ struct Op {
     /// failure detector blames if the progress timer fires.
     waiting_on: Option<NodeId>,
     /// Pre-planned walk digits for a hedged DH op
-    /// ([`Engine::plan_walk`]): a route vetted against the failure
+    /// (`policy::plan_walk`): a route vetted against the failure
     /// detector before the first send. Consumed digit-by-digit; the
     /// op's own rng takes over past its end, and a retry re-plans
     /// (the stall falsified the vetting).
@@ -370,6 +375,8 @@ struct Op {
 
 enum EventKind {
     Start { op: OpId },
+    /// A bare message handed to the transport when the run reaches it.
+    Send { env: Envelope },
     Deliver { env: Envelope },
     Timer { op: OpId, attempt: u32, step: u32 },
     /// Backup checkpoint of a quorum op: if it is still short, blame
@@ -452,6 +459,11 @@ impl EventQueue {
         }
     }
 
+    fn is_empty(&self) -> bool {
+        [&self.immediate, &self.timers, &self.starts].iter().all(|q| q.is_empty())
+            && self.heap.is_empty()
+    }
+
     /// Pop the globally earliest event by `(time, seq)`.
     fn pop(&mut self) -> Option<Event> {
         // the best lane front, if any
@@ -482,106 +494,81 @@ impl EventQueue {
 }
 
 /// The deterministic event-driven runtime. See the module docs.
-pub struct Engine<'g, G: Topology, T: Transport> {
-    net: &'g G,
-    transport: T,
-    seed: u64,
+#[derive(Default)]
+pub struct Engine {
     clock: u64,
     seq: u64,
     queue: EventQueue,
+    /// This run's ops: a submit to an idle engine resets it to op 0.
     ops: Vec<Op>,
     /// Retransmission policy for routed ops.
     pub retry: RetryPolicy,
-    /// Global counters.
-    pub stats: EngineStats,
-    /// Failure detector / RTT tracker shared across engine runs (the
-    /// layer above owns it; `None` ⇒ classic fixed-timeout behavior).
-    health: Option<&'g mut NetHealth>,
-    /// Flight-recorder handle ([`dh_obs`]). Off by default: every
-    /// emit is one `Option` test, so an un-instrumented run schedules
-    /// bit-identically to a build without the recorder at all.
-    obs: Obs,
     plan_buf: Vec<Delivery>,
 }
 
-impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
-    /// A fresh engine at tick 0 over `net` and `transport`, with all
-    /// per-op randomness derived from `seed`.
-    pub fn new(net: &'g G, transport: T, seed: u64) -> Self {
-        Engine {
-            net,
-            transport,
-            seed,
-            clock: 0,
-            seq: 0,
-            queue: EventQueue::default(),
-            ops: Vec::new(),
-            retry: RetryPolicy::default(),
-            stats: EngineStats::default(),
-            health: None,
-            obs: Obs::off(),
-            plan_buf: Vec::new(),
-        }
-    }
+/// One [`Engine::run`]: the engine, the world it borrows, its counters.
+struct Run<'r, G, T> {
+    eng: &'r mut Engine,
+    net: &'r G,
+    transport: &'r mut T,
+    /// The detector lent by the layer above (`None` ⇒ fixed timeouts).
+    health: Option<&'r mut NetHealth>,
+    /// Purely observational: a recorded run schedules as an unrecorded one.
+    obs: &'r Obs,
+    stats: EngineStats,
+}
 
-    /// Set the retransmission policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Attach a failure detector / RTT tracker that outlives this
-    /// engine run. Observation is unconditional, and a quorum read
-    /// takes its hedge delay from the observed population RTT; the
-    /// detector-driven behaviors additionally require
-    /// [`RetryPolicy::hedge`].
-    pub fn with_health(mut self, health: &'g mut NetHealth) -> Self {
-        self.health = Some(health);
-        self
-    }
-
-    /// Attach a flight recorder ([`dh_obs::Obs`]). Emission is purely
-    /// observational — no event changes what the engine schedules and
-    /// no emission consumes engine randomness — so an instrumented
-    /// run's wire trace is bit-identical to an un-instrumented one.
-    pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
-        self
-    }
-
+impl Engine {
     /// The current engine time.
     pub fn now(&self) -> u64 {
         self.clock
     }
 
-    /// Give back the transport (e.g. to read a recorder's fold).
-    pub fn into_transport(self) -> T {
-        self.transport
+    /// Move an idle engine's clock forward to `t` (never back): the
+    /// next op starts no earlier than `t`.
+    pub fn advance_to(&mut self, t: u64) {
+        assert!(self.queue.is_empty(), "advance_to on an engine with events pending");
+        self.clock = self.clock.max(t);
     }
 
-    /// Submit an operation starting now. Returns its handle.
-    pub fn submit(&mut self, kind: RouteKind, from: NodeId, target: Point, action: Action) -> OpId {
-        self.submit_at(self.clock, kind, from, target, action)
-    }
-
-    /// Submit an operation whose origin starts acting at time `t`
-    /// (staggered arrivals). The op's randomness is derived from its
-    /// id (`sub_rng(seed, id)`).
-    pub fn submit_at(
+    /// [`Self::submit_at`] the current tick.
+    pub fn submit(
         &mut self,
-        t: u64,
+        seed: u64,
         kind: RouteKind,
         from: NodeId,
         target: Point,
         action: Action,
     ) -> OpId {
+        self.submit_at(self.clock, seed, kind, from, target, action)
+    }
+
+    /// Submit an operation whose origin starts acting at time `t`
+    /// (staggered arrivals). The op's randomness is derived from
+    /// `seed` and its id (`sub_rng(seed, id)`).
+    pub fn submit_at(
+        &mut self,
+        t: u64,
+        seed: u64,
+        kind: RouteKind,
+        from: NodeId,
+        target: Point,
+        action: Action,
+    ) -> OpId {
+        if self.queue.is_empty() {
+            // idle: the last run's outcomes were taken or abandoned
+            self.ops.clear();
+        }
         let id = self.ops.len() as OpId;
+        let at = t.max(self.clock);
         self.ops.push(Op {
+            seed,
+            started: at,
             kind,
             action,
             from,
             target,
-            rng: sub_rng(self.seed, u64::from(id)),
+            rng: sub_rng(seed, u64::from(id)),
             machine: Machine::Pending,
             cur: from,
             attempt: 1,
@@ -601,48 +588,53 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
             last_at: Point(0),
             replica: None,
         });
-        let at = t.max(self.clock);
         self.push_event(at, EventKind::Start { op: id }, Lane::Start);
         id
     }
 
     /// Send a bare (non-routed) protocol message — churn notifications
-    /// and the like. Counted and traced like any other send; delivery
-    /// has no state machine to drive.
+    /// and the like — when the next run reaches the current tick.
+    /// Counted and traced like any other send; delivery has no state
+    /// machine to drive.
     pub fn send(&mut self, src: NodeId, dst: NodeId, msg: Wire) {
-        let bytes = msg.wire_bytes();
         let env = Envelope { src, dst, msg, corrupt: false };
-        self.dispatch(env, bytes, 0);
+        self.push_event(self.clock, EventKind::Send { env }, Lane::Start);
     }
 
-    /// Run to quiescence with no share store attached.
-    pub fn run(&mut self) {
-        self.run_with_shares(&NoShares);
-    }
-
-    /// Run to quiescence with a share store attached: every
-    /// [`Wire::FetchShare`] a cover receives is answered by consulting
-    /// `view` — what quorum reads ([`Action::GetShares`]) need.
-    pub fn run_with_shares<V: ShareView>(&mut self, view: &V) {
-        while let Some(ev) = self.queue.pop() {
-            debug_assert!(ev.at >= self.clock, "time went backwards");
-            debug_assert!(ev.seq < self.seq, "event from the future");
-            self.clock = ev.at;
+    /// Run to quiescence over `net` and `transport`, lending the run
+    /// `health` and recording into `obs`. Every [`Wire::FetchShare`] a
+    /// cover receives is answered by consulting `shares` — what quorum
+    /// reads ([`Action::GetShares`]) need. Returns this run's counters.
+    pub fn run<G: Topology, T: Transport, V: ShareView>(
+        &mut self,
+        net: &G,
+        transport: &mut T,
+        health: Option<&mut NetHealth>,
+        obs: &Obs,
+        shares: &V,
+    ) -> EngineStats {
+        let mut run = Run { eng: self, net, transport, health, obs, stats: EngineStats::default() };
+        while let Some(ev) = run.eng.queue.pop() {
+            debug_assert!(ev.at >= run.eng.clock, "time went backwards");
+            debug_assert!(ev.seq < run.eng.seq, "event from the future");
+            run.eng.clock = ev.at;
             match ev.kind {
                 EventKind::Start { op } => {
-                    self.start_op(op);
-                    self.advance_or_enter(op, view);
+                    run.start_op(op);
+                    run.advance_or_enter(op, shares);
                 }
-                EventKind::Deliver { env } => self.deliver(env, view),
-                EventKind::Timer { op, attempt, step } => self.timer(op, attempt, step, view),
-                EventKind::Hedge { op, attempt } => self.hedge_fire(op, attempt),
+                EventKind::Send { env } => run.dispatch(env, env.msg.wire_bytes(), 0),
+                EventKind::Deliver { env } => run.deliver(env, shares),
+                EventKind::Timer { op, attempt, step } => run.timer(op, attempt, step, shares),
+                EventKind::Hedge { op, attempt } => run.hedge_fire(op, attempt),
             }
         }
+        run.stats
     }
 
-    /// The outcome of a submitted op (meaningful after [`Self::run`]).
-    /// Moves the route buffers out of the op: a second call returns
-    /// the metrics again but an empty route.
+    /// The outcome of a submitted op (meaningful after its run, until
+    /// the next idle submit). Moves the route buffers out of the op: a
+    /// second call returns the metrics again but an empty route.
     pub fn take_outcome(&mut self, id: OpId) -> OpOutcome {
         let op = &mut self.ops[id as usize];
         let ok = matches!(op.machine, Machine::Done);
@@ -679,13 +671,59 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         self.queue.push(Event { at, seq, kind }, lane);
     }
 
+    /// A fresh [`BoundEngine`]. ROADMAP B2 deletes it.
+    #[doc(hidden)]
+    #[expect(clippy::new_ret_no_self, reason = "the name `benchmark/` calls")]
+    pub fn new<G: Topology, T: Transport>(net: &G, transport: T, seed: u64) -> BoundEngine<'_, G, T> {
+        BoundEngine { net, transport, seed, health: None, eng: Engine::default() }
+    }
+}
+
+/// An engine bound to one topology, transport, op seed and detector:
+/// the one-op API `benchmark/` builds against. ROADMAP B2 deletes it;
+/// nothing else may use it.
+#[doc(hidden)]
+pub struct BoundEngine<'g, G, T> {
+    net: &'g G,
+    transport: T,
+    seed: u64,
+    health: Option<&'g mut NetHealth>,
+    eng: Engine,
+}
+
+#[doc(hidden)]
+impl<'g, G: Topology, T: Transport> BoundEngine<'g, G, T> {
+    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
+        self.eng.retry = retry;
+        self
+    }
+
+    pub fn with_health(mut self, health: &'g mut NetHealth) -> Self {
+        self.health = Some(health);
+        self
+    }
+
+    pub fn submit(&mut self, kind: RouteKind, from: NodeId, target: Point, action: Action) -> OpId {
+        self.eng.submit(self.seed, kind, from, target, action)
+    }
+
+    pub fn run_with_shares<V: ShareView>(&mut self, view: &V) {
+        self.eng.run(self.net, &mut self.transport, self.health.as_deref_mut(), &Obs::off(), view);
+    }
+
+    pub fn take_outcome(&mut self, id: OpId) -> OpOutcome {
+        self.eng.take_outcome(id)
+    }
+}
+
+impl<G: Topology, T: Transport> Run<'_, G, T> {
     /// Arm op `id`'s progress timer for its current `(attempt, step)`,
     /// `timeout` ticks from now, waiting on `dst`.
     fn arm_timer(&mut self, id: OpId, dst: NodeId, timeout: u64) {
-        let op = &self.ops[id as usize];
-        let (attempt, step, deadline) = (op.attempt, op.step, self.clock + timeout);
-        self.obs.emit(self.clock, attempt, ObsEvent::TimerArm { dst: dst.0, deadline });
-        self.push_event(deadline, EventKind::Timer { op: id, attempt, step }, Lane::Timer);
+        let op = &self.eng.ops[id as usize];
+        let (attempt, step, deadline) = (op.attempt, op.step, self.eng.clock + timeout);
+        self.obs.emit(self.eng.clock, attempt, ObsEvent::TimerArm { dst: dst.0, deadline });
+        self.eng.push_event(deadline, EventKind::Timer { op: id, attempt, step }, Lane::Timer);
     }
 
     /// Hand `env` to the transport and schedule its arrivals. `bytes`
@@ -696,31 +734,31 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         self.stats.msgs += 1;
         self.stats.bytes += bytes;
         self.obs.emit(
-            self.clock,
+            self.eng.clock,
             attempt,
             ObsEvent::Send { src: env.src.0, dst: env.dst.0, bytes: bytes as u32 },
         );
-        let mut plan = mem::take(&mut self.plan_buf);
+        let mut plan = mem::take(&mut self.eng.plan_buf);
         plan.clear();
-        self.transport.plan(self.clock, &env, &mut plan);
+        self.transport.plan(self.eng.clock, &env, &mut plan);
         match plan.len() {
             0 => self.stats.dropped += 1,
             n => self.stats.duplicated += (n - 1) as u64,
         }
         self.observe_rtt(&env, &plan);
         for d in &plan {
-            debug_assert!(d.at >= self.clock, "transport scheduled into the past");
+            debug_assert!(d.at >= self.eng.clock, "transport scheduled into the past");
             let env = Envelope { corrupt: env.corrupt || d.corrupt, ..env };
-            self.push_event(d.at, EventKind::Deliver { env }, Lane::Immediate);
+            self.eng.push_event(d.at, EventKind::Deliver { env }, Lane::Immediate);
         }
-        self.plan_buf = plan;
+        self.eng.plan_buf = plan;
     }
 
     /// Emit one of op `id`'s messages, charged to the op and stamped
     /// with its current attempt.
     fn send_op(&mut self, id: OpId, src: NodeId, dst: NodeId, msg: Wire) {
         let bytes = msg.wire_bytes();
-        let op = &mut self.ops[id as usize];
+        let op = &mut self.eng.ops[id as usize];
         op.msgs += 1;
         op.bytes += bytes;
         let attempt = op.attempt;
@@ -737,7 +775,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         intact: bool,
         accepts: impl FnOnce(&Op) -> bool,
     ) -> Option<&mut Op> {
-        match self.ops.get_mut(id as usize) {
+        match self.eng.ops.get_mut(id as usize) {
             Some(op) if attempt == op.attempt && intact && accepts(op) => Some(op),
             _ => {
                 self.stats.stale += 1;
@@ -758,7 +796,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
                 _ => 0,
             };
             self.obs.emit(
-                self.clock,
+                self.eng.clock,
                 attempt,
                 ObsEvent::Deliver { src: env.src.0, dst: env.dst.0 },
             );
@@ -791,9 +829,9 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
     }
 
     fn complete(&mut self, id: OpId) {
-        let op = &mut self.ops[id as usize];
+        let op = &mut self.eng.ops[id as usize];
         op.machine = Machine::Done;
-        op.completed_at = Some(self.clock);
+        op.completed_at = Some(self.eng.clock - op.started);
         self.stats.completed += 1;
     }
 }

@@ -50,11 +50,11 @@ impl Default for RetryPolicy {
     }
 }
 
-impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
+impl<G: Topology, T: Transport> Run<'_, G, T> {
     /// The attached detector, but only when the policy is hedged: the
     /// one gate of every detector-driven behavior.
     fn hedged_detector(&self) -> Option<&NetHealth> {
-        self.health.as_deref().filter(|_| self.retry.hedge)
+        self.health.as_deref().filter(|_| self.eng.retry.hedge)
     }
 
     /// Feed the failure detector's RTT estimators with the planned
@@ -65,9 +65,9 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
     pub(super) fn observe_rtt(&mut self, env: &Envelope, plan: &[Delivery]) {
         let Some(h) = self.health.as_deref_mut() else { return };
         for d in plan {
-            let delay = d.at.saturating_sub(self.clock);
+            let delay = d.at.saturating_sub(self.eng.clock);
             h.observe(env.dst, delay);
-            if self.retry.hedge && env.src != env.dst {
+            if self.eng.retry.hedge && env.src != env.dst {
                 h.observe(env.src, delay);
             }
         }
@@ -75,22 +75,22 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
 
     /// `base` plus deterministic per-`(op, attempt)` jitter of up to a
     /// quarter, clamped to the policy ceiling. The jitter stream is
-    /// `sub_rng(seed, op, attempt)` — a pure function of the engine
+    /// `sub_rng(seed, op, attempt)` — a pure function of the op's
     /// seed, so traces stay fingerprintable.
     fn jittered(&self, base: u64, id: OpId, attempt: u32) -> u64 {
         let span = (base / 4).max(1);
         let mut rng = sub_rng(
-            self.seed ^ 0xBACC_0FF5,
+            self.eng.ops[id as usize].seed ^ 0xBACC_0FF5,
             (u64::from(id) << 32) | u64::from(attempt),
         );
-        (base + rng.gen_range(0..span)).min(self.retry.timeout)
+        (base + rng.gen_range(0..span)).min(self.eng.retry.timeout)
     }
 
     /// The progress timeout for a send toward `dst`: the fixed policy
     /// timeout, or — hedging with health attached — the
     /// per-destination Jacobson bound with jitter.
     pub(super) fn progress_timeout(&self, id: OpId, dst: NodeId, attempt: u32) -> u64 {
-        let ceiling = self.retry.timeout;
+        let ceiling = self.eng.retry.timeout;
         let Some(h) = self.hedged_detector() else { return ceiling };
         // a hedged route stalls one healthy-sized wait at most, every
         // attempt: a premature fire costs one in-place retransmission
@@ -116,7 +116,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
     /// suspicion threshold), the population's otherwise, plus a
     /// penalty that makes suspect-free candidates always outrank
     /// suspect-crossing ones. Candidate streams are pure functions of
-    /// `(engine seed, op, attempt)`, so traces stay fingerprintable;
+    /// `(op seed, op, attempt)`, so traces stay fingerprintable;
     /// retries re-plan from wherever the op stalled. Empty (the op
     /// draws its own digits) unhedged or when no candidate converged.
     fn plan_walk(&self, from: NodeId, target: Point, id: OpId, attempt: u32) -> Vec<u32> {
@@ -143,7 +143,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         let mut best: Option<(u64, Vec<u32>)> = None;
         for c in 0..CANDIDATES {
             let mut rng = sub_rng(
-                self.seed ^ 0xD161_7909,
+                self.eng.ops[id as usize].seed ^ 0xD161_7909,
                 (u64::from(id) << 32) | (u64::from(attempt) << 8) | c,
             );
             let mut walk = TwoSidedWalk::new(x, target, delta);
@@ -201,7 +201,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
     /// cover bounds the round, so take the max per-destination bound,
     /// backed off exponentially across attempts.
     pub(super) fn scatter_timeout(&self, id: OpId, holders: &[NodeId], attempt: u32) -> u64 {
-        let ceiling = self.retry.timeout;
+        let ceiling = self.eng.retry.timeout;
         let Some(h) = self.hedged_detector() else { return ceiling };
         let base = holders
             .iter()
@@ -215,8 +215,8 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
     /// How long a quorum read waits before its next backup fetch.
     pub(super) fn hedge_delay_now(&self) -> u64 {
         match self.health.as_deref() {
-            Some(h) => h.hedge_delay(self.retry.timeout),
-            None => (self.retry.timeout / 8).max(1),
+            Some(h) => h.hedge_delay(self.eng.retry.timeout),
+            None => (self.eng.retry.timeout / 8).max(1),
         }
     }
 
@@ -224,7 +224,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
     /// hedged — the initial attempt and every from-origin retry alike
     /// ([`Self::plan_walk`]); empty otherwise.
     pub(super) fn preplan(&self, id: OpId) -> Vec<u32> {
-        let op = &self.ops[id as usize];
+        let op = &self.eng.ops[id as usize];
         match op.kind {
             RouteKind::DistanceHalving => self.plan_walk(op.from, op.target, id, op.attempt),
             _ => Vec::new(),
@@ -236,7 +236,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
     /// coordination one hop to the least-suspect cover of `holders`
     /// instead (at most once per attempt). That cover, if any.
     pub(super) fn handoff(&self, id: OpId, holders: &[NodeId]) -> Option<NodeId> {
-        let op = &self.ops[id as usize];
+        let op = &self.eng.ops[id as usize];
         let h = self.hedged_detector()?;
         let (read, cur) = (matches!(op.action, Action::GetShares { .. }), op.cur);
         if !read || op.handed_off || !h.is_suspect(cur) {
@@ -278,22 +278,22 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         update(h);
         let (up, level) = (h.is_suspect(node), h.suspicion(node));
         if was != up {
-            self.obs.emit(self.clock, 0, ObsEvent::SuspicionEdge { node: node.0, up, level });
+            self.obs.emit(self.eng.clock, 0, ObsEvent::SuspicionEdge { node: node.0, up, level });
         }
     }
 
     /// A progress timer fired on a stalled op: resend in place, blame,
     /// then resume or restart — until the retry budget runs out.
     pub(super) fn timer<V: ShareView>(&mut self, id: OpId, attempt: u32, step: u32, view: &V) {
-        let op = &self.ops[id as usize];
+        let op = &self.eng.ops[id as usize];
         if matches!(op.machine, Machine::Done | Machine::Failed)
             || attempt != op.attempt
             || step != op.step
         {
             return; // the op made progress since this timer was armed
         }
-        self.obs.emit(self.clock, attempt, ObsEvent::TimerFire { step });
-        let op = &self.ops[id as usize];
+        self.obs.emit(self.eng.clock, attempt, ObsEvent::TimerFire { step });
+        let op = &self.eng.ops[id as usize];
         // spurious-timeout protection for hedged routes: a stalled
         // step is usually a lost or merely-late message (a grey
         // crossing outlasts the healthy-sized timer but still
@@ -308,7 +308,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
             && self.hedged_detector().is_some();
         if let Some(dst) = op.waiting_on.filter(|_| resend) {
             let (src, at) = (op.cur, op.last_at);
-            self.ops[id as usize].resends += 1;
+            self.eng.ops[id as usize].resends += 1;
             // repeated silence still accrues, gently
             self.raise_suspicion(dst, true);
             let timeout = self.progress_timeout(id, dst, attempt);
@@ -331,8 +331,8 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
                 self.raise_suspicion(n, false);
             }
         }
-        let op = &mut self.ops[id as usize];
-        if op.attempt >= self.retry.max_attempts {
+        let op = &mut self.eng.ops[id as usize];
+        if op.attempt >= self.eng.retry.max_attempts {
             op.machine = Machine::Failed;
             self.stats.failed += 1;
             return;
@@ -344,8 +344,8 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         op.corrupt = false;
         self.stats.retries += 1;
         let fresh = op.attempt;
-        self.obs.emit(self.clock, fresh, ObsEvent::Retry);
-        let op = &self.ops[id as usize];
+        self.obs.emit(self.eng.clock, fresh, ObsEvent::Retry);
+        let op = &self.eng.ops[id as usize];
         // a hedged DH route that stalled mid-walk resumes from the
         // node holding the message — a fresh random descent from here
         // (the stalled hop's cover is now suspect, so the new digits
@@ -358,7 +358,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
             let here = self.net.segment_of(cur).start();
             let delta = self.net.delta();
             let digits = self.plan_walk(cur, target, id, attempt);
-            let op = &mut self.ops[id as usize];
+            let op = &mut self.eng.ops[id as usize];
             op.handed_off = false;
             op.walk.reset(here, op.target, delta);
             op.planned = digits;

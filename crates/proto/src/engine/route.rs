@@ -5,13 +5,13 @@ use super::*;
 use cd_core::walk::{prefix_walk_delta, walk_budget};
 use rand::Rng;
 
-impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
+impl<G: Topology, T: Transport> Run<'_, G, T> {
     /// Initialize an op's routing state at its origin (attempt 1 or a
     /// retry): reset the path and plan/re-plan the walk.
     pub(super) fn start_op(&mut self, id: OpId) {
         let delta = self.net.delta();
         let planned = self.preplan(id);
-        let op = &mut self.ops[id as usize];
+        let op = &mut self.eng.ops[id as usize];
         op.cur = op.from;
         op.handed_off = false;
         op.planned = planned;
@@ -63,7 +63,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
     /// completes or must send a message (sent here), then return.
     pub(super) fn advance<V: ShareView>(&mut self, id: OpId, view: &V) {
         loop {
-            let op = &mut self.ops[id as usize];
+            let op = &mut self.eng.ops[id as usize];
             let cur = op.cur;
             match op.machine {
                 Machine::Pending | Machine::Done | Machine::Failed => return,
@@ -169,7 +169,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
     /// (the op then waits for its delivery); `false` means the
     /// position moved but stayed on the same server.
     fn hop(&mut self, id: OpId, p: Point) -> bool {
-        let op = &self.ops[id as usize];
+        let op = &self.eng.ops[id as usize];
         let cur = op.cur;
         let next = self.net.local_cover(cur, p).unwrap_or_else(|| {
             panic!(
@@ -178,7 +178,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
                 p
             )
         });
-        self.ops[id as usize].path.push(next, p);
+        self.eng.ops[id as usize].path.push(next, p);
         if next == cur {
             return false;
         }
@@ -191,7 +191,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
     /// retransmission (identical stamps, so either delivery advances
     /// the op).
     pub(super) fn step_msg(&self, id: OpId, at: Point) -> Wire {
-        let op = &self.ops[id as usize];
+        let op = &self.eng.ops[id as usize];
         let digits = match op.kind {
             RouteKind::Fast | RouteKind::Greedy => 0,
             RouteKind::DistanceHalving => match op.machine {
@@ -213,7 +213,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
     /// Emit the op's next `LookupStep` to `next` and arm the progress
     /// timer.
     pub(super) fn send_step(&mut self, id: OpId, next: NodeId, at: Point) {
-        let op = &mut self.ops[id as usize];
+        let op = &mut self.eng.ops[id as usize];
         op.step += 1;
         op.resends = 0;
         op.last_at = at;

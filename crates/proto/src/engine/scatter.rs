@@ -48,7 +48,7 @@ impl ReplicaState {
     }
 }
 
-impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
+impl<G: Topology, T: Transport> Run<'_, G, T> {
     /// Is `node` within the §6.2 cover clique of `item` — one of the
     /// `m` ring-consecutive covers starting at the cover of `item`?
     /// (`node` is a clique member iff walking at most `m − 1` ring
@@ -71,7 +71,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
     /// (This is also what makes quorum ops reachable around a dead
     /// primary: any live cover the route touches can coordinate.)
     pub(super) fn advance_or_enter<V: ShareView>(&mut self, id: OpId, view: &V) {
-        let op = &self.ops[id as usize];
+        let op = &self.eng.ops[id as usize];
         let entry = match op.action {
             Action::PutShares { item, m, .. } | Action::GetShares { item, m, .. } => {
                 let routing = !matches!(
@@ -93,7 +93,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
     /// plain ops complete here; replicated ops enter the clique
     /// scatter instead.
     pub(super) fn arrive<V: ShareView>(&mut self, id: OpId, view: &V) {
-        if self.ops[id as usize].action.is_replicated() {
+        if self.eng.ops[id as usize].action.is_replicated() {
             self.begin_scatter(id, view);
         } else {
             self.complete(id);
@@ -110,7 +110,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
     /// timer covers the whole round: if the quorum is not reached in
     /// time, the op restarts end to end like any other routed op.
     fn begin_scatter<V: ShareView>(&mut self, id: OpId, view: &V) {
-        let op = &self.ops[id as usize];
+        let op = &self.eng.ops[id as usize];
         let cur = op.cur;
         let (key, m, k, item, put, share_len) = match op.action {
             Action::PutShares { key, len, m, k, item } => (key, m, k, item, true, len),
@@ -141,7 +141,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
             }
         }
         if let Some(best) = self.handoff(id, &holders) {
-            self.ops[id as usize].handed_off = true;
+            self.eng.ops[id as usize].handed_off = true;
             self.send_step(id, best, item);
             return;
         }
@@ -156,15 +156,15 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         // every share
         let need = (k as usize).min(holders.len()).max(1);
         self.obs.emit(
-            self.clock,
-            self.ops[id as usize].attempt,
+            self.eng.clock,
+            self.eng.ops[id as usize].attempt,
             ObsEvent::QuorumEntry {
                 coordinator: cur.0,
                 clique: holders.len() as u32,
                 need: need as u32,
             },
         );
-        let op = &mut self.ops[id as usize];
+        let op = &mut self.eng.ops[id as usize];
         op.step += 1;
         op.waiting_on = None;
         let attempt = op.attempt;
@@ -185,7 +185,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         for (pos, &slot) in order.iter().enumerate().take(sends) {
             let holder = holders[slot as usize];
             if holder == cur {
-                let rep = self.ops[id as usize].replica.as_mut().expect("just set");
+                let rep = self.eng.ops[id as usize].replica.as_mut().expect("just set");
                 if put {
                     if !rep.stored.contains(&slot) {
                         rep.stored.push(slot);
@@ -211,7 +211,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         self.arm_timer(id, cur, timeout);
         if need < holders.len() {
             let delay = self.hedge_delay_now();
-            self.push_event(self.clock + delay, EventKind::Hedge { op: id, attempt }, Lane::Timer);
+            self.eng.push_event(self.eng.clock + delay, EventKind::Hedge { op: id, attempt }, Lane::Timer);
         }
         // at k = 1 a coordinator lacking its share has nothing in flight
         self.extend_contact_if_stalled(id);
@@ -223,7 +223,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
     /// ack bit (idempotent where the first copy landed). Returns
     /// whether a request was sent.
     fn contact_next(&mut self, id: OpId) -> bool {
-        let op = &mut self.ops[id as usize];
+        let op = &mut self.eng.ops[id as usize];
         let (attempt, cur, action) = (op.attempt, op.cur, op.action);
         let Some(rep) = op.replica.as_mut() else { return false };
         let Some(&slot) = rep.contact_order.get(rep.contacted) else { return false };
@@ -248,7 +248,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
     /// the backup timer (a definitive miss is then two waves, not one
     /// round trip per cover).
     fn extend_contact_if_stalled(&mut self, id: OpId) {
-        let op = &self.ops[id as usize];
+        let op = &self.eng.ops[id as usize];
         if !matches!(op.machine, Machine::Scatter) {
             return;
         }
@@ -270,7 +270,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
     /// fetch for a read, the whole ack shortfall at once for a write —
     /// and chain the next hedge.
     pub(super) fn hedge_fire(&mut self, id: OpId, attempt: u32) {
-        let op = &self.ops[id as usize];
+        let op = &self.eng.ops[id as usize];
         if !matches!(op.machine, Machine::Scatter) || attempt != op.attempt {
             return; // the op completed or restarted since
         }
@@ -288,16 +288,16 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
         while sent < backups && self.contact_next(id) {
             sent += 1;
             self.stats.hedged += 1;
-            let wave = self.ops[id as usize].replica.as_ref().map_or(0, |r| u32::from(r.wave));
-            self.obs.emit(self.clock, attempt, ObsEvent::Hedge { wave });
+            let wave = self.eng.ops[id as usize].replica.as_ref().map_or(0, |r| u32::from(r.wave));
+            self.obs.emit(self.eng.clock, attempt, ObsEvent::Hedge { wave });
         }
-        let more = self.ops[id as usize]
+        let more = self.eng.ops[id as usize]
             .replica
             .as_ref()
             .is_some_and(|r| r.contacted < r.contact_order.len());
         if sent > 0 && more {
             let delay = self.hedge_delay_now();
-            self.push_event(self.clock + delay, EventKind::Hedge { op: id, attempt }, Lane::Timer);
+            self.eng.push_event(self.eng.clock + delay, EventKind::Hedge { op: id, attempt }, Lane::Timer);
         }
     }
 
@@ -306,7 +306,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
     /// every cover answered (the item may simply have fewer than `k`
     /// live shares; the driver decides what that means).
     fn check_quorum(&mut self, id: OpId) {
-        let op = &self.ops[id as usize];
+        let op = &self.eng.ops[id as usize];
         if !matches!(op.machine, Machine::Scatter) {
             return;
         }
@@ -363,7 +363,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
             rep.acked.push(idx);
         }
         self.obs.emit(
-            self.clock,
+            self.eng.clock,
             attempt,
             ObsEvent::ShareAck { holder: env.src.0, idx: u32::from(idx) },
         );
@@ -420,7 +420,7 @@ impl<'g, G: Topology, T: Transport> Engine<'g, G, T> {
                 // a found reply is the read-side twin of a put's ack:
                 // the holder contributed a share toward the quorum
                 self.obs.emit(
-                    self.clock,
+                    self.eng.clock,
                     attempt,
                     ObsEvent::ShareAck { holder: env.src.0, idx: u32::from(idx) },
                 );

@@ -2,6 +2,7 @@ use super::*;
 use crate::transport::{Delivery, Inline, Recorder, Sim};
 use crate::fault::ChaosNet;
 use cd_core::pointset::PointSet;
+use dh_obs::BACKGROUND;
 
 /// A complete-graph toy topology: every server's "table" covers the
 /// whole circle, so `local_cover` always answers. Exercises the
@@ -49,26 +50,37 @@ impl Topology for Complete {
     }
 }
 
-fn submit_mixed(eng: &mut Engine<Complete, impl Transport>, n: u32) -> Vec<OpId> {
+fn submit_mixed(eng: &mut Engine, seed: u64, n: u32) -> Vec<OpId> {
     (0..n)
         .map(|i| {
             let kind =
                 if i % 2 == 0 { RouteKind::Fast } else { RouteKind::DistanceHalving };
             let from = NodeId(i % 16);
             let target = Point(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(i) + 1));
-            eng.submit(kind, from, target, Action::Locate)
+            eng.submit(seed, kind, from, target, Action::Locate)
         })
         .collect()
+}
+
+/// An engine under `retry`.
+fn engine(retry: RetryPolicy) -> Engine {
+    Engine { retry, ..Engine::default() }
+}
+
+/// Run `eng` to quiescence over `net` and `transport`, no detector,
+/// unrecorded, no shares.
+fn run(eng: &mut Engine, net: &Complete, transport: &mut impl Transport) -> EngineStats {
+    eng.run(net, transport, None, &Obs::off(), &NoShares)
 }
 
 #[test]
 fn inline_ops_complete_at_the_cover() {
     let net = Complete::new(16, 2);
-    let mut eng = Engine::new(&net, Inline, 7);
-    let ops = submit_mixed(&mut eng, 40);
-    eng.run();
-    assert_eq!(eng.stats.failed, 0);
-    assert_eq!(eng.stats.completed, 40);
+    let mut eng = Engine::default();
+    let ops = submit_mixed(&mut eng, 7, 40);
+    let stats = run(&mut eng, &net, &mut Inline);
+    assert_eq!(stats.failed, 0);
+    assert_eq!(stats.completed, 40);
     for id in ops {
         let out = eng.take_outcome(id);
         assert!(out.ok);
@@ -84,15 +96,14 @@ fn inline_ops_complete_at_the_cover() {
 #[test]
 fn greedy_machine_completes_at_the_cover() {
     let net = Complete::new(16, 2);
-    let mut eng = Engine::new(&net, Inline, 43);
+    let mut eng = Engine::default();
     let ops: Vec<OpId> = (0..30)
         .map(|i| {
             let target = Point(0xD1B5_4A32_D192_ED03u64.wrapping_mul(i + 1));
-            eng.submit(RouteKind::Greedy, NodeId((i % 16) as u32), target, Action::Locate)
+            eng.submit(43, RouteKind::Greedy, NodeId((i % 16) as u32), target, Action::Locate)
         })
         .collect();
-    eng.run();
-    assert_eq!(eng.stats.failed, 0);
+    assert_eq!(run(&mut eng, &net, &mut Inline).failed, 0);
     for id in ops {
         let out = eng.take_outcome(id);
         assert!(out.ok);
@@ -107,16 +118,15 @@ fn greedy_machine_completes_at_the_cover() {
 #[test]
 fn greedy_machine_survives_drops() {
     let net = Complete::new(16, 2);
-    let mut eng = Engine::new(&net, Sim::new(21).with_drop(0.25), 47)
-        .with_retry(RetryPolicy::fixed(100, 12));
+    let mut eng = engine(RetryPolicy::fixed(100, 12));
     let ops: Vec<OpId> = (0..25)
         .map(|i| {
             let target = Point(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i + 3));
-            eng.submit(RouteKind::Greedy, NodeId((i % 16) as u32), target, Action::Locate)
+            eng.submit(47, RouteKind::Greedy, NodeId((i % 16) as u32), target, Action::Locate)
         })
         .collect();
-    eng.run();
-    assert_eq!(eng.stats.failed, 0, "retry must absorb 25% loss on short greedy routes");
+    let stats = run(&mut eng, &net, &mut Sim::new(21).with_drop(0.25));
+    assert_eq!(stats.failed, 0, "retry must absorb 25% loss on short greedy routes");
     for id in ops {
         assert!(eng.take_outcome(id).ok);
     }
@@ -126,11 +136,10 @@ fn greedy_machine_survives_drops() {
 fn sim_same_seed_same_everything() {
     let net = Complete::new(32, 2);
     let run = || {
-        let mut eng =
-            Engine::new(&net, Recorder::new(Sim::new(3).with_drop(0.1).with_dup(0.1)), 11)
-                .with_retry(RetryPolicy::fixed(200, 10));
-        let ops = submit_mixed(&mut eng, 60);
-        eng.run();
+        let mut eng = engine(RetryPolicy::fixed(200, 10));
+        let mut rec = Recorder::new(Sim::new(3).with_drop(0.1).with_dup(0.1));
+        let ops = submit_mixed(&mut eng, 11, 60);
+        let stats = run(&mut eng, &net, &mut rec);
         let outs: Vec<(bool, u64, u64, u32, Option<u64>)> = ops
             .iter()
             .map(|&id| {
@@ -138,8 +147,7 @@ fn sim_same_seed_same_everything() {
                 (o.ok, o.msgs, o.bytes, o.attempts, o.completed_at)
             })
             .collect();
-        let stats = eng.stats;
-        (outs, stats, eng.into_transport().fingerprint())
+        (outs, stats, rec.fingerprint())
     };
     let (a_out, a_stats, a_fp) = run();
     let (b_out, b_stats, b_fp) = run();
@@ -151,12 +159,11 @@ fn sim_same_seed_same_everything() {
 #[test]
 fn drops_are_survived_by_retry() {
     let net = Complete::new(16, 2);
-    let mut eng = Engine::new(&net, Sim::new(5).with_drop(0.3), 13)
-        .with_retry(RetryPolicy::fixed(100, 12));
-    let ops = submit_mixed(&mut eng, 30);
-    eng.run();
-    assert_eq!(eng.stats.failed, 0, "retry must absorb 30% loss on short routes");
-    assert!(eng.stats.retries > 0, "with 30% loss some op must have retried");
+    let mut eng = engine(RetryPolicy::fixed(100, 12));
+    let ops = submit_mixed(&mut eng, 13, 30);
+    let stats = run(&mut eng, &net, &mut Sim::new(5).with_drop(0.3));
+    assert_eq!(stats.failed, 0, "retry must absorb 30% loss on short routes");
+    assert!(stats.retries > 0, "with 30% loss some op must have retried");
     for id in ops {
         assert!(eng.take_outcome(id).ok);
     }
@@ -165,12 +172,12 @@ fn drops_are_survived_by_retry() {
 #[test]
 fn duplicates_and_reordering_are_ignored_by_stamps() {
     let net = Complete::new(16, 2);
-    let mut eng = Engine::new(&net, Sim::new(9).with_dup(0.5).with_latency(1, 20, 10), 17);
-    let ops = submit_mixed(&mut eng, 40);
-    eng.run();
-    assert!(eng.stats.duplicated > 0);
-    assert!(eng.stats.stale > 0, "duplicate arrivals must be discarded as stale");
-    assert_eq!(eng.stats.failed, 0);
+    let mut eng = Engine::default();
+    let ops = submit_mixed(&mut eng, 17, 40);
+    let stats = run(&mut eng, &net, &mut Sim::new(9).with_dup(0.5).with_latency(1, 20, 10));
+    assert!(stats.duplicated > 0);
+    assert!(stats.stale > 0, "duplicate arrivals must be discarded as stale");
+    assert_eq!(stats.failed, 0);
     for id in ops {
         let o = eng.take_outcome(id);
         assert!(o.ok);
@@ -186,15 +193,14 @@ fn fail_stop_destination_exhausts_retries() {
     let mut faulty = ChaosNet::new(Inline, 0);
     faulty.fail(dest);
     let from = NodeId((dest.0 + 1) % 16);
-    let mut eng = Engine::new(&net, faulty, 19)
-        .with_retry(RetryPolicy::fixed(50, 3));
-    let op = eng.submit(RouteKind::Fast, from, target, Action::Locate);
-    eng.run();
+    let mut eng = engine(RetryPolicy::fixed(50, 3));
+    let op = eng.submit(19, RouteKind::Fast, from, target, Action::Locate);
+    let stats = run(&mut eng, &net, &mut faulty);
     let out = eng.take_outcome(op);
     assert!(!out.ok, "a dead destination cannot answer");
     assert_eq!(out.attempts, 3);
-    assert_eq!(eng.stats.failed, 1);
-    assert!(eng.stats.dropped >= 3);
+    assert_eq!(stats.failed, 1);
+    assert!(stats.dropped >= 3);
 }
 
 #[test]
@@ -206,9 +212,9 @@ fn injection_marks_outcomes_corrupt() {
     for i in 0..16 {
         faulty.lie(NodeId(i));
     }
-    let mut eng = Engine::new(&net, faulty, 23);
-    let ops = submit_mixed(&mut eng, 20);
-    eng.run();
+    let mut eng = Engine::default();
+    let ops = submit_mixed(&mut eng, 23, 20);
+    run(&mut eng, &net, &mut faulty);
     for id in ops {
         let o = eng.take_outcome(id);
         assert!(o.ok, "liars keep routing");
@@ -219,14 +225,14 @@ fn injection_marks_outcomes_corrupt() {
 #[test]
 fn bare_sends_are_accounted() {
     let net = Complete::new(8, 2);
-    let mut eng = Engine::new(&net, Inline, 29);
+    let mut eng = Engine::default();
     eng.send(NodeId(0), NodeId(1), Wire::NeighborDiff { entries: 3 });
     eng.send(NodeId(1), NodeId(2), Wire::JoinSplit { x: Point(5) });
-    eng.run();
-    assert_eq!(eng.stats.msgs, 2);
-    assert_eq!(eng.stats.delivered, 2);
+    let stats = run(&mut eng, &net, &mut Inline);
+    assert_eq!(stats.msgs, 2);
+    assert_eq!(stats.delivered, 2);
     assert_eq!(
-        eng.stats.bytes,
+        stats.bytes,
         Wire::NeighborDiff { entries: 3 }.wire_bytes() + Wire::JoinSplit { x: Point(5) }.wire_bytes()
     );
 }
@@ -234,7 +240,7 @@ fn bare_sends_are_accounted() {
 #[test]
 fn hand_crafted_op_messages_are_ignored_not_fatal() {
     let net = Complete::new(8, 2);
-    let mut eng = Engine::new(&net, Inline, 41);
+    let mut eng = Engine::default();
     // a LookupStep naming an op this engine never issued must be
     // discarded like stale traffic, not crash the run
     eng.send(
@@ -249,17 +255,17 @@ fn hand_crafted_op_messages_are_ignored_not_fatal() {
             action: Action::Locate,
         },
     );
-    eng.run();
-    assert_eq!(eng.stats.stale, 1);
-    assert_eq!(eng.stats.delivered, 1);
+    let stats = run(&mut eng, &net, &mut Inline);
+    assert_eq!(stats.stale, 1);
+    assert_eq!(stats.delivered, 1);
 }
 
 #[test]
 fn take_outcome_moves_the_route_out() {
     let net = Complete::new(16, 2);
-    let mut eng = Engine::new(&net, Inline, 59);
-    let op = eng.submit(RouteKind::Fast, NodeId(2), Point(u64::MAX / 7), Action::Locate);
-    eng.run();
+    let mut eng = Engine::default();
+    let op = eng.submit(59, RouteKind::Fast, NodeId(2), Point(u64::MAX / 7), Action::Locate);
+    run(&mut eng, &net, &mut Inline);
     let taken = eng.take_outcome(op);
     assert!(taken.ok);
     assert_eq!(taken.path.destination(), taken.dest.expect("completed"));
@@ -295,10 +301,11 @@ fn replicated_put_places_all_shares_and_completes_at_quorum() {
     let net = Complete::new(16, 2);
     let item = Point(u64::MAX / 3);
     let cover = net.cover(item);
-    let mut eng = Engine::new(&net, ScatterTags::default(), 101);
+    let mut eng = Engine::default();
+    let mut tags = ScatterTags::default();
     let action = Action::PutShares { key: 7, len: 32, m: 5, k: 3, item };
-    let op = eng.submit(RouteKind::Fast, cover, item, action);
-    eng.run();
+    let op = eng.submit(101, RouteKind::Fast, cover, item, action);
+    let stats = run(&mut eng, &net, &mut tags);
     let out = eng.take_outcome(op);
     assert!(out.ok);
     assert_eq!(out.dest, Some(cover), "the primary cover coordinates");
@@ -312,9 +319,9 @@ fn replicated_put_places_all_shares_and_completes_at_quorum() {
     assert_eq!(out.attempts, 1);
     // only the acks the quorum uses are asked for: none arrives
     // after the op left its scatter
-    assert_eq!((eng.stats.stale, eng.stats.hedged), (0, 0));
-    assert_eq!((eng.stats.retries, eng.stats.dropped), (0, 0));
-    assert_eq!(eng.into_transport().0, "SSSSAA", "a store per cover, k − 1 acks");
+    assert_eq!((stats.stale, stats.hedged), (0, 0));
+    assert_eq!((stats.retries, stats.dropped), (0, 0));
+    assert_eq!(tags.0, "SSSSAA", "a store per cover, k − 1 acks");
 }
 
 #[test]
@@ -330,15 +337,11 @@ fn put_backs_up_a_silent_designated_acker() {
     faulty.fail(holders[1]);
     faulty.fail(holders[4]);
     let mut health = NetHealth::new();
-    let mut eng = Engine::new(&net, faulty, 157)
-        .with_retry(RetryPolicy::fixed(512, 4))
-        .with_health(&mut health);
+    let mut eng = engine(RetryPolicy::fixed(512, 4));
     let action = Action::PutShares { key: 7, len: 32, m, k, item };
-    let op = eng.submit(RouteKind::Fast, holders[0], item, action);
-    eng.run();
+    let op = eng.submit(157, RouteKind::Fast, holders[0], item, action);
+    let stats = eng.run(&net, &mut faulty, Some(&mut health), &Obs::off(), &NoShares);
     let out = eng.take_outcome(op);
-    let stats = eng.stats;
-    drop(eng);
     assert!(out.ok && out.attempts == 1, "k live covers commit without a restart");
     // Inline delays are 0, so the hedge waits the detector's floor
     assert_eq!(out.completed_at, Some(crate::health::MIN_TIMEOUT), "one hedge delay");
@@ -389,10 +392,11 @@ fn quorum_read_gathers_first_k_shares() {
     let (m, k, key) = (5u8, 3u8, 9u64);
     let holders = clique(&net, item, m);
     let view = shares_on(&holders, key, &[]);
-    let mut eng = Engine::new(&net, ScatterTags::default(), 103);
+    let mut eng = Engine::default();
+    let mut tags = ScatterTags::default();
     let from = NodeId((net.cover(item).0 + 7) % 16);
-    let op = eng.submit(RouteKind::Fast, from, item, Action::GetShares { key, m, k, item });
-    eng.run_with_shares(&view);
+    let op = eng.submit(103, RouteKind::Fast, from, item, Action::GetShares { key, m, k, item });
+    let stats = eng.run(&net, &mut tags, None, &Obs::off(), &view);
     let out = eng.take_outcome(op);
     assert!(out.ok);
     assert_eq!(out.holders, holders);
@@ -403,9 +407,9 @@ fn quorum_read_gathers_first_k_shares() {
     // the reply bytes include the share payloads
     assert!(out.bytes >= 2 * 40);
     // nothing is fetched to be thrown away
-    assert_eq!((eng.stats.stale, eng.stats.hedged), (0, 0));
-    assert_eq!((eng.stats.retries, eng.stats.dropped), (0, 0));
-    assert_eq!(eng.into_transport().0, "FFRR", "exactly k − 1 fetches, each answered");
+    assert_eq!((stats.stale, stats.hedged), (0, 0));
+    assert_eq!((stats.retries, stats.dropped), (0, 0));
+    assert_eq!(tags.0, "FFRR", "exactly k − 1 fetches, each answered");
 }
 
 #[test]
@@ -415,16 +419,17 @@ fn a_cover_lacking_its_share_costs_one_extra_fetch() {
     let (m, k, key) = (5u8, 3u8, 9u64);
     let holders = clique(&net, item, m);
     let view = shares_on(&holders, key, &[1]);
-    let mut eng = Engine::new(&net, ScatterTags::default(), 103);
+    let mut eng = Engine::default();
+    let mut tags = ScatterTags::default();
     let get = Action::GetShares { key, m, k, item };
-    let op = eng.submit(RouteKind::Fast, holders[0], item, get);
-    eng.run_with_shares(&view);
+    let op = eng.submit(103, RouteKind::Fast, holders[0], item, get);
+    let stats = eng.run(&net, &mut tags, None, &Obs::off(), &view);
     let out = eng.take_outcome(op);
     assert!(out.ok);
     assert_eq!(out.shares, vec![0, 2, 3], "the next cover in contact order fills in");
-    assert_eq!((eng.stats.stale, eng.stats.hedged, eng.stats.retries), (0, 0, 0));
+    assert_eq!((stats.stale, stats.hedged, stats.retries), (0, 0, 0));
     // the top-up leaves on the not-found reply, not on a timer
-    assert_eq!(eng.into_transport().0, "FFRRFR");
+    assert_eq!(tags.0, "FFRRFR");
 }
 
 #[test]
@@ -441,14 +446,15 @@ fn a_read_gathers_whichever_indices_the_covers_hold() {
         .zip(sigma)
         .filter_map(|(h, idx)| Some(((h.0, key), (idx?, 40u32))))
         .collect();
-    let mut eng = Engine::new(&net, ScatterTags::default(), 103);
+    let mut eng = Engine::default();
+    let mut tags = ScatterTags::default();
     let get = Action::GetShares { key, m, k, item };
-    let op = eng.submit(RouteKind::Fast, holders[0], item, get);
-    eng.run_with_shares(&TableShares(table));
+    let op = eng.submit(103, RouteKind::Fast, holders[0], item, get);
+    eng.run(&net, &mut tags, None, &Obs::off(), &TableShares(table));
     let out = eng.take_outcome(op);
     assert!(out.ok);
     assert_eq!(out.shares, vec![4, 0, 2], "own share, then the next covers' indices");
-    assert_eq!(eng.into_transport().0, "FFRRFR", "the empty slot costs one top-up");
+    assert_eq!(tags.0, "FFRRFR", "the empty slot costs one top-up");
 }
 
 #[test]
@@ -461,15 +467,15 @@ fn a_lone_coordinator_without_its_share_fetches_at_once() {
     let (m, k, key) = (3u8, 1u8, 5u64);
     let holders = clique(&net, item, m);
     let view = shares_on(&holders, key, &[0]);
-    let mut eng = Engine::new(&net, Sim::new(3), 139).with_retry(RetryPolicy::fixed(512, 4));
+    let mut eng = engine(RetryPolicy::fixed(512, 4));
     let get = Action::GetShares { key, m, k, item };
-    let op = eng.submit(RouteKind::Fast, holders[0], item, get);
-    eng.run_with_shares(&view);
+    let op = eng.submit(139, RouteKind::Fast, holders[0], item, get);
+    let stats = eng.run(&net, &mut Sim::new(3), None, &Obs::off(), &view);
     let out = eng.take_outcome(op);
     assert!(out.ok);
     assert_eq!(out.shares, vec![1]);
     assert!(out.completed_at.expect("done") < 512 / 8, "one round trip, no timer");
-    assert_eq!((eng.stats.hedged, eng.stats.retries), (0, 0));
+    assert_eq!((stats.hedged, stats.retries), (0, 0));
 }
 
 /// `Sim`, except that the first message tagged `tag` is lost.
@@ -498,16 +504,16 @@ fn a_lost_reply_costs_a_backup_fetch_not_a_restart() {
     let view = shares_on(&holders, key, &[]);
     let reply =
         Wire::ShareReply { op: 0, attempt: 1, idx: 0, key, found: true, len: 40 }.tag();
-    let lossy = LoseFirst { inner: Sim::new(11), tag: reply, lost: false };
-    let mut eng = Engine::new(&net, lossy, 149).with_retry(RetryPolicy::fixed(512, 4));
+    let mut lossy = LoseFirst { inner: Sim::new(11), tag: reply, lost: false };
+    let mut eng = engine(RetryPolicy::fixed(512, 4));
     let from = NodeId((net.cover(item).0 + 7) % 16);
-    let op = eng.submit(RouteKind::Fast, from, item, Action::GetShares { key, m, k, item });
-    eng.run_with_shares(&view);
+    let op = eng.submit(149, RouteKind::Fast, from, item, Action::GetShares { key, m, k, item });
+    let stats = eng.run(&net, &mut lossy, None, &Obs::off(), &view);
     let out = eng.take_outcome(op);
     assert!(out.ok);
     assert_eq!(out.shares.len(), k as usize);
     assert_eq!(out.attempts, 1);
-    assert_eq!((eng.stats.dropped, eng.stats.retries, eng.stats.hedged), (1, 0, 1));
+    assert_eq!((stats.dropped, stats.retries, stats.hedged), (1, 0, 1));
 }
 
 #[test]
@@ -521,15 +527,15 @@ fn fail_stop_minority_does_not_block_the_quorum() {
     faulty.fail(holders[2]);
     faulty.fail(holders[4]);
     let cover = holders[0];
-    let mut eng = Engine::new(&net, faulty, 107)
-        .with_retry(RetryPolicy::fixed(64, 4));
+    let mut eng = engine(RetryPolicy::fixed(64, 4));
     let put = eng.submit(
+        107,
         RouteKind::Fast,
         cover,
         item,
         Action::PutShares { key, len: 24, m, k, item },
     );
-    eng.run();
+    run(&mut eng, &net, &mut faulty);
     let out = eng.take_outcome(put);
     assert!(out.ok, "k live covers are a write quorum");
     let mut stored = out.shares.clone();
@@ -543,10 +549,9 @@ fn fail_stop_minority_does_not_block_the_quorum() {
     let mut faulty = ChaosNet::new(Inline, 0);
     faulty.fail(holders[2]);
     faulty.fail(holders[4]);
-    let mut eng = Engine::new(&net, faulty, 109)
-        .with_retry(RetryPolicy::fixed(64, 4));
-    let get = eng.submit(RouteKind::Fast, cover, item, Action::GetShares { key, m, k, item });
-    eng.run_with_shares(&TableShares(table));
+    let mut eng = engine(RetryPolicy::fixed(64, 4));
+    let get = eng.submit(109, RouteKind::Fast, cover, item, Action::GetShares { key, m, k, item });
+    eng.run(&net, &mut faulty, None, &Obs::off(), &TableShares(table));
     let out = eng.take_outcome(get);
     assert!(out.ok, "k live shares are a read quorum");
     let mut gathered = out.shares.clone();
@@ -567,12 +572,10 @@ fn stale_suspicion_does_not_lock_a_healthy_clique_out() {
     for &h in &holders[1..4] {
         health.raise(h);
     }
-    let mut eng = Engine::new(&net, Inline, 151)
-        .with_retry(RetryPolicy::patient().hedged())
-        .with_health(&mut health);
+    let mut eng = engine(RetryPolicy::patient().hedged());
     let get = Action::GetShares { key, m, k, item };
-    let op = eng.submit(RouteKind::Fast, holders[0], item, get);
-    eng.run_with_shares(&view);
+    let op = eng.submit(151, RouteKind::Fast, holders[0], item, get);
+    eng.run(&net, &mut Inline, Some(&mut health), &Obs::off(), &view);
     let out = eng.take_outcome(op);
     assert!(out.ok, "k live covers answer, suspected or not");
     assert_eq!(out.shares.len(), k as usize);
@@ -583,37 +586,39 @@ fn stale_suspicion_does_not_lock_a_healthy_clique_out() {
 fn missing_item_read_completes_once_every_cover_answered() {
     let net = Complete::new(16, 2);
     let item = Point(42);
-    let mut eng = Engine::new(&net, ScatterTags::default(), 113);
+    let mut eng = Engine::default();
+    let mut tags = ScatterTags::default();
     let op = eng.submit(
+        113,
         RouteKind::Fast,
         NodeId(3),
         item,
         Action::GetShares { key: 99, m: 4, k: 2, item },
     );
-    eng.run_with_shares(&NoShares);
+    let stats = run(&mut eng, &net, &mut tags);
     let out = eng.take_outcome(op);
     assert!(out.ok, "a complete round of not-founds is an answer, not a timeout");
     assert!(out.shares.is_empty());
     assert_eq!(out.attempts, 1);
     // two waves reach all m covers: own + k − 1, then the shortfall
     // of k at once — not one round trip per cover
-    assert_eq!((eng.stats.hedged, eng.stats.retries), (0, 0));
-    assert_eq!(eng.into_transport().0, "FRFFRR");
+    assert_eq!((stats.hedged, stats.retries), (0, 0));
+    assert_eq!(tags.0, "FRFFRR");
 }
 
 #[test]
 fn replicated_ops_survive_drops_via_retry() {
     let net = Complete::new(16, 2);
     let item = Point(u64::MAX / 5);
-    let mut eng = Engine::new(&net, Sim::new(7).with_drop(0.2), 127)
-        .with_retry(RetryPolicy::fixed(200, 12));
+    let mut eng = engine(RetryPolicy::fixed(200, 12));
     let op = eng.submit(
+        127,
         RouteKind::Fast,
         NodeId(0),
         item,
         Action::PutShares { key: 5, len: 16, m: 4, k: 2, item },
     );
-    eng.run();
+    run(&mut eng, &net, &mut Sim::new(7).with_drop(0.2));
     let out = eng.take_outcome(op);
     assert!(out.ok, "retry must absorb 20% loss");
     assert!(out.shares.len() >= 2, "at least the quorum was placed");
@@ -631,15 +636,15 @@ fn corrupted_shares_and_replies_never_count() {
     }
     let cover = net.cover(item);
     let from = NodeId((cover.0 + 5) % 16);
-    let mut eng = Engine::new(&net, liars, 131)
-        .with_retry(RetryPolicy::fixed(64, 3));
+    let mut eng = engine(RetryPolicy::fixed(64, 3));
     let op = eng.submit(
+        131,
         RouteKind::Fast,
         from,
         item,
         Action::PutShares { key: 3, len: 8, m: 4, k: 3, item },
     );
-    eng.run();
+    run(&mut eng, &net, &mut liars);
     let out = eng.take_outcome(op);
     assert!(!out.ok, "a quorum of corrupted shares must not commit");
     // only the coordinator's own (local, message-free) share stands
@@ -649,14 +654,26 @@ fn corrupted_shares_and_replies_never_count() {
 #[test]
 fn staggered_arrivals_respect_the_clock() {
     let net = Complete::new(16, 2);
-    let mut eng = Engine::new(&net, Sim::new(31), 37);
-    let a = eng.submit_at(0, RouteKind::Fast, NodeId(0), Point(u64::MAX / 3), Action::Locate);
-    let b = eng.submit_at(500, RouteKind::Fast, NodeId(1), Point(u64::MAX / 5), Action::Locate);
-    eng.run();
+    let obs = Obs::recording(1 << 12);
+    let mut eng = Engine::default();
+    let a = eng.submit_at(0, 37, RouteKind::Fast, NodeId(0), Point(u64::MAX / 3), Action::Locate);
+    let b = eng.submit_at(500, 37, RouteKind::Fast, NodeId(1), Point(u64::MAX / 5), Action::Locate);
+    eng.run(&net, &mut Sim::new(31), None, &obs, &NoShares);
     let (oa, ob) = (eng.take_outcome(a), eng.take_outcome(b));
     assert!(oa.ok && ob.ok);
     if ob.msgs > 0 {
-        assert!(ob.completed_at.expect("done") >= 500);
+        // b sends nothing before it arrives, and its completion is
+        // counted from its arrival: the last delivery completes it
+        let events = obs.explain(BACKGROUND).expect("recording").events;
+        let at = |send: bool| {
+            let kinds = events.iter().filter(move |e| {
+                matches!(e.kind, ObsEvent::Send { .. }) == send
+                    && matches!(e.kind, ObsEvent::Send { .. } | ObsEvent::Deliver { .. })
+            });
+            kinds.map(|e| e.at)
+        };
+        assert_eq!(at(true).filter(|&t| t >= 500).count() as u64, ob.msgs);
+        assert_eq!(at(false).max(), Some(500 + ob.completed_at.expect("done")));
     }
     assert!(oa.completed_at.expect("done") <= 500, "op a runs before b starts");
 }
@@ -666,9 +683,10 @@ fn hedged_without_a_detector_is_the_fixed_policy() {
     let net = Complete::new(32, 2);
     let run = |retry: RetryPolicy| {
         let sim = Sim::new(3).with_drop(0.3).with_dup(0.1).with_latency(1, 20, 10);
-        let mut eng = Engine::new(&net, Recorder::new(sim), 11).with_retry(retry);
-        let ops = submit_mixed(&mut eng, 300);
-        eng.run();
+        let mut rec = Recorder::new(sim);
+        let mut eng = engine(retry);
+        let ops = submit_mixed(&mut eng, 11, 300);
+        let stats = run(&mut eng, &net, &mut rec);
         let outs: Vec<(bool, u64, u64, u32, Option<u64>, Path)> = ops
             .iter()
             .map(|&id| {
@@ -676,8 +694,7 @@ fn hedged_without_a_detector_is_the_fixed_policy() {
                 (o.ok, o.msgs, o.bytes, o.attempts, o.completed_at, o.path)
             })
             .collect();
-        let stats = eng.stats;
-        (outs, stats, eng.into_transport().fingerprint())
+        (outs, stats, rec.fingerprint())
     };
     let fixed = RetryPolicy::fixed(256, 6);
     let (f_out, f_stats, f_fp) = run(fixed);
@@ -695,15 +712,13 @@ fn every_fired_timer_was_armed() {
     let net = Complete::new(16, 2);
     let obs = Obs::recording(1 << 16);
     let mut health = NetHealth::new();
+    let mut eng = engine(RetryPolicy::fixed(512, 8).hedged());
     for i in 0..300u32 {
         obs.begin_op(u64::from(i));
-        let mut eng = Engine::new(&net, Sim::new(u64::from(i)).with_drop(0.5), 61)
-            .with_retry(RetryPolicy::fixed(512, 8).hedged())
-            .with_health(&mut health)
-            .with_obs(obs.clone());
         let target = Point(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(i) + 1));
-        eng.submit(RouteKind::DistanceHalving, NodeId(i % 16), target, Action::Locate);
-        eng.run();
+        eng.submit(61, RouteKind::DistanceHalving, NodeId(i % 16), target, Action::Locate);
+        let mut sim = Sim::new(u64::from(i)).with_drop(0.5);
+        eng.run(&net, &mut sim, Some(&mut health), &obs, &NoShares);
     }
     let mut resent = 0;
     for i in 0..300 {
@@ -724,4 +739,46 @@ fn every_fired_timer_was_armed() {
         resent += usize::from(fired > ex.retries() + 1);
     }
     assert!(resent > 0, "the loss must exercise in-place resends");
+}
+
+#[test]
+fn the_op_slab_holds_one_run() {
+    // one long-lived engine over one lent lossy transport, 1 000
+    // submit → run → take cycles of Locate and GetShares ops: each
+    // run's ops are the slab, and each op fares exactly as it would
+    // on a fresh engine at tick 0 over the transport as it stood
+    let net = Complete::new(16, 2);
+    let item = Point(12345 << 32);
+    let (m, k, key) = (5u8, 3u8, 9u64);
+    let view = shares_on(&clique(&net, item, m), key, &[2]);
+    let retry = RetryPolicy::fixed(200, 6);
+    let mut sim = Sim::new(43).with_drop(0.1).with_dup(0.1);
+    let mut eng = engine(retry);
+    for i in 0..1_000u32 {
+        let ops: Vec<(RouteKind, NodeId, Point, Action)> = (0..i % 3 + 1)
+            .map(|j| {
+                let from = NodeId((i + j) % 16);
+                match (i + j) % 3 {
+                    0 => (RouteKind::Fast, from, item, Action::GetShares { key, m, k, item }),
+                    1 => (RouteKind::DistanceHalving, from, Point(u64::from(i) << 40), Action::Locate),
+                    _ => (RouteKind::Fast, from, Point(u64::from(j) << 50), Action::Locate),
+                }
+            })
+            .collect();
+        let seed = u64::from(i);
+        let mut fresh = engine(retry);
+        let mut fresh_sim = sim.clone();
+        for &(kind, from, target, action) in &ops {
+            eng.submit(seed, kind, from, target, action);
+            fresh.submit(seed, kind, from, target, action);
+        }
+        let stats = eng.run(&net, &mut sim, None, &Obs::off(), &view);
+        let fresh_stats = fresh.run(&net, &mut fresh_sim, None, &Obs::off(), &view);
+        assert_eq!(eng.ops.len(), ops.len(), "cycle {i}: the slab holds this run's ops only");
+        assert_eq!(stats, fresh_stats, "cycle {i}");
+        for id in 0..ops.len() as OpId {
+            assert_eq!(eng.take_outcome(id), fresh.take_outcome(id), "cycle {i}, op {id}");
+        }
+    }
+    assert!(eng.now() > 0, "the long-lived clock moved on");
 }

@@ -26,8 +26,8 @@
 //! binary model cannot express: slow-but-alive peers, flapping
 //! processes, asymmetric partitions, congestion loss. [`ChaosNet`]
 //! carries exactly those shapes too — every one a deterministic
-//! function of the chaos seed and the (epoch-extended) clock, so a
-//! chaos campaign fingerprints as reproducibly as a healthy run:
+//! function of the chaos seed and the engine clock, so a chaos
+//! campaign fingerprints as reproducibly as a healthy run:
 //!
 //! * **partitions** ([`Partition`]) — a node-set bisection with a
 //!   [`CutDirection`] (two-way, or asymmetric one-way cuts) active on
@@ -41,11 +41,10 @@
 //! * **loss bursts** ([`LossBurst`]) — windows in which sends are
 //!   dropped with a seeded per-send Bernoulli.
 //!
-//! Engines restart their clock at zero for every operation, but chaos
-//! schedules need to span many operations — that is what the **epoch**
-//! is for: a harness advances [`ChaosNet::set_epoch`] between ops and
-//! every schedule is evaluated at `epoch + now`, giving flaps and
-//! partitions a continuous timeline across per-op engine runs.
+//! Schedules read the clock the engine plans each send at. A store
+//! runs every op on one engine, so flaps and partitions see one
+//! continuous timeline; a harness spaces ops out with
+//! `ReplicatedDht::advance_to`.
 
 use crate::node::NodeId;
 use crate::transport::{Delivery, Transport};
@@ -79,7 +78,7 @@ pub enum CutDirection {
     BToA,
 }
 
-/// One scheduled network partition. Active on the effective-time
+/// One scheduled network partition. Active on the engine-time
 /// window `[from, until)`; the window end is the heal event.
 #[derive(Clone, Debug)]
 pub struct Partition {
@@ -87,14 +86,14 @@ pub struct Partition {
     pub a: BTreeSet<NodeId>,
     /// Which crossing directions are severed.
     pub cut: CutDirection,
-    /// Effective time the cut appears.
+    /// Engine time the cut appears.
     pub from: u64,
-    /// Effective time the cut heals (exclusive).
+    /// Engine time the cut heals (exclusive).
     pub until: u64,
 }
 
 impl Partition {
-    /// Does this partition drop a `src → dst` send at effective time
+    /// Does this partition drop a `src → dst` send at engine time
     /// `t`?
     pub fn blocks(&self, t: u64, src: NodeId, dst: NodeId) -> bool {
         if t < self.from || t >= self.until {
@@ -114,7 +113,7 @@ impl Partition {
 }
 
 /// A periodic fail/recover cycle: the node is down for the first
-/// `down` out of every `period` effective ticks, phase-shifted so a
+/// `down` out of every `period` engine ticks, phase-shifted so a
 /// population of flapping nodes does not blink in lockstep.
 #[derive(Clone, Copy, Debug)]
 pub struct FlapSchedule {
@@ -127,7 +126,7 @@ pub struct FlapSchedule {
 }
 
 impl FlapSchedule {
-    /// Is the node down at effective time `t`?
+    /// Is the node down at engine time `t`?
     pub fn is_down(&self, t: u64) -> bool {
         if self.period == 0 {
             return false;
@@ -141,9 +140,9 @@ impl FlapSchedule {
 /// Bernoulli).
 #[derive(Clone, Copy, Debug)]
 pub struct LossBurst {
-    /// Effective time the burst starts.
+    /// Engine time the burst starts.
     pub from: u64,
-    /// Effective time the burst ends (exclusive).
+    /// Engine time the burst ends (exclusive).
     pub until: u64,
     /// Drop probability in per-mille (0–1000).
     pub permille: u64,
@@ -158,7 +157,6 @@ pub struct LossBurst {
 pub struct ChaosNet<T> {
     inner: T,
     seed: u64,
-    epoch: u64,
     sends: u64,
     /// Scheduled partitions (all are consulted; any active one that
     /// blocks a send drops it).
@@ -185,7 +183,6 @@ impl<T: Transport> ChaosNet<T> {
         ChaosNet {
             inner,
             seed,
-            epoch: 0,
             sends: 0,
             partitions: Vec::new(),
             grey: BTreeMap::new(),
@@ -194,23 +191,6 @@ impl<T: Transport> ChaosNet<T> {
             failed: BTreeSet::new(),
             liars: BTreeSet::new(),
         }
-    }
-
-    /// The inner transport (e.g. to reconfigure a wrapped `Sim`).
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-
-    /// Advance the epoch: every schedule is evaluated at
-    /// `epoch + now`, letting chaos windows span many per-op engine
-    /// runs (each of which restarts its clock at zero).
-    pub fn set_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
-    }
-
-    /// The current epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Add an explicit partition.
@@ -307,7 +287,7 @@ impl<T: Transport> ChaosNet<T> {
         self.liars.insert(node);
     }
 
-    /// Is `node` flap-down at effective time `t`?
+    /// Is `node` flap-down at engine time `t`?
     pub fn is_down(&self, node: NodeId, t: u64) -> bool {
         match self.flaps.get(&node) {
             Some(f) => f.is_down(t),
@@ -317,8 +297,7 @@ impl<T: Transport> ChaosNet<T> {
 }
 
 impl<T: Transport> Transport for ChaosNet<T> {
-    fn plan(&mut self, now: u64, env: &Envelope, out: &mut Vec<Delivery>) {
-        let t = self.epoch.saturating_add(now);
+    fn plan(&mut self, t: u64, env: &Envelope, out: &mut Vec<Delivery>) {
         let sn = self.sends;
         self.sends = self.sends.wrapping_add(1);
         // 1. fail-stop and flapping: a down endpoint neither sends nor
@@ -339,12 +318,12 @@ impl<T: Transport> Transport for ChaosNet<T> {
         }
         // 4. grey slowdown: scale the inner transport's latency
         let start = out.len();
-        self.inner.plan(now, env, out);
+        self.inner.plan(t, env, out);
         let g = self.grey_of(env.src).max(self.grey_of(env.dst));
         if g > 1 {
             for d in out.iter_mut().skip(start) {
-                let lat = d.at.saturating_sub(now).max(1);
-                d.at = now.saturating_add(lat.saturating_mul(g));
+                let lat = d.at.saturating_sub(t).max(1);
+                d.at = t.saturating_add(lat.saturating_mul(g));
             }
         }
         // 5. false message injection: a liar's payloads arrive corrupted
@@ -458,7 +437,7 @@ mod tests {
     }
 
     #[test]
-    fn flapping_follows_the_schedule_across_epochs() {
+    fn flapping_follows_the_schedule_across_cycles() {
         let mut t = ChaosNet::new(Inline, 11);
         t.set_flap(NodeId(4), FlapSchedule { period: 100, down: 30, phase: 0 });
         let mut out = Vec::new();
@@ -470,11 +449,10 @@ mod tests {
         t.plan(50, &env(1, 4), &mut out);
         assert_eq!(out.len(), 1);
         out.clear();
-        // the epoch shifts the effective clock: engine-time 10 in
-        // epoch 100 is effective 110 — the node is back down
-        t.set_epoch(100);
-        t.plan(10, &env(1, 4), &mut out);
-        assert!(out.is_empty(), "down again next cycle (epoch-extended time)");
+        // t = 110 is 10 ticks into the next cycle — the node is back
+        // down
+        t.plan(110, &env(1, 4), &mut out);
+        assert!(out.is_empty(), "down again next cycle");
         assert!(t.is_down(NodeId(4), 110));
         assert!(!t.is_down(NodeId(4), 50));
     }
@@ -511,7 +489,7 @@ mod tests {
         // had never been offered at all.
         let chaos = {
             let mut t = ChaosNet::new(Sim::new(77).with_latency(4, 16, 4), 77);
-            // down at even effective ticks — every even send (to the
+            // down at even ticks — every even send (to the
             // flapper, below) is chaos-dropped
             t.set_flap(NodeId(50), FlapSchedule { period: 2, down: 1, phase: 0 });
             let mut all = Vec::new();
@@ -559,12 +537,14 @@ mod tests {
         let mut out = Vec::new();
         for i in 0..1_000u64 {
             use rand::Rng;
-            t.set_epoch(i / 250 * 40);
+            // the pin's sends ran 40 ticks later every 250 sends;
+            // deliveries fold relative to that shift
+            let shift = i / 250 * 40;
             out.clear();
-            t.plan(i, &env(rng.gen_range(0..40), rng.gen_range(0..40)), &mut out);
+            t.plan(i + shift, &env(rng.gen_range(0..40), rng.gen_range(0..40)), &mut out);
             fold = splitmix64(fold ^ out.len() as u64);
             for d in &out {
-                fold = splitmix64(fold ^ d.at ^ (u64::from(d.corrupt) << 63));
+                fold = splitmix64(fold ^ (d.at - shift) ^ (u64::from(d.corrupt) << 63));
             }
         }
         assert_eq!(fold, 0xd1d4_7b34_fd52_536c, "no failed server, no liar, yet a send moved");

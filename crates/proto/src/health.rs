@@ -22,9 +22,9 @@
 //!   fires.
 //!
 //! [`NetHealth`] is owned by the layer above the engine (e.g.
-//! `dh_replica::ReplicatedDht`) and attached to each engine run with
-//! `Engine::with_health`, which is what lets the detector outlive the
-//! per-op engines and inform *future* routing and quorum planning.
+//! `dh_replica::ReplicatedDht`) and lent to each `Engine::run`, which
+//! is what lets the detector outlive a run and inform *future*
+//! routing and quorum planning.
 //!
 //! Everything here is integer arithmetic over ordered containers (a
 //! slab of estimators indexed by node id, a sparse `BTreeMap` of

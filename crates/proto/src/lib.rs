@@ -24,8 +24,8 @@
 //!   scheduled flapping and loss bursts, all deterministic functions
 //!   of the chaos seed;
 //! * [`health::NetHealth`] — per-destination Jacobson RTT estimators
-//!   plus an accrual suspicion failure detector, shared across engine
-//!   runs via [`engine::Engine::with_health`]; the opt-in
+//!   plus an accrual suspicion failure detector, lent to every
+//!   [`engine::Engine::run`]; the opt-in
 //!   [`engine::RetryPolicy::hedge`] flag turns it into
 //!   per-destination timeouts with deterministic backoff + jitter,
 //!   suspicion-ordered hedged quorum reads, and planned walks;
@@ -53,7 +53,7 @@
 //!
 //! Everything is a pure function of the seeds: events are ordered by
 //! `(time, sequence-number)`, per-op randomness comes from
-//! `sub_rng(engine_seed, op)`, and transport randomness from the
+//! `sub_rng(op_seed, op)`, and transport randomness from the
 //! transport's own seed. Same seeds ⇒ identical event trace, message
 //! counts and outcomes, independent of platform (the workspace's
 //! vendored `rand` is integer-only and stream-stable).

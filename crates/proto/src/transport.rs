@@ -38,9 +38,9 @@ pub trait Transport {
     fn plan(&mut self, now: u64, env: &Envelope, out: &mut Vec<Delivery>);
 }
 
-/// A lent transport: sequential engine runs (one per operation) drive
-/// the same substrate, so its RNG stream, recorded fold and chaos
-/// schedules are continuous across operations.
+/// A lent transport: an engine run borrows `&mut T`, so successive
+/// runs drive the same substrate and its RNG stream and recorded fold
+/// are continuous across operations.
 impl<T: Transport + ?Sized> Transport for &mut T {
     fn plan(&mut self, now: u64, env: &Envelope, out: &mut Vec<Delivery>) {
         (**self).plan(now, env, out)
@@ -165,7 +165,7 @@ impl<T: Transport> Recorder<T> {
         self.fp
     }
 
-    /// The wrapped transport (e.g. to advance a `ChaosNet` epoch
+    /// The wrapped transport (e.g. to schedule `ChaosNet` faults
     /// mid-recording).
     pub fn inner_mut(&mut self) -> &mut T {
         &mut self.inner

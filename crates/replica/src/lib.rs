@@ -49,7 +49,8 @@
 //!
 //! Everything is deterministic under the engine's `(time, seq)`
 //! discipline: same seeds ⇒ identical traces, fingerprints and
-//! placements. Every op runs on its own engine on the caller's thread.
+//! placements. The store owns one engine: every verb, churn event and
+//! repair pump runs on it, on one clock, on the caller's thread.
 
 #![deny(missing_docs)]
 
@@ -172,20 +173,22 @@ pub struct ReplicatedDht<G: ContinuousGraph = DistanceHalving, S: Shelves = MemS
     /// churn call; `Some(b)` queues frames in [`Self::outbox`] and
     /// [`ReplicatedDht::pump_repair`] drains at most `b` per call.
     pace: Option<u32>,
-    /// Repair frames planned but not yet priced through an engine.
+    /// Repair frames planned but not yet priced on the wire.
     pub(crate) outbox: VecDeque<(NodeId, NodeId, Wire)>,
+    /// The engine every verb, churn event and repair pump runs on.
+    eng: Engine,
     /// The client-side network health ledger: per-destination Jacobson
     /// RTT estimators plus the accrual suspicion failure detector. Every
-    /// verb lends it to its engine, so grey-failure knowledge carries
+    /// verb lends it to its run, so grey-failure knowledge carries
     /// from one op to the next. Observation is always on and sets the
     /// hedge delay of every quorum read's backup timer;
     /// [`RetryPolicy::hedge`] opts individual ops into consulting its
     /// verdicts.
     health: NetHealth,
     /// The observability sink ([`dh_obs::Obs`]): off by default (inert
-    /// handle, fingerprints unchanged), cloned into every engine this
-    /// store drives so foreground, hedge and repair traffic all land
-    /// in one flight recorder + metrics registry.
+    /// handle, fingerprints unchanged), lent to every verb's and repair
+    /// pump's run so foreground, hedge and repair traffic all land in
+    /// one flight recorder + metrics registry.
     obs: Obs,
 }
 
@@ -228,15 +231,16 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
             held,
             pace: None,
             outbox: VecDeque::new(),
+            eng: Engine::default(),
             health: NetHealth::new(),
             obs: Obs::off(),
         }
     }
 
-    /// Attach an observability sink: every engine this store drives
-    /// from now on records into it (sends, delivers, timers, retries,
-    /// hedges, quorum entries, repair frames, suspicion edges), and
-    /// per-run [`EngineStats`] are exported into its metrics registry.
+    /// Attach an observability sink: every verb and repair pump records
+    /// into it from now on (sends, delivers, timers, retries, hedges,
+    /// quorum entries, repair frames, suspicion edges), and exports its
+    /// run's [`EngineStats`] into its metrics registry.
     /// The default [`Obs::off`] handle makes all of that a no-op.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
@@ -253,6 +257,23 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
     /// estimators + suspicion counters accrued across ops).
     pub fn health(&self) -> &NetHealth {
         &self.health
+    }
+
+    /// Move the store's clock forward to `t` (never back): the next verb
+    /// starts no earlier than `t`, wherever chaos schedules put it.
+    pub fn advance_to(&mut self, t: u64) {
+        self.eng.advance_to(t);
+    }
+
+    /// Run the store's engine under `retry` over `transport`, lending
+    /// it the health ledger, the recorder and the shelves, and export
+    /// the run's counters as foreground traffic.
+    fn run_lent<T: Transport>(&mut self, transport: &mut T, retry: RetryPolicy) -> EngineStats {
+        self.eng.retry = retry;
+        let view = ShelfView(&self.shelves);
+        let stats = self.eng.run(&self.net, transport, Some(&mut self.health), &self.obs, &view);
+        stats.export(&self.obs, 0);
+        stats
     }
 
     /// Rebuild the arc and holder indices from the shelves. Required
@@ -336,7 +357,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         from: NodeId,
         key: u64,
         value: Bytes,
-        transport: T,
+        mut transport: T,
         seed: u64,
         retry: RetryPolicy,
     ) -> (OpOutcome, usize) {
@@ -345,16 +366,9 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         let sealed = encode_sealed(&value, self.k as usize, self.m as usize, version);
         let len = sealed[0].len() as u32;
         let action = Action::PutShares { key, len, m: self.m, k: self.k, item: point };
-        let out = {
-            let mut eng = Engine::new(&self.net, transport, seed)
-                .with_retry(retry)
-                .with_health(&mut self.health)
-                .with_obs(self.obs.clone());
-            let op = eng.submit(route_kind(self.kind), from, point, action);
-            eng.run();
-            eng.stats.export(&self.obs, 0);
-            eng.take_outcome(op)
-        };
+        let op = self.eng.submit(seed, route_kind(self.kind), from, point, action);
+        self.run_lent(&mut transport, retry);
+        let out = self.eng.take_outcome(op);
         let placed = self.apply_put(key, point, version, &sealed, &out);
         (out, placed)
     }
@@ -455,32 +469,25 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
 
     /// One quorum-read attempt routed at `target` (a clique member's
     /// identifier point, or `h(key)` itself for the primary). Besides
-    /// the outcome and value, reports the modeled ticks the attempt's
-    /// engine ran (completion time on success, final clock on failure)
-    /// and the engine stats — the raw material for SLO accounting.
+    /// the outcome and value, reports the modeled ticks the attempt
+    /// took (to completion, or to the run's last event on failure) and
+    /// the run's stats — the raw material for SLO accounting.
     fn get_via<T: Transport>(
         &mut self,
         from: NodeId,
         key: u64,
         target: Point,
-        transport: T,
+        mut transport: T,
         seed: u64,
         retry: RetryPolicy,
     ) -> (OpOutcome, Option<Bytes>, u64, EngineStats) {
         let point = self.hash.point(key);
         let action = Action::GetShares { key, m: self.m, k: self.k, item: point };
-        let (out, ticks, stats) = {
-            let mut eng = Engine::new(&self.net, transport, seed)
-                .with_retry(retry)
-                .with_health(&mut self.health)
-                .with_obs(self.obs.clone());
-            let op = eng.submit(route_kind(self.kind), from, target, action);
-            eng.run_with_shares(&ShelfView(&self.shelves));
-            let out = eng.take_outcome(op);
-            let ticks = out.completed_at.unwrap_or_else(|| eng.now());
-            eng.stats.export(&self.obs, 0);
-            (out, ticks, eng.stats)
-        };
+        let t0 = self.eng.now();
+        let op = self.eng.submit(seed, route_kind(self.kind), from, target, action);
+        let stats = self.run_lent(&mut transport, retry);
+        let out = self.eng.take_outcome(op);
+        let ticks = out.completed_at.unwrap_or(self.eng.now() - t0);
         let value = self.reconstruct(key, &out);
         (out, value, ticks, stats)
     }
@@ -545,9 +552,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         /// cover on the path — each fresh origin re-rolls the dyadic
         /// approach, so sweeps are independent trials.
         const ROUNDS: usize = 12;
-        let point = self.hash.point(key);
-        let mut clique = Vec::with_capacity(self.m as usize);
-        self.net.clique_of(point, self.m as usize, &mut clique);
+        let (point, clique) = (self.hash.point(key), self.clique(key));
         let mut read = QuorumRead::default();
         for round in 0..ROUNDS {
             // suspicion-ordered failover: least-suspect coordinator
@@ -620,31 +625,25 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         &mut self,
         from: NodeId,
         key: u64,
-        transport: T,
+        mut transport: T,
         seed: u64,
         retry: RetryPolicy,
     ) -> (OpOutcome, bool) {
         let point = self.hash.point(key);
-        let mut eng = Engine::new(&self.net, transport, seed)
-            .with_retry(retry)
-            .with_health(&mut self.health)
-            .with_obs(self.obs.clone());
-        let op = eng.submit(route_kind(self.kind), from, point, Action::Remove { key });
-        eng.run();
-        let out = eng.take_outcome(op);
+        let op = self.eng.submit(seed, route_kind(self.kind), from, point, Action::Remove { key });
+        self.run_lent(&mut transport, retry);
+        let out = self.eng.take_outcome(op);
         let existed = out.ok && !out.corrupt && self.shelves.map().contains_key(&key);
         if existed {
             // tombstone fan-out: the primary tells every other cover
             // to drop its share (clique edges, one hop each)
             let primary = out.dest.expect("completed");
-            let mut clique = Vec::with_capacity(self.m as usize);
-            self.net.clique_of(point, self.m as usize, &mut clique);
-            for &h in &clique {
+            for &h in &self.clique(key) {
                 if h != primary {
-                    eng.send(primary, h, dh_proto::wire::Wire::ShareDigest { keys: 1 });
+                    self.eng.send(primary, h, Wire::ShareDigest { keys: 1 });
                 }
             }
-            eng.run();
+            self.run_lent(&mut transport, retry);
             if let Some(item) = self.shelves.map().get(&key) {
                 self.arc.remove(&(item.point.bits(), key));
                 for (&idx, h) in &item.holders {
@@ -653,7 +652,6 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
             }
             self.shelves.remove(key);
         }
-        eng.stats.export(&self.obs, 0);
         (out, existed)
     }
 
@@ -669,6 +667,7 @@ mod tests {
     use cd_core::pointset::PointSet;
     use cd_core::rng::seeded;
     use dh_dht::network::DhNetwork;
+    use dh_dht::proto::ChurnMsgCost;
     use dh_proto::transport::{Delivery, Sim};
     use dh_proto::wire::Envelope;
     use dh_proto::ChaosNet;
@@ -923,5 +922,61 @@ mod tests {
         let from = dht.net.random_node(&mut rng);
         dht.put(from, 4, Bytes::from_static(b"debruijn"), &mut rng);
         assert_eq!(dht.get(from, 4, &mut rng), Some(Bytes::from_static(b"debruijn")));
+    }
+
+    #[test]
+    fn the_clock_does_not_change_an_op() {
+        /// Everything the store's verbs report, in call order.
+        #[derive(Debug, Default, PartialEq)]
+        struct Trace {
+            outs: Vec<(OpOutcome, Option<Bytes>)>,
+            reads: Vec<QuorumRead>,
+            churn: Vec<ChurnMsgCost>,
+            repairs: Vec<RepairReport>,
+            pumped: Vec<(u64, u64)>,
+        }
+        // one seeded sequence of every verb on two stores whose clocks
+        // start 2⁴⁰ ticks apart, each over its own lossy, duplicating
+        // Sim: an op is a function of its own start, not of the clock
+        let run = |offset: u64| {
+            let (mut dht, mut rng) = store(96, 6, 3, 0xC10C);
+            dht.set_repair_pacing(Some(4));
+            dht.advance_to(offset);
+            let mut sim = Sim::new(0xC10C).with_drop(0.1).with_dup(0.1);
+            let retry = RetryPolicy::patient();
+            let mut t = Trace::default();
+            for i in 0..48u64 {
+                let (key, from) = (i % 12, dht.net.random_node(&mut rng));
+                let value = Bytes::from(format!("clock-{i}"));
+                let (out, _) = dht.put_over(from, key, value, &mut sim, i, retry);
+                t.outs.push((out, None));
+                let (out, value) = dht.get_over(from, key, &mut sim, i ^ 1, retry);
+                t.outs.push((out, value));
+                t.reads.push(dht.get_quorum(from, key, &mut sim, i ^ 2, retry.hedged()));
+                match i % 4 {
+                    0 => t.outs.push((dht.remove_over(from, key, &mut sim, i ^ 3, retry).0, None)),
+                    1 => {
+                        let x = Point(rng.gen());
+                        let joined = dht.join_over(from, x, dht.kind, i, &mut sim, retry);
+                        if let Some((_, cost, report)) = joined {
+                            t.churn.push(cost);
+                            t.repairs.push(report);
+                        }
+                    }
+                    2 => {
+                        let (cost, report) = dht.leave_over(from, &mut sim, i);
+                        t.churn.push(cost);
+                        t.repairs.push(report);
+                    }
+                    _ => t.pumped.push(dht.pump_repair(&mut sim, i)),
+                }
+            }
+            t.pumped.push(dht.flush_repair(&mut sim, 0));
+            t
+        };
+        let (early, late) = (run(0), run(1 << 40));
+        assert!(early.outs.iter().any(|(o, _)| o.attempts > 1), "the loss must force retries");
+        assert!(early.churn.len() >= 20 && early.pumped.iter().any(|&(m, _)| m > 0));
+        assert_eq!(early, late);
     }
 }

@@ -65,7 +65,7 @@
 //! holder) pair ride one [`Wire::RepairPullBatch`] /
 //! [`Wire::RepairPushBatch`] frame (single-entry groups keep the
 //! scalar vocabulary). Planned frames go to an outbox; by default the
-//! churn call flushes it through a seeded engine synchronously, while
+//! churn call flushes it through the store's engine synchronously, while
 //! [`ReplicatedDht::set_repair_pacing`] caps how many frames each
 //! [`ReplicatedDht::pump_repair`] drains — bounded background repair
 //! overlapping foreground traffic instead of a synchronous storm.
@@ -76,20 +76,19 @@
 //!
 //! Determinism: items are scanned in key order (`BTreeMap`), frames
 //! are emitted in `BTreeMap` order of `(src, dst)`, message costs run
-//! through the same seeded engine as every other protocol, and repair
+//! on the store's one engine like every other protocol, and repair
 //! mutates shelves in scan order — so the whole pass fingerprints and
 //! replays like any routed batch.
 
 use crate::ReplicatedDht;
 use cd_core::graph::ContinuousGraph;
 use cd_core::point::Point;
-use cd_core::rng::splitmix64;
 use dh_dht::network::NodeId;
 use dh_dht::proto::{join_over, leave_over, ChurnMsgCost};
 use dh_dht::LookupKind;
 use dh_erasure::{encode_row, try_decode, Share, ShareHeader};
 use dh_obs::EventKind as ObsEvent;
-use dh_proto::engine::{Engine, RetryPolicy};
+use dh_proto::engine::{NoShares, RetryPolicy};
 use dh_proto::transport::Transport;
 use dh_proto::wire::Wire;
 use dh_store::{Holder, ItemState, Shelves};
@@ -204,22 +203,18 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
     /// One anti-entropy pass over every item: detect placement drift
     /// against the current cliques, give every member lacking a share
     /// a spare one or a rebuilt one, garbage-collect the rest. All
-    /// message costs are priced through `transport` on a fresh engine
-    /// seeded by `seed` (or queued, under pacing).
-    pub fn repair<T: Transport>(&mut self, transport: &mut T, seed: u64) -> RepairReport {
+    /// message costs are priced through `transport` on the store's
+    /// engine (or queued, under pacing). `_seed` is unused — repair
+    /// frames draw nothing — until ROADMAP B2 drops it.
+    pub fn repair<T: Transport>(&mut self, transport: &mut T, _seed: u64) -> RepairReport {
         let keys: Vec<u64> = self.shelves.map().keys().copied().collect();
-        self.repair_keys(&keys, transport, seed)
+        self.repair_keys(&keys, transport)
     }
 
     /// The anti-entropy pass restricted to `keys` (deduplicated,
     /// ascending): the shared engine of the full scan and the
     /// arc-scoped incremental path.
-    fn repair_keys<T: Transport>(
-        &mut self,
-        keys: &[u64],
-        transport: &mut T,
-        seed: u64,
-    ) -> RepairReport {
+    fn repair_keys<T: Transport>(&mut self, keys: &[u64], transport: &mut T) -> RepairReport {
         let mut report = RepairReport::default();
         let mut plan = RepairPlan::default();
         for &key in keys {
@@ -232,7 +227,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         report.frames_queued = self.outbox.len() - before;
         self.obs.add("repair/frames_planned", 0, report.frames_queued as u64);
         if self.pace.is_none() {
-            let (msgs, bytes) = self.flush_repair(transport, seed);
+            let (msgs, bytes) = self.drain_repair(transport, usize::MAX);
             report.msgs = msgs;
             report.bytes = bytes;
             report.frames_queued = 0;
@@ -398,24 +393,23 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
     }
 
     /// Drain up to the configured pacing budget of queued repair
-    /// frames through a fresh engine seeded by `seed` (everything, if
-    /// unpaced). Returns the priced `(msgs, bytes)`.
-    pub fn pump_repair<T: Transport>(&mut self, transport: &mut T, seed: u64) -> (u64, u64) {
+    /// frames on the store's engine (everything, if unpaced). Returns
+    /// the priced `(msgs, bytes)`. `_seed` is unused, as in
+    /// [`Self::repair`].
+    pub fn pump_repair<T: Transport>(&mut self, transport: &mut T, _seed: u64) -> (u64, u64) {
         let budget = self.pace.map(|b| b as usize).unwrap_or(usize::MAX);
-        self.drain_repair(transport, seed, budget)
+        self.drain_repair(transport, budget)
     }
 
-    /// Drain the whole repair outbox regardless of pacing.
-    pub fn flush_repair<T: Transport>(&mut self, transport: &mut T, seed: u64) -> (u64, u64) {
-        self.drain_repair(transport, seed, usize::MAX)
+    /// Drain the whole repair outbox regardless of pacing. `_seed` is
+    /// unused, as in [`Self::repair`].
+    pub fn flush_repair<T: Transport>(&mut self, transport: &mut T, _seed: u64) -> (u64, u64) {
+        self.drain_repair(transport, usize::MAX)
     }
 
-    fn drain_repair<T: Transport>(
-        &mut self,
-        transport: &mut T,
-        seed: u64,
-        budget: usize,
-    ) -> (u64, u64) {
+    /// Send up to `budget` queued frames in one run, lending it the
+    /// recorder but no detector; exported as repair traffic.
+    fn drain_repair<T: Transport>(&mut self, transport: &mut T, budget: usize) -> (u64, u64) {
         if budget == 0 || self.outbox.is_empty() {
             return (0, 0);
         }
@@ -426,15 +420,13 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
             let bytes = msg.wire_bytes() as u32;
             self.obs.emit_storage(ObsEvent::RepairFrame { src: src.0, dst: dst.0, bytes });
         }
-        let mut eng =
-            Engine::new(&self.net, &mut *transport, seed).with_obs(self.obs.clone());
         for (src, dst, msg) in self.outbox.drain(..sent) {
-            eng.send(src, dst, msg);
+            self.eng.send(src, dst, msg);
         }
-        eng.run();
+        let stats = self.eng.run(&self.net, transport, None, &self.obs, &NoShares);
         self.obs.add("repair/frames_pumped", 0, sent as u64);
-        eng.stats.export(&self.obs, 1);
-        (eng.stats.msgs, eng.stats.bytes)
+        stats.export(&self.obs, 1);
+        (stats.msgs, stats.bytes)
     }
 
     /// Price the member protocol of one join or leave into the metrics
@@ -459,12 +451,13 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         transport: &mut T,
         retry: RetryPolicy,
     ) -> Option<(NodeId, ChurnMsgCost, RepairReport)> {
-        let (id, cost) = join_over(&mut self.net, host, x, kind, seed, transport, retry)?;
+        self.eng.retry = retry;
+        let (id, cost) = join_over(&mut self.eng, &mut self.net, host, x, kind, seed, transport)?;
         self.note_member(&cost);
         // computed after the join: the cliques that changed are
         // exactly those the new node is now part of
         let keys: Vec<u64> = self.shifted_keys(id).into_iter().collect();
-        let report = self.repair_keys(&keys, transport, splitmix64(seed ^ 0x5E1F));
+        let report = self.repair_keys(&keys, transport);
         Some((id, cost, report))
     }
 
@@ -475,12 +468,13 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
     /// share that does not open is rebuilt). A crash is
     /// [`Self::drop_shelves_of`] first. Afterwards nothing names the
     /// leaver, whose slab slot may be reused: its hand-off frames are
-    /// priced inside this call even under pacing.
+    /// priced inside this call even under pacing. `_seed` is unused, as
+    /// in [`Self::repair`].
     pub fn leave_over<T: Transport>(
         &mut self,
         id: NodeId,
         transport: &mut T,
-        seed: u64,
+        _seed: u64,
     ) -> (ChurnMsgCost, RepairReport) {
         // frames queued before the leave addressed to or from the
         // leaver can no longer be delivered: purged, and counted so
@@ -492,11 +486,10 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         // those the leaver is still part of, plus what it holds
         let mut keys = self.shifted_keys(id);
         keys.extend(self.held.range(held_by(id)).map(|&(_, key, _)| key));
-        let cost = leave_over(&mut self.net, id, transport, seed);
+        let cost = leave_over(&mut self.eng, &mut self.net, id, transport);
         self.note_member(&cost);
         let keys: Vec<u64> = keys.into_iter().collect();
-        let seed = splitmix64(seed ^ 0x5E1F);
-        let mut report = self.repair_keys(&keys, transport, seed);
+        let mut report = self.repair_keys(&keys, transport);
         // the planner leaves an item it cannot recover untouched; the
         // leaver's share of it goes with the leaver
         self.drop_shelves_of(id);
@@ -508,7 +501,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
                 .partition(|&(src, dst, _)| src == id || dst == id);
             self.outbox = own;
             report.frames_queued -= self.outbox.len();
-            (report.msgs, report.bytes) = self.flush_repair(transport, seed);
+            (report.msgs, report.bytes) = self.drain_repair(transport, usize::MAX);
             self.outbox = rest;
         }
         (cost, report)

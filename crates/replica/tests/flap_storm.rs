@@ -25,14 +25,14 @@ use dh_replica::{QuorumRead, ReplicatedDht};
 use rand::Rng;
 use std::collections::BTreeMap;
 
-/// Epoch stride between ops (engines restart their clock per op; the
-/// stride keeps the flap schedules on a continuous timeline).
+/// Clock stride between ops: the store's clock advances at least this
+/// much per op, spreading the ops over the flap schedules.
 const STRIDE: u64 = 10_000;
 const M: u8 = 8;
 const K: u8 = 4;
 /// Per-mille of nodes on a fail/recover cycle.
 const FLAP_PERMILLE: u64 = 200;
-/// Flap cycle length / down-time (effective ticks): down a quarter of
+/// Flap cycle length / down-time (engine ticks): down a quarter of
 /// the time, phases seeded per node.
 const FLAP_PERIOD: u64 = 30_000;
 const FLAP_DOWN: u64 = 7_500;
@@ -63,7 +63,7 @@ fn flap_storm_no_lost_commits_bounded_waste() {
                 salt: u64,
                 rng: &mut rand::rngs::StdRng|
      -> QuorumRead {
-        chaos.set_epoch(epoch);
+        dht.advance_to(epoch);
         let from = dht.net.random_node(rng);
         dht.get_quorum(from, key, chaos, subseed(seed ^ salt, key), retry)
     };
@@ -72,7 +72,7 @@ fn flap_storm_no_lost_commits_bounded_waste() {
     // reads before anyone flaps
     let mut committed: BTreeMap<u64, Bytes> = BTreeMap::new();
     for key in 0..40u64 {
-        chaos.set_epoch(epoch);
+        dht.advance_to(epoch);
         let from = dht.net.random_node(&mut rng);
         let (out, _) = dht.put_over(
             from,
@@ -115,14 +115,14 @@ fn flap_storm_no_lost_commits_bounded_waste() {
     for op in 0..120u64 {
         if op % 3 == 0 {
             // a put can lose all its attempts to a down window;
-            // advancing the epoch between tries moves the clock past
-            // it, so every key eventually commits — and only a
+            // advancing the clock between tries moves it past the
+            // window, so every key eventually commits — and only a
             // *committed* put joins the must-survive set
             let key = next_key;
             next_key += 1;
             let mut ok = false;
             for try_no in 0..6u64 {
-                chaos.set_epoch(epoch);
+                dht.advance_to(epoch);
                 let from = dht.net.random_node(&mut rng);
                 let (out, _) = dht.put_over(
                     from,
@@ -217,7 +217,7 @@ fn flap_storm_no_lost_commits_bounded_waste() {
 
     // zero lost committed writes: every committed key reads back
     // exactly, flap schedules still live. A read may land in a bad
-    // down window; advancing the epoch retries it there — transient
+    // down window; advancing the clock retries it later — transient
     // unavailability is allowed, data loss is not.
     for (&key, want) in &committed {
         let mut got = None;

@@ -24,9 +24,9 @@ use dh_store::{FileShelves, MemShelves, ScratchPath};
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Epoch stride between storm ops: each op's engine restarts its
-/// clock at zero, so the harness advances the chaos epoch per op to
-/// give the bisection window a continuous timeline.
+/// Clock stride between storm ops: the store's clock advances at
+/// least this much per op, spreading the storm over the bisection
+/// window.
 const STRIDE: u64 = 10_000;
 const M: u8 = 8;
 const K: u8 = 4;
@@ -58,7 +58,7 @@ fn storm_op<G: ContinuousGraph, S: Shelves>(
     st: &mut Storm,
     cut: bool,
 ) {
-    chaos.set_epoch(st.epoch);
+    dht.advance_to(st.epoch);
     let seed_op = subseed(0x9A27, st.op_no);
     match rng.gen_range(0..5u32) {
         // leave: the incremental repair pass hands the departing
@@ -148,7 +148,7 @@ fn storm_on<G: ContinuousGraph, S: Shelves>(graph: G, seed: u64, shelves: S) -> 
     }
 
     // phase 2: bisect mid-storm — a seeded half-split, cut both ways,
-    // spanning the next 40 ops of effective time
+    // spanning the next 40 ops of engine time
     let cut_until = st.epoch + 40 * STRIDE;
     let nodes: Vec<NodeId> = dht.net.live().to_vec();
     let side_a = chaos.bisect(&nodes, CutDirection::Both, st.epoch, cut_until);
@@ -160,7 +160,7 @@ fn storm_on<G: ContinuousGraph, S: Shelves>(graph: G, seed: u64, shelves: S) -> 
     // phase 3: the window end is the heal event; one full anti-entropy
     // pass converges every placement the split-brain churn disturbed
     st.epoch = st.epoch.max(cut_until) + STRIDE;
-    chaos.set_epoch(st.epoch);
+    dht.advance_to(st.epoch);
     let report = dht.repair(&mut chaos, subseed(seed, 0x4EA1));
     assert!(
         report.items_lost <= st.orphans.len(),
@@ -177,7 +177,7 @@ fn storm_on<G: ContinuousGraph, S: Shelves>(graph: G, seed: u64, shelves: S) -> 
     dht.net.validate();
     assert!(st.committed.len() >= 25, "the storm must have committed a real population");
     for (&key, want) in &st.committed {
-        chaos.set_epoch(st.epoch);
+        dht.advance_to(st.epoch);
         let clique = dht.clique(key);
         assert_eq!(clique.len(), M as usize, "network shrank below m");
         let item = &dht.shelves.map()[&key];

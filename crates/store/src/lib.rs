@@ -36,7 +36,7 @@
 //!
 //! [`ShelfView`] adapts any backend to the engine's
 //! [`dh_proto::engine::ShareView`], so
-//! [`dh_proto::engine::Engine::run_with_shares`] takes a
+//! [`dh_proto::engine::Engine::run`] takes a
 //! [`FileShelves`] as readily as the in-memory shelves —
 //! `dh_replica::ReplicatedDht` runs unmodified over either backend,
 //! with identical traces and fingerprints.

@@ -318,7 +318,7 @@ pub fn apply_record(rec: &crate::wal::WalRecord, shelves: &mut impl Shelves) -> 
 /// and a parked (uncommitted) generation can never satisfy a read.
 /// This is the seam that wires any [`Shelves`] backend beneath
 /// `dh_proto`'s event engine
-/// ([`dh_proto::engine::Engine::run_with_shares`]).
+/// ([`dh_proto::engine::Engine::run`]).
 pub struct ShelfView<'a, S: Shelves>(pub &'a S);
 
 impl<S: Shelves> ShareView for ShelfView<'_, S> {

@@ -7,23 +7,26 @@ use continuous_discrete::core::pointset::PointSet;
 use continuous_discrete::core::Point;
 use continuous_discrete::dht::proto::route_kind;
 use continuous_discrete::dht::{DhNetwork, LookupKind};
-use continuous_discrete::proto::engine::Engine;
+use continuous_discrete::proto::engine::{Engine, NoShares};
 use continuous_discrete::proto::wire::Action;
 use continuous_discrete::proto::{RetryPolicy, Sim};
 
 fn main() {
     let net = DhNetwork::new(&PointSet::evenly_spaced(1024));
-    let sim = Sim::new(7).with_latency(4, 16, 4).with_drop(0.01);
-    let mut eng = Engine::new(&net, sim, 42)
-        .with_retry(RetryPolicy::patient());
+    let mut sim = Sim::new(7).with_latency(4, 16, 4).with_drop(0.01);
+    let mut eng = Engine::default();
+    eng.retry = RetryPolicy::patient();
 
     let op = eng.submit(
+        42, // the op's seed: its digits and timer jitter
         route_kind(LookupKind::DistanceHalving),
         net.live()[0],
         Point::from_f64(0.375),
         Action::Locate,
     );
-    eng.run(); // deterministic: same seeds ⇒ same trace, bit for bit
+    // the run borrows its world: topology, transport, detector,
+    // recorder, share view; same seeds ⇒ same trace, bit for bit
+    eng.run(&net, &mut sim, None, &Default::default(), &NoShares);
 
     let out = eng.take_outcome(op);
     println!(
