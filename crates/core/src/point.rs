@@ -103,6 +103,12 @@ impl Point {
     #[inline]
     pub fn child(self, digit: u32, delta: u32) -> Self {
         debug_assert!(digit < delta, "digit {digit} out of range for ∆={delta}");
+        if delta > 1 && delta.is_power_of_two() {
+            // ∆ = 2^b: the floor of (y + d·2⁶⁴) / 2^b is a shift, and
+            // d < 2^b fills exactly the b bits the shift vacates
+            let b = delta.trailing_zeros();
+            return Point((self.0 >> b) | (u64::from(digit) << (64 - b)));
+        }
         let num = self.0 as u128 + ((digit as u128) << 64);
         Point((num / delta as u128) as u64)
     }
@@ -314,6 +320,18 @@ mod tests {
             let shrunk = a.child(d, delta).dist(b.child(d, delta));
             // d(f_d(a), f_d(b)) = d(a,b)/∆ up to one ulp of rounding.
             prop_assert!(shrunk <= a.dist(b) / delta as u64 + 1);
+        }
+
+        #[test]
+        fn prop_power_of_two_child_is_the_division(y: u64, b in 1u32..=4) {
+            // ∆ ∈ {2, 4, 8, 16}, every digit: the shift form equals the
+            // u128 division it replaces
+            let delta = 1u32 << b;
+            for d in 0..delta {
+                let num = u128::from(y) + (u128::from(d) << 64);
+                let want = Point((num / u128::from(delta)) as u64);
+                prop_assert_eq!(Point(y).child(d, delta), want, "∆={} d={}", delta, d);
+            }
         }
 
         #[test]

@@ -96,15 +96,11 @@ impl<G: ContinuousGraph> CdNetwork<G> {
     /// by the continuous graph is missing (this would falsify the edge
     /// derivation and is asserted rather than tolerated).
     fn hop(&self, cur: NodeId, p: Point, route: &mut Route) -> NodeId {
-        let state = self.node(cur);
-        if state.covers(p) {
-            route.push(cur, p);
-            return cur;
-        }
-        let next = state.neighbor_covering(p).unwrap_or_else(|| {
+        let next = self.local_cover(cur, p).unwrap_or_else(|| {
             panic!(
                 "missing discrete edge: {cur} (segment {:?}) has no table entry covering {:?}",
-                state.segment, p
+                self.node(cur).segment,
+                p
             )
         });
         route.push(next, p);
@@ -177,12 +173,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         // Phase 1: forward along p_t until q_t is covered locally.
         loop {
             let q = walk.target();
-            let state = self.node(cur);
-            if state.covers(q) {
-                route.push(cur, q);
-                break;
-            }
-            if let Some(next) = state.neighbor_covering(q) {
+            if let Some(next) = self.local_cover(cur, q) {
                 route.push(next, q);
                 cur = next;
                 break;

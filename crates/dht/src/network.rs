@@ -42,28 +42,39 @@
 //!
 //! The paper's promise is that churn touches only `O(ρ + ∆)` servers
 //! and lookups take `O(log_∆ n)` hops; this module keeps the *constant
-//! factors* of both paths small:
+//! factors* of both paths small. At n = 65 536 the tables outgrow the
+//! cache, so a hop's cost is the number of *dependent* misses it takes:
 //!
-//! * **O(1) ring.** Ring successor/predecessor pointers are slab
-//!   arrays (`DhNetwork::succ`/`pred`) maintained in O(1) on
-//!   join/leave. The sorted `registry` survives only for *point*
-//!   queries ([`DhNetwork::cover_of`]); an arc-coverage query is one
-//!   O(log n) registry seek plus O(k) pointer chasing.
-//! * **Incremental tables.** Neighbor tables are kept sorted by
-//!   segment start, so the per-hop routing primitive
-//!   ([`NodeState::neighbor_covering`]) is a binary search, and a
-//!   table rebuild derives the new table and rewrites the old one in
-//!   place over scratch buffers owned by the network — no per-event
-//!   allocation.
-//! * **Bulk construction.** [`DhNetwork::with_delta`] derives all
-//!   tables with one sweep over the sorted identifier array instead of
-//!   `n` independent oracle rebuilds.
+//! * **One record per server.** A dense slab of 32-byte records holds
+//!   each server's segment (its start is the identifier point), ring
+//!   successor and predecessor, and where its table sits. A hop reads
+//!   the record of the server it stands on, then that server's table
+//!   — and nothing of any other server: each entry carries the
+//!   neighbour's segment (§2.2's locality, kept literal), maintained
+//!   by the churn protocol.
+//! * **One arena of tables.** Every table is one contiguous slice of a
+//!   shared arena, sorted by segment start. The per-hop primitive
+//!   ([`CdNetwork::local_cover`]) counts the starts `≤ p` in one
+//!   branch-free pass — independent loads the CPU overlaps — instead
+//!   of a chain of dependent binary-search probes.
+//! * **Incremental tables.** A churn rebuild derives the new table
+//!   into scratch buffers owned by the network and rewrites the slice
+//!   in place, or moves it to the arena tail when it grew; the hole
+//!   left behind is counted, and the arena is compacted in place once
+//!   holes pass a quarter of the live entries, or when a move would
+//!   otherwise grow it — no per-event allocation.
+//! * **O(1) ring.** The ring pointers live in the records. The sorted
+//!   `registry` survives only for *point* queries
+//!   ([`CdNetwork::cover_of`]); an arc-coverage query is one O(log n)
+//!   registry seek plus O(k) pointer chasing.
+//! * **Bulk construction.** [`CdNetwork::build`] derives all tables
+//!   with one sweep over the sorted identifier array, writing each
+//!   straight into the arena.
 
 use cd_core::graph::ContinuousGraph;
 use cd_core::interval::Interval;
 use cd_core::point::Point;
 use cd_core::pointset::PointSet;
-use cd_core::Point as CPoint;
 use std::collections::BTreeMap;
 use std::mem;
 
@@ -86,13 +97,33 @@ pub struct Neighbor {
     pub segment: Interval,
 }
 
-// A hop scans one node's table of these; 24 bytes keeps a probe of a
-// few entries inside two or three cache lines.
+// A hop scans one node's table of these; 24 bytes keeps a table of
+// eight entries inside three cache lines.
 const _: () = assert!(std::mem::size_of::<Neighbor>() == 24);
 
-/// Per-server state: identifier point, owned segment, neighbor table.
-#[derive(Clone, Debug)]
-pub struct NodeState {
+/// The entry of `table` (sorted by segment start, segments disjoint)
+/// covering `p`. Two candidates can: the entry with the greatest start
+/// `≤ p`, and — because exactly one segment of the network wraps
+/// through `0`, and that segment has the greatest start of all — the
+/// last entry. The first is found by counting the starts `≤ p`: every
+/// entry is loaded and none waits on another.
+#[inline]
+fn cover_in(table: &[Neighbor], p: Point) -> Option<NodeId> {
+    let last = table.last()?;
+    let below: usize = table.iter().map(|nb| usize::from(nb.segment.start().bits() <= p.bits())).sum();
+    let cand = below.checked_sub(1).map_or(last, |i| &table[i]);
+    if cand.segment.contains(p) {
+        Some(cand.id)
+    } else if last.segment.contains(p) {
+        Some(last.id)
+    } else {
+        None
+    }
+}
+
+/// A server's state, read from its record and its table's slice.
+#[derive(Clone, Copy, Debug)]
+pub struct NodeView<'a> {
     /// This node's id.
     pub id: NodeId,
     /// The node's identifier point `x_i`.
@@ -100,10 +131,10 @@ pub struct NodeState {
     /// The owned segment `s(x_i)`.
     pub segment: Interval,
     /// The neighbor table (excluding self), sorted by segment start.
-    pub neighbors: Vec<Neighbor>,
+    pub neighbors: &'a [Neighbor],
 }
 
-impl NodeState {
+impl NodeView<'_> {
     /// Does this node's own segment cover `p`?
     #[inline]
     pub fn covers(&self, p: Point) -> bool {
@@ -111,24 +142,8 @@ impl NodeState {
     }
 
     /// Find a table entry covering `p` (self excluded).
-    ///
-    /// The table is sorted by segment start and segments of distinct
-    /// live servers are disjoint, so this is a binary search with two
-    /// candidate probes: the entry with the greatest start `≤ p`, and —
-    /// because exactly one segment of the network wraps through `0`,
-    /// and that segment has the greatest start of all — the last entry.
     pub fn neighbor_covering(&self, p: Point) -> Option<NodeId> {
-        let nbs = &self.neighbors;
-        let last = nbs.last()?;
-        let idx = nbs.partition_point(|nb| nb.segment.start().bits() <= p.bits());
-        let cand = if idx > 0 { &nbs[idx - 1] } else { last };
-        if cand.segment.contains(p) {
-            return Some(cand.id);
-        }
-        if last.segment.contains(p) {
-            return Some(last.id);
-        }
-        None
+        cover_in(self.neighbors, p)
     }
 
     /// Degree (table size).
@@ -136,6 +151,38 @@ impl NodeState {
         self.neighbors.len()
     }
 }
+
+/// A server's hop record: all a hop reads of the server it stands on
+/// besides its table. Aligned so that no record straddles a cache
+/// line.
+#[derive(Clone, Copy, Debug)]
+#[repr(align(32))]
+struct Rec {
+    /// The owned segment; its start is the identifier point.
+    segment: Interval,
+    /// Ring successor.
+    succ: NodeId,
+    /// Ring predecessor.
+    pred: NodeId,
+    /// The table is `arena[off..off + len]`; `off == DEAD` marks a
+    /// free slab slot.
+    off: u32,
+    len: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Rec>() == 32);
+
+/// `Rec::off` of a free slab slot.
+const DEAD: u32 = u32::MAX;
+
+/// Arena holes tolerated regardless of the live entry count, so a
+/// small network does not compact on every event. Above it, holes are
+/// kept to a quarter of the live entries.
+const COMPACT_FLOOR: usize = 1_024;
+
+/// Arena entries the bulk builder writes before it sizes the arena
+/// from their mean table size.
+const BUILD_SAMPLE: usize = 4_096;
 
 /// Reusable buffers for the churn machinery, owned by the network so
 /// that join/leave allocate nothing in the steady state.
@@ -147,6 +194,8 @@ struct ChurnScratch {
     affected: Vec<NodeId>,
     /// Continuous edge-image arcs of the segment being (re)derived.
     arcs: Vec<Interval>,
+    /// Live tables as `(offset, node)`, for compaction.
+    slices: Vec<(u32, u32)>,
 }
 
 /// The discrete network of a [`ContinuousGraph`] — the
@@ -154,7 +203,13 @@ struct ChurnScratch {
 /// the instance. See the module docs.
 pub struct CdNetwork<G: ContinuousGraph> {
     graph: G,
-    nodes: Vec<Option<NodeState>>,
+    /// One hop record per slab slot, indexed by `NodeId.0`.
+    recs: Vec<Rec>,
+    /// Every live table, one contiguous slice each.
+    arena: Vec<Neighbor>,
+    /// Arena entries no live table owns (left by shrunk, moved and
+    /// departed tables); compaction reclaims them.
+    holes: usize,
     free: Vec<u32>,
     /// Sorted map from identifier-point bits to node; used only for
     /// *point* queries (`cover_of` and join collision checks).
@@ -163,10 +218,6 @@ pub struct CdNetwork<G: ContinuousGraph> {
     live: Vec<NodeId>,
     /// Position of each node in `live` (slab-indexed).
     live_pos: Vec<u32>,
-    /// Ring successor of each node (slab-indexed) — O(1) topology.
-    succ: Vec<NodeId>,
-    /// Ring predecessor of each node (slab-indexed).
-    pred: Vec<NodeId>,
     /// Reusable churn buffers.
     scratch: ChurnScratch,
 }
@@ -194,83 +245,64 @@ impl<G: ContinuousGraph> CdNetwork<G> {
     /// bulk constructor).
     ///
     /// Tables are derived in one sweep over the sorted identifier
-    /// array: each arc query is a binary search on a flat `u64` slice
+    /// array — each arc query is a binary search on the point slice
     /// plus a forward walk, instead of `n` independent rebuilds probing
-    /// the `BTreeMap` oracle. Node `i` is the `i`-th point in sorted
-    /// order, so ring pointers are index arithmetic.
+    /// the `BTreeMap` oracle — and written straight into the arena.
+    /// Node `i` is the `i`-th point in sorted order, so ring pointers
+    /// are index arithmetic and the id lists are already sorted by
+    /// segment start.
     pub fn build(graph: G, points: &PointSet) -> Self {
         let n = points.len();
-        let bits: Vec<u64> = points.points().iter().map(|p| p.bits()).collect();
-        // cover(b): index of the segment containing the point `b` —
-        // greatest i with bits[i] ≤ b, wrapping to the last segment.
-        let cover = |b: u64| -> usize {
-            match bits.binary_search(&b) {
-                Ok(i) => i,
-                Err(0) => n - 1,
-                Err(i) => i - 1,
-            }
-        };
-        // Collect the indices whose segments intersect `q`, exactly as
-        // `covers_of_arc` does on the live network.
-        let collect = |q: &Interval, out: &mut Vec<u32>| {
-            let first = cover(q.start().bits());
-            out.push(first as u32);
-            let mut cur = (first + 1) % n;
-            while cur != first && q.contains(CPoint(bits[cur])) {
-                out.push(cur as u32);
-                cur = (cur + 1) % n;
-            }
-        };
-        // One sweep over the sorted identifier array: node `i`'s sorted
-        // neighbor ids land in `flat[offs[i]..offs[i + 1]]` (CSR).
-        let mut flat: Vec<u32> = Vec::with_capacity(n * (graph.delta() as usize + 4));
-        let mut offs: Vec<usize> = Vec::with_capacity(n + 1);
-        offs.push(0);
+        let pts = points.points();
+        let mut arena: Vec<Neighbor> = Vec::with_capacity(BUILD_SAMPLE);
+        let mut recs: Vec<Rec> = Vec::with_capacity(n);
         let mut ids: Vec<u32> = Vec::new();
         let mut arcs: Vec<Interval> = Vec::new();
         for i in 0..n {
-            ids.clear();
+            let (succ, pred) = ((i + 1) % n, (i + n - 1) % n);
             let seg = points.segment(i);
+            ids.clear();
             arcs.clear();
             graph.edge_arcs(&seg, &mut arcs);
+            // the indices whose segments intersect each arc, exactly as
+            // `covers_of_arc_into` collects them on the live network
             for q in &arcs {
-                collect(q, &mut ids);
+                let first = points.index_covering(q.start());
+                ids.push(first as u32);
+                let mut cur = (first + 1) % n;
+                while cur != first && q.contains(pts[cur]) {
+                    ids.push(cur as u32);
+                    cur = (cur + 1) % n;
+                }
             }
-            ids.push(((i + 1) % n) as u32);
-            ids.push(((i + n - 1) % n) as u32);
+            ids.extend([succ as u32, pred as u32]);
             ids.sort_unstable();
             ids.dedup();
-            if let Ok(pos) = ids.binary_search(&(i as u32)) {
-                ids.remove(pos);
+            ids.retain(|&j| j != i as u32);
+            if arena.len() + ids.len() > arena.capacity() {
+                // room for every table at the mean size so far, plus a
+                // quarter for churn's holes: the arena is copied while
+                // it is a small prefix, not doubled when it is large
+                let mean = (arena.len() + ids.len()).div_ceil(i + 1);
+                let want = (mean * n + mean * n / 4).max(arena.len() + ids.len());
+                arena.reserve_exact(want - arena.len());
             }
-            flat.extend_from_slice(&ids);
-            offs.push(flat.len());
+            let off = arena.len() as u32;
+            arena.extend(
+                ids.iter().map(|&j| Neighbor { id: NodeId(j), segment: points.segment(j as usize) }),
+            );
+            let (succ, pred) = (NodeId(succ as u32), NodeId(pred as u32));
+            recs.push(Rec { segment: seg, succ, pred, off, len: ids.len() as u32 });
         }
-        // Materialize node state. Index order is identifier order, so
-        // the id lists are already sorted by segment start.
-        let nodes: Vec<Option<NodeState>> = (0..n)
-            .map(|i| {
-                let neighbors: Vec<Neighbor> = flat[offs[i]..offs[i + 1]]
-                    .iter()
-                    .map(|&j| Neighbor { id: NodeId(j), segment: points.segment(j as usize) })
-                    .collect();
-                Some(NodeState {
-                    id: NodeId(i as u32),
-                    x: points.point(i),
-                    segment: points.segment(i),
-                    neighbors,
-                })
-            })
-            .collect();
         CdNetwork {
             graph,
-            nodes,
+            recs,
+            arena,
+            holes: 0,
             free: Vec::new(),
-            registry: bits.iter().enumerate().map(|(i, &b)| (b, NodeId(i as u32))).collect(),
+            registry: pts.iter().enumerate().map(|(i, p)| (p.bits(), NodeId(i as u32))).collect(),
             live: (0..n as u32).map(NodeId).collect(),
             live_pos: (0..n as u32).collect(),
-            succ: (0..n).map(|i| NodeId(((i + 1) % n) as u32)).collect(),
-            pred: (0..n).map(|i| NodeId(((i + n - 1) % n) as u32)).collect(),
             scratch: ChurnScratch::default(),
         }
     }
@@ -304,7 +336,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
     /// sized for metric arrays.
     #[inline]
     pub fn slab_len(&self) -> usize {
-        self.nodes.len()
+        self.recs.len()
     }
 
     /// The live node ids (unordered).
@@ -313,26 +345,37 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         &self.live
     }
 
-    /// Borrow a node's state.
+    /// The hop record of a live node.
     #[inline]
-    pub fn node(&self, id: NodeId) -> &NodeState {
-        self.nodes[id.0 as usize].as_ref().expect("dangling NodeId")
+    fn rec(&self, id: NodeId) -> &Rec {
+        let rec = &self.recs[id.0 as usize];
+        assert!(rec.off != DEAD, "dangling NodeId {id}");
+        rec
     }
 
-    fn node_mut(&mut self, id: NodeId) -> &mut NodeState {
-        self.nodes[id.0 as usize].as_mut().expect("dangling NodeId")
+    /// A live node's table slice.
+    #[inline]
+    fn table(&self, rec: &Rec) -> &[Neighbor] {
+        &self.arena[rec.off as usize..][..rec.len as usize]
+    }
+
+    /// A live node's state: its record and its table.
+    #[inline]
+    pub fn node(&self, id: NodeId) -> NodeView<'_> {
+        let rec = self.rec(id);
+        NodeView { id, x: rec.segment.start(), segment: rec.segment, neighbors: self.table(rec) }
     }
 
     /// The ring successor of a live node — O(1).
     #[inline]
     pub fn ring_succ(&self, id: NodeId) -> NodeId {
-        self.succ[id.0 as usize]
+        self.rec(id).succ
     }
 
     /// The ring predecessor of a live node — O(1).
     #[inline]
     pub fn ring_pred(&self, id: NodeId) -> NodeId {
-        self.pred[id.0 as usize]
+        self.rec(id).pred
     }
 
     /// The node covering point `p` (global oracle — used by tests,
@@ -366,7 +409,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         let mut cur = primary;
         for _ in 0..m.min(self.live.len()) {
             out.push(cur);
-            cur = self.succ[cur.0 as usize];
+            cur = self.ring_succ(cur);
             if cur == primary {
                 break;
             }
@@ -377,13 +420,15 @@ impl<G: ContinuousGraph> CdNetwork<G> {
     /// `cur`* — `cur` itself if its segment covers `p`, otherwise the
     /// entry of `cur`'s own neighbor table covering `p`, otherwise
     /// `None`. Higher-level protocols (lookups, caching, figures) build
-    /// every hop from this, so routing never consults global state.
+    /// every hop from this, so routing never consults global state: it
+    /// reads `cur`'s record and `cur`'s table, nothing else.
+    #[inline]
     pub fn local_cover(&self, cur: NodeId, p: Point) -> Option<NodeId> {
-        let state = self.node(cur);
-        if state.covers(p) {
+        let rec = self.rec(cur);
+        if rec.segment.contains(p) {
             Some(cur)
         } else {
-            state.neighbor_covering(p)
+            cover_in(self.table(rec), p)
         }
     }
 
@@ -396,10 +441,10 @@ impl<G: ContinuousGraph> CdNetwork<G> {
     fn covers_of_arc_into(&self, q: &Interval, out: &mut Vec<NodeId>) {
         let first = self.cover_of(q.start());
         out.push(first);
-        let mut cur = self.succ[first.0 as usize];
-        while cur != first && q.contains(self.node(cur).x) {
+        let mut cur = self.ring_succ(first);
+        while cur != first && q.contains(self.rec(cur).segment.start()) {
             out.push(cur);
-            cur = self.succ[cur.0 as usize];
+            cur = self.ring_succ(cur);
         }
     }
 
@@ -409,10 +454,10 @@ impl<G: ContinuousGraph> CdNetwork<G> {
     fn successor(&self, x: Point) -> (Point, NodeId) {
         use std::ops::Bound::{Excluded, Unbounded};
         if let Some((&bits, &id)) = self.registry.range((Excluded(x.bits()), Unbounded)).next() {
-            (CPoint(bits), id)
+            (Point(bits), id)
         } else {
             let (&bits, &id) = self.registry.iter().next().expect("empty network");
-            (CPoint(bits), id)
+            (Point(bits), id)
         }
     }
 
@@ -420,10 +465,10 @@ impl<G: ContinuousGraph> CdNetwork<G> {
     /// (registry walk — validation/tests only).
     fn predecessor(&self, x: Point) -> (Point, NodeId) {
         if let Some((&bits, &id)) = self.registry.range(..x.bits()).next_back() {
-            (CPoint(bits), id)
+            (Point(bits), id)
         } else {
             let (&bits, &id) = self.registry.iter().next_back().expect("empty network");
-            (CPoint(bits), id)
+            (Point(bits), id)
         }
     }
 
@@ -438,11 +483,20 @@ impl<G: ContinuousGraph> CdNetwork<G> {
             self.covers_of_arc_into(q, out);
         }
         // ring edges
-        out.push(self.succ[myself.0 as usize]);
-        out.push(self.pred[myself.0 as usize]);
-        out.sort_unstable_by_key(|id| self.node(*id).x.bits());
+        out.push(self.ring_succ(myself));
+        out.push(self.ring_pred(myself));
+        out.sort_unstable_by_key(|&id| self.rec(id).segment.start().bits());
         out.dedup();
         out.retain(|&id| id != myself);
+    }
+
+    /// A fresh derivation of live node `id`'s table — the ids its table
+    /// must hold, in table order — for tests that check the maintained
+    /// table against it.
+    pub fn derived_table(&self, id: NodeId) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        self.derive_into(&self.rec(id).segment, id, &mut out, &mut Vec::new());
+        out
     }
 
     /// The servers whose tables list live node `v`, ascending by id,
@@ -450,18 +504,18 @@ impl<G: ContinuousGraph> CdNetwork<G> {
     /// neighbours, each kept only if its table lists `v`. The arcs
     /// reach every such server (DESIGN §2), so the set is exact.
     fn watchers_into(&self, v: NodeId, out: &mut Vec<NodeId>, arcs: &mut Vec<Interval>) {
-        let state = self.node(v);
+        let seg = self.rec(v).segment;
         out.clear();
         arcs.clear();
-        self.graph.preimage_arcs(&state.segment, arcs);
+        self.graph.preimage_arcs(&seg, arcs);
         for q in arcs.iter() {
             self.covers_of_arc_into(q, out);
         }
-        out.push(self.succ[v.0 as usize]);
-        out.push(self.pred[v.0 as usize]);
+        out.push(self.ring_succ(v));
+        out.push(self.ring_pred(v));
         out.sort_unstable();
         out.dedup();
-        out.retain(|&u| u != v && self.node(u).neighbor_covering(state.x) == Some(v));
+        out.retain(|&u| u != v && cover_in(self.table(self.rec(u)), seg.start()) == Some(v));
     }
 
     /// The servers whose tables list live node `v`, ascending by id —
@@ -473,22 +527,43 @@ impl<G: ContinuousGraph> CdNetwork<G> {
     }
 
     /// Recompute one node's table from its current segment and rewrite
-    /// it in place. Steady-state allocation-free: all intermediates live
-    /// in [`ChurnScratch`].
+    /// its slice: in place when the new table fits, else at the arena
+    /// tail (the old slice becomes holes) — after compacting, if the
+    /// tail has no room the holes could make. Steady-state
+    /// allocation-free: all intermediates live in [`ChurnScratch`].
     fn rebuild_table(&mut self, id: NodeId) {
         let mut ids = mem::take(&mut self.scratch.ids);
         let mut arcs = mem::take(&mut self.scratch.arcs);
-        let seg = self.node(id).segment;
+        let seg = self.rec(id).segment;
         self.derive_into(&seg, id, &mut ids, &mut arcs);
-        let mut table = mem::take(&mut self.node_mut(id).neighbors);
-        table.clear();
-        table.extend(ids.iter().map(|&nb| Neighbor { id: nb, segment: self.node(nb).segment }));
-        self.node_mut(id).neighbors = table;
+        let len = self.rec(id).len;
+        let moves = ids.len() > len as usize;
+        if moves && self.arena.len() + ids.len() > self.arena.capacity() && self.holes >= ids.len() {
+            self.compact();
+        }
+        let off = self.rec(id).off;
+        let recs = &self.recs;
+        let entry = |&nb: &NodeId| Neighbor { id: nb, segment: recs[nb.0 as usize].segment };
+        let off = if !moves {
+            for (slot, nb) in self.arena[off as usize..].iter_mut().zip(&ids) {
+                *slot = entry(nb);
+            }
+            self.holes += len as usize - ids.len();
+            off
+        } else {
+            let tail = self.arena.len() as u32;
+            self.arena.extend(ids.iter().map(entry));
+            self.holes += len as usize;
+            tail
+        };
+        let rec = &mut self.recs[id.0 as usize];
+        (rec.off, rec.len) = (off, ids.len() as u32);
         self.scratch.ids = ids;
         self.scratch.arcs = arcs;
     }
 
-    /// Rebuild the tables listed in `scratch.affected` (deduplicated).
+    /// Rebuild the tables listed in `scratch.affected` (deduplicated),
+    /// then compact the arena if the holes exceed their bound.
     fn rebuild_affected(&mut self) {
         let mut affected = mem::take(&mut self.scratch.affected);
         affected.sort_unstable();
@@ -498,6 +573,35 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         }
         affected.clear();
         self.scratch.affected = affected;
+        if self.holes > self.hole_bound() {
+            self.compact();
+        }
+    }
+
+    /// The holes the arena may hold after a churn event.
+    fn hole_bound(&self) -> usize {
+        ((self.arena.len() - self.holes) / 4).max(COMPACT_FLOOR)
+    }
+
+    /// Slide every live table down over the holes, in arena order
+    /// (each moves toward the front, so `copy_within` never clobbers a
+    /// table not yet moved).
+    fn compact(&mut self) {
+        let mut slices = mem::take(&mut self.scratch.slices);
+        slices.clear();
+        slices.extend(self.live.iter().map(|&id| (self.recs[id.0 as usize].off, id.0)));
+        slices.sort_unstable();
+        let mut to = 0usize;
+        for &(off, id) in &slices {
+            let rec = &mut self.recs[id as usize];
+            let len = rec.len as usize;
+            self.arena.copy_within(off as usize..off as usize + len, to);
+            rec.off = to as u32;
+            to += len;
+        }
+        self.arena.truncate(to);
+        self.holes = 0;
+        self.scratch.slices = slices;
     }
 
     // ------------------------------------------------------------------
@@ -516,40 +620,32 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         }
         let old = self.cover_of(x);
         // Split s(old) at x: old keeps [x_old, x), new gets [x, old_end).
-        let old_seg = self.node(old).segment;
-        let (keep, give) = old_seg.split(x);
+        let (keep, give) = self.rec(old).segment.split(x);
         // affected: old and everyone watching it, derived before mutation
         let mut scratch = mem::take(&mut self.scratch);
         self.watchers_into(old, &mut scratch.affected, &mut scratch.arcs);
         scratch.affected.push(old);
         self.scratch = scratch;
-        // allocate
+        // splice into the ring: old → id → old's former successor
+        let after = self.rec(old).succ;
+        let rec = Rec { segment: give, succ: after, pred: old, off: self.arena.len() as u32, len: 0 };
         let id = match self.free.pop() {
             Some(slot) => {
-                let id = NodeId(slot);
-                self.nodes[slot as usize] =
-                    Some(NodeState { id, x, segment: give, neighbors: Vec::new() });
-                id
+                self.recs[slot as usize] = rec;
+                NodeId(slot)
             }
             None => {
-                let id = NodeId(self.nodes.len() as u32);
-                self.nodes.push(Some(NodeState { id, x, segment: give, neighbors: Vec::new() }));
+                self.recs.push(rec);
                 self.live_pos.push(0);
-                self.succ.push(id);
-                self.pred.push(id);
-                id
+                NodeId(self.recs.len() as u32 - 1)
             }
         };
+        self.recs[old.0 as usize].succ = id;
+        self.recs[after.0 as usize].pred = id;
+        self.recs[old.0 as usize].segment = keep;
         self.registry.insert(x.bits(), id);
         self.live_pos[id.0 as usize] = self.live.len() as u32;
         self.live.push(id);
-        // splice into the ring: old → id → old's former successor
-        let after = self.succ[old.0 as usize];
-        self.succ[old.0 as usize] = id;
-        self.pred[id.0 as usize] = old;
-        self.succ[id.0 as usize] = after;
-        self.pred[after.0 as usize] = id;
-        self.node_mut(old).segment = keep;
         self.scratch.affected.push(id);
         self.rebuild_affected();
         Some(id)
@@ -579,37 +675,35 @@ impl<G: ContinuousGraph> CdNetwork<G> {
     /// Panics when removing the last node.
     pub fn leave(&mut self, id: NodeId) {
         assert!(self.live.len() > 1, "cannot remove the last server");
-        let x = self.node(id).x;
-        let seg = self.node(id).segment;
-        let pred = self.pred[id.0 as usize];
+        let Rec { segment: seg, succ: after, pred, len, .. } = *self.rec(id);
         debug_assert_ne!(pred, id);
         // affected set, derived before mutation (scratch.ids is free
         // here — rebuilds happen only at the end of leave)
         let mut scratch = mem::take(&mut self.scratch);
-        let ChurnScratch { ids: of_pred, affected, arcs } = &mut scratch;
+        let ChurnScratch { ids: of_pred, affected, arcs, .. } = &mut scratch;
         self.watchers_into(id, affected, arcs);
         self.watchers_into(pred, of_pred, arcs);
         affected.extend(of_pred.iter().copied().filter(|&a| a != id));
         affected.push(pred);
         self.scratch = scratch;
-        // pred absorbs the segment
-        let pred_seg = self.node(pred).segment;
+        // pred absorbs the segment; unsplice the ring
+        let pred_seg = self.rec(pred).segment;
         let merged =
             Interval::new(pred_seg.start(), (pred_seg.len() + seg.len()).min(cd_core::interval::FULL));
-        self.node_mut(pred).segment = merged;
-        // unsplice the ring
-        let after = self.succ[id.0 as usize];
-        self.succ[pred.0 as usize] = after;
-        self.pred[after.0 as usize] = pred;
-        // unregister
-        self.registry.remove(&x.bits());
+        self.recs[pred.0 as usize].segment = merged;
+        self.recs[pred.0 as usize].succ = after;
+        self.recs[after.0 as usize].pred = pred;
+        // unregister; the departed table becomes holes
+        self.registry.remove(&seg.start().bits());
         let pos = self.live_pos[id.0 as usize] as usize;
         self.live.swap_remove(pos);
         if pos < self.live.len() {
             let moved_id = self.live[pos];
             self.live_pos[moved_id.0 as usize] = pos as u32;
         }
-        self.nodes[id.0 as usize] = None;
+        self.holes += len as usize;
+        let rec = &mut self.recs[id.0 as usize];
+        (rec.off, rec.len) = (DEAD, 0);
         self.free.push(id.0);
         self.rebuild_affected();
     }
@@ -620,30 +714,22 @@ impl<G: ContinuousGraph> CdNetwork<G> {
 
     /// Check global invariants (used by tests after churn):
     /// segments tile the circle, registry and ring pointers agree with
-    /// node state, tables match fresh derivation and are sorted, and
-    /// [`Self::watchers`] equals a reverse scan of every table.
+    /// node state, tables match fresh derivation and are sorted,
+    /// [`Self::watchers`] equals a reverse scan of every table, and the
+    /// arena holds the live tables as disjoint slices with exactly the
+    /// counted holes, within the compaction bound.
     pub fn validate(&self) {
         // segments tile; ring pointers agree with the registry order
         let mut total: u128 = 0;
         for &id in &self.live {
             let n = self.node(id);
-            assert_eq!(n.segment.start(), n.x, "segment must start at x");
             let (sx, s_id) = self.successor(n.x);
             assert_eq!(n.segment.end(), sx, "segment must end at successor");
-            assert_eq!(
-                self.succ[id.0 as usize], s_id,
-                "ring successor pointer of {id} disagrees with registry"
-            );
+            assert_eq!(self.ring_succ(id), s_id, "ring successor pointer of {id} disagrees with registry");
             let (_, p_id) = self.predecessor(n.x);
-            assert_eq!(
-                self.pred[id.0 as usize], p_id,
-                "ring predecessor pointer of {id} disagrees with registry"
-            );
-            assert_eq!(
-                self.pred[self.succ[id.0 as usize].0 as usize],
-                id,
-                "ring pointers of {id} are not mutually inverse"
-            );
+            assert_eq!(self.ring_pred(id), p_id, "ring predecessor pointer of {id} disagrees with registry");
+            assert_eq!(self.ring_pred(self.ring_succ(id)), id, "ring pointers of {id} are not mutually inverse");
+            assert_eq!(self.registry.get(&n.x.bits()), Some(&id), "registry misses {id}");
             total += n.segment.len();
         }
         assert_eq!(total, cd_core::interval::FULL, "segments must tile the circle");
@@ -651,16 +737,17 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         let mut fresh: Vec<NodeId> = Vec::new();
         let mut arcs: Vec<Interval> = Vec::new();
         for &id in &self.live {
-            self.derive_into(&self.node(id).segment, id, &mut fresh, &mut arcs);
-            let actual: Vec<NodeId> = self.node(id).neighbors.iter().map(|nb| nb.id).collect();
+            let node = self.node(id);
+            self.derive_into(&node.segment, id, &mut fresh, &mut arcs);
+            let actual: Vec<NodeId> = node.neighbors.iter().map(|nb| nb.id).collect();
             assert_eq!(actual, fresh, "stale table on {id}");
-            for w in self.node(id).neighbors.windows(2) {
+            for w in node.neighbors.windows(2) {
                 assert!(
                     w[0].segment.start().bits() < w[1].segment.start().bits(),
                     "table of {id} is not sorted by segment start"
                 );
             }
-            for nb in &self.node(id).neighbors {
+            for nb in node.neighbors {
                 assert_eq!(
                     nb.segment,
                     self.node(nb.id).segment,
@@ -670,9 +757,9 @@ impl<G: ContinuousGraph> CdNetwork<G> {
             }
         }
         // derived watchers = a brute-force reverse scan of the tables
-        let mut listed: Vec<Vec<NodeId>> = vec![Vec::new(); self.nodes.len()];
+        let mut listed: Vec<Vec<NodeId>> = vec![Vec::new(); self.recs.len()];
         for &id in &self.live {
-            for nb in &self.node(id).neighbors {
+            for nb in self.node(id).neighbors {
                 listed[nb.id.0 as usize].push(id);
             }
         }
@@ -682,6 +769,26 @@ impl<G: ContinuousGraph> CdNetwork<G> {
             self.watchers_into(v, &mut fresh, &mut arcs);
             assert_eq!(fresh, *scan, "derived watchers of {v} miss or add a table");
         }
+        // the arena: free slots own nothing, live slices are disjoint
+        // and in bounds, and everything else is a counted hole
+        let dead = self.recs.iter().filter(|r| r.off == DEAD).count();
+        assert_eq!(dead, self.free.len(), "free slots and dead records disagree");
+        let mut slices: Vec<(usize, usize)> =
+            self.live.iter().map(|&id| (self.rec(id).off as usize, self.rec(id).len as usize)).collect();
+        slices.sort_unstable();
+        let mut end = 0usize;
+        for &(off, len) in &slices {
+            assert!(off >= end, "arena slices overlap at {off}");
+            end = off + len;
+        }
+        assert!(end <= self.arena.len(), "a table runs past the arena");
+        let owned: usize = slices.iter().map(|&(_, len)| len).sum();
+        assert_eq!(self.arena.len() - owned, self.holes, "arena holes miscounted");
+        assert!(
+            self.holes <= self.hole_bound(),
+            "{} holes over {owned} live entries: compaction fell behind",
+            self.holes
+        );
     }
 
     /// The smoothness ρ of the live identifier set (max/min segment
@@ -690,7 +797,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         let mut min = u128::MAX;
         let mut max = 0u128;
         for &id in &self.live {
-            let len = self.node(id).segment.len();
+            let len = self.rec(id).segment.len();
             min = min.min(len);
             max = max.max(len);
         }
@@ -702,7 +809,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         let mut max = 0usize;
         let mut sum = 0usize;
         for &id in &self.live {
-            let d = self.node(id).degree();
+            let d = self.rec(id).len as usize;
             max = max.max(d);
             sum += d;
         }
@@ -734,6 +841,7 @@ impl<G: ContinuousGraph> dh_balance::SegmentView for CdNetwork<G> {
 mod tests {
     use super::*;
     use cd_core::rng::seeded;
+    use cd_core::Point as CPoint;
     use rand::Rng;
 
     #[test]
@@ -785,7 +893,7 @@ mod tests {
                 assert_eq!(state.neighbor_covering(p), linear);
             }
             // and every neighbor's own start point must be found
-            for nb in &state.neighbors {
+            for nb in state.neighbors {
                 assert_eq!(state.neighbor_covering(nb.segment.start()), Some(nb.id));
             }
         }

@@ -147,7 +147,7 @@ fn watchers_match_a_reverse_scan<G: ContinuousGraph>(graph: G, seed: u64) {
         listed.iter_mut().for_each(Vec::clear);
         listed.resize(net.slab_len(), Vec::new());
         for &u in net.live() {
-            for nb in &net.node(u).neighbors {
+            for nb in net.node(u).neighbors {
                 listed[nb.id.0 as usize].push(u);
             }
         }

@@ -602,7 +602,8 @@ impl Engine {
     }
 
     /// Run to quiescence over `net` and `transport`, lending the run
-    /// `health` and recording into `obs`. Every [`Wire::FetchShare`] a
+    /// `health` (returned with its logged samples folded) and
+    /// recording into `obs`. Every [`Wire::FetchShare`] a
     /// cover receives is answered by consulting `shares` — what quorum
     /// reads ([`Action::GetShares`]) need. Returns this run's counters.
     pub fn run<G: Topology, T: Transport, V: ShareView>(
@@ -629,7 +630,7 @@ impl Engine {
                 EventKind::Hedge { op, attempt } => run.hedge_fire(op, attempt),
             }
         }
-        run.stats
+        run.finish()
     }
 
     /// The outcome of a submitted op (meaningful after its run, until

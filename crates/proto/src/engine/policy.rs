@@ -51,10 +51,29 @@ impl Default for RetryPolicy {
 }
 
 impl<G: Topology, T: Transport> Run<'_, G, T> {
-    /// The attached detector, but only when the policy is hedged: the
-    /// one gate of every detector-driven behavior.
-    fn hedged_detector(&self) -> Option<&NetHealth> {
-        self.health.as_deref().filter(|_| self.eng.retry.hedge)
+    /// Is a detector attached and the policy hedged? The one gate of
+    /// every detector-driven behavior.
+    fn hedged(&self) -> bool {
+        self.health.is_some() && self.eng.retry.hedge
+    }
+
+    /// The attached detector with its logged samples folded in, but
+    /// only when [`Self::hedged`]: every per-destination read goes
+    /// through here (or [`Self::suspicion_edge`]), so the deferred
+    /// folds are invisible to the policy.
+    fn hedged_detector(&mut self) -> Option<&mut NetHealth> {
+        let h = self.health.as_deref_mut().filter(|_| self.eng.retry.hedge)?;
+        h.fold();
+        Some(h)
+    }
+
+    /// End the run: hand the detector back with its log folded, and
+    /// return the run's counters.
+    pub(super) fn finish(self) -> EngineStats {
+        if let Some(h) = self.health {
+            h.fold();
+        }
+        self.stats
     }
 
     /// Feed the failure detector's RTT estimators with the planned
@@ -89,7 +108,7 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
     /// The progress timeout for a send toward `dst`: the fixed policy
     /// timeout, or — hedging with health attached — the
     /// per-destination Jacobson bound with jitter.
-    pub(super) fn progress_timeout(&self, id: OpId, dst: NodeId, attempt: u32) -> u64 {
+    pub(super) fn progress_timeout(&mut self, id: OpId, dst: NodeId, attempt: u32) -> u64 {
         let ceiling = self.eng.retry.timeout;
         let Some(h) = self.hedged_detector() else { return ceiling };
         // a hedged route stalls one healthy-sized wait at most, every
@@ -119,31 +138,32 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
     /// `(op seed, op, attempt)`, so traces stay fingerprintable;
     /// retries re-plan from wherever the op stalled. Empty (the op
     /// draws its own digits) unhedged or when no candidate converged.
-    fn plan_walk(&self, from: NodeId, target: Point, id: OpId, attempt: u32) -> Vec<u32> {
+    fn plan_walk(&mut self, from: NodeId, target: Point, id: OpId, attempt: u32) -> Vec<u32> {
         const CANDIDATES: u64 = 32;
         const MAX_STEPS: usize = 96;
         /// Expected-delay surcharge for a suspect cover: dominates any
         /// realistic sum of per-hop smoothed delays.
         const SUSPECT_PENALTY: u64 = 100_000;
+        let (net, seed) = (self.net, self.eng.ops[id as usize].seed);
         let Some(h) = self.hedged_detector() else { return Vec::new() };
         // price a cover at smoothed delay + deviation (greys are both
         // slow *and* jittery, so the deviation term separates them
         // from the healthy population even on few samples)
         let g = h.global_estimate();
         let global = (g.srtt() + g.var()).max(1);
-        let price = |n: NodeId| -> u64 {
+        let mut price = |n: NodeId| -> u64 {
             let base = match h.estimate(n) {
                 Some(e) if e.samples() > 0 => e.srtt() + e.var(),
                 _ => global,
             };
             base + if h.is_suspect(n) { SUSPECT_PENALTY } else { 0 }
         };
-        let delta = self.net.delta();
-        let x = self.net.segment_of(from).start();
+        let delta = net.delta();
+        let x = net.segment_of(from).start();
         let mut best: Option<(u64, Vec<u32>)> = None;
         for c in 0..CANDIDATES {
             let mut rng = sub_rng(
-                self.eng.ops[id as usize].seed ^ 0xD161_7909,
+                seed ^ 0xD161_7909,
                 (u64::from(id) << 32) | (u64::from(attempt) << 8) | c,
             );
             let mut walk = TwoSidedWalk::new(x, target, delta);
@@ -153,12 +173,12 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
             loop {
                 // mirror the Dh1 arm: converged iff the current node's
                 // own table covers the walk's target
-                if let Some(entry) = self.net.local_cover(cur, walk.target()) {
+                if let Some(entry) = net.local_cover(cur, walk.target()) {
                     cost += price(entry);
                     let trace = walk.target_backtrace();
                     let mut at = entry;
                     for q in trace.iter().skip(1) {
-                        match self.net.local_cover(at, *q) {
+                        match net.local_cover(at, *q) {
                             Some(n) => {
                                 at = n;
                                 cost += price(n);
@@ -176,7 +196,7 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
                     break;
                 }
                 walk.step(&mut rng);
-                match self.net.local_cover(cur, walk.source()) {
+                match net.local_cover(cur, walk.source()) {
                     Some(n) => {
                         cur = n;
                         cost += price(n);
@@ -200,7 +220,7 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
     /// The progress timeout of a scatter round: the slowest contacted
     /// cover bounds the round, so take the max per-destination bound,
     /// backed off exponentially across attempts.
-    pub(super) fn scatter_timeout(&self, id: OpId, holders: &[NodeId], attempt: u32) -> u64 {
+    pub(super) fn scatter_timeout(&mut self, id: OpId, holders: &[NodeId], attempt: u32) -> u64 {
         let ceiling = self.eng.retry.timeout;
         let Some(h) = self.hedged_detector() else { return ceiling };
         let base = holders
@@ -223,10 +243,13 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
     /// A DH op's digit string, pre-planned against the detector when
     /// hedged — the initial attempt and every from-origin retry alike
     /// ([`Self::plan_walk`]); empty otherwise.
-    pub(super) fn preplan(&self, id: OpId) -> Vec<u32> {
+    pub(super) fn preplan(&mut self, id: OpId) -> Vec<u32> {
         let op = &self.eng.ops[id as usize];
         match op.kind {
-            RouteKind::DistanceHalving => self.plan_walk(op.from, op.target, id, op.attempt),
+            RouteKind::DistanceHalving => {
+                let (from, target, attempt) = (op.from, op.target, op.attempt);
+                self.plan_walk(from, target, id, attempt)
+            }
             _ => Vec::new(),
         }
     }
@@ -235,11 +258,12 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
     /// reply through its own slow queue, so a hedged read forwards the
     /// coordination one hop to the least-suspect cover of `holders`
     /// instead (at most once per attempt). That cover, if any.
-    pub(super) fn handoff(&self, id: OpId, holders: &[NodeId]) -> Option<NodeId> {
+    pub(super) fn handoff(&mut self, id: OpId, holders: &[NodeId]) -> Option<NodeId> {
         let op = &self.eng.ops[id as usize];
+        let (read, cur, handed_off) =
+            (matches!(op.action, Action::GetShares { .. }), op.cur, op.handed_off);
         let h = self.hedged_detector()?;
-        let (read, cur) = (matches!(op.action, Action::GetShares { .. }), op.cur);
-        if !read || op.handed_off || !h.is_suspect(cur) {
+        if !read || handed_off || !h.is_suspect(cur) {
             return None;
         }
         let best = holders.iter().copied().min_by_key(|&n| (h.suspicion(n), n)).unwrap_or(cur);
@@ -248,7 +272,7 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
 
     /// The slots of `holders` in the order a scatter contacts them:
     /// ring order, least-suspect first when hedged.
-    pub(super) fn contact_order(&self, holders: &[NodeId]) -> Vec<u8> {
+    pub(super) fn contact_order(&mut self, holders: &[NodeId]) -> Vec<u8> {
         let mut order: Vec<u8> = (0..holders.len() as u8).collect();
         if let Some(h) = self.hedged_detector() {
             order.sort_by_key(|&i| (h.suspicion(holders[i as usize]), i));
@@ -266,14 +290,20 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
 
     /// Decay suspicion of `node` (it showed life), emitting a
     /// [`ObsEvent::SuspicionEdge`] when the verdict flips back down.
+    /// A node without a counter is skipped outright: decay is a no-op
+    /// there, so no verdict can flip — and the delivery reads no
+    /// estimator.
     pub(super) fn note_alive(&mut self, node: NodeId) {
-        self.suspicion_edge(node, |h| h.alive(node));
+        if self.health.as_deref().is_some_and(|h| h.has_counter(node)) {
+            self.suspicion_edge(node, |h| h.alive(node));
+        }
     }
 
     /// Apply `update` to the detector's record of `node`, emitting a
     /// [`ObsEvent::SuspicionEdge`] when its verdict flips.
     fn suspicion_edge(&mut self, node: NodeId, update: impl FnOnce(&mut NetHealth)) {
         let Some(h) = self.health.as_deref_mut() else { return };
+        h.fold();
         let was = h.is_suspect(node);
         update(h);
         let (up, level) = (h.is_suspect(node), h.suspicion(node));
@@ -305,7 +335,7 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
         const MAX_RESENDS: u8 = 2;
         let resend = !matches!(op.machine, Machine::Scatter)
             && op.resends < MAX_RESENDS
-            && self.hedged_detector().is_some();
+            && self.hedged();
         if let Some(dst) = op.waiting_on.filter(|_| resend) {
             let (src, at) = (op.cur, op.last_at);
             self.eng.ops[id as usize].resends += 1;
@@ -350,7 +380,7 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
         // node holding the message — a fresh random descent from here
         // (the stalled hop's cover is now suspect, so the new digits
         // steer around it) — instead of paying the whole route again
-        let resume = self.hedged_detector().is_some()
+        let resume = self.hedged()
             && matches!(op.kind, RouteKind::DistanceHalving)
             && matches!(op.machine, Machine::Dh1 | Machine::Dh2 { .. });
         if resume {

@@ -782,3 +782,64 @@ fn the_op_slab_holds_one_run() {
     }
     assert!(eng.now() > 0, "the long-lived clock moved on");
 }
+
+/// `Sim` that also feeds every planned delivery to its own detector
+/// exactly as a run observes it, folding after each sample: the state
+/// a run's deferred per-destination log must add up to.
+struct EagerTap {
+    sim: Sim,
+    hedge: bool,
+    eager: NetHealth,
+}
+
+impl Transport for EagerTap {
+    fn plan(&mut self, now: u64, env: &Envelope, out: &mut Vec<Delivery>) {
+        let first = out.len();
+        self.sim.plan(now, env, out);
+        for d in &out[first..] {
+            let delay = d.at.saturating_sub(now);
+            self.eager.observe(env.dst, delay);
+            self.eager.fold();
+            if self.hedge && env.src != env.dst {
+                self.eager.observe(env.src, delay);
+                self.eager.fold();
+            }
+        }
+    }
+}
+
+#[test]
+fn deferred_folds_leave_the_detector_an_eager_feed_leaves() {
+    // a lossy, duplicating substrate fires timers (raises, hence folds
+    // mid-run) and, hedged, reads the detector before sends: after
+    // every run each estimator equals the eagerly fed one
+    let net = Complete::new(16, 2);
+    let item = Point(12345 << 32);
+    let (m, k, key) = (5u8, 3u8, 9u64);
+    let view = shares_on(&clique(&net, item, m), key, &[1]);
+    for hedge in [false, true] {
+        let retry = RetryPolicy { hedge, ..RetryPolicy::fixed(200, 6) };
+        let sim = Sim::new(61).with_drop(0.1).with_dup(0.1);
+        let mut tap = EagerTap { sim, hedge, eager: NetHealth::new() };
+        let mut health = NetHealth::new();
+        let mut eng = engine(retry);
+        let mut raised = false;
+        for round in 0..30u32 {
+            submit_mixed(&mut eng, u64::from(round), 12);
+            let get = Action::GetShares { key, m, k, item };
+            eng.submit(u64::from(round), RouteKind::Fast, NodeId(round % 16), item, get);
+            eng.run(&net, &mut tap, Some(&mut health), &Obs::off(), &view);
+            raised |= (0..16).any(|n| health.has_counter(NodeId(n)));
+            assert_eq!(health.global_estimate(), tap.eager.global_estimate(), "round {round}");
+            for n in (0..18).map(NodeId) {
+                let at = format!("hedge {hedge}, round {round}, {n}");
+                assert_eq!(health.rto(n), tap.eager.rto(n), "{at}");
+                assert_eq!(health.timeout_for(n, 200), tap.eager.timeout_for(n, 200), "{at}");
+                assert_eq!(health.is_slow(n), tap.eager.is_slow(n), "{at}");
+                let want = tap.eager.estimate(n).copied();
+                assert_eq!(health.estimate(n).copied(), want, "{at}");
+            }
+        }
+        assert!(raised, "hedge {hedge}: the loss must raise suspicion mid-run");
+    }
+}

@@ -31,6 +31,15 @@
 //! suspicion counters) — a pure function of the observed delivery
 //! schedule. Every quorum read takes its backup-timer delay from it
 //! ([`NetHealth::hedge_delay`]); only the hedged policy reads the rest.
+//!
+//! A delivery updates the population estimator at once (hedge delays
+//! and route caps read it mid-run) but only *logs* its per-destination
+//! sample: a routed message would otherwise pay a read-modify-write on
+//! a random slot of a slab far larger than cache. `Engine::run` folds
+//! the log in send order before each detector read and when it
+//! returns, and every reader answers as if it had been folded already,
+//! so the deferral is invisible: a destination's estimate depends only
+//! on its own samples, in order.
 
 use crate::node::NodeId;
 use std::collections::BTreeMap;
@@ -57,6 +66,9 @@ pub const THRESHOLD: u32 = 6;
 /// Minimum per-destination samples before the slow comparison is
 /// trusted.
 pub const SLOW_MIN_SAMPLES: u64 = 3;
+/// Logged per-destination samples that [`NetHealth::observe`] folds in
+/// itself, bounding the log of a run that never reads the detector.
+const LOG_CAP: usize = 4_096;
 
 /// Integer Jacobson/Karels RTT estimator. `srtt` is kept scaled ×8 and
 /// the mean deviation ×4 (the classic fixed-point trick), so the
@@ -116,10 +128,12 @@ impl RttEstimate {
 pub struct NetHealth {
     /// Per-destination delivery-delay estimators, indexed by
     /// `NodeId.0` (node ids are slab indices, so the table is dense)
-    /// and grown on demand. Every routed message reads and writes one
-    /// slot, so this is a flat array rather than a tree; a slot with
-    /// `samples == 0` is an unobserved destination.
+    /// and grown on demand; a slot with `samples == 0` is an
+    /// unobserved destination. Stale by the samples in `log`.
     rtt: Vec<RttEstimate>,
+    /// Per-destination samples not yet folded into `rtt`, in send
+    /// order.
+    log: Vec<(NodeId, u64)>,
     /// Population-wide estimator (all destinations pooled): the
     /// baseline that [`SLOW_FACTOR`] compares against and the source
     /// of the hedge delay.
@@ -142,14 +156,13 @@ impl NetHealth {
     /// per-destination estimator: one slow cover must not slacken
     /// every bound derived from the baseline (route caps, hedge
     /// delays, the slow comparison itself).
+    ///
+    /// The per-destination sample is logged, not folded (module docs).
     pub fn observe(&mut self, dst: NodeId, delay: u64) {
-        let i = dst.0 as usize;
-        if i >= self.rtt.len() {
-            self.rtt.resize(i + 1, RttEstimate::default());
+        if self.log.len() == LOG_CAP {
+            self.fold();
         }
-        if let Some(e) = self.rtt.get_mut(i) {
-            e.observe(delay);
-        }
+        self.log.push((dst, delay));
         if self.global.samples() == 0
             || delay <= SLOW_FACTOR.saturating_mul(self.global.srtt().max(1))
         {
@@ -157,9 +170,37 @@ impl NetHealth {
         }
     }
 
-    /// The per-destination estimate, if any samples exist.
-    pub fn estimate(&self, dst: NodeId) -> Option<&RttEstimate> {
+    /// Fold the logged per-destination samples into their estimators,
+    /// in send order. The independent slots of one run's log are
+    /// touched in one tight loop, so their cache misses overlap.
+    pub(crate) fn fold(&mut self) {
+        for &(dst, delay) in &self.log {
+            let i = dst.0 as usize;
+            if i >= self.rtt.len() {
+                self.rtt.resize(i + 1, RttEstimate::default());
+            }
+            if let Some(e) = self.rtt.get_mut(i) {
+                e.observe(delay);
+            }
+        }
+        self.log.clear();
+    }
+
+    /// The per-destination estimate, if any samples exist (folds the
+    /// log first: a borrowed estimate must be a folded slot).
+    pub fn estimate(&mut self, dst: NodeId) -> Option<&RttEstimate> {
+        self.fold();
         self.rtt.get(dst.0 as usize).filter(|e| e.samples() > 0)
+    }
+
+    /// `dst`'s estimate as the folded slab would hold it: its slot
+    /// plus its logged samples, `None` while it has no samples.
+    fn current(&self, dst: NodeId) -> Option<RttEstimate> {
+        let mut e = self.rtt.get(dst.0 as usize).copied().unwrap_or_default();
+        for &(_, delay) in self.log.iter().filter(|&&(n, _)| n == dst) {
+            e.observe(delay);
+        }
+        (e.samples() > 0).then_some(e)
     }
 
     /// The population-wide estimate.
@@ -173,9 +214,9 @@ impl NetHealth {
     /// with no samples at all the ceiling (the policy's fixed timeout)
     /// applies — cold starts are conservative, never trigger-happy.
     pub fn timeout_for(&self, dst: NodeId, ceiling: u64) -> u64 {
-        let est = match self.estimate(dst) {
+        let est = match self.current(dst) {
             Some(e) => e,
-            None if self.global.samples() > 0 => &self.global,
+            None if self.global.samples() > 0 => self.global,
             None => return ceiling,
         };
         (est.rto().saturating_mul(3)).clamp(MIN_TIMEOUT.min(ceiling), ceiling)
@@ -210,7 +251,7 @@ impl NetHealth {
 
     /// Is `dst` far slower than the population (a grey node)?
     pub fn is_slow(&self, dst: NodeId) -> bool {
-        match self.estimate(dst) {
+        match self.current(dst) {
             Some(e) => {
                 e.samples() >= SLOW_MIN_SAMPLES
                     && self.global.samples() >= SLOW_MIN_SAMPLES
@@ -231,6 +272,12 @@ impl NetHealth {
     pub fn raise_hedge(&mut self, node: NodeId) {
         let s = self.susp.entry(node).or_insert(0);
         *s = s.saturating_add(HEDGE_RAISE).min(SUSPICION_CAP);
+    }
+
+    /// Does `node` carry an accrual counter? Without one,
+    /// [`Self::alive`] is a no-op, so its verdict cannot change.
+    pub(crate) fn has_counter(&self, node: NodeId) -> bool {
+        self.susp.contains_key(&node)
     }
 
     /// A message from `node` was delivered: decay its suspicion.
@@ -276,7 +323,7 @@ impl NetHealth {
     /// delivery sample exists. Convenience over [`Self::estimate`] for
     /// callers that only want the Jacobson bound.
     pub fn rto(&self, dst: NodeId) -> Option<u64> {
-        self.estimate(dst).map(RttEstimate::rto)
+        self.current(dst).as_ref().map(RttEstimate::rto)
     }
 
     /// Push the detector's state into a [`dh_obs`] registry: per-node
@@ -286,6 +333,11 @@ impl NetHealth {
     pub fn export(&self, obs: &dh_obs::Obs) {
         if !obs.is_on() {
             return;
+        }
+        if !self.log.is_empty() {
+            let mut folded = self.clone();
+            folded.fold();
+            return folded.export(obs);
         }
         for (n, e) in self.rtt.iter().enumerate().filter(|(_, e)| e.samples() > 0) {
             obs.gauge("health/rto_ticks", n as u64, e.rto());
@@ -299,6 +351,7 @@ impl NetHealth {
     /// Forget everything (estimators and suspicion alike).
     pub fn reset(&mut self) {
         self.rtt.clear();
+        self.log.clear();
         self.susp.clear();
         self.global = RttEstimate::default();
     }

@@ -153,3 +153,57 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    /// The per-destination log is invisible: observes interleave with
+    /// single reads of every observable, and each read — including one
+    /// taken after many unfolded observes, with no explicit fold —
+    /// answers what the eagerly folded model answers.
+    #[test]
+    fn deferred_folds_are_invisible(
+        ops in proptest::collection::vec((0u8..48, 0usize..IDS.len(), 0u64..24), 1..400),
+    ) {
+        let mut h = NetHealth::new();
+        let mut m = Model::new();
+        for (step, &(kind, pick, jitter)) in ops.iter().enumerate() {
+            let n = IDS[pick];
+            let id = NodeId(n);
+            match kind {
+                0..=23 => {
+                    let delay = if pick % 4 == 3 { 80 + jitter } else { 8 + jitter % 6 };
+                    h.observe(id, delay);
+                    m.observe(n, delay);
+                }
+                24..=25 => { h.raise(id); m.bump(n, RAISE); }
+                26 => { h.raise_hedge(id); m.bump(n, HEDGE_RAISE); }
+                27..=28 => { h.alive(id); m.alive(n); }
+                29..=30 => {
+                    let est = m.rtt.get(&n).copied();
+                    prop_assert_eq!(h.estimate(id).copied(), est, "estimate({}) @ {}", n, step);
+                }
+                31..=32 => {
+                    let cap = [4, 512][(jitter % 2) as usize];
+                    prop_assert_eq!(h.timeout_for(id, cap), m.timeout_for(n, cap), "timeout_for({}) @ {}", n, step);
+                }
+                33..=34 => prop_assert_eq!(h.suspicion(id), m.suspicion(n), "suspicion({}) @ {}", n, step),
+                35..=36 => {
+                    let suspect = m.suspicion(n) >= THRESHOLD;
+                    prop_assert_eq!(h.is_suspect(id), suspect, "is_suspect({}) @ {}", n, step);
+                }
+                37..=38 => {
+                    let rto = m.rtt.get(&n).map(RttEstimate::rto);
+                    prop_assert_eq!(h.rto(id), rto, "rto({}) @ {}", n, step);
+                }
+                39..=40 => prop_assert_eq!(h.suspect_nodes(), m.suspect_nodes(), "suspect_nodes @ {}", step),
+                41..=42 => prop_assert_eq!(exported(&h), m.exported(), "export @ {}", step),
+                43..=44 => prop_assert_eq!(h.is_slow(id), m.is_slow(n), "is_slow({}) @ {}", n, step),
+                45..=46 => prop_assert_eq!(h.global_estimate(), &m.global, "global @ {}", step),
+                _ => { h.reset(); m = Model::new(); }
+            }
+        }
+        // and once folded, the slab itself is the model
+        for &p in IDS.iter().chain(&PROBES) {
+            prop_assert_eq!(h.estimate(NodeId(p)), m.rtt.get(&p), "folded estimate({})", p);
+        }
+    }
+}
