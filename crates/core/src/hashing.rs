@@ -76,10 +76,17 @@ impl KWiseHash {
 
     /// Hash an item identifier to a point on the circle.
     pub fn point(&self, item: u64) -> Point {
-        let h = self.eval(item);
-        // Scale [0, P) → [0, 2^64) preserving uniformity up to one ulp.
-        Point((((h as u128) << 64) / MERSENNE_P as u128) as u64)
+        Point(scale(self.eval(item)))
     }
+}
+
+/// Scale `h ∈ [0, P)` to `⌊h · 2^64 / P⌋ ∈ [0, 2^64)`, preserving
+/// uniformity up to one ulp. As `2^64 = 8P + 8`, that is `8h + ⌊8h / P⌋`
+/// exactly, and `8h < 8P < 2^64`: no 128-bit division.
+#[inline]
+fn scale(h: u64) -> u64 {
+    let h8 = h << 3;
+    h8 + h8 / MERSENNE_P
 }
 
 /// FNV-1a over a byte string: a fingerprint, not a member of the
@@ -164,6 +171,15 @@ mod tests {
             let h1 = KWiseHash::new(6, &mut rng1);
             let h2 = KWiseHash::new(6, &mut rng2);
             prop_assert_eq!(h1.point(x), h2.point(x));
+        }
+
+        #[test]
+        fn prop_scale_is_the_wide_division(h in 0..MERSENNE_P) {
+            // the field's edges ride along with every drawn value
+            for h in [h, 0, 1, MERSENNE_P - 1] {
+                let wide = ((u128::from(h) << 64) / u128::from(MERSENNE_P)) as u64;
+                prop_assert_eq!(scale(h), wide);
+            }
         }
 
         #[test]

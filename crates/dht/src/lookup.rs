@@ -29,7 +29,7 @@
 //! a cached request). Theorems 2.9–2.11: congestion `Θ(log n / n)`
 //! even for worst-case permutation workloads.
 
-use crate::network::{CdNetwork, NodeId};
+use crate::network::{CdNetwork, NodeId, Slot};
 use cd_core::graph::ContinuousGraph;
 use cd_core::point::Point;
 use cd_core::walk::TwoSidedWalk;
@@ -91,19 +91,20 @@ impl Default for LookupScratch {
 }
 
 impl<G: ContinuousGraph> CdNetwork<G> {
-    /// Move the message from `cur` to the node covering `p`, using only
-    /// `cur`'s own neighbor table. Panics if the discrete edge implied
-    /// by the continuous graph is missing (this would falsify the edge
-    /// derivation and is asserted rather than tolerated).
-    fn hop(&self, cur: NodeId, p: Point, route: &mut Route) -> NodeId {
-        let next = self.local_cover(cur, p).unwrap_or_else(|| {
+    /// Move the message from `cur` (a server and its slot) to the node
+    /// covering `p`, using only `cur`'s own neighbor table. Panics if
+    /// the discrete edge implied by the continuous graph is missing
+    /// (this would falsify the edge derivation and is asserted rather
+    /// than tolerated).
+    fn hop(&self, (cur, slot): (NodeId, Slot), p: Point, route: &mut Route) -> (NodeId, Slot) {
+        let next = self.slot_cover(slot, p).unwrap_or_else(|| {
             panic!(
                 "missing discrete edge: {cur} (segment {:?}) has no table entry covering {:?}",
-                self.node(cur).segment,
+                self.slot_segment(slot),
                 p
             )
         });
-        route.push(next, p);
+        route.push(next.0, p);
         next
     }
 
@@ -115,7 +116,8 @@ impl<G: ContinuousGraph> CdNetwork<G> {
             "{} does not support the digit-walk lookups",
             self.graph().name()
         );
-        let seg = self.node(from).segment;
+        let mut cur = (from, self.slot_of(from));
+        let seg = self.slot_segment(cur.1);
         route.reset(from, seg.midpoint());
         if seg.contains(target) {
             route.push(from, target);
@@ -134,7 +136,6 @@ impl<G: ContinuousGraph> CdNetwork<G> {
             h = cd_core::walk::prefix_walk_delta(target, z, t, delta);
         }
         // walk t backward edges: exact expansion by ∆ per hop
-        let mut cur = from;
         let mut p = h;
         for _ in 0..t {
             p = p.backward_delta(delta);
@@ -142,11 +143,14 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         }
         // fixed-point truncation correction: p equals target up to the
         // low bits shifted out at construction; finish along the ring.
-        while !self.node(cur).covers(target) {
-            let succ_start = self.node(cur).segment.end();
-            cur = self.hop(cur, succ_start, route);
+        loop {
+            let seg = self.slot_segment(cur.1);
+            if seg.contains(target) {
+                break;
+            }
+            cur = self.hop(cur, seg.end(), route);
         }
-        route.push(cur, target);
+        route.push(cur.0, target);
     }
 
     /// Distance Halving Lookup (§2.2.2) from server `from` to the
@@ -165,16 +169,16 @@ impl<G: ContinuousGraph> CdNetwork<G> {
             "{} does not support the digit-walk lookups",
             self.graph().name()
         );
-        let x = self.node(from).x;
+        let mut cur = (from, self.slot_of(from));
+        let x = self.slot_segment(cur.1).start();
         scratch.walk.reset(x, target, self.delta());
         let walk = &mut scratch.walk;
         route.reset(from, x);
-        let mut cur = from;
         // Phase 1: forward along p_t until q_t is covered locally.
         loop {
             let q = walk.target();
-            if let Some(next) = self.local_cover(cur, q) {
-                route.push(next, q);
+            if let Some(next) = self.slot_cover(cur.1, q) {
+                route.push(next.0, q);
                 cur = next;
                 break;
             }
@@ -193,7 +197,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         for &q in scratch.trace.iter().skip(1) {
             cur = self.hop(cur, q, route);
         }
-        debug_assert!(self.node(cur).covers(target));
+        debug_assert!(self.slot_segment(cur.1).contains(target));
     }
 
     /// Greedy clockwise routing (§4) from server `from` to the server
@@ -207,12 +211,12 @@ impl<G: ContinuousGraph> CdNetwork<G> {
             "{} does not support greedy routing",
             self.graph().name()
         );
-        let x = self.node(from).x;
+        let mut cur = (from, self.slot_of(from));
+        let x = self.slot_segment(cur.1).start();
         route.reset(from, x);
-        let mut cur = from;
         let mut p = x;
         let mut steps = 0usize;
-        while !self.node(cur).covers(target) {
+        while !self.slot_segment(cur.1).contains(target) {
             // cur covers p but not the target, so p ≠ target and the
             // step is well-defined; it clears at least one bit of the
             // remaining clockwise distance, bounding the walk.
@@ -221,7 +225,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
             steps += 1;
             assert!(steps <= 130, "greedy routing failed to converge (n = {})", self.len());
         }
-        route.push(cur, target);
+        route.push(cur.0, target);
     }
 
     /// The instance's native lookup algorithm: the randomized two-phase

@@ -45,31 +45,35 @@
 //! factors* of both paths small. At n = 65 536 the tables outgrow the
 //! cache, so a hop's cost is the number of *dependent* misses it takes:
 //!
-//! * **One record per server.** A dense slab of 32-byte records holds
-//!   each server's segment (its start is the identifier point), ring
-//!   successor and predecessor, and where its table sits. A hop reads
-//!   the record of the server it stands on, then that server's table
-//!   — and nothing of any other server: each entry carries the
-//!   neighbour's segment (§2.2's locality, kept literal), maintained
-//!   by the churn protocol.
-//! * **One arena of tables.** Every table is one contiguous slice of a
-//!   shared arena, sorted by segment start. The per-hop primitive
-//!   ([`CdNetwork::local_cover`]) counts the starts `≤ p` in one
-//!   branch-free pass — independent loads the CPU overlaps — instead
-//!   of a chain of dependent binary-search probes.
+//! * **One slot per server.** Every server's state is one contiguous
+//!   *slot* of a shared arena: a header cell (its id, its segment —
+//!   whose start is the identifier point — and its table length)
+//!   followed by its table, sorted by segment start. Each entry holds
+//!   the neighbour's id, its segment (§2.2's locality, kept literal)
+//!   and its slot. A hop ([`CdNetwork::slot_cover`]) reads the slot it
+//!   stands on and returns the cover's id *and slot*, so a route never
+//!   goes back to a per-id index: one dependent miss per hop. The scan
+//!   counts the starts `≤ p` in one branch-free pass — independent
+//!   loads the CPU overlaps — instead of a chain of dependent
+//!   binary-search probes.
+//! * **A 16-byte record per id.** A dense slab indexed by `NodeId`
+//!   keeps each server's slot and ring successor and predecessor: what
+//!   an id-based caller reads once ([`CdNetwork::local_cover`] is that
+//!   read plus the hop) and what the O(1) ring needs.
 //! * **Incremental tables.** A churn rebuild derives the new table
-//!   into scratch buffers owned by the network and rewrites the slice
-//!   in place, or moves it to the arena tail when it grew; the hole
-//!   left behind is counted, and the arena is compacted in place once
-//!   holes pass a quarter of the live entries, or when a move would
-//!   otherwise grow it — no per-event allocation.
-//! * **O(1) ring.** The ring pointers live in the records. The sorted
-//!   `registry` survives only for *point* queries
-//!   ([`CdNetwork::cover_of`]); an arc-coverage query is one O(log n)
-//!   registry seek plus O(k) pointer chasing.
+//!   into scratch buffers owned by the network and rewrites the slot
+//!   in place, or moves it to the arena tail when it grew and re-points
+//!   the entries its derived watchers hold; the hole left behind is
+//!   counted, and the arena is compacted in place (re-pointing every
+//!   entry in the same pass) once holes pass a quarter of the live
+//!   cells, or when a move would otherwise grow it — no per-event
+//!   allocation.
+//! * **O(1) ring.** The sorted `registry` survives only for *point*
+//!   queries ([`CdNetwork::cover_of`]); an arc-coverage query is one
+//!   O(log n) registry seek plus O(k) pointer chasing.
 //! * **Bulk construction.** [`CdNetwork::build`] derives all tables
 //!   with one sweep over the sorted identifier array, writing each
-//!   straight into the arena.
+//!   straight into the arena, then points every entry at its slot.
 
 use cd_core::graph::ContinuousGraph;
 use cd_core::interval::Interval;
@@ -87,19 +91,45 @@ pub use cd_core::graph::{ChordLike, DeBruijn, DistanceHalving};
 // `dh_dht::NodeId` remains the same type it always was.
 pub use dh_proto::NodeId;
 
-/// A neighbor-table entry: the neighbor and the segment it covered
-/// when the entry was derived (kept current by the churn protocol).
+/// Where a server's slot starts in the arena (`dh_proto`'s name for
+/// it).
+pub use dh_proto::engine::Slot;
+
+/// A neighbor-table entry: the neighbor, its slot, and the segment it
+/// covered when the entry was derived (both kept current by the churn
+/// protocol).
 #[derive(Clone, Copy, Debug)]
 pub struct Neighbor {
     /// The neighbor's id.
     pub id: NodeId,
+    /// The neighbor's slot: where its header cell sits in the arena.
+    pub slot: Slot,
     /// The neighbor's segment.
     pub segment: Interval,
 }
 
-// A hop scans one node's table of these; 24 bytes keeps a table of
-// eight entries inside three cache lines.
+// A hop scans one node's table of these; 24 bytes keeps a header and
+// seven entries inside three cache lines.
 const _: () = assert!(std::mem::size_of::<Neighbor>() == 24);
+
+/// A slot's first cell, read as what it holds: the server's own id and
+/// segment, and how many entries follow. Stored as a [`Neighbor`]
+/// whose `slot` field carries the length.
+#[derive(Clone, Copy, Debug)]
+struct Head {
+    id: NodeId,
+    len: u32,
+    segment: Interval,
+}
+
+// A header is one arena cell.
+const _: () = assert!(std::mem::size_of::<Head>() == std::mem::size_of::<Neighbor>());
+
+impl Head {
+    fn cell(self) -> Neighbor {
+        Neighbor { id: self.id, slot: self.len, segment: self.segment }
+    }
+}
 
 /// The entry of `table` (sorted by segment start, segments disjoint)
 /// covering `p`. Two candidates can: the entry with the greatest start
@@ -108,20 +138,20 @@ const _: () = assert!(std::mem::size_of::<Neighbor>() == 24);
 /// last entry. The first is found by counting the starts `≤ p`: every
 /// entry is loaded and none waits on another.
 #[inline]
-fn cover_in(table: &[Neighbor], p: Point) -> Option<NodeId> {
+fn cover_in(table: &[Neighbor], p: Point) -> Option<&Neighbor> {
     let last = table.last()?;
     let below: usize = table.iter().map(|nb| usize::from(nb.segment.start().bits() <= p.bits())).sum();
     let cand = below.checked_sub(1).map_or(last, |i| &table[i]);
     if cand.segment.contains(p) {
-        Some(cand.id)
+        Some(cand)
     } else if last.segment.contains(p) {
-        Some(last.id)
+        Some(last)
     } else {
         None
     }
 }
 
-/// A server's state, read from its record and its table's slice.
+/// A server's state, read from its slot.
 #[derive(Clone, Copy, Debug)]
 pub struct NodeView<'a> {
     /// This node's id.
@@ -143,7 +173,7 @@ impl NodeView<'_> {
 
     /// Find a table entry covering `p` (self excluded).
     pub fn neighbor_covering(&self, p: Point) -> Option<NodeId> {
-        cover_in(self.neighbors, p)
+        cover_in(self.neighbors, p).map(|nb| nb.id)
     }
 
     /// Degree (table size).
@@ -152,36 +182,32 @@ impl NodeView<'_> {
     }
 }
 
-/// A server's hop record: all a hop reads of the server it stands on
-/// besides its table. Aligned so that no record straddles a cache
-/// line.
+/// A server's record: where its slot is, and its ring links. Aligned
+/// so that no record straddles a cache line.
 #[derive(Clone, Copy, Debug)]
-#[repr(align(32))]
+#[repr(align(16))]
 struct Rec {
-    /// The owned segment; its start is the identifier point.
-    segment: Interval,
+    /// The header cell of the server's slot; `DEAD` marks a free slab
+    /// slot.
+    slot: Slot,
     /// Ring successor.
     succ: NodeId,
     /// Ring predecessor.
     pred: NodeId,
-    /// The table is `arena[off..off + len]`; `off == DEAD` marks a
-    /// free slab slot.
-    off: u32,
-    len: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<Rec>() == 32);
+const _: () = assert!(std::mem::size_of::<Rec>() == 16);
 
-/// `Rec::off` of a free slab slot.
-const DEAD: u32 = u32::MAX;
+/// `Rec::slot` of a free slab slot.
+const DEAD: Slot = Slot::MAX;
 
-/// Arena holes tolerated regardless of the live entry count, so a
+/// Arena holes tolerated regardless of the live cell count, so a
 /// small network does not compact on every event. Above it, holes are
-/// kept to a quarter of the live entries.
+/// kept to a quarter of the live cells.
 const COMPACT_FLOOR: usize = 1_024;
 
-/// Arena entries the bulk builder writes before it sizes the arena
-/// from their mean table size.
+/// Arena cells the bulk builder writes before it sizes the arena
+/// from their mean slot size.
 const BUILD_SAMPLE: usize = 4_096;
 
 /// Reusable buffers for the churn machinery, owned by the network so
@@ -192,10 +218,12 @@ struct ChurnScratch {
     ids: Vec<NodeId>,
     /// Nodes whose tables must be rebuilt by the current operation.
     affected: Vec<NodeId>,
+    /// The watchers of a slot that moved, whose entries re-point.
+    watchers: Vec<NodeId>,
     /// Continuous edge-image arcs of the segment being (re)derived.
     arcs: Vec<Interval>,
-    /// Live tables as `(offset, node)`, for compaction.
-    slices: Vec<(u32, u32)>,
+    /// Live slots as `(slot, node)`, for compaction.
+    slices: Vec<(Slot, u32)>,
 }
 
 /// The discrete network of a [`ContinuousGraph`] — the
@@ -203,14 +231,19 @@ struct ChurnScratch {
 /// the instance. See the module docs.
 pub struct CdNetwork<G: ContinuousGraph> {
     graph: G,
-    /// One hop record per slab slot, indexed by `NodeId.0`.
+    /// One record per slab slot, indexed by `NodeId.0`.
     recs: Vec<Rec>,
-    /// Every live table, one contiguous slice each.
+    /// Every live slot, one contiguous run of cells each.
     arena: Vec<Neighbor>,
-    /// Arena entries no live table owns (left by shrunk, moved and
-    /// departed tables); compaction reclaims them.
+    /// Arena cells no live slot owns (left by shrunk, moved and
+    /// departed slots); compaction reclaims them.
     holes: usize,
     free: Vec<u32>,
+    /// An upper bound on every live segment's length: the longest at
+    /// build, raised when a leave merges two. A join only splits, so
+    /// it never needs lowering; staleness only weakens the clique
+    /// filter that reads it.
+    seg_bound: u128,
     /// Sorted map from identifier-point bits to node; used only for
     /// *point* queries (`cover_of` and join collision checks).
     registry: BTreeMap<u64, NodeId>,
@@ -250,7 +283,9 @@ impl<G: ContinuousGraph> CdNetwork<G> {
     /// the `BTreeMap` oracle — and written straight into the arena.
     /// Node `i` is the `i`-th point in sorted order, so ring pointers
     /// are index arithmetic and the id lists are already sorted by
-    /// segment start.
+    /// segment start. A later slot's offset is known only once the
+    /// sweep passed it, so one pass at the end points every entry at
+    /// its slot.
     pub fn build(graph: G, points: &PointSet) -> Self {
         let n = points.len();
         let pts = points.points();
@@ -258,6 +293,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         let mut recs: Vec<Rec> = Vec::with_capacity(n);
         let mut ids: Vec<u32> = Vec::new();
         let mut arcs: Vec<Interval> = Vec::new();
+        let mut seg_bound = 0u128;
         for i in 0..n {
             let (succ, pred) = ((i + 1) % n, (i + n - 1) % n);
             let seg = points.segment(i);
@@ -279,20 +315,30 @@ impl<G: ContinuousGraph> CdNetwork<G> {
             ids.sort_unstable();
             ids.dedup();
             ids.retain(|&j| j != i as u32);
-            if arena.len() + ids.len() > arena.capacity() {
-                // room for every table at the mean size so far, plus a
+            let cells = 1 + ids.len();
+            if arena.len() + cells > arena.capacity() {
+                // room for every slot at the mean size so far, plus a
                 // quarter for churn's holes: the arena is copied while
                 // it is a small prefix, not doubled when it is large
-                let mean = (arena.len() + ids.len()).div_ceil(i + 1);
-                let want = (mean * n + mean * n / 4).max(arena.len() + ids.len());
+                let mean = (arena.len() + cells).div_ceil(i + 1);
+                let want = (mean * n + mean * n / 4).max(arena.len() + cells);
                 arena.reserve_exact(want - arena.len());
             }
-            let off = arena.len() as u32;
+            let slot = arena.len() as Slot;
+            arena.push(Head { id: NodeId(i as u32), len: ids.len() as u32, segment: seg }.cell());
             arena.extend(
-                ids.iter().map(|&j| Neighbor { id: NodeId(j), segment: points.segment(j as usize) }),
+                ids.iter().map(|&j| Neighbor { id: NodeId(j), slot: 0, segment: points.segment(j as usize) }),
             );
             let (succ, pred) = (NodeId(succ as u32), NodeId(pred as u32));
-            recs.push(Rec { segment: seg, succ, pred, off, len: ids.len() as u32 });
+            recs.push(Rec { slot, succ, pred });
+            seg_bound = seg_bound.max(seg.len());
+        }
+        for i in 0..n {
+            let slot = recs[i].slot as usize;
+            let len = arena[slot].slot as usize;
+            for nb in &mut arena[slot + 1..][..len] {
+                nb.slot = recs[nb.id.0 as usize].slot;
+            }
         }
         CdNetwork {
             graph,
@@ -300,6 +346,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
             arena,
             holes: 0,
             free: Vec::new(),
+            seg_bound,
             registry: pts.iter().enumerate().map(|(i, p)| (p.bits(), NodeId(i as u32))).collect(),
             live: (0..n as u32).map(NodeId).collect(),
             live_pos: (0..n as u32).collect(),
@@ -345,25 +392,59 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         &self.live
     }
 
-    /// The hop record of a live node.
+    /// The record of a live node.
     #[inline]
     fn rec(&self, id: NodeId) -> &Rec {
         let rec = &self.recs[id.0 as usize];
-        assert!(rec.off != DEAD, "dangling NodeId {id}");
+        assert!(rec.slot != DEAD, "dangling NodeId {id}");
         rec
     }
 
-    /// A live node's table slice.
+    /// The header of the slot at `slot`.
     #[inline]
-    fn table(&self, rec: &Rec) -> &[Neighbor] {
-        &self.arena[rec.off as usize..][..rec.len as usize]
+    fn head(&self, slot: Slot) -> Head {
+        let cell = &self.arena[slot as usize];
+        Head { id: cell.id, len: cell.slot, segment: cell.segment }
     }
 
-    /// A live node's state: its record and its table.
+    /// The table of the slot at `slot`, whose header says `len`.
+    #[inline]
+    fn table_at(&self, slot: Slot, len: u32) -> &[Neighbor] {
+        &self.arena[slot as usize + 1..][..len as usize]
+    }
+
+    /// A live node's segment.
+    #[inline]
+    fn segment(&self, id: NodeId) -> Interval {
+        self.slot_segment(self.slot_of(id))
+    }
+
+    /// A live node's state, read from its slot.
     #[inline]
     pub fn node(&self, id: NodeId) -> NodeView<'_> {
-        let rec = self.rec(id);
-        NodeView { id, x: rec.segment.start(), segment: rec.segment, neighbors: self.table(rec) }
+        let slot = self.rec(id).slot;
+        let head = self.head(slot);
+        NodeView { id, x: head.segment.start(), segment: head.segment, neighbors: self.table_at(slot, head.len) }
+    }
+
+    /// Where a live node's slot starts — the one record read an
+    /// id-based caller pays before it can hop.
+    #[inline]
+    pub fn slot_of(&self, id: NodeId) -> Slot {
+        self.rec(id).slot
+    }
+
+    /// The segment owned by the server at `slot`.
+    #[inline]
+    pub fn slot_segment(&self, slot: Slot) -> Interval {
+        self.arena[slot as usize].segment
+    }
+
+    /// An upper bound on every live segment's length (see
+    /// [`dh_proto::engine::Topology::segment_bound`]).
+    #[inline]
+    pub fn segment_bound(&self) -> u128 {
+        self.seg_bound
     }
 
     /// The ring successor of a live node — O(1).
@@ -416,20 +497,27 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         }
     }
 
-    /// Local routing primitive: the node covering `p`, *as visible from
-    /// `cur`* — `cur` itself if its segment covers `p`, otherwise the
-    /// entry of `cur`'s own neighbor table covering `p`, otherwise
-    /// `None`. Higher-level protocols (lookups, caching, figures) build
-    /// every hop from this, so routing never consults global state: it
-    /// reads `cur`'s record and `cur`'s table, nothing else.
+    /// The routing primitive: the node covering `p` *as visible from
+    /// the server at `slot`*, and that node's slot — the server itself
+    /// if its segment covers `p`, otherwise the entry of its own table
+    /// covering `p`, otherwise `None`. Every hop of every protocol is
+    /// this (or [`Self::local_cover`]), so routing never consults
+    /// global state: it reads one slot and nothing else.
+    #[inline]
+    pub fn slot_cover(&self, slot: Slot, p: Point) -> Option<(NodeId, Slot)> {
+        let head = self.head(slot);
+        if head.segment.contains(p) {
+            Some((head.id, slot))
+        } else {
+            cover_in(self.table_at(slot, head.len), p).map(|nb| (nb.id, nb.slot))
+        }
+    }
+
+    /// [`Self::slot_cover`] for a caller that holds an id: reads `cur`'s
+    /// record, then hops.
     #[inline]
     pub fn local_cover(&self, cur: NodeId, p: Point) -> Option<NodeId> {
-        let rec = self.rec(cur);
-        if rec.segment.contains(p) {
-            Some(cur)
-        } else {
-            cover_in(self.table(rec), p)
-        }
+        self.slot_cover(self.slot_of(cur), p).map(|(id, _)| id)
     }
 
     // ------------------------------------------------------------------
@@ -442,7 +530,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         let first = self.cover_of(q.start());
         out.push(first);
         let mut cur = self.ring_succ(first);
-        while cur != first && q.contains(self.rec(cur).segment.start()) {
+        while cur != first && q.contains(self.segment(cur).start()) {
             out.push(cur);
             cur = self.ring_succ(cur);
         }
@@ -485,7 +573,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         // ring edges
         out.push(self.ring_succ(myself));
         out.push(self.ring_pred(myself));
-        out.sort_unstable_by_key(|&id| self.rec(id).segment.start().bits());
+        out.sort_unstable_by_key(|&id| self.segment(id).start().bits());
         out.dedup();
         out.retain(|&id| id != myself);
     }
@@ -495,7 +583,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
     /// table against it.
     pub fn derived_table(&self, id: NodeId) -> Vec<NodeId> {
         let mut out = Vec::new();
-        self.derive_into(&self.rec(id).segment, id, &mut out, &mut Vec::new());
+        self.derive_into(&self.segment(id), id, &mut out, &mut Vec::new());
         out
     }
 
@@ -504,7 +592,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
     /// neighbours, each kept only if its table lists `v`. The arcs
     /// reach every such server (DESIGN §2), so the set is exact.
     fn watchers_into(&self, v: NodeId, out: &mut Vec<NodeId>, arcs: &mut Vec<Interval>) {
-        let seg = self.rec(v).segment;
+        let seg = self.segment(v);
         out.clear();
         arcs.clear();
         self.graph.preimage_arcs(&seg, arcs);
@@ -515,7 +603,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         out.push(self.ring_pred(v));
         out.sort_unstable();
         out.dedup();
-        out.retain(|&u| u != v && cover_in(self.table(self.rec(u)), seg.start()) == Some(v));
+        out.retain(|&u| u != v && self.node(u).neighbor_covering(seg.start()) == Some(v));
     }
 
     /// The servers whose tables list live node `v`, ascending by id —
@@ -526,38 +614,70 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         out
     }
 
+    /// The table entry for live node `nb`, as its record and header
+    /// stand now.
+    fn entry(&self, nb: NodeId) -> Neighbor {
+        let slot = self.slot_of(nb);
+        Neighbor { id: nb, slot, segment: self.slot_segment(slot) }
+    }
+
+    /// Make room for `cells` more at the arena tail by compacting, if
+    /// the tail has no room the holes could make.
+    fn reserve_tail(&mut self, cells: usize) {
+        if self.arena.len() + cells > self.arena.capacity() && self.holes >= cells {
+            self.compact();
+        }
+    }
+
     /// Recompute one node's table from its current segment and rewrite
-    /// its slice: in place when the new table fits, else at the arena
-    /// tail (the old slice becomes holes) — after compacting, if the
-    /// tail has no room the holes could make. Steady-state
-    /// allocation-free: all intermediates live in [`ChurnScratch`].
+    /// its slot: in place when the new table fits, else at the arena
+    /// tail (the old slot becomes holes, and every entry naming the
+    /// node in its derived watchers' tables re-points to the new slot).
+    /// Steady-state allocation-free: all intermediates live in
+    /// [`ChurnScratch`].
     fn rebuild_table(&mut self, id: NodeId) {
         let mut ids = mem::take(&mut self.scratch.ids);
         let mut arcs = mem::take(&mut self.scratch.arcs);
-        let seg = self.rec(id).segment;
+        let Head { len, segment: seg, .. } = self.head(self.slot_of(id));
         self.derive_into(&seg, id, &mut ids, &mut arcs);
-        let len = self.rec(id).len;
         let moves = ids.len() > len as usize;
-        if moves && self.arena.len() + ids.len() > self.arena.capacity() && self.holes >= ids.len() {
-            self.compact();
+        if moves {
+            self.reserve_tail(1 + ids.len());
         }
-        let off = self.rec(id).off;
-        let recs = &self.recs;
-        let entry = |&nb: &NodeId| Neighbor { id: nb, segment: recs[nb.0 as usize].segment };
-        let off = if !moves {
-            for (slot, nb) in self.arena[off as usize..].iter_mut().zip(&ids) {
-                *slot = entry(nb);
+        let head = Head { id, len: ids.len() as u32, segment: seg }.cell();
+        let slot = if !moves {
+            let slot = self.slot_of(id);
+            self.arena[slot as usize] = head;
+            for (i, &nb) in ids.iter().enumerate() {
+                self.arena[slot as usize + 1 + i] = self.entry(nb);
             }
             self.holes += len as usize - ids.len();
-            off
+            slot
         } else {
-            let tail = self.arena.len() as u32;
-            self.arena.extend(ids.iter().map(entry));
-            self.holes += len as usize;
+            let tail = self.arena.len() as Slot;
+            self.arena.push(head);
+            for &nb in &ids {
+                let entry = self.entry(nb);
+                self.arena.push(entry);
+            }
+            self.holes += 1 + len as usize;
             tail
         };
-        let rec = &mut self.recs[id.0 as usize];
-        (rec.off, rec.len) = (off, ids.len() as u32);
+        self.recs[id.0 as usize].slot = slot;
+        if moves {
+            let mut watchers = mem::take(&mut self.scratch.watchers);
+            self.watchers_into(id, &mut watchers, &mut arcs);
+            for &u in &watchers {
+                let at = self.slot_of(u);
+                let len = self.head(at).len as usize;
+                for nb in &mut self.arena[at as usize + 1..][..len] {
+                    if nb.id == id {
+                        nb.slot = slot;
+                    }
+                }
+            }
+            self.scratch.watchers = watchers;
+        }
         self.scratch.ids = ids;
         self.scratch.arcs = arcs;
     }
@@ -583,21 +703,27 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         ((self.arena.len() - self.holes) / 4).max(COMPACT_FLOOR)
     }
 
-    /// Slide every live table down over the holes, in arena order
-    /// (each moves toward the front, so `copy_within` never clobbers a
-    /// table not yet moved).
+    /// Slide every live slot down over the holes, in arena order (each
+    /// moves toward the front, so `copy_within` never clobbers a slot
+    /// not yet moved), re-pointing each entry as its slot lands: every
+    /// new offset is assigned before the first cell moves.
     fn compact(&mut self) {
         let mut slices = mem::take(&mut self.scratch.slices);
         slices.clear();
-        slices.extend(self.live.iter().map(|&id| (self.recs[id.0 as usize].off, id.0)));
+        slices.extend(self.live.iter().map(|&id| (self.recs[id.0 as usize].slot, id.0)));
         slices.sort_unstable();
         let mut to = 0usize;
-        for &(off, id) in &slices {
-            let rec = &mut self.recs[id as usize];
-            let len = rec.len as usize;
-            self.arena.copy_within(off as usize..off as usize + len, to);
-            rec.off = to as u32;
-            to += len;
+        for &(slot, id) in &slices {
+            self.recs[id as usize].slot = to as Slot;
+            to += 1 + self.arena[slot as usize].slot as usize;
+        }
+        for &(slot, id) in &slices {
+            let (from, to) = (slot as usize, self.recs[id as usize].slot as usize);
+            let cells = 1 + self.arena[from].slot as usize;
+            self.arena.copy_within(from..from + cells, to);
+            for nb in &mut self.arena[to + 1..to + cells] {
+                nb.slot = self.recs[nb.id.0 as usize].slot;
+            }
         }
         self.arena.truncate(to);
         self.holes = 0;
@@ -620,15 +746,17 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         }
         let old = self.cover_of(x);
         // Split s(old) at x: old keeps [x_old, x), new gets [x, old_end).
-        let (keep, give) = self.rec(old).segment.split(x);
+        let (keep, give) = self.segment(old).split(x);
         // affected: old and everyone watching it, derived before mutation
         let mut scratch = mem::take(&mut self.scratch);
         self.watchers_into(old, &mut scratch.affected, &mut scratch.arcs);
         scratch.affected.push(old);
         self.scratch = scratch;
-        // splice into the ring: old → id → old's former successor
+        // splice into the ring: old → id → old's former successor; the
+        // new slot is a bare header at the tail until its rebuild
+        self.reserve_tail(1);
         let after = self.rec(old).succ;
-        let rec = Rec { segment: give, succ: after, pred: old, off: self.arena.len() as u32, len: 0 };
+        let rec = Rec { slot: self.arena.len() as Slot, succ: after, pred: old };
         let id = match self.free.pop() {
             Some(slot) => {
                 self.recs[slot as usize] = rec;
@@ -640,9 +768,11 @@ impl<G: ContinuousGraph> CdNetwork<G> {
                 NodeId(self.recs.len() as u32 - 1)
             }
         };
+        self.arena.push(Head { id, len: 0, segment: give }.cell());
         self.recs[old.0 as usize].succ = id;
         self.recs[after.0 as usize].pred = id;
-        self.recs[old.0 as usize].segment = keep;
+        let old_slot = self.rec(old).slot;
+        self.arena[old_slot as usize].segment = keep;
         self.registry.insert(x.bits(), id);
         self.live_pos[id.0 as usize] = self.live.len() as u32;
         self.live.push(id);
@@ -675,7 +805,8 @@ impl<G: ContinuousGraph> CdNetwork<G> {
     /// Panics when removing the last node.
     pub fn leave(&mut self, id: NodeId) {
         assert!(self.live.len() > 1, "cannot remove the last server");
-        let Rec { segment: seg, succ: after, pred, len, .. } = *self.rec(id);
+        let Rec { slot, succ: after, pred } = *self.rec(id);
+        let Head { len, segment: seg, .. } = self.head(slot);
         debug_assert_ne!(pred, id);
         // affected set, derived before mutation (scratch.ids is free
         // here — rebuilds happen only at the end of leave)
@@ -687,13 +818,15 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         affected.push(pred);
         self.scratch = scratch;
         // pred absorbs the segment; unsplice the ring
-        let pred_seg = self.rec(pred).segment;
+        let pred_slot = self.rec(pred).slot as usize;
+        let pred_seg = self.arena[pred_slot].segment;
         let merged =
             Interval::new(pred_seg.start(), (pred_seg.len() + seg.len()).min(cd_core::interval::FULL));
-        self.recs[pred.0 as usize].segment = merged;
+        self.arena[pred_slot].segment = merged;
+        self.seg_bound = self.seg_bound.max(merged.len());
         self.recs[pred.0 as usize].succ = after;
         self.recs[after.0 as usize].pred = pred;
-        // unregister; the departed table becomes holes
+        // unregister; the departed slot becomes holes
         self.registry.remove(&seg.start().bits());
         let pos = self.live_pos[id.0 as usize] as usize;
         self.live.swap_remove(pos);
@@ -701,9 +834,8 @@ impl<G: ContinuousGraph> CdNetwork<G> {
             let moved_id = self.live[pos];
             self.live_pos[moved_id.0 as usize] = pos as u32;
         }
-        self.holes += len as usize;
-        let rec = &mut self.recs[id.0 as usize];
-        (rec.off, rec.len) = (DEAD, 0);
+        self.holes += 1 + len as usize;
+        self.recs[id.0 as usize].slot = DEAD;
         self.free.push(id.0);
         self.rebuild_affected();
     }
@@ -714,10 +846,12 @@ impl<G: ContinuousGraph> CdNetwork<G> {
 
     /// Check global invariants (used by tests after churn):
     /// segments tile the circle, registry and ring pointers agree with
-    /// node state, tables match fresh derivation and are sorted,
-    /// [`Self::watchers`] equals a reverse scan of every table, and the
-    /// arena holds the live tables as disjoint slices with exactly the
-    /// counted holes, within the compaction bound.
+    /// node state, every header names its own record and every entry
+    /// its neighbour's slot, tables match fresh derivation and are
+    /// sorted, [`Self::watchers`] equals a reverse scan of every table,
+    /// the segment bound holds, and the arena holds the live slots as
+    /// disjoint runs with exactly the counted holes, within the
+    /// compaction bound.
     pub fn validate(&self) {
         // segments tile; ring pointers agree with the registry order
         let mut total: u128 = 0;
@@ -730,10 +864,12 @@ impl<G: ContinuousGraph> CdNetwork<G> {
             assert_eq!(self.ring_pred(id), p_id, "ring predecessor pointer of {id} disagrees with registry");
             assert_eq!(self.ring_pred(self.ring_succ(id)), id, "ring pointers of {id} are not mutually inverse");
             assert_eq!(self.registry.get(&n.x.bits()), Some(&id), "registry misses {id}");
+            assert_eq!(self.head(self.rec(id).slot).id, id, "the header of {id}'s slot names another server");
+            assert!(n.segment.len() <= self.seg_bound, "segment of {id} exceeds the segment bound");
             total += n.segment.len();
         }
         assert_eq!(total, cd_core::interval::FULL, "segments must tile the circle");
-        // tables match derivation and stay sorted
+        // tables match derivation, stay sorted and point at live slots
         let mut fresh: Vec<NodeId> = Vec::new();
         let mut arcs: Vec<Interval> = Vec::new();
         for &id in &self.live {
@@ -754,6 +890,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
                     "stale segment info for {} in table of {id}",
                     nb.id
                 );
+                assert_eq!(nb.slot, self.slot_of(nb.id), "stale slot for {} in table of {id}", nb.id);
             }
         }
         // derived watchers = a brute-force reverse scan of the tables
@@ -769,24 +906,27 @@ impl<G: ContinuousGraph> CdNetwork<G> {
             self.watchers_into(v, &mut fresh, &mut arcs);
             assert_eq!(fresh, *scan, "derived watchers of {v} miss or add a table");
         }
-        // the arena: free slots own nothing, live slices are disjoint
+        // the arena: free slots own nothing, live slots are disjoint
         // and in bounds, and everything else is a counted hole
-        let dead = self.recs.iter().filter(|r| r.off == DEAD).count();
+        let dead = self.recs.iter().filter(|r| r.slot == DEAD).count();
         assert_eq!(dead, self.free.len(), "free slots and dead records disagree");
-        let mut slices: Vec<(usize, usize)> =
-            self.live.iter().map(|&id| (self.rec(id).off as usize, self.rec(id).len as usize)).collect();
+        let mut slices: Vec<(usize, usize)> = self
+            .live
+            .iter()
+            .map(|&id| (self.rec(id).slot as usize, 1 + self.node(id).degree()))
+            .collect();
         slices.sort_unstable();
         let mut end = 0usize;
-        for &(off, len) in &slices {
-            assert!(off >= end, "arena slices overlap at {off}");
-            end = off + len;
+        for &(slot, cells) in &slices {
+            assert!(slot >= end, "arena slots overlap at {slot}");
+            end = slot + cells;
         }
-        assert!(end <= self.arena.len(), "a table runs past the arena");
-        let owned: usize = slices.iter().map(|&(_, len)| len).sum();
+        assert!(end <= self.arena.len(), "a slot runs past the arena");
+        let owned: usize = slices.iter().map(|&(_, cells)| cells).sum();
         assert_eq!(self.arena.len() - owned, self.holes, "arena holes miscounted");
         assert!(
             self.holes <= self.hole_bound(),
-            "{} holes over {owned} live entries: compaction fell behind",
+            "{} holes over {owned} live cells: compaction fell behind",
             self.holes
         );
     }
@@ -797,7 +937,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         let mut min = u128::MAX;
         let mut max = 0u128;
         for &id in &self.live {
-            let len = self.rec(id).segment.len();
+            let len = self.segment(id).len();
             min = min.min(len);
             max = max.max(len);
         }
@@ -809,7 +949,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         let mut max = 0usize;
         let mut sum = 0usize;
         for &id in &self.live {
-            let d = self.rec(id).len as usize;
+            let d = self.node(id).degree();
             max = max.max(d);
             sum += d;
         }

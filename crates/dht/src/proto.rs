@@ -24,7 +24,7 @@ use crate::network::{CdNetwork, NodeId};
 use cd_core::graph::ContinuousGraph;
 use cd_core::interval::Interval;
 use cd_core::point::Point;
-use dh_proto::engine::{Engine, NoShares, Topology};
+use dh_proto::engine::{Engine, NoShares, Slot, Topology};
 use dh_proto::transport::Transport;
 use dh_proto::wire::{Action, RouteKind, Wire};
 
@@ -33,12 +33,20 @@ impl<G: ContinuousGraph> Topology for CdNetwork<G> {
         CdNetwork::delta(self)
     }
 
-    fn segment_of(&self, n: NodeId) -> Interval {
-        self.node(n).segment
+    fn slot_of(&self, n: NodeId) -> Slot {
+        CdNetwork::slot_of(self, n)
     }
 
-    fn local_cover(&self, cur: NodeId, p: Point) -> Option<NodeId> {
-        CdNetwork::local_cover(self, cur, p)
+    fn slot_segment(&self, slot: Slot) -> Interval {
+        CdNetwork::slot_segment(self, slot)
+    }
+
+    fn slot_cover(&self, slot: Slot, p: Point) -> Option<(NodeId, Slot)> {
+        CdNetwork::slot_cover(self, slot, p)
+    }
+
+    fn segment_bound(&self) -> u128 {
+        CdNetwork::segment_bound(self)
     }
 
     fn greedy_step(&self, p: Point, target: Point) -> Point {

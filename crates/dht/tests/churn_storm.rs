@@ -9,6 +9,7 @@ use cd_core::pointset::PointSet;
 use cd_core::rng::seeded;
 use cd_core::Point;
 use dh_dht::{CdNetwork, DhNetwork, NodeId};
+use dh_proto::engine::Topology;
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -92,11 +93,34 @@ fn scan_cover<G: ContinuousGraph>(net: &CdNetwork<G>, u: NodeId, p: Point) -> Op
         .find(|&v| net.node(v).covers(p))
 }
 
-/// Churn `net` and, after every join and leave, compare `local_cover`
-/// with [`scan_cover`] at random servers: once at a uniform point
-/// (mostly outside the table) and once inside a random entry's
-/// segment; `validate()` (which also checks the arena's slices, holes
-/// and compaction bound) runs every 250 events.
+/// Every live server's slot starts with its own header (the hop from
+/// it to its own identifier point stays put), and every table entry
+/// holds its neighbour's current slot.
+fn check_slots<G: ContinuousGraph>(net: &CdNetwork<G>, step: usize) {
+    for &u in net.live() {
+        let (slot, node) = (net.slot_of(u), net.node(u));
+        assert_eq!(
+            net.slot_cover(slot, node.x),
+            Some((u, slot)),
+            "step {step}: header of {u}"
+        );
+        for nb in node.neighbors {
+            assert_eq!(
+                nb.slot,
+                net.slot_of(nb.id),
+                "step {step}: {u}'s entry for {}",
+                nb.id
+            );
+        }
+    }
+}
+
+/// Churn `net` and, after every join and leave, check every slot
+/// ([`check_slots`]) and compare the hop — by slot and by id — with
+/// [`scan_cover`] at random servers: once at a uniform point (mostly
+/// outside the table) and once inside a random entry's segment;
+/// `validate()` (which also checks the arena's slots, holes and
+/// compaction bound) runs every 250 events.
 fn layout_storm<G: ContinuousGraph>(mut net: CdNetwork<G>, ops: usize, seed: u64) {
     let mut rng = seeded(seed);
     for step in 0..ops {
@@ -106,6 +130,7 @@ fn layout_storm<G: ContinuousGraph>(mut net: CdNetwork<G>, ops: usize, seed: u64
         } else {
             net.join(Point(rng.gen()));
         }
+        check_slots(&net, step);
         for _ in 0..4 {
             let u = net.random_node(&mut rng);
             let table = net.derived_table(u);
@@ -115,10 +140,13 @@ fn layout_storm<G: ContinuousGraph>(mut net: CdNetwork<G>, ops: usize, seed: u64
                 .start()
                 .wrapping_add((u128::from(rng.gen::<u64>()) % seg.len()) as u64);
             for p in [Point(rng.gen()), inside] {
+                let want = scan_cover(&net, u, p);
+                assert_eq!(net.local_cover(u, p), want, "step {step}: {u} at {p:?}");
+                let hop = net.slot_cover(net.slot_of(u), p);
                 assert_eq!(
-                    net.local_cover(u, p),
-                    scan_cover(&net, u, p),
-                    "step {step}: {u} at {p:?}"
+                    hop,
+                    want.map(|v| (v, net.slot_of(v))),
+                    "step {step}: slot hop of {u} at {p:?}"
                 );
             }
         }
@@ -157,6 +185,80 @@ fn local_cover_equals_fresh_derivation_under_churn_chord_like() {
         CdNetwork::build(ChordLike, &PointSet::random(256, &mut rng)),
         2_000,
         0x1AC,
+    );
+}
+
+/// The clique test without its distance filter: walk up to `m − 1`
+/// ring predecessors looking for the cover of `item`.
+fn in_clique_by_walk<G: ContinuousGraph>(
+    net: &CdNetwork<G>,
+    node: NodeId,
+    item: Point,
+    m: u8,
+) -> bool {
+    let mut cur = node;
+    for _ in 0..m {
+        if net.node(cur).covers(item) {
+            return true;
+        }
+        cur = net.ring_pred(cur);
+    }
+    false
+}
+
+/// Churn `net`, leave-heavy so that merged segments outgrow every
+/// segment of the build and joins leave the bound stale, and compare
+/// the filtered clique test with the plain
+/// walk at random servers, items and clique sizes — items drawn both
+/// uniformly and within `m` bounds behind the server, where the
+/// filter's edge lies.
+/// Returns how many cases the filter alone decided.
+fn clique_storm<G: ContinuousGraph>(mut net: CdNetwork<G>, ops: usize, seed: u64) -> usize {
+    let mut rng = seeded(seed);
+    let mut filtered = 0;
+    for step in 0..ops {
+        if net.len() > 8 && rng.gen_bool(0.6) {
+            let v = net.random_node(&mut rng);
+            net.leave(v);
+        } else {
+            net.join(Point(rng.gen()));
+        }
+        for _ in 0..8 {
+            let u = net.random_node(&mut rng);
+            let m = rng.gen_range(1..=8u8);
+            let x = net.node(u).x;
+            let behind = u128::from(rng.gen::<u64>()) % (u128::from(m) * net.segment_bound());
+            for item in [Point(rng.gen()), x.wrapping_sub(behind as u64)] {
+                let want = in_clique_by_walk(&net, u, item, m);
+                let got = Topology::in_clique(&net, u, net.slot_of(u), item, m);
+                assert_eq!(got, want, "step {step}: {u}, item {item:?}, m = {m}");
+                let reach = u128::from(m - 1) * net.segment_bound();
+                filtered += usize::from(
+                    !net.node(u).covers(item) && u128::from(x.offset_from(item)) > reach,
+                );
+            }
+        }
+    }
+    net.validate(); // the bound still bounds every segment
+    filtered
+}
+
+#[test]
+fn filtered_in_clique_equals_the_walk_under_churn() {
+    let mut rng = seeded(0xC11);
+    let dh = clique_storm(
+        DhNetwork::new(&PointSet::random(256, &mut rng)),
+        1_000,
+        0xC11,
+    );
+    let chord = clique_storm(
+        CdNetwork::build(ChordLike, &PointSet::random(256, &mut rng)),
+        1_000,
+        0xC12,
+    );
+    assert!(
+        dh > 0 && chord > 0,
+        "the filter must decide some cases ({dh}, {chord})"
     );
 }
 

@@ -11,7 +11,8 @@
 //! walk plans) keys on its seed and id, however ops interleave.
 //!
 //! Every hop decision uses **only the current node's own table**
-//! ([`Topology::local_cover`]), so what the engine executes is the
+//! ([`Topology::slot_cover`], from the slot the op keeps for the
+//! server holding its message), so what the engine executes is the
 //! paper's local protocol, message by message. Local steps (the
 //! message position moves but stays on the same server) cost nothing;
 //! a message is sent exactly when the hop crosses to another server,
@@ -103,19 +104,42 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::mem;
 
+/// Where a server's state starts in its overlay's table store: what a
+/// hop stands on. An op keeps the slot of the server holding its
+/// message, so a hop reads that server's state and nothing else.
+pub type Slot = u32;
+
 /// The local view a protocol needs from an overlay: the degree
-/// parameter, each server's own segment, and the server's routing
-/// primitive (its own table, nothing global). `dh_dht` implements this
-/// for `DhNetwork`.
+/// parameter, each server's slot and own segment, and the server's
+/// routing primitive (its own table, nothing global). `dh_dht`
+/// implements this for `DhNetwork`.
 pub trait Topology {
     /// The degree parameter ∆ of the continuous graph.
     fn delta(&self) -> u32;
-    /// The segment owned by `n` (starts at `n`'s identifier point).
-    fn segment_of(&self, n: NodeId) -> Interval;
-    /// The node covering `p` *as visible from `cur`*: `cur` itself if
-    /// its segment covers `p`, otherwise the entry of `cur`'s own
-    /// neighbor table covering `p`, otherwise `None`.
-    fn local_cover(&self, cur: NodeId, p: Point) -> Option<NodeId>;
+    /// The slot of live server `n` (one read of its record).
+    fn slot_of(&self, n: NodeId) -> Slot;
+    /// The segment owned by the server at `slot` (starts at its
+    /// identifier point).
+    fn slot_segment(&self, slot: Slot) -> Interval;
+    /// The hop: the node covering `p` *as visible from the server at
+    /// `slot`*, with its slot — that server itself if its segment
+    /// covers `p`, otherwise the entry of its own neighbor table
+    /// covering `p`, otherwise `None`.
+    fn slot_cover(&self, slot: Slot, p: Point) -> Option<(NodeId, Slot)>;
+    /// An upper bound on every segment's length, which lets
+    /// [`Self::in_clique`] rule a distant server out without walking
+    /// the ring. The default (the whole circle) rules nothing out.
+    fn segment_bound(&self) -> u128 {
+        cd_core::interval::FULL
+    }
+    /// The segment owned by `n`.
+    fn segment_of(&self, n: NodeId) -> Interval {
+        self.slot_segment(self.slot_of(n))
+    }
+    /// [`Self::slot_cover`] from `cur`, by id.
+    fn local_cover(&self, cur: NodeId, p: Point) -> Option<NodeId> {
+        self.slot_cover(self.slot_of(cur), p).map(|(id, _)| id)
+    }
     /// One greedy routing step: the next continuous position of a
     /// message at `p` heading for `target` (`p ≠ target`), for
     /// topologies routed by [`crate::wire::RouteKind::Greedy`]. The
@@ -137,6 +161,31 @@ pub trait Topology {
     /// clique primary.
     fn ring_pred(&self, _n: NodeId) -> NodeId {
         panic!("this topology does not expose its ring")
+    }
+    /// Is server `node`, at `slot`, within the §6.2 cover clique of
+    /// `item` — one of the `m` ring-consecutive covers starting at the
+    /// cover of `item`? It is iff walking at most `m − 1` ring
+    /// predecessors reaches the segment covering `item`. Those
+    /// predecessors' segments span the clockwise distance from `item`
+    /// to `node`'s identifier point, so a distance above `(m − 1)` ×
+    /// [`Self::segment_bound`] answers no before any walk.
+    fn in_clique(&self, node: NodeId, slot: Slot, item: Point, m: u8) -> bool {
+        let seg = self.slot_segment(slot);
+        if seg.contains(item) {
+            return true;
+        }
+        let reach = u128::from(m.saturating_sub(1)) * self.segment_bound();
+        if u128::from(seg.start().offset_from(item)) > reach {
+            return false;
+        }
+        let mut cur = node;
+        for _ in 1..m {
+            cur = self.ring_pred(cur);
+            if self.segment_of(cur).contains(item) {
+                return true;
+            }
+        }
+        false
     }
 }
 
@@ -340,7 +389,12 @@ struct Op {
     target: Point,
     rng: StdRng,
     machine: Machine,
+    /// The server holding the op's message, and its slot.
     cur: NodeId,
+    slot: Slot,
+    /// The slot of the in-flight step's destination: set by
+    /// `send_step` alone, it becomes `slot` when that step is admitted.
+    next_slot: Slot,
     attempt: u32,
     step: u32,
     /// Fast Lookup plan: walk start and length (computed once).
@@ -370,7 +424,27 @@ struct Op {
     /// The point of the last routed send — what an in-place
     /// retransmission of the current step carries again.
     last_at: Point,
-    replica: Option<Box<ReplicaState>>,
+    replica: ReplicaState,
+}
+
+impl Op {
+    /// Take over `old`'s buffers, cleared: an op built in a retired
+    /// op's slot keeps their capacity, so a warm run allocates nothing.
+    /// A route taken out of `old` is replaced by one of `route_cap`.
+    fn adopt(&mut self, old: &mut Op, route_cap: usize) {
+        mem::swap(&mut self.walk, &mut old.walk);
+        mem::swap(&mut self.trace, &mut old.trace);
+        mem::swap(&mut self.path, &mut old.path);
+        mem::swap(&mut self.planned, &mut old.planned);
+        mem::swap(&mut self.replica, &mut old.replica);
+        self.trace.clear();
+        self.path.nodes.clear();
+        self.path.points.clear();
+        self.path.nodes.reserve(route_cap);
+        self.path.points.reserve(route_cap);
+        self.planned.clear();
+        self.replica.clear();
+    }
 }
 
 enum EventKind {
@@ -499,8 +573,18 @@ pub struct Engine {
     clock: u64,
     seq: u64,
     queue: EventQueue,
-    /// This run's ops: a submit to an idle engine resets it to op 0.
+    /// The op slab: `ops[..live]` are this run's ops, the rest retired
+    /// slots kept for their buffers. A submit to an idle engine starts
+    /// again at op 0.
     ops: Vec<Op>,
+    live: usize,
+    /// The clique a scatter enumerates, reused.
+    clique: Vec<NodeId>,
+    /// The longest route [`Self::take_outcome`] moved out: a reused op
+    /// slot reserves this much when it is submitted, as the verb
+    /// starts, not when the last one ended (a buffer that outlives a
+    /// whole verb fragments the heap around it).
+    route_cap: usize,
     /// Retransmission policy for routed ops.
     pub retry: RetryPolicy,
     plan_buf: Vec<Delivery>,
@@ -557,11 +641,12 @@ impl Engine {
     ) -> OpId {
         if self.queue.is_empty() {
             // idle: the last run's outcomes were taken or abandoned
-            self.ops.clear();
+            self.live = 0;
         }
-        let id = self.ops.len() as OpId;
+        let id = self.live as OpId;
+        self.live += 1;
         let at = t.max(self.clock);
-        self.ops.push(Op {
+        let mut op = Op {
             seed,
             started: at,
             kind,
@@ -571,6 +656,8 @@ impl Engine {
             rng: sub_rng(seed, u64::from(id)),
             machine: Machine::Pending,
             cur: from,
+            slot: 0,
+            next_slot: 0,
             attempt: 1,
             step: 0,
             plan: None,
@@ -586,8 +673,15 @@ impl Engine {
             handed_off: false,
             resends: 0,
             last_at: Point(0),
-            replica: None,
-        });
+            replica: ReplicaState::default(),
+        };
+        match self.ops.get_mut(id as usize) {
+            Some(old) => {
+                op.adopt(old, self.route_cap);
+                *old = op;
+            }
+            None => self.ops.push(op),
+        }
         self.push_event(at, EventKind::Start { op: id }, Lane::Start);
         id
     }
@@ -637,18 +731,14 @@ impl Engine {
     /// the next idle submit). Moves the route buffers out of the op: a
     /// second call returns the metrics again but an empty route.
     pub fn take_outcome(&mut self, id: OpId) -> OpOutcome {
-        let op = &mut self.ops[id as usize];
+        let op = &mut self.ops[..self.live][id as usize];
         let ok = matches!(op.machine, Machine::Done);
-        let (holders, shares) = match &op.replica {
-            Some(rep) => (
-                rep.holders.clone(),
-                match op.action {
-                    Action::PutShares { .. } => rep.stored.clone(),
-                    _ => rep.gathered.clone(),
-                },
-            ),
-            None => (Vec::new(), Vec::new()),
+        let rep = &op.replica;
+        let shares = match op.action {
+            Action::PutShares { .. } => rep.stored.clone(),
+            _ => rep.gathered.clone(),
         };
+        self.route_cap = self.route_cap.max(op.path.nodes.len());
         OpOutcome {
             action: op.action,
             ok,
@@ -661,7 +751,7 @@ impl Engine {
             attempts: op.attempt,
             completed_at: op.completed_at,
             corrupt: op.corrupt,
-            holders,
+            holders: rep.holders.clone(),
             shares,
         }
     }
@@ -766,9 +856,10 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
         self.dispatch(Envelope { src, dst, msg, corrupt: false }, bytes, attempt);
     }
 
-    /// The op a delivery stamped `(id, attempt)` may act on: issued,
-    /// on that attempt, `intact`, in a state `accepts` takes. Anything
-    /// else (even an id never issued) is counted stale and ignored.
+    /// The op a delivery stamped `(id, attempt)` may act on: issued in
+    /// this run, on that attempt, `intact`, in a state `accepts` takes.
+    /// Anything else (even an id never issued, or a retired slot's) is
+    /// counted stale and ignored.
     fn admit(
         &mut self,
         id: OpId,
@@ -776,7 +867,7 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
         intact: bool,
         accepts: impl FnOnce(&Op) -> bool,
     ) -> Option<&mut Op> {
-        match self.eng.ops.get_mut(id as usize) {
+        match self.eng.ops[..self.eng.live].get_mut(id as usize) {
             Some(op) if attempt == op.attempt && intact && accepts(op) => Some(op),
             _ => {
                 self.stats.stale += 1;
@@ -811,6 +902,7 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
                 };
                 let Some(op) = self.admit(id, attempt, true, accepts) else { return };
                 op.cur = env.dst;
+                op.slot = op.next_slot;
                 op.corrupt |= env.corrupt;
                 op.waiting_on = None;
                 self.advance_or_enter(id, view);

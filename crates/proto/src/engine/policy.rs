@@ -136,16 +136,25 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
     /// penalty that makes suspect-free candidates always outrank
     /// suspect-crossing ones. Candidate streams are pure functions of
     /// `(op seed, op, attempt)`, so traces stay fingerprintable;
-    /// retries re-plan from wherever the op stalled. Empty (the op
-    /// draws its own digits) unhedged or when no candidate converged.
-    fn plan_walk(&mut self, from: NodeId, target: Point, id: OpId, attempt: u32) -> Vec<u32> {
+    /// retries re-plan from wherever the op stalled. The digits go
+    /// into `out`, cleared first; it stays empty (the op draws its own
+    /// digits) unhedged or when no candidate converged.
+    fn plan_walk(
+        &mut self,
+        from: NodeId,
+        target: Point,
+        id: OpId,
+        attempt: u32,
+        out: &mut Vec<u32>,
+    ) {
         const CANDIDATES: u64 = 32;
         const MAX_STEPS: usize = 96;
         /// Expected-delay surcharge for a suspect cover: dominates any
         /// realistic sum of per-hop smoothed delays.
         const SUSPECT_PENALTY: u64 = 100_000;
         let (net, seed) = (self.net, self.eng.ops[id as usize].seed);
-        let Some(h) = self.hedged_detector() else { return Vec::new() };
+        out.clear();
+        let Some(h) = self.hedged_detector() else { return };
         // price a cover at smoothed delay + deviation (greys are both
         // slow *and* jittery, so the deviation term separates them
         // from the healthy population even on few samples)
@@ -214,7 +223,9 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
                 best = Some((cost, walk.digits().to_vec()));
             }
         }
-        best.map(|(_, d)| d).unwrap_or_default()
+        if let Some((_, digits)) = best {
+            out.extend_from_slice(&digits);
+        }
     }
 
     /// The progress timeout of a scatter round: the slowest contacted
@@ -240,17 +251,16 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
         }
     }
 
-    /// A DH op's digit string, pre-planned against the detector when
-    /// hedged — the initial attempt and every from-origin retry alike
-    /// ([`Self::plan_walk`]); empty otherwise.
-    pub(super) fn preplan(&mut self, id: OpId) -> Vec<u32> {
-        let op = &self.eng.ops[id as usize];
-        match op.kind {
-            RouteKind::DistanceHalving => {
-                let (from, target, attempt) = (op.from, op.target, op.attempt);
-                self.plan_walk(from, target, id, attempt)
-            }
-            _ => Vec::new(),
+    /// Set a DH op's digit string, pre-planned against the detector
+    /// when hedged — the initial attempt and every from-origin retry
+    /// alike ([`Self::plan_walk`]). Other ops' stay empty.
+    pub(super) fn preplan(&mut self, id: OpId) {
+        let op = &mut self.eng.ops[id as usize];
+        if let RouteKind::DistanceHalving = op.kind {
+            let (from, target, attempt) = (op.from, op.target, op.attempt);
+            let mut planned = mem::take(&mut op.planned);
+            self.plan_walk(from, target, id, attempt, &mut planned);
+            self.eng.ops[id as usize].planned = planned;
         }
     }
 
@@ -270,14 +280,14 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
         (best != cur && h.suspicion(best) < h.suspicion(cur)).then_some(best)
     }
 
-    /// The slots of `holders` in the order a scatter contacts them:
-    /// ring order, least-suspect first when hedged.
-    pub(super) fn contact_order(&mut self, holders: &[NodeId]) -> Vec<u8> {
-        let mut order: Vec<u8> = (0..holders.len() as u8).collect();
+    /// The slots of `holders`, into `order`, in the order a scatter
+    /// contacts them: ring order, least-suspect first when hedged.
+    pub(super) fn contact_order(&mut self, holders: &[NodeId], order: &mut Vec<u8>) {
+        order.clear();
+        order.extend(0..holders.len() as u8);
         if let Some(h) = self.hedged_detector() {
             order.sort_by_key(|&i| (h.suspicion(holders[i as usize]), i));
         }
-        order
     }
 
     /// Accrue suspicion of `node` (gentle accrual when `hedge`),
@@ -350,10 +360,10 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
         // the accrual detector's primary signal: blame whoever we were
         // waiting on when the progress timer fired
         if self.health.is_some() {
-            let blamed: Vec<NodeId> = match (&op.machine, op.replica.as_ref()) {
-                (Machine::Scatter, Some(rep)) => {
+            let blamed: Vec<NodeId> = match op.machine {
+                Machine::Scatter => {
                     let put = matches!(op.action, Action::PutShares { .. });
-                    rep.silent(put, op.cur)
+                    op.replica.silent(put, op.cur)
                 }
                 _ => op.waiting_on.into_iter().collect(),
             };
@@ -385,9 +395,10 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
             && matches!(op.machine, Machine::Dh1 | Machine::Dh2 { .. });
         if resume {
             let (cur, target, attempt) = (op.cur, op.target, op.attempt);
-            let here = self.net.segment_of(cur).start();
+            let here = self.net.slot_segment(op.slot).start();
             let delta = self.net.delta();
-            let digits = self.plan_walk(cur, target, id, attempt);
+            let mut digits = mem::take(&mut self.eng.ops[id as usize].planned);
+            self.plan_walk(cur, target, id, attempt, &mut digits);
             let op = &mut self.eng.ops[id as usize];
             op.handed_off = false;
             op.walk.reset(here, op.target, delta);

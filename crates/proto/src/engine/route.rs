@@ -10,12 +10,13 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
     /// retry): reset the path and plan/re-plan the walk.
     pub(super) fn start_op(&mut self, id: OpId) {
         let delta = self.net.delta();
-        let planned = self.preplan(id);
+        self.preplan(id);
+        let slot = self.net.slot_of(self.eng.ops[id as usize].from);
+        let seg = self.net.slot_segment(slot);
         let op = &mut self.eng.ops[id as usize];
         op.cur = op.from;
+        op.slot = slot;
         op.handed_off = false;
-        op.planned = planned;
-        let seg = self.net.segment_of(op.from);
         match op.kind {
             RouteKind::Fast => {
                 op.path.reset(op.from, seg.midpoint());
@@ -64,7 +65,7 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
     pub(super) fn advance<V: ShareView>(&mut self, id: OpId, view: &V) {
         loop {
             let op = &mut self.eng.ops[id as usize];
-            let cur = op.cur;
+            let (cur, slot) = (op.cur, op.slot);
             match op.machine {
                 Machine::Pending | Machine::Done | Machine::Failed => return,
                 // waiting for acks/replies from the clique
@@ -81,7 +82,7 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
                     }
                 }
                 Machine::FastRing => {
-                    let seg = self.net.segment_of(cur);
+                    let seg = self.net.slot_segment(slot);
                     if seg.contains(op.target) {
                         op.path.push(cur, op.target);
                         self.arrive(id, view);
@@ -95,8 +96,8 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
                 }
                 Machine::Dh1 => {
                     let q = op.walk.target();
-                    match self.net.local_cover(cur, q) {
-                        Some(next) => {
+                    match self.net.slot_cover(slot, q) {
+                        Some((next, next_slot)) => {
                             // phase 1 ends; the message (if any) carries
                             // the phase-2 entry
                             op.path.push(next, q);
@@ -104,7 +105,7 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
                             op.walk.target_backtrace_into(&mut op.trace);
                             op.machine = Machine::Dh2 { idx: 0 };
                             if next != cur {
-                                self.send_step(id, next, q);
+                                self.send_step(id, next, next_slot, q);
                                 return;
                             }
                         }
@@ -130,7 +131,7 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
                     }
                 }
                 Machine::Greedy { p } => {
-                    if self.net.segment_of(cur).contains(op.target) {
+                    if self.net.slot_segment(slot).contains(op.target) {
                         op.path.push(cur, op.target);
                         self.arrive(id, view);
                         return;
@@ -146,7 +147,7 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
                     // at the last trace node the op has arrived;
                     // otherwise hop to the next one
                     if idx == op.trace.len() - 1 {
-                        debug_assert!(self.net.segment_of(cur).contains(op.target));
+                        debug_assert!(self.net.slot_segment(slot).contains(op.target));
                         self.arrive(id, view);
                         return;
                     }
@@ -170,11 +171,11 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
     /// position moved but stayed on the same server.
     fn hop(&mut self, id: OpId, p: Point) -> bool {
         let op = &self.eng.ops[id as usize];
-        let cur = op.cur;
-        let next = self.net.local_cover(cur, p).unwrap_or_else(|| {
+        let (cur, slot) = (op.cur, op.slot);
+        let (next, next_slot) = self.net.slot_cover(slot, p).unwrap_or_else(|| {
             panic!(
                 "missing discrete edge: {cur} (segment {:?}) has no table entry covering {:?}",
-                self.net.segment_of(cur),
+                self.net.slot_segment(slot),
                 p
             )
         });
@@ -182,7 +183,7 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
         if next == cur {
             return false;
         }
-        self.send_step(id, next, p);
+        self.send_step(id, next, next_slot, p);
         true
     }
 
@@ -210,10 +211,11 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
         }
     }
 
-    /// Emit the op's next `LookupStep` to `next` and arm the progress
-    /// timer.
-    pub(super) fn send_step(&mut self, id: OpId, next: NodeId, at: Point) {
+    /// Emit the op's next `LookupStep` to `next`, whose slot is
+    /// `next_slot`, and arm the progress timer.
+    pub(super) fn send_step(&mut self, id: OpId, next: NodeId, next_slot: Slot, at: Point) {
         let op = &mut self.eng.ops[id as usize];
+        op.next_slot = next_slot;
         op.step += 1;
         op.resends = 0;
         op.last_at = at;

@@ -6,8 +6,8 @@ use super::*;
 /// Scatter-phase bookkeeping of a replicated op, keyed by cover: a
 /// *slot* is a position in the clique. A put sends share `i` to slot
 /// `i`, so for puts slot and share index coincide; a read asks each
-/// slot for whatever share it holds. Boxed into the op lazily —
-/// non-replicated ops never allocate it.
+/// slot for whatever share it holds. Empty on a non-replicated op,
+/// and cleared, not freed, when its op slot is reused.
 #[derive(Default)]
 pub(super) struct ReplicaState {
     /// The covers of the item, in ring order from the primary.
@@ -34,6 +34,18 @@ pub(super) struct ReplicaState {
 }
 
 impl ReplicaState {
+    /// Forget every slot, keeping the buffers.
+    pub(super) fn clear(&mut self) {
+        self.holders.clear();
+        self.stored.clear();
+        self.acked.clear();
+        self.replied.clear();
+        self.gathered.clear();
+        self.contact_order.clear();
+        self.contacted = 0;
+        self.wave = 0;
+    }
+
     /// The contacted covers other than `cur` that have not answered on
     /// the current attempt (acked a put, replied to a read) — whom a
     /// fired timer blames.
@@ -49,21 +61,6 @@ impl ReplicaState {
 }
 
 impl<G: Topology, T: Transport> Run<'_, G, T> {
-    /// Is `node` within the §6.2 cover clique of `item` — one of the
-    /// `m` ring-consecutive covers starting at the cover of `item`?
-    /// (`node` is a clique member iff walking at most `m − 1` ring
-    /// predecessors reaches the segment covering `item`.)
-    fn in_clique(&self, node: NodeId, item: Point, m: u8) -> bool {
-        let mut cur = node;
-        for _ in 0..m {
-            if self.net.segment_of(cur).contains(item) {
-                return true;
-            }
-            cur = self.net.ring_pred(cur);
-        }
-        false
-    }
-
     /// Step the op's machine — but a replicated op whose message
     /// already sits on a clique member skips the rest of the route and
     /// enters the scatter right there: §6.2 only needs the route to
@@ -78,7 +75,7 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
                     op.machine,
                     Machine::Scatter | Machine::Done | Machine::Failed
                 );
-                (routing && self.in_clique(op.cur, item, m)).then_some(())
+                (routing && self.net.in_clique(op.cur, op.slot, item, m)).then_some(())
             }
             _ => None,
         };
@@ -131,7 +128,8 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
         }
         // the clique: m consecutive covers, truncated if the whole
         // ring is smaller than m
-        let mut holders: Vec<NodeId> = Vec::with_capacity(m as usize);
+        let mut holders = mem::take(&mut self.eng.clique);
+        holders.clear();
         let mut h = primary;
         for _ in 0..m {
             holders.push(h);
@@ -141,13 +139,16 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
             }
         }
         if let Some(best) = self.handoff(id, &holders) {
+            self.eng.clique = holders;
             self.eng.ops[id as usize].handed_off = true;
-            self.send_step(id, best, item);
+            let slot = self.net.slot_of(best);
+            self.send_step(id, best, slot, item);
             return;
         }
         // contact order: the coordinator's own slot first (a free local
         // step), then the policy's order
-        let mut order = self.contact_order(&holders);
+        let mut order = mem::take(&mut self.eng.ops[id as usize].replica.contact_order);
+        self.contact_order(&holders, &mut order);
         if let Some(pos) = order.iter().position(|&i| holders[i as usize] == cur) {
             order[..=pos].rotate_right(1);
         }
@@ -168,24 +169,24 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
         op.step += 1;
         op.waiting_on = None;
         let attempt = op.attempt;
-        let rep = op.replica.get_or_insert_with(Default::default);
+        let rep = &mut op.replica;
         rep.acked.clear();
         rep.replied.clear();
         rep.gathered.clear();
         rep.holders.clear();
         rep.holders.extend_from_slice(&holders);
-        rep.contact_order.clear();
-        rep.contact_order.extend_from_slice(&order);
+        rep.contact_order = order;
         rep.contacted = need;
         rep.wave = 0;
         op.machine = Machine::Scatter;
         // who is sent something, not who is asked: every cover gets its
         // store, only the asked covers get a fetch
         let sends = if put { holders.len() } else { need };
-        for (pos, &slot) in order.iter().enumerate().take(sends) {
+        for pos in 0..sends {
+            let slot = self.eng.ops[id as usize].replica.contact_order[pos];
             let holder = holders[slot as usize];
             if holder == cur {
-                let rep = self.eng.ops[id as usize].replica.as_mut().expect("just set");
+                let rep = &mut self.eng.ops[id as usize].replica;
                 if put {
                     if !rep.stored.contains(&slot) {
                         rep.stored.push(slot);
@@ -208,8 +209,10 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
             }
         }
         let timeout = self.scatter_timeout(id, &holders, attempt);
+        let clique = holders.len();
+        self.eng.clique = holders;
         self.arm_timer(id, cur, timeout);
-        if need < holders.len() {
+        if need < clique {
             let delay = self.hedge_delay_now();
             self.eng.push_event(self.eng.clock + delay, EventKind::Hedge { op: id, attempt }, Lane::Timer);
         }
@@ -225,7 +228,7 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
     fn contact_next(&mut self, id: OpId) -> bool {
         let op = &mut self.eng.ops[id as usize];
         let (attempt, cur, action) = (op.attempt, op.cur, op.action);
-        let Some(rep) = op.replica.as_mut() else { return false };
+        let rep = &mut op.replica;
         let Some(&slot) = rep.contact_order.get(rep.contacted) else { return false };
         rep.contacted += 1;
         rep.wave = rep.wave.saturating_add(1);
@@ -253,7 +256,7 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
             return;
         }
         let Action::GetShares { k, .. } = op.action else { return };
-        let Some(rep) = op.replica.as_ref() else { return };
+        let rep = &op.replica;
         let need = (k as usize).min(rep.holders.len()).max(1);
         if rep.replied.len() < rep.contacted {
             return;
@@ -274,7 +277,7 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
         if !matches!(op.machine, Machine::Scatter) || attempt != op.attempt {
             return; // the op completed or restarted since
         }
-        let Some(rep) = op.replica.as_ref() else { return };
+        let rep = &op.replica;
         let (put, backups) = match op.action {
             Action::PutShares { k, .. } => {
                 (true, (k as usize).min(rep.holders.len()).saturating_sub(rep.acked.len()))
@@ -288,13 +291,11 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
         while sent < backups && self.contact_next(id) {
             sent += 1;
             self.stats.hedged += 1;
-            let wave = self.eng.ops[id as usize].replica.as_ref().map_or(0, |r| u32::from(r.wave));
+            let wave = u32::from(self.eng.ops[id as usize].replica.wave);
             self.obs.emit(self.eng.clock, attempt, ObsEvent::Hedge { wave });
         }
-        let more = self.eng.ops[id as usize]
-            .replica
-            .as_ref()
-            .is_some_and(|r| r.contacted < r.contact_order.len());
+        let rep = &self.eng.ops[id as usize].replica;
+        let more = rep.contacted < rep.contact_order.len();
         if sent > 0 && more {
             let delay = self.hedge_delay_now();
             self.eng.push_event(self.eng.clock + delay, EventKind::Hedge { op: id, attempt }, Lane::Timer);
@@ -310,7 +311,7 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
         if !matches!(op.machine, Machine::Scatter) {
             return;
         }
-        let rep = op.replica.as_ref().expect("scatter state exists");
+        let rep = &op.replica;
         let (put, k) = match op.action {
             Action::PutShares { k, .. } => (true, k),
             Action::GetShares { k, .. } => (false, k),
@@ -342,7 +343,7 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
         // never stored — the write quorum, not this holder, recovers
         let accepts = |op: &Op| !matches!(op.machine, Machine::Failed);
         let Some(op) = self.admit(id, attempt, !env.corrupt, accepts) else { return };
-        let rep = op.replica.get_or_insert_with(Default::default);
+        let rep = &mut op.replica;
         if !rep.stored.contains(&idx) {
             rep.stored.push(idx);
         }
@@ -358,7 +359,7 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
     pub(super) fn deliver_ack(&mut self, env: &Envelope, id: OpId, attempt: u32, idx: u8) {
         let accepts = |op: &Op| matches!(op.machine, Machine::Scatter);
         let Some(op) = self.admit(id, attempt, !env.corrupt, accepts) else { return };
-        let rep = op.replica.as_mut().expect("scatter state exists");
+        let rep = &mut op.replica;
         if !rep.acked.contains(&idx) {
             rep.acked.push(idx);
         }
@@ -406,7 +407,7 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
         // toward the quorum (false message injection cannot fake reads)
         let accepts = |op: &Op| matches!(op.machine, Machine::Scatter);
         let Some(op) = self.admit(id, attempt, !env.corrupt, accepts) else { return };
-        let rep = op.replica.as_mut().expect("scatter state exists");
+        let rep = &mut op.replica;
         // replies are counted per cover; `idx` is the share it named
         let Some(slot) = rep.holders.iter().position(|&h| h == env.src) else {
             self.stats.stale += 1;

@@ -5,7 +5,7 @@ use cd_core::pointset::PointSet;
 use dh_obs::BACKGROUND;
 
 /// A complete-graph toy topology: every server's "table" covers the
-/// whole circle, so `local_cover` always answers. Exercises the
+/// whole circle, so `slot_cover` always answers. Exercises the
 /// engine core (timers, retries, stamps, accounting) without
 /// depending on the Distance Halving discretisation — the
 /// bit-identity tests against `DhNetwork` live in `dh_dht`.
@@ -30,11 +30,15 @@ impl Topology for Complete {
     fn delta(&self) -> u32 {
         self.delta
     }
-    fn segment_of(&self, n: NodeId) -> Interval {
-        self.ps.segment(n.0 as usize)
+    fn slot_of(&self, n: NodeId) -> Slot {
+        n.0
     }
-    fn local_cover(&self, _cur: NodeId, p: Point) -> Option<NodeId> {
-        Some(self.cover(p))
+    fn slot_segment(&self, slot: Slot) -> Interval {
+        self.ps.segment(slot as usize)
+    }
+    fn slot_cover(&self, _slot: Slot, p: Point) -> Option<(NodeId, Slot)> {
+        let cover = self.cover(p);
+        Some((cover, cover.0))
     }
     fn greedy_step(&self, p: Point, target: Point) -> Point {
         // chord-style: the largest 2⁻ⁱ not overshooting the target
@@ -258,6 +262,18 @@ fn hand_crafted_op_messages_are_ignored_not_fatal() {
     let stats = run(&mut eng, &net, &mut Inline);
     assert_eq!(stats.stale, 1);
     assert_eq!(stats.delivered, 1);
+    // nor may one naming a slot a longer earlier run left behind: a
+    // store would otherwise land on that retired put
+    let item = Point(u64::MAX / 3);
+    let put = Action::PutShares { key: 7, len: 32, m: 5, k: 3, item };
+    for _ in 0..3 {
+        eng.submit(5, RouteKind::Fast, NodeId(0), item, put);
+    }
+    run(&mut eng, &net, &mut Inline);
+    eng.submit(6, RouteKind::Fast, NodeId(0), item, Action::Locate);
+    let store = Wire::StoreShare { op: 2, attempt: 1, idx: 0, key: 7, len: 32, ack: false };
+    eng.send(NodeId(0), net.cover(item), store);
+    assert_eq!(run(&mut eng, &net, &mut Inline).stale, 1);
 }
 
 #[test]
@@ -745,7 +761,7 @@ fn every_fired_timer_was_armed() {
 fn the_op_slab_holds_one_run() {
     // one long-lived engine over one lent lossy transport, 1 000
     // submit → run → take cycles of Locate and GetShares ops: each
-    // run's ops are the slab, and each op fares exactly as it would
+    // run's ops are the live slots, and each op fares exactly as it would
     // on a fresh engine at tick 0 over the transport as it stood
     let net = Complete::new(16, 2);
     let item = Point(12345 << 32);
@@ -774,13 +790,73 @@ fn the_op_slab_holds_one_run() {
         }
         let stats = eng.run(&net, &mut sim, None, &Obs::off(), &view);
         let fresh_stats = fresh.run(&net, &mut fresh_sim, None, &Obs::off(), &view);
-        assert_eq!(eng.ops.len(), ops.len(), "cycle {i}: the slab holds this run's ops only");
+        assert_eq!(eng.live, ops.len(), "cycle {i}: the live slots hold this run's ops only");
         assert_eq!(stats, fresh_stats, "cycle {i}");
         for id in 0..ops.len() as OpId {
             assert_eq!(eng.take_outcome(id), fresh.take_outcome(id), "cycle {i}, op {id}");
         }
     }
     assert!(eng.now() > 0, "the long-lived clock moved on");
+}
+
+/// The item key `key` is stored under in [`prop_a_reused_op_slot_is_a_fresh_one`].
+fn item_of(key: u64) -> Point {
+    Point(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(key + 1))
+}
+
+proptest::proptest! {
+    #[test]
+    fn prop_a_reused_op_slot_is_a_fresh_one(seed: u64) {
+        // random batches of every op kind on one long-lived engine over
+        // one lossy, duplicating substrate: each batch fares exactly as
+        // on a fresh engine at the same tick over the substrate as it
+        // stood. The first two batches are all puts, so a slot's stale
+        // placement would show; some outcomes are never taken, so a
+        // slot is also reused with its route still in it.
+        use rand::Rng;
+        let net = Complete::new(16, 2);
+        let (m, k) = (5u8, 3u8);
+        let mut view = TableShares(Default::default());
+        for key in 0..3 {
+            view.0.extend(shares_on(&clique(&net, item_of(key), m), key, &[key as u8]).0);
+        }
+        let retry = RetryPolicy::fixed(200, 6);
+        let mut rng = cd_core::rng::seeded(seed);
+        let mut sim = Sim::new(seed).with_drop(0.1).with_dup(0.1);
+        let mut eng = engine(retry);
+        for batch in 0..12 {
+            let ops: Vec<(RouteKind, NodeId, Point, Action)> = (0..rng.gen_range(1..=6))
+                .map(|_| {
+                    let from = NodeId(rng.gen_range(0..16));
+                    let kind = [RouteKind::Fast, RouteKind::DistanceHalving, RouteKind::Greedy][rng.gen_range(0..3usize)];
+                    let key = rng.gen_range(0..4u64);
+                    let item = item_of(key);
+                    match if batch < 2 { 1 } else { rng.gen_range(0..3) } {
+                        0 => (kind, from, Point(rng.gen()), Action::Locate),
+                        1 => (kind, from, item, Action::PutShares { key, len: 64, m, k, item }),
+                        _ => (kind, from, item, Action::GetShares { key, m, k, item }),
+                    }
+                })
+                .collect();
+            let op_seed: u64 = rng.gen();
+            let mut fresh = engine(retry);
+            fresh.advance_to(eng.now());
+            let mut fresh_sim = sim.clone();
+            for &(kind, from, target, action) in &ops {
+                eng.submit(op_seed, kind, from, target, action);
+                fresh.submit(op_seed, kind, from, target, action);
+            }
+            let mut rec = Recorder::new(&mut sim);
+            let stats = eng.run(&net, &mut rec, None, &Obs::off(), &view);
+            let mut fresh_rec = Recorder::new(&mut fresh_sim);
+            let fresh_stats = fresh.run(&net, &mut fresh_rec, None, &Obs::off(), &view);
+            proptest::prop_assert_eq!(rec.fingerprint(), fresh_rec.fingerprint());
+            proptest::prop_assert_eq!(stats, fresh_stats);
+            for id in (0..ops.len() as OpId).filter(|_| rng.gen_bool(0.8)) {
+                proptest::prop_assert_eq!(eng.take_outcome(id), fresh.take_outcome(id));
+            }
+        }
+    }
 }
 
 /// `Sim` that also feeds every planned delivery to its own detector

@@ -463,25 +463,27 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         retry: RetryPolicy,
     ) -> (OpOutcome, Option<Bytes>) {
         let point = self.hash.point(key);
-        let (out, value, _, _) = self.get_via(from, key, point, transport, seed, retry);
+        let (out, value, _, _) = self.get_via(from, key, point, point, transport, seed, retry);
         (out, value)
     }
 
-    /// One quorum-read attempt routed at `target` (a clique member's
-    /// identifier point, or `h(key)` itself for the primary). Besides
+    /// One quorum-read attempt of `key`, whose placement point is
+    /// `point`, routed at `target` (a clique member's identifier point,
+    /// or `point` itself for the primary). Besides
     /// the outcome and value, reports the modeled ticks the attempt
     /// took (to completion, or to the run's last event on failure) and
     /// the run's stats — the raw material for SLO accounting.
+    #[expect(clippy::too_many_arguments, reason = "one read attempt's whole description")]
     fn get_via<T: Transport>(
         &mut self,
         from: NodeId,
         key: u64,
+        point: Point,
         target: Point,
         mut transport: T,
         seed: u64,
         retry: RetryPolicy,
     ) -> (OpOutcome, Option<Bytes>, u64, EngineStats) {
-        let point = self.hash.point(key);
         let action = Action::GetShares { key, m: self.m, k: self.k, item: point };
         let t0 = self.eng.now();
         let op = self.eng.submit(seed, route_kind(self.kind), from, target, action);
@@ -576,6 +578,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
                 let (out, value, ticks, stats) = self.get_via(
                     origin,
                     key,
+                    point,
                     target,
                     &mut transport,
                     cd_core::rng::subseed(seed, attempt as u64),
