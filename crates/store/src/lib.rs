@@ -51,6 +51,6 @@ pub mod wal;
 
 pub use crash::CrashPoint;
 pub use file::{FileShelves, Recovery};
-pub use shelf::{Holder, ItemState, MemShelves, ShelfError, ShelfView, Shelves};
+pub use shelf::{Holder, Holders, ItemState, MemShelves, ShelfError, ShelfView, Shelves};
 pub use tamper::{ScratchPath, TamperFile};
 pub use wal::{scan, Scan, WalError, WalRecord};

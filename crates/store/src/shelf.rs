@@ -11,6 +11,10 @@
 //! the readable state is always replayable from the records that made
 //! it to disk, and a torn tail simply rolls the map back to the last
 //! record boundary.
+//!
+//! An item's holders are one [`Holders`] array indexed by share index,
+//! so every scan over a placement (repair, compaction, the read view)
+//! runs in ascending index and is deterministic.
 
 use bytes::Bytes;
 use cd_core::point::Point;
@@ -19,6 +23,7 @@ use dh_proto::engine::ShareView;
 use dh_proto::node::NodeId;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Index;
 
 /// One placed share: which server holds it, of which item generation,
 /// in the sealed rest form (`header ‖ payload`, see
@@ -51,6 +56,149 @@ impl Holder {
     }
 }
 
+/// Every share index, so [`Holders`] can lend its keys as `&u8` the
+/// way a map does.
+static INDICES: [u8; 256] = {
+    let mut all = [0u8; 256];
+    let mut i = 0;
+    while i < 256 {
+        all[i] = i as u8;
+        i += 1;
+    }
+    all
+};
+
+/// One item's holders, addressed by share index: slot `i` holds share
+/// `i`'s holder, or nothing. The array is sized once, to the `m` the
+/// first parked share's header carries, so a placed item pays `m`
+/// 32-byte slots in one allocation. A later share past the end (its
+/// header damaged, or naming a larger `m`) grows it to exactly what
+/// that share needs. Iteration runs in ascending index, and two
+/// arrays are equal (and print alike) when they hold the same
+/// (index, holder) pairs, however many empty slots either keeps.
+#[derive(Clone, Default)]
+pub struct Holders {
+    slots: Box<[Option<Holder>]>,
+}
+
+impl Holders {
+    /// The holder of share `idx`, if any.
+    pub fn get(&self, idx: &u8) -> Option<&Holder> {
+        self.slots.get(usize::from(*idx))?.as_ref()
+    }
+
+    /// Put `holder` at share `idx`, returning the one it replaces.
+    pub fn insert(&mut self, idx: u8, holder: Holder) -> Option<Holder> {
+        let at = usize::from(idx);
+        if at >= self.slots.len() {
+            let m = open_shared(&holder.sealed).map_or(0, |(header, _)| usize::from(header.m));
+            let len = m.max(at + 1);
+            // exactly `len` slots: no spare room, and no second copy
+            // when the vector becomes a boxed slice
+            let mut slots = Vec::with_capacity(len);
+            slots.extend(std::mem::take(&mut self.slots).into_vec());
+            slots.resize(len, None);
+            self.slots = slots.into_boxed_slice();
+        }
+        self.slots[at].replace(holder)
+    }
+
+    /// Take the holder of share `idx` out; its slot stays.
+    pub fn remove(&mut self, idx: &u8) -> Option<Holder> {
+        self.slots.get_mut(usize::from(*idx))?.take()
+    }
+
+    /// Keep only the holders `keep` accepts.
+    pub fn retain(&mut self, mut keep: impl FnMut(&u8, &Holder) -> bool) {
+        for (idx, slot) in INDICES.iter().zip(self.slots.iter_mut()) {
+            if slot.as_ref().is_some_and(|h| !keep(idx, h)) {
+                *slot = None;
+            }
+        }
+    }
+
+    /// Drop every holder; the slots stay.
+    pub fn clear(&mut self) {
+        self.slots.fill(None);
+    }
+
+    /// Number of holders.
+    pub fn len(&self) -> usize {
+        self.values().count()
+    }
+
+    /// Whether no share is held.
+    pub fn is_empty(&self) -> bool {
+        self.values().next().is_none()
+    }
+
+    /// The `(index, holder)` pairs in ascending index.
+    pub fn iter(&self) -> HoldersIter<'_> {
+        HoldersIter { slots: INDICES.iter().zip(self.slots.iter()) }
+    }
+
+    /// The held share indices, ascending.
+    pub fn keys(&self) -> impl Iterator<Item = &u8> + '_ {
+        self.iter().map(|(idx, _)| idx)
+    }
+
+    /// The holders in ascending index.
+    pub fn values(&self) -> impl Iterator<Item = &Holder> + '_ {
+        self.slots.iter().flatten()
+    }
+
+    /// How many slots the array has room for, held or not.
+    #[doc(hidden)]
+    pub fn capacity(&self) -> usize {
+        self.slots.len()
+    }
+}
+
+/// The iterator of [`Holders::iter`].
+pub struct HoldersIter<'a> {
+    slots: std::iter::Zip<std::slice::Iter<'static, u8>, std::slice::Iter<'a, Option<Holder>>>,
+}
+
+impl<'a> Iterator for HoldersIter<'a> {
+    type Item = (&'a u8, &'a Holder);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.slots.find_map(|(idx, slot)| Some((idx, slot.as_ref()?)))
+    }
+}
+
+impl<'a> IntoIterator for &'a Holders {
+    type Item = (&'a u8, &'a Holder);
+    type IntoIter = HoldersIter<'a>;
+
+    fn into_iter(self) -> HoldersIter<'a> {
+        self.iter()
+    }
+}
+
+impl Index<&u8> for Holders {
+    type Output = Holder;
+
+    /// The holder of share `idx`. Panics if none is held.
+    fn index(&self, idx: &u8) -> &Holder {
+        self.get(idx).expect("no holder at this share index")
+    }
+}
+
+impl PartialEq for Holders {
+    fn eq(&self, other: &Holders) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Holders {}
+
+impl fmt::Debug for Holders {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 /// Everything a shelf knows about one item.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ItemState {
@@ -60,10 +208,18 @@ pub struct ItemState {
     /// Parked shares of newer generations stay invisible until their
     /// commit record lands.
     pub version: u32,
-    /// Share index → holder. `BTreeMap` so every scan over the
-    /// placement is deterministic (repair and compaction iterate it).
-    pub holders: BTreeMap<u8, Holder>,
+    /// Share index → holder, one slot per index of the item's code.
+    /// Scans run in ascending index, so repair and compaction iterate
+    /// a placement deterministically.
+    pub holders: Holders,
 }
+
+// What an item costs the shelves: a slot is a `Holder` with the
+// `Bytes` pointer as its `None` niche, and the item is its point, its
+// version and the boxed slots. Growing either moves every workload's
+// resident bill.
+const _: () = assert!(std::mem::size_of::<Option<Holder>>() == 32);
+const _: () = assert!(std::mem::size_of::<ItemState>() == 32);
 
 impl ItemState {
     /// The intact shares of generation `version`, in index order.
@@ -222,7 +378,7 @@ impl MemShelves {
         let mut created = false;
         let item = self.map.entry(key).or_insert_with(|| {
             created = true;
-            ItemState { point, version: 0, holders: BTreeMap::new() }
+            ItemState { point, version: 0, holders: Holders::default() }
         });
         (created, item.holders.insert(idx, holder))
     }
@@ -362,6 +518,43 @@ mod tests {
 
     fn view_idx(mem: &MemShelves, node: u32, key: u64) -> Option<u8> {
         ShelfView(mem).share_of(NodeId(node), key).map(|(idx, _)| idx)
+    }
+
+    #[test]
+    fn a_read_is_answered_with_the_lowest_committed_index() {
+        use dh_erasure::try_decode;
+        let (k, m) = (2u8, 4u8);
+        let mut mem = MemShelves::new();
+        let p = Point(5);
+        // generation 1 on nodes 1, 2, 3, 2: node 2 holds shares 1 and
+        // 3, as after a hand-off
+        let v1 = encode(b"committed", usize::from(k), usize::from(m));
+        for (idx, node) in [1, 2, 3, 2].into_iter().enumerate() {
+            let header = ShareHeader { version: 1, index: idx as u8, k, m };
+            mem.park(7, p, idx as u8, Holder::seal(NodeId(node), header, &v1[idx]));
+        }
+        mem.commit(7, 1);
+        // generation 2 parks share 0 on node 2, uncommitted
+        let v2 = encode(b"torn", usize::from(k), usize::from(m));
+        let header = ShareHeader { version: 2, index: 0, k, m };
+        mem.park(7, p, 0, Holder::seal(NodeId(2), header, &v2[0]));
+        // node 2 answers with its lower committed index, never the
+        // parked share below it; node 1's share was overwritten
+        assert_eq!(view_idx(&mem, 2, 7), Some(1));
+        assert_eq!(view_idx(&mem, 3, 7), Some(2));
+        assert_eq!(view_idx(&mem, 1, 7), None);
+        // and the indices the replies name decode the committed value,
+        // filtered as the replicated store's reconstruction filters
+        let item = &mem.map()[&7];
+        let shares: Vec<Share> = [2, 3]
+            .iter()
+            .filter_map(|&node| view_idx(&mem, node, 7))
+            .filter_map(|idx| item.holders.get(&idx))
+            .filter(|h| h.version == item.version)
+            .filter_map(Holder::share)
+            .collect();
+        assert_eq!(shares.iter().map(|s| s.index).collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(try_decode(&shares, usize::from(k)).unwrap(), b"committed");
     }
 
     #[test]
