@@ -82,23 +82,27 @@ pub use repair::RepairReport;
 /// The arc index: `(h(key).bits, key)` per shelved item, so churn can
 /// range-query the shifted interval of the ring.
 type ArcIndex = BTreeSet<(u64, u64)>;
-/// The holder index: `(node, key, idx)` per shelved share, so a
-/// departure finds the server's slots without a scan.
-type HeldIndex = BTreeSet<(u32, u64, u8)>;
 
-/// Build the arc index and the holder index from a shelf map in one
+/// Build the arc index and the exact stray set — the items with a
+/// share held outside their current clique — from a shelf map in one
 /// pass (used by [`ReplicatedDht::with_shelves`] and
 /// [`ReplicatedDht::reindex`]).
-fn index_of<S: Shelves>(shelves: &S) -> (ArcIndex, HeldIndex) {
+fn index_of<G: ContinuousGraph, S: Shelves>(
+    net: &CdNetwork<G>,
+    m: u8,
+    shelves: &S,
+) -> (ArcIndex, BTreeSet<u64>) {
     let mut arc = BTreeSet::new();
-    let mut held = BTreeSet::new();
+    let mut strays = BTreeSet::new();
+    let mut clique = Vec::with_capacity(m as usize);
     for (&key, item) in shelves.map() {
         arc.insert((item.point.bits(), key));
-        for (&idx, h) in &item.holders {
-            held.insert((h.node.0, key, idx));
+        net.clique_of(item.point, m as usize, &mut clique);
+        if item.holders.values().any(|h| !clique.contains(&h.node)) {
+            strays.insert(key);
         }
     }
-    (arc, held)
+    (arc, strays)
 }
 
 /// What a quorum read ([`ReplicatedDht::get_quorum`]) observed: the
@@ -139,9 +143,15 @@ pub struct QuorumRead {
 /// fingerprints do not depend on the backend.
 ///
 /// Drive churn through [`Self::join_over`]/[`Self::leave_over`] (or
-/// call [`Self::repair`] yourself after mutating `net` directly):
-/// repair is what moves shares after membership shifts, and nothing
-/// may name a departed server once its slab slot can be reused.
+/// call [`Self::repair`] or [`Self::reindex`] yourself after mutating
+/// `net` directly): repair is what moves shares after membership
+/// shifts, and nothing may name a departed server once its slab slot
+/// can be reused.
+///
+/// **Invariant:** a share sits on its item's clique unless the item is
+/// in `strays`. So the shares a live server holds belong to the items
+/// whose clique contains it — one arc of the arc index — plus strays,
+/// and a departure finds its slots there.
 pub struct ReplicatedDht<G: ContinuousGraph = DistanceHalving, S: Shelves = MemShelves> {
     /// The overlay network.
     pub net: CdNetwork<G>,
@@ -163,12 +173,11 @@ pub struct ReplicatedDht<G: ContinuousGraph = DistanceHalving, S: Shelves = MemS
     /// [`Self::remove_over`]); call [`Self::reindex`] after mutating
     /// `shelves` directly.
     arc: ArcIndex,
-    /// The holder index: `(node, key, idx)` for every shelved share —
-    /// so a leave finds the shares it hands off, and a crash retires
-    /// them ([`dh_store::Shelves::retire_hinted`]), by range query
-    /// instead of scanning every item. Maintained wherever shares are placed or dropped;
-    /// [`Self::reindex`] rebuilds it too.
-    held: HeldIndex,
+    /// The items that may have a holder outside their clique: repair
+    /// adds an item it cannot recover (it leaves the shares where they
+    /// are) and drops one it places or removes. A superset of the
+    /// exact set, which [`Self::reindex`] rebuilds.
+    strays: BTreeSet<u64>,
     /// Repair pacing budget: `None` flushes repair traffic inside the
     /// churn call; `Some(b)` queues frames in [`Self::outbox`] and
     /// [`ReplicatedDht::pump_repair`] drains at most `b` per call.
@@ -219,7 +228,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
             net.len()
         );
         let bits = (net.len().max(2) as f64).log2().ceil() as usize + 1;
-        let (arc, held) = index_of(&shelves);
+        let (arc, strays) = index_of(&net, m, &shelves);
         ReplicatedDht {
             hash: KWiseHash::new(bits, rng),
             kind: net.native_kind(),
@@ -228,7 +237,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
             k,
             shelves,
             arc,
-            held,
+            strays,
             pace: None,
             outbox: VecDeque::new(),
             eng: Engine::default(),
@@ -276,24 +285,26 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         stats
     }
 
-    /// Rebuild the arc and holder indices from the shelves. Required
-    /// after mutating `shelves` in ways that add or remove items or
-    /// holders outside the normal verbs (tests forging state, manual
-    /// surgery); the put, remove, churn and repair paths all maintain
-    /// the indices themselves.
+    /// Rebuild the arc index and the stray set from the shelves and the
+    /// current cliques. Required after mutating `shelves` in ways that
+    /// add or remove items or holders outside the normal verbs (tests
+    /// forging state, manual surgery), and after mutating `net`
+    /// directly without a [`Self::repair`]; the put, remove, churn and
+    /// repair paths all maintain both themselves.
     pub fn reindex(&mut self) {
-        (self.arc, self.held) = index_of(&self.shelves);
+        (self.arc, self.strays) = index_of(&self.net, self.m, &self.shelves);
     }
 
-    /// Do the incrementally maintained arc and holder indices equal a
-    /// from-scratch [`Self::reindex`] of the shelves? The put path
-    /// skips index updates it can prove are no-ops, which is only
-    /// sound while this holds (model-equivalence tests assert it after
-    /// every step).
+    /// Does the incrementally maintained arc index equal a from-scratch
+    /// [`Self::reindex`] of the shelves, and do the strays cover every
+    /// item the rebuild finds off its clique? The put path skips index
+    /// updates it can prove are no-ops and a departure finds its slots
+    /// through both, which is only sound while this holds
+    /// (model-equivalence tests assert it after every step).
     #[doc(hidden)]
     pub fn indices_consistent(&self) -> bool {
-        let (arc, held) = index_of(&self.shelves);
-        self.arc == arc && self.held == held
+        let (arc, strays) = index_of(&self.net, self.m, &self.shelves);
+        self.arc == arc && strays.is_subset(&self.strays)
     }
 
     /// Set the repair pacing budget: `None` (default) prices all
@@ -406,22 +417,10 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         if out.shares.is_empty() || out.corrupt {
             return 0;
         }
-        let item = self.shelves.map().get(&key);
-        // indices first, while `item` still shows the old placement:
-        // an overwrite landing on the same cover (the common case)
-        // changes neither, so it touches neither
-        if item.is_none() {
+        // every share lands on the clique, so only a new item touches
+        // the indices
+        if !self.shelves.map().contains_key(&key) {
             self.arc.insert((point.bits(), key));
-        }
-        for &idx in &out.shares {
-            let node = out.holders[idx as usize];
-            let prev = item.and_then(|item| item.holders.get(&idx)).map(|h| h.node);
-            if prev != Some(node) {
-                if let Some(prev) = prev {
-                    self.held.remove(&(prev.0, key, idx));
-                }
-                self.held.insert((node.0, key, idx));
-            }
         }
         // the atomic write sequence: park every placed share first,
         // commit last — on the WAL backend this is literally the
@@ -649,10 +648,8 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
             self.run_lent(&mut transport, retry);
             if let Some(item) = self.shelves.map().get(&key) {
                 self.arc.remove(&(item.point.bits(), key));
-                for (&idx, h) in &item.holders {
-                    self.held.remove(&(h.node.0, key, idx));
-                }
             }
+            self.strays.remove(&key);
             self.shelves.remove(key);
         }
         (out, existed)

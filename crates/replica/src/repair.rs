@@ -94,7 +94,6 @@ use dh_proto::wire::Wire;
 use dh_store::{Holder, ItemState, Shelves};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::mem;
-use std::ops::RangeInclusive;
 
 /// What one repair pass did and what it cost on the wire.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -182,21 +181,32 @@ impl RepairPlan {
 }
 
 impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
-    /// Drop every shelf entry held by `node`: the server's disk died
-    /// with it. A crash-stop departure is spelled `drop_shelves_of(v)`
-    /// then [`Self::leave_over`]`(v)`; the repair pass then finds no
-    /// share to hand off and rebuilds each lost one.
+    /// Drop every shelf entry held by the live server `node`: its disk
+    /// died with it. A crash-stop departure is spelled
+    /// `drop_shelves_of(v)` then [`Self::leave_over`]`(v)`; the repair
+    /// pass then finds no share to hand off and rebuilds each lost one.
     ///
-    /// The holder index knows exactly which `(key, idx)` slots `node`
-    /// holds, so this hands the backend a hint list
-    /// ([`Shelves::retire_hinted`]) instead of letting it scan every
-    /// item.
+    /// The store's invariant puts `node`'s shares in the items of its
+    /// arc plus the strays it holds, so this hands the backend their
+    /// slots as a hint list ([`Shelves::retire_hinted`]) instead of
+    /// letting it scan every item.
     pub fn drop_shelves_of(&mut self, node: NodeId) {
-        let hints: Vec<(u64, u8)> =
-            self.held.range(held_by(node)).map(|&(_, key, idx)| (key, idx)).collect();
-        for &(key, idx) in &hints {
-            self.held.remove(&(node.0, key, idx));
-        }
+        let keys = self.keys_of(node);
+        self.retire_among(node, &keys);
+    }
+
+    /// Retire `node`'s slots, found in the items of `keys` — which must
+    /// include every item it holds a share of.
+    fn retire_among(&mut self, node: NodeId, keys: &[u64]) {
+        let map = self.shelves.map();
+        let hints: Vec<(u64, u8)> = keys
+            .iter()
+            .filter_map(|key| Some((*key, map.get(key)?)))
+            .flat_map(|(key, item)| {
+                let held = item.holders.iter().filter(move |(_, h)| h.node == node);
+                held.map(move |(&idx, _)| (key, idx))
+            })
+            .collect();
         self.shelves.retire_hinted(node, &hints);
     }
 
@@ -246,6 +256,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         let mut clique: Vec<NodeId> = Vec::with_capacity(m as usize);
         self.net.clique_of(item.point, m as usize, &mut clique);
         if placed(item, &clique) {
+            self.strays.remove(&key);
             return;
         }
         report.items_shifted += 1;
@@ -265,6 +276,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         } else {
             let Some((version, value)) = best_generation(item, k) else {
                 report.items_lost += 1;
+                self.strays.insert(key);
                 return;
             };
             (version, Some(value))
@@ -312,12 +324,13 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
             }
             if value.is_none() {
                 report.items_lost += 1;
+                self.strays.insert(key);
                 return;
             }
         }
         report.shares_rebuilt += fills.len();
-        // (index, its previous holder, its new holder)
-        let mut parks: Vec<(u8, Option<NodeId>, Holder)> = Vec::with_capacity(fills.len());
+        // (index, its new holder)
+        let mut parks: Vec<(u8, Holder)> = Vec::with_capacity(fills.len());
         for &(cover, idx, handed) in &fills {
             let holder = if handed {
                 plan.handed_off += 1;
@@ -337,31 +350,35 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
                 let header = ShareHeader { version, index: idx, k: k as u8, m };
                 Holder::seal(cover, header, &encode_row(value, k, idx))
             };
-            parks.push((idx, item.holders.get(&idx).map(|h| h.node), holder));
+            parks.push((idx, holder));
         }
-        let dropped: Vec<(u8, NodeId)> = item
-            .holders
-            .iter()
-            .filter(|(idx, _)| !used.contains(idx))
-            .map(|(&idx, h)| (idx, h.node))
-            .collect();
+        let dropped: Vec<u8> =
+            item.holders.keys().copied().filter(|idx| !used.contains(idx)).collect();
         let point = item.point;
         // apply with the same write discipline as a put — park the
         // placed shares, drop the rest, commit last — so on a WAL
         // backend a crash mid-repair still recovers to a generation
         // repair can finish from
-        for (idx, old, holder) in parks {
-            if let Some(old) = old {
-                self.held.remove(&(old.0, key, idx));
-            }
-            self.held.insert((holder.node.0, key, idx));
+        for (idx, holder) in parks {
             self.shelves.park(key, point, idx, holder);
         }
-        for (idx, old) in dropped {
-            self.held.remove(&(old.0, key, idx));
+        for idx in dropped {
             self.shelves.unpark(key, idx);
         }
         self.shelves.commit(key, version);
+        self.strays.remove(&key);
+    }
+
+    /// Every key `n` may hold a share of, ascending: the items whose
+    /// clique contains `n` ([`Self::shifted_keys`]) plus the strays it
+    /// holds. By the store's invariant that is every item `n` holds.
+    fn keys_of(&self, n: NodeId) -> Vec<u64> {
+        let mut keys = self.shifted_keys(n);
+        let map = self.shelves.map();
+        let holds = |item: &ItemState| item.holders.values().any(|h| h.node == n);
+        let held = |key: &&u64| map.get(key).is_some_and(holds);
+        keys.extend(self.strays.iter().filter(held));
+        keys.into_iter().collect()
     }
 
     /// The keys whose cover clique contains `n` — the arc
@@ -484,15 +501,13 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         self.obs.add("repair/frames_purged", 0, (queued - self.outbox.len()) as u64);
         // computed before the leave: the cliques that will change are
         // those the leaver is still part of, plus what it holds
-        let mut keys = self.shifted_keys(id);
-        keys.extend(self.held.range(held_by(id)).map(|&(_, key, _)| key));
+        let keys = self.keys_of(id);
         let cost = leave_over(&mut self.eng, &mut self.net, id, transport);
         self.note_member(&cost);
-        let keys: Vec<u64> = keys.into_iter().collect();
         let mut report = self.repair_keys(&keys, transport);
         // the planner leaves an item it cannot recover untouched; the
         // leaver's share of it goes with the leaver
-        self.drop_shelves_of(id);
+        self.retire_among(id, &keys);
         if self.pace.is_some() {
             // every frame still naming the leaver is one of this
             // leave's hand-offs
@@ -506,11 +521,6 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         }
         (cost, report)
     }
-}
-
-/// The holder-index range of every share `node` holds.
-fn held_by(node: NodeId) -> RangeInclusive<(u32, u64, u8)> {
-    (node.0, 0, 0)..=(node.0, u64::MAX, u8::MAX)
 }
 
 /// Is the item placed on `clique` — every member holding a share of
@@ -871,11 +881,10 @@ mod tests {
             snap.counter_total("repair/frames_purged")
         };
         // a departed server owes nothing and is owed nothing, since its
-        // slab slot may be reused: no queued frame, index entry or shelf
-        // slot names it, and the indices still agree with the shelves
+        // slab slot may be reused: no queued frame or shelf slot names
+        // it, and the indices still agree with the shelves
         let departed = |dht: &ReplicatedDht, gone: NodeId| {
             assert!(dht.outbox.iter().all(|&(src, dst, _)| src != gone && dst != gone));
-            assert!(dht.held.range(held_by(gone)).next().is_none(), "{gone:?} still indexed");
             let holders = || dht.shelves.map().values().flat_map(|item| item.holders.values());
             assert!(holders().all(|h| h.node != gone), "{gone:?} still holds a share");
             assert!(dht.indices_consistent());

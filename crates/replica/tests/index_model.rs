@@ -1,17 +1,17 @@
 //! Model equivalence for the repair indices.
 //!
-//! `ReplicatedDht` keeps two incremental indices beside the shelves —
-//! the arc index `(h(key), key)` and the holder index
-//! `(node, key, idx)` — and `apply_put` skips every index update it
-//! can prove is a no-op (an overwrite landing on the same covers
-//! touches neither). That is only sound if the indices always equal
-//! what a from-scratch pass over the shelves would build, so this
+//! `ReplicatedDht` keeps the arc index `(h(key), key)` and `strays` —
+//! the items that may hold a share outside their clique — beside the
+//! shelves, and `apply_put` touches neither for an overwrite (every
+//! share lands on the clique). That is only sound if the arc index
+//! always equals what a from-scratch pass over the shelves would build
+//! and `strays` covers every off-clique item such a pass finds, so this
 //! storm asserts exactly that, [`ReplicatedDht::indices_consistent`],
 //! after **every** step of a seeded mix of: fresh put, overwrite on an
-//! unchanged clique, overwrite after a join moved the clique *without*
-//! repair (the only way a put sees a holder change), torn put over a
-//! lossy transport, join, leave, full `repair`, and `remove` — on both
-//! storage backends.
+//! unchanged clique, overwrite after a bare join moved the clique
+//! *without* repair (followed by the `reindex` a direct `net` mutation
+//! owes), torn put over a lossy transport, join, leave, full `repair`,
+//! and `remove` — on both storage backends.
 
 use bytes::Bytes;
 use cd_core::graph::DistanceHalving;
@@ -88,6 +88,7 @@ fn storm<S: Shelves>(seed: u64, shelves: S) -> Seen {
                 let before = placement(&dht, key);
                 let at = Point(dht.hash.point(key).bits().wrapping_add(rng.gen_range(1..1 << 20)));
                 if dht.net.join(at).is_some() {
+                    dht.reindex();
                     dht.put(from, key, value, &mut rng);
                     if !before.is_empty() && before != placement(&dht, key) {
                         seen.moved_clique += 1;

@@ -540,34 +540,12 @@ impl Shelves for FileShelves {
         }
     }
 
-    fn retire(&mut self, node: NodeId) -> Vec<u64> {
-        if !self.holds(node) {
-            return Vec::new(); // no record for share-less leavers
-        }
-        if self.append(&WalRecord::Retire { node }) {
-            self.live -= self
-                .mem
-                .map()
-                .values()
-                .flat_map(|it| it.holders.values())
-                .filter(|h| h.node == node)
-                .map(|h| park_record_bytes(h.sealed.len()))
-                .sum::<u64>();
-            let touched = self.mem.retire(node);
-            self.compact_if_due();
-            touched
-        } else {
-            Vec::new()
-        }
-    }
-
-    fn retire_hinted(&mut self, node: NodeId, hints: &[(u64, u8)]) -> Vec<u64> {
+    fn retire_hinted(&mut self, node: NodeId, hints: &[(u64, u8)]) {
         if hints.is_empty() {
-            return Vec::new(); // no record for share-less leavers
+            return; // no record for share-less leavers
         }
-        // one Retire record on disk, exactly as the scanning path —
-        // recovery replays it with the full retire, the hints only
-        // speed up the in-memory apply
+        // one Retire record on disk — recovery replays it with the
+        // full retire, the hints only speed up the in-memory apply
         if self.append(&WalRecord::Retire { node }) {
             for &(key, idx) in hints {
                 if let Some(h) = self.mem.map().get(&key).and_then(|it| it.holders.get(&idx))
@@ -577,11 +555,8 @@ impl Shelves for FileShelves {
                     }
                 }
             }
-            let touched = self.mem.retire_hinted(node, hints);
+            self.mem.retire_hinted(node, hints);
             self.compact_if_due();
-            touched
-        } else {
-            Vec::new()
         }
     }
 }
@@ -757,8 +732,14 @@ mod tests {
         }
         s.unpark(1, 2);
         s.remove(11);
-        assert_eq!(s.retire(NodeId(10)), vec![1, 12, 13]);
-        assert!(s.retire(NodeId(99)).is_empty());
+        // node 10 holds index 0 of every item: each loses that slot
+        s.retire(NodeId(10));
+        let slots: Vec<(u64, Vec<u8>)> =
+            s.map().iter().map(|(&key, it)| (key, it.holders.keys().copied().collect())).collect();
+        assert_eq!(slots, [(1, vec![1, 3]), (12, vec![1, 2, 3]), (13, vec![1, 2, 3])]);
+        let appended = s.records_appended();
+        s.retire(NodeId(99));
+        assert_eq!(s.records_appended(), appended, "no record for a server holding nothing");
         assert_eq!(s.live_len(), live_len_of(&s.mem), "counter drifted from scan");
         drop(s);
         let r = FileShelves::open(scratch.path()).unwrap();

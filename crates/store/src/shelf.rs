@@ -4,7 +4,8 @@
 //! holds which sealed share of which generation. `dh_replica` mutates
 //! shelves through exactly five verbs — [`Shelves::park`],
 //! [`Shelves::commit`], [`Shelves::unpark`], [`Shelves::remove`] and
-//! [`Shelves::retire`] — and reads them through the materialized
+//! [`Shelves::retire_hinted`] (whose scanning form is
+//! [`Shelves::retire`]) — and reads them through the materialized
 //! [`Shelves::map`]. Both backends keep the map in memory;
 //! [`crate::FileShelves`] additionally appends every verb to the WAL
 //! *before* applying it, which is the whole crash-consistency story:
@@ -318,22 +319,28 @@ pub trait Shelves {
     fn remove(&mut self, key: u64) -> bool;
 
     /// Drop every share held by `node` (it left; its shelf goes with
-    /// it). Returns the keys that lost a share, in key order — repair
-    /// uses this to know exactly which items the leaver impoverished
-    /// without rescanning the whole map.
-    fn retire(&mut self, node: NodeId) -> Vec<u64>;
+    /// it): scans the map for its slots and retires them through
+    /// [`Self::retire_hinted`].
+    fn retire(&mut self, node: NodeId) {
+        let slots: Vec<(u64, u8)> = self
+            .map()
+            .iter()
+            .flat_map(|(&key, item)| {
+                let held = item.holders.iter().filter(move |(_, h)| h.node == node);
+                held.map(move |(&idx, _)| (key, idx))
+            })
+            .collect();
+        self.retire_hinted(node, &slots);
+    }
 
     /// [`Self::retire`] with the `(key, idx)` shelf slots of `node`
-    /// already known (the replica layer keeps a holder index), so the
-    /// backend touches only those items instead of scanning the map.
-    /// `hints` must be sorted and **complete** — every slot `node`
-    /// holds — or the retire leaves stragglers behind; slots that
-    /// don't actually hold a share of `node` are skipped. The default
-    /// implementation ignores the hints and scans.
-    fn retire_hinted(&mut self, node: NodeId, hints: &[(u64, u8)]) -> Vec<u64> {
-        let _ = hints;
-        self.retire(node)
-    }
+    /// already known (the replica layer finds them through its arc
+    /// index), so the backend touches only those items instead of
+    /// scanning the map. `hints` must be sorted and **complete** —
+    /// every slot `node` holds — or the retire leaves stragglers
+    /// behind; slots that don't actually hold a share of `node` are
+    /// skipped. Empty hints retire nothing.
+    fn retire_hinted(&mut self, node: NodeId, hints: &[(u64, u8)]);
 
     /// Number of items shelved.
     fn items(&self) -> usize {
@@ -345,8 +352,8 @@ pub trait Shelves {
         self.map().values().map(|it| it.holders.len()).sum()
     }
 
-    /// Does `node` hold anything at all? (Lets the file backend skip
-    /// the retire record for share-less leavers.)
+    /// Does `node` hold anything at all? (The memory backend checks
+    /// retire hints for completeness with it in debug builds.)
     fn holds(&self, node: NodeId) -> bool {
         self.map().values().any(|it| it.holders.values().any(|h| h.node == node))
     }
@@ -409,32 +416,15 @@ impl Shelves for MemShelves {
         self.map.remove(&key).is_some()
     }
 
-    fn retire(&mut self, node: NodeId) -> Vec<u64> {
-        let mut touched = Vec::new();
-        for (key, item) in self.map.iter_mut() {
-            let before = item.holders.len();
-            item.holders.retain(|_, h| h.node != node);
-            if item.holders.len() != before {
-                touched.push(*key);
-            }
-        }
-        touched
-    }
-
-    fn retire_hinted(&mut self, node: NodeId, hints: &[(u64, u8)]) -> Vec<u64> {
-        let mut touched = Vec::new();
+    fn retire_hinted(&mut self, node: NodeId, hints: &[(u64, u8)]) {
         for &(key, idx) in hints {
             if let Some(item) = self.map.get_mut(&key) {
                 if item.holders.get(&idx).is_some_and(|h| h.node == node) {
                     item.holders.remove(&idx);
-                    if touched.last() != Some(&key) {
-                        touched.push(key);
-                    }
                 }
             }
         }
         debug_assert!(!self.holds(node), "incomplete retire hints for {node:?}");
-        touched
     }
 }
 

@@ -74,7 +74,8 @@ fn script(s: &mut FileShelves) {
     put(s, 1, 2); // overwrite
     park(s, 2, 2, 0..2); // torn put: parked, never committed
     s.unpark(3, 3);
-    assert_eq!(s.retire_hinted(node_of(1, 2), &[(1, 2)]), [1]);
+    s.retire_hinted(node_of(1, 2), &[(1, 2)]); // the one slot that node holds
+    assert_eq!(s.map()[&1].holders.keys().copied().collect::<Vec<_>>(), [0, 1, 3]);
     assert!(s.remove(4));
     assert!(!s.remove(9), "an unknown remove appends nothing");
     park(s, 2, 2, 2..3); // still buffered when the compaction starts
