@@ -109,20 +109,6 @@ impl Holders {
         self.slots.get_mut(usize::from(*idx))?.take()
     }
 
-    /// Keep only the holders `keep` accepts.
-    pub fn retain(&mut self, mut keep: impl FnMut(&u8, &Holder) -> bool) {
-        for (idx, slot) in INDICES.iter().zip(self.slots.iter_mut()) {
-            if slot.as_ref().is_some_and(|h| !keep(idx, h)) {
-                *slot = None;
-            }
-        }
-    }
-
-    /// Drop every holder; the slots stay.
-    pub fn clear(&mut self) {
-        self.slots.fill(None);
-    }
-
     /// Number of holders.
     pub fn len(&self) -> usize {
         self.values().count()
