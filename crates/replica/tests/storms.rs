@@ -687,12 +687,10 @@ profiles! {
     single_copy_churn_storm_dh: Profile { seeds: &[0xD001], ..SINGLE };
     single_copy_churn_storm_chord: Profile { topo: Topo::Chord, seeds: &[0xD002], ..SINGLE };
     single_copy_churn_storm_debruijn8: Profile { topo: Topo::Db8, seeds: &[0xD003], ..SINGLE };
-    /// §2.1 under each lookup algorithm, down to 8 servers.
+    /// §2.1 under the Fast lookup, down to 8 servers (the native
+    /// DistanceHalving lookup is `single_copy_churn_storm_dh`'s).
     storage_churn_storm_fast: Profile {
         kind: Some(LookupKind::Fast), members: (8, usize::MAX), seeds: &[0xF001], ..SINGLE
-    };
-    storage_churn_storm_dh: Profile {
-        kind: Some(LookupKind::DistanceHalving), members: (8, usize::MAX), seeds: &[0xD001], ..SINGLE
     };
     partition_heal_dh: Profile { seeds: &[0xA417], ..PARTITION };
     partition_heal_chord: Profile { topo: Topo::Chord, seeds: &[0xA418], ..PARTITION };

@@ -6,9 +6,11 @@
 //! the records that reached disk, and a crash rolls the map back to
 //! the last record boundary, never further. Opening a path runs the
 //! recovery scan: torn tails are truncated, corrupt interior records
-//! are skipped (and counted in [`Recovery`]), and every surviving
-//! share payload is a zero-copy window into the single recovered file
-//! buffer.
+//! are skipped (and counted in [`Recovery`]), and each record is
+//! applied as the scan accepts it. The surviving shares of an item are
+//! then copied into one buffer of its own, the layout a put leaves, so
+//! the file buffer is freed before `open` returns: a reopened store
+//! holds its live state, not its log's history.
 //!
 //! ## Crash injection
 //!
@@ -30,19 +32,24 @@
 //! (never while a crash point is armed — the crash matrix counts
 //! records). The append path only *detects* the crossing; the image is
 //! written from the in-memory map, so the compaction itself runs after
-//! the verb has applied the record that crossed — the image must hold
-//! that record's effect, because the log that carried it is replaced.
+//! the verb has applied the record that crossed — *an image never
+//! omits the record that triggered it*, because the log that carried
+//! it is replaced. The image is streamed ([`write_image`]) through a
+//! 64 KiB writer, one item's records at a time; a compaction that
+//! fails anywhere before the rename removes its partial image and
+//! leaves the old log the log of record — *a failed compaction loses
+//! no buffered park*.
 
 use crate::crash::CrashPoint;
 use crate::shelf::{apply_record, Holder, ItemState, MemShelves, Shelves};
-use crate::wal::{encode_record, scan, WalRecord, FILE_MAGIC};
+use crate::wal::{encode_record, scan_each, WalRecord, FILE_MAGIC};
 use bytes::Bytes;
 use cd_core::point::Point;
 use dh_obs::{EventKind as ObsEvent, Obs};
 use dh_proto::node::NodeId;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// What the recovery scan found when the store was opened.
@@ -133,19 +140,27 @@ impl FileShelves {
             Err(e) => return Err(e),
         };
         let buf = Bytes::from(data);
-        let scan = scan(&buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        // each record is applied as the scan accepts it: the log's
+        // history is never held as a record list beside the file
         let mut mem = MemShelves::new();
-        let mut skipped_apply = 0usize;
-        for rec in &scan.records {
-            if !apply_record(rec, &mut mem) {
+        let (mut accepted, mut skipped_apply) = (0usize, 0usize);
+        let scan = scan_each(&buf, |rec| {
+            accepted += 1;
+            if !apply_record(&rec, &mut mem) {
                 skipped_apply += 1;
             }
-        }
+        })
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        // the surviving shares are windows into `buf`; give each item
+        // one buffer of its own, so the dead log is freed with `buf`
+        mem.rehome_shares();
+        let file_len = buf.len();
+        drop(buf);
         // make the on-disk tail a record boundary again: create the
         // file with its magic, or cut the torn bytes off
         let file =
             OpenOptions::new().read(true).write(true).create(true).truncate(false).open(&path)?;
-        let wal_len = if buf.len() < FILE_MAGIC.len() {
+        let wal_len = if file_len < FILE_MAGIC.len() {
             file.set_len(0)?;
             let mut f = &file;
             f.write_all(&FILE_MAGIC)?;
@@ -168,7 +183,7 @@ impl FileShelves {
             dead: false,
             io_error: None,
             recovery: Recovery {
-                records: scan.records.len() - skipped_apply,
+                records: accepted - skipped_apply,
                 skipped: scan.skipped + skipped_apply,
                 torn_bytes: scan.torn_bytes,
             },
@@ -372,13 +387,11 @@ impl FileShelves {
     /// Every readable-state verb calls this once its record is applied
     /// to `mem`, so the compacted image holds the post-record state.
     /// A failed compaction is not fatal — the store keeps serving on
-    /// the old log — but it is not silent either: the error kind is
-    /// kept for [`Self::io_error`].
+    /// the old log — but it is not silent either: `compact` keeps the
+    /// error kind for [`Self::io_error`].
     fn compact_if_due(&mut self) {
         if std::mem::take(&mut self.compact_due) {
-            if let Err(e) = self.compact() {
-                self.io_error = Some(e.kind());
-            }
+            let _ = self.compact();
         }
     }
 
@@ -388,13 +401,30 @@ impl FileShelves {
     /// Parked-but-uncommitted generations survive compaction (their
     /// holders are written as parks; the final commit record restores
     /// the committed generation), so a torn write still rolls back the
-    /// same way after a compacted reopen.
+    /// same way after a compacted reopen. The image is streamed
+    /// ([`write_image`]): what it holds in memory is one item's records
+    /// and a 64 KiB writer, whatever the live size.
     ///
     /// An `Err` from anything up to and including the rename leaves
     /// the store alive and appending to the old log, which holds every
-    /// record `mem` reflects. Only failing to reopen the renamed log
-    /// loses the append handle, and that kills the store.
+    /// record `mem` reflects — *a failed compaction loses no buffered
+    /// park* — removes the partial image and is kept for
+    /// [`Self::io_error`]. Only failing to reopen the renamed log loses
+    /// the append handle, and that kills the store.
     pub fn compact(&mut self) -> io::Result<()> {
+        self.compact_through(|image| Box::new(image))
+    }
+
+    /// [`Self::compact`] with the image's sink wrapped by `sink` — the
+    /// fault-injection seam for a compaction that fails partway
+    /// through its image (as [`Self::arm`] is for appends). Everything
+    /// the image loop writes goes through the returned writer, which
+    /// must write to the file it is given; the fsync and the rename
+    /// follow only if it reported every byte written.
+    pub fn compact_through(
+        &mut self,
+        sink: impl FnOnce(&File) -> Box<dyn Write + '_>,
+    ) -> io::Result<()> {
         // buffered parks go to the old log first: it stays the log of
         // record until the rename, so it must hold all that `mem` does
         if self.dead || !self.flush_pending() {
@@ -403,31 +433,14 @@ impl FileShelves {
         let tmp = self.path.with_extension("compact");
         // create before encoding, so a compaction that cannot start
         // (and is retried at the next crossing) fails cheaply
-        let mut image = File::create(&tmp)?;
-        let mut out = Vec::with_capacity(self.live_len() as usize);
-        out.extend_from_slice(&FILE_MAGIC);
-        for (&key, item) in self.mem.map() {
-            for (&idx, h) in &item.holders {
-                encode_record(
-                    &WalRecord::Park {
-                        key,
-                        point: item.point,
-                        node: h.node,
-                        idx,
-                        sealed: h.sealed.clone(),
-                    },
-                    &mut out,
-                );
-            }
-            encode_record(&WalRecord::Commit { key, version: item.version }, &mut out);
-        }
-        image.write_all(&out)?;
-        image.sync_data()?;
-        drop(image);
-        // the commit point: readers of `path` see the old log right up
-        // to the instant they see the new one (the old append handle
-        // stays usable if the rename fails)
-        std::fs::rename(&tmp, &self.path)?;
+        let image_len = File::create(&tmp)
+            .and_then(|image| {
+                self.commit_image(image, &tmp, sink).inspect_err(|_| {
+                    let _ = std::fs::remove_file(&tmp);
+                })
+            })
+            .inspect_err(|e| self.io_error = Some(e.kind()))?;
+        debug_assert_eq!(image_len, self.live, "live_len drifted from the image");
         // the old handle now appends to an unlinked file: without a
         // new one the store cannot log, so it must not mutate either
         self.file = None;
@@ -438,11 +451,29 @@ impl FileShelves {
         self.file = Some(file);
         let sat = |v: u64| v.min(u64::from(u32::MAX)) as u32;
         self.obs.emit_storage(ObsEvent::Compaction {
-            live_bytes: sat(out.len() as u64),
+            live_bytes: sat(image_len),
             wal_bytes: sat(self.wal_len),
         });
-        self.wal_len = out.len() as u64;
+        self.wal_len = image_len;
         Ok(())
+    }
+
+    /// Stream the image through `sink` into `image` (the file at
+    /// `tmp`), sync it and rename it over the log. Returns its length.
+    fn commit_image(
+        &self,
+        image: File,
+        tmp: &Path,
+        sink: impl FnOnce(&File) -> Box<dyn Write + '_>,
+    ) -> io::Result<u64> {
+        let len = write_image(self.mem.map(), sink(&image))?;
+        image.sync_data()?;
+        drop(image);
+        // the commit point: readers of `path` see the old log right up
+        // to the instant they see the new one (the old append handle
+        // stays usable if the rename fails)
+        std::fs::rename(tmp, &self.path)?;
+        Ok(len)
     }
 
     /// The recovered items as `(key, version, holders)` triples —
@@ -454,6 +485,40 @@ impl FileShelves {
             .map(|(&key, it)| (key, it.version, it.holders.len()))
             .collect()
     }
+}
+
+/// The compaction writer's buffer: the most image bytes held before
+/// they are written out.
+pub const IMAGE_BUF_BYTES: usize = 1 << 16;
+
+/// Stream the compacted image of `map` into `sink`: the file magic,
+/// then per item in key order its holders' `Park` records in index
+/// order and its `Commit` record — the bytes a replay of the whole log
+/// would rebuild `map` from. Each item is encoded into one reused
+/// record buffer and written through a [`IMAGE_BUF_BYTES`] writer, so
+/// no write and no buffer is larger than that plus one item's records.
+/// The image is taken from the map, after the verb that triggered it
+/// applied its record: *an image never omits the record that triggered
+/// it*. Returns the bytes written, which on success equal
+/// [`FileShelves::live_len`]; on error `sink` holds a prefix.
+pub fn write_image(map: &BTreeMap<u64, ItemState>, sink: impl Write) -> io::Result<u64> {
+    let mut out = BufWriter::with_capacity(IMAGE_BUF_BYTES, sink);
+    out.write_all(&FILE_MAGIC)?;
+    let mut written = FILE_MAGIC.len() as u64;
+    let mut records = Vec::new();
+    for (&key, item) in map {
+        records.clear();
+        for (&idx, h) in &item.holders {
+            let (node, sealed) = (h.node, h.sealed.clone());
+            let park = WalRecord::Park { key, point: item.point, node, idx, sealed };
+            encode_record(&park, &mut records);
+        }
+        encode_record(&WalRecord::Commit { key, version: item.version }, &mut records);
+        out.write_all(&records)?;
+        written += records.len() as u64;
+    }
+    out.flush()?;
+    Ok(written)
 }
 
 /// Encoded size of a `Park` record holding a `sealed_len`-byte blob.
@@ -606,9 +671,31 @@ mod tests {
         assert_eq!(s.recovery().records, 11);
         assert_eq!(s.recovery().skipped, 0);
         assert_eq!(s.snapshot(), vec![(1, 1, 4), (2, 1, 3)]);
-        // shares survive byte-for-byte and open zero-copy
+        // shares survive byte-for-byte
         let item = &s.map()[&1];
         assert_eq!(item.shares_of(1).len(), 4);
+    }
+
+    #[test]
+    fn a_reopened_item_owns_one_buffer_in_put_layout() {
+        let scratch = ScratchPath::new("rehome");
+        {
+            let mut s = FileShelves::open(scratch.path()).unwrap();
+            put_item(&mut s, 1, 1, b"first generation");
+            put_item(&mut s, 2, 1, b"second item");
+            put_item(&mut s, 1, 2, b"overwrite");
+        }
+        let s = FileShelves::open(scratch.path()).unwrap();
+        // in the log, park records sit 34 frame and field bytes apart:
+        // adjacent blobs were copied out of the file buffer, in index
+        // order, into one buffer per item
+        for item in s.map().values() {
+            let blobs: Vec<&Bytes> = item.holders.values().map(|h| &h.sealed).collect();
+            for pair in blobs.windows(2) {
+                assert_eq!(pair[0].as_ptr_range().end, pair[1].as_ptr(), "not one buffer");
+            }
+        }
+        assert_eq!(s.map()[&1].shares_of(2).len(), 4);
     }
 
     #[test]
@@ -780,6 +867,20 @@ mod tests {
         drop(s);
         let r = FileShelves::open(scratch.path()).unwrap();
         assert_eq!(r.snapshot(), want);
+    }
+
+    #[test]
+    fn another_format_version_is_refused_by_name_not_clobbered() {
+        let scratch = ScratchPath::new("wal-v2");
+        let mut v2 = b"DHSHELF\x02".to_vec();
+        v2.extend_from_slice(&[0xAA; 40]);
+        std::fs::write(scratch.path(), &v2).unwrap();
+        let err = FileShelves::open(scratch.path()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let inner = err.get_ref().and_then(|e| e.downcast_ref::<crate::WalError>());
+        assert_eq!(inner, Some(&crate::WalError::UnsupportedVersion { found: 2 }));
+        assert!(err.to_string().contains("version 2"), "{err}");
+        assert_eq!(std::fs::read(scratch.path()).unwrap(), v2, "the file is untouched");
     }
 
     #[test]

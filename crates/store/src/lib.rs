@@ -21,12 +21,13 @@
 //! * The **recovery scan** ([`wal::scan`]) on [`FileShelves::open`]
 //!   truncates a torn tail and *skips* corrupt interior records
 //!   instead of failing: one flipped bit costs one record, never the
-//!   store. Share payloads come back as zero-copy [`bytes::Bytes`]
-//!   windows into the single recovered file buffer.
-//! * **Compaction** ([`FileShelves::compact`]) rewrites the live state
-//!   to a fresh file and atomically renames it over the log, so the
-//!   WAL does not grow without bound; it runs automatically once the
-//!   log dwarfs the live state.
+//!   store. Each item's recovered shares are copied into one buffer of
+//!   its own, so a reopened store holds its live state and frees the
+//!   file buffer before `open` returns.
+//! * **Compaction** ([`FileShelves::compact`]) streams the live state
+//!   to a fresh file through a 64 KiB writer and atomically renames it
+//!   over the log, so the WAL does not grow without bound; it runs
+//!   automatically once the log dwarfs the live state.
 //! * [`CrashPoint`] is the deterministic crash-injection hook: it
 //!   kills the write path after any chosen record with any chosen
 //!   number of torn bytes, which is what lets the tests sweep the

@@ -134,6 +134,11 @@ impl Holders {
         self.slots.iter().flatten()
     }
 
+    /// The holders in ascending index, mutably.
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut Holder> + '_ {
+        self.slots.iter_mut().flatten()
+    }
+
     /// How many slots the array has room for, held or not.
     #[doc(hidden)]
     pub fn capacity(&self) -> usize {
@@ -374,6 +379,26 @@ impl MemShelves {
             ItemState { point, version: 0, holders: Holders::default() }
         });
         (created, item.holders.insert(idx, holder))
+    }
+
+    /// Copy each item's sealed shares into one buffer of its own, in
+    /// index order — the layout a put leaves — so no share is left a
+    /// window into a larger buffer (the recovered log, on open).
+    pub(crate) fn rehome_shares(&mut self) {
+        for item in self.map.values_mut() {
+            let len = item.holders.values().map(|h| h.sealed.len()).sum();
+            let mut own = Vec::with_capacity(len);
+            for h in item.holders.values() {
+                own.extend_from_slice(&h.sealed);
+            }
+            let own = Bytes::from(own);
+            let mut at = 0;
+            for h in item.holders.values_mut() {
+                let end = at + h.sealed.len();
+                h.sealed = own.slice(at..end);
+                at = end;
+            }
+        }
     }
 }
 

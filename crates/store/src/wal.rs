@@ -33,8 +33,13 @@ use bytes::Bytes;
 use cd_core::point::Point;
 use dh_proto::node::NodeId;
 
-/// First 8 bytes of every shelf WAL (`DHSHELF` + format version 1).
-pub const FILE_MAGIC: [u8; 8] = *b"DHSHELF\x01";
+/// The format version this build writes and reads. A log of any other
+/// version is refused ([`WalError::UnsupportedVersion`]), not
+/// translated.
+pub const FORMAT_VERSION: u8 = 1;
+
+/// First 8 bytes of every shelf WAL (`DHSHELF` + [`FORMAT_VERSION`]).
+pub const FILE_MAGIC: [u8; 8] = [b'D', b'H', b'S', b'H', b'E', b'L', b'F', FORMAT_VERSION];
 
 /// Marker starting every record frame: what the recovery scan
 /// resynchronizes on after damage.
@@ -266,18 +271,28 @@ pub struct Scan {
     pub torn_bytes: u64,
 }
 
-/// Why a buffer is not a shelf WAL at all (damage *inside* a WAL is
-/// never an error — the scan degrades record by record instead).
+/// Why a buffer is not a shelf WAL this build can read (damage
+/// *inside* a WAL is never an error — the scan degrades record by
+/// record instead).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WalError {
-    /// The first 8 bytes are not [`FILE_MAGIC`].
+    /// The first 8 bytes are not `DHSHELF` and a version byte.
     NotAShelfStore,
+    /// A shelf WAL of another format version: refused, not translated.
+    UnsupportedVersion {
+        /// The version byte the file carries.
+        found: u8,
+    },
 }
 
 impl std::fmt::Display for WalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WalError::NotAShelfStore => write!(f, "file does not start with the shelf-WAL magic"),
+            WalError::UnsupportedVersion { found } => write!(
+                f,
+                "shelf WAL format version {found} is not supported (this build reads {FORMAT_VERSION})"
+            ),
         }
     }
 }
@@ -297,12 +312,22 @@ fn read_u32_at(buf: &[u8], at: usize) -> Option<u32> {
     Some(u32::from_le_bytes(buf.get(at..at + 4)?.try_into().ok()?))
 }
 
-/// The recovery scan: walk `buf` record by record, accepting only
-/// whole, checksummed, parseable records. Interior damage skips
-/// forward to the next record marker; an unterminated tail is
-/// reported as torn (the opener truncates it so appends restart at a
-/// record boundary). A file shorter than the magic is an empty store.
+/// The recovery scan, collecting: every accepted record in log order,
+/// plus what [`scan_each`] reports.
 pub fn scan(buf: &Bytes) -> Result<Scan, WalError> {
+    let mut records = Vec::new();
+    let out = scan_each(buf, |rec| records.push(rec))?;
+    Ok(Scan { records, ..out })
+}
+
+/// The recovery scan: walk `buf` record by record, handing each whole,
+/// checksummed, parseable record to `accept` as soon as it is found.
+/// Interior damage skips forward to the next record marker; an
+/// unterminated tail is reported as torn (the opener truncates it so
+/// appends restart at a record boundary). A file shorter than the
+/// magic is an empty store. The returned [`Scan`] holds no records:
+/// they all went to `accept`.
+pub fn scan_each(buf: &Bytes, mut accept: impl FnMut(WalRecord)) -> Result<Scan, WalError> {
     let mut out = Scan { clean_len: FILE_MAGIC.len() as u64, ..Scan::default() };
     if buf.is_empty() {
         return Ok(out);
@@ -314,8 +339,11 @@ pub fn scan(buf: &Bytes) -> Result<Scan, WalError> {
             out.torn_bytes = buf.len() as u64;
             return Ok(out);
         }
-        Some(head) if head != FILE_MAGIC => return Err(WalError::NotAShelfStore),
-        Some(_) => {}
+        Some(head) if head == FILE_MAGIC => {}
+        Some(&[b'D', b'H', b'S', b'H', b'E', b'L', b'F', found]) => {
+            return Err(WalError::UnsupportedVersion { found })
+        }
+        Some(_) => return Err(WalError::NotAShelfStore),
     }
     let mut pos = FILE_MAGIC.len();
     loop {
@@ -362,7 +390,7 @@ pub fn scan(buf: &Bytes) -> Result<Scan, WalError> {
         }
         match parse_body(buf, body_start, len) {
             Some(rec) => {
-                out.records.push(rec);
+                accept(rec);
                 pos = body_start + len;
                 out.clean_len = pos as u64;
             }
@@ -468,6 +496,17 @@ mod tests {
         assert_eq!(s.records, vec![]);
         assert_eq!(s.torn_bytes, 5);
         assert!(scan(&Bytes::from(vec![9u8; 64])).is_err(), "foreign files are rejected");
+    }
+
+    #[test]
+    fn another_format_version_is_a_typed_error() {
+        let mut v2 = encode_all(&sample_records());
+        v2[7] = 2;
+        let err = scan(&Bytes::from(v2)).unwrap_err();
+        assert_eq!(err, WalError::UnsupportedVersion { found: 2 });
+        assert!(err.to_string().contains("version 2"), "{err}");
+        let foreign = Bytes::from(b"DHSHALF\x01".to_vec());
+        assert_eq!(scan(&foreign).unwrap_err(), WalError::NotAShelfStore);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! uses: an immutable, cheaply clonable byte buffer. Backed by
 //! `Arc<Vec<u8>>` plus a window, so clones are reference bumps,
 //! [`Bytes::slice`] is zero-copy and `Bytes::from(Vec<u8>)` keeps the
-//! vector's allocation, exactly like upstream — the WAL shelf store
-//! (`dh_store`) leans on this to hand out share payloads as views into
-//! the single recovered file buffer, and the coder to hand out a
-//! codeword's shares as views into the one buffer it wrote.
+//! vector's allocation, exactly like upstream — the coder leans on
+//! this to hand out a codeword's shares as views into the one buffer
+//! it wrote, and the WAL shelf store (`dh_store`) to give a recovered
+//! item's shares the same layout: views into one buffer per item.
 
 use std::fmt;
 use std::ops::{Bound, Deref, RangeBounds};
