@@ -11,7 +11,8 @@
 //!   suspects were blamed, how many bytes it burned.
 //! * **Price every subsystem** — engine stats export per plane
 //!   (label 0 = client ops, label 1 = repair), the member protocol of
-//!   every join and leave counts under `churn/member_*`, per-node
+//!   every join and leave counts under `churn/member_*` (the join
+//!   lookups' share apart) and its arena work under `churn/arena_*`, per-node
 //!   delivery loads accumulate under `load/deliver`, checked against
 //!   the congestion shape.
 //!
@@ -114,10 +115,19 @@ fn main() {
         snap.counter_total("repair/frames_purged"),
         out.repair.shares_rebuilt,
     );
+    let (member, lookups) =
+        (snap.counter_total("churn/member_msgs"), snap.counter_total("churn/join_lookup_msgs"));
     println!(
-        "membership: {} msgs, {} bytes (join lookups, splits, merges, neighbor diffs)",
-        snap.counter_total("churn/member_msgs"),
+        "membership: {member} msgs = {lookups} join lookups + {} splits, merges and \
+         neighbor diffs, {} bytes",
+        member - lookups,
         snap.counter_total("churn/member_bytes"),
+    );
+    println!(
+        "arena: {} slots moved, {} entries re-pointed, {} compactions",
+        snap.counter_total("churn/arena_slots_moved"),
+        snap.counter_total("churn/arena_entries_repointed"),
+        snap.counter_total("churn/arena_compactions"),
     );
 
     if chaos {

@@ -321,11 +321,13 @@ claims! {
     E22A Le "Thm 7.1: max guests per host g; the paper's ρ + 1 is the case 2^k = n" => "ρ·2^k/n + 1";
     E22B Le "Thm 7.1: max guest edges per host edge; the paper's ρ² counts ρ guests per host where the mapping gives g" => "g²";
     E22C Le "Thm 7.1: max host degree, likewise" => "g·d";
-    E23A Le "§2.1: a join's lookup is a DH Lookup (E6A): max hops of 200 joins" => "2(log₂ n + log₂ ρ) + 3";
+    E23A Le "§2.1: a join's lookup is a Fast Lookup (LookupKind::for_join; E4's bound at the n and ρ it joins): hops of 200 joins" => "log₂ n + log₂ ρ + 1 + 1";
     E23B Le "§2.1: servers changing state per join, mean" => "20";
     E23C Le "§2.1: … is O(ρ + ∆), flat in n: spread of the mean over the n sweep" => "1.5";
     E23D Eq "§2.1: a join sends a JoinSplit or NeighborDiff per server whose table changed (split node, joiner; every live table diffed): msgs of 32 joins" => "tables changed";
     E23E Eq "§2.1: a graceful leave sends a LeaveMerge plus a NeighborDiff per server whose table changed: msgs of 32 leaves" => "leaves + tables changed";
+    E23F Le "§2.1 + Cor 2.5: a join's member messages (lookup hops, JoinSplit, diffs) on a Multiple Choice network (ρ = O(1)): E4's Fast Lookup bound + one per table changed + 2" => "log₂ n + log₂ ρ + 2 + changed + 2";
+    E23G Le "§2.1 + Thm 2.2: a graceful leave's distinct NeighborDiff receivers, same network: the watchers of the leaver and of its predecessor, each ≤ in-degree (E2B) + out-degree (E2A) + 2 ring links" => "2(⌈2ρ⌉ + 1 + ρ + 4 + 2)";
     T1A  Le "Table 1, path length: mean path ÷ the row's order (Chord, Tapestry, Viceroy log₂ n; CAN d·n^(1/d); Small Worlds log₂² n; DH log_∆ n)" => "c_path (TABLE1)";
     T1B  Le "Table 1, congestion: max load/m ÷ (the row's path order / n)" => "c_cong (TABLE1)";
     T1C  Le "Table 1, linkage: max degree ÷ the row's order (log₂ n, log₂ n, d, 1, 1, ∆); for DH the mean degree, ≤ 2∆ + 4 by Thm 2.1's edge count plus the ring, its max being E8C's" => "c_link (TABLE1)";
@@ -346,6 +348,11 @@ fn sweep(sizes: &[usize]) -> String {
 /// Segment length as a multiple of the even share `1/n`.
 fn times_n(len: u128, n: usize) -> f64 {
     len as f64 / FULL as f64 * n as f64
+}
+
+/// Cor 2.5's bound with the ring hop E4 names.
+fn fast_path_bound(n: usize, rho: f64) -> f64 {
+    lg(n) + rho.log2().max(0.0) + 2.0
 }
 
 /// Thm 2.8's bound with the two implementation terms E6A names.
@@ -398,7 +405,7 @@ fn lookup(t: &mut Table, p: &Params) {
             let seed = MASTER_SEED ^ n as u64;
             let fast = random_lookups(&net, LookupKind::Fast, 4 * n, seed).path_lengths;
             let dh = random_lookups(&net, LookupKind::DistanceHalving, 4 * n, seed).path_lengths;
-            t.push(&E4, &at, fast.max, lg(n) + rho.log2().max(0.0) + 2.0);
+            t.push(&E4, &at, fast.max, fast_path_bound(n, rho));
             t.push(&E6A, &at, dh.max, dh_path_bound(n, rho));
             t.check(&E6B, &at, dh.mean / fast.mean);
         }
@@ -872,26 +879,29 @@ fn join(t: &mut Table, p: &Params) {
     let mut changes = Vec::new();
     for &n in p.sizes {
         let mut rng = seeded(MASTER_SEED ^ 0x23 ^ n as u64);
-        let ps = random_points(n, 23);
-        let bound = dh_path_bound(n, ps.smoothness());
-        let mut net = DhNetwork::new(&ps);
+        let mut net = DhNetwork::new(&random_points(n, 23));
         let (kind, mut eng) = (net.native_kind(), Engine::default());
-        let costs: Vec<_> = (0..200u64)
-            .filter_map(|i| {
-                let (host, x) = (net.random_node(&mut rng), Point(rng.gen()));
-                join_over(&mut eng, &mut net, host, x, kind, i, &mut Inline).map(|(_, cost)| cost)
-            })
-            .collect();
-        // under Inline a lookup message is a hop, and the notifications
-        // (JoinSplit, a diff per watcher, the joiner's table) reach
-        // exactly the servers whose state changed
-        let hops = costs.iter().map(|c| c.lookup_msgs).max().expect("joins");
-        changes.push(costs.iter().map(|c| c.notify_msgs).sum::<u64>() as f64 / costs.len() as f64);
-        t.push(&E23A, at_n(n), hops as f64, bound);
+        let mut notify = Vec::new();
+        for i in 0..200u64 {
+            // a join routes Fast Lookup on the two-phase store, so its
+            // bound is E4's at the network it joins
+            let bound = fast_path_bound(net.len(), net.smoothness());
+            let (host, x) = (net.random_node(&mut rng), Point(rng.gen()));
+            if let Some((_, cost)) = join_over(&mut eng, &mut net, host, x, kind, i, &mut Inline) {
+                // under Inline a lookup message is a hop, and the
+                // notifications (JoinSplit, a diff per watcher, the
+                // joiner's table) reach exactly the servers whose
+                // state changed
+                t.push(&E23A, format!("n = {n}, join {i}"), cost.lookup_msgs as f64, bound);
+                notify.push(cost.notify_msgs);
+            }
+        }
+        changes.push(notify.iter().sum::<u64>() as f64 / notify.len() as f64);
         t.check(&E23B, at_n(n), changes[changes.len() - 1]);
         member_cost_on(t, DistanceHalving::binary(), n);
         member_cost_on(t, ChordLike, n);
         member_cost_on(t, DeBruijn::new(8), n);
+        member_bound(t, n);
     }
     t.check(&E23C, sweep(p.sizes), spread(&changes));
 }
@@ -937,6 +947,38 @@ fn member_cost_on<G: ContinuousGraph>(t: &mut Table, graph: G, n: usize) {
     }
     for (claim, notify, bound) in sums {
         t.push(claim, &at, notify as f64, bound as f64);
+    }
+}
+
+/// §2.1's member cost against Cor 2.5's path and Thm 2.2's degrees:
+/// 32 joins and 32 graceful leaves over the wire, alternating, each
+/// a point. On random ids ρ is Θ(n log n) and those bounds say
+/// nothing, so the network starts evenly spaced and §4's Multiple
+/// Choice picks every joiner's point (E13D–E16D keep ρ = O(1)); a join
+/// still routes Fast Lookup, whose path bound holds for any target.
+fn member_bound(t: &mut Table, n: usize) {
+    let mut rng = seeded(MASTER_SEED ^ 0x23F ^ n as u64);
+    let mut net = DhNetwork::new(&PointSet::evenly_spaced(n));
+    let (kind, mut eng) = (net.native_kind(), Engine::default());
+    for i in 0..64u64 {
+        let (len, rho, at) = (net.len(), net.smoothness(), format!("n = {n}, op {i}"));
+        if i % 2 == 0 {
+            let before = tables(&net);
+            let host = net.random_node(&mut rng);
+            let x = IdStrategy::MultipleChoice { t: 3 }.choose(&net, &mut rng);
+            let joined = join_over(&mut eng, &mut net, host, x, kind, i, &mut Inline);
+            let cost = joined.expect("Inline joins a fresh point").1;
+            let after = tables(&net);
+            let changed = after.iter().filter(|&(id, table)| before.get(id) != Some(table)).count();
+            let bound = fast_path_bound(len, rho) + changed as f64 + 2.0;
+            t.push(&E23F, at, (cost.lookup_msgs + cost.notify_msgs) as f64, bound);
+        } else {
+            let v = net.random_node(&mut rng);
+            // Inline: the LeaveMerge, then one diff per distinct receiver
+            let receivers = leave_over(&mut eng, &mut net, v, &mut Inline).notify_msgs - 1;
+            let per_table = (2.0 * rho).ceil() + 1.0 + rho + 4.0 + 2.0;
+            t.push(&E23G, at, receivers as f64, 2.0 * per_table);
+        }
     }
 }
 

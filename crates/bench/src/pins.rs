@@ -69,17 +69,17 @@ const NO_SHELVES: &[Backend] = &[Backend::Mem];
 const BOTH: &[Backend] = &[Backend::Mem, Backend::File];
 
 /// `e_slo`'s pin, which `e_obs`'s wire fold must reproduce.
-const SLO_WIRE: u64 = 0x697fc97cf115336f;
+const SLO_WIRE: u64 = 0x3a9db53f9323ecc2;
 
 /// The table.
 pub static PINS: [Pin; 7] = [
     Pin { name: "e_msgs", backends: NO_SHELVES, scenario: msgs, want: 0xdbb66edfc105b37e },
     Pin { name: "e_table1", backends: NO_SHELVES, scenario: table1, want: 0xe6adac908951bb17 },
-    Pin { name: "e_repl", backends: BOTH, scenario: repl, want: 0xd15c347c9d22b3cb },
+    Pin { name: "e_repl", backends: BOTH, scenario: repl, want: 0x97f2853bec99011e },
     Pin { name: "e_slo", backends: BOTH, scenario: slo_wire, want: SLO_WIRE },
     Pin { name: "e_chaos", backends: BOTH, scenario: chaos_campaign, want: 0xe30678ce41476825 },
     Pin { name: "e_obs wire", backends: BOTH, scenario: obs_wire, want: SLO_WIRE },
-    Pin { name: "e_obs recorder", backends: BOTH, scenario: obs_recorder, want: 0x00e08a666aaab1f0 },
+    Pin { name: "e_obs recorder", backends: BOTH, scenario: obs_recorder, want: 0x2d9f035d9175ddff },
 ];
 
 /// Run every row once per backend and return one line per failure:

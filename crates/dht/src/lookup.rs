@@ -25,9 +25,11 @@
 //! whole hops that is `2(log_∆ n + log_∆ ρ) + 3` — each phase takes
 //! `t ≤ ⌈log_∆ nρ⌉` steps, one more than the real-valued bound, and
 //! phase 1 may end with a hop to the *neighbour* covering `q_t` — and
-//! it is the bound of every lookup-driven operation (a join's lookup,
-//! a cached request). Theorems 2.9–2.11: congestion `Θ(log n / n)`
-//! even for worst-case permutation workloads.
+//! it is the bound of every lookup-driven operation on the data path
+//! (a cached request). Theorems 2.9–2.11: congestion `Θ(log n / n)`
+//! even for worst-case permutation workloads. A join's lookup needs no
+//! such guarantee, since its target is random:
+//! [`LookupKind::for_join`] routes it by Fast Lookup.
 
 use crate::network::{CdNetwork, NodeId, Slot};
 use cd_core::graph::ContinuousGraph;
@@ -48,6 +50,25 @@ pub enum LookupKind {
     /// memoryless [`ContinuousGraph::greedy_step`]. Greedy instances
     /// only.
     Greedy,
+}
+
+impl LookupKind {
+    /// The lookup a join routes (§2.1 step 2) on a store whose data
+    /// path routes `self`: Fast Lookup in place of the two-phase
+    /// route, the identity otherwise. A client picks its keys, so the
+    /// data path keeps the randomized route, whose congestion bound
+    /// holds for any set of targets (Thms 2.9–2.11; Fast Lookup loses
+    /// it on the bit-reversal permutation, `e_paper` A1A). A joiner's
+    /// point is drawn uniformly at random, the case where Fast Lookup
+    /// is both shortest (Cor. 2.5) and congestion-bounded (Thm 2.7).
+    /// `DistanceHalving` only runs on digit instances, so the mapping
+    /// never hands Fast Lookup to a greedy one.
+    pub fn for_join(self) -> LookupKind {
+        match self {
+            LookupKind::DistanceHalving => LookupKind::Fast,
+            kind => kind,
+        }
+    }
 }
 
 impl std::fmt::Display for LookupKind {

@@ -210,6 +210,22 @@ const COMPACT_FLOOR: usize = 1_024;
 /// from their mean slot size.
 const BUILD_SAMPLE: usize = 4_096;
 
+/// What the last join or leave did to the arena besides rewriting
+/// tables in place ([`CdNetwork::arena_churn`]). A compaction slides
+/// and re-points every live slot; it is amortised over the events that
+/// made its holes, so it is counted apart, not in the two moves.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ArenaChurn {
+    /// Slots rewritten at the arena tail because their table grew
+    /// (the joiner's bare header counts: its first table always grows).
+    pub slots_moved: u64,
+    /// Entries in the moved slots' watchers re-pointed at their new
+    /// slots.
+    pub entries_repointed: u64,
+    /// Compactions the event triggered.
+    pub compactions: u64,
+}
+
 /// Reusable buffers for the churn machinery, owned by the network so
 /// that join/leave allocate nothing in the steady state.
 #[derive(Default)]
@@ -253,6 +269,8 @@ pub struct CdNetwork<G: ContinuousGraph> {
     live_pos: Vec<u32>,
     /// Reusable churn buffers.
     scratch: ChurnScratch,
+    /// The last churn event's arena work.
+    churn: ArenaChurn,
 }
 
 /// The discrete Distance Halving network — the flagship instance of
@@ -351,6 +369,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
             live: (0..n as u32).map(NodeId).collect(),
             live_pos: (0..n as u32).collect(),
             scratch: ChurnScratch::default(),
+            churn: ArenaChurn::default(),
         }
     }
 
@@ -667,12 +686,14 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         if moves {
             let mut watchers = mem::take(&mut self.scratch.watchers);
             self.watchers_into(id, &mut watchers, &mut arcs);
+            self.churn.slots_moved += 1;
             for &u in &watchers {
                 let at = self.slot_of(u);
                 let len = self.head(at).len as usize;
                 for nb in &mut self.arena[at as usize + 1..][..len] {
                     if nb.id == id {
                         nb.slot = slot;
+                        self.churn.entries_repointed += 1;
                     }
                 }
             }
@@ -708,6 +729,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
     /// not yet moved), re-pointing each entry as its slot lands: every
     /// new offset is assigned before the first cell moves.
     fn compact(&mut self) {
+        self.churn.compactions += 1;
         let mut slices = mem::take(&mut self.scratch.slices);
         slices.clear();
         slices.extend(self.live.iter().map(|&id| (self.recs[id.0 as usize].slot, id.0)));
@@ -734,6 +756,12 @@ impl<G: ContinuousGraph> CdNetwork<G> {
     // Join / leave
     // ------------------------------------------------------------------
 
+    /// What the last [`Self::join`] or [`Self::leave`] moved and
+    /// re-pointed in the arena (all zero before the first).
+    pub fn arena_churn(&self) -> ArenaChurn {
+        self.churn
+    }
+
     /// Join a new server with identifier point `x` (Algorithm Join,
     /// §2.1). The segment covering `x` splits at `x`; tables of the
     /// affected nodes are rebuilt.
@@ -744,6 +772,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         if self.registry.contains_key(&x.bits()) {
             return None;
         }
+        self.churn = ArenaChurn::default();
         let old = self.cover_of(x);
         // Split s(old) at x: old keeps [x_old, x), new gets [x, old_end).
         let (keep, give) = self.segment(old).split(x);
@@ -805,6 +834,7 @@ impl<G: ContinuousGraph> CdNetwork<G> {
     /// Panics when removing the last node.
     pub fn leave(&mut self, id: NodeId) {
         assert!(self.live.len() > 1, "cannot remove the last server");
+        self.churn = ArenaChurn::default();
         let Rec { slot, succ: after, pred } = *self.rec(id);
         let Head { len, segment: seg, .. } = self.head(slot);
         debug_assert_ne!(pred, id);

@@ -14,7 +14,10 @@
 //! [`join_over`]/[`leave_over`] run the paper's Join/Leave algorithms
 //! as wire traffic (lookup steps, a `JoinSplit`/`LeaveMerge` RPC, one
 //! `NeighborDiff` per server whose table changes — the watchers
-//! [`CdNetwork::watchers`] derives) on the caller's engine, while the
+//! [`CdNetwork::watchers`] derives) on the caller's engine. A join's
+//! lookup is [`LookupKind::for_join`] of the store's data-path lookup:
+//! Fast Lookup where the data path routes two-phase, because the
+//! joiner's point is random, not picked. The
 //! verified incremental table maintenance of [`CdNetwork`] applies the
 //! state transition — the message layer prices what the state layer
 //! does. Churn lends its runs no detector and records nothing.
@@ -76,7 +79,9 @@ pub fn route_kind(kind: LookupKind) -> RouteKind {
 /// Message cost of one churn operation driven through the engine.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChurnMsgCost {
-    /// Messages of the initial lookup (Join step 2; 0 for Leave).
+    /// Messages of the initial lookup (Join step 2, routed by
+    /// [`LookupKind::for_join`] of the `kind` passed to [`join_over`];
+    /// 0 for Leave).
     pub lookup_msgs: u64,
     /// The `JoinSplit`/`LeaveMerge` RPC plus one `NeighborDiff` per
     /// server whose table the operation changed, however many of its
@@ -90,6 +95,8 @@ pub struct ChurnMsgCost {
 /// policy: route a lookup for `x` from `host`, send `JoinSplit` to the
 /// covering server, apply the verified split ([`CdNetwork::join`]),
 /// then send one `NeighborDiff` to every server whose table changed.
+/// `kind` is the store's data-path lookup; the join routes
+/// [`LookupKind::for_join`] of it (Fast Lookup for `DistanceHalving`).
 /// Returns `None` on identifier collision or if the lookup failed on
 /// a lossy transport (caller may retry with a fresh seed).
 pub fn join_over<G: ContinuousGraph, T: Transport>(
@@ -105,7 +112,7 @@ pub fn join_over<G: ContinuousGraph, T: Transport>(
         return None; // identifier collision
     }
     // step 2: lookup x from the host
-    let op = eng.submit(seed, route_kind(kind), host, x, Action::Locate);
+    let op = eng.submit(seed, route_kind(kind.for_join()), host, x, Action::Locate);
     let lookup = eng.run(&*net, transport, None, &Default::default(), &NoShares);
     let out = eng.take_outcome(op);
     if !out.ok {

@@ -4,7 +4,8 @@
 //! every table from scratch and checks ring-pointer/registry
 //! agreement, so passing it after a storm is exactly that guarantee.
 
-use cd_core::graph::{ChordLike, ContinuousGraph, DistanceHalving};
+use cd_core::graph::{ChordLike, ContinuousGraph, DeBruijn, DistanceHalving};
+use cd_core::interval::Interval;
 use cd_core::pointset::PointSet;
 use cd_core::rng::seeded;
 use cd_core::Point;
@@ -12,6 +13,7 @@ use dh_dht::{CdNetwork, DhNetwork, NodeId};
 use dh_proto::engine::Topology;
 use proptest::prelude::*;
 use rand::Rng;
+use std::collections::BTreeMap;
 
 /// Drive `ops` random join/leave operations (≈55/45 mix, floor of 8
 /// servers) and return how many of each ran.
@@ -272,4 +274,53 @@ proptest! {
         net.validate(); // tables == fresh derivation, ring == registry
         prop_assert!(net.len() > 8);
     }
+}
+
+/// Every live table as (entry id, entry segment) lists, keyed by
+/// server: what a churn event's diff compares.
+fn tables<G: ContinuousGraph>(net: &CdNetwork<G>) -> BTreeMap<NodeId, Vec<(NodeId, Interval)>> {
+    let entries = |id| net.node(id).neighbors.iter().map(|nb| (nb.id, nb.segment)).collect();
+    net.live().iter().map(|&id| (id, entries(id))).collect()
+}
+
+/// The arena work a join or leave reports, against the tables it
+/// changed (`CdNetwork::arena_churn`): a slot moves only when its own
+/// table grew, so at most one per changed table, and a moved slot
+/// re-points one entry per watcher, so re-pointed entries per changed
+/// table are bounded by an in-degree (Thm 2.2 for ∆ = 2, ∆ times that
+/// for de Bruijn-8, the finger count for Chord-like). The worst events
+/// of these storms re-point 9.8 (dh), 17.5 (Chord-like) and 32.2
+/// (de Bruijn-8) entries per changed table; the constant is a round
+/// one ≥ 25 % clear of the largest. A compaction re-points every slot
+/// and is counted apart (`compactions`), amortised over the events
+/// whose holes it reclaims. Cutting the moves is a separate change.
+const REPOINTS_PER_TABLE: u64 = 48;
+
+fn arena_storm<G: ContinuousGraph>(mut net: CdNetwork<G>, events: usize, seed: u64) {
+    let mut rng = seeded(seed);
+    let mut before = tables(&net);
+    for event in 0..events {
+        if net.len() > 8 && rng.gen_bool(0.45) {
+            let v = net.random_node(&mut rng);
+            net.leave(v);
+        } else if net.join(Point(rng.gen())).is_none() {
+            continue;
+        }
+        let after = tables(&net);
+        let changed = after.iter().filter(|&(id, t)| before.get(id) != Some(t)).count() as u64;
+        let work = net.arena_churn();
+        let label = format!("{} event {event}: {work:?}, {changed} tables changed", net.graph().name());
+        assert!(work.slots_moved <= changed, "{label}");
+        assert!(work.entries_repointed <= REPOINTS_PER_TABLE * changed, "{label}");
+        before = after;
+    }
+    net.validate();
+}
+
+#[test]
+fn arena_churn_is_bounded_by_the_tables_an_event_changes() {
+    let points = |seed| PointSet::random(256, &mut seeded(seed));
+    arena_storm(DhNetwork::new(&points(0xA1)), 1_000, 0xA1);
+    arena_storm(CdNetwork::build(ChordLike, &points(0xA2)), 1_000, 0xA2);
+    arena_storm(CdNetwork::build(DeBruijn::new(8), &points(0xA3)), 1_000, 0xA3);
 }

@@ -447,17 +447,27 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
     }
 
     /// Price the member protocol of one join or leave into the metrics
-    /// registry, beside the repair traffic it triggers.
+    /// registry, beside the repair traffic it triggers: all its
+    /// messages, the join lookup's share of them, and the arena work
+    /// the table rewrite did ([`dh_dht::network::ArenaChurn`]).
     fn note_member(&self, cost: &ChurnMsgCost) {
         self.obs.add("churn/member_msgs", 0, cost.lookup_msgs + cost.notify_msgs);
+        self.obs.add("churn/join_lookup_msgs", 0, cost.lookup_msgs);
         self.obs.add("churn/member_bytes", 0, cost.bytes);
+        let arena = self.net.arena_churn();
+        self.obs.add("churn/arena_slots_moved", 0, arena.slots_moved);
+        self.obs.add("churn/arena_entries_repointed", 0, arena.entries_repointed);
+        self.obs.add("churn/arena_compactions", 0, arena.compactions);
     }
 
     /// Algorithm Join as wire traffic plus the repair pass: the member
     /// protocol of `dh_dht::proto::join_over`, then anti-entropy so
     /// every clique the split shifted is fully replicated again — the
     /// member each one pushed out hands its share to the newcomer —
-    /// scoped to the shifted arc.
+    /// scoped to the shifted arc. `kind` is the data-path lookup (pass
+    /// [`Self::kind`]); the join's own lookup is
+    /// [`LookupKind::for_join`] of it, Fast Lookup in place of the
+    /// two-phase route, since the joiner's point is random.
     /// Returns `None` on identifier collision or failed join lookup.
     pub fn join_over<T: Transport>(
         &mut self,

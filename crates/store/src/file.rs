@@ -308,11 +308,14 @@ impl FileShelves {
     ///
     /// `Park` records are coalesced in [`Self::pending`] and written
     /// together with the next readable-state verb — one put's whole
-    /// park×m + commit sequence is a single write. Losing buffered
-    /// parks to a real process death loses only *uncommitted* state:
-    /// the commit record always flushes in the same write as (or
-    /// after) its parks, so the replayable committed generation is
-    /// exactly what the atomic write sequence already guaranteed.
+    /// park×m + commit sequence is a single write. The coalescing rule
+    /// is *a commit is never durable before its shares*: a readable
+    /// verb's record is framed after the buffered parks and lands in
+    /// the same write, behind them. Losing buffered parks to a real
+    /// process death therefore loses only *uncommitted* state, and the
+    /// replayable committed generation is exactly what the atomic
+    /// write sequence already guaranteed (`tests/prop_crash.rs`,
+    /// invariant 4, checks it at every record boundary).
     fn append(&mut self, rec: &WalRecord) -> bool {
         if self.dead {
             return false;
@@ -351,7 +354,8 @@ impl FileShelves {
             return true;
         }
         // a readable-state verb: its record and every buffered park
-        // land in one write, in log order
+        // land in one write, parks first — a commit is never durable
+        // before its shares
         let Some(file) = &mut self.file else {
             self.dead = true;
             self.pending.clear();

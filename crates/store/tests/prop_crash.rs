@@ -1,7 +1,7 @@
 //! Property test over the whole crash matrix: random shelf-verb
 //! sequences × every-record crash points × reopen.
 //!
-//! Three invariants, checked against an in-memory shadow:
+//! Four invariants, checked against an in-memory shadow and the log:
 //!
 //! 1. **Backend equivalence** — a [`FileShelves`] fed a verb sequence
 //!    materializes exactly the map a [`MemShelves`] does.
@@ -13,10 +13,17 @@
 //!    commit record did not land (asserted via the replay equality:
 //!    the shadow's `version` is the last committed one by
 //!    construction).
+//! 4. **A commit is never durable before its shares** — the rule
+//!    `FileShelves::append` keeps while it coalesces parks. The crash
+//!    run writes through, so this is checked on the coalesced log of
+//!    the full run, at every record boundary: each committed item
+//!    holds a share of its committed generation at every index its put
+//!    parked before committing, unless a later record of that prefix
+//!    re-parked, unparked, retired or removed the slot.
 
 use dh_store::shelf::apply_record;
 use dh_store::{
-    scan, CrashPoint, FileShelves, Holder, MemShelves, ScratchPath, Shelves,
+    scan, CrashPoint, FileShelves, Holder, MemShelves, ScratchPath, Shelves, WalRecord,
 };
 use bytes::Bytes;
 use cd_core::point::Point;
@@ -57,6 +64,38 @@ fn ops_from(seed: u64, count: usize) -> Vec<Op> {
         .collect()
 }
 
+/// The server that holds share `idx` of `key` in [`apply_op`]'s puts.
+fn holder_node(key: u64, idx: u8) -> NodeId {
+    NodeId((key as u32) * 8 + u32::from(idx))
+}
+
+/// Invariant 4 at the crash point after `prefix`, whose replay is
+/// `state`: every committed item holds a share of its committed
+/// generation at each index its put parked (all `M`, before the
+/// commit), unless a record after the commit touched that slot.
+fn committed_shares_held(prefix: &[WalRecord], state: &MemShelves) -> Result<(), String> {
+    for (&key, item) in state.map() {
+        let last_commit = prefix.iter().rposition(|r| matches!(*r, WalRecord::Commit { key: k, .. } if k == key));
+        let Some(c) = last_commit else { continue };
+        let WalRecord::Commit { version, .. } = prefix[c] else { unreachable!() };
+        for idx in 0..M as u8 {
+            let touched = prefix[c + 1..].iter().any(|r| match *r {
+                WalRecord::Park { key: k, idx: i, .. } | WalRecord::Unpark { key: k, idx: i } => {
+                    (k, i) == (key, idx)
+                }
+                WalRecord::Remove { key: k } => k == key,
+                WalRecord::Retire { node } => node == holder_node(key, idx),
+                WalRecord::Commit { .. } => false,
+            });
+            let held = item.holders.get(&idx).is_some_and(|h| h.version == version);
+            if !touched && !held {
+                return Err(format!("item {key} committed v{version} without its share {idx}"));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Drive one op through any backend with the put discipline of the
 /// replicated store: park every share, commit last.
 fn apply_op(op: &Op, shelves: &mut impl Shelves) {
@@ -72,7 +111,7 @@ fn apply_op(op: &Op, shelves: &mut impl Shelves) {
                     k: K as u8,
                     m: M as u8,
                 };
-                let node = NodeId((key as u32) * 8 + idx as u32);
+                let node = holder_node(key, idx as u8);
                 shelves.park(key, Point(key << 32), idx as u8, Holder::seal(node, header, share));
             }
             shelves.commit(key, version);
@@ -113,6 +152,16 @@ proptest! {
         prop_assert_eq!(full.records.len() as u64, total);
         prop_assert_eq!(full.skipped, 0);
         prop_assert_eq!(full.torn_bytes, 0);
+
+        // 4. a process death leaves a prefix of the coalesced log:
+        // at every record boundary, no commit is durable before its
+        // shares
+        let mut state = MemShelves::new();
+        for (r, rec) in full.records.iter().enumerate() {
+            apply_record(rec, &mut state);
+            let held = committed_shares_held(&full.records[..=r], &state);
+            prop_assert!(held.is_ok(), "crash after record {}: {}", r + 1, held.unwrap_err());
+        }
 
         // 2. crash run: kill the write path after `after` records with
         // a sub-record torn tail, reopen, compare to the prefix replay
