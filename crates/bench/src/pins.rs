@@ -27,7 +27,6 @@ use cd_core::graph::{ChordLike, ContinuousGraph, DeBruijn, DistanceHalving};
 use cd_core::pointset::PointSet;
 use cd_core::rng::{seeded, splitmix64, sub_rng, subseed};
 use cd_core::Point;
-use dh_dht::proto::route_kind;
 use dh_dht::{CdNetwork, DhNetwork, LookupKind};
 use dh_obs::Obs;
 use dh_proto::engine::{Engine, NoShares, RetryPolicy};
@@ -154,7 +153,7 @@ fn lookups<G: ContinuousGraph, T: Transport>(
         .map(|i| {
             let mut rng = sub_rng(seed, i);
             let (from, target) = (net.random_node(&mut rng), Point(rng.gen()));
-            eng.submit_at(2 * i, op_seed, route_kind(kind), from, target, Action::Locate)
+            eng.submit_at(2 * i, op_seed, kind, from, target, Action::Locate)
         })
         .collect();
     let stats = eng.run(net, &mut transport, None, &Obs::off(), &NoShares);

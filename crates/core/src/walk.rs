@@ -20,6 +20,7 @@
 //! supplies the general-∆ variants and the incremental two-sided walk
 //! used by the Distance Halving Lookup.
 
+use crate::interval::Interval;
 use crate::point::Point;
 use rand::Rng;
 
@@ -50,6 +51,29 @@ pub fn prefix_walk_delta(y: Point, z: Point, t: usize, delta: u32) -> Point {
         p = p.child(d, delta);
     }
     p
+}
+
+/// The step cap of every lookup walk: Fast Lookup's scan for its start
+/// point, the two-phase walk's phase 1 and greedy routing. Each step of
+/// each shrinks a distance on the 64-bit circle by a factor of at least
+/// 2 (Claim 2.4, Observation 2.3, §4's halving of the clockwise gap),
+/// so no correct table takes more than 64 steps; a walk that reaches
+/// twice that stands on a broken table.
+pub const MAX_WALK_STEPS: usize = 128;
+
+/// Fast Lookup's start (§2.2.1): the minimal `t` with
+/// `h = w(σ(z)_t, y) ∈ seg`, `z` being `seg`'s midpoint, and that `h`.
+/// `t` backward edges lead from `h` to `y` (up to the low bits shifted
+/// out, which a final ring hop absorbs).
+pub fn fast_start(y: Point, seg: Interval, delta: u32) -> (Point, usize) {
+    let z = seg.midpoint();
+    let (mut h, mut t) = (y, 0);
+    while !seg.contains(h) {
+        t += 1;
+        assert!(t <= MAX_WALK_STEPS, "Fast Lookup failed to land in own segment after {t} steps");
+        h = prefix_walk_delta(y, z, t, delta);
+    }
+    (h, t)
 }
 
 /// The smallest `t` such that `w(σ(z)_t, y)` lies in an arc of length

@@ -2,7 +2,12 @@
 //! digit-walk lookups of Section 2.2 (any degree ∆) for instances with
 //! [`ContinuousGraph::digit_routing`], and greedy clockwise routing
 //! (§4's Chord-like instances) for instances with
-//! [`ContinuousGraph::greedy_routing`].
+//! [`ContinuousGraph::greedy_routing`]. All three are one walk,
+//! `dh_proto`'s `RouteWalk` (here [`LookupScratch`]), which three
+//! drivers step: [`CdNetwork::lookup_into`], the event engine and the
+//! hedged engine's walk planner. `tests/proto_equiv.rs` and the Chord
+//! equivalence test in `tests/topologies.rs` are regression nets over
+//! the first two.
 //!
 //! **Fast Lookup** (§2.2.1). To find `y` from server `V` with segment
 //! midpoint `z`: choose the minimal `t` with `w(σ(z)_t, y) ∈ s(V)`,
@@ -31,55 +36,14 @@
 //! such guarantee, since its target is random:
 //! [`LookupKind::for_join`] routes it by Fast Lookup.
 
-use crate::network::{CdNetwork, NodeId, Slot};
+use crate::network::{CdNetwork, NodeId};
 use cd_core::graph::ContinuousGraph;
 use cd_core::point::Point;
-use cd_core::walk::TwoSidedWalk;
 use rand::Rng;
 
-/// Which lookup algorithm to run.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum LookupKind {
-    /// Fast Lookup (§2.2.1): shortest paths, deterministic. Digit
-    /// instances only.
-    Fast,
-    /// Distance Halving Lookup (§2.2.2): randomized two-phase routing
-    /// with worst-case congestion guarantees. Digit instances only.
-    DistanceHalving,
-    /// Greedy clockwise routing (§4): each hop applies the instance's
-    /// memoryless [`ContinuousGraph::greedy_step`]. Greedy instances
-    /// only.
-    Greedy,
-}
-
-impl LookupKind {
-    /// The lookup a join routes (§2.1 step 2) on a store whose data
-    /// path routes `self`: Fast Lookup in place of the two-phase
-    /// route, the identity otherwise. A client picks its keys, so the
-    /// data path keeps the randomized route, whose congestion bound
-    /// holds for any set of targets (Thms 2.9–2.11; Fast Lookup loses
-    /// it on the bit-reversal permutation, `e_paper` A1A). A joiner's
-    /// point is drawn uniformly at random, the case where Fast Lookup
-    /// is both shortest (Cor. 2.5) and congestion-bounded (Thm 2.7).
-    /// `DistanceHalving` only runs on digit instances, so the mapping
-    /// never hands Fast Lookup to a greedy one.
-    pub fn for_join(self) -> LookupKind {
-        match self {
-            LookupKind::DistanceHalving => LookupKind::Fast,
-            kind => kind,
-        }
-    }
-}
-
-impl std::fmt::Display for LookupKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            LookupKind::Fast => "fast",
-            LookupKind::DistanceHalving => "dh",
-            LookupKind::Greedy => "greedy",
-        })
-    }
-}
+/// Which lookup algorithm to run: the engine's wire-level kind, so a
+/// direct lookup and one driven through `dh_proto` name it alike.
+pub use dh_proto::wire::RouteKind as LookupKind;
 
 /// A completed lookup route — the engine's route record, so a direct
 /// lookup and one driven through `dh_proto` produce the same value.
@@ -89,166 +53,14 @@ impl std::fmt::Display for LookupKind {
 /// reusable buffer of [`CdNetwork::lookup_into`].
 pub use dh_proto::engine::Path as Route;
 
-/// Reusable per-lookup state: the two-sided walk's digit buffer and
-/// the phase-2 trace. Holding one of these (plus a [`Route`]) across
-/// lookups makes the hot path allocation-free, so a caller timing
-/// lookups measures the protocol, not the allocator.
-pub struct LookupScratch {
-    walk: TwoSidedWalk,
-    trace: Vec<Point>,
-}
-
-impl LookupScratch {
-    /// Fresh scratch state (buffers grow on first use).
-    pub fn new() -> Self {
-        LookupScratch { walk: TwoSidedWalk::new(Point(0), Point(0), 2), trace: Vec::new() }
-    }
-}
-
-impl Default for LookupScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Reusable per-lookup state: the route walk itself, with the
+/// two-sided walk's digit buffer and the phase-2 trace. Holding one of
+/// these (plus a [`Route`]) across lookups makes the hot path
+/// allocation-free, so a caller timing lookups measures the protocol,
+/// not the allocator.
+pub use dh_proto::engine::RouteWalk as LookupScratch;
 
 impl<G: ContinuousGraph> CdNetwork<G> {
-    /// Move the message from `cur` (a server and its slot) to the node
-    /// covering `p`, using only `cur`'s own neighbor table. Panics if
-    /// the discrete edge implied by the continuous graph is missing
-    /// (this would falsify the edge derivation and is asserted rather
-    /// than tolerated).
-    fn hop(&self, (cur, slot): (NodeId, Slot), p: Point, route: &mut Route) -> (NodeId, Slot) {
-        let next = self.slot_cover(slot, p).unwrap_or_else(|| {
-            panic!(
-                "missing discrete edge: {cur} (segment {:?}) has no table entry covering {:?}",
-                self.slot_segment(slot),
-                p
-            )
-        });
-        route.push(next.0, p);
-        next
-    }
-
-    /// Fast Lookup (§2.2.1) from server `from` to the server covering
-    /// `target`.
-    fn fast_lookup_into(&self, from: NodeId, target: Point, route: &mut Route) {
-        assert!(
-            self.graph().digit_routing(),
-            "{} does not support the digit-walk lookups",
-            self.graph().name()
-        );
-        let mut cur = (from, self.slot_of(from));
-        let seg = self.slot_segment(cur.1);
-        route.reset(from, seg.midpoint());
-        if seg.contains(target) {
-            route.push(from, target);
-            return;
-        }
-        let z = seg.midpoint();
-        let delta = self.delta();
-        // minimal t with w(σ(z)_t, target) ∈ s(V); the walk budget bounds
-        // the scan (log_∆ of the segment resolution, ≤ 64 for ∆ = 2).
-        let budget = cd_core::walk::walk_budget(1, delta).max(2);
-        let mut t = 0usize;
-        let mut h = target;
-        while !seg.contains(h) {
-            t += 1;
-            assert!(t <= budget, "Fast Lookup failed to land in own segment after {t} steps");
-            h = cd_core::walk::prefix_walk_delta(target, z, t, delta);
-        }
-        // walk t backward edges: exact expansion by ∆ per hop
-        let mut p = h;
-        for _ in 0..t {
-            p = p.backward_delta(delta);
-            cur = self.hop(cur, p, route);
-        }
-        // fixed-point truncation correction: p equals target up to the
-        // low bits shifted out at construction; finish along the ring.
-        loop {
-            let seg = self.slot_segment(cur.1);
-            if seg.contains(target) {
-                break;
-            }
-            cur = self.hop(cur, seg.end(), route);
-        }
-        route.push(cur.0, target);
-    }
-
-    /// Distance Halving Lookup (§2.2.2) from server `from` to the
-    /// server covering `target`, driven by fresh random digits from
-    /// `rng`.
-    fn dh_lookup_into(
-        &self,
-        from: NodeId,
-        target: Point,
-        rng: &mut impl Rng,
-        scratch: &mut LookupScratch,
-        route: &mut Route,
-    ) {
-        assert!(
-            self.graph().digit_routing(),
-            "{} does not support the digit-walk lookups",
-            self.graph().name()
-        );
-        let mut cur = (from, self.slot_of(from));
-        let x = self.slot_segment(cur.1).start();
-        scratch.walk.reset(x, target, self.delta());
-        let walk = &mut scratch.walk;
-        route.reset(from, x);
-        // Phase 1: forward along p_t until q_t is covered locally.
-        loop {
-            let q = walk.target();
-            if let Some(next) = self.slot_cover(cur.1, q) {
-                route.push(next.0, q);
-                cur = next;
-                break;
-            }
-            assert!(
-                walk.steps() < 130,
-                "phase 1 failed to converge (n = {}, ∆ = {})",
-                self.len(),
-                self.delta()
-            );
-            walk.step(rng);
-            cur = self.hop(cur, walk.source(), route);
-        }
-        route.phase2_start = Some(route.nodes.len() - 1);
-        // Phase 2: retrace q_t, …, q_0 = target along backward edges.
-        walk.target_backtrace_into(&mut scratch.trace);
-        for &q in scratch.trace.iter().skip(1) {
-            cur = self.hop(cur, q, route);
-        }
-        debug_assert!(self.slot_segment(cur.1).contains(target));
-    }
-
-    /// Greedy clockwise routing (§4) from server `from` to the server
-    /// covering `target`: each continuous step applies the instance's
-    /// [`ContinuousGraph::greedy_step`], each discrete hop follows the
-    /// table entry covering the new position. Deterministic; the walk
-    /// lands on the target exactly, so no ring correction is needed.
-    fn greedy_lookup_into(&self, from: NodeId, target: Point, route: &mut Route) {
-        assert!(
-            self.graph().greedy_routing(),
-            "{} does not support greedy routing",
-            self.graph().name()
-        );
-        let mut cur = (from, self.slot_of(from));
-        let x = self.slot_segment(cur.1).start();
-        route.reset(from, x);
-        let mut p = x;
-        let mut steps = 0usize;
-        while !self.slot_segment(cur.1).contains(target) {
-            // cur covers p but not the target, so p ≠ target and the
-            // step is well-defined; it clears at least one bit of the
-            // remaining clockwise distance, bounding the walk.
-            p = self.graph().greedy_step(p, target);
-            cur = self.hop(cur, p, route);
-            steps += 1;
-            assert!(steps <= 130, "greedy routing failed to converge (n = {})", self.len());
-        }
-        route.push(cur.0, target);
-    }
-
     /// The instance's native lookup algorithm: the randomized two-phase
     /// lookup for digit instances, greedy routing otherwise. This is
     /// what the default storage path uses.
@@ -268,7 +80,11 @@ impl<G: ContinuousGraph> CdNetwork<G> {
     }
 
     /// [`Self::lookup`] into caller-owned scratch and route buffers —
-    /// allocation-free once the buffers have warmed up.
+    /// allocation-free once the buffers have warmed up. Each hop uses
+    /// only the current server's own table; a two-phase lookup draws
+    /// its digits from `rng`. Panics, naming the instance, if it has
+    /// no routing of `kind`, and if a table lacks an edge the
+    /// continuous graph implies.
     pub fn lookup_into(
         &self,
         kind: LookupKind,
@@ -278,10 +94,21 @@ impl<G: ContinuousGraph> CdNetwork<G> {
         scratch: &mut LookupScratch,
         route: &mut Route,
     ) {
+        let graph = self.graph();
         match kind {
-            LookupKind::Fast => self.fast_lookup_into(from, target, route),
-            LookupKind::DistanceHalving => self.dh_lookup_into(from, target, rng, scratch, route),
-            LookupKind::Greedy => self.greedy_lookup_into(from, target, route),
+            LookupKind::Greedy => {
+                assert!(graph.greedy_routing(), "{} does not support greedy routing", graph.name())
+            }
+            _ => assert!(
+                graph.digit_routing(),
+                "{} does not support the digit-walk lookups",
+                graph.name()
+            ),
+        }
+        let mut at = (from, self.slot_of(from));
+        scratch.start(self, kind, at, target, route);
+        while let Some((next, slot, _)) = scratch.step(self, at, &[], rng, route) {
+            at = (next, slot);
         }
     }
 }

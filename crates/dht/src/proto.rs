@@ -1,11 +1,11 @@
 //! The Distance Halving network on the wire-protocol API.
 //!
 //! [`CdNetwork`] implements [`Topology`] for every instance, so any
-//! routed operation
-//! can run through `dh_proto`'s deterministic event engine over any
-//! transport. Under [`dh_proto::Inline`] the engine executes exactly
-//! the synchronous hop sequence (see `tests/proto_equiv.rs` — routes
-//! are property-tested bit-identical to [`CdNetwork::lookup`]); under
+//! routed operation can run through `dh_proto`'s deterministic event
+//! engine over any transport. The engine and [`CdNetwork::lookup`] step
+//! one walk (`dh_proto::engine::RouteWalk`), so under
+//! [`dh_proto::Inline`] the engine's route is the synchronous one
+//! (`tests/proto_equiv.rs` is the regression net); under
 //! [`dh_proto::Sim`] the same protocols acquire latency, loss,
 //! duplication and reordering, plus per-operation message/byte
 //! accounting that nothing in the synchronous path can express.
@@ -29,51 +29,56 @@ use cd_core::interval::Interval;
 use cd_core::point::Point;
 use dh_proto::engine::{Engine, NoShares, Slot, Topology};
 use dh_proto::transport::Transport;
-use dh_proto::wire::{Action, RouteKind, Wire};
+use dh_proto::wire::{Action, Wire};
 
 impl<G: ContinuousGraph> Topology for CdNetwork<G> {
+    #[inline]
     fn delta(&self) -> u32 {
         CdNetwork::delta(self)
     }
 
+    #[inline]
     fn slot_of(&self, n: NodeId) -> Slot {
         CdNetwork::slot_of(self, n)
     }
 
+    #[inline]
     fn slot_segment(&self, slot: Slot) -> Interval {
         CdNetwork::slot_segment(self, slot)
     }
 
+    #[inline]
     fn slot_cover(&self, slot: Slot, p: Point) -> Option<(NodeId, Slot)> {
         CdNetwork::slot_cover(self, slot, p)
     }
 
+    #[inline]
     fn segment_bound(&self) -> u128 {
         CdNetwork::segment_bound(self)
     }
 
+    #[inline]
     fn greedy_step(&self, p: Point, target: Point) -> Point {
         // instances without greedy routing panic here (by name),
         // exactly like the synchronous greedy lookup's gate
         self.graph().greedy_step(p, target)
     }
 
+    #[inline]
     fn ring_succ(&self, n: NodeId) -> NodeId {
         CdNetwork::ring_succ(self, n)
     }
 
+    #[inline]
     fn ring_pred(&self, n: NodeId) -> NodeId {
         CdNetwork::ring_pred(self, n)
     }
 }
 
-/// The wire-level spelling of a [`LookupKind`].
-pub fn route_kind(kind: LookupKind) -> RouteKind {
-    match kind {
-        LookupKind::Fast => RouteKind::Fast,
-        LookupKind::DistanceHalving => RouteKind::DistanceHalving,
-        LookupKind::Greedy => RouteKind::Greedy,
-    }
+/// The identity: [`LookupKind`] is the engine's `RouteKind`. Kept only
+/// because `benchmark/src/trace.rs` imports it; ROADMAP B2 deletes it.
+pub fn route_kind(kind: LookupKind) -> LookupKind {
+    kind
 }
 
 /// Message cost of one churn operation driven through the engine.
@@ -112,7 +117,7 @@ pub fn join_over<G: ContinuousGraph, T: Transport>(
         return None; // identifier collision
     }
     // step 2: lookup x from the host
-    let op = eng.submit(seed, route_kind(kind.for_join()), host, x, Action::Locate);
+    let op = eng.submit(seed, kind.for_join(), host, x, Action::Locate);
     let lookup = eng.run(&*net, transport, None, &Default::default(), &NoShares);
     let out = eng.take_outcome(op);
     if !out.ok {
@@ -196,7 +201,8 @@ mod tests {
             assert_eq!(Topology::segment_of(&net, id), net.node(id).segment);
             for _ in 0..20 {
                 let p = Point(rng.gen());
-                assert_eq!(Topology::local_cover(&net, id, p), net.local_cover(id, p));
+                let hop = Topology::slot_cover(&net, Topology::slot_of(&net, id), p);
+                assert_eq!(hop.map(|(n, _)| n), net.local_cover(id, p));
             }
         }
         assert_eq!(Topology::delta(&net), net.delta());

@@ -1,33 +1,40 @@
 //! The protocol-API acceptance property: under the `Inline` transport
-//! the event engine executes the paper's lookups **bit-identically**
-//! to the synchronous `DhNetwork` implementations — same servers, same
-//! message positions, same phase boundary — for both algorithms, on
-//! random networks, before and after churn. And under `Sim`, the same
-//! seed reproduces the identical event trace and message counts.
+//! the event engine's route is **bit-identical** to the synchronous
+//! `CdNetwork::lookup` — same servers, same message positions, same
+//! phase boundary — for both algorithms, on random Distance Halving
+//! and de Bruijn networks, before and after churn. Both step the one
+//! `RouteWalk`, so this is a regression net over its two drivers. Under
+//! `Sim`, the same seed reproduces the identical event trace and
+//! message counts; and the hedged planner steers a route around a
+//! suspect.
 
+use cd_core::graph::{ContinuousGraph, DeBruijn};
 use cd_core::pointset::PointSet;
 use cd_core::rng::{seeded, sub_rng};
 use cd_core::Point;
-use dh_dht::proto::route_kind;
-use dh_dht::{DhNetwork, LookupKind, NodeId};
+use dh_dht::{CdNetwork, DhNetwork, LookupKind, NodeId};
 use dh_proto::engine::{Engine, NoShares, RetryPolicy};
 use dh_proto::transport::{Inline, Recorder, Sim};
 use dh_proto::wire::Action;
+use dh_proto::NetHealth;
 use proptest::prelude::*;
 use rand::Rng;
 
-/// Route `(from, target)` through the engine over `Inline` and return
-/// the lookup-layer view of its path.
-fn engine_route(
-    net: &DhNetwork,
+/// Route `(from, target)` through the engine over `Inline` under
+/// `retry`, lending the run `health`, and return the lookup-layer view
+/// of its path.
+fn engine_route_with<G: ContinuousGraph>(
+    net: &CdNetwork<G>,
     kind: LookupKind,
-    from: NodeId,
-    target: Point,
+    (from, target): (NodeId, Point),
     seed: u64,
+    retry: RetryPolicy,
+    health: Option<&mut NetHealth>,
 ) -> dh_dht::Route {
     let mut eng = Engine::default();
-    let op = eng.submit(seed, route_kind(kind), from, target, Action::Locate);
-    eng.run(net, &mut Inline, None, &Default::default(), &NoShares);
+    eng.retry = retry;
+    let op = eng.submit(seed, kind, from, target, Action::Locate);
+    eng.run(net, &mut Inline, health, &Default::default(), &NoShares);
     let out = eng.take_outcome(op);
     assert!(out.ok, "Inline routing cannot fail");
     assert_eq!(
@@ -38,7 +45,23 @@ fn engine_route(
     out.path
 }
 
-fn assert_bit_identical(net: &DhNetwork, from: NodeId, target: Point, seed: u64) {
+/// [`engine_route_with`] under the default policy, no detector.
+fn engine_route<G: ContinuousGraph>(
+    net: &CdNetwork<G>,
+    kind: LookupKind,
+    from: NodeId,
+    target: Point,
+    seed: u64,
+) -> dh_dht::Route {
+    engine_route_with(net, kind, (from, target), seed, RetryPolicy::default(), None)
+}
+
+fn assert_bit_identical<G: ContinuousGraph>(
+    net: &CdNetwork<G>,
+    from: NodeId,
+    target: Point,
+    seed: u64,
+) {
     // The engine draws a DH digit string from sub_rng(seed, op-id)
     // with op-id 0; feed the synchronous algorithm the identical
     // stream. Fast Lookup is deterministic and draws nothing from it.
@@ -89,16 +112,23 @@ proptest! {
         n in 2usize..400,
         net_seed: u64,
         query_seed: u64,
-        delta_4: bool,
+        // Distance Halving at ∆ = 2 and 4, and de Bruijn-8 (wal_write's
+        // Fast Lookup instance)
+        instance in 0u8..3,
     ) {
-        let delta = if delta_4 { 4 } else { 2 };
-        let mut rng = seeded(net_seed);
-        let net = DhNetwork::with_delta(&PointSet::random(n, &mut rng), delta);
-        let mut qrng = seeded(query_seed);
-        for i in 0..8u64 {
-            let from = net.random_node(&mut qrng);
-            let target = Point(qrng.gen());
-            assert_bit_identical(&net, from, target, query_seed ^ i);
+        fn queries<G: ContinuousGraph>(net: &CdNetwork<G>, query_seed: u64) {
+            let mut qrng = seeded(query_seed);
+            for i in 0..8u64 {
+                let from = net.random_node(&mut qrng);
+                let target = Point(qrng.gen());
+                assert_bit_identical(net, from, target, query_seed ^ i);
+            }
+        }
+        let points = PointSet::random(n, &mut seeded(net_seed));
+        match instance {
+            0 => queries(&DhNetwork::with_delta(&points, 2), query_seed),
+            1 => queries(&DhNetwork::with_delta(&points, 4), query_seed),
+            _ => queries(&CdNetwork::build(DeBruijn::new(8), &points), query_seed),
         }
     }
 
@@ -117,7 +147,7 @@ proptest! {
                     let kind = if i % 2 == 0 { LookupKind::Fast } else { LookupKind::DistanceHalving };
                     let from = net.random_node(&mut qrng);
                     let target = Point(qrng.gen());
-                    eng.submit_at(i * 7, net_seed ^ 0xE, route_kind(kind), from, target, Action::Locate)
+                    eng.submit_at(i * 7, net_seed ^ 0xE, kind, from, target, Action::Locate)
                 })
                 .collect();
             let stats = eng.run(&net, &mut rec, None, &Default::default(), &NoShares);
@@ -136,4 +166,37 @@ proptest! {
         prop_assert_eq!(a.2, b.2, "event traces must be identical");
         prop_assert_eq!(a.0, b.0, "outcomes must be identical");
     }
+}
+
+/// The hedged planner steers the route the op runs: a DH op lent a
+/// detector in which one interior server of its unhedged route is
+/// suspect takes a route around that server. An op that ignores the
+/// plan draws the unhedged route's digits, so it avoids none.
+#[test]
+fn hedged_plan_steers_around_a_suspect() {
+    const PAIRS: u64 = 64;
+    let net = DhNetwork::new(&PointSet::random(256, &mut seeded(0x5E)));
+    let mut qrng = seeded(0x5F);
+    let (mut pairs, mut avoided) = (0, 0);
+    let dh = LookupKind::DistanceHalving;
+    for seed in 0..PAIRS {
+        let ends = (net.random_node(&mut qrng), Point(qrng.gen()));
+        let fixed = RetryPolicy::default();
+        let route = engine_route_with(&net, dh, ends, seed, fixed, None).nodes;
+        let suspect = route[route.len() / 2];
+        if suspect == ends.0 || suspect == *route.last().expect("route") {
+            continue; // no interior server to suspect
+        }
+        let mut health = NetHealth::new();
+        health.raise(suspect);
+        assert!(health.is_suspect(suspect));
+        let hedged = engine_route_with(&net, dh, ends, seed, fixed.hedged(), Some(&mut health));
+        pairs += 1;
+        avoided += u32::from(!hedged.nodes.contains(&suspect));
+    }
+    assert!(pairs >= PAIRS as u32 * 3 / 4, "only {pairs} routes had an interior server");
+    assert!(
+        avoided * 10 >= pairs * 9,
+        "the hedged route avoided the suspect in {avoided} of {pairs} pairs"
+    );
 }

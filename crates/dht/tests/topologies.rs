@@ -12,7 +12,6 @@ use cd_core::graph::{ChordLike, ContinuousGraph, DeBruijn, DistanceHalving};
 use cd_core::pointset::PointSet;
 use cd_core::rng::seeded;
 use cd_core::Point;
-use dh_dht::proto::route_kind;
 use dh_dht::{CdNetwork, LookupKind, NodeId, Route};
 use dh_proto::engine::{Engine, NoShares};
 use dh_proto::transport::Inline;
@@ -193,7 +192,7 @@ fn chord_engine_inline_routes_are_bit_identical() {
             let target = Point(rng.gen());
             let direct = net.lookup(LookupKind::Greedy, from, target, rng);
             let mut eng = Engine::default();
-            let op = eng.submit(i, route_kind(LookupKind::Greedy), from, target, Action::Locate);
+            let op = eng.submit(i, LookupKind::Greedy, from, target, Action::Locate);
             eng.run(net, &mut Inline, None, &Default::default(), &NoShares);
             let out = eng.take_outcome(op);
             assert!(out.ok, "Inline routing cannot fail");

@@ -9,6 +9,7 @@
 
 use crate::net::{FaultModel, OverlapNet, OverlapNodeId};
 use cd_core::point::Point;
+use cd_core::walk::fast_start;
 use rand::Rng;
 
 /// Result of a Simple Lookup.
@@ -36,19 +37,8 @@ impl OverlapNet {
     /// `h = w(σ(z)_t, y)` followed by the exact backward expansions
     /// ending at `y`'s truncation (then `y` itself).
     fn canonical_points(&self, from: OverlapNodeId, y: Point) -> Vec<Point> {
-        let seg = self.node(from).segment;
-        if seg.contains(y) {
-            return vec![y];
-        }
-        let z = seg.midpoint();
-        let mut t = 0u32;
-        let mut h = y;
-        while !seg.contains(h) {
-            t += 1;
-            assert!(t <= 64, "canonical path failed to enter the segment");
-            h = y.prefix_walk(z, t);
-        }
-        let mut pts = Vec::with_capacity(t as usize + 2);
+        let (h, t) = fast_start(y, self.node(from).segment, 2);
+        let mut pts = Vec::with_capacity(t + 2);
         for j in 0..=t {
             pts.push(Point(h.bits() << j));
         }

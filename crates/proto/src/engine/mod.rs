@@ -10,19 +10,21 @@
 //! changes between runs. An op's randomness (digits, timer jitter,
 //! walk plans) keys on its seed and id, however ops interleave.
 //!
-//! Every hop decision uses **only the current node's own table**
-//! ([`Topology::slot_cover`], from the slot the op keeps for the
-//! server holding its message), so what the engine executes is the
-//! paper's local protocol, message by message. Local steps (the
-//! message position moves but stays on the same server) cost nothing;
-//! a message is sent exactly when the hop crosses to another server,
-//! which is why the `Inline` transport reproduces `DhNetwork::lookup`
-//! routes bit for bit. One exception: a hedged DH op with a detector
-//! attached has its digit string chosen up front (`policy::plan_walk`)
-//! from 32 candidate walks simulated over *other* servers' tables and
-//! priced with the detector's per-destination estimates. Without it
-//! `e_chaos`'s healthy hedged p50 goes 137 → 182 ticks and its grey
-//! hedged p99 380 → 804, losing the 2× margin over the fixed policy.
+//! Every hop is a step of the op's [`RouteWalk`], which uses **only
+//! the current node's own table** ([`Topology::slot_cover`], from the
+//! slot the op keeps for the server holding its message), so what the
+//! engine executes is the paper's local protocol, message by message.
+//! It is the one walk: `dh_dht`'s synchronous `CdNetwork::lookup` and
+//! the hedged planner step it too. Local steps (the message position
+//! moves but stays on the same server) cost nothing; a message is sent
+//! exactly when a step crosses to another server, so under `Inline` a
+//! route is the synchronous lookup's (`proto_equiv` is the regression
+//! net). A hedged DH op with a detector attached has its digit string
+//! chosen up front (`policy::plan_walk`): the walk runs 32 candidate
+//! strings over *other* servers' tables, each cover priced with the
+//! detector's per-destination estimates. Without it `e_chaos`'s
+//! healthy hedged p50 goes 137 → 182 ticks and its grey hedged p99
+//! 380 → 804, losing the 2× margin over the fixed policy.
 //!
 //! Loss is survived end-to-end: each send arms a progress timer
 //! stamped with the op's `(attempt, step)`; if the op has not advanced
@@ -80,15 +82,18 @@
 //!
 //! # Layout
 //!
-//! `route` runs the §2.2 routing machines, `scatter` the §6.2 clique
-//! and its quorum, `policy` the grey-failure policy — the only code
-//! that reads the detector. Here: types, event queue, API, plumbing.
+//! `walk` is the §2.2 route walk, `route` the engine's driver of it,
+//! `scatter` the §6.2 clique and its quorum, `policy` the grey-failure
+//! policy — the only code that reads the detector. Here: types, event
+//! queue, API, plumbing.
 
 mod policy;
 mod route;
 mod scatter;
+mod walk;
 
 pub use policy::RetryPolicy;
+pub use walk::RouteWalk;
 use scatter::ReplicaState;
 use crate::node::NodeId;
 use crate::transport::{Delivery, Transport};
@@ -97,7 +102,6 @@ use crate::NetHealth;
 use cd_core::interval::Interval;
 use cd_core::point::Point;
 use cd_core::rng::sub_rng;
-use cd_core::walk::TwoSidedWalk;
 use dh_obs::{EventKind as ObsEvent, Obs};
 use rand::rngs::StdRng;
 use std::cmp::Ordering;
@@ -135,10 +139,6 @@ pub trait Topology {
     /// The segment owned by `n`.
     fn segment_of(&self, n: NodeId) -> Interval {
         self.slot_segment(self.slot_of(n))
-    }
-    /// [`Self::slot_cover`] from `cur`, by id.
-    fn local_cover(&self, cur: NodeId, p: Point) -> Option<NodeId> {
-        self.slot_cover(self.slot_of(cur), p).map(|(id, _)| id)
     }
     /// One greedy routing step: the next continuous position of a
     /// message at `p` heading for `target` (`p ≠ target`), for
@@ -354,20 +354,12 @@ pub struct OpOutcome {
     pub shares: Vec<u8>,
 }
 
-/// Per-op routing machine state.
+/// Per-op state.
 enum Machine {
     /// Waiting for its start event.
     Pending,
-    /// Fast Lookup backward walk: current position, hops remaining.
-    Fast { p: Point, remaining: u32 },
-    /// Fast Lookup ring correction toward the true cover.
-    FastRing,
-    /// DH lookup phase 1 (forward along `p_t`).
-    Dh1,
-    /// DH lookup phase 2 (retrace `q_t … q_0`); `idx` indexes `trace`.
-    Dh2 { idx: usize },
-    /// Greedy routing: current continuous position of the message.
-    Greedy { p: Point },
+    /// Routing: the op's [`RouteWalk`] moves its message.
+    Route,
     /// Replicated op (§6.2): the route reached the clique and the
     /// coordinator fanned `StoreShare`/`FetchShare` out to the covers;
     /// the op now waits for its quorum of acks/replies.
@@ -397,10 +389,7 @@ struct Op {
     next_slot: Slot,
     attempt: u32,
     step: u32,
-    /// Fast Lookup plan: walk start and length (computed once).
-    plan: Option<(Point, u32)>,
-    walk: TwoSidedWalk,
-    trace: Vec<Point>,
+    walk: RouteWalk,
     path: Path,
     msgs: u64,
     bytes: u64,
@@ -428,16 +417,15 @@ struct Op {
 }
 
 impl Op {
-    /// Take over `old`'s buffers, cleared: an op built in a retired
-    /// op's slot keeps their capacity, so a warm run allocates nothing.
-    /// A route taken out of `old` is replaced by one of `route_cap`.
+    /// Take over `old`'s buffers, cleared (the walk's are re-armed when
+    /// the op starts): an op built in a retired op's slot keeps their
+    /// capacity, so a warm run allocates nothing. A route taken out of
+    /// `old` is replaced by one of `route_cap`.
     fn adopt(&mut self, old: &mut Op, route_cap: usize) {
         mem::swap(&mut self.walk, &mut old.walk);
-        mem::swap(&mut self.trace, &mut old.trace);
         mem::swap(&mut self.path, &mut old.path);
         mem::swap(&mut self.planned, &mut old.planned);
         mem::swap(&mut self.replica, &mut old.replica);
-        self.trace.clear();
         self.path.nodes.clear();
         self.path.points.clear();
         self.path.nodes.reserve(route_cap);
@@ -660,9 +648,7 @@ impl Engine {
             next_slot: 0,
             attempt: 1,
             step: 0,
-            plan: None,
-            walk: TwoSidedWalk::new(Point(0), Point(0), 2),
-            trace: Vec::new(),
+            walk: RouteWalk::new(),
             path: Path::default(),
             msgs: 0,
             bytes: 0,

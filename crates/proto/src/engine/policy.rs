@@ -121,15 +121,16 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
         self.jittered(capped, id, attempt)
     }
 
-    /// Pre-plan a hedged Distance-Halving walk: simulate a few
-    /// candidate digit strings over the segment map, price every cover
-    /// each candidate visits — descent *and* the forced retrace orbit
-    /// — with the detector's delay estimators, and return the cheapest
-    /// string. The retrace offers no mid-route detour (each backward
-    /// hop is the doubling map, digit-independent), so the digit
-    /// string τ is the *only* routing freedom the §2.2.2 walk has;
-    /// pricing whole candidates before the first send is how lookup
-    /// planning consults the detector. A cover is priced at its
+    /// Pre-plan a hedged Distance-Halving walk from the server (and
+    /// slot) `at`: run the route walk ([`RouteWalk`]) on a few
+    /// candidate digit strings, price every cover each candidate
+    /// visits — descent *and* the forced retrace — with the detector's
+    /// delay estimators, and return the cheapest string. The retrace
+    /// offers no mid-route detour (each backward hop is the doubling
+    /// map, digit-independent), so the digit string τ is the *only*
+    /// routing freedom the §2.2.2 walk has; pricing whole candidates
+    /// before the first send is how lookup planning consults the
+    /// detector. A cover is priced at its
     /// personal smoothed delay when any sample exists (one slow
     /// delivery is enough to steer away — far earlier than the
     /// suspicion threshold), the population's otherwise, plus a
@@ -138,17 +139,16 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
     /// `(op seed, op, attempt)`, so traces stay fingerprintable;
     /// retries re-plan from wherever the op stalled. The digits go
     /// into `out`, cleared first; it stays empty (the op draws its own
-    /// digits) unhedged or when no candidate converged.
+    /// digits) unhedged.
     fn plan_walk(
         &mut self,
-        from: NodeId,
+        at: (NodeId, Slot),
         target: Point,
         id: OpId,
         attempt: u32,
         out: &mut Vec<u32>,
     ) {
         const CANDIDATES: u64 = 32;
-        const MAX_STEPS: usize = 96;
         /// Expected-delay surcharge for a suspect cover: dominates any
         /// realistic sum of per-hop smoothed delays.
         const SUSPECT_PENALTY: u64 = 100_000;
@@ -167,64 +167,24 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
             };
             base + if h.is_suspect(n) { SUSPECT_PENALTY } else { 0 }
         };
-        let delta = net.delta();
-        let x = net.segment_of(from).start();
-        let mut best: Option<(u64, Vec<u32>)> = None;
+        let (mut walk, mut path) = (RouteWalk::new(), Path::empty());
+        let mut best: Option<u64> = None;
         for c in 0..CANDIDATES {
             let mut rng = sub_rng(
                 seed ^ 0xD161_7909,
                 (u64::from(id) << 32) | (u64::from(attempt) << 8) | c,
             );
-            let mut walk = TwoSidedWalk::new(x, target, delta);
-            let mut cur = from;
-            let mut cost = 0u64;
-            let mut ok = true;
-            loop {
-                // mirror the Dh1 arm: converged iff the current node's
-                // own table covers the walk's target
-                if let Some(entry) = net.local_cover(cur, walk.target()) {
-                    cost += price(entry);
-                    let trace = walk.target_backtrace();
-                    let mut at = entry;
-                    for q in trace.iter().skip(1) {
-                        match net.local_cover(at, *q) {
-                            Some(n) => {
-                                at = n;
-                                cost += price(n);
-                            }
-                            None => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                    break;
-                }
-                if walk.steps() >= MAX_STEPS {
-                    ok = false;
-                    break;
-                }
-                walk.step(&mut rng);
-                match net.local_cover(cur, walk.source()) {
-                    Some(n) => {
-                        cur = n;
-                        cost += price(n);
-                    }
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
+            walk.start(net, RouteKind::DistanceHalving, at, target, &mut path);
+            let (mut cur, mut cost) = (at, 0u64);
+            while let Some((next, slot, _)) = walk.step(net, cur, &[], &mut rng, &mut path) {
+                cost += price(next);
+                cur = (next, slot);
             }
-            if !ok {
-                continue;
+            if best.is_none_or(|b| cost < b) {
+                best = Some(cost);
+                out.clear();
+                out.extend_from_slice(walk.digits());
             }
-            if best.as_ref().is_none_or(|(s, _)| cost < *s) {
-                best = Some((cost, walk.digits().to_vec()));
-            }
-        }
-        if let Some((_, digits)) = best {
-            out.extend_from_slice(&digits);
         }
     }
 
@@ -251,15 +211,16 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
         }
     }
 
-    /// Set a DH op's digit string, pre-planned against the detector
-    /// when hedged — the initial attempt and every from-origin retry
-    /// alike ([`Self::plan_walk`]). Other ops' stay empty.
+    /// Set a DH op's digit string from the server holding its message,
+    /// pre-planned against the detector when hedged — the initial
+    /// attempt, every from-origin retry and a hedged resume alike
+    /// ([`Self::plan_walk`]). Other ops' stay empty.
     pub(super) fn preplan(&mut self, id: OpId) {
         let op = &mut self.eng.ops[id as usize];
         if let RouteKind::DistanceHalving = op.kind {
-            let (from, target, attempt) = (op.from, op.target, op.attempt);
+            let (at, target, attempt) = ((op.cur, op.slot), op.target, op.attempt);
             let mut planned = mem::take(&mut op.planned);
-            self.plan_walk(from, target, id, attempt, &mut planned);
+            self.plan_walk(at, target, id, attempt, &mut planned);
             self.eng.ops[id as usize].planned = planned;
         }
     }
@@ -392,18 +353,12 @@ impl<G: Topology, T: Transport> Run<'_, G, T> {
         // steer around it) — instead of paying the whole route again
         let resume = self.hedged()
             && matches!(op.kind, RouteKind::DistanceHalving)
-            && matches!(op.machine, Machine::Dh1 | Machine::Dh2 { .. });
+            && matches!(op.machine, Machine::Route);
         if resume {
-            let (cur, target, attempt) = (op.cur, op.target, op.attempt);
-            let here = self.net.slot_segment(op.slot).start();
-            let delta = self.net.delta();
-            let mut digits = mem::take(&mut self.eng.ops[id as usize].planned);
-            self.plan_walk(cur, target, id, attempt, &mut digits);
+            self.preplan(id);
             let op = &mut self.eng.ops[id as usize];
             op.handed_off = false;
-            op.walk.reset(here, op.target, delta);
-            op.planned = digits;
-            op.machine = Machine::Dh1;
+            op.walk.resume(self.net, op.slot);
         } else {
             self.start_op(id);
         }

@@ -20,18 +20,49 @@ use cd_core::point::Point;
 /// Identifies one submitted operation within an engine run.
 pub type OpId = u32;
 
-/// Which lookup algorithm a routed message follows. Mirrors
-/// `dh_dht::LookupKind` (which lives above this crate); the engine
-/// works with this wire-level copy and `dh_dht` converts.
+/// Which lookup algorithm a routed message follows (`dh_dht`
+/// re-exports it as `LookupKind`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RouteKind {
-    /// Fast Lookup (§2.2.1): deterministic shortest paths.
+    /// Fast Lookup (§2.2.1): shortest paths, deterministic. Digit
+    /// instances only.
     Fast,
-    /// Distance Halving Lookup (§2.2.2): randomized two-phase routing.
+    /// Distance Halving Lookup (§2.2.2): randomized two-phase routing
+    /// with worst-case congestion guarantees. Digit instances only.
     DistanceHalving,
     /// Greedy routing (§4's Chord-like instances): each hop applies the
     /// topology's memoryless [`crate::engine::Topology::greedy_step`].
+    /// Greedy instances only.
     Greedy,
+}
+
+impl RouteKind {
+    /// The lookup a join routes (§2.1 step 2) on a store whose data
+    /// path routes `self`: Fast Lookup in place of the two-phase
+    /// route, the identity otherwise. A client picks its keys, so the
+    /// data path keeps the randomized route, whose congestion bound
+    /// holds for any set of targets (Thms 2.9–2.11; Fast Lookup loses
+    /// it on the bit-reversal permutation, `e_paper` A1A). A joiner's
+    /// point is drawn uniformly at random, the case where Fast Lookup
+    /// is both shortest (Cor. 2.5) and congestion-bounded (Thm 2.7).
+    /// `DistanceHalving` only runs on digit instances, so the mapping
+    /// never hands Fast Lookup to a greedy one.
+    pub fn for_join(self) -> RouteKind {
+        match self {
+            RouteKind::DistanceHalving => RouteKind::Fast,
+            kind => kind,
+        }
+    }
+}
+
+impl std::fmt::Display for RouteKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            RouteKind::Fast => "fast",
+            RouteKind::DistanceHalving => "dh",
+            RouteKind::Greedy => "greedy",
+        })
+    }
 }
 
 /// What a routed message does once it reaches the server covering its

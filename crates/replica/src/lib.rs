@@ -63,7 +63,6 @@ use cd_core::graph::ContinuousGraph;
 use cd_core::hashing::KWiseHash;
 use cd_core::point::Point;
 use dh_dht::network::{CdNetwork, DistanceHalving, NodeId};
-use dh_dht::proto::route_kind;
 use dh_dht::LookupKind;
 use dh_erasure::{encode_sealed, try_decode, Share};
 use dh_obs::Obs;
@@ -377,7 +376,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         let sealed = encode_sealed(&value, self.k as usize, self.m as usize, version);
         let len = sealed[0].len() as u32;
         let action = Action::PutShares { key, len, m: self.m, k: self.k, item: point };
-        let op = self.eng.submit(seed, route_kind(self.kind), from, point, action);
+        let op = self.eng.submit(seed, self.kind, from, point, action);
         self.run_lent(&mut transport, retry);
         let out = self.eng.take_outcome(op);
         let placed = self.apply_put(key, point, version, &sealed, &out);
@@ -485,7 +484,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
     ) -> (OpOutcome, Option<Bytes>, u64, EngineStats) {
         let action = Action::GetShares { key, m: self.m, k: self.k, item: point };
         let t0 = self.eng.now();
-        let op = self.eng.submit(seed, route_kind(self.kind), from, target, action);
+        let op = self.eng.submit(seed, self.kind, from, target, action);
         let stats = self.run_lent(&mut transport, retry);
         let out = self.eng.take_outcome(op);
         let ticks = out.completed_at.unwrap_or(self.eng.now() - t0);
@@ -632,7 +631,7 @@ impl<G: ContinuousGraph, S: Shelves> ReplicatedDht<G, S> {
         retry: RetryPolicy,
     ) -> (OpOutcome, bool) {
         let point = self.hash.point(key);
-        let op = self.eng.submit(seed, route_kind(self.kind), from, point, Action::Remove { key });
+        let op = self.eng.submit(seed, self.kind, from, point, Action::Remove { key });
         self.run_lent(&mut transport, retry);
         let out = self.eng.take_outcome(op);
         let existed = out.ok && !out.corrupt && self.shelves.map().contains_key(&key);

@@ -5,7 +5,6 @@
 
 use continuous_discrete::core::pointset::PointSet;
 use continuous_discrete::core::Point;
-use continuous_discrete::dht::proto::route_kind;
 use continuous_discrete::dht::{DhNetwork, LookupKind};
 use continuous_discrete::proto::engine::{Engine, NoShares};
 use continuous_discrete::proto::wire::Action;
@@ -19,7 +18,7 @@ fn main() {
 
     let op = eng.submit(
         42, // the op's seed: its digits and timer jitter
-        route_kind(LookupKind::DistanceHalving),
+        LookupKind::DistanceHalving,
         net.live()[0],
         Point::from_f64(0.375),
         Action::Locate,
