@@ -24,41 +24,39 @@
 //! cargo run --release --bin e_chaos [-- --backend mem|file]
 //! ```
 
-use cd_bench::chaos::{
-    self, percentile, Cell, BURST_PERMILLE, FLAP_DOWN, FLAP_PERIOD, FLAP_PERMILLE,
-};
-use cd_bench::slo::{GREY_MULT, GREY_PERMILLE, K, M};
-use cd_bench::{parse_backend_file, section};
+use cd_bench::chaos::{self, percentile, Cell, BURST_PERMILLE};
+use cd_bench::scenario::{FLAP, GREY};
+use cd_bench::slo::{K, M};
+use cd_bench::{parse_backend, section};
 use cd_core::stats::Table;
 
 fn msgs_per_op(cell: &Cell) -> f64 {
-    cell.msgs as f64 / cell.lat.len().max(1) as f64
+    cell.per_read("msgs")
 }
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let file_backend = parse_backend_file(&mut args);
+    let backend = parse_backend(&mut args);
     let (n, items, ops) = chaos::SHAPE;
-    let backend = if file_backend { "file" } else { "mem" };
+    let ((grey_permille, grey_mult), (flap_permille, flap_period, flap_down)) = (GREY, FLAP);
 
     println!(
         "# E-chaos — grey-failure campaign (n = {n}, items = {items}, ops = {ops}/scenario, \
          m = {M}, k = {K}, backend = {backend})"
     );
     println!(
-        "\ngrey: {GREY_PERMILLE}‰ of nodes ×{GREY_MULT} latency; flap: {FLAP_PERMILLE}‰ down \
-         {FLAP_DOWN}/{FLAP_PERIOD} ticks; burst: {BURST_PERMILLE}‰ loss over the middle third"
+        "\ngrey: {grey_permille}‰ of nodes ×{grey_mult} latency; flap: {flap_permille}‰ down \
+         {flap_down}/{flap_period} ticks; burst: {BURST_PERMILLE}‰ loss over the middle third"
     );
 
     section("scenario matrix (modeled ticks per quorum read)");
-    let (cells, _) = chaos::campaign(file_backend);
+    let (cells, _) = chaos::campaign(backend);
 
     let mut table = Table::new([
         "scenario", "avail", "p50", "p99", "p999", "msgs/op", "hedges", "attempts/op",
     ]);
     for cell in &cells {
         let mut lat = cell.lat.clone();
-        let reads = lat.len().max(1) as f64;
         table.row([
             cell.name.to_string(),
             format!("{:.4}", cell.availability()),
@@ -66,8 +64,8 @@ fn main() {
             format!("{:.0}", percentile(&mut lat, 0.99)),
             format!("{:.0}", percentile(&mut lat, 0.999)),
             format!("{:.1}", msgs_per_op(cell)),
-            format!("{}", cell.hedged),
-            format!("{:.2}", cell.attempts as f64 / reads),
+            format!("{}", cell.out.seen(1..4, "hedged")),
+            format!("{:.2}", cell.per_read("attempts")),
         ]);
     }
     print!("{}", table.to_markdown());
@@ -113,8 +111,8 @@ fn main() {
     );
 
     println!(
-        "grey ×{GREY_MULT} p99: fixed {grey_fixed_p99:.0} ticks vs hedged {grey_hedged_p99:.0} ticks \
-         ({:.1}×), availability {:.4}; post-chaos readback clean in all {} scenarios",
+        "grey ×{grey_mult} p99: fixed {grey_fixed_p99:.0} ticks vs hedged {grey_hedged_p99:.0} ticks \
+         ({:.2}×), availability {:.4}; post-chaos readback clean in all {} scenarios",
         grey_fixed_p99 / grey_hedged_p99.max(1.0),
         grey_hedged.availability(),
         cells.len()

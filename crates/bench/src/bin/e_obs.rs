@@ -25,7 +25,7 @@
 //! ```
 
 use cd_bench::slo::{self, K, M};
-use cd_bench::{parse_backend_file, parse_flag, section};
+use cd_bench::{parse_backend, parse_flag, section};
 use cd_core::stats::Table;
 use dh_obs::Obs;
 
@@ -56,10 +56,9 @@ fn attribution(obs: &Obs) -> Table {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let file_backend = parse_backend_file(&mut args);
+    let backend = parse_backend(&mut args);
     let chaos = parse_flag(&mut args, "--chaos");
     let (n, items, ops) = slo::SHAPE;
-    let backend = if file_backend { "file" } else { "mem" };
 
     println!(
         "# E-obs — flight recorder + metrics plane on the SLO scenario \
@@ -68,7 +67,7 @@ fn main() {
 
     // fresh shelves per pass; the file backend additionally threads
     // the recorder into the WAL so storage-plane events land too
-    let pass = |grey: bool, obs: Obs| slo::pinned(file_backend, grey, obs);
+    let pass = |grey: bool, obs: Obs| slo::pinned(backend, grey, obs);
 
     let out = pass(false, Obs::recording(RING_CAP));
     println!(

@@ -3,12 +3,14 @@
 //! [`paper`] is the oracle — every bound the paper states, measured
 //! and asserted (`e_paper`, `tests/paper.rs`). [`pins`] is the safety
 //! net — one table of seeded scenarios whose recorded event traces
-//! must fold to the pinned values (`tests/pins.rs`); [`slo`] and
-//! [`chaos`] are the two storage scenarios behind its rows that a bin
-//! also reports on (`e_obs`: per-node load, cost by plane and an op's
-//! `explain` chain; `e_chaos`: the grey-failure matrix in virtual
-//! ticks); `figures` renders. Nothing here reads a clock or writes a
-//! file: the only wall-clock ledger is `benchmark/`.
+//! must fold to the pinned values (`tests/pins.rs`). [`scenario`] is
+//! the one storage driver: the `e_repl` row, [`slo`] and [`chaos`]
+//! (the two storage scenarios a bin also reports on — `e_obs`:
+//! per-node load, cost by plane and an op's `explain` chain;
+//! `e_chaos`: the grey-failure matrix in virtual ticks) and the storm
+//! profiles (`tests/storms.rs`) are its values; `figures` renders.
+//! Nothing here reads a clock or writes a file: the only wall-clock
+//! ledger is `benchmark/`.
 
 #![deny(missing_docs)]
 
@@ -33,20 +35,20 @@ pub fn section(title: &str) {
     println!("\n## {title}\n");
 }
 
-/// Strip a `--backend mem|file` flag out of `args` and return whether
-/// the file (WAL) backend was requested. Panics on an unknown value
-/// so a typo'd sweep fails loudly instead of benchmarking RAM.
-pub fn parse_backend_file(args: &mut Vec<String>) -> bool {
+/// Strip a `--backend mem|file` flag out of `args` and return the
+/// backend (`mem` without one). Panics on an unknown value so a typo'd
+/// sweep fails loudly instead of benchmarking RAM.
+pub fn parse_backend(args: &mut Vec<String>) -> scenario::Backend {
     let Some(pos) = args.iter().position(|a| a == "--backend") else {
-        return false;
+        return scenario::Backend::Mem;
     };
-    let file = match args.get(pos + 1).map(String::as_str) {
-        Some("file") => true,
-        Some("mem") => false,
+    let backend = match args.get(pos + 1).map(String::as_str) {
+        Some("file") => scenario::Backend::File,
+        Some("mem") => scenario::Backend::Mem,
         other => panic!("--backend needs `mem` or `file`, got {other:?}"),
     };
     args.drain(pos..=pos + 1);
-    file
+    backend
 }
 
 /// Strip a bare boolean flag (e.g. `--chaos`) out of `args` and
@@ -62,4 +64,5 @@ pub fn parse_flag(args: &mut Vec<String>, flag: &str) -> bool {
 pub mod chaos;
 pub mod paper;
 pub mod pins;
+pub mod scenario;
 pub mod slo;

@@ -17,39 +17,24 @@
 //! The scenario functions keep the checks a fold cannot express —
 //! lossless latency moves schedules but never routes, retransmissions
 //! never make a lookup cheaper, message counts stay within the paper's
-//! shapes, no item is lost across churn, a cleanly closed WAL replays
-//! whole — and read no clock.
+//! shapes — and read no clock. The storage rows are
+//! [`crate::scenario`] values, whose driver checks every read against
+//! the committed-register model and reopens every WAL it closed.
 
+pub use crate::scenario::Backend;
+use crate::scenario::{play, Op, Phase, Scenario, BOTH};
 use crate::slo::{self, K, M};
 use crate::{chaos, MASTER_SEED};
-use bytes::Bytes;
 use cd_core::graph::{ChordLike, ContinuousGraph, DeBruijn, DistanceHalving};
 use cd_core::pointset::PointSet;
-use cd_core::rng::{seeded, splitmix64, sub_rng, subseed};
+use cd_core::rng::{seeded, splitmix64, sub_rng};
 use cd_core::Point;
 use dh_dht::{CdNetwork, DhNetwork, LookupKind};
 use dh_obs::Obs;
 use dh_proto::engine::{Engine, NoShares, RetryPolicy};
 use dh_proto::transport::{Inline, Recorder, Sim, Transport};
 use dh_proto::wire::Action;
-use dh_replica::{ReplicatedDht, Shelves};
-use dh_store::{FileShelves, MemShelves, ScratchPath};
 use rand::Rng;
-
-/// Where a scenario shelves its shares.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Backend {
-    /// `MemShelves`.
-    Mem,
-    /// `FileShelves`: a WAL in a scratch file.
-    File,
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if *self == Backend::File { "file" } else { "mem" })
-    }
-}
 
 /// One pinned scenario.
 pub struct Pin {
@@ -65,20 +50,19 @@ pub struct Pin {
 
 /// Rows that shelve nothing run once.
 const NO_SHELVES: &[Backend] = &[Backend::Mem];
-const BOTH: &[Backend] = &[Backend::Mem, Backend::File];
 
 /// `e_slo`'s pin, which `e_obs`'s wire fold must reproduce.
-const SLO_WIRE: u64 = 0x3a9db53f9323ecc2;
+const SLO_WIRE: u64 = 0xb77c02b9a8bdbe6a;
 
 /// The table.
 pub static PINS: [Pin; 7] = [
     Pin { name: "e_msgs", backends: NO_SHELVES, scenario: msgs, want: 0xdbb66edfc105b37e },
     Pin { name: "e_table1", backends: NO_SHELVES, scenario: table1, want: 0xe6adac908951bb17 },
-    Pin { name: "e_repl", backends: BOTH, scenario: repl, want: 0x97f2853bec99011e },
+    Pin { name: "e_repl", backends: REPL.backends, scenario: repl, want: 0x96c729af794725ba },
     Pin { name: "e_slo", backends: BOTH, scenario: slo_wire, want: SLO_WIRE },
     Pin { name: "e_chaos", backends: BOTH, scenario: chaos_campaign, want: 0xe30678ce41476825 },
     Pin { name: "e_obs wire", backends: BOTH, scenario: obs_wire, want: SLO_WIRE },
-    Pin { name: "e_obs recorder", backends: BOTH, scenario: obs_recorder, want: 0x2d9f035d9175ddff },
+    Pin { name: "e_obs recorder", backends: BOTH, scenario: obs_recorder, want: 0xd09163f668b8bbd9 },
 ];
 
 /// Run every row once per backend and return one line per failure:
@@ -237,76 +221,35 @@ fn table1(_: Backend) -> u64 {
 }
 
 /// The replicated store on the wire (m = 8 shares, k = 4 quorum):
-/// puts, quorum gets, a churn burst with repair and a readback, all
-/// through one recorder; on the file backend the WAL the scenario
-/// closed must reopen whole.
+/// puts, quorum gets, a churn burst with repair and a readback of every
+/// 31st key, all through one recorder; on the file backend the WAL the
+/// scenario closed must reopen whole.
+const REPL: Scenario = Scenario {
+    readback: 31,
+    min_live: 2_000,
+    ..Scenario::new(
+        (M, K),
+        10_000,
+        &[
+            Phase::new(2_000, &[(Op::Put, 1)], RetryPolicy::patient()),
+            Phase::new(2_000, &[(Op::Get, 1)], RetryPolicy::patient()),
+            Phase::new(100, &[(Op::Leave, 1), (Op::Join, 1)], RetryPolicy::patient()),
+        ],
+    )
+};
+
+/// Msgs per committed put and per read of the stream stay inside the
+/// Thm 2.8 route plus the clique scatter: a store per remote cover and
+/// an ack from `k − 1` of them, fetch + reply per share beyond the
+/// coordinator's.
 fn repl(backend: Backend) -> u64 {
-    match backend {
-        Backend::Mem => repl_over(MemShelves::new()),
-        Backend::File => {
-            let scratch = ScratchPath::new("pin-repl");
-            let fp = repl_over(FileShelves::open(scratch.path()).expect("open WAL"));
-            let reopened = FileShelves::open(scratch.path()).expect("reopen the scenario's WAL");
-            assert_eq!(reopened.recovery().skipped, 0, "a clean close must replay losslessly");
-            fp
-        }
-    }
-}
-
-fn repl_over<S: Shelves>(shelves: S) -> u64 {
-    let (n, items, seed) = (10_000usize, 2_000usize, MASTER_SEED ^ 0x0E91);
-    let value_of = |key: u64| {
-        Bytes::from(format!("replicated-item-{key:08}-{:016x}", key.wrapping_mul(0x9E37)))
-    };
-    let mut rng = seeded(seed ^ 0x0E75);
-    let net = DhNetwork::new(&PointSet::random(n, &mut rng));
-    let mut dht = ReplicatedDht::with_shelves(net, M, K, shelves, &mut rng);
-    let mut rec = sim(seed);
-    let retry = RetryPolicy::patient();
-
-    let (mut put_msgs, mut get_msgs) = (0u64, 0u64);
-    for key in 0..items as u64 {
-        let from = dht.net.random_node(&mut rng);
-        let (out, placed) =
-            dht.put_over(from, key, value_of(key), &mut rec, subseed(seed, key), retry);
-        assert!(out.ok, "lossless put must reach its quorum");
-        assert_eq!(placed, M as usize, "lossless put must place the full clique");
-        put_msgs += out.msgs;
-    }
-    for key in 0..items as u64 {
-        let from = dht.net.random_node(&mut rng);
-        let (out, value) = dht.get_over(from, key, &mut rec, subseed(seed ^ 0x6E7, key), retry);
-        assert_eq!(value, Some(value_of(key)), "quorum read lost item {key}");
-        assert_eq!(out.shares.len(), K as usize, "a read gathers the k shares it decodes");
-        get_msgs += out.msgs;
-    }
-
-    // churn burst: every op shifts cover cliques; repair re-materializes
-    for i in 0..100u64 {
-        if i % 2 == 0 {
-            let victim = dht.net.random_node(&mut rng);
-            let (_, report) = dht.leave_over(victim, &mut rec, subseed(seed ^ 0xC4, i));
-            assert_eq!(report.items_lost, 0, "single-leave churn cannot lose items");
-        } else {
-            let host = dht.net.random_node(&mut rng);
-            let kind = dht.kind;
-            dht.join_over(host, Point(rng.gen()), kind, subseed(seed ^ 0xC4, i), &mut rec, retry);
-        }
-    }
-    // and the store is still fully readable after the churn
-    for key in (0..items as u64).step_by((items / 64).max(1)) {
-        let from = dht.net.random_node(&mut rng);
-        let (_, value) = dht.get_over(from, key, &mut rec, subseed(seed ^ 0x9E7, key), retry);
-        assert_eq!(value, Some(value_of(key)), "item {key} lost across churn + repair");
-    }
-
-    // the scatter term rides on the routing term: a store per remote
-    // cover and an ack from k − 1 of them, fetch + reply per share
-    // beyond the coordinator's
-    let route = 2.0 * (n as f64).log2() + 14.0;
+    let out = play(&REPL, MASTER_SEED ^ 0x0E91, backend, Obs::off());
+    let route = 2.0 * (REPL.n as f64).log2() + 14.0;
     let (m, k) = (f64::from(M), f64::from(K));
     let (put_scatter, get_scatter) = ((m - 1.0) + (k - 1.0), 2.0 * (k - 1.0));
-    let (put_msgs, get_msgs) = (put_msgs as f64 / items as f64, get_msgs as f64 / items as f64);
+    let stream = ..REPL.phases.len();
+    let per = |msgs, ops| out.seen(stream, msgs) as f64 / out.seen(stream, ops) as f64;
+    let (put_msgs, get_msgs) = (per("put msgs", "puts"), per("msgs", "reads"));
     assert!(
         put_msgs <= route + put_scatter,
         "put cost {put_msgs:.1} msgs/op exceeds route + clique fan-out shape"
@@ -315,24 +258,24 @@ fn repl_over<S: Shelves>(shelves: S) -> u64 {
         (get_scatter..=route + get_scatter).contains(&get_msgs),
         "get cost {get_msgs:.1} msgs/op is outside route + k − 1 fetches"
     );
-    rec.fingerprint()
+    out.wire_fp
 }
 
 fn slo_wire(backend: Backend) -> u64 {
-    slo::pinned(backend == Backend::File, false, Obs::off()).wire_fp
+    slo::pinned(backend, false, Obs::off()).wire_fp
 }
 
 /// The ring's depth never reaches the fold (it folds at record time).
 const RING: usize = 1 << 14;
 
 fn obs_wire(backend: Backend) -> u64 {
-    slo::pinned(backend == Backend::File, false, Obs::recording(RING)).wire_fp
+    slo::pinned(backend, false, Obs::recording(RING)).wire_fp
 }
 
 fn obs_recorder(backend: Backend) -> u64 {
-    slo::pinned(backend == Backend::File, false, Obs::recording(RING)).obs.fingerprint()
+    slo::pinned(backend, false, Obs::recording(RING)).obs.fingerprint()
 }
 
 fn chaos_campaign(backend: Backend) -> u64 {
-    chaos::campaign(backend == Backend::File).1
+    chaos::campaign(backend).1
 }

@@ -3,14 +3,15 @@
 //! property that lets `cd_bench::pins` hold a single wire value for
 //! `e_slo` and `e_obs`, mem and file.
 
-use cd_bench::slo::{run, Run};
+use cd_bench::scenario::{Backend, Outcome as Run};
+use cd_bench::slo::run;
 use dh_obs::Obs;
 
 const SHAPE: (usize, usize, usize) = (300, 150, 400);
 const SEED: u64 = 0x510;
 
 fn pass(file_backend: bool, grey: bool, obs: Obs) -> Run {
-    run(SHAPE, SEED, file_backend, grey, obs)
+    run(SHAPE, SEED, if file_backend { Backend::File } else { Backend::Mem }, grey, obs)
 }
 
 #[test]

@@ -8,9 +8,8 @@
 use crate::tree::ActiveTree;
 use cd_core::hashing::KWiseHash;
 use cd_core::point::Point;
-use cd_core::walk::TwoSidedWalk;
 use cd_core::graph::{ContinuousGraph, DistanceHalving};
-use dh_dht::{CdNetwork, NodeId};
+use dh_dht::{CdNetwork, LookupKind, LookupScratch, NodeId, Route};
 use rand::Rng;
 use std::collections::HashMap;
 
@@ -71,10 +70,10 @@ pub struct CachedDht<G: ContinuousGraph = DistanceHalving> {
     /// Per-server messages handled this epoch (slab-indexed), including
     /// routing, replication and update messages.
     messages: Vec<u64>,
-    /// Reusable two-sided walk (digit buffer) for the serve path.
-    walk: TwoSidedWalk,
-    /// Reusable phase-2 trace buffer for the serve path.
-    trace: Vec<Point>,
+    /// The serve path's reused walk and route: a request allocates
+    /// nothing once their buffers have grown.
+    walk: LookupScratch,
+    route: Route,
 }
 
 impl<G: ContinuousGraph> CachedDht<G> {
@@ -94,8 +93,8 @@ impl<G: ContinuousGraph> CachedDht<G> {
             trees: HashMap::new(),
             supplies: vec![0; cap],
             messages: vec![0; cap],
-            walk: TwoSidedWalk::new(Point(0), Point(0), 2),
-            trace: Vec::new(),
+            walk: LookupScratch::new(),
+            route: Route::empty(),
         }
     }
 
@@ -115,84 +114,49 @@ impl<G: ContinuousGraph> CachedDht<G> {
 
     /// Request `item` from server `from` (one client request, §3.1).
     ///
-    /// Routes exactly like the Distance Halving Lookup; during phase 2
-    /// each server on the climb checks whether the tree node the
-    /// message sits on is active in its cache, and serves the request
-    /// at the first hit. The root (the item's owner) always serves as a
-    /// last resort, so every request is answered.
+    /// Steps the Distance Halving Lookup's walk ([`LookupScratch`]);
+    /// during phase 2 each server on the climb checks whether the tree
+    /// node the message sits on — at the level of the header's digit
+    /// count — is active in its cache, and serves the request at the
+    /// first hit. The root (the item's owner) always serves as a last
+    /// resort, so every request is answered.
     pub fn request(&mut self, from: NodeId, item: u64, rng: &mut impl Rng) -> Served {
         let y = self.hash.point(item);
         self.trees.entry(item).or_insert_with(|| ActiveTree::new(y));
-        let x = self.net.node(from).x;
-        // Take the reusable walk/trace buffers out of self so the
-        // serve path can borrow the rest of the state mutably; restored
-        // below (the std::mem dance keeps the hot path allocation-free).
-        let mut walk = std::mem::replace(&mut self.walk, TwoSidedWalk::new(Point(0), Point(0), 2));
-        let mut trace = std::mem::take(&mut self.trace);
-        walk.reset(x, y, 2);
-        let mut cur = from;
-        let mut hops = 0usize;
+        let mut at = (from, self.net.slot_of(from));
+        self.walk.start(&self.net, LookupKind::DistanceHalving, at, y, &mut self.route);
+        let (mut hops, mut entry) = (0usize, None);
         self.charge(from, 1);
-        // phase 1
         loop {
-            let q = walk.target();
-            if let Some(next) = self.net.local_cover(cur, q) {
-                if next != cur {
-                    hops += 1;
-                    self.charge(next, 1);
-                }
-                cur = next;
-                break;
-            }
-            assert!(walk.steps() < 130, "phase 1 diverged");
-            walk.step(rng);
-            let next = self
-                .net
-                .local_cover(cur, walk.source())
-                .expect("missing forward edge during caching walk");
-            if next != cur {
+            let (next, slot, q) = self
+                .walk
+                .step(&self.net, at, &[], rng, &mut self.route)
+                .expect("the root of an active tree is always active");
+            if next != at.0 {
                 hops += 1;
                 self.charge(next, 1);
             }
-            cur = next;
-        }
-        // phase 2: climb q_t … q_0 = y, serve at the first active node
-        walk.target_backtrace_into(&mut trace);
-        let t = trace.len() - 1;
-        let mut served = None;
-        for (idx, &q) in trace.iter().enumerate() {
-            if idx > 0 {
-                let next = self
-                    .net
-                    .local_cover(cur, q)
-                    .expect("missing backward edge during caching walk");
-                if next != cur {
-                    hops += 1;
-                    self.charge(next, 1);
-                }
-                cur = next;
+            at = (next, slot);
+            if self.route.phase2_start.is_none() {
+                continue;
             }
-            let level = (t - idx) as u32;
+            // phase 2: climb q_t … q_0 = y, serve at the first active node
+            let level = self.walk.header_digits();
+            let entered_at = *entry.get_or_insert(level);
             if let Some(kids) = self.serve_probe(item, q) {
-                if let Some(kids) = kids {
-                    // one replication message to each child's server
-                    for k in kids {
-                        let owner = self.net.cover_of(k);
-                        self.charge(owner, 1);
-                    }
+                // one replication message to each child's server
+                for k in kids.into_iter().flatten() {
+                    let owner = self.net.cover_of(k);
+                    self.charge(owner, 1);
                 }
-                let idx_by = cur.0 as usize;
+                let idx_by = next.0 as usize;
                 if self.supplies.len() <= idx_by {
                     self.supplies.resize(idx_by + 1, 0);
                 }
                 self.supplies[idx_by] += 1;
-                served = Some(Served { at: q, level, by: cur, hops, entered_at: t as u32 });
-                break;
+                return Served { at: q, level, by: next, hops, entered_at };
             }
         }
-        self.walk = walk;
-        self.trace = trace;
-        served.expect("the root of an active tree is always active")
     }
 
     /// Probe the path-tree node `q` of `item`: `None` if it is not

@@ -76,24 +76,6 @@ pub fn fast_start(y: Point, seg: Interval, delta: u32) -> (Point, usize) {
     (h, t)
 }
 
-/// The smallest `t` such that `w(σ(z)_t, y)` lies in an arc of length
-/// `arc_len` around `z` is about `log_∆(1/arc_len)`; this returns a safe
-/// upper bound for the walk length needed by Fast Lookup.
-pub fn walk_budget(arc_len: u128, delta: u32) -> usize {
-    // number of base-∆ digits needed to resolve arc_len: smallest t with
-    // ∆^-t ≤ arc_len / 2, capped by the 64-bit resolution.
-    let mut t = 0usize;
-    let mut scale = crate::interval::FULL;
-    while scale > arc_len / 2 && t < 128 {
-        scale /= delta as u128;
-        t += 1;
-        if scale == 0 {
-            break;
-        }
-    }
-    t
-}
-
 /// The two-sided walk at the heart of the Distance Halving Lookup
 /// (Section 2.2.2): a source-side point `p_t = w(τ_t, x)` and a
 /// target-side point `q_t = w(τ_t, y)` advance together under the same
@@ -281,17 +263,6 @@ mod tests {
             // for every ∆
             assert_eq!(*trace.last().unwrap(), y);
         }
-    }
-
-    #[test]
-    fn walk_budget_is_logarithmic() {
-        // an arc of length 2⁻¹⁰ of the circle needs ~11 binary digits
-        let arc = crate::interval::FULL >> 10;
-        let t = walk_budget(arc, 2);
-        assert!((11..=13).contains(&t), "budget {t}");
-        // base 16: about 3 digits
-        let t = walk_budget(arc, 16);
-        assert!((3..=4).contains(&t), "budget {t}");
     }
 
     proptest! {
